@@ -347,6 +347,16 @@ impl Registry {
             .unwrap_or_default()
     }
 
+    /// Whether any DS record is published for `domain` — the
+    /// emptiness test of [`Registry::ds_of`] without cloning the set.
+    pub fn has_ds(&self, domain: &Name) -> bool {
+        self.authority
+            .with_zone(&self.tld.zone(), |zone| {
+                zone.rrset_records(domain, RrType::Ds).is_some()
+            })
+            .unwrap_or(false)
+    }
+
     /// The NS hostnames currently delegated for `domain`.
     pub fn ns_of(&self, domain: &Name) -> Vec<Name> {
         self.authority
@@ -411,7 +421,15 @@ impl Registry {
     /// signed domain earns its sponsor the per-domain discount, a broken
     /// one counts as a failure.
     pub fn record_audit(&mut self, domain: &Name, passed: bool) {
-        let Some(sponsor) = self.sponsor_of(domain) else {
+        if let Some(row) = self.table.row_of(domain) {
+            self.record_audit_row(row, passed);
+        }
+    }
+
+    /// [`Registry::record_audit`] by table row (the daily audit pass
+    /// enumerates rows, not names).
+    pub(crate) fn record_audit_row(&mut self, row: u32, passed: bool) {
+        let Some(sponsor) = self.table.sponsor(row) else {
             return;
         };
         if passed {
@@ -566,6 +584,7 @@ mod tests {
         r.add_delegation(reg, &name("x.com"), &[name("ns1.op.net")])
             .unwrap();
         assert!(r.ds_of(&name("x.com")).is_empty());
+        assert!(!r.has_ds(&name("x.com")));
         let ds = DsRdata {
             key_tag: 1,
             algorithm: 8,
@@ -574,6 +593,7 @@ mod tests {
         };
         r.set_ds(reg, &name("x.com"), std::slice::from_ref(&ds)).unwrap();
         assert_eq!(r.ds_of(&name("x.com")), vec![ds]);
+        assert!(r.has_ds(&name("X.com")));
         // The DS RRset is signed by the registry.
         let has_ds_sig = r
             .authority()
@@ -590,6 +610,7 @@ mod tests {
         assert!(has_ds_sig);
         r.remove_ds(reg, &name("x.com")).unwrap();
         assert!(r.ds_of(&name("x.com")).is_empty());
+        assert!(!r.has_ds(&name("x.com")));
     }
 
     #[test]

@@ -352,8 +352,14 @@ impl DomainStore {
     /// Domains in canonical name order (the order the replaced `BTreeMap`
     /// iterated in — simulation draws depend on it, so it is part of the
     /// store's contract).
-    pub fn values(&self) -> StoreValues<'_> {
-        StoreValues {
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Domain> {
+        self.entries().map(|(_, domain)| domain)
+    }
+
+    /// [`DomainStore::values`] with each domain's row id — what the
+    /// tick worklists store in place of names.
+    pub fn entries(&self) -> StoreEntries<'_> {
+        StoreEntries {
             guard: self.ensure_order(),
             store: self,
             pos: 0,
@@ -375,20 +381,21 @@ impl std::ops::Index<&Name> for DomainStore {
     }
 }
 
-/// Canonical-order iterator over a [`DomainStore`]'s payload rows.
-pub struct StoreValues<'a> {
+/// Canonical-order iterator over a [`DomainStore`]'s `(row, payload)`
+/// pairs.
+pub struct StoreEntries<'a> {
     guard: RwLockReadGuard<'a, OrderCache>,
     store: &'a DomainStore,
     pos: usize,
 }
 
-impl<'a> Iterator for StoreValues<'a> {
-    type Item = &'a Domain;
+impl<'a> Iterator for StoreEntries<'a> {
+    type Item = (u32, &'a Domain);
 
     fn next(&mut self) -> Option<Self::Item> {
         let &row = self.guard.sorted.get(self.pos)?;
         self.pos += 1;
-        Some(&self.store.rows[row as usize])
+        Some((row, &self.store.rows[row as usize]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -397,7 +404,7 @@ impl<'a> Iterator for StoreValues<'a> {
     }
 }
 
-impl ExactSizeIterator for StoreValues<'_> {}
+impl ExactSizeIterator for StoreEntries<'_> {}
 
 #[cfg(test)]
 mod tests {

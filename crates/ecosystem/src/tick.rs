@@ -1,0 +1,960 @@
+//! The daily simulation tick and its passes.
+//!
+//! A child module of [`world`](super) so the passes share `World`'s
+//! private state. A simulated day costs what *changed* that day: the
+//! opt-in passes draw over cached candidate worklists, renewals process
+//! one expiry-day bucket, and audits reuse memoized verdicts — see
+//! DESIGN.md §9 for the invalidation contract every new `Domain`
+//! mutation path must honour.
+
+use super::*;
+
+/// Worklist slot of the registrar-hosted opt-in candidates; slot `1 + i`
+/// holds the candidates hosted at `World::third_parties[i]`.
+const HOSTED: usize = 0;
+
+/// Incrementally maintained inputs of the daily passes.
+///
+/// **Invalidation contract** (DESIGN.md §9): the worklists are exactly
+/// the rows [`World::adoption_slot`] accepts, in canonical name order,
+/// whenever `worklists_fresh` is set. Every path that could *add* a
+/// candidate or change eligibility — a new domain, a hosting change, a
+/// hazard or policy change — calls [`TickState::invalidate_worklists`];
+/// signing removes the one row in place ([`World::set_keys`]). Renewal
+/// buckets are exact at all times: every write of `Domain::expires`
+/// moves the row between buckets.
+#[derive(Default)]
+pub(super) struct TickState {
+    worklists: Vec<Vec<u32>>,
+    worklists_fresh: bool,
+    /// Expiry day → rows renewing that day (unordered within a bucket).
+    renewals: BTreeMap<SimDate, Vec<u32>>,
+    mass_sign_queue: Vec<MassSignTask>,
+    /// Per incentive TLD, registry row → last audit outcome.
+    audit_memo: BTreeMap<Tld, Vec<AuditVerdict>>,
+}
+
+impl TickState {
+    /// Marks the opt-in worklists stale; the next adoption pass rebuilds
+    /// them with one sweep.
+    pub(super) fn invalidate_worklists(&mut self) {
+        self.worklists_fresh = false;
+    }
+
+    /// Files `row` under its expiry day.
+    pub(super) fn schedule_renewal(&mut self, row: u32, on: SimDate) {
+        self.renewals.entry(on).or_default().push(row);
+    }
+
+    /// Takes `row` out of the bucket of its previous expiry day.
+    pub(super) fn unschedule_renewal(&mut self, row: u32, on: SimDate) {
+        if let Some(bucket) = self.renewals.get_mut(&on) {
+            // Builders re-date a domain right after buying it, so the row
+            // is almost always the bucket's last entry.
+            if let Some(pos) = bucket.iter().rposition(|&r| r == row) {
+                bucket.swap_remove(pos);
+            }
+            if bucket.is_empty() {
+                self.renewals.remove(&on);
+            }
+        }
+    }
+}
+
+/// Internal queue entry for a mass-signing milestone in progress.
+struct MassSignTask {
+    registrar: RegistrarId,
+    /// Store rows to sign, in canonical order; `next` is the cursor.
+    targets: Vec<u32>,
+    next: usize,
+    per_day: usize,
+}
+
+/// A memoized audit outcome for one registry row. The outcome is a pure
+/// function of the delegation's generation (DESIGN.md §9) and of where
+/// `now` falls between the RRSIG validity edges of the observation it
+/// came from, so it is reused only while both stand still.
+#[derive(Clone, Copy, Default)]
+struct AuditVerdict {
+    /// Registry generation observed (live delegations start at 1, so a
+    /// default entry never matches).
+    generation: u64,
+    /// The nearest RRSIG inception/expiration edges around the
+    /// observation time, exclusive: the RFC 4035 time check cannot change
+    /// its answer while `window.0 < now < window.1`.
+    window: (i64, i64),
+    /// `None`: no DS published, nothing to audit.
+    passed: Option<bool>,
+}
+
+impl AuditVerdict {
+    fn holds(&self, generation: u64, now: u32) -> bool {
+        let now = i64::from(now);
+        self.generation == generation && self.window.0 < now && now < self.window.1
+    }
+}
+
+/// The open interval around `now` free of RRSIG validity edges.
+fn validity_window(obs: &Observation, now: u32) -> (i64, i64) {
+    let now = i64::from(now);
+    let mut window = (i64::MIN, i64::MAX);
+    for sig in &obs.dnskey_rrsigs {
+        for edge in [i64::from(sig.inception), i64::from(sig.expiration)] {
+            if edge <= now {
+                window.0 = window.0.max(edge);
+            }
+            if edge >= now {
+                window.1 = window.1.min(edge);
+            }
+        }
+    }
+    window
+}
+
+impl World {
+    /// Advances one day: apply milestones, drain mass-sign queues, run
+    /// population adoption, renewals, audits, and CDS scans.
+    pub fn tick(&mut self) {
+        self.today = self.today.plus_days(1);
+        // Keep the fault plane's clock in step so flap schedules follow
+        // simulation time.
+        self.network.faults().set_day(self.today.0);
+        self.apply_milestones();
+        self.drain_mass_sign();
+        self.population_adoption();
+        self.third_party_adoption();
+        self.process_renewals();
+        self.drive_rollovers();
+        self.drive_anchor_roll();
+        if self
+            .today
+            .days_since(self.config.start)
+            .is_multiple_of(self.config.audit_interval_days.max(1))
+        {
+            self.run_audits();
+        }
+        self.run_cds_scans();
+    }
+
+    /// Advances until `date` (inclusive of its tick).
+    pub fn advance_to(&mut self, date: SimDate) {
+        while self.today < date {
+            self.tick();
+        }
+    }
+
+    // -------------------------------------------------------- worklists --
+
+    /// The opt-in worklist `d` belongs on, if it is a candidate: unsigned,
+    /// and hosted where opting in is possible at all. Time-dependent
+    /// conditions (a third party's launch day) stay with the daily pass.
+    fn adoption_slot(&self, d: &Domain) -> Option<usize> {
+        if d.keys.is_some() {
+            return None;
+        }
+        match d.hosting {
+            Hosting::Registrar { .. } => {
+                let registrar = &self.registrars[d.registrar.0 as usize];
+                (registrar.daily_optin_hazard > 0.0 && registrar.policy.operator_dnssec.supported())
+                    .then_some(HOSTED)
+            }
+            Hosting::ThirdParty { operator } => self
+                .third_parties
+                .iter()
+                .position(|tp| {
+                    tp.operator == operator
+                        && tp.dnssec_launch.is_some()
+                        && tp.daily_optin_hazard > 0.0
+                })
+                .map(|i| 1 + i),
+            Hosting::Owner => None,
+        }
+    }
+
+    /// All opt-in worklists by one clone-free sweep in canonical order.
+    fn sweep_worklists(&self) -> Vec<Vec<u32>> {
+        let mut lists = vec![Vec::new(); 1 + self.third_parties.len()];
+        for (row, d) in self.domains.entries() {
+            if let Some(slot) = self.adoption_slot(d) {
+                lists[slot].push(row);
+            }
+        }
+        lists
+    }
+
+    fn ensure_worklists(&mut self) {
+        if !self.tick.worklists_fresh {
+            self.tick.worklists = self.sweep_worklists();
+            self.tick.worklists_fresh = true;
+        }
+    }
+
+    /// Installs `keys` on the domain at `row` — the only writer of
+    /// `Domain::keys` besides [`World::rehost`]. A first signing takes
+    /// the row off its opt-in worklist in place.
+    pub(super) fn set_keys(&mut self, row: u32, keys: ZoneKeys) {
+        if self.tick.worklists_fresh {
+            if let Some(slot) = self.adoption_slot(self.domains.at(row)) {
+                let domains = &self.domains;
+                let name = &domains.at(row).name;
+                let list = &mut self.tick.worklists[slot];
+                // Absent only while a pass has the list checked out; the
+                // pass drops signed rows itself before returning it.
+                if let Ok(pos) = list.binary_search_by(|&r| domains.at(r).name.cmp(name)) {
+                    list.remove(pos);
+                }
+            }
+        }
+        self.domains.at_mut(row).keys = Some(keys);
+    }
+
+    /// Moves the domain at `row` to `hosting`; the previous arrangement's
+    /// keys go with it.
+    pub(super) fn rehost(&mut self, row: u32, hosting: Hosting) {
+        let d = self.domains.at_mut(row);
+        d.hosting = hosting;
+        d.keys = None;
+        self.tick.invalidate_worklists();
+    }
+
+    /// Recomputes the opt-in worklists and renewal buckets by full sweep,
+    /// re-audits every memoized verdict that would be reused today, and
+    /// compares all of it with the cached state (test support).
+    #[doc(hidden)]
+    pub fn check_tick_indices(&self) -> Result<(), String> {
+        if self.tick.worklists_fresh {
+            let (cached, swept) = (&self.tick.worklists, self.sweep_worklists());
+            if cached.len() != swept.len() {
+                return Err(format!(
+                    "{} opt-in worklists cached, {} swept",
+                    cached.len(),
+                    swept.len()
+                ));
+            }
+            if let Some(slot) = (0..swept.len()).find(|&slot| cached[slot] != swept[slot]) {
+                return Err(format!(
+                    "opt-in worklist {slot} diverged: cached {:?}, swept {:?}",
+                    cached[slot], swept[slot]
+                ));
+            }
+        }
+        let mut swept: BTreeMap<SimDate, Vec<u32>> = BTreeMap::new();
+        for (row, d) in self.domains.entries() {
+            swept.entry(d.expires).or_default().push(row);
+        }
+        for (day, rows) in &mut swept {
+            let mut cached = self.tick.renewals.get(day).cloned().unwrap_or_default();
+            cached.sort_unstable();
+            rows.sort_unstable();
+            if cached != *rows {
+                return Err(format!(
+                    "renewal bucket {day} diverged: cached {cached:?}, swept {rows:?}"
+                ));
+            }
+        }
+        if let Some(day) = self
+            .tick
+            .renewals
+            .keys()
+            .find(|day| !swept.contains_key(day))
+        {
+            return Err(format!(
+                "renewal bucket {day} is cached but nothing expires then"
+            ));
+        }
+        if self.network.faults().is_enabled() {
+            return Ok(());
+        }
+        let now = self.today.epoch_seconds();
+        for (tld, verdicts) in &self.tick.audit_memo {
+            let registry = &self.registries[tld];
+            for (row, domain, generation) in registry.delegations_columnar() {
+                let Some(verdict) = verdicts.get(row as usize) else {
+                    continue;
+                };
+                if verdict.holds(generation, now)
+                    && verdict.passed != self.audit(registry, domain, now).0
+                {
+                    return Err(format!(
+                        "audit memo for {domain} is stale at generation {generation}: {:?}",
+                        verdict.passed
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    // ----------------------------------------------------------- passes --
+
+    fn apply_milestones(&mut self) {
+        let today = self.today;
+        for idx in 0..self.registrars.len() {
+            let due: Vec<PolicyChange> = self.registrars[idx]
+                .milestones
+                .iter()
+                .filter(|m| m.on == today)
+                .map(|m| m.change.clone())
+                .collect();
+            for change in due {
+                self.apply_change(RegistrarId(idx as u32), change);
+            }
+        }
+    }
+
+    fn apply_change(&mut self, id: RegistrarId, change: PolicyChange) {
+        // Policy and hazard decide opt-in eligibility.
+        self.tick.invalidate_worklists();
+        match change {
+            PolicyChange::SetOperatorDnssec(p) => {
+                self.registrars[id.0 as usize].policy.operator_dnssec = p;
+            }
+            PolicyChange::SetExternalDs(p) => {
+                self.registrars[id.0 as usize].policy.external_ds = p;
+            }
+            PolicyChange::SetPublishesDs(tld, v) => {
+                if let Some(tp) = self.registrars[id.0 as usize].policy.tlds.get_mut(&tld) {
+                    tp.publishes_ds = v;
+                }
+            }
+            PolicyChange::SetOptInHazard(h) => {
+                self.registrars[id.0 as usize].daily_optin_hazard = h;
+            }
+            PolicyChange::SwitchPartner {
+                tld,
+                new_partner,
+                migrate_at_renewal,
+            } => {
+                if let Some(partner) = self.registrar_by_name(&new_partner) {
+                    if let Some(tp) = self.registrars[id.0 as usize].policy.tlds.get_mut(&tld) {
+                        tp.role = TldRole::ResellerVia(new_partner);
+                        tp.publishes_ds = true;
+                    }
+                    if migrate_at_renewal {
+                        for d in self.domains.values_mut() {
+                            if d.registrar == id && d.tld == tld && d.sponsor != partner {
+                                d.pending_partner_migration = true;
+                            }
+                        }
+                    }
+                }
+            }
+            PolicyChange::MassSignHosted { tlds, over_days } => {
+                let targets: Vec<u32> = self
+                    .domains
+                    .entries()
+                    .filter(|(_, d)| {
+                        d.registrar == id
+                            && tlds.contains(&d.tld)
+                            && matches!(d.hosting, Hosting::Registrar { .. })
+                            && d.keys.is_none()
+                    })
+                    .map(|(row, _)| row)
+                    .collect();
+                let per_day = targets.len().div_ceil(over_days.max(1) as usize).max(1);
+                self.tick.mass_sign_queue.push(MassSignTask {
+                    registrar: id,
+                    targets,
+                    next: 0,
+                    per_day,
+                });
+            }
+        }
+    }
+
+    fn drain_mass_sign(&mut self) {
+        let mut queue = std::mem::take(&mut self.tick.mass_sign_queue);
+        for task in &mut queue {
+            let end = (task.next + task.per_day).min(task.targets.len());
+            for &row in &task.targets[task.next..end] {
+                // Domain may have changed hosting since the milestone.
+                let d = self.domains.at(row);
+                if d.registrar == task.registrar && d.keys.is_none() {
+                    let name = d.name.clone();
+                    let _ = self.sign_hosted_at(row, &name);
+                }
+            }
+            task.next = end;
+        }
+        queue.retain(|t| t.next < t.targets.len());
+        self.tick.mass_sign_queue = queue;
+    }
+
+    /// Checks the worklist at `slot` out for a pass. The day's candidates
+    /// are fixed before its draws, so the pass iterates the checked-out
+    /// list and hands it back through [`World::return_worklist`].
+    fn take_worklist(&mut self, slot: usize) -> Vec<u32> {
+        self.ensure_worklists();
+        std::mem::take(&mut self.tick.worklists[slot])
+    }
+
+    /// Hands a checked-out worklist back, minus the rows the pass signed.
+    fn return_worklist(&mut self, slot: usize, mut list: Vec<u32>, signed_any: bool) {
+        if signed_any {
+            list.retain(|&row| self.domains.at(row).keys.is_none());
+        }
+        self.tick.worklists[slot] = list;
+    }
+
+    fn population_adoption(&mut self) {
+        // Exactly one draw per candidate, in canonical order.
+        let candidates = self.take_worklist(HOSTED);
+        let mut signed_any = false;
+        for &row in &candidates {
+            let registrar = self.domains.at(row).registrar;
+            let hazard = self.registrars[registrar.0 as usize].daily_optin_hazard;
+            if self.rng.random::<f64>() < hazard {
+                let name = self.domains.at(row).name.clone();
+                let _ = self.sign_hosted_at(row, &name);
+                signed_any = true;
+            }
+        }
+        self.return_worklist(HOSTED, candidates, signed_any);
+    }
+
+    fn third_party_adoption(&mut self) {
+        for idx in 0..self.third_parties.len() {
+            let tp = &self.third_parties[idx];
+            let (hazard, relay) = (tp.daily_optin_hazard, tp.relay_success);
+            match tp.dnssec_launch {
+                Some(launch) if self.today >= launch && hazard > 0.0 => {}
+                _ => continue,
+            }
+            let candidates = self.take_worklist(1 + idx);
+            let mut signed_any = false;
+            for &row in &candidates {
+                if self.rng.random::<f64>() >= hazard {
+                    continue;
+                }
+                let domain = self.domains.at(row).name.clone();
+                let Ok(ds) = self.third_party_enable_dnssec_at(row, &domain) else {
+                    continue;
+                };
+                signed_any = true;
+                // The owner must relay the DS to the registrar; 40% never do.
+                if self.rng.random::<f64>() < relay {
+                    let d = self.domains.at(row);
+                    let (sponsor, tld) = (d.sponsor, d.tld);
+                    let _ = self
+                        .registries
+                        .get_mut(&tld)
+                        .expect("all TLDs present")
+                        .set_ds(sponsor, &domain, &[ds]);
+                    self.events.record(
+                        self.today,
+                        Event::DsPublished {
+                            domain: domain.clone(),
+                        },
+                    );
+                } else {
+                    self.events
+                        .record(self.today, Event::RelayDropped { domain });
+                }
+            }
+            self.return_worklist(1 + idx, candidates, signed_any);
+        }
+    }
+
+    fn process_renewals(&mut self) {
+        let today = self.today;
+        let Some(mut due) = self.tick.renewals.remove(&today) else {
+            return;
+        };
+        let domains = &self.domains;
+        due.sort_unstable_by(|&a, &b| domains.at(a).name.cmp(&domains.at(b).name));
+        let renewed_until = today.plus_days(365);
+        for row in due {
+            // Renew for another year.
+            let d = self.domains.at_mut(row);
+            d.expires = renewed_until;
+            let (registrar, tld, migrate, old_sponsor) =
+                (d.registrar, d.tld, d.pending_partner_migration, d.sponsor);
+            self.tick.schedule_renewal(row, renewed_until);
+            if !migrate {
+                continue;
+            }
+            // Resolve the (new) sponsor and transfer at the registry.
+            let Ok(new_sponsor) = self.resolve_sponsor(registrar, tld) else {
+                continue;
+            };
+            if new_sponsor != old_sponsor {
+                let name = self.domains.at(row).name.clone();
+                let transferred = self
+                    .registries
+                    .get_mut(&tld)
+                    .expect("all TLDs present")
+                    .transfer(old_sponsor, new_sponsor, &name)
+                    .is_ok();
+                if !transferred {
+                    continue;
+                }
+                let d = self.domains.at_mut(row);
+                d.sponsor = new_sponsor;
+                d.pending_partner_migration = false;
+                self.events.record(
+                    today,
+                    Event::PartnerMigrated {
+                        domain: name.clone(),
+                        new_sponsor,
+                    },
+                );
+                // With a DNSSEC-capable partner, the reseller can now sign
+                // hosted domains and publish DS (including for domains it
+                // had already signed but could not complete).
+                if matches!(self.domains.at(row).hosting, Hosting::Registrar { .. }) {
+                    let policy = &self.registrars[registrar.0 as usize].policy;
+                    if policy.operator_dnssec.supported() && policy.tld(tld).publishes_ds {
+                        let _ = self.sign_hosted_at(row, &name);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Audits one delegation the way the incentive programmes do: `None`
+    /// without a DS (nothing to audit), otherwise whether the chain
+    /// validates right now — plus the window that verdict holds for.
+    fn audit(&self, registry: &Registry, domain: &Name, now: u32) -> (Option<bool>, (i64, i64)) {
+        if !registry.has_ds(domain) {
+            return (None, (i64::MIN, i64::MAX));
+        }
+        let obs = self.observation_of(domain);
+        let passed = classify(domain, &obs, now) == DeploymentStatus::FullyDeployed;
+        (Some(passed), validity_window(&obs, now))
+    }
+
+    fn run_audits(&mut self) {
+        let now = self.today.epoch_seconds();
+        // Same rule as the scanner's `ScanMemo`: with the fault plane live
+        // every audit really queries, so fault draws and attempt counters
+        // are what they would be without a memo.
+        let use_memo = !self.network.faults().is_enabled();
+        let mut memo = std::mem::take(&mut self.tick.audit_memo);
+        for tld in ALL_TLDS {
+            if tld.incentive().is_none() {
+                continue;
+            }
+            let verdicts = memo.entry(tld).or_default();
+            let registry = &self.registries[&tld];
+            let mut audited: Vec<(u32, bool)> = Vec::new();
+            for (row, domain, generation) in registry.delegations_columnar() {
+                let slot = row as usize;
+                let passed = match verdicts.get(slot) {
+                    Some(v) if use_memo && v.holds(generation, now) => v.passed,
+                    _ => {
+                        let (passed, window) = self.audit(registry, domain, now);
+                        if use_memo {
+                            if verdicts.len() <= slot {
+                                verdicts.resize(slot + 1, AuditVerdict::default());
+                            }
+                            verdicts[slot] = AuditVerdict {
+                                generation,
+                                window,
+                                passed,
+                            };
+                        }
+                        passed
+                    }
+                };
+                if let Some(passed) = passed {
+                    audited.push((row, passed));
+                }
+            }
+            let registry = self.registries.get_mut(&tld).expect("all TLDs present");
+            for (row, passed) in audited {
+                registry.record_audit_row(row, passed);
+            }
+        }
+        self.tick.audit_memo = memo;
+    }
+
+    fn run_cds_scans(&mut self) {
+        // Only registries with CDS support scan (an extension experiment;
+        // none of the five paper TLDs had it in-window).
+        let now = self.today.epoch_seconds();
+        let mut scans: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
+        for (tld, registry) in &self.registries {
+            if !registry.supports_cds {
+                continue;
+            }
+            for domain in registry.delegation_names() {
+                if let Some(action) = self.scan_child_cds(domain, registry, now) {
+                    scans.push((*tld, domain.clone(), action));
+                }
+            }
+        }
+        for (tld, domain, ds_set) in scans {
+            let sponsor = self.registries[&tld].sponsor_of(&domain);
+            if let Some(sponsor) = sponsor {
+                let _ = self
+                    .registries
+                    .get_mut(&tld)
+                    .expect("all TLDs present")
+                    .set_ds(sponsor, &domain, &ds_set);
+                self.events.record(self.today, Event::CdsApplied { domain });
+            }
+        }
+        self.run_cds_bootstrap(now);
+    }
+
+    /// RFC 8078 §3 "accept after delay": a DS-less child that has stably
+    /// published a self-consistent CDS for the configured delay gets its
+    /// DS installed without any registrar involvement — healing exactly
+    /// the partial deployments the paper laments.
+    fn run_cds_bootstrap(&mut self, now: u32) {
+        let mut first_seen = std::mem::take(&mut self.cds_first_seen);
+        let mut to_install: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
+        for (tld, registry) in &self.registries {
+            let Some(delay) = registry.cds_bootstrap_delay_days else {
+                continue;
+            };
+            // Table names are canonical already.
+            for domain in registry.delegation_names().filter(|d| !registry.has_ds(d)) {
+                match self.consistent_cds_of(domain, now) {
+                    Some(ds_set) => {
+                        let first = *first_seen.entry(domain.clone()).or_insert(self.today);
+                        if self.today.days_since(first) >= delay {
+                            to_install.push((*tld, domain.clone(), ds_set));
+                        }
+                    }
+                    None => {
+                        first_seen.remove(domain);
+                    }
+                }
+            }
+        }
+        self.cds_first_seen = first_seen;
+        for (tld, domain, ds_set) in to_install {
+            let Some(sponsor) = self.registries[&tld].sponsor_of(&domain) else {
+                continue;
+            };
+            let _ = self
+                .registries
+                .get_mut(&tld)
+                .expect("all TLDs present")
+                .set_ds(sponsor, &domain, &ds_set);
+            self.cds_first_seen.remove(&domain);
+            self.events.record(self.today, Event::CdsApplied { domain });
+        }
+    }
+
+    /// The CDS set of `domain` if it is published and correctly signed by
+    /// the zone's own served DNSKEYs (the RFC 8078 self-consistency bar).
+    fn consistent_cds_of(&self, domain: &Name, now: u32) -> Option<Vec<DsRdata>> {
+        let resp = self.query_domain(domain, RrType::Cds)?;
+        let cds_records: Vec<Record> = resp
+            .answers
+            .iter()
+            .filter(|r| r.rtype() == RrType::Cds)
+            .cloned()
+            .collect();
+        if cds_records.is_empty() {
+            return None;
+        }
+        let cds_rrset = RrSet::new(cds_records).ok()?;
+        let rrsigs: Vec<_> = resp
+            .answers
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Rrsig(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect();
+        let served = self.served_dnskeys(domain);
+        let scan = dsec_dnssec::CdsScan {
+            cds: Some(cds_rrset),
+            cdnskey: None,
+            rrsigs,
+            trusted_keys: served,
+        };
+        match dsec_dnssec::process_scan(domain, &scan, now) {
+            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
+            _ => None,
+        }
+    }
+
+    /// Scans one child for an authenticated CDS change; returns the new DS
+    /// set if one should be applied.
+    fn scan_child_cds(&self, domain: &Name, registry: &Registry, now: u32) -> Option<Vec<DsRdata>> {
+        if !registry.has_ds(domain) {
+            return None; // RFC 7344 trust bootstrap from current chain only
+        }
+        let resp = self.query_domain(domain, RrType::Cds)?;
+        let cds_records: Vec<Record> = resp
+            .answers
+            .iter()
+            .filter(|r| r.rtype() == RrType::Cds)
+            .cloned()
+            .collect();
+        if cds_records.is_empty() {
+            return None;
+        }
+        let cds_rrset = RrSet::new(cds_records).ok()?;
+        let rrsigs: Vec<_> = resp
+            .answers
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Rrsig(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect();
+        // Trusted keys: DNSKEYs chained from the current DS.
+        let obs = self.observation_of(domain);
+        let dnskey_rrset = obs.dnskey_rrset?;
+        let trusted = dsec_dnssec::authenticate_dnskeys(
+            domain,
+            &dnskey_rrset,
+            &obs.dnskey_rrsigs,
+            &obs.ds_set,
+            now,
+        )
+        .ok()?;
+        let scan = dsec_dnssec::CdsScan {
+            cds: Some(cds_rrset),
+            cdnskey: None,
+            rrsigs,
+            trusted_keys: trusted,
+        };
+        match dsec_dnssec::process_scan(domain, &scan, now) {
+            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
+            Ok(dsec_dnssec::CdsAction::DeleteDs) => Some(Vec::new()),
+            _ => None,
+        }
+    }
+
+    /// Advances every scheduled rollover whose dates the clock has
+    /// crossed. Called from [`World::tick`].
+    fn drive_rollovers(&mut self) {
+        if self.rollovers.is_empty() {
+            return;
+        }
+        let due: Vec<Name> = self.rollovers.keys().cloned().collect();
+        for domain in due {
+            self.drive_one_rollover(&domain);
+        }
+    }
+
+    fn drive_one_rollover(&mut self, domain: &Name) {
+        let today = self.today;
+        let Some(state) = self.rollovers.get(domain) else {
+            return;
+        };
+        let plan = state.plan.clone();
+        let stalled = state.stalled;
+        let old = state.old_keys.clone();
+        let new = state.new_keys.clone();
+
+        // Operator leg 1: start serving the transitional set.
+        if !stalled && state.phase == RolloverPhase::Scheduled && today >= plan.start {
+            let set = Self::transitional_set(&plan, &old, &new);
+            let signer = self.rollover_signer(&plan);
+            if self.resign_with_set(domain, &set, &signer).is_ok() {
+                let st = self.rollovers.get_mut(domain).expect("still present");
+                st.phase = if st.ds_swapped {
+                    RolloverPhase::DsSwapped
+                } else {
+                    RolloverPhase::Prepared
+                };
+                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
+                self.events.record(
+                    today,
+                    Event::RolloverPrepared {
+                        domain: domain.clone(),
+                        style: plan.style,
+                    },
+                );
+            }
+        }
+
+        // Operator leg 1b (pre-publish ZSK only): on the scheduled swap
+        // day the *signer* switches to the incoming ZSK while the old one
+        // stays published for its retirement interval. No DS involved.
+        if !stalled
+            && plan.style == RolloverStyle::PrePublishZsk
+            && self.rollovers.get(domain).map(|s| s.phase) == Some(RolloverPhase::Prepared)
+            && today >= plan.scheduled_swap()
+        {
+            let set = SigningSet::prepublish(&new, &old).expect("same zone");
+            let signer = self.rollover_signer(&plan);
+            if self.resign_with_set(domain, &set, &signer).is_ok() {
+                let st = self.rollovers.get_mut(domain).expect("still present");
+                st.phase = RolloverPhase::DsSwapped;
+                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
+            }
+        }
+
+        // Registrar/registry leg: the DS moves on *its* schedule — early,
+        // late, never — independent of the operator (even one that is
+        // stalled mid-outage).
+        if plan.style.changes_ds()
+            && !self
+                .rollovers
+                .get(domain)
+                .map(|s| s.ds_swapped)
+                .unwrap_or(true)
+        {
+            if let Some(swap_day) = plan.actual_swap() {
+                if today >= swap_day {
+                    let (sponsor, tld) = {
+                        let d = self.domains.get(domain).expect("rolling domain exists");
+                        (d.sponsor, d.tld)
+                    };
+                    let ds = new.ds(DigestType::Sha256);
+                    match self
+                        .registries
+                        .get_mut(&tld)
+                        .expect("all TLDs present")
+                        .set_ds(sponsor, domain, &[ds])
+                    {
+                        Ok(()) => {
+                            let st = self.rollovers.get_mut(domain).expect("still present");
+                            st.ds_swapped = true;
+                            let operator_done = st.phase == RolloverPhase::Completed;
+                            if st.phase == RolloverPhase::Prepared {
+                                st.phase = RolloverPhase::DsSwapped;
+                            }
+                            self.events.record(
+                                today,
+                                Event::RolloverDsSwapped {
+                                    domain: domain.clone(),
+                                    on_schedule: plan.ds_timing == DsTiming::OnSchedule,
+                                },
+                            );
+                            if operator_done {
+                                // The operator finished long ago; this late
+                                // DS landing was the last outstanding leg.
+                                self.rollovers.remove(domain);
+                                self.clear_rollover_slot(domain);
+                            }
+                        }
+                        Err(e) => self.events.record(
+                            today,
+                            Event::DsRejected {
+                                domain: domain.clone(),
+                                reason: e.to_string(),
+                            },
+                        ),
+                    }
+                }
+            }
+        }
+
+        // Operator leg 2: withdraw old material, finish. Runs on schedule
+        // whether or not the DS ever moved — that is exactly how the
+        // "DS too late / never" bogus windows open.
+        let phase = self.rollovers.get(domain).map(|s| s.phase);
+        if !stalled
+            && matches!(
+                phase,
+                Some(RolloverPhase::Prepared) | Some(RolloverPhase::DsSwapped)
+            )
+            && today >= plan.completion()
+        {
+            if self.resign_with(domain, &new).is_ok() {
+                let row = self.domains.row_of(domain).expect("rolling domain exists");
+                self.set_keys(row, new);
+                let st = self.rollovers.get_mut(domain).expect("still present");
+                let ds_pending =
+                    plan.style.changes_ds() && !st.ds_swapped && plan.actual_swap().is_some();
+                if ds_pending {
+                    // The operator is done but the registrar still owes a
+                    // (late) DS swap: keep the state so the registrar leg
+                    // drives it — that landing is what closes the bogus
+                    // window.
+                    st.phase = RolloverPhase::Completed;
+                    st.signed_until = None;
+                } else {
+                    self.rollovers.remove(domain);
+                    self.clear_rollover_slot(domain);
+                }
+                self.events.record(
+                    today,
+                    Event::RolloverCompleted {
+                        domain: domain.clone(),
+                        style: plan.style,
+                    },
+                );
+            }
+            return;
+        }
+
+        // Signature upkeep under bounded validity: a live operator
+        // refreshes a day before expiry; a stalled one lets the RRSIGs
+        // lapse — and the lapse is logged once, when it happens.
+        let Some(state) = self.rollovers.get(domain) else {
+            return;
+        };
+        if let Some(until) = state.signed_until {
+            let now = today.epoch_seconds();
+            if !state.stalled
+                && matches!(
+                    state.phase,
+                    RolloverPhase::Prepared | RolloverPhase::DsSwapped
+                )
+                && now.saturating_add(86_400) >= until
+            {
+                let set = if state.phase == RolloverPhase::DsSwapped
+                    && plan.style == RolloverStyle::PrePublishZsk
+                {
+                    SigningSet::prepublish(&new, &old).expect("same zone")
+                } else {
+                    Self::transitional_set(&plan, &old, &new)
+                };
+                let signer = self.rollover_signer(&plan);
+                if self.resign_with_set(domain, &set, &signer).is_ok() {
+                    let st = self.rollovers.get_mut(domain).expect("still present");
+                    st.signed_until = Some(signer.expiration);
+                    st.expiry_noted = false;
+                }
+            } else if now >= until && !state.expiry_noted {
+                self.rollovers
+                    .get_mut(domain)
+                    .expect("still present")
+                    .expiry_noted = true;
+                self.events.record(
+                    today,
+                    Event::SignatureExpired {
+                        domain: domain.clone(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Crosses any anchor-roll phase boundaries today's date has
+    /// reached, re-signing and republishing the root zone at each.
+    fn drive_anchor_roll(&mut self) {
+        let today = self.today;
+        let Some(mut roll) = self.anchor_roll.take() else {
+            return;
+        };
+        if !roll.published && today >= roll.plan.publish {
+            roll.published = true;
+            let set = SigningSet::double(&self.root_keys, &roll.new_keys)
+                .expect("both key sets belong to the root");
+            self.resign_root(&set);
+            self.events.record(
+                today,
+                Event::TrustAnchorPublished {
+                    trusted_on: roll.plan.promotion(),
+                },
+            );
+        }
+        if roll.published && !roll.promoted && today >= roll.plan.promotion() {
+            roll.promoted = true;
+            self.events.record(today, Event::TrustAnchorPromoted);
+        }
+        if roll.published && !roll.revoked && today >= roll.plan.revoke {
+            roll.revoked = true;
+            let set = SigningSet::single(&roll.new_keys);
+            self.resign_root(&set);
+            self.events.record(
+                today,
+                Event::TrustAnchorRevoked {
+                    followers_ready: roll.promoted,
+                },
+            );
+        }
+        self.anchor_roll = Some(roll);
+    }
+}

@@ -32,6 +32,11 @@ use crate::table::{DomainStore, NO_ROLLOVER_SLOT};
 use crate::tld::{Tld, ALL_TLDS};
 use crate::RegistrarId;
 
+// The daily tick and its passes (`src/tick.rs`): a child module so the
+// passes and their worklists share `World`'s private state.
+#[path = "tick.rs"]
+mod tick;
+
 /// How long a scan waits for each simulated UDP response, in ms.
 /// Injected delays beyond this budget degrade into timeouts.
 pub const SCAN_DEADLINE_MS: u32 = 500;
@@ -230,13 +235,6 @@ impl RolloverState {
     }
 }
 
-/// Internal queue entry for a mass-signing milestone in progress.
-struct MassSignTask {
-    registrar: RegistrarId,
-    remaining: Vec<Name>,
-    per_day: usize,
-}
-
 /// A scheduled root trust-anchor roll in progress (RFC 5011 on the
 /// producer side; followers are modelled by [`World::trust_anchor`]).
 struct AnchorRollState {
@@ -276,7 +274,9 @@ pub struct World {
     /// Shared authority for all owner-hosted zones.
     owner_authority: Arc<Authority>,
     key_pool: Vec<ZoneKeys>,
-    mass_sign_queue: Vec<MassSignTask>,
+    /// Worklists, renewal buckets, mass-sign queue and audit memo of the
+    /// daily tick (see [`tick::TickState`] for the invalidation contract).
+    tick: tick::TickState,
     /// RFC 8078 bootstrap observation: first day a DS-less domain was seen
     /// publishing a self-consistent CDS.
     cds_first_seen: BTreeMap<Name, SimDate>,
@@ -397,7 +397,7 @@ impl World {
             domains: DomainStore::new(interner.clone()),
             owner_authority: Arc::new(Authority::new()),
             key_pool,
-            mass_sign_queue: Vec::new(),
+            tick: tick::TickState::default(),
             cds_first_seen: BTreeMap::new(),
             pending_rollover: BTreeMap::new(),
             rollovers: BTreeMap::new(),
@@ -452,43 +452,6 @@ impl World {
     /// The scheduled anchor-roll plan, if one exists.
     pub fn anchor_roll_plan(&self) -> Option<AnchorRollPlan> {
         self.anchor_roll.as_ref().map(|s| s.plan)
-    }
-
-    /// Crosses any anchor-roll phase boundaries today's date has
-    /// reached, re-signing and republishing the root zone at each.
-    fn drive_anchor_roll(&mut self) {
-        let today = self.today;
-        let Some(mut roll) = self.anchor_roll.take() else {
-            return;
-        };
-        if !roll.published && today >= roll.plan.publish {
-            roll.published = true;
-            let set = SigningSet::double(&self.root_keys, &roll.new_keys)
-                .expect("both key sets belong to the root");
-            self.resign_root(&set);
-            self.events.record(
-                today,
-                Event::TrustAnchorPublished {
-                    trusted_on: roll.plan.promotion(),
-                },
-            );
-        }
-        if roll.published && !roll.promoted && today >= roll.plan.promotion() {
-            roll.promoted = true;
-            self.events.record(today, Event::TrustAnchorPromoted);
-        }
-        if roll.published && !roll.revoked && today >= roll.plan.revoke {
-            roll.revoked = true;
-            let set = SigningSet::single(&roll.new_keys);
-            self.resign_root(&set);
-            self.events.record(
-                today,
-                Event::TrustAnchorRevoked {
-                    followers_ready: roll.promoted,
-                },
-            );
-        }
-        self.anchor_roll = Some(roll);
     }
 
     /// Rebuilds the root zone (same recipe as construction, serial
@@ -597,6 +560,7 @@ impl World {
             daily_optin_hazard,
             relay_success,
         });
+        self.tick.invalidate_worklists();
         operator
     }
 
@@ -610,6 +574,7 @@ impl World {
     /// Sets a registrar's opt-in hazard (population adoption speed).
     pub fn set_optin_hazard(&mut self, registrar: RegistrarId, hazard: f64) {
         self.registrars[registrar.0 as usize].daily_optin_hazard = hazard;
+        self.tick.invalidate_worklists();
     }
 
     /// Changes a registrar's external-DS channel immediately (milestones
@@ -621,7 +586,10 @@ impl World {
     /// Overrides a domain's next renewal date (population builders stagger
     /// renewals so pre-existing registrations don't all renew at once).
     pub fn set_expiry(&mut self, domain: &Name, expires: SimDate) {
-        if let Some(d) = self.domains.get_mut(&domain.to_canonical()) {
+        if let Some(row) = self.domains.row_of(domain) {
+            let d = self.domains.at_mut(row);
+            self.tick.unschedule_renewal(row, d.expires);
+            self.tick.schedule_renewal(row, expires);
             d.expires = expires;
         }
     }
@@ -668,7 +636,7 @@ impl World {
 
     /// Domain access.
     pub fn domain(&self, name: &Name) -> Option<&Domain> {
-        self.domains.get(&name.to_canonical())
+        self.domains.get(name)
     }
 
     /// Iterates all domains.
@@ -722,7 +690,7 @@ impl World {
             .zone()
             .child(label)
             .map_err(|_| ActionError::NameTaken)?;
-        if self.domains.contains_key(&name.to_canonical()) {
+        if self.domains.contains_key(&name) {
             return Err(ActionError::NameTaken);
         }
         let sponsor = self.resolve_sponsor(registrar, tld)?;
@@ -750,7 +718,10 @@ impl World {
             pending_partner_migration: false,
             registrant_email: registrant_email.into(),
         };
-        self.domains.insert(name.to_canonical(), domain);
+        let expires = domain.expires;
+        let row = self.domains.insert(name.to_canonical(), domain);
+        self.tick.schedule_renewal(row, expires);
+        self.tick.invalidate_worklists();
         self.events.record(
             self.today,
             Event::Purchased {
@@ -778,7 +749,7 @@ impl World {
     pub fn enable_dnssec(&mut self, domain: &Name) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
@@ -796,7 +767,7 @@ impl World {
     pub fn enable_dnssec_paid(&mut self, domain: &Name) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
@@ -810,8 +781,8 @@ impl World {
     /// Switches a domain to owner-run nameservers (`ns1.<domain>`); the
     /// previous hosting zone is dropped and the registry NS set updated.
     pub fn switch_to_owner_hosting(&mut self, domain: &Name) -> Result<Name, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let row = self.domains.row_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.at(row);
         let (sponsor, tld, old_hosting, registrar) =
             (d.sponsor, d.tld, d.hosting.clone(), d.registrar);
         // Drop old zone.
@@ -835,24 +806,21 @@ impl World {
         registry
             .remove_ds(sponsor, domain)
             .map_err(|e| ActionError::Registry(e.to_string()))?;
-        let d = self.domains.get_mut(&key).expect("checked above");
-        d.hosting = Hosting::Owner;
-        d.keys = None;
+        self.rehost(row, Hosting::Owner);
         Ok(ns_host)
     }
 
     /// The owner signs their self-hosted zone; returns the DS record that
     /// must now be conveyed to the registrar.
     pub fn owner_sign_zone(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
-        if d.hosting != Hosting::Owner {
+        let row = self.domains.row_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        if self.domains.at(row).hosting != Hosting::Owner {
             return Err(ActionError::WrongHosting);
         }
         let keys = self.pool_keys_salted(domain, 1);
         self.host_owner_zone(domain, Some(&keys));
         let ds = keys.ds(DigestType::Sha256);
-        self.domains.get_mut(&key).expect("checked").keys = Some(keys);
+        self.set_keys(row, keys);
         self.events.record(
             self.today,
             Event::Signed {
@@ -871,8 +839,7 @@ impl World {
         ds: DsRdata,
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
         let registrar = d.registrar;
         let tld = d.tld;
         let sponsor = d.sponsor;
@@ -960,8 +927,8 @@ impl World {
         {
             if self.rng.random::<f64>() < *mistake_rate {
                 if let Some(victim) = self.random_other_domain(registrar, domain) {
-                    let victim_sponsor = self.domains[&victim.to_canonical()].sponsor;
-                    let victim_tld = self.domains[&victim.to_canonical()].tld;
+                    let victim_sponsor = self.domains[&victim].sponsor;
+                    let victim_tld = self.domains[&victim].tld;
                     let _ = self
                         .registries
                         .get_mut(&victim_tld)
@@ -1005,8 +972,7 @@ impl World {
         ns_hosts: &[Name],
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
         let tld = d.tld;
         let sponsor = d.sponsor;
         let registrant_email = d.registrant_email.clone();
@@ -1074,7 +1040,7 @@ impl World {
     /// The takeover census compares this against what the registry serves:
     /// any drift means someone redelegated behind the customer's back.
     pub fn expected_ns_hosts(&self, domain: &Name) -> Option<Vec<Name>> {
-        let d = self.domains.get(&domain.to_canonical())?;
+        let d = self.domains.get(domain)?;
         Some(self.ns_hosts_for(domain, d.registrar, &d.hosting))
     }
 
@@ -1086,8 +1052,8 @@ impl World {
         domain: &Name,
         operator: OperatorId,
     ) -> Result<(), ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let row = self.domains.row_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.at(row);
         let (sponsor, tld, old_hosting, registrar) =
             (d.sponsor, d.tld, d.hosting.clone(), d.registrar);
         match old_hosting {
@@ -1108,18 +1074,24 @@ impl World {
         registry
             .remove_ds(sponsor, domain)
             .map_err(|e| ActionError::Registry(e.to_string()))?;
-        let d = self.domains.get_mut(&key).expect("checked");
-        d.hosting = Hosting::ThirdParty { operator };
-        d.keys = None;
+        self.rehost(row, Hosting::ThirdParty { operator });
         Ok(())
     }
 
     /// The third-party operator enables DNSSEC for a hosted domain and
     /// hands the DS back to the owner (it cannot upload it itself).
     pub fn third_party_enable_dnssec(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
-        let Hosting::ThirdParty { operator } = d.hosting else {
+        let row = self.domains.row_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.third_party_enable_dnssec_at(row, domain)
+    }
+
+    /// [`World::third_party_enable_dnssec`] for a known store row.
+    fn third_party_enable_dnssec_at(
+        &mut self,
+        row: u32,
+        domain: &Name,
+    ) -> Result<DsRdata, ActionError> {
+        let Hosting::ThirdParty { operator } = self.domains.at(row).hosting else {
             return Err(ActionError::WrongHosting);
         };
         let tp = self
@@ -1136,7 +1108,7 @@ impl World {
         self.operators[operator.0 as usize].host_signed(domain, &keys, &signer);
         self.bump_zone_generation(domain);
         let ds = keys.ds(DigestType::Sha256);
-        self.domains.get_mut(&key).expect("checked").keys = Some(keys);
+        self.set_keys(row, keys);
         self.events.record(
             self.today,
             Event::Signed {
@@ -1144,457 +1116,6 @@ impl World {
             },
         );
         Ok(ds)
-    }
-
-    // -------------------------------------------------------------- tick --
-
-    /// Advances one day: apply milestones, drain mass-sign queues, run
-    /// population adoption, renewals, audits, and CDS scans.
-    pub fn tick(&mut self) {
-        self.today = self.today.plus_days(1);
-        // Keep the fault plane's clock in step so flap schedules follow
-        // simulation time.
-        self.network.faults().set_day(self.today.0);
-        self.apply_milestones();
-        self.drain_mass_sign();
-        self.population_adoption();
-        self.third_party_adoption();
-        self.process_renewals();
-        self.drive_rollovers();
-        self.drive_anchor_roll();
-        if self.today.days_since(self.config.start).is_multiple_of(self.config.audit_interval_days.max(1)) {
-            self.run_audits();
-        }
-        self.run_cds_scans();
-    }
-
-    /// Advances until `date` (inclusive of its tick).
-    pub fn advance_to(&mut self, date: SimDate) {
-        while self.today < date {
-            self.tick();
-        }
-    }
-
-    fn apply_milestones(&mut self) {
-        let today = self.today;
-        for idx in 0..self.registrars.len() {
-            let due: Vec<PolicyChange> = self.registrars[idx]
-                .milestones
-                .iter()
-                .filter(|m| m.on == today)
-                .map(|m| m.change.clone())
-                .collect();
-            for change in due {
-                self.apply_change(RegistrarId(idx as u32), change);
-            }
-        }
-    }
-
-    fn apply_change(&mut self, id: RegistrarId, change: PolicyChange) {
-        match change {
-            PolicyChange::SetOperatorDnssec(p) => {
-                self.registrars[id.0 as usize].policy.operator_dnssec = p;
-            }
-            PolicyChange::SetExternalDs(p) => {
-                self.registrars[id.0 as usize].policy.external_ds = p;
-            }
-            PolicyChange::SetPublishesDs(tld, v) => {
-                if let Some(tp) = self.registrars[id.0 as usize].policy.tlds.get_mut(&tld) {
-                    tp.publishes_ds = v;
-                }
-            }
-            PolicyChange::SetOptInHazard(h) => {
-                self.registrars[id.0 as usize].daily_optin_hazard = h;
-            }
-            PolicyChange::SwitchPartner {
-                tld,
-                new_partner,
-                migrate_at_renewal,
-            } => {
-                if let Some(partner) = self.registrar_by_name(&new_partner) {
-                    if let Some(tp) = self.registrars[id.0 as usize].policy.tlds.get_mut(&tld) {
-                        tp.role = TldRole::ResellerVia(new_partner);
-                        tp.publishes_ds = true;
-                    }
-                    if migrate_at_renewal {
-                        for d in self.domains.values_mut() {
-                            if d.registrar == id && d.tld == tld && d.sponsor != partner {
-                                d.pending_partner_migration = true;
-                            }
-                        }
-                    }
-                }
-            }
-            PolicyChange::MassSignHosted { tlds, over_days } => {
-                let targets: Vec<Name> = self
-                    .domains
-                    .values()
-                    .filter(|d| {
-                        d.registrar == id
-                            && tlds.contains(&d.tld)
-                            && matches!(d.hosting, Hosting::Registrar { .. })
-                            && d.keys.is_none()
-                    })
-                    .map(|d| d.name.clone())
-                    .collect();
-                let per_day = targets.len().div_ceil(over_days.max(1) as usize).max(1);
-                self.mass_sign_queue.push(MassSignTask {
-                    registrar: id,
-                    remaining: targets,
-                    per_day,
-                });
-            }
-        }
-    }
-
-    fn drain_mass_sign(&mut self) {
-        let mut queue = std::mem::take(&mut self.mass_sign_queue);
-        for task in &mut queue {
-            let take = task.per_day.min(task.remaining.len());
-            let batch: Vec<Name> = task.remaining.drain(..take).collect();
-            for domain in batch {
-                // Domain may have changed hosting since the milestone.
-                if self
-                    .domains
-                    .get(&domain.to_canonical())
-                    .map(|d| d.registrar == task.registrar && d.keys.is_none())
-                    .unwrap_or(false)
-                {
-                    let _ = self.sign_hosted(&domain);
-                }
-            }
-        }
-        queue.retain(|t| !t.remaining.is_empty());
-        self.mass_sign_queue = queue;
-    }
-
-    fn population_adoption(&mut self) {
-        // Collect candidates (immutable pass), then roll and sign.
-        let candidates: Vec<(Name, f64)> = self
-            .domains
-            .values()
-            .filter(|d| d.keys.is_none() && matches!(d.hosting, Hosting::Registrar { .. }))
-            .filter_map(|d| {
-                let registrar = &self.registrars[d.registrar.0 as usize];
-                let hazard = registrar.daily_optin_hazard;
-                (hazard > 0.0 && registrar.policy.operator_dnssec.supported())
-                    .then(|| (d.name.clone(), hazard))
-            })
-            .collect();
-        for (name, hazard) in candidates {
-            if self.rng.random::<f64>() < hazard {
-                let _ = self.sign_hosted(&name);
-            }
-        }
-    }
-
-    fn third_party_adoption(&mut self) {
-        let profiles: Vec<(OperatorId, SimDate, f64, f64)> = self
-            .third_parties
-            .iter()
-            .filter_map(|tp| {
-                tp.dnssec_launch
-                    .map(|l| (tp.operator, l, tp.daily_optin_hazard, tp.relay_success))
-            })
-            .collect();
-        for (op, launch, hazard, relay) in profiles {
-            if self.today < launch || hazard <= 0.0 {
-                continue;
-            }
-            let candidates: Vec<Name> = self
-                .domains
-                .values()
-                .filter(|d| d.keys.is_none() && d.hosting == (Hosting::ThirdParty { operator: op }))
-                .map(|d| d.name.clone())
-                .collect();
-            for domain in candidates {
-                if self.rng.random::<f64>() >= hazard {
-                    continue;
-                }
-                let Ok(ds) = self.third_party_enable_dnssec(&domain) else {
-                    continue;
-                };
-                // The owner must relay the DS to the registrar; 40% never do.
-                if self.rng.random::<f64>() < relay {
-                    let (sponsor, tld) = {
-                        let d = &self.domains[&domain.to_canonical()];
-                        (d.sponsor, d.tld)
-                    };
-                    let _ = self
-                        .registries
-                        .get_mut(&tld)
-                        .expect("all TLDs present")
-                        .set_ds(sponsor, &domain, &[ds]);
-                    self.events.record(
-                        self.today,
-                        Event::DsPublished {
-                            domain: domain.clone(),
-                        },
-                    );
-                } else {
-                    self.events
-                        .record(self.today, Event::RelayDropped { domain });
-                }
-            }
-        }
-    }
-
-    fn process_renewals(&mut self) {
-        let today = self.today;
-        let due: Vec<Name> = self
-            .domains
-            .values()
-            .filter(|d| d.expires == today)
-            .map(|d| d.name.clone())
-            .collect();
-        for name in due {
-            let key = name.to_canonical();
-            // Renew for another year.
-            {
-                let d = self.domains.get_mut(&key).expect("due domain exists");
-                d.expires = today.plus_days(365);
-            }
-            let (registrar, tld, migrate, old_sponsor) = {
-                let d = &self.domains[&key];
-                (d.registrar, d.tld, d.pending_partner_migration, d.sponsor)
-            };
-            if !migrate {
-                continue;
-            }
-            // Resolve the (new) sponsor and transfer at the registry.
-            let Ok(new_sponsor) = self.resolve_sponsor(registrar, tld) else {
-                continue;
-            };
-            if new_sponsor != old_sponsor {
-                let transferred = self
-                    .registries
-                    .get_mut(&tld)
-                    .expect("all TLDs present")
-                    .transfer(old_sponsor, new_sponsor, &name)
-                    .is_ok();
-                if !transferred {
-                    continue;
-                }
-                let d = self.domains.get_mut(&key).expect("due domain exists");
-                d.sponsor = new_sponsor;
-                d.pending_partner_migration = false;
-                self.events.record(
-                    today,
-                    Event::PartnerMigrated {
-                        domain: name.clone(),
-                        new_sponsor,
-                    },
-                );
-                // With a DNSSEC-capable partner, the reseller can now sign
-                // hosted domains and publish DS (including for domains it
-                // had already signed but could not complete).
-                let d = &self.domains[&key];
-                if matches!(d.hosting, Hosting::Registrar { .. }) {
-                    let policy = &self.registrars[registrar.0 as usize].policy;
-                    if policy.operator_dnssec.supported() && policy.tld(tld).publishes_ds {
-                        let _ = self.sign_hosted(&name);
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_audits(&mut self) {
-        let now = self.today.epoch_seconds();
-        for tld in ALL_TLDS {
-            if tld.incentive().is_none() {
-                continue;
-            }
-            let audited: Vec<(Name, bool)> = {
-                let registry = &self.registries[&tld];
-                registry
-                    .delegations()
-                    .into_iter()
-                    .filter(|d| !registry.ds_of(d).is_empty())
-                    .map(|d| {
-                        let obs = self.observation_of(&d);
-                        let passed = classify(&d, &obs, now) == DeploymentStatus::FullyDeployed;
-                        (d, passed)
-                    })
-                    .collect()
-            };
-            let registry = self.registries.get_mut(&tld).expect("all TLDs present");
-            for (domain, passed) in audited {
-                registry.record_audit(&domain, passed);
-            }
-        }
-    }
-
-    fn run_cds_scans(&mut self) {
-        // Only registries with CDS support scan (an extension experiment;
-        // none of the five paper TLDs had it in-window).
-        let now = self.today.epoch_seconds();
-        let scans: Vec<(Tld, Name, Vec<DsRdata>)> = self
-            .registries
-            .iter()
-            .filter(|(_, r)| r.supports_cds)
-            .flat_map(|(tld, registry)| {
-                registry
-                    .delegations()
-                    .into_iter()
-                    .filter_map(|domain| {
-                        let action = self.scan_child_cds(&domain, registry, now)?;
-                        Some((*tld, domain, action))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (tld, domain, ds_set) in scans {
-            let sponsor = self.registries[&tld].sponsor_of(&domain);
-            if let Some(sponsor) = sponsor {
-                let _ = self
-                    .registries
-                    .get_mut(&tld)
-                    .expect("all TLDs present")
-                    .set_ds(sponsor, &domain, &ds_set);
-                self.events.record(self.today, Event::CdsApplied { domain });
-            }
-        }
-        self.run_cds_bootstrap(now);
-    }
-
-    /// RFC 8078 §3 "accept after delay": a DS-less child that has stably
-    /// published a self-consistent CDS for the configured delay gets its
-    /// DS installed without any registrar involvement — healing exactly
-    /// the partial deployments the paper laments.
-    fn run_cds_bootstrap(&mut self, now: u32) {
-        let candidates: Vec<(Tld, Name, u32)> = self
-            .registries
-            .iter()
-            .filter_map(|(tld, r)| r.cds_bootstrap_delay_days.map(|d| (*tld, d)))
-            .flat_map(|(tld, delay)| {
-                self.registries[&tld]
-                    .delegations()
-                    .into_iter()
-                    .filter(|d| self.registries[&tld].ds_of(d).is_empty())
-                    .map(move |d| (tld, d, delay))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut to_install: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
-        for (tld, domain, delay) in candidates {
-            match self.consistent_cds_of(&domain, now) {
-                Some(ds_set) => {
-                    let first = *self
-                        .cds_first_seen
-                        .entry(domain.to_canonical())
-                        .or_insert(self.today);
-                    if self.today.days_since(first) >= delay {
-                        to_install.push((tld, domain, ds_set));
-                    }
-                }
-                None => {
-                    self.cds_first_seen.remove(&domain.to_canonical());
-                }
-            }
-        }
-        for (tld, domain, ds_set) in to_install {
-            let Some(sponsor) = self.registries[&tld].sponsor_of(&domain) else {
-                continue;
-            };
-            let _ = self
-                .registries
-                .get_mut(&tld)
-                .expect("all TLDs present")
-                .set_ds(sponsor, &domain, &ds_set);
-            self.cds_first_seen.remove(&domain.to_canonical());
-            self.events.record(self.today, Event::CdsApplied { domain });
-        }
-    }
-
-    /// The CDS set of `domain` if it is published and correctly signed by
-    /// the zone's own served DNSKEYs (the RFC 8078 self-consistency bar).
-    fn consistent_cds_of(&self, domain: &Name, now: u32) -> Option<Vec<DsRdata>> {
-        let resp = self.query_domain(domain, RrType::Cds)?;
-        let cds_records: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.rtype() == RrType::Cds)
-            .cloned()
-            .collect();
-        if cds_records.is_empty() {
-            return None;
-        }
-        let cds_rrset = RrSet::new(cds_records).ok()?;
-        let rrsigs: Vec<_> = resp
-            .answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Rrsig(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        let served = self.served_dnskeys(domain);
-        let scan = dsec_dnssec::CdsScan {
-            cds: Some(cds_rrset),
-            cdnskey: None,
-            rrsigs,
-            trusted_keys: served,
-        };
-        match dsec_dnssec::process_scan(domain, &scan, now) {
-            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
-            _ => None,
-        }
-    }
-
-    /// Scans one child for an authenticated CDS change; returns the new DS
-    /// set if one should be applied.
-    fn scan_child_cds(
-        &self,
-        domain: &Name,
-        registry: &Registry,
-        now: u32,
-    ) -> Option<Vec<DsRdata>> {
-        let current_ds = registry.ds_of(domain);
-        if current_ds.is_empty() {
-            return None; // RFC 7344 trust bootstrap from current chain only
-        }
-        let resp = self.query_domain(domain, RrType::Cds)?;
-        let cds_records: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.rtype() == RrType::Cds)
-            .cloned()
-            .collect();
-        if cds_records.is_empty() {
-            return None;
-        }
-        let cds_rrset = RrSet::new(cds_records).ok()?;
-        let rrsigs: Vec<_> = resp
-            .answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Rrsig(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        // Trusted keys: DNSKEYs chained from the current DS.
-        let obs = self.observation_of(domain);
-        let dnskey_rrset = obs.dnskey_rrset?;
-        let trusted = dsec_dnssec::authenticate_dnskeys(
-            domain,
-            &dnskey_rrset,
-            &obs.dnskey_rrsigs,
-            &current_ds,
-            now,
-        )
-        .ok()?;
-        let scan = dsec_dnssec::CdsScan {
-            cds: Some(cds_rrset),
-            cdnskey: None,
-            rrsigs,
-            trusted_keys: trusted,
-        };
-        match dsec_dnssec::process_scan(domain, &scan, now) {
-            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
-            Ok(dsec_dnssec::CdsAction::DeleteDs) => Some(Vec::new()),
-            _ => None,
-        }
     }
 
     // ----------------------------------------------------- observations --
@@ -1755,7 +1276,7 @@ impl World {
     pub fn publish_cds_for(&mut self, domain: &Name) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         let keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         let ds = keys.ds(DigestType::Sha256);
@@ -1821,7 +1342,8 @@ impl World {
             .ok_or(ActionError::NoPendingRollover)?;
         self.clear_rollover_slot(&key);
         self.resign_with(domain, &new_keys)?;
-        self.domains.get_mut(&key).expect("checked").keys = Some(new_keys);
+        let row = self.domains.row_of(domain).expect("resigned domain exists");
+        self.set_keys(row, new_keys);
         self.events.record(
             self.today,
             Event::RolloverCompleted {
@@ -1836,13 +1358,13 @@ impl World {
     /// without updating the parent DS. Validating resolvers SERVFAIL
     /// until someone fixes the DS.
     pub fn roll_keys_abrupt(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
         let current = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         let new_keys = self.keys_differing_from(domain, current.ksk_tag());
         let new_ds = new_keys.ds(DigestType::Sha256);
         self.resign_with(domain, &new_keys)?;
-        self.domains.get_mut(&key).expect("checked").keys = Some(new_keys);
+        let row = self.domains.row_of(domain).expect("resigned domain exists");
+        self.set_keys(row, new_keys);
         self.events.record(
             self.today,
             Event::RolloverAbrupt {
@@ -2006,200 +1528,11 @@ impl World {
         }
     }
 
-    /// Advances every scheduled rollover whose dates the clock has
-    /// crossed. Called from [`World::tick`].
-    fn drive_rollovers(&mut self) {
-        if self.rollovers.is_empty() {
-            return;
-        }
-        let due: Vec<Name> = self.rollovers.keys().cloned().collect();
-        for domain in due {
-            self.drive_one_rollover(&domain);
-        }
-    }
-
-    fn drive_one_rollover(&mut self, domain: &Name) {
-        let today = self.today;
-        let Some(state) = self.rollovers.get(domain) else {
-            return;
-        };
-        let plan = state.plan.clone();
-        let stalled = state.stalled;
-        let old = state.old_keys.clone();
-        let new = state.new_keys.clone();
-
-        // Operator leg 1: start serving the transitional set.
-        if !stalled && state.phase == RolloverPhase::Scheduled && today >= plan.start {
-            let set = Self::transitional_set(&plan, &old, &new);
-            let signer = self.rollover_signer(&plan);
-            if self.resign_with_set(domain, &set, &signer).is_ok() {
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                st.phase = if st.ds_swapped {
-                    RolloverPhase::DsSwapped
-                } else {
-                    RolloverPhase::Prepared
-                };
-                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
-                self.events.record(
-                    today,
-                    Event::RolloverPrepared {
-                        domain: domain.clone(),
-                        style: plan.style,
-                    },
-                );
-            }
-        }
-
-        // Operator leg 1b (pre-publish ZSK only): on the scheduled swap
-        // day the *signer* switches to the incoming ZSK while the old one
-        // stays published for its retirement interval. No DS involved.
-        if !stalled
-            && plan.style == RolloverStyle::PrePublishZsk
-            && self.rollovers.get(domain).map(|s| s.phase) == Some(RolloverPhase::Prepared)
-            && today >= plan.scheduled_swap()
-        {
-            let set = SigningSet::prepublish(&new, &old).expect("same zone");
-            let signer = self.rollover_signer(&plan);
-            if self.resign_with_set(domain, &set, &signer).is_ok() {
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                st.phase = RolloverPhase::DsSwapped;
-                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
-            }
-        }
-
-        // Registrar/registry leg: the DS moves on *its* schedule — early,
-        // late, never — independent of the operator (even one that is
-        // stalled mid-outage).
-        if plan.style.changes_ds() && !self.rollovers.get(domain).map(|s| s.ds_swapped).unwrap_or(true) {
-            if let Some(swap_day) = plan.actual_swap() {
-                if today >= swap_day {
-                    let (sponsor, tld) = {
-                        let d = self.domains.get(&domain.to_canonical()).expect("rolling domain exists");
-                        (d.sponsor, d.tld)
-                    };
-                    let ds = new.ds(DigestType::Sha256);
-                    match self
-                        .registries
-                        .get_mut(&tld)
-                        .expect("all TLDs present")
-                        .set_ds(sponsor, domain, &[ds])
-                    {
-                        Ok(()) => {
-                            let st = self.rollovers.get_mut(domain).expect("still present");
-                            st.ds_swapped = true;
-                            let operator_done = st.phase == RolloverPhase::Completed;
-                            if st.phase == RolloverPhase::Prepared {
-                                st.phase = RolloverPhase::DsSwapped;
-                            }
-                            self.events.record(
-                                today,
-                                Event::RolloverDsSwapped {
-                                    domain: domain.clone(),
-                                    on_schedule: plan.ds_timing == DsTiming::OnSchedule,
-                                },
-                            );
-                            if operator_done {
-                                // The operator finished long ago; this late
-                                // DS landing was the last outstanding leg.
-                                self.rollovers.remove(domain);
-                                self.clear_rollover_slot(domain);
-                            }
-                        }
-                        Err(e) => self.events.record(
-                            today,
-                            Event::DsRejected {
-                                domain: domain.clone(),
-                                reason: e.to_string(),
-                            },
-                        ),
-                    }
-                }
-            }
-        }
-
-        // Operator leg 2: withdraw old material, finish. Runs on schedule
-        // whether or not the DS ever moved — that is exactly how the
-        // "DS too late / never" bogus windows open.
-        let phase = self.rollovers.get(domain).map(|s| s.phase);
-        if !stalled
-            && matches!(phase, Some(RolloverPhase::Prepared) | Some(RolloverPhase::DsSwapped))
-            && today >= plan.completion()
-        {
-            if self.resign_with(domain, &new).is_ok() {
-                self.domains
-                    .get_mut(&domain.to_canonical())
-                    .expect("rolling domain exists")
-                    .keys = Some(new);
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                let ds_pending =
-                    plan.style.changes_ds() && !st.ds_swapped && plan.actual_swap().is_some();
-                if ds_pending {
-                    // The operator is done but the registrar still owes a
-                    // (late) DS swap: keep the state so the registrar leg
-                    // drives it — that landing is what closes the bogus
-                    // window.
-                    st.phase = RolloverPhase::Completed;
-                    st.signed_until = None;
-                } else {
-                    self.rollovers.remove(domain);
-                    self.clear_rollover_slot(domain);
-                }
-                self.events.record(
-                    today,
-                    Event::RolloverCompleted {
-                        domain: domain.clone(),
-                        style: plan.style,
-                    },
-                );
-            }
-            return;
-        }
-
-        // Signature upkeep under bounded validity: a live operator
-        // refreshes a day before expiry; a stalled one lets the RRSIGs
-        // lapse — and the lapse is logged once, when it happens.
-        let Some(state) = self.rollovers.get(domain) else {
-            return;
-        };
-        if let Some(until) = state.signed_until {
-            let now = today.epoch_seconds();
-            if !state.stalled
-                && matches!(
-                    state.phase,
-                    RolloverPhase::Prepared | RolloverPhase::DsSwapped
-                )
-                && now.saturating_add(86_400) >= until
-            {
-                let set = if state.phase == RolloverPhase::DsSwapped
-                    && plan.style == RolloverStyle::PrePublishZsk
-                {
-                    SigningSet::prepublish(&new, &old).expect("same zone")
-                } else {
-                    Self::transitional_set(&plan, &old, &new)
-                };
-                let signer = self.rollover_signer(&plan);
-                if self.resign_with_set(domain, &set, &signer).is_ok() {
-                    let st = self.rollovers.get_mut(domain).expect("still present");
-                    st.signed_until = Some(signer.expiration);
-                    st.expiry_noted = false;
-                }
-            } else if now >= until && !state.expiry_noted {
-                self.rollovers.get_mut(domain).expect("still present").expiry_noted = true;
-                self.events.record(
-                    today,
-                    Event::SignatureExpired {
-                        domain: domain.clone(),
-                    },
-                );
-            }
-        }
-    }
-
     /// Re-signs a domain's zone with `keys` wherever it is hosted.
     fn resign_with(&mut self, domain: &Name, keys: &ZoneKeys) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         let signer = self.signer_config();
         match d.hosting.clone() {
@@ -2231,7 +1564,7 @@ impl World {
     ) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         match d.hosting.clone() {
             Hosting::Registrar { .. } => {
@@ -2262,7 +1595,7 @@ impl World {
     ) -> Result<(), ActionError> {
         let d = self
             .domains
-            .get(&domain.to_canonical())
+            .get(domain)
             .ok_or(ActionError::NoSuchDomain)?;
         let signer = self.signer_config();
         match d.hosting.clone() {
@@ -2387,8 +1720,13 @@ impl World {
     /// Signs a registrar-hosted domain and uploads its DS when the
     /// registrar's per-TLD policy says so.
     pub fn sign_hosted(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let row = self.domains.row_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.sign_hosted_at(row, domain)
+    }
+
+    /// [`World::sign_hosted`] for a known store row.
+    fn sign_hosted_at(&mut self, row: u32, domain: &Name) -> Result<(), ActionError> {
+        let d = self.domains.at(row);
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
         };
@@ -2399,7 +1737,7 @@ impl World {
         self.operators[op.0 as usize].host_signed(domain, &keys, &signer);
         self.bump_zone_generation(domain);
         let ds = keys.ds(DigestType::Sha256);
-        self.domains.get_mut(&key).expect("checked").keys = Some(keys);
+        self.set_keys(row, keys);
         self.events.record(
             self.today,
             Event::Signed {

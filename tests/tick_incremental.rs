@@ -1,0 +1,577 @@
+//! `World::tick` runs on incrementally maintained state — opt-in
+//! worklists, renewal buckets, an audit memo — instead of sweeping the
+//! population every day. These tests pin that state to the sweeps it
+//! replaced:
+//!
+//! * a proptest interleaves every customer action and policy milestone
+//!   that touches the indexed fields with ticks, and after each step asks
+//!   [`World::check_tick_indices`] to recompute everything by full sweep;
+//! * golden digests recorded on the pre-worklist implementation pin the
+//!   event log, the incentive bookkeeping and the campaign CSVs of three
+//!   seeded tiny-population campaigns, byte for byte;
+//! * the audit memo never skips the RFC 4035 time check, and stands aside
+//!   completely while the fault plane is live.
+
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+
+use dsec::authserver::FaultProfile;
+use dsec::ecosystem::{
+    DsTiming, ExternalDs, Hosting, OperatorDnssec, OperatorId, Plan, PolicyChange, RegistrarId,
+    RegistrarPolicy, RolloverPlan, RolloverStyle, Tld, TldPolicy, TldRole, World, WorldConfig,
+    ALL_TLDS,
+};
+use dsec::scanner::{scan_campaign_streamed, CampaignConfig, ScanCache};
+use dsec::wire::Name;
+use dsec::workloads::{build, PopulationConfig};
+
+fn full_policy(operator_dnssec: OperatorDnssec) -> RegistrarPolicy {
+    RegistrarPolicy {
+        operator_dnssec,
+        external_ds: ExternalDs::Web { validates: false },
+        tlds: ALL_TLDS
+            .iter()
+            .map(|&t| (t, TldPolicy::full(TldRole::Registrar)))
+            .collect(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (a) Cached tick state == full sweep, after every step of any action mix.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Step {
+    Purchase {
+        label: u8,
+        tld: u8,
+        hosting: u8,
+    },
+    EnableDnssec {
+        idx: u8,
+    },
+    SwitchToOwner {
+        idx: u8,
+    },
+    EnrollThirdParty {
+        idx: u8,
+        operator: u8,
+    },
+    ThirdPartyEnable {
+        idx: u8,
+    },
+    SetHazard {
+        registrar: u8,
+        hazard: u8,
+    },
+    SetExpiry {
+        idx: u8,
+        in_days: u8,
+    },
+    MassSign {
+        registrar: u8,
+        in_days: u8,
+        over_days: u8,
+    },
+    SwitchPartner {
+        in_days: u8,
+    },
+    PolicyMilestone {
+        registrar: u8,
+        in_days: u8,
+        supported: bool,
+    },
+    Tick,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(label, tld, hosting)| Step::Purchase {
+            label,
+            tld,
+            hosting
+        }),
+        any::<u8>().prop_map(|idx| Step::EnableDnssec { idx }),
+        any::<u8>().prop_map(|idx| Step::SwitchToOwner { idx }),
+        (any::<u8>(), any::<u8>())
+            .prop_map(|(idx, operator)| Step::EnrollThirdParty { idx, operator }),
+        any::<u8>().prop_map(|idx| Step::ThirdPartyEnable { idx }),
+        (any::<u8>(), any::<u8>())
+            .prop_map(|(registrar, hazard)| Step::SetHazard { registrar, hazard }),
+        (any::<u8>(), any::<u8>()).prop_map(|(idx, in_days)| Step::SetExpiry { idx, in_days }),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(registrar, in_days, over_days)| {
+            Step::MassSign {
+                registrar,
+                in_days,
+                over_days,
+            }
+        }),
+        any::<u8>().prop_map(|in_days| Step::SwitchPartner { in_days }),
+        (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(registrar, in_days, supported)| {
+            Step::PolicyMilestone {
+                registrar,
+                in_days,
+                supported,
+            }
+        }),
+        Just(Step::Tick),
+        Just(Step::Tick),
+        Just(Step::Tick),
+    ]
+}
+
+/// The tiny paper world plus two registrars and a third-party operator
+/// whose opt-in hazards are high enough that a handful of ticks sign
+/// domains through every worklist.
+struct Playground {
+    world: World,
+    registrars: Vec<RegistrarId>,
+    operators: Vec<OperatorId>,
+    domains: Vec<Name>,
+}
+
+fn playground() -> Playground {
+    let mut world = build(&PopulationConfig::tiny()).world;
+    let opt_in = world.add_registrar(
+        "TickOptIn",
+        Name::parse("tickoptin.net").unwrap(),
+        full_policy(OperatorDnssec::OptIn { adoption_rate: 0.0 }),
+    );
+    world.set_optin_hazard(opt_in, 0.2);
+    // A reseller whose partner switch migrates (and signs) at renewal.
+    world.add_registrar(
+        "TickPartner",
+        Name::parse("tickpartner.net").unwrap(),
+        full_policy(OperatorDnssec::Default),
+    );
+    let reseller = world.add_registrar(
+        "TickReseller",
+        Name::parse("tickreseller.net").unwrap(),
+        RegistrarPolicy {
+            operator_dnssec: OperatorDnssec::Default,
+            external_ds: ExternalDs::Unsupported,
+            tlds: ALL_TLDS
+                .iter()
+                .map(|&t| {
+                    (
+                        t,
+                        TldPolicy::without_ds(TldRole::ResellerVia("TickOptIn".into())),
+                    )
+                })
+                .collect(),
+        },
+    );
+    world.auto_sign_on_purchase = false;
+    let soon = world.today.plus_days(3);
+    let launching = world.add_third_party(
+        "TickCloud",
+        Name::parse("tickcloud.net").unwrap(),
+        Some(soon),
+        0.3,
+        0.6,
+    );
+    let never = world.add_third_party(
+        "TickPod",
+        Name::parse("tickpod.net").unwrap(),
+        None,
+        0.3,
+        0.6,
+    );
+    let domains = world.domains().map(|d| d.name.clone()).collect();
+    Playground {
+        world,
+        registrars: vec![opt_in, reseller],
+        operators: vec![launching, never],
+        domains,
+    }
+}
+
+/// Picks a domain, favouring the playground's own purchases (the tail
+/// of the list).
+fn pick(domains: &[Name], idx: u8) -> &Name {
+    let back = idx as usize % domains.len().min(24);
+    &domains[domains.len() - 1 - back]
+}
+
+impl Playground {
+    fn apply(&mut self, step: &Step) {
+        let world = &mut self.world;
+        match *step {
+            Step::Purchase {
+                label,
+                tld,
+                hosting,
+            } => {
+                let hosting = match hosting % 4 {
+                    0 => Hosting::Owner,
+                    1 => Hosting::ThirdParty {
+                        operator: self.operators[label as usize % 2],
+                    },
+                    _ => Hosting::Registrar { plan: Plan::Free },
+                };
+                let registrar = self.registrars[label as usize % self.registrars.len()];
+                let tld = ALL_TLDS[tld as usize % ALL_TLDS.len()];
+                if let Ok(domain) =
+                    world.purchase(registrar, &format!("Tick{label}"), tld, hosting, "o@x")
+                {
+                    self.domains.push(domain);
+                }
+            }
+            Step::EnableDnssec { idx } => {
+                let _ = world.enable_dnssec(pick(&self.domains, idx));
+            }
+            Step::SwitchToOwner { idx } => {
+                let _ = world.switch_to_owner_hosting(pick(&self.domains, idx));
+            }
+            Step::EnrollThirdParty { idx, operator } => {
+                let operator = self.operators[operator as usize % 2];
+                let _ = world.enroll_third_party(pick(&self.domains, idx), operator);
+            }
+            Step::ThirdPartyEnable { idx } => {
+                let _ = world.third_party_enable_dnssec(pick(&self.domains, idx));
+            }
+            Step::SetHazard { registrar, hazard } => {
+                let registrar = self.registrars[registrar as usize % self.registrars.len()];
+                world.set_optin_hazard(registrar, f64::from(hazard % 4) * 0.1);
+            }
+            Step::SetExpiry { idx, in_days } => {
+                let on = world.today.plus_days(u32::from(in_days % 6));
+                world.set_expiry(pick(&self.domains, idx), on);
+            }
+            Step::MassSign {
+                registrar,
+                in_days,
+                over_days,
+            } => {
+                let registrar = self.registrars[registrar as usize % self.registrars.len()];
+                world.add_milestone(
+                    registrar,
+                    world.today.plus_days(1 + u32::from(in_days % 3)),
+                    PolicyChange::MassSignHosted {
+                        tlds: ALL_TLDS.to_vec(),
+                        over_days: 1 + u32::from(over_days % 3),
+                    },
+                );
+            }
+            Step::SwitchPartner { in_days } => {
+                let reseller = self.registrars[1];
+                for tld in [Tld::Com, Tld::Nl] {
+                    world.add_milestone(
+                        reseller,
+                        world.today.plus_days(1 + u32::from(in_days % 3)),
+                        PolicyChange::SwitchPartner {
+                            tld,
+                            new_partner: "TickPartner".into(),
+                            migrate_at_renewal: true,
+                        },
+                    );
+                }
+            }
+            Step::PolicyMilestone {
+                registrar,
+                in_days,
+                supported,
+            } => {
+                let registrar = self.registrars[registrar as usize % self.registrars.len()];
+                let change = if supported {
+                    PolicyChange::SetOperatorDnssec(OperatorDnssec::OptIn { adoption_rate: 0.0 })
+                } else {
+                    PolicyChange::SetOperatorDnssec(OperatorDnssec::Unsupported)
+                };
+                world.add_milestone(
+                    registrar,
+                    world.today.plus_days(1 + u32::from(in_days % 3)),
+                    change,
+                );
+            }
+            Step::Tick => world.tick(),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8,
+        max_shrink_iters: 64,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn cached_tick_state_matches_a_full_sweep_after_every_step(
+        steps in proptest::collection::vec(step(), 16..80)
+    ) {
+        let mut playground = playground();
+        playground.world.check_tick_indices().expect("fresh world");
+        for step in &steps {
+            playground.apply(step);
+            if let Err(diverged) = playground.world.check_tick_indices() {
+                panic!("after {step:?}: {diverged}");
+            }
+        }
+        // Drain whatever the steps scheduled, checking each day.
+        for _ in 0..8 {
+            playground.world.tick();
+            playground.world.check_tick_indices().expect("draining ticks");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (b) Golden identity with the pre-worklist `tick`.
+// ---------------------------------------------------------------------------
+
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Digests of one full-window streamed campaign over the tiny
+/// population: (event log incl. counters, incentive bookkeeping, every
+/// operator's `to_csv` + `to_csv_extended`). `boost` multiplies every
+/// positive opt-in hazard so the adoption pass signs dozens of domains
+/// instead of one or two.
+fn campaign_digests(seed: u64, boost: f64) -> (u64, u64, u64) {
+    let mut config = PopulationConfig::tiny();
+    config.seed = seed;
+    config.world.seed = seed;
+    let mut world = build(&config).world;
+    world.events.verbose = true;
+    if boost > 1.0 {
+        for id in 0..world.registrar_count() as u32 {
+            let id = RegistrarId(id);
+            let hazard = world.registrar(id).daily_optin_hazard;
+            if hazard > 0.0 {
+                world.set_optin_hazard(id, (hazard * boost).min(0.05));
+            }
+        }
+    }
+    let path = std::env::temp_dir().join(format!(
+        "dsec-tick-golden-{}-{seed}.snap",
+        std::process::id()
+    ));
+    let campaign = CampaignConfig::new(config.world.end, 7);
+    let mut cache = ScanCache::new();
+    let store = scan_campaign_streamed(&mut world, &campaign, &mut cache, &path).unwrap();
+    world
+        .check_tick_indices()
+        .expect("indices after a full campaign");
+
+    let mut events = FNV_OFFSET;
+    for entry in world.events.entries() {
+        fnv(&mut events, format!("{entry:?}\n").as_bytes());
+    }
+    fnv(
+        &mut events,
+        format!("{:?}", world.events.counters()).as_bytes(),
+    );
+
+    let mut audits = FNV_OFFSET;
+    for tld in ALL_TLDS {
+        let registry = world.registry(tld);
+        fnv(
+            &mut audits,
+            format!(
+                "{tld:?} {:?} {:?}\n",
+                registry.discounts_cents, registry.audit_failures
+            )
+            .as_bytes(),
+        );
+    }
+
+    let operators: BTreeSet<String> = store
+        .to_longitudinal()
+        .unwrap()
+        .snapshots()
+        .iter()
+        .flat_map(|s| s.cells.keys().map(|(op, _)| op.clone()))
+        .collect();
+    let mut csv = FNV_OFFSET;
+    for op in &operators {
+        fnv(&mut csv, store.to_csv(op).unwrap().as_bytes());
+        fnv(&mut csv, store.to_csv_extended(op).unwrap().as_bytes());
+    }
+    let _ = std::fs::remove_file(&path);
+    (events, audits, csv)
+}
+
+/// Recorded at commit c982d69 (the last full-sweep `tick`) by this very
+/// function; any change to RNG draw order, event order, audit
+/// bookkeeping or scan output moves at least one digest.
+#[test]
+fn seeded_campaigns_are_byte_identical_to_the_full_sweep_tick() {
+    assert_eq!(
+        campaign_digests(0x50F7, 1.0),
+        (
+            0x7868_fd67_bded_1dfb,
+            0xb493_16b0_39c8_c6e0,
+            0x0b5e_5647_9d3c_5965
+        ),
+        "population seed 0x50F7"
+    );
+    assert_eq!(
+        campaign_digests(0xD5EC_2017, 1.0),
+        (
+            0xb08a_efe5_8a58_720c,
+            0xdb94_2bea_d478_28a9,
+            0x0313_adf1_3f0e_c49d
+        ),
+        "population seed 0xD5EC2017"
+    );
+    assert_eq!(
+        campaign_digests(7, 400.0),
+        (
+            0x490d_b7a2_f27f_7891,
+            0xab0b_8e9a_6c01_e5ed,
+            0xde14_8f45_e2cf_de03
+        ),
+        "population seed 7, hazards x400"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// (c) The audit memo: time check kept, fault plane untouched.
+// ---------------------------------------------------------------------------
+
+/// A world auditing daily with `signed` signed and two unsigned `.nl`
+/// domains at one default-signing registrar.
+fn audited_world(signed: usize) -> (World, RegistrarId, Vec<Name>) {
+    let mut world = World::new(WorldConfig {
+        key_pool: 2,
+        audit_interval_days: 1,
+        ..WorldConfig::default()
+    });
+    let registrar = world.add_registrar(
+        "AuditReg",
+        Name::parse("auditreg.nl").unwrap(),
+        full_policy(OperatorDnssec::Default),
+    );
+    let mut domains = Vec::new();
+    for i in 0..signed + 2 {
+        world.auto_sign_on_purchase = i < signed;
+        let plan = Hosting::Registrar { plan: Plan::Free };
+        domains.push(
+            world
+                .purchase(registrar, &format!("audited{i}"), Tld::Nl, plan, "o@x")
+                .unwrap(),
+        );
+    }
+    (world, registrar, domains)
+}
+
+/// (passed, failed) audit counts the `.nl` registry holds for `registrar`.
+fn audit_tally(world: &World, registrar: RegistrarId) -> (u64, u64) {
+    let registry = world.registry(Tld::Nl);
+    let per_pass = u64::from(Tld::Nl.incentive().unwrap().discount_cents).max(1) / 365 + 1;
+    (
+        registry
+            .discounts_cents
+            .get(&registrar)
+            .copied()
+            .unwrap_or(0)
+            / per_pass,
+        registry
+            .audit_failures
+            .get(&registrar)
+            .copied()
+            .unwrap_or(0),
+    )
+}
+
+#[test]
+fn memoized_verdict_expires_with_the_signatures_it_was_computed_from() {
+    let (mut world, registrar, domains) = audited_world(1);
+    let domain = &domains[0];
+    let start = world.today.plus_days(2);
+    // DS never moves, so nothing bumps the generation after the stall.
+    let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, start)
+        .with_ds_timing(DsTiming::Never)
+        .with_signature_validity_days(5);
+    world.schedule_rollover(domain, plan).unwrap();
+    world.advance_to(start);
+    world.stall_rollover(domain).unwrap();
+    let signed_until = world
+        .rollover_state(domain)
+        .and_then(|s| s.signed_until())
+        .expect("transitional set is served with bounded validity");
+    let generation = world.domain_generation(domain);
+
+    let mut memo_hits = 0;
+    let mut last_verdict = None;
+    for _ in 0..9 {
+        let (tally, queries) = (audit_tally(&world, registrar), world.network.query_count());
+        world.tick();
+        // A reused verdict costs no query; a changed one can only come
+        // from a fresh observation.
+        let queried = world.network.query_count() > queries;
+        world
+            .check_tick_indices()
+            .expect("memo agrees with a fresh audit");
+        let now = world.today.epoch_seconds();
+        let (passed, failed) = audit_tally(&world, registrar);
+        let verdict = (passed - tally.0, failed - tally.1);
+        let expected = if now <= signed_until { (1, 0) } else { (0, 1) };
+        assert_eq!(
+            verdict, expected,
+            "audit on {} (signatures lapse at {signed_until}, now {now})",
+            world.today
+        );
+        if !queried {
+            memo_hits += 1;
+        }
+        if last_verdict.is_some_and(|last| last != verdict) {
+            assert!(queried, "the verdict flipped without re-observing");
+        }
+        last_verdict = Some(verdict);
+    }
+    assert_eq!(last_verdict, Some((0, 1)), "the window covers the lapse");
+    assert!(
+        memo_hits >= 4,
+        "unchanged days reuse the verdict ({memo_hits} hits)"
+    );
+    assert_eq!(
+        world.domain_generation(domain),
+        generation,
+        "nothing but the clock moved between the last pass and the first failure"
+    );
+    assert_eq!(world.events.count("signature_expired"), 1);
+}
+
+/// UDP queries each of three audit days issues with the fault plane live
+/// (`FaultProfile::mixed(0.3)`, seed 7) — recorded at commit c982d69,
+/// before the memo existed.
+const FAULTED_AUDIT_QUERIES: [u64; 3] = [9, 7, 10];
+
+#[test]
+fn fault_plane_runs_bypass_the_memo() {
+    let (mut world, _, _) = audited_world(6);
+    let audit_day_queries = |world: &mut World| {
+        let before = world.network.query_count();
+        world.tick();
+        world.network.query_count() - before
+    };
+
+    // Fault-free: the first audit observes all six signed domains, the
+    // following ones none.
+    assert_eq!(audit_day_queries(&mut world), 6);
+    assert_eq!(audit_day_queries(&mut world), 0);
+
+    world
+        .fault_plane()
+        .set_global_profile(FaultProfile::mixed(0.3));
+    world.fault_plane().enable(7);
+    let faulted: Vec<u64> = (0..3).map(|_| audit_day_queries(&mut world)).collect();
+    assert_eq!(
+        faulted, FAULTED_AUDIT_QUERIES,
+        "every audit really queries under faults"
+    );
+
+    // Back to fault-free: the verdicts memoized before the faults are
+    // still current (nothing changed), so again nothing is queried.
+    world.fault_plane().disable();
+    assert_eq!(audit_day_queries(&mut world), 0);
+}
