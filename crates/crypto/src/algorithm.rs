@@ -1,6 +1,8 @@
 //! DNSSEC algorithm numbers (IANA "DNS Security Algorithm Numbers" registry)
 //! and the signing/verification dispatch built on top of [`crate::rsa`].
 
+use std::sync::Arc;
+
 use rand::RngCore;
 
 use crate::rsa::{RsaHash, RsaPrivateKey, RsaPublicKey};
@@ -77,11 +79,15 @@ impl Algorithm {
 }
 
 /// A private signing key bound to a DNSSEC algorithm.
+///
+/// The private half is shared: cloning a key (the world hands one out per
+/// signed domain, the signer once more per pass) bumps a refcount instead
+/// of copying the primes and their Montgomery contexts.
 #[derive(Debug, Clone)]
 pub struct SigningKey {
     /// The algorithm this key signs with.
     pub algorithm: Algorithm,
-    key: RsaPrivateKey,
+    key: Arc<RsaPrivateKey>,
 }
 
 impl SigningKey {
@@ -103,7 +109,7 @@ impl SigningKey {
         };
         Ok(SigningKey {
             algorithm,
-            key: RsaPrivateKey::generate(rng, bits.max(min_bits)),
+            key: Arc::new(RsaPrivateKey::generate(rng, bits.max(min_bits))),
         })
     }
 

@@ -10,8 +10,9 @@
 //!
 //! Operations implemented: comparison, addition, subtraction, schoolbook
 //! multiplication, bit operations, long division (Knuth-style, limb by limb
-//! via a normalized 128-bit estimate), modular exponentiation (Montgomery
-//! ladder over odd moduli with a generic fallback), extended Euclid / modular
+//! via a normalized 128-bit estimate), modular exponentiation (one
+//! allocation-free Montgomery kernel over odd moduli — see [`Montgomery`] —
+//! with a generic fallback for even ones), extended Euclid / modular
 //! inverse, and Miller–Rabin probabilistic primality testing.
 
 use std::cmp::Ordering;
@@ -96,10 +97,15 @@ impl BigUint {
     /// `len` bytes. Panics if the value needs more than `len` bytes —
     /// callers size the buffer from the modulus.
     pub fn to_bytes_be_padded(&self, len: usize) -> Vec<u8> {
-        let raw = self.to_bytes_be();
-        assert!(raw.len() <= len, "value does not fit in {len} bytes");
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        assert!(
+            self.bit_len().div_ceil(8) <= len,
+            "value does not fit in {len} bytes"
+        );
+        let mut out = vec![0u8; len];
+        for (chunk, limb) in out.rchunks_mut(8).zip(&self.limbs) {
+            let bytes = limb.to_be_bytes();
+            chunk.copy_from_slice(&bytes[8 - chunk.len()..]);
+        }
         out
     }
 
@@ -350,6 +356,17 @@ impl BigUint {
         self.divmod(modulus).1
     }
 
+    /// `self % divisor` for a single-limb divisor, without allocating;
+    /// panics on division by zero.
+    pub fn rem_u64(&self, divisor: u64) -> u64 {
+        assert!(divisor != 0, "division by zero");
+        let d = divisor as u128;
+        self.limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &l| ((rem << 64) | l as u128) % d) as u64
+    }
+
     /// `(self * other) % modulus` without intermediate reduction tricks.
     pub fn mulmod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
         self.mul(other).rem(modulus)
@@ -357,29 +374,17 @@ impl BigUint {
 
     /// `self^exponent mod modulus`.
     ///
-    /// Uses Montgomery multiplication when the modulus is odd (the RSA case),
-    /// and falls back to plain square-and-multiply otherwise.
+    /// Runs on the [`Montgomery`] kernel when the modulus is odd (the RSA
+    /// case), and falls back to plain square-and-multiply otherwise.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");
         if modulus.is_one() {
             return BigUint::zero();
         }
-        if exponent.is_zero() {
-            return BigUint::one();
-        }
         if modulus.is_even() {
             return self.modpow_plain(exponent, modulus);
         }
-        let ctx = Montgomery::new(modulus);
-        let base = ctx.to_mont(&self.rem(modulus));
-        let mut acc = ctx.to_mont(&BigUint::one());
-        for i in (0..exponent.bit_len()).rev() {
-            acc = ctx.mont_mul(&acc, &acc);
-            if exponent.bit(i) {
-                acc = ctx.mont_mul(&acc, &base);
-            }
-        }
-        ctx.from_mont(&acc)
+        Montgomery::new(modulus).pow(self, exponent)
     }
 
     fn modpow_plain(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
@@ -498,10 +503,8 @@ impl BigUint {
             let v = self.limbs.first().copied().unwrap_or(0);
             return SMALL_PRIMES.contains(&v);
         }
-        for &p in &SMALL_PRIMES {
-            if self.rem(&BigUint::from_u64(p)).is_zero() {
-                return false;
-            }
+        if SMALL_PRIMES.iter().any(|&p| self.rem_u64(p) == 0) {
+            return false;
         }
         // Write self - 1 = d * 2^s with d odd.
         let n_minus_1 = self.sub(&BigUint::one());
@@ -509,10 +512,12 @@ impl BigUint {
         let d = n_minus_1.shr(s);
         let two = BigUint::from_u64(2);
         let bound = self.sub(&BigUint::from_u64(3));
+        // Odd and > 47 here, so one context serves every round.
+        let ctx = Montgomery::new(self);
         'witness: for _ in 0..rounds {
             // a in [2, n-2]
             let a = BigUint::random_below(rng, &bound).add(&two);
-            let mut x = a.modpow(&d, self);
+            let mut x = ctx.pow(&a, &d);
             if x.is_one() || x == n_minus_1 {
                 continue;
             }
@@ -610,93 +615,169 @@ impl fmt::Debug for BigUint {
     }
 }
 
-/// Montgomery multiplication context for an odd modulus.
+/// Exponents longer than this many bits are scanned through a 4-bit fixed
+/// window; shorter ones (the public `e = 65537` above all) one bit at a
+/// time, which needs no 16-entry table. The table's 14 multiplications pay
+/// for themselves from ~56 exponent bits on; one limb is the round number
+/// above that.
+const WINDOW_MIN_EXP_BITS: usize = 64;
+
+/// Montgomery context for an odd modulus `n` of `k` limbs, `R = 2^(64k)`.
 ///
-/// Precomputes `n' = -n⁻¹ mod 2⁶⁴` and `R² mod n` so that repeated modular
-/// multiplications inside [`BigUint::modpow`] avoid long division entirely.
-struct Montgomery {
+/// The one modular-exponentiation path for odd moduli: [`BigUint::modpow`],
+/// Miller–Rabin and RSA verification build it per call; an RSA private key
+/// keeps one per prime so CRT signing pays no set-up. Works on `k`-limb
+/// slices: [`Montgomery::mul`] writes into a caller-provided buffer, and
+/// [`Montgomery::pow`] allocates its working set once, before the loop.
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    /// The modulus; its canonical limb count is `k`.
     n: BigUint,
-    /// -n⁻¹ mod 2⁶⁴ (for the REDC inner loop).
+    /// `-n⁻¹ mod 2⁶⁴`.
     n_prime: u64,
-    /// R² mod n where R = 2^(64·limbs).
-    r2: BigUint,
-    limbs: usize,
+    /// `R² mod n`, zero-padded to `k` limbs (multiplying by it enters
+    /// Montgomery form).
+    r2: Vec<u64>,
 }
 
 impl Montgomery {
-    fn new(modulus: &BigUint) -> Self {
-        debug_assert!(!modulus.is_even());
-        let limbs = modulus.limbs.len();
-        // n' = -n^{-1} mod 2^64 via Newton iteration on the low limb.
+    /// Builds the context; `modulus` must be odd and greater than 1.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(
+            !modulus.is_even() && !modulus.is_one(),
+            "Montgomery modulus must be odd and > 1"
+        );
+        let k = modulus.limbs.len();
+        // n⁻¹ mod 2⁶⁴ by Newton iteration on the low limb (each step doubles
+        // the correct low bits; an odd n0 is its own inverse mod 8).
         let n0 = modulus.limbs[0];
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
+        let mut inv = n0;
+        for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
-        let n_prime = inv.wrapping_neg();
-        // R^2 mod n, R = 2^(64*limbs)
-        let r2 = BigUint::one().shl(64 * limbs * 2).rem(modulus);
+        let mut r2 = BigUint::one().shl(128 * k).rem(modulus).limbs;
+        r2.resize(k, 0);
         Montgomery {
             n: modulus.clone(),
-            n_prime,
+            n_prime: inv.wrapping_neg(),
             r2,
-            limbs,
         }
     }
 
-    /// REDC: computes `a * b * R⁻¹ mod n` with interleaved reduction.
-    fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.limbs;
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a.limbs.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for (j, tj) in t.iter_mut().enumerate().take(k) {
-                let bj = b.limbs.get(j).copied().unwrap_or(0);
-                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.n
+    }
+
+    /// `out = a · b · R⁻¹ mod n`; all three are `k`-limb slices, `a, b < n`.
+    ///
+    /// The CIOS recurrence with the reduction folded into the row loop: row
+    /// `i` adds `a·b[i]` and `m·n` in one pass over the accumulator on two
+    /// carry chains, storing each limb one place down, so the division by
+    /// 2⁶⁴ costs nothing and the accumulator never outgrows `out` plus one
+    /// carry bit. One conditional subtraction brings the result below `n`.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let k = self.n.limbs.len();
+        let (n, a, b, out) = (&self.n.limbs[..k], &a[..k], &b[..k], &mut out[..k]);
+        out.fill(0);
+        let mut top = 0u64; // limb k of the accumulator: 0 or 1
+        for &bi in b {
+            let bi = bi as u128;
+            let s = out[0] as u128 + a[0] as u128 * bi;
+            let m = (s as u64).wrapping_mul(self.n_prime) as u128;
+            let mut carry_ab = s >> 64;
+            let mut carry_mn = (s as u64 as u128 + m * n[0] as u128) >> 64;
+            for j in 1..k {
+                let s = out[j] as u128 + a[j] as u128 * bi + carry_ab;
+                carry_ab = s >> 64;
+                let r = s as u64 as u128 + m * n[j] as u128 + carry_mn;
+                carry_mn = r >> 64;
+                out[j - 1] = r as u64;
             }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = t[k + 1].wrapping_add((s >> 64) as u64);
-            // m = t[0] * n' mod 2^64 ; t += m * n ; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry: u128 = 0;
-            for (tj, nj) in t.iter_mut().zip(&self.n.limbs).take(k) {
-                let s = *tj as u128 + m as u128 * *nj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = t[k + 1].wrapping_add((s >> 64) as u64);
-            // Shift down one limb.
-            for j in 0..=k {
-                t[j] = t[j + 1];
-            }
-            t[k + 1] = 0;
+            let s = top as u128 + carry_ab + carry_mn;
+            out[k - 1] = s as u64;
+            top = (s >> 64) as u64;
         }
+        // Accumulator ≥ n (compared most significant limb first)?
+        if top != 0 || out.iter().rev().ge(n.iter().rev()) {
+            let mut borrow = false;
+            for (o, &nj) in out.iter_mut().zip(n) {
+                let (d, b1) = o.overflowing_sub(nj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *o = d;
+                borrow = b1 | b2;
+            }
+        }
+    }
+
+    /// `base^exponent mod n`, for any `base` (reduced first if `≥ n`).
+    ///
+    /// Left-to-right over Montgomery residues through a fixed window: four
+    /// bits wide over a table of `base⁰..base¹⁵` for exponents longer than
+    /// [`WINDOW_MIN_EXP_BITS`], one bit wide — the binary ladder, whose
+    /// table is just the base — for shorter ones. The working set (table,
+    /// accumulator, product buffer) is one allocation made here; the loop
+    /// itself allocates nothing.
+    pub(crate) fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let k = self.n.limbs.len();
+        if exponent.is_zero() {
+            return BigUint::one();
+        }
+        let reduced;
+        let base = if *base < self.n {
+            base
+        } else {
+            reduced = base.rem(&self.n);
+            &reduced
+        };
+        let bits = exponent.bit_len();
+        // Both widths divide 64, so a window never straddles two limbs.
+        let width = if bits > WINDOW_MIN_EXP_BITS { 4 } else { 1 };
+        let table_len = 1usize << width;
+        let window = |i: usize| {
+            (exponent.limbs[i * width / 64] >> (i * width % 64)) as usize & (table_len - 1)
+        };
+
+        // [ table: table_len × k | acc: k | tmp: k ]. Entry 0 of the table
+        // holds the plain base while the powers are built, then the plain 1
+        // that leads out of Montgomery form; the loop never multiplies by
+        // it (a zero window only squares).
+        let mut work = vec![0u64; (table_len + 2) * k];
+        let (table, rest) = work.split_at_mut(table_len * k);
+        let (mut acc, mut tmp) = rest.split_at_mut(k);
+        {
+            let (plain, powers) = table.split_at_mut(k);
+            plain[..base.limbs.len()].copy_from_slice(&base.limbs);
+            self.mul(&mut powers[..k], plain, &self.r2);
+            for i in 2..table_len {
+                let (lower, upper) = powers.split_at_mut((i - 1) * k);
+                self.mul(&mut upper[..k], &lower[(i - 2) * k..], &lower[..k]);
+            }
+            plain.fill(0);
+            plain[0] = 1;
+        }
+        let entry = |i: usize| &table[i * k..(i + 1) * k];
+
+        // The top window holds the exponent's top bit, so it is nonzero.
+        let top = (bits - 1) / width;
+        acc.copy_from_slice(entry(window(top)));
+        for i in (0..top).rev() {
+            for _ in 0..width {
+                self.mul(tmp, acc, acc);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            let w = window(i);
+            if w != 0 {
+                self.mul(tmp, acc, entry(w));
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        self.mul(tmp, acc, entry(0));
         let mut out = BigUint {
-            limbs: t[..=k].to_vec(),
+            limbs: tmp.to_vec(),
         };
         out.normalize();
-        if out >= self.n {
-            out = out.sub(&self.n);
-        }
         out
-    }
-
-    fn to_mont(&self, a: &BigUint) -> BigUint {
-        self.mont_mul(a, &self.r2)
-    }
-
-    // `from_mont` converts *out of* Montgomery form; the `from_` name is
-    // domain vocabulary, not a constructor.
-    #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, a: &BigUint) -> BigUint {
-        self.mont_mul(a, &BigUint::one())
     }
 }
 
@@ -856,16 +937,134 @@ mod tests {
     }
 
     #[test]
-    fn modpow_matches_plain_on_random_inputs() {
+    fn modpow_matches_plain_at_every_exponent_length() {
+        // Every exponent length across the binary/windowed switch (64 → 65
+        // bits) and through several whole and partial windows, against the
+        // Montgomery-free reference, over moduli of 1–17 limbs.
         let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..20 {
-            let mut m = BigUint::random_bits(&mut rng, 192);
-            if m.is_even() {
-                m = m.add(&BigUint::one());
+        for limbs in [1usize, 2, 3, 4, 8, 17] {
+            let mut m = BigUint::random_bits(&mut rng, limbs * 64);
+            m.limbs[0] |= 1;
+            for bits in 0..=140usize {
+                let e = match bits {
+                    0 => BigUint::zero(),
+                    _ => BigUint::random_bits(&mut rng, bits),
+                };
+                let b = BigUint::random_bits(&mut rng, limbs * 64 + 7); // ≥ modulus
+                assert_eq!(
+                    b.modpow(&e, &m),
+                    b.modpow_plain(&e, &m),
+                    "{limbs} limbs, {bits}-bit exponent"
+                );
             }
-            let b = BigUint::random_bits(&mut rng, 160);
-            let e = BigUint::random_bits(&mut rng, 48);
-            assert_eq!(b.modpow(&e, &m), b.modpow_plain(&e, &m));
+        }
+    }
+
+    #[test]
+    fn modpow_degenerate_operands() {
+        let m = BigUint::one().shl(200).add(&n(0x1235));
+        let e_long = BigUint::one().shl(70).add(&n(9));
+        for e in [BigUint::zero(), n(1), n(2), n(65537), e_long] {
+            // Modulus 1 beats every other rule, exponent 0 included.
+            assert_eq!(n(5).modpow(&e, &BigUint::one()), BigUint::zero());
+            // Bases 0, 1, m − 1, m and a multiple of m.
+            for b in [BigUint::zero(), n(1), m.sub(&n(1)), m.clone(), m.mul(&n(3))] {
+                assert_eq!(b.modpow(&e, &m), b.modpow_plain(&e, &m), "b={b:?} e={e:?}");
+            }
+            let even = m.add(&n(1));
+            assert_eq!(n(7).modpow(&e, &even), n(7).modpow_plain(&e, &even));
+        }
+        // Zero windows (every other nibble clear) and no zero window at all.
+        let sparse = BigUint::from_bytes_be(&[0x0f; 12]);
+        let dense = BigUint::from_bytes_be(&[0xff; 12]);
+        for e in [sparse, dense] {
+            assert_eq!(n(3).modpow(&e, &m), n(3).modpow_plain(&e, &m));
+        }
+    }
+
+    #[test]
+    fn montgomery_mul_matches_mulmod_with_zero_top_limbs() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for k in [1usize, 2, 4, 5, 9] {
+            let mut m = BigUint::random_bits(&mut rng, k * 64);
+            m.limbs[0] |= 1;
+            let ctx = Montgomery::new(&m);
+            let r_inv = BigUint::one().shl(64 * k).modinv(&m).unwrap();
+            let pad = |v: &BigUint| {
+                let mut l = v.limbs.clone();
+                l.resize(k, 0);
+                l
+            };
+            // Operands of every width up to the modulus's, so the padded
+            // slices carry 0..k zero top limbs; plus the extremes.
+            let mut operands = vec![BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())];
+            for bits in (1..=k * 64).step_by(13) {
+                operands.push(BigUint::random_bits(&mut rng, bits).rem(&m));
+            }
+            let mut out = vec![0u64; k];
+            for a in &operands {
+                for b in &operands {
+                    ctx.mul(&mut out, &pad(a), &pad(b));
+                    let mut got = BigUint { limbs: out.clone() };
+                    got.normalize();
+                    assert_eq!(
+                        got,
+                        a.mulmod(b, &m).mulmod(&r_inv, &m),
+                        "k={k} a={a:?} b={b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rem_u64_matches_divmod() {
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
+        for bits in [1usize, 63, 64, 65, 256, 1000] {
+            let a = BigUint::random_bits(&mut rng, bits);
+            for d in [1u64, 2, 3, 47, 65537, u64::MAX] {
+                assert_eq!(n(a.rem_u64(d)), a.rem(&n(d)), "{bits} bits mod {d}");
+            }
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn limbs(max: usize) -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(any::<u64>(), 0..max + 1)
+        }
+
+        /// Bit lengths clustered on 0, 1, the binary/windowed switch and
+        /// window edges, with a uniform tail.
+        fn exponent() -> impl Strategy<Value = BigUint> {
+            let bits = prop_oneof![0usize..6, 60usize..70, 124usize..134, 0usize..320];
+            (bits, limbs(5)).prop_map(|(bits, mut l)| {
+                l.resize(5, 0x9E37_79B9_7F4A_7C15);
+                let mut e = BigUint { limbs: l };
+                e.normalize();
+                let e = e.shr(e.bit_len().saturating_sub(bits));
+                debug_assert_eq!(e.bit_len(), bits);
+                e
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn modpow_matches_plain(m in limbs(17), b in limbs(19), e in exponent(), even in 0u8..8) {
+                let mut m = BigUint { limbs: m };
+                m.normalize();
+                // Odd moduli of 1–17 limbs (1 itself when the draw is
+                // empty); one case in eight takes the even fallback.
+                m = m.shr(1).shl(1).add_u64((even != 0) as u64);
+                prop_assume!(!m.is_zero());
+                let mut b = BigUint { limbs: b };
+                b.normalize();
+                let expect = if m.is_one() { BigUint::zero() } else { b.modpow_plain(&e, &m) };
+                prop_assert_eq!(b.modpow(&e, &m), expect);
+            }
         }
     }
 

@@ -8,10 +8,17 @@
 //! Key sizes: the simulation defaults to 512-bit keys so that signing whole
 //! synthetic TLD populations stays fast; the API supports any size ≥ 256
 //! bits and the benches exercise 1024/2048.
+//!
+//! Signing uses the Chinese remainder theorem: the private key keeps both
+//! primes with a prebuilt Montgomery context each, so a signature is two
+//! half-width exponentiations and a Garner recombination. PKCS#1 v1.5 is
+//! deterministic, so the bytes equal those of a full-width `m^d mod n`.
+
+use std::fmt;
 
 use rand::RngCore;
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use crate::sha::{sha1, sha256, sha512};
 use crate::CryptoError;
 
@@ -66,7 +73,7 @@ pub struct RsaPublicKey {
 impl RsaPublicKey {
     /// Modulus size in bytes; signatures are exactly this long.
     pub fn modulus_len(&self) -> usize {
-        self.n.to_bytes_be().len()
+        self.n.bit_len().div_ceil(8)
     }
 
     /// Encodes in the RFC 3110 DNSKEY public-key wire format.
@@ -123,20 +130,41 @@ impl RsaPublicKey {
     }
 }
 
-/// An RSA private key (with the public half embedded).
-#[derive(Debug, Clone)]
+/// An RSA private key (with the public half embedded), in CRT form.
+#[derive(Clone)]
 pub struct RsaPrivateKey {
     /// Public half.
     pub public: RsaPublicKey,
-    /// Private exponent d = e⁻¹ mod λ(n).
-    d: BigUint,
+    /// Montgomery context over the prime p (which it also stores).
+    p: Montgomery,
+    /// Montgomery context over the prime q.
+    q: Montgomery,
+    /// dP = d mod (p − 1), with d = e⁻¹ mod (p − 1)(q − 1).
+    dp: BigUint,
+    /// dQ = d mod (q − 1).
+    dq: BigUint,
+    /// qInv = q⁻¹ mod p.
+    qinv: BigUint,
+}
+
+/// Shows the public half and the modulus width only — never `p`, `q` or
+/// the exponents, so a stray `{:?}` in a log cannot leak the key.
+impl fmt::Debug for RsaPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPrivateKey")
+            .field("public", &self.public)
+            .field("bits", &self.public.n.bit_len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl RsaPrivateKey {
     /// Generates a fresh key with a modulus of `bits` bits.
     ///
-    /// Uses e = 65537 and rejects prime pairs where gcd(e, λ) ≠ 1. Miller–
+    /// Uses e = 65537 and rejects prime pairs where gcd(e, φ) ≠ 1. Miller–
     /// Rabin rounds are fixed at 24 (error < 4⁻²⁴ per composite accepted).
+    /// The RNG draws (and so the key a seed yields) are frozen: seeded
+    /// worlds, CSVs and EXPERIMENTS.md are byte-pinned to them.
     pub fn generate(rng: &mut dyn RngCore, bits: usize) -> Self {
         assert!(bits >= 256, "RSA modulus below 256 bits is not supported");
         let e = BigUint::from_u64(65537);
@@ -150,13 +178,18 @@ impl RsaPrivateKey {
             if n.bit_len() != bits {
                 continue;
             }
-            let lambda = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
-            let Some(d) = e.modinv(&lambda) else {
+            let p1 = p.sub(&BigUint::one());
+            let q1 = q.sub(&BigUint::one());
+            let Some(d) = e.modinv(&p1.mul(&q1)) else {
                 continue;
             };
             return RsaPrivateKey {
                 public: RsaPublicKey { e, n },
-                d,
+                dp: d.rem(&p1),
+                dq: d.rem(&q1),
+                qinv: q.modinv(&p).expect("distinct primes are coprime"),
+                p: Montgomery::new(&p),
+                q: Montgomery::new(&q),
             };
         }
     }
@@ -165,8 +198,20 @@ impl RsaPrivateKey {
     pub fn sign(&self, hash: RsaHash, message: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
         let em = emsa_pkcs1_v15(hash, message, k);
-        let m = BigUint::from_bytes_be(&em);
-        m.modpow(&self.d, &self.public.n).to_bytes_be_padded(k)
+        self.private_op(&BigUint::from_bytes_be(&em))
+            .to_bytes_be_padded(k)
+    }
+
+    /// `m^d mod n` by CRT (RFC 8017 §5.1.2 step 2.b): one exponentiation
+    /// per prime on its prebuilt context, then Garner's recombination
+    /// `s = s_q + q · (qInv · (s_p − s_q) mod p)`.
+    fn private_op(&self, m: &BigUint) -> BigUint {
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let sp = self.p.pow(m, &self.dp);
+        let sq = self.q.pow(m, &self.dq);
+        // s_p + p − (s_q mod p) is s_p − s_q mod p without going negative.
+        let diff = sp.add(p).sub(&sq.rem(p));
+        sq.add(&diff.mulmod(&self.qinv, p).mul(q))
     }
 }
 
@@ -298,6 +343,83 @@ mod tests {
         assert_ne!(k1.public, k2.public);
         let sig = k1.sign(RsaHash::Sha256, b"m");
         assert!(!k2.public.verify(RsaHash::Sha256, b"m", &sig));
+    }
+
+    /// The full-width `m^d mod n` the CRT path replaced; kept here as the
+    /// reference the new path is checked against.
+    fn plain_private_op(key: &RsaPrivateKey, m: &BigUint) -> BigUint {
+        let one = BigUint::one();
+        let phi = key.p.modulus().sub(&one).mul(&key.q.modulus().sub(&one));
+        let d = key.public.e.modinv(&phi).unwrap();
+        m.modpow(&d, &key.public.n)
+    }
+
+    #[test]
+    fn crt_signing_equals_plain_exponentiation() {
+        for (seed, bits) in [(21u64, 512usize), (22, 768), (23, 1024), (24, 521)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let key = RsaPrivateKey::generate(&mut rng, bits);
+            let k = key.public.modulus_len();
+            for i in 0..40u32 {
+                let message = i.to_be_bytes().repeat(i as usize);
+                let em = emsa_pkcs1_v15(RsaHash::Sha1, &message, k);
+                let plain = plain_private_op(&key, &BigUint::from_bytes_be(&em));
+                assert_eq!(
+                    key.sign(RsaHash::Sha1, &message),
+                    plain.to_bytes_be_padded(k)
+                );
+            }
+            // Representatives the padding never produces: 0, 1, n − 1,
+            // multiples of one prime (s_p or s_q is zero), random residues.
+            let (p, q, n) = (key.p.modulus(), key.q.modulus(), &key.public.n);
+            let mut edge = vec![
+                BigUint::zero(),
+                BigUint::one(),
+                n.sub(&BigUint::one()),
+                p.clone(),
+                q.clone(),
+                p.mul(&BigUint::from_u64(3)),
+                q.mul(&BigUint::from_u64(5)),
+            ];
+            edge.extend((0..20).map(|_| BigUint::random_below(&mut rng, n)));
+            for m in &edge {
+                assert_eq!(key.private_op(m), plain_private_op(&key, m), "m={m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_shows_the_public_half_only() {
+        let key = test_key();
+        let shown = format!("{key:?}");
+        assert!(shown.contains(&format!("{:?}", key.public.n)));
+        assert!(shown.contains("bits: 512"));
+        for secret in [
+            key.p.modulus(),
+            key.q.modulus(),
+            &key.dp,
+            &key.dq,
+            &key.qinv,
+        ] {
+            assert!(!shown.contains(&format!("{secret:?}")[2..]));
+        }
+    }
+
+    #[test]
+    fn modulus_len_counts_bytes_not_limbs() {
+        for (bytes, len) in [
+            (vec![1u8], 1),
+            (vec![0x80; 8], 8),
+            (vec![1; 9], 9),
+            (vec![0xff; 64], 64),
+        ] {
+            let key = RsaPublicKey {
+                e: BigUint::from_u64(3),
+                n: BigUint::from_bytes_be(&bytes),
+            };
+            assert_eq!(key.modulus_len(), len);
+            assert_eq!(key.modulus_len(), key.n.to_bytes_be().len());
+        }
     }
 
     #[test]
