@@ -785,6 +785,13 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     outage_row(&mut artifact, "operator-outage", "stale+breaker", &brk1, drops_breaker);
     outage_row(&mut artifact, "tld-wide(.com)", "stale+breaker", &tld_run, tld_drops);
     outage_row(&mut artifact, "flapping", "stale+breaker", &flap_run, flap_drops);
+    artifact.push_str(
+        "\nnote: tld-wide(.com) degrades nothing here. The outage phase replays the warm-up's stream,\n\
+         so every domain it names already has its zone cut in the resolver cache, and a cut outlives\n\
+         the window (delegation NS TTL 172,800 s, held for the cache's one-day cap; 3,600 s, the\n\
+         DNSKEY TTL, under a signed chain): no walk needs the registry, nothing goes stale, no\n\
+         breaker trips. A name the resolver had never walked to would find the registry down.\n",
+    );
     result.artifact = artifact;
     result
 }

@@ -1,6 +1,7 @@
 //! A positive answer cache keyed by (qname, qtype) with TTL-based expiry
 //! and an optional capacity bound — lock-striped for contention-free
-//! multi-worker access.
+//! multi-worker access — that also remembers, per zone, where the
+//! delegation walk stood when it got there ([`ZoneCut`]).
 //!
 //! TTLs count in the same seconds as the simulation clock, so cached
 //! entries age naturally as the simulated days advance. A bounded cache
@@ -31,14 +32,28 @@
 //! `Arc<Answer>`, so a hit is a refcount bump under a read lock — the
 //! deep copy of the old single-lock design is gone from the critical
 //! section (and, for [`Cache::get_shared`] callers, gone entirely).
+//!
+//! ## Infrastructure entries
+//!
+//! Next to its answers a zone's shard holds at most one [`ZoneCut`] per
+//! zone, keyed by the interned apex: the NS host set, the verdict the
+//! trust chain reached there (authenticated DNSKEYs, `Insecure`, or
+//! `Bogus`), and the referral chain above it. It is an ordinary entry —
+//! same stripes, same insertion sequence, same capacity bound, dropped
+//! by [`Cache::clear`], [`Cache::flush_origin`] and the expiry sweeps
+//! like any other — so an answer-cache miss can start at the deepest
+//! live cut above its qname instead of at the root hints. A cut is never
+//! served past its expiry (serve-stale is for answers), and an evicted
+//! cut costs a re-fetch, never a wrong answer. [`Cache::len`] keeps
+//! counting answers; [`Cache::cut_count`] counts these.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dsec_wire::{name_hash64, FnvHashMap, Name, NameId, NameInterner, RrType};
+use dsec_wire::{name_hash64, DnskeyRdata, FnvHashMap, Name, NameId, NameInterner, RrType};
 
-use crate::Answer;
+use crate::{Answer, Security};
 
 /// Default cap on a cached entry's lifetime, seconds (RFC 8767 spirit).
 const MAX_TTL: u32 = 86_400;
@@ -48,7 +63,11 @@ const MAX_TTL: u32 = 86_400;
 pub const MAX_NEGATIVE_TTL: u32 = 10_800;
 
 /// Negative/empty answers with no SOA-derived TTL fall back to this.
-const DEFAULT_NEGATIVE_TTL: u32 = 60;
+pub(crate) const DEFAULT_NEGATIVE_TTL: u32 = 60;
+
+/// Second half of a zone cut's map key. Answers use their 16-bit qtype
+/// there, so one past that range can never collide with one.
+const CUT_SLOT: u32 = 1 << 16;
 
 /// Caches bounded below this capacity use a single shard, keeping the
 /// exact global eviction order of the old single-lock design; at or
@@ -69,17 +88,56 @@ pub struct CacheKey {
     shard: u32,
 }
 
+impl CacheKey {
+    fn slot(self) -> (u32, u32) {
+        (self.id.raw(), u32::from(self.qtype))
+    }
+}
+
+/// One zone's infrastructure entry: everything the delegation walk
+/// knows once it has followed the referral into `apex`, so a later walk
+/// for a name under it can resume here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ZoneCut {
+    /// The zone's apex.
+    pub(crate) apex: Name,
+    /// Its NS host set, in referral order.
+    pub(crate) servers: Vec<Name>,
+    /// The verdict the trust chain reached here: the zone's authenticated
+    /// DNSKEYs, or why the chain is not secure from here down.
+    pub(crate) keys: Result<Vec<DnskeyRdata>, Security>,
+    /// The zones walked to get here, outermost first, `apex` last.
+    pub(crate) chain: Vec<Name>,
+}
+
+#[derive(Debug, Clone)]
+enum Cached {
+    Answer(Arc<Answer>),
+    Cut(Arc<ZoneCut>),
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
-    answer: Arc<Answer>,
+    value: Cached,
     expires_at: u32,
     /// Monotonic insertion sequence number, for oldest-first eviction.
     seq: u64,
 }
 
+impl Entry {
+    fn answer(&self) -> Option<&Arc<Answer>> {
+        match &self.value {
+            Cached::Answer(answer) => Some(answer),
+            Cached::Cut(_) => None,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    entries: FnvHashMap<(u32, u16), Entry>,
+    /// Keyed by (interned name, qtype) for answers and by (interned
+    /// apex, [`CUT_SLOT`]) for zone cuts.
+    entries: FnvHashMap<(u32, u32), Entry>,
     next_seq: u64,
 }
 
@@ -101,7 +159,7 @@ impl Shard {
             // Oldest `excess` insertion sequence numbers go. Collecting
             // and sorting the keys is O(n log n) but eviction is rare:
             // `put` amortizes it by evicting in batches.
-            let mut by_age: Vec<(u64, (u32, u16))> = self
+            let mut by_age: Vec<(u64, (u32, u32))> = self
                 .entries
                 .iter()
                 .map(|(k, e)| (e.seq, *k))
@@ -219,11 +277,11 @@ impl Cache {
     /// answer (no deep copy).
     pub fn get_shared(&self, key: CacheKey, now: u32) -> Option<Arc<Answer>> {
         let shard = self.shards[key.shard as usize].read();
-        let entry = shard.entries.get(&(key.id.raw(), key.qtype))?;
+        let entry = shard.entries.get(&key.slot())?;
         if entry.expires_at <= now {
             return None;
         }
-        Some(Arc::clone(&entry.answer))
+        entry.answer().map(Arc::clone)
     }
 
     /// Looks up an entry that may be *expired* but is still within the
@@ -235,11 +293,11 @@ impl Cache {
     /// stale read never resurrects anything beyond `max_stale`.
     pub fn get_stale(&self, key: CacheKey, now: u32) -> Option<Arc<Answer>> {
         let shard = self.shards[key.shard as usize].read();
-        let entry = shard.entries.get(&(key.id.raw(), key.qtype))?;
+        let entry = shard.entries.get(&key.slot())?;
         if entry.expires_at.saturating_add(self.max_stale) <= now {
             return None;
         }
-        Some(Arc::clone(&entry.answer))
+        entry.answer().map(Arc::clone)
     }
 
     /// Looks up a live entry (compat wrapper: interns the name and deep-
@@ -265,19 +323,86 @@ impl Cache {
                 .unwrap_or(DEFAULT_NEGATIVE_TTL)
                 .clamp(1, MAX_NEGATIVE_TTL),
         };
-        let per_shard_capacity = self.per_shard_capacity;
-        let mut shard = self.shards[key.shard as usize].write();
+        let value = Cached::Answer(Arc::clone(answer));
+        self.insert(key.shard as usize, key.slot(), value, ttl, now);
+    }
+
+    fn insert(&self, shard: usize, slot: (u32, u32), value: Cached, ttl: u32, now: u32) {
+        let mut shard = self.shards[shard].write();
         let seq = shard.next_seq;
         shard.next_seq += 1;
         shard.entries.insert(
-            (key.id.raw(), key.qtype),
+            slot,
             Entry {
-                answer: Arc::clone(answer),
+                value,
                 expires_at: now.saturating_add(ttl),
                 seq,
             },
         );
-        shard.enforce(per_shard_capacity, now, self.max_stale);
+        shard.enforce(self.per_shard_capacity, now, self.max_stale);
+    }
+
+    /// The shard a zone's infrastructure entry lives in.
+    fn cut_shard(&self, apex: &Name) -> usize {
+        (name_hash64(apex) % self.shards.len() as u64) as usize
+    }
+
+    /// Stores `cut` for `lifetime` seconds (capped at one day like any
+    /// answer; a zero lifetime stores nothing). It takes a slot of its
+    /// shard like an answer does, so it counts toward the capacity bound
+    /// and is evicted by the same expired-first, oldest-next rule.
+    pub(crate) fn put_cut(&self, cut: &Arc<ZoneCut>, lifetime: u32, now: u32) {
+        if lifetime == 0 {
+            return;
+        }
+        let id = self.interner.intern(&cut.apex);
+        self.insert(
+            self.cut_shard(&cut.apex),
+            (id.raw(), CUT_SLOT),
+            Cached::Cut(Arc::clone(cut)),
+            lifetime.min(MAX_TTL),
+            now,
+        );
+    }
+
+    /// The live infrastructure entry of `zone` itself, if any.
+    fn cut_at(&self, zone: &Name, now: u32) -> Option<Arc<ZoneCut>> {
+        let id = self.interner.get(zone)?;
+        let shard = self.shards[self.cut_shard(zone)].read();
+        match shard.entries.get(&(id.raw(), CUT_SLOT)) {
+            Some(Entry {
+                value: Cached::Cut(cut),
+                expires_at,
+                ..
+            }) if *expires_at > now => Some(Arc::clone(cut)),
+            _ => None,
+        }
+    }
+
+    /// The deepest live zone cut at or above `qname` — where a walk for
+    /// (`qname`, `qtype`) may start instead of the root hints. A DS RRset
+    /// lives on the parent side of its own cut, so a DS query starts
+    /// strictly above its qname. Expired cuts are never returned: there
+    /// is no serve-stale for infrastructure.
+    pub(crate) fn deepest_cut(
+        &self,
+        qname: &Name,
+        qtype: RrType,
+        now: u32,
+    ) -> Option<Arc<ZoneCut>> {
+        let mut parent;
+        let mut zone = qname;
+        if qtype == RrType::Ds {
+            parent = zone.parent()?;
+            zone = &parent;
+        }
+        loop {
+            if let Some(cut) = self.cut_at(zone, now) {
+                return Some(cut);
+            }
+            parent = zone.parent()?;
+            zone = &parent;
+        }
     }
 
     /// Stores an answer (compat wrapper over [`Cache::put_shared`]; one
@@ -332,36 +457,51 @@ impl Cache {
             .sum()
     }
 
-    /// Number of entries (live or not-yet-evicted), summed shard by
-    /// shard.
+    /// Number of answers (live or not-yet-evicted), summed shard by
+    /// shard. Zone cuts are counted by [`Cache::cut_count`].
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().entries.len()).sum()
+        self.count(false)
     }
 
-    /// True when the cache holds nothing.
+    /// Number of zone cuts (live or not-yet-evicted) held next to the
+    /// answers. Together with [`Cache::len`] this is what the capacity
+    /// bound limits.
+    pub fn cut_count(&self) -> usize {
+        self.count(true)
+    }
+
+    /// Entries that are (`cuts`) or are not zone cuts.
+    fn count(&self, cuts: bool) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.read();
+                shard.entries.keys().filter(|(_, slot)| (*slot == CUT_SLOT) == cuts).count()
+            })
+            .sum()
+    }
+
+    /// True when the cache holds no answer.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().entries.is_empty())
+        self.len() == 0
     }
 
-    /// Removes every entry (interned ids remain valid).
+    /// Removes every entry, zone cuts included (interned ids remain
+    /// valid).
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.write().entries.clear();
         }
     }
 
-    /// Evicts every entry whose qname is at/under `origin`, returning how
-    /// many were dropped. This is the subtree flush strict-bailiwick
-    /// hygiene and RFC 5011 re-priming call for: after a trust-anchor
-    /// change (or a detected forgery flood) nothing signed under the old
-    /// regime may keep being served from cache. Flushing at the root
+    /// Evicts every entry whose qname — or, for a zone cut, apex — is
+    /// at/under `origin`, returning how many were dropped (cuts
+    /// included). This is the subtree flush strict-bailiwick hygiene and
+    /// RFC 5011 re-priming call for: after a trust-anchor change (or a
+    /// detected forgery flood) nothing signed or authenticated under the
+    /// old regime may keep being served from cache. Flushing at the root
     /// empties the cache. Shards are swept one write lock at a time.
     pub fn flush_origin(&self, origin: &Name) -> usize {
-        if origin.is_root() {
-            let flushed = self.len();
-            self.clear();
-            return flushed;
-        }
         self.shards
             .iter()
             .map(|shard| {
@@ -383,7 +523,6 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Security;
     use dsec_wire::{RData, Rcode, Record};
 
     fn name(s: &str) -> Name {
@@ -744,6 +883,95 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn cut(apex: &str) -> Arc<ZoneCut> {
+        Arc::new(ZoneCut {
+            apex: name(apex),
+            servers: vec![name("ns1.operator.net")],
+            keys: Err(Security::Insecure),
+            chain: vec![name(apex)],
+        })
+    }
+
+    #[test]
+    fn deepest_live_cut_at_or_above_the_qname_wins() {
+        let cache = Cache::new();
+        assert!(cache.deepest_cut(&name("www.example.com"), RrType::A, 0).is_none());
+        cache.put_cut(&cut("."), 1_000, 0);
+        cache.put_cut(&cut("com"), 600, 0);
+        cache.put_cut(&cut("example.com"), 300, 0);
+        let apex_at = |qname: &str, qtype, now| {
+            cache.deepest_cut(&name(qname), qtype, now).map(|cut| cut.apex.clone())
+        };
+        assert_eq!(apex_at("www.example.com", RrType::A, 0), Some(name("example.com")));
+        assert_eq!(apex_at("WWW.Example.COM", RrType::A, 0), Some(name("example.com")));
+        assert_eq!(apex_at("example.com", RrType::Ns, 0), Some(name("example.com")));
+        assert_eq!(apex_at("notexample.com", RrType::A, 0), Some(name("com")));
+        assert_eq!(apex_at("example.org", RrType::A, 0), Some(Name::root()));
+        // A zone's DS is its parent's data.
+        assert_eq!(apex_at("example.com", RrType::Ds, 0), Some(name("com")));
+        assert_eq!(apex_at("com", RrType::Ds, 0), Some(Name::root()));
+        assert_eq!(apex_at(".", RrType::Ds, 0), None);
+        // Expiry peels the cuts off one by one; nothing is served stale.
+        assert_eq!(apex_at("www.example.com", RrType::A, 299), Some(name("example.com")));
+        assert_eq!(apex_at("www.example.com", RrType::A, 300), Some(name("com")));
+        assert_eq!(apex_at("www.example.com", RrType::A, 600), Some(Name::root()));
+        assert_eq!(apex_at("www.example.com", RrType::A, 1_000), None);
+    }
+
+    #[test]
+    fn cut_lifetime_is_capped_and_zero_stores_nothing() {
+        let cache = Cache::bounded(16).with_max_stale(3_600);
+        cache.put_cut(&cut("com"), u32::MAX, 0);
+        assert!(cache.deepest_cut(&name("com"), RrType::A, MAX_TTL - 1).is_some());
+        assert!(
+            cache.deepest_cut(&name("com"), RrType::A, MAX_TTL).is_none(),
+            "a serve-stale horizon is for answers"
+        );
+        cache.put_cut(&cut("net"), 0, 0);
+        assert_eq!(cache.cut_count(), 1);
+    }
+
+    #[test]
+    fn cuts_share_the_answers_slots_but_not_their_count() {
+        let cache = Cache::bounded(4);
+        cache.put(&name("example.com"), RrType::A, &answer(300), 0);
+        cache.put_cut(&cut("example.com"), 300, 0);
+        assert_eq!((cache.len(), cache.cut_count()), (1, 1), "same name, two slots");
+        assert!(cache.get(&name("example.com"), RrType::A, 1).is_some());
+        // Six more entries into a cache of four: the bound holds over
+        // answers and cuts together, oldest first.
+        for (i, tld) in ["com", "net", "org"].into_iter().enumerate() {
+            cache.put_cut(&cut(tld), 300, 0);
+            cache.put(&name(&format!("d{i}.{tld}")), RrType::A, &answer(300), 0);
+            assert!(cache.len() + cache.cut_count() <= 4);
+        }
+        assert_eq!((cache.len(), cache.cut_count()), (2, 2));
+        // An evicted cut is a walk from further up, here from the roots.
+        assert!(cache.deepest_cut(&name("example.com"), RrType::A, 1).is_none());
+        assert!(cache.get(&name("example.com"), RrType::A, 1).is_none());
+        assert!(cache.deepest_cut(&name("d1.net"), RrType::A, 1).is_some());
+        cache.clear();
+        assert_eq!(cache.len() + cache.cut_count(), 0);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn flush_origin_drops_cuts_at_or_under_the_origin() {
+        let cache = Cache::new();
+        for apex in [".", "com", "example.com", "net", "example.net"] {
+            cache.put_cut(&cut(apex), 300, 0);
+        }
+        cache.put(&name("www.example.com"), RrType::A, &answer(300), 0);
+        assert_eq!(cache.flush_origin(&name("com")), 3, "two cuts and the answer");
+        assert_eq!(cache.cut_count(), 3);
+        let under_com = cache.deepest_cut(&name("www.example.com"), RrType::A, 1).unwrap();
+        assert!(under_com.apex.is_root());
+        let under_net = cache.deepest_cut(&name("www.example.net"), RrType::A, 1).unwrap();
+        assert_eq!(under_net.apex, name("example.net"));
+        assert_eq!(cache.flush_origin(&Name::root()), 3);
+        assert_eq!(cache.cut_count(), 0);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! query sets the CD (checking disabled) bit. This is exactly the failure
 //! mode the paper warns partial deployments cause once a DS exists but the
 //! zone data cannot be validated.
+//!
+//! Also like production validators, the cached entry point
+//! ([`Resolver::resolve_cached`]) does not repeat that walk per query:
+//! the [`Cache`] remembers each zone cut it crossed — NS set,
+//! authenticated keys or the Insecure/Bogus verdict — for the TTLs and
+//! signature validity it was built from, and a miss resumes at the
+//! deepest one. [`Resolver::resolve`] always walks from the roots.
 
 #![warn(missing_docs)]
 
@@ -25,9 +32,11 @@ use dsec_dnssec::validate::ValidationError;
 use dsec_dnssec::{authenticate_dnskeys, validate_rrset};
 use dsec_wire::{
     group_rrsets, DnskeyRdata, DsRdata, Message, Name, RData, Rcode, Record, RrSet, RrType,
+    RrsigRdata,
 };
 
 pub use breaker::{BreakerEvent, BreakerPolicy, BreakerSet, Transition};
+use cache::ZoneCut;
 pub use cache::{Cache, CacheKey};
 pub use diagnose::{capture_kind, diagnose, CaptureKind, Diagnosis, DsLink, SignatureState, ZoneDiagnosis};
 pub use retry::{HealthCache, ResolverStats, ResolverStatsSnapshot, RetryPolicy};
@@ -225,8 +234,11 @@ impl Resolver {
 
     /// Replaces the positive cache with a caller-owned one (builder
     /// style). A pool of resolvers handed clones of the same `Arc` share
-    /// one cache: any member's answers serve the whole pool, which is how
-    /// the traffic plane runs a resolver farm behind a single cache.
+    /// one cache: any member's answers — and the zone cuts its walks
+    /// left behind — serve the whole pool, which is how the traffic
+    /// plane runs a resolver farm behind a single cache. Both carry the
+    /// verdict of the trust anchor they were resolved under, so share a
+    /// cache only among resolvers configured alike.
     pub fn with_shared_cache(mut self, cache: Arc<Cache>) -> Self {
         self.cache = cache;
         self
@@ -247,7 +259,10 @@ impl Resolver {
         &self.cache
     }
 
-    /// Resolves with the positive cache consulted first.
+    /// Resolves with the cache consulted first: a live answer is served
+    /// as is, and a miss walks from the deepest live zone cut the cache
+    /// holds at or above `qname` (see [`Resolver::resolve`] for the walk
+    /// that ignores the cache altogether).
     pub fn resolve_cached(
         &self,
         qname: &Name,
@@ -282,7 +297,7 @@ impl Resolver {
             return Ok(hit);
         }
         self.stats.count_cache_miss();
-        match self.resolve(qname, qtype, now) {
+        match self.resolve_budgeted(qname, qtype, now, Some(&self.cache)) {
             Ok(answer) => {
                 let answer = Arc::new(answer);
                 self.cache.put_shared(key, &answer, now);
@@ -302,14 +317,46 @@ impl Resolver {
         }
     }
 
+    /// Fetches and caches the zone cuts from the root down to `zone`,
+    /// the way [`Resolver::resolve_cached`] would on its first miss under
+    /// it, without caching an answer or counting a lookup. A no-op when
+    /// `zone`'s cut is already live. A resolver pool calls this for the
+    /// root and the TLDs before its workers start, so which worker pays
+    /// for those shared fetches is not left to thread timing.
+    pub fn prime_cut(&self, zone: &Name, now: u32) {
+        let live = self
+            .cache
+            .deepest_cut(zone, RrType::Ns, now)
+            .is_some_and(|cut| cut.apex == *zone);
+        if !live {
+            let _ = self.resolve_budgeted(zone, RrType::Ns, now, Some(&self.cache));
+        }
+    }
+
     /// Resolves (qname, qtype) from the roots, validating along the way.
-    /// The whole walk — every zone cut, DNSKEY fetch, retry, backoff, and
-    /// CNAME chase — shares one [`RetryPolicy::budget_ms`] latency
-    /// budget; once the accumulated simulated time crosses it, remaining
-    /// retry ladders are cut short (counted as budget-exhausted).
+    /// The cache is neither read nor written — answers and zone cuts
+    /// alike — so a caller that changes the world and asks again at the
+    /// same `now` gets the new verdict. The whole walk — every zone cut,
+    /// DNSKEY fetch, retry, backoff, and CNAME chase — shares one
+    /// [`RetryPolicy::budget_ms`] latency budget; once the accumulated
+    /// simulated time crosses it, remaining retry ladders are cut short
+    /// (counted as budget-exhausted).
     pub fn resolve(&self, qname: &Name, qtype: RrType, now: u32) -> Result<Answer, ResolveError> {
+        self.resolve_budgeted(qname, qtype, now, None)
+    }
+
+    /// One budgeted resolution. `cuts` is the cache whose zone cuts the
+    /// walk may start from and adds to; `None` walks from the roots and
+    /// leaves nothing behind.
+    fn resolve_budgeted(
+        &self,
+        qname: &Name,
+        qtype: RrType,
+        now: u32,
+        cuts: Option<&Cache>,
+    ) -> Result<Answer, ResolveError> {
         self.budget_spent.set(0);
-        let result = self.resolve_within_budget(qname, qtype, now);
+        let result = self.resolve_within_budget(qname, qtype, now, cuts);
         if self.budget_spent.get() >= self.policy.budget_ms {
             self.stats.count_budget_exhausted();
         }
@@ -321,6 +368,7 @@ impl Resolver {
         qname: &Name,
         qtype: RrType,
         now: u32,
+        cuts: Option<&Cache>,
     ) -> Result<Answer, ResolveError> {
         let mut chain = Vec::new();
         let mut cname_budget = 8;
@@ -328,7 +376,7 @@ impl Resolver {
         let mut all_records = Vec::new();
         loop {
             let (mut answer, target) =
-                self.resolve_no_cname(&current_qname, qtype, now, &mut chain)?;
+                self.resolve_no_cname(&current_qname, qtype, now, &mut chain, cuts)?;
             all_records.append(&mut answer.records);
             match target {
                 Some(next) if cname_budget > 0 && !matches!(answer.security, Security::Bogus(_)) => {
@@ -352,124 +400,66 @@ impl Resolver {
         a
     }
 
-    /// One full root-to-answer walk without CNAME chasing. Returns the
-    /// answer and, if the answer is a CNAME for another qtype, the target.
+    /// One walk to the answer without CNAME chasing: from the deepest
+    /// live cut `cuts` holds at or above `qname`, else from the root
+    /// hints. Returns the answer and, if the answer is a CNAME for
+    /// another qtype, the target.
+    ///
+    /// A cached cut saves the queries that established it, nothing else:
+    /// its servers are asked through [`Resolver::query_any`] like any
+    /// others, so breakers, health ordering, the latency budget and the
+    /// spoof guard's bailiwick apply there unchanged.
     fn resolve_no_cname(
         &self,
         qname: &Name,
         qtype: RrType,
         now: u32,
         chain: &mut Vec<Name>,
+        cuts: Option<&Cache>,
     ) -> Result<(Answer, Option<Name>), ResolveError> {
-        let mut servers = self.network.root_hints();
-        if servers.is_empty() {
-            return Err(ResolveError::NoRootHints);
-        }
-        let mut zone = Name::root();
-        // Trusted DNSKEYs of `zone`, or the reason the chain is not secure.
-        let mut zone_keys: Result<Vec<DnskeyRdata>, Security> = if self.trust_anchor.is_empty() {
-            Err(Security::Insecure)
-        } else {
-            self.chain_to_zone(&Name::root(), &servers, &self.trust_anchor, now)
+        // A cut is stored once it is settled: it and every cut above it
+        // came with a lifetime, i.e. its verdict rests on data. A verdict
+        // that rests on a fetch nobody answered is an outage — caching
+        // it would outlive the outage.
+        let mut settled = true;
+        let mut admit = |cut: ZoneCut, lifetime: Option<u32>| {
+            let cut = Arc::new(cut);
+            settled &= lifetime.is_some();
+            if let (Some(cache), true, Some(lifetime)) = (cuts, settled, lifetime) {
+                cache.put_cut(&cut, lifetime, now);
+            }
+            cut
+        };
+        let mut cut = match cuts.and_then(|cache| cache.deepest_cut(qname, qtype, now)) {
+            Some(cut) => cut,
+            None => {
+                let (root, lifetime) = self.root_cut(now)?;
+                admit(root, lifetime)
+            }
         };
 
         for _ in 0..self.max_steps {
-            chain.push(zone.clone());
             let resp = self
-                .query_any(&servers, qname, qtype, now, &zone)
-                .ok_or_else(|| ResolveError::AllServersUnreachable(zone.to_string()))?;
+                .query_any(&cut.servers, qname, qtype, now, &cut.apex)
+                .ok_or_else(|| ResolveError::AllServersUnreachable(cut.apex.to_string()))?;
 
-            // Referral?
-            let ns_records: Vec<&Record> = resp
-                .authorities
-                .iter()
-                .filter(|r| r.rtype() == RrType::Ns)
-                .collect();
-            let is_referral =
-                resp.answers.is_empty() && !resp.flags.authoritative && !ns_records.is_empty();
-            if is_referral {
-                let cut = ns_records[0].name.clone();
-                let ds_records: Vec<DsRdata> = resp
-                    .authorities
-                    .iter()
-                    .filter_map(|r| match &r.rdata {
-                        RData::Ds(ds) if r.name == cut => Some(ds.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let next_servers: Vec<Name> = ns_records
-                    .iter()
-                    .filter_map(|r| match &r.rdata {
-                        RData::Ns(host) => Some(host.clone()),
-                        _ => None,
-                    })
-                    .collect();
-
-                // Advance the trust chain.
-                zone_keys = match zone_keys {
-                    Ok(parent_keys) => {
-                        if ds_records.is_empty() {
-                            // Unsigned delegation → insecure subtree.
-                            Err(Security::Insecure)
-                        } else {
-                            // Validate the DS RRset signature with parent keys.
-                            let ds_rrset = RrSet::new(
-                                resp.authorities
-                                    .iter()
-                                    .filter(|r| r.rtype() == RrType::Ds && r.name == cut)
-                                    .cloned()
-                                    .collect(),
-                            )
-                            .expect("non-empty DS set");
-                            let ds_sigs: Vec<_> = resp
-                                .authorities
-                                .iter()
-                                .filter_map(|r| match &r.rdata {
-                                    RData::Rrsig(s)
-                                        if s.type_covered == RrType::Ds && r.name == cut =>
-                                    {
-                                        Some(s.clone())
-                                    }
-                                    _ => None,
-                                })
-                                .collect();
-                            match validate_rrset(&ds_rrset, &ds_sigs, &parent_keys, &zone, now) {
-                                Ok(()) => {
-                                    self.chain_to_zone(&cut, &next_servers, &ds_records, now)
-                                }
-                                Err(e) => Err(Security::Bogus(e)),
-                            }
-                        }
-                    }
-                    Err(state) => Err(state),
-                };
-
-                zone = cut;
-                servers = next_servers;
-                if servers.is_empty() {
-                    return Err(ResolveError::AllServersUnreachable(zone.to_string()));
-                }
-                // A bogus delegation can never be repaired further down,
-                // but resolution continues so CD-mode callers still get
-                // the (untrusted) data.
+            // A bogus delegation can never be repaired further down, but
+            // resolution continues so CD-mode callers still get the
+            // (untrusted) data.
+            if let Some((next, lifetime)) = self.follow_referral(&cut, &resp, now) {
+                cut = admit(next, lifetime);
                 continue;
             }
 
             // Terminal answer.
-            let security = self.validate_answer(&resp, &zone, &zone_keys, now);
+            let security = self.validate_answer(&resp, &cut.apex, &cut.keys, now);
             let cname_target = resp.answers.iter().find_map(|r| match &r.rdata {
                 RData::Cname(t) if qtype != RrType::Cname => Some(t.clone()),
                 _ => None,
             });
             let has_direct_answer = resp.answers.iter().any(|r| r.rtype() == qtype);
-            // RFC 2308: a negative answer's cacheable lifetime is
-            // min(SOA record TTL, SOA minimum), taken from the SOA the
-            // authority attached to the NXDOMAIN/NODATA response.
             let negative_ttl = if resp.answers.is_empty() {
-                resp.authorities.iter().find_map(|r| match &r.rdata {
-                    RData::Soa(soa) => Some(r.ttl.min(soa.minimum)),
-                    _ => None,
-                })
+                soa_negative_ttl(&resp)
             } else {
                 None
             };
@@ -483,6 +473,7 @@ impl Resolver {
             if poisoned {
                 self.stats.count_poison_admitted();
             }
+            chain.extend(cut.chain.iter().cloned());
             return Ok((
                 Answer {
                     records,
@@ -498,17 +489,144 @@ impl Resolver {
         Err(ResolveError::TooManySteps)
     }
 
+    /// The root's cut — hints, and the DNSKEYs the trust anchor
+    /// authenticates — with the lifetime it may be cached for (see
+    /// [`Resolver::chain_to_zone`]).
+    fn root_cut(&self, now: u32) -> Result<(ZoneCut, Option<u32>), ResolveError> {
+        let servers = self.network.root_hints();
+        if servers.is_empty() {
+            return Err(ResolveError::NoRootHints);
+        }
+        let (keys, lifetime) = if self.trust_anchor.is_empty() {
+            (Err(Security::Insecure), Some(u32::MAX))
+        } else {
+            self.chain_to_zone(&Name::root(), &servers, &self.trust_anchor, now)
+        };
+        let root = ZoneCut {
+            apex: Name::root(),
+            servers,
+            keys,
+            chain: vec![Name::root()],
+        };
+        Ok((root, lifetime))
+    }
+
+    /// Reads `resp` as a referral out of `parent`'s zone and steps across
+    /// it; `None` when it is not a referral. With the child's cut comes
+    /// the lifetime it may be cached for: the NS set's TTL, capped by
+    /// whatever the trust chain's step used ([`Resolver::chain_across`]);
+    /// `None` when that step ended in an outage.
+    fn follow_referral(
+        &self,
+        parent: &ZoneCut,
+        resp: &Message,
+        now: u32,
+    ) -> Option<(ZoneCut, Option<u32>)> {
+        if !resp.answers.is_empty() || resp.flags.authoritative {
+            return None;
+        }
+        let ns_records: Vec<&Record> = resp
+            .authorities
+            .iter()
+            .filter(|r| r.rtype() == RrType::Ns)
+            .collect();
+        let apex = ns_records.first()?.name.clone();
+        let servers: Vec<Name> = ns_records
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Ns(host) => Some(host.clone()),
+                _ => None,
+            })
+            .collect();
+        let (keys, lifetime) = match &parent.keys {
+            Ok(parent_keys) => self.chain_across(parent, parent_keys, &apex, &servers, resp, now),
+            Err(state) => (Err(state.clone()), Some(u32::MAX)),
+        };
+        let mut chain = parent.chain.clone();
+        chain.push(apex.clone());
+        let child = ZoneCut {
+            apex,
+            servers,
+            keys,
+            chain,
+        };
+        Some((child, lifetime.map(|l| l.min(min_ttl(ns_records)))))
+    }
+
+    /// The trust chain's step across a referral out of a secure `parent`:
+    /// validates the DS RRset `resp` carries for `apex` with the parent's
+    /// keys, then fetches `apex`'s DNSKEYs and authenticates them against
+    /// it. The verdict's lifetime is the smaller of the DS and DNSKEY
+    /// TTLs, capped by the remaining validity of the signatures over
+    /// both (see [`Resolver::chain_to_zone`] for `None`).
+    fn chain_across(
+        &self,
+        parent: &ZoneCut,
+        parent_keys: &[DnskeyRdata],
+        apex: &Name,
+        servers: &[Name],
+        resp: &Message,
+        now: u32,
+    ) -> (Result<Vec<DnskeyRdata>, Security>, Option<u32>) {
+        let ds_records: Vec<Record> = resp
+            .authorities
+            .iter()
+            .filter(|r| r.rtype() == RrType::Ds && r.name == *apex)
+            .cloned()
+            .collect();
+        if ds_records.is_empty() {
+            // Unsigned delegation → insecure subtree.
+            return (Err(Security::Insecure), Some(u32::MAX));
+        }
+        let ds_ttl = min_ttl(&ds_records);
+        let ds_rrset = RrSet::new(ds_records).expect("non-empty DS set");
+        let ds_sigs: Vec<_> = resp
+            .authorities
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Rrsig(s) if s.type_covered == RrType::Ds && r.name == *apex => {
+                    Some(s.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        // Validate the DS RRset signature with parent keys.
+        match validate_rrset(&ds_rrset, &ds_sigs, parent_keys, &parent.apex, now) {
+            Ok(()) => {
+                let ds: Vec<DsRdata> = ds_rrset
+                    .records()
+                    .iter()
+                    .filter_map(|r| match &r.rdata {
+                        RData::Ds(ds) => Some(ds.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                let (keys, lifetime) = self.chain_to_zone(apex, servers, &ds, now);
+                let ds_lifetime = ds_ttl.min(signature_lifetime(&ds_sigs, now));
+                (keys, lifetime.map(|l| l.min(ds_lifetime)))
+            }
+            Err(e) => (Err(Security::Bogus(e)), Some(ds_ttl)),
+        }
+    }
+
     /// Fetches `zone`'s DNSKEY RRset from its servers and authenticates it
-    /// against `ds_records`.
+    /// against `ds_records`. The second value is how long the verdict may
+    /// be cached: the DNSKEY TTL, capped by the remaining validity of the
+    /// signatures over it — or `None` when no server gave an answer to
+    /// judge (no response at all, or only SERVFAIL/REFUSED). That is an
+    /// outage, not a fact about the zone: the caller gets the same
+    /// `MissingDnskey` verdict as ever, but must not remember it.
     fn chain_to_zone(
         &self,
         zone: &Name,
         servers: &[Name],
         ds_records: &[DsRdata],
         now: u32,
-    ) -> Result<Vec<DnskeyRdata>, Security> {
-        let Some(resp) = self.query_any(servers, zone, RrType::Dnskey, now, zone) else {
-            return Err(Security::Bogus(ValidationError::MissingDnskey));
+    ) -> (Result<Vec<DnskeyRdata>, Security>, Option<u32>) {
+        let missing = Err(Security::Bogus(ValidationError::MissingDnskey));
+        let resp = match self.query_any(servers, zone, RrType::Dnskey, now, zone) {
+            Some(resp) if !matches!(resp.rcode, Rcode::ServFail | Rcode::Refused) => resp,
+            _ => return (missing, None),
         };
         let dnskey_records: Vec<Record> = resp
             .answers
@@ -517,8 +635,11 @@ impl Resolver {
             .cloned()
             .collect();
         if dnskey_records.is_empty() {
-            return Err(Security::Bogus(ValidationError::MissingDnskey));
+            // The zone answered, and has no keys: a negative answer.
+            let ttl = soa_negative_ttl(&resp).unwrap_or(cache::DEFAULT_NEGATIVE_TTL);
+            return (missing, Some(ttl.min(cache::MAX_NEGATIVE_TTL)));
         }
+        let ttl = min_ttl(&dnskey_records);
         let dnskey_rrset = RrSet::new(dnskey_records).expect("uniform DNSKEY set");
         let sigs: Vec<_> = resp
             .answers
@@ -528,11 +649,12 @@ impl Resolver {
                 _ => None,
             })
             .collect();
-        match authenticate_dnskeys(zone, &dnskey_rrset, &sigs, ds_records, now) {
+        let keys = match authenticate_dnskeys(zone, &dnskey_rrset, &sigs, ds_records, now) {
             Ok(keys) => Ok(keys),
             Err(ValidationError::UnsupportedAlgorithm(_)) => Err(Security::Insecure),
             Err(e) => Err(Security::Bogus(e)),
-        }
+        };
+        (keys, Some(ttl.min(signature_lifetime(&sigs, now))))
     }
 
     /// Validates the answer (or negative-answer) sections with the current
@@ -633,7 +755,11 @@ impl Resolver {
     /// over TCP against the same server. SERVFAIL/REFUSED responses are
     /// kept as a last resort so a lame-but-responding fleet still yields
     /// its rcode to the caller (as the pre-retry resolver did), while a
-    /// healthier server later in the rotation can still win.
+    /// healthier server later in the rotation can still win. SERVFAIL is
+    /// transient and retried like a timeout; REFUSED is the server saying
+    /// it does not serve the zone, which asking again cannot change — a
+    /// server that said it is not asked again in this ladder, and the
+    /// ladder ends once every server has.
     ///
     /// Two degradation guards bound the ladder: the resolution-wide
     /// latency budget ([`RetryPolicy::budget_ms`]) cuts it off once the
@@ -658,7 +784,12 @@ impl Resolver {
         let mut attempts = 0u32;
         let mut retries = 0u32;
         let mut last_error_response: Option<Message> = None;
-        while attempts < self.policy.max_attempts {
+        // Servers that answered REFUSED, one bit per position in
+        // `servers` (an NS set is far smaller than 64; a server past
+        // that has no bit and is simply never marked).
+        let mut lame = 0u64;
+        let bit = |idx: usize| 1u64.checked_shl(idx as u32).unwrap_or(0);
+        while attempts < self.policy.max_attempts && lame.count_ones() as usize != servers.len() {
             let attempts_at_round_start = attempts;
             // Index-based healthiest-first order: on the fault-free path
             // this is the identity permutation with zero name clones.
@@ -666,6 +797,9 @@ impl Resolver {
                 let ns = &servers[idx];
                 if attempts >= self.policy.max_attempts {
                     break;
+                }
+                if lame & bit(idx) != 0 {
+                    continue;
                 }
                 if self.budget_spent.get() >= self.policy.budget_ms {
                     return last_error_response;
@@ -723,6 +857,9 @@ impl Resolver {
                         if matches!(response.rcode, Rcode::ServFail | Rcode::Refused) {
                             self.stats.count_error_rcode();
                             self.health.record_failure(ns);
+                            if response.rcode == Rcode::Refused {
+                                lame |= bit(idx);
+                            }
                             last_error_response.get_or_insert(response);
                             continue;
                         }
@@ -796,6 +933,32 @@ pub fn trust_anchor_for(root_keys: &dsec_dnssec::ZoneKeys) -> Vec<DsRdata> {
     vec![root_keys.ds(DigestType::Sha256)]
 }
 
+/// RFC 2308: a negative answer's cacheable lifetime is
+/// min(SOA record TTL, SOA minimum), taken from the SOA the authority
+/// attached to the NXDOMAIN/NODATA response.
+fn soa_negative_ttl(resp: &Message) -> Option<u32> {
+    resp.authorities.iter().find_map(|r| match &r.rdata {
+        RData::Soa(soa) => Some(r.ttl.min(soa.minimum)),
+        _ => None,
+    })
+}
+
+/// The smallest TTL among `records` (`u32::MAX` for none).
+fn min_ttl<'a>(records: impl IntoIterator<Item = &'a Record>) -> u32 {
+    records.into_iter().map(|r| r.ttl).min().unwrap_or(u32::MAX)
+}
+
+/// Seconds until the first of `sigs` still inside its validity window
+/// runs out (`u32::MAX` when none is): the validation they carried at
+/// `now` is only known to repeat until then.
+fn signature_lifetime(sigs: &[RrsigRdata], now: u32) -> u32 {
+    sigs.iter()
+        .filter(|s| s.expiration >= now)
+        .map(|s| s.expiration - now)
+        .min()
+        .unwrap_or(u32::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,12 +997,23 @@ mod tests {
     struct World {
         network: Arc<Network>,
         root_keys: ZoneKeys,
+        com_auth: Arc<Authority>,
         example_auth: Arc<Authority>,
     }
 
     fn build_world(sign_example: bool, upload_example_ds: bool) -> World {
+        build_world_valid_for(sign_example, upload_example_ds, 90 * 86400)
+    }
+
+    /// [`build_world`] with every signature expiring `validity_s` after
+    /// `NOW - 100`.
+    fn build_world_valid_for(
+        sign_example: bool,
+        upload_example_ds: bool,
+        validity_s: u32,
+    ) -> World {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let cfg = SignerConfig::valid_from(NOW - 100, 90 * 86400);
+        let cfg = SignerConfig::valid_from(NOW - 100, validity_s);
 
         let root_keys =
             ZoneKeys::generate_default(&mut rng, Name::root(), Algorithm::RsaSha256).unwrap();
@@ -929,9 +1103,9 @@ mod tests {
         let root_auth = Authority::new();
         root_auth.upsert_zone(root);
         network.register(name("a.root-servers.net"), Arc::new(root_auth));
-        let com_auth = Authority::new();
+        let com_auth = Arc::new(Authority::new());
         com_auth.upsert_zone(com);
-        network.register(name("a.gtld-servers.net"), Arc::new(com_auth));
+        network.register(name("a.gtld-servers.net"), com_auth.clone());
         let example_auth = Arc::new(Authority::new());
         example_auth.upsert_zone(example);
         network.register(name("ns1.operator.net"), example_auth.clone());
@@ -940,6 +1114,7 @@ mod tests {
         World {
             network,
             root_keys,
+            com_auth,
             example_auth,
         }
     }
@@ -1428,6 +1603,322 @@ mod tests {
         // DNSKEY fetch and 8 more on the root zone cut; the budget cuts
         // it off well before that.
         assert!(stats.udp_attempts <= 6, "attempts {} not clamped", stats.udp_attempts);
+    }
+
+    /// Queries a from-the-root walk to a name in example.com sends: a
+    /// DNSKEY fetch and one question per zone on the way down.
+    const FULL_WALK: u64 = 6;
+
+    fn www() -> Name {
+        name("www.example.com")
+    }
+
+    #[test]
+    fn second_miss_under_a_cached_zone_asks_one_question() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        let first = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(first, resolver.resolve(&www(), RrType::A, NOW).unwrap());
+        assert_eq!(resolver.cache().cut_count(), 3, "root, com, example.com");
+        assert_eq!(resolver.cache().len(), 1, "cuts are not answers");
+
+        // NODATA, NXDOMAIN, the apex, a CNAME chase (two walks), and a DS
+        // (which the parent side of the cut answers): each is what the
+        // walk from the root returns — chain included — for one question
+        // per walk instead of six.
+        for (qname, qtype, questions) in [
+            (www(), RrType::Aaaa, 1),
+            (name("missing.example.com"), RrType::A, 1),
+            (name("example.com"), RrType::Ns, 1),
+            (name("alias.example.com"), RrType::A, 2),
+            (name("example.com"), RrType::Ds, 1),
+        ] {
+            let before = w.network.query_count();
+            let cached = resolver.resolve_cached(&qname, qtype, NOW + 1).unwrap();
+            assert_eq!(
+                w.network.query_count() - before,
+                questions,
+                "{qname} {qtype:?}"
+            );
+            let from_root = resolver.resolve(&qname, qtype, NOW + 1).unwrap();
+            assert_eq!(cached, from_root, "{qname} {qtype:?}");
+            assert_eq!(cached.security, Security::Secure);
+        }
+        assert_eq!(resolver.stats().cache_misses, 6, "every one of them a miss");
+    }
+
+    #[test]
+    fn non_validating_walks_resume_at_cached_cuts_too() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), Vec::new());
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        let before = w.network.query_count();
+        let cached = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
+        assert_eq!(w.network.query_count() - before, 1);
+        assert_eq!(cached, resolver.resolve(&www(), RrType::Aaaa, NOW).unwrap());
+        assert_eq!(cached.security, Security::Insecure);
+    }
+
+    #[test]
+    fn cut_expires_with_its_shortest_ttl() {
+        // NS 172,800 s, DS 86,400 s, DNSKEY 3,600 s: the keys go first.
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 3_599).unwrap();
+        assert_eq!(w.network.query_count() - before, 1, "live until the TTL");
+        let before = w.network.query_count();
+        let answer = resolver.resolve_cached(&www(), RrType::Mx, NOW + 3_600).unwrap();
+        assert_eq!(w.network.query_count() - before, FULL_WALK, "expired at it");
+        assert_eq!(answer.security, Security::Secure);
+
+        // An unsigned delegation has no DS or DNSKEY to wait for: its cut
+        // lives as long as the NS set, capped at one day like any entry.
+        let w = build_world(false, false);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 86_399).unwrap();
+        // The root's and com's keys are long gone, example.com's cut is not.
+        assert_eq!(w.network.query_count() - before, 1);
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::Mx, NOW + 86_400).unwrap();
+        assert_eq!(w.network.query_count() - before, FULL_WALK - 1);
+    }
+
+    #[test]
+    fn cut_never_outlives_the_signatures_it_was_validated_with() {
+        // Every RRSIG expires at NOW + 900, well inside every TTL.
+        let w = build_world_valid_for(true, true, 1_000);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 899).unwrap();
+        assert_eq!(w.network.query_count() - before, 1);
+        // At the expiration second the signatures still verify, but the
+        // cuts are gone: the chain is rebuilt rather than trusted.
+        let before = w.network.query_count();
+        let last = resolver.resolve_cached(&www(), RrType::Mx, NOW + 900).unwrap();
+        assert_eq!(w.network.query_count() - before, FULL_WALK);
+        assert_eq!(last.security, Security::Secure);
+        assert_eq!(resolver.cache().cut_count(), 3, "and nothing was stored for 0 s");
+        // One second on nothing validates, and no cached key says otherwise.
+        let expired = resolver.resolve_cached(&www(), RrType::Txt, NOW + 901).unwrap();
+        assert_eq!(expired.rcode, Rcode::ServFail);
+        assert!(matches!(
+            expired.security,
+            Security::Bogus(ValidationError::Expired { .. })
+        ));
+    }
+
+    #[test]
+    fn bogus_cut_stays_servfail_without_refetching() {
+        // DS uploaded, zone never signed: the DNSKEY fetch is answered
+        // (NODATA), so the verdict is data and is remembered.
+        let w = build_world(false, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys))
+            .with_shared_cache(Arc::new(Cache::bounded(64).with_max_stale(3600)));
+        let first = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(first.rcode, Rcode::ServFail);
+        let before = w.network.query_count();
+        let second = resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 1).unwrap();
+        assert_eq!(w.network.query_count() - before, 1, "no second DNSKEY fetch");
+        assert_eq!(second.rcode, Rcode::ServFail);
+        assert_eq!(
+            second.security,
+            Security::Bogus(ValidationError::MissingDnskey)
+        );
+        assert_eq!(second, resolver.resolve(&www(), RrType::Aaaa, NOW + 1).unwrap());
+        // …for the negative TTL of that NODATA (SOA minimum, 300 s).
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::Mx, NOW + 300).unwrap();
+        assert_eq!(w.network.query_count() - before, 3, "referral, DNSKEY, question");
+        assert_eq!(resolver.stats().stale_hits, 0);
+    }
+
+    #[test]
+    fn stale_serve_does_not_mask_a_chain_that_broke_under_a_cached_cut() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys))
+            .with_shared_cache(Arc::new(Cache::bounded(64).with_max_stale(3600)));
+        let good = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(good.security, Security::Secure);
+        w.example_auth.with_zone_mut(&name("example.com"), |z| {
+            z.remove_rrset(&www(), RrType::A);
+            z.add(Record::new(www(), 300, RData::A("203.0.113.66".parse().unwrap())))
+                .unwrap();
+        });
+        // The answer (TTL 300) has expired into the stale horizon; the
+        // cut (3,600 s) is live, and its keys refuse the new data.
+        let refused = resolver.resolve_cached(&www(), RrType::A, NOW + 400).unwrap();
+        assert_eq!(refused.rcode, Rcode::ServFail);
+        assert!(refused.records.is_empty());
+        assert_eq!(resolver.stats().stale_hits, 0);
+    }
+
+    #[test]
+    fn dnskey_fetch_nobody_answered_is_not_remembered() {
+        let w = build_world(true, true);
+        w.network.faults().enable(31);
+        let ns = name("ns1.operator.net");
+        w.network.faults().schedule_down(&ns, NOW, NOW + 100);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        // The referral into example.com is processed, its DNSKEY fetch
+        // times out, and so does the question.
+        assert!(matches!(
+            resolver.resolve_cached(&www(), RrType::A, NOW + 10),
+            Err(ResolveError::AllServersUnreachable(_))
+        ));
+        assert_eq!(resolver.cache().cut_count(), 2, "root and com only");
+        // A remembered `MissingDnskey` would make this ServFail until the
+        // DS expired; the outage is over, so is its effect.
+        let after = resolver.resolve_cached(&www(), RrType::A, NOW + 200).unwrap();
+        assert_eq!(after.security, Security::Secure);
+        assert_eq!(resolver.cache().cut_count(), 3);
+
+        // Same for a fleet that answers, but only with SERVFAIL.
+        let w = build_world(true, true);
+        w.network.faults().enable(32);
+        w.network
+            .faults()
+            .script(&ns, std::iter::repeat_n(dsec_authserver::Fault::ServFail, 16));
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        let during = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(during.rcode, Rcode::ServFail);
+        assert_eq!(resolver.cache().cut_count(), 2);
+        let after = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
+        assert_eq!(after.security, Security::Secure);
+    }
+
+    #[test]
+    fn nothing_below_an_unsettled_cut_is_remembered() {
+        // com's DNSKEY fetch is lost (both attempts of a two-attempt
+        // ladder), its referral then arrives: example.com inherits a
+        // verdict that is really com's outage.
+        let w = build_world(true, true);
+        w.network.faults().enable(35);
+        w.network.faults().script(
+            &name("a.gtld-servers.net"),
+            [dsec_authserver::Fault::Drop, dsec_authserver::Fault::Drop],
+        );
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys))
+            .with_policy(RetryPolicy {
+                max_attempts: 2,
+                budget_ms: u32::MAX,
+                ..RetryPolicy::default()
+            });
+        let during = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(during.security, Security::Bogus(ValidationError::MissingDnskey));
+        assert_eq!(resolver.cache().cut_count(), 1, "the root's, settled before the loss");
+        let after = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
+        assert_eq!(after.security, Security::Secure);
+        assert_eq!(resolver.cache().cut_count(), 3);
+    }
+
+    #[test]
+    fn breaker_still_guards_a_cached_cut() {
+        let w = build_world(true, true);
+        w.network.faults().enable(33);
+        let ns = name("ns1.operator.net");
+        w.network.faults().schedule_down(&ns, NOW + 5, NOW + 100);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys))
+            .with_breaker(BreakerPolicy::default());
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        // The walk starts at example.com's cached cut, straight into the
+        // outage: the failures trip the breaker…
+        assert!(resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 10).is_err());
+        assert_eq!(resolver.stats().breaker_trips, 1);
+        // …and the next walk from the same cut is short-circuited without
+        // a packet leaving.
+        let before = w.network.query_count();
+        assert!(resolver.resolve_cached(&www(), RrType::Mx, NOW + 10).is_err());
+        assert!(resolver.stats().breaker_short_circuits > 0);
+        assert_eq!(w.network.query_count(), before);
+        // Recovery: the half-open probe goes to the cached cut's server.
+        let after = resolver.resolve_cached(&www(), RrType::Mx, NOW + 200).unwrap();
+        assert_eq!(after.security, Security::Secure);
+        assert_eq!(resolver.breaker().unwrap().open_count(), 0);
+    }
+
+    #[test]
+    fn resolve_sees_a_changed_world_where_resolve_cached_keeps_its_ttl() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        // The registry withdraws the DS: example.com is now insecure.
+        w.com_auth.with_zone_mut(&name("com"), |z| {
+            z.remove_rrset(&name("example.com"), RrType::Ds);
+        });
+        let walked = resolver.resolve(&www(), RrType::Aaaa, NOW).unwrap();
+        assert_eq!(walked.security, Security::Insecure, "resolve() reads no cut");
+        let cached = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
+        assert_eq!(cached.security, Security::Secure, "the cached cut has not expired");
+        assert_eq!(resolver.cache().cut_count(), 3, "and resolve() wrote none");
+        // Past the cut's lifetime the cached path agrees.
+        let later = resolver.resolve_cached(&www(), RrType::Mx, NOW + 3_600).unwrap();
+        assert_eq!(later.security, Security::Insecure);
+        // `resolve()` on a fresh resolver leaves the cache empty.
+        let fresh = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        fresh.resolve(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(fresh.cache().cut_count() + fresh.cache().len(), 0);
+    }
+
+    #[test]
+    fn flushing_an_origin_forgets_the_cuts_under_it() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(resolver.cache().flush_origin(&name("com")), 3, "2 cuts, 1 answer");
+        assert_eq!(resolver.cache().cut_count(), 1, "the root's stays");
+        let before = w.network.query_count();
+        resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(w.network.query_count() - before, FULL_WALK - 1);
+    }
+
+    #[test]
+    fn priming_fetches_the_cuts_once_and_caches_no_answer() {
+        let w = build_world(true, true);
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        resolver.prime_cut(&name("com"), NOW);
+        assert_eq!(resolver.cache().cut_count(), 2);
+        assert_eq!(resolver.cache().len(), 0);
+        assert_eq!(resolver.stats().cache_misses, 0);
+        let primed = w.network.query_count();
+        resolver.prime_cut(&name("com"), NOW + 10);
+        assert_eq!(w.network.query_count(), primed, "live: nothing to do");
+        let answer = resolver.resolve_cached(&www(), RrType::A, NOW + 10).unwrap();
+        assert_eq!(w.network.query_count() - primed, 3, "referral, DNSKEY, question");
+        assert_eq!(answer, resolver.resolve(&www(), RrType::A, NOW + 10).unwrap());
+    }
+
+    #[test]
+    fn refused_is_asked_once_per_server_while_servfail_is_retried() {
+        // ns1.operator.net answers, but serves no zone: lame.
+        let w = build_world(false, false);
+        w.network
+            .register(name("ns1.operator.net"), Arc::new(Authority::new()));
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        let answer = resolver.resolve(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(answer.rcode, Rcode::Refused, "the rcode still reaches the caller");
+        assert_eq!(answer.security, Security::Insecure);
+        let stats = resolver.stats();
+        assert_eq!(stats.error_rcodes, 1, "not max_attempts of them");
+        assert_eq!(stats.udp_attempts, FULL_WALK - 1, "no DNSKEY fetch: no DS");
+
+        // SERVFAIL is the fault plane's transient: the same server is
+        // asked again and the third try validates.
+        let w = build_world(true, true);
+        w.network.faults().enable(34);
+        w.network.faults().script(
+            &name("ns1.operator.net"),
+            [dsec_authserver::Fault::ServFail, dsec_authserver::Fault::ServFail],
+        );
+        let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
+        let answer = resolver.resolve(&www(), RrType::A, NOW).unwrap();
+        assert_eq!(answer.security, Security::Secure);
+        assert_eq!(resolver.stats().error_rcodes, 2);
+        assert_eq!(resolver.stats().udp_attempts, FULL_WALK + 2);
     }
 
     #[test]

@@ -5,14 +5,20 @@
 //!
 //! Queries are assigned to workers by the same stable case-folded FNV-1a
 //! name hash ([`dsec_wire::name_hash64`]) the cache stripes on, **not**
-//! round-robin. Every occurrence of a given key is therefore handled by
-//! the same worker, in stream order — so whether a query hits or misses
-//! the shared cache depends only on the stream, never on cross-worker
-//! timing. Outcome counts, attribution, cache counters, and latency
-//! histograms are identical run-to-run and across thread counts (until
-//! the cache's capacity bound forces oldest-entry eviction, whose victim
-//! order is interleaving-dependent; size the bound above the working set
-//! when byte-identical histograms matter).
+//! round-robin — taken over the query's *site*, the registered domain.
+//! Every query for a site, whatever its name and type, is therefore
+//! handled by the same worker, in stream order: whether it hits the
+//! shared answer cache, and whether its miss finds the site's zone cut
+//! already cached or has to pay for the referral and the DNSKEY fetch,
+//! depends only on the stream, never on cross-worker timing. The cuts
+//! every site shares — the root's and the TLDs' — are fetched once,
+//! single-threaded, before the workers start (a running farm holds them
+//! anyway: their TTLs are days, a load spans minutes), so no worker's
+//! query is charged for them either. Outcome counts, attribution, cache
+//! counters, and latency histograms are identical run-to-run and across
+//! thread counts (until the cache's capacity bound forces oldest-entry
+//! eviction, whose victim order is interleaving-dependent; size the
+//! bound above the working set when byte-identical histograms matter).
 //!
 //! ## Contention-free hot path
 //!
@@ -252,12 +258,11 @@ pub fn validating_assignment(seed: u64, index: u64, share: f64) -> bool {
 }
 
 /// Stable worker shard for a query: the cache's case-folded name hash
-/// mixed with the qtype, so each (name, type) key belongs to exactly one
-/// worker regardless of thread count.
-fn shard_of(query: &PlannedQuery, threads: usize) -> usize {
-    let hash = name_hash64(&query.qname)
-        ^ (query.qtype.number() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (hash % threads as u64) as usize
+/// of its site, so a registered domain — every (name, type) key under
+/// it, and its zone cut — belongs to exactly one worker regardless of
+/// thread count.
+fn shard_of(query: &PlannedQuery, population: &TrafficPopulation, threads: usize) -> usize {
+    (name_hash64(&population.sites[query.site as usize].name) % threads as u64) as usize
 }
 
 /// One worker's private accumulators, merged after join. Attribution is
@@ -355,7 +360,7 @@ pub fn run_load_mixed(
     let threads = config.threads.max(1);
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); threads];
     for (i, query) in stream.iter().enumerate() {
-        shards[shard_of(query, threads)].push(i);
+        shards[shard_of(query, &population, threads)].push(i);
     }
 
     // Intern every query name once, single-threaded, before the clock
@@ -381,16 +386,37 @@ pub fn run_load_mixed(
 
     // Captured-domain lookup as a dense per-site flag: the hot loop tests
     // a Vec<bool> instead of comparing names.
-    let captured_names: std::collections::BTreeSet<String> = config
-        .captured
-        .iter()
-        .map(|n| n.to_canonical().to_string())
-        .collect();
-    let captured_site: Vec<bool> = population
-        .sites
-        .iter()
-        .map(|s| captured_names.contains(&s.name.to_canonical().to_string()))
-        .collect();
+    let captured_site: Vec<bool> = if config.captured.is_empty() {
+        vec![false; population.sites.len()]
+    } else {
+        let captured_names: std::collections::BTreeSet<String> = config
+            .captured
+            .iter()
+            .map(|n| n.to_canonical().to_string())
+            .collect();
+        population
+            .sites
+            .iter()
+            .map(|s| captured_names.contains(&s.name.to_canonical().to_string()))
+            .collect()
+    };
+
+    // Warm start: the root's and every TLD's zone cut, into each cache a
+    // worker will use. Single-threaded and through resolvers of its own,
+    // so its exchanges are charged to no user query and to no worker's
+    // counters; a no-op for cuts a previous phase left live.
+    let warm_at = stream[0].now;
+    let mut pools = vec![(&cache, trust_anchor.clone())];
+    if config.validating_share < 1.0 {
+        pools.push((&nv_cache, Vec::new()));
+    }
+    for (cache, trust_anchor) in pools {
+        let warm =
+            Resolver::new(network.clone(), trust_anchor).with_shared_cache(Arc::clone(cache));
+        for tld in population.ranked.keys() {
+            warm.prime_cut(&tld.zone(), warm_at);
+        }
+    }
 
     let started = Instant::now();
     let tallies: Vec<WorkerTally> = crossbeam::thread::scope(|scope| {

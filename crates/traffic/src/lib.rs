@@ -24,11 +24,12 @@
 //!   p50/p90/p99/p999 over the simulated per-query latency.
 //!
 //! Determinism: queries are sharded to workers by a stable hash of
-//! (qname, qtype), so every occurrence of a key is handled by the same
-//! worker in stream order. Outcome counts, attribution, cache hit/miss
-//! counts, and latency histograms are then identical run-to-run *and*
-//! across thread counts (as long as the shared cache's capacity bound is
-//! not hit mid-run); only wall-clock throughput varies with the host.
+//! their site (the registered domain), so every query under a site is
+//! handled by the same worker in stream order. Outcome counts,
+//! attribution, cache hit/miss counts, and latency histograms are then
+//! identical run-to-run *and* across thread counts (as long as the
+//! shared cache's capacity bound is not hit mid-run); only wall-clock
+//! throughput varies with the host.
 
 #![warn(missing_docs)]
 
