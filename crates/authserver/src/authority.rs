@@ -240,11 +240,7 @@ fn entry_current(entry: &CacheEntry, zones: &ZoneMap) -> bool {
 /// Byte-level (case-sensitive) label equality — the test for reusing
 /// pre-serialized question bytes.
 fn same_label_bytes(a: &Name, b: &Name) -> bool {
-    a.label_count() == b.label_count()
-        && a.labels()
-            .iter()
-            .zip(b.labels())
-            .all(|(x, y)| x.as_bytes() == y.as_bytes())
+    a.labels().eq(b.labels())
 }
 
 /// One DNS operator's authoritative service.
@@ -642,9 +638,8 @@ fn nsec3_denial_owner(zone: &Zone, qname: &Name) -> Option<Name> {
         .rrsets()
         .filter(|set| set.rtype() == RrType::Nsec3)
         .filter_map(|set| {
-            let label = set.name().labels().first()?.as_bytes().to_vec();
-            let text = String::from_utf8(label).ok()?;
-            let raw = dsec_crypto::base32::decode_hex(&text)?;
+            let text = std::str::from_utf8(set.name().labels().next()?).ok()?;
+            let raw = dsec_crypto::base32::decode_hex(text)?;
             let hash: [u8; 20] = raw.try_into().ok()?;
             Some((hash, set.name().clone()))
         })

@@ -32,6 +32,26 @@ impl Observation {
     pub fn has_ds(&self) -> bool {
         !self.ds_set.is_empty()
     }
+
+    /// The open interval around `now` free of RRSIG inception/expiration
+    /// edges: [`classify`]'s RFC 4035 time check cannot change its answer
+    /// for this observation while `window.0 < now < window.1`, so a
+    /// memoized verdict is reusable exactly that long.
+    pub fn validity_window(&self, now: u32) -> (i64, i64) {
+        let now = i64::from(now);
+        let mut window = (i64::MIN, i64::MAX);
+        for sig in &self.dnskey_rrsigs {
+            for edge in [i64::from(sig.inception), i64::from(sig.expiration)] {
+                if edge <= now {
+                    window.0 = window.0.max(edge);
+                }
+                if edge >= now {
+                    window.1 = window.1.min(edge);
+                }
+            }
+        }
+        window
+    }
 }
 
 /// Why a deployment with all record kinds present still fails validation.

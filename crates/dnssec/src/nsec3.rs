@@ -183,7 +183,7 @@ mod tests {
         let hashed = hashed_owner_name(&name("www.example.com"), &zone, &[0xAB], 3).unwrap();
         assert!(hashed.is_strict_subdomain_of(&zone));
         assert_eq!(hashed.label_count(), 3);
-        assert_eq!(hashed.labels()[0].len(), 32);
+        assert_eq!(hashed.labels().next().unwrap().len(), 32);
     }
 
     #[test]

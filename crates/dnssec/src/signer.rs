@@ -585,7 +585,7 @@ mod tests {
         for set in &nsec3s {
             // Hashed owner: 32-char base32hex label directly under apex.
             assert_eq!(set.name().label_count(), 3);
-            assert_eq!(set.name().labels()[0].len(), 32);
+            assert_eq!(set.name().labels().next().unwrap().len(), 32);
             // Each NSEC3 RRset is signed.
             let sigs = zone.rrset(set.name(), RrType::Rrsig).expect("nsec3 signed");
             assert!(sigs.records().iter().any(

@@ -79,9 +79,7 @@ struct AuditVerdict {
     /// Registry generation observed (live delegations start at 1, so a
     /// default entry never matches).
     generation: u64,
-    /// The nearest RRSIG inception/expiration edges around the
-    /// observation time, exclusive: the RFC 4035 time check cannot change
-    /// its answer while `window.0 < now < window.1`.
+    /// [`Observation::validity_window`] at the observation time.
     window: (i64, i64),
     /// `None`: no DS published, nothing to audit.
     passed: Option<bool>,
@@ -92,23 +90,6 @@ impl AuditVerdict {
         let now = i64::from(now);
         self.generation == generation && self.window.0 < now && now < self.window.1
     }
-}
-
-/// The open interval around `now` free of RRSIG validity edges.
-fn validity_window(obs: &Observation, now: u32) -> (i64, i64) {
-    let now = i64::from(now);
-    let mut window = (i64::MIN, i64::MAX);
-    for sig in &obs.dnskey_rrsigs {
-        for edge in [i64::from(sig.inception), i64::from(sig.expiration)] {
-            if edge <= now {
-                window.0 = window.0.max(edge);
-            }
-            if edge >= now {
-                window.1 = window.1.min(edge);
-            }
-        }
-    }
-    window
 }
 
 impl World {
@@ -520,7 +501,7 @@ impl World {
         }
         let obs = self.observation_of(domain);
         let passed = classify(domain, &obs, now) == DeploymentStatus::FullyDeployed;
-        (Some(passed), validity_window(&obs, now))
+        (Some(passed), obs.validity_window(now))
     }
 
     fn run_audits(&mut self) {

@@ -79,10 +79,11 @@ impl Tld {
     /// scan), so it matches the final label in place instead of
     /// materialising `domain.parent()` and five TLD zone names per call.
     pub fn of_domain(domain: &Name) -> Option<Tld> {
-        match domain.labels() {
-            [_, tld] => ALL_TLDS
+        let mut labels = domain.labels();
+        match (labels.next(), labels.next(), labels.next()) {
+            (Some(_), Some(tld), None) => ALL_TLDS
                 .into_iter()
-                .find(|t| tld.as_bytes().eq_ignore_ascii_case(t.label().as_bytes())),
+                .find(|t| tld.eq_ignore_ascii_case(t.label().as_bytes())),
             _ => None,
         }
     }

@@ -113,13 +113,9 @@ pub fn diagnose(
     let mut chain_broken = false;
 
     // The chain of zones: root, then each suffix of target.
-    let mut apexes = vec![Name::root()];
-    let labels = target.labels();
-    for i in (0..labels.len()).rev() {
-        apexes.push(
-            Name::from_labels(labels[i..].to_vec()).expect("suffix of a valid name is valid"),
-        );
-    }
+    let apexes: Vec<Name> = (0..=target.label_count())
+        .map(|depth| target.trim_to(depth))
+        .collect();
 
     let mut servers = network.root_hints();
     let mut parent_ds: Vec<DsRdata> = trust_anchor.to_vec();
@@ -311,10 +307,7 @@ pub fn diagnose(
 
 /// The next apex below `current` on the way to `target`.
 fn apexes_child(current: &Name, target: &Name) -> Name {
-    let labels = target.labels();
-    let next_len = current.label_count() + 1;
-    Name::from_labels(labels[labels.len() - next_len..].to_vec())
-        .expect("suffix of a valid name is valid")
+    target.trim_to(current.label_count() + 1)
 }
 
 fn key_info(k: &DnskeyRdata) -> KeyInfo {

@@ -98,8 +98,7 @@ impl SpoofGuard {
         let case_bits = if self.use_0x20 {
             qname
                 .labels()
-                .iter()
-                .flat_map(|l| l.as_bytes())
+                .flatten()
                 .filter(|b| b.is_ascii_alphabetic())
                 .count() as u32
         } else {

@@ -16,7 +16,10 @@
 //!
 //! Invalidation rules (see DESIGN.md §9):
 //! * an entry is reused only when the stored generation equals the
-//!   domain's current generation;
+//!   domain's current generation **and** the scan time is still inside
+//!   the RRSIG validity window the verdict was computed in — the
+//!   classification depends on the clock, and signatures lapsing moves
+//!   no generation;
 //! * unreachable/indeterminate outcomes are **never** cached — a failed
 //!   observation is re-attempted every snapshot;
 //! * entries for domains that left the zone files are pruned after
@@ -46,11 +49,24 @@ pub fn domain_key(tld: Tld, row: u32) -> DomainKey {
     ((tld as u64) << 32) | row as u64
 }
 
+/// One classified domain: what was seen, and how long it stays true.
 #[derive(Debug, Clone)]
-struct CacheEntry {
-    generation: u64,
-    operator: Arc<str>,
-    stats: OperatorStats,
+pub(crate) struct CacheEntry {
+    pub(crate) generation: u64,
+    /// [`dsec_dnssec::Observation::validity_window`] at scan time.
+    pub(crate) window: (i64, i64),
+    pub(crate) operator: Arc<str>,
+    pub(crate) stats: OperatorStats,
+}
+
+impl CacheEntry {
+    /// The cell, if it still is what a scan at (`generation`, `now`)
+    /// would classify.
+    fn get(&self, generation: u64, now: u32) -> Option<(Arc<str>, OperatorStats)> {
+        let now = i64::from(now);
+        (self.generation == generation && self.window.0 < now && now < self.window.1)
+            .then(|| (self.operator.clone(), self.stats))
+    }
 }
 
 /// Point-in-time counters of cache effectiveness.
@@ -98,33 +114,35 @@ impl ScanCache {
     }
 
     /// The cached (operator key, stats cell) for `key` if it was
-    /// classified at exactly `generation`. Counts a hit or a miss.
-    pub fn lookup(&mut self, key: DomainKey, generation: u64) -> Option<(Arc<str>, OperatorStats)> {
-        match self.entries.get(&key) {
-            Some(entry) if entry.generation == generation => {
-                self.hits += 1;
-                Some((entry.operator.clone(), entry.stats))
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+    /// classified at exactly `generation` and `now` is inside the
+    /// validity window of that verdict. Counts a hit or a miss.
+    pub fn lookup(
+        &mut self,
+        key: DomainKey,
+        generation: u64,
+        now: u32,
+    ) -> Option<(Arc<str>, OperatorStats)> {
+        let found = self.peek(key, generation, now);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        found
     }
 
-    /// The cached (operator key, stats cell) for `key` if it was
-    /// classified at exactly `generation`, **without** touching the
-    /// hit/miss counters. This is the shared-read half of the parallel
-    /// cache pass: workers peek through `&ScanCache` concurrently and
-    /// tally hits/misses privately, then the merge step records them
-    /// once via [`ScanCache::note_lookups`].
-    pub fn peek(&self, key: DomainKey, generation: u64) -> Option<(Arc<str>, OperatorStats)> {
-        match self.entries.get(&key) {
-            Some(entry) if entry.generation == generation => {
-                Some((entry.operator.clone(), entry.stats))
-            }
-            _ => None,
-        }
+    /// [`ScanCache::lookup`] **without** touching the hit/miss counters.
+    /// This is the shared-read half of the parallel cache pass: workers
+    /// peek through `&ScanCache` concurrently and tally hits/misses
+    /// privately, then the merge step records them once via
+    /// [`ScanCache::note_lookups`].
+    pub fn peek(
+        &self,
+        key: DomainKey,
+        generation: u64,
+        now: u32,
+    ) -> Option<(Arc<str>, OperatorStats)> {
+        self.entries.get(&key)?.get(generation, now)
     }
 
     /// Folds externally tallied lookup counts (from [`ScanCache::peek`]
@@ -134,13 +152,15 @@ impl ScanCache {
         self.misses += misses;
     }
 
-    /// Stores the classified cell for `key` at `generation`. Callers
-    /// must not insert unobserved (unreachable/indeterminate) outcomes;
-    /// this is enforced with a debug assertion.
+    /// Stores the classified cell for `key` at `generation`, good while
+    /// the clock stays inside `window`. Callers must not insert
+    /// unobserved (unreachable/indeterminate) outcomes; this is enforced
+    /// with a debug assertion.
     pub fn insert(
         &mut self,
         key: DomainKey,
         generation: u64,
+        window: (i64, i64),
         operator: Arc<str>,
         stats: OperatorStats,
     ) {
@@ -153,6 +173,7 @@ impl ScanCache {
             key,
             CacheEntry {
                 generation,
+                window,
                 operator,
                 stats,
             },
@@ -223,7 +244,8 @@ impl ScanCache {
 /// per domain.
 ///
 /// It follows [`ScanCache`]'s invalidation rules to the letter (exact
-/// generation match; unobserved outcomes never stored), and two extra
+/// generation match inside the verdict's validity window; unobserved
+/// outcomes never stored), and two extra
 /// guards keep it pure: the scan pipeline bypasses it entirely while
 /// the fault plane is enabled (failure draws must not be replayed from
 /// a cache) and under `force_full` (a ground-truth scan must not read
@@ -276,28 +298,18 @@ impl ScanMemo {
     /// memo refreshes keys it already holds and drops the rest.
     /// Unobserved outcomes must be filtered out by the caller, exactly
     /// as for [`ScanCache::insert`].
-    pub(crate) fn store(
-        &self,
-        cells: impl IntoIterator<Item = (DomainKey, u64, Arc<str>, OperatorStats)>,
-    ) {
+    pub(crate) fn store(&self, cells: impl IntoIterator<Item = (DomainKey, CacheEntry)>) {
         let mut entries = self.entries.write().expect("scan memo lock");
-        for (key, generation, operator, stats) in cells {
+        for (key, entry) in cells {
             debug_assert_eq!(
-                stats.unobserved(),
+                entry.stats.unobserved(),
                 0,
                 "unobserved outcomes must never be cached"
             );
             if entries.len() >= self.cap && !entries.contains_key(&key) {
                 continue;
             }
-            entries.insert(
-                key,
-                CacheEntry {
-                    generation,
-                    operator,
-                    stats,
-                },
-            );
+            entries.insert(key, entry);
         }
     }
 }
@@ -308,15 +320,15 @@ pub(crate) struct MemoView<'a> {
 }
 
 impl MemoView<'_> {
-    /// The memoized (operator key, stats cell) for `key` if it was
-    /// classified at exactly `generation`.
-    pub(crate) fn get(&self, key: DomainKey, generation: u64) -> Option<(Arc<str>, OperatorStats)> {
-        match self.entries.get(&key) {
-            Some(entry) if entry.generation == generation => {
-                Some((entry.operator.clone(), entry.stats))
-            }
-            _ => None,
-        }
+    /// The memoized (operator key, stats cell) for `key`, under
+    /// [`ScanCache::peek`]'s rule.
+    pub(crate) fn get(
+        &self,
+        key: DomainKey,
+        generation: u64,
+        now: u32,
+    ) -> Option<(Arc<str>, OperatorStats)> {
+        self.entries.get(&key)?.get(generation, now)
     }
 }
 
@@ -330,6 +342,19 @@ mod tests {
 
     fn op(s: &str) -> Arc<str> {
         Arc::from(s)
+    }
+
+    /// A scan time, and a window that never closes around it.
+    const NOW: u32 = 1_000;
+    const ALWAYS: (i64, i64) = (i64::MIN, i64::MAX);
+
+    fn entry(generation: u64, operator: &str, stats: OperatorStats) -> CacheEntry {
+        CacheEntry {
+            generation,
+            window: ALWAYS,
+            operator: op(operator),
+            stats,
+        }
     }
 
     fn cell(domains: u64) -> OperatorStats {
@@ -349,31 +374,60 @@ mod tests {
     #[test]
     fn lookup_hits_only_on_matching_generation() {
         let mut cache = ScanCache::new();
-        assert!(cache.lookup(key(0), 1).is_none(), "cold miss");
-        cache.insert(key(0), 1, op("ns.host.net"), cell(1));
-        assert_eq!(cache.lookup(key(0), 1), Some((op("ns.host.net"), cell(1))));
-        assert!(cache.lookup(key(0), 2).is_none(), "stale generation");
+        assert!(cache.lookup(key(0), 1, NOW).is_none(), "cold miss");
+        cache.insert(key(0), 1, ALWAYS, op("ns.host.net"), cell(1));
+        assert_eq!(
+            cache.lookup(key(0), 1, NOW),
+            Some((op("ns.host.net"), cell(1)))
+        );
+        assert!(cache.lookup(key(0), 2, NOW).is_none(), "stale generation");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
+    fn entries_lapse_at_the_edges_of_their_validity_window() {
+        let mut cache = ScanCache::new();
+        cache.insert(key(0), 1, (900, 1_100), op("x.net"), cell(1));
+        assert!(cache.peek(key(0), 1, 901).is_some());
+        assert!(cache.peek(key(0), 1, 1_099).is_some());
+        // Both edges are exclusive: the time check flips *at* the edge.
+        assert!(cache.peek(key(0), 1, 900).is_none());
+        assert!(cache.peek(key(0), 1, 1_100).is_none());
+        assert!(
+            cache.lookup(key(0), 1, 2_000).is_none(),
+            "signatures lapsed"
+        );
+
+        let memo = ScanMemo::default();
+        memo.store([(
+            key(0),
+            CacheEntry {
+                window: (900, 1_100),
+                ..entry(1, "x.net", cell(1))
+            },
+        )]);
+        assert!(memo.view().get(key(0), 1, NOW).is_some());
+        assert!(memo.view().get(key(0), 1, 1_100).is_none());
+    }
+
+    #[test]
     fn retain_live_prunes_departed_domains() {
         let mut cache = ScanCache::new();
-        cache.insert(key(0), 1, op("x.net"), cell(1));
-        cache.insert(key(1), 1, op("x.net"), cell(1));
+        cache.insert(key(0), 1, ALWAYS, op("x.net"), cell(1));
+        cache.insert(key(1), 1, ALWAYS, op("x.net"), cell(1));
         let live: FnvHashSet<DomainKey> = [key(0)].into_iter().collect();
         cache.retain_live(&live);
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(key(0), 1).is_some());
+        assert!(cache.lookup(key(0), 1, NOW).is_some());
     }
 
     #[test]
     fn clear_resets_counters() {
         let mut cache = ScanCache::new();
-        cache.insert(key(0), 1, op("x.net"), cell(1));
-        cache.lookup(key(0), 1);
+        cache.insert(key(0), 1, ALWAYS, op("x.net"), cell(1));
+        cache.lookup(key(0), 1, NOW);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -387,47 +441,56 @@ mod tests {
         let mut cache = ScanCache::new();
         let mut stats = cell(1);
         stats.unreachable = 1;
-        cache.insert(key(0), 1, op("x.net"), stats);
+        cache.insert(key(0), 1, ALWAYS, op("x.net"), stats);
     }
 
     #[test]
     fn memo_hits_only_on_exact_generation() {
         let memo = ScanMemo::default();
         memo.store([
-            (key(0), 1, op("x.net"), cell(1)),
-            (key(2), 5, op("y.net"), cell(1)),
+            (key(0), entry(1, "x.net", cell(1))),
+            (key(2), entry(5, "y.net", cell(1))),
         ]);
         let view = memo.view();
-        assert_eq!(view.get(key(0), 1), Some((op("x.net"), cell(1))));
-        assert_eq!(view.get(key(1), 9), None, "never stored");
-        assert_eq!(view.get(key(2), 4), None, "stale generation");
+        assert_eq!(view.get(key(0), 1, NOW), Some((op("x.net"), cell(1))));
+        assert_eq!(view.get(key(1), 9, NOW), None, "never stored");
+        assert_eq!(view.get(key(2), 4, NOW), None, "stale generation");
         drop(view);
 
         // Refresh row 2 at its current generation: the next view hits.
-        memo.store([(key(2), 4, op("y.net"), cell(1))]);
-        assert_eq!(memo.view().get(key(2), 4), Some((op("y.net"), cell(1))));
+        memo.store([(key(2), entry(4, "y.net", cell(1)))]);
+        assert_eq!(
+            memo.view().get(key(2), 4, NOW),
+            Some((op("y.net"), cell(1)))
+        );
     }
 
     #[test]
     fn memo_cap_refreshes_held_keys_but_admits_no_new_ones() {
         let memo = ScanMemo::with_capacity(2);
         memo.store([
-            (key(0), 1, op("x.net"), cell(1)),
-            (key(1), 1, op("x.net"), cell(1)),
-            (key(2), 1, op("y.net"), cell(1)),
+            (key(0), entry(1, "x.net", cell(1))),
+            (key(1), entry(1, "x.net", cell(1))),
+            (key(2), entry(1, "y.net", cell(1))),
         ]);
         // Third key arrived over the cap: dropped, never served.
-        assert_eq!(memo.view().get(key(2), 1), None);
+        assert_eq!(memo.view().get(key(2), 1, NOW), None);
 
         // Held keys still refresh in place at their new generation...
-        memo.store([(key(0), 7, op("z.net"), cell(2))]);
-        assert_eq!(memo.view().get(key(0), 7), Some((op("z.net"), cell(2))));
-        assert_eq!(memo.view().get(key(0), 1), None, "old generation gone");
+        memo.store([(key(0), entry(7, "z.net", cell(2)))]);
+        assert_eq!(
+            memo.view().get(key(0), 7, NOW),
+            Some((op("z.net"), cell(2)))
+        );
+        assert_eq!(memo.view().get(key(0), 1, NOW), None, "old generation gone");
 
         // ...and a refresh does not open a slot for new keys.
-        memo.store([(key(3), 1, op("x.net"), cell(1))]);
-        assert_eq!(memo.view().get(key(3), 1), None);
-        assert_eq!(memo.view().get(key(1), 1), Some((op("x.net"), cell(1))));
+        memo.store([(key(3), entry(1, "x.net", cell(1)))]);
+        assert_eq!(memo.view().get(key(3), 1, NOW), None);
+        assert_eq!(
+            memo.view().get(key(1), 1, NOW),
+            Some((op("x.net"), cell(1)))
+        );
     }
 
     #[test]
@@ -437,6 +500,6 @@ mod tests {
         let memo = ScanMemo::default();
         let mut stats = cell(1);
         stats.indeterminate = 1;
-        memo.store([(key(0), 1, op("x.net"), stats)]);
+        memo.store([(key(0), entry(1, "x.net", stats))]);
     }
 }

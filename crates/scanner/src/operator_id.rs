@@ -15,18 +15,14 @@ use dsec_wire::Name;
 /// The operator grouping key for one nameserver hostname.
 pub fn operator_key(ns: &Name) -> Name {
     let sld = ns.second_level().to_canonical();
-    if let Some(label) = sld.labels().first() {
-        let text = label
-            .as_bytes()
-            .iter()
-            .map(|&b| b.to_ascii_lowercase() as char)
-            .collect::<String>();
+    // `sld` is canonical, so its first label is lowercase already.
+    if let Some(label) = sld.labels().next() {
         // Footnote 15: awsdns-13.net, awsdns-07.org, … → "awsdns".
-        if text.starts_with("awsdns") {
+        if label.starts_with(b"awsdns") {
             return Name::parse("awsdns.group").expect("static name");
         }
         // Footnote 13: 1and1 spread across ccTLDs → "1and1".
-        if text == "1and1" {
+        if label == b"1and1" {
             return Name::parse("1and1.group").expect("static name");
         }
     }

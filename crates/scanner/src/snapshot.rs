@@ -12,7 +12,7 @@ use dsec_dnssec::{classify, DeploymentStatus};
 use dsec_ecosystem::{ObservationQuality, SimDate, Tld, World, ALL_TLDS};
 use dsec_wire::{FnvHashSet, Name};
 
-use crate::cache::{domain_key, DomainKey, ScanCache, ScanMemo};
+use crate::cache::{domain_key, CacheEntry, DomainKey, ScanCache, ScanMemo};
 use crate::operator_id::operator_of;
 
 /// One delegation to scan: the borrowed name plus the columnar identity
@@ -228,6 +228,7 @@ impl Snapshot {
                 &pairs,
                 cache,
                 memo.as_deref(),
+                now,
                 options.force_full,
                 options.threads,
             );
@@ -262,14 +263,13 @@ impl Snapshot {
 
         // Partition into settled outcomes and the bounded retry queue, in
         // work-list order so the bound is deterministic.
-        let mut settled: Vec<(usize, OperatorStats, bool)> =
-            Vec::with_capacity(first_pass.len());
+        let mut settled: Vec<ScannedDomain> = Vec::with_capacity(first_pass.len());
         let mut retry: Vec<usize> = Vec::new();
-        for (i, stats, failed) in first_pass {
-            if failed && options.retry_rounds >= 1 && retry.len() < options.retry_limit {
+        for (i, stats, window) in first_pass {
+            if window.is_none() && options.retry_rounds >= 1 && retry.len() < options.retry_limit {
                 retry.push(i);
             } else {
-                settled.push((i, stats, failed));
+                settled.push((i, stats, window));
             }
         }
 
@@ -286,19 +286,26 @@ impl Snapshot {
             options.threads,
         ));
 
-        let mut memo_new: Vec<(DomainKey, u64, Arc<str>, OperatorStats)> = Vec::new();
-        for (i, stats, failed) in settled {
+        let mut memo_new: Vec<(DomainKey, CacheEntry)> = Vec::new();
+        for (i, stats, window) in settled {
             let item = &pairs[i];
             let operator = operator_at[i]
                 .clone()
                 .expect("scanned domains have a prepared operator key");
-            // Unreachable/indeterminate outcomes are never cached.
-            if !failed {
+            // Unreachable/indeterminate outcomes (no window) are never
+            // cached.
+            if let Some(window) = window {
                 if let Some(cache) = cache.as_deref_mut() {
-                    cache.insert(item.key, item.generation, operator.clone(), stats);
+                    cache.insert(item.key, item.generation, window, operator.clone(), stats);
                 }
                 if memo.is_some() {
-                    memo_new.push((item.key, item.generation, operator.clone(), stats));
+                    let entry = CacheEntry {
+                        generation: item.generation,
+                        window,
+                        operator: operator.clone(),
+                        stats,
+                    };
+                    memo_new.push((item.key, entry));
                 }
             }
             agg.entry((operator, item.tld)).or_default().absorb(&stats);
@@ -439,6 +446,7 @@ fn run_cache_pass(
     pairs: &[ScanItem<'_>],
     cache: &ScanCache,
     memo: Option<&ScanMemo>,
+    now: u32,
     force_full: bool,
     threads: usize,
 ) -> Vec<CachePassPart> {
@@ -453,10 +461,10 @@ fn run_cache_pass(
         for (offset, item) in part.iter().enumerate() {
             if !force_full {
                 if let Some((operator, stats)) =
-                    cache.peek(item.key, item.generation).or_else(|| {
+                    cache.peek(item.key, item.generation, now).or_else(|| {
                         memo_view
                             .as_ref()
-                            .and_then(|view| view.get(item.key, item.generation))
+                            .and_then(|view| view.get(item.key, item.generation, now))
                     })
                 {
                     out.hits += 1;
@@ -528,11 +536,17 @@ fn run_operators(
     partials.into_iter().flatten().collect()
 }
 
+/// One scanned domain: its position in the scan's pair list, its stats
+/// cell, and the validity window of the verdict — `None` when the
+/// observation failed (unreachable/indeterminate), which makes the domain
+/// a candidate for the retry pass and keeps it out of every cache.
+type ScannedDomain = (usize, OperatorStats, Option<(i64, i64)>);
+
 /// One threaded pass over `indices` (positions in `pairs`), scanning each
-/// domain with `rounds` NS rotations. Results come back as (work index,
-/// stats, failed) in `indices` order: chunks are contiguous slices of the
-/// already-sorted index list and are re-joined in spawn order, so worker
-/// scheduling cannot reorder them.
+/// domain with `rounds` NS rotations. Results come back in `indices`
+/// order: chunks are contiguous slices of the already-sorted index list
+/// and are re-joined in spawn order, so worker scheduling cannot reorder
+/// them.
 fn run_pass(
     world: &World,
     pairs: &[ScanItem<'_>],
@@ -540,31 +554,20 @@ fn run_pass(
     now: u32,
     rounds: u32,
     threads: usize,
-) -> Vec<(usize, OperatorStats, bool)> {
+) -> Vec<ScannedDomain> {
+    let scan = |&i: &usize| -> ScannedDomain {
+        let (stats, window) = scan_domain(world, pairs[i].name, now, rounds);
+        (i, stats, window)
+    };
     let threads = threads.max(1).min(indices.len().max(1));
     if threads == 1 {
-        return indices
-            .iter()
-            .map(|&i| {
-                let (stats, failed) = scan_domain(world, pairs[i].name, now, rounds);
-                (i, stats, failed)
-            })
-            .collect();
+        return indices.iter().map(scan).collect();
     }
     let chunk = indices.len().div_ceil(threads);
     let partials = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = indices
             .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    part.iter()
-                        .map(|&i| {
-                            let (stats, failed) = scan_domain(world, pairs[i].name, now, rounds);
-                            (i, stats, failed)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|part| scope.spawn(move |_| part.iter().map(scan).collect::<Vec<_>>()))
             .collect();
         handles
             .into_iter()
@@ -575,10 +578,14 @@ fn run_pass(
     partials.into_iter().flatten().collect()
 }
 
-/// Scans one domain into a single-domain stats cell. The bool reports
-/// whether the observation failed (unreachable/indeterminate) and the
-/// domain is a candidate for the retry pass.
-fn scan_domain(world: &World, domain: &Name, now: u32, rounds: u32) -> (OperatorStats, bool) {
+/// Scans one domain into a single-domain stats cell plus the window its
+/// classification holds for (see [`ScannedDomain`]).
+fn scan_domain(
+    world: &World,
+    domain: &Name,
+    now: u32,
+    rounds: u32,
+) -> (OperatorStats, Option<(i64, i64)>) {
     let (obs, quality) = world.observe_domain(domain, rounds);
     let mut stats = OperatorStats {
         domains: 1,
@@ -587,11 +594,11 @@ fn scan_domain(world: &World, domain: &Name, now: u32, rounds: u32) -> (Operator
     match quality {
         ObservationQuality::Unreachable => {
             stats.unreachable = 1;
-            return (stats, true);
+            return (stats, None);
         }
         ObservationQuality::Indeterminate => {
             stats.indeterminate = 1;
-            return (stats, true);
+            return (stats, None);
         }
         ObservationQuality::Clean | ObservationQuality::Degraded => {}
     }
@@ -607,7 +614,7 @@ fn scan_domain(world: &World, domain: &Name, now: u32, rounds: u32) -> (Operator
         DeploymentStatus::Misconfigured(_) => stats.misconfigured = 1,
         DeploymentStatus::NotDeployed | DeploymentStatus::InsecureUnsupported => {}
     }
-    (stats, false)
+    (stats, Some(obs.validity_window(now)))
 }
 
 /// The cumulative-coverage curve of Figure 3: for each operator rank k

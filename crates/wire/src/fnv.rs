@@ -1,13 +1,12 @@
 //! A minimal FNV-1a hasher for the simulator's hot, short-key maps.
 //!
-//! [`Name`](crate::Name) hashes case-insensitively by feeding lowercased
-//! label bytes to the hasher **one byte at a time** — the worst possible
-//! access pattern for SipHash (the `HashMap` default), which pays its
-//! per-write overhead on every byte. FNV-1a folds a byte in with one xor
-//! and one multiply, which makes Name-keyed lookups several times
-//! cheaper; the scan cache, the per-domain generation maps, and the
-//! resolver cache's shard maps all sit on per-query hot paths and use
-//! [`FnvHashMap`].
+//! The keys on the per-query hot paths are short: a [`Name`](crate::Name)
+//! hashes as one slice of a few dozen lowercased octets, a packed domain
+//! key or a `NameId` as one integer. SipHash (the `HashMap` default) pays
+//! a fixed set-up and finalisation cost that dominates at that size;
+//! FNV-1a folds a byte in with one xor and one multiply. The scan cache,
+//! the per-domain generation maps, and the resolver cache's shard maps
+//! all use [`FnvHashMap`].
 //!
 //! FNV is not DoS-resistant. Every key hashed here is simulator-internal
 //! (generated domain names, dense cache ids), never attacker-chosen, so

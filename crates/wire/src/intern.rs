@@ -1,11 +1,10 @@
 //! Name interning: stable `u32` ids for domain names on hot paths.
 //!
 //! The scanner, the resolver cache, and the traffic plane all key maps by
-//! [`Name`]. A `Name` is a heap structure (a `Vec` of label `Vec`s), so
-//! using it as a key costs a multi-label case-folding hash per probe and
-//! a deep clone per insert. A [`NameInterner`] assigns each distinct name
-//! a dense [`NameId`] once; after that, hot-path lookups hash a single
-//! `u32` and never touch label bytes again.
+//! [`Name`]. Using a `Name` as a key costs a case-folding hash and
+//! comparison over its label bytes per probe. A [`NameInterner`] assigns
+//! each distinct name a dense [`NameId`] once; after that, hot-path
+//! lookups hash a single `u32` and never touch label bytes again.
 //!
 //! The interner is striped 16 ways by [`name_hash64`] so concurrent
 //! workers interning different names rarely contend on the same lock,
@@ -143,7 +142,7 @@ fn read_lock(stripe: &RwLock<Stripe>) -> std::sync::RwLockReadGuard<'_, Stripe> 
 pub fn name_hash64(name: &Name) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for label in name.labels() {
-        for &b in label.as_bytes() {
+        for &b in label {
             hash ^= b.to_ascii_lowercase() as u64;
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }

@@ -32,7 +32,7 @@ pub mod zone;
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use intern::{name_hash64, NameId, NameInterner};
 pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
-pub use name::{Label, Name};
+pub use name::{Labels, Name};
 pub use rdata::{DnskeyRdata, DsRdata, RData, RrsigRdata, SoaRdata};
 pub use record::{group_rrsets, Record, RrSet};
 pub use rrtype::{RrClass, RrType, TypeBitmap};

@@ -5,9 +5,7 @@
 //! [`WireReader`] is a cursor over a full message buffer — it must see the
 //! whole message because compression pointers reference absolute offsets.
 
-use std::collections::HashMap;
-
-use crate::name::{Label, Name};
+use crate::name::{Name, NameBuilder};
 use crate::WireError;
 
 /// Maximum pointer offset (14 bits).
@@ -17,9 +15,11 @@ const MAX_POINTER: usize = 0x3FFF;
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Maps a name's presentation of its remaining labels to the offset of
-    /// its first occurrence (for compression pointers).
-    name_offsets: HashMap<String, usize>,
+    /// Every label suffix written so far with the offset of its first
+    /// occurrence (for compression pointers). A suffix shares its name's
+    /// buffer and compares case-insensitively; a message holds a handful,
+    /// so a linear probe beats hashing them.
+    name_offsets: Vec<(Name, u16)>,
     /// When false (the canonical/RDATA-signing mode), names are never
     /// compressed.
     compression: bool,
@@ -30,7 +30,7 @@ impl WireWriter {
     pub fn new() -> Self {
         WireWriter {
             buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
+            name_offsets: Vec::new(),
             compression: true,
         }
     }
@@ -82,22 +82,29 @@ impl WireWriter {
     /// Appends a domain name, emitting a compression pointer when a suffix
     /// of the name was already written (and compression is enabled).
     pub fn put_name(&mut self, name: &Name) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix_key = suffix_key(&labels[i..]);
-            if self.compression {
-                if let Some(&off) = self.name_offsets.get(&suffix_key) {
-                    let ptr = 0xC000u16 | off as u16;
-                    self.put_u16(ptr);
-                    return;
-                }
-                if self.buf.len() <= MAX_POINTER {
-                    self.name_offsets.insert(suffix_key, self.buf.len());
-                }
+        let flat = name.flat();
+        if !self.compression {
+            self.buf.extend_from_slice(flat);
+            self.buf.push(0);
+            return;
+        }
+        let mut pos = 0;
+        while pos < flat.len() {
+            let known = self
+                .name_offsets
+                .iter()
+                .find(|(suffix, _)| suffix.flat().eq_ignore_ascii_case(&flat[pos..]));
+            if let Some(&(_, offset)) = known {
+                self.put_u16(0xC000 | offset);
+                return;
             }
-            let label = &labels[i];
-            self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label.as_bytes());
+            if self.buf.len() <= MAX_POINTER {
+                self.name_offsets
+                    .push((name.suffix_at(pos), self.buf.len() as u16));
+            }
+            let next = pos + 1 + usize::from(flat[pos]);
+            self.buf.extend_from_slice(&flat[pos..next]);
+            pos = next;
         }
         self.buf.push(0);
     }
@@ -107,18 +114,6 @@ impl WireWriter {
     pub fn patch_u16(&mut self, offset: usize, v: u16) {
         self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
     }
-}
-
-/// Case-insensitive key for a label suffix.
-fn suffix_key(labels: &[Label]) -> String {
-    let mut key = String::new();
-    for l in labels {
-        for &b in l.as_bytes() {
-            key.push(b.to_ascii_lowercase() as char);
-        }
-        key.push('\u{0}');
-    }
-    key
 }
 
 /// A cursor over a DNS message buffer with pointer-chasing name decoding.
@@ -192,7 +187,7 @@ impl<'a> WireReader<'a> {
     /// Reads a (possibly compressed) domain name, chasing pointers with a
     /// hop limit so malicious loops cannot hang the decoder.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels = Vec::new();
+        let mut name = NameBuilder::new();
         let mut pos = self.pos;
         let mut jumped = false;
         let mut hops = 0;
@@ -204,7 +199,7 @@ impl<'a> WireReader<'a> {
                     if !jumped {
                         self.pos = pos;
                     }
-                    return Name::from_labels(labels);
+                    return Ok(name.finish());
                 }
                 l if l & 0xC0 == 0xC0 => {
                     let lo = *self.data.get(pos + 1).ok_or(WireError::Truncated)? as usize;
@@ -231,7 +226,9 @@ impl<'a> WireReader<'a> {
                     if end > self.data.len() {
                         return Err(WireError::Truncated);
                     }
-                    labels.push(Label::new(self.data[start..end].to_vec())?);
+                    // Rejects the name the moment it outgrows 255 octets,
+                    // however many pointers are still to chase.
+                    name.push_label(&self.data[start..end])?;
                     pos = end;
                     if !jumped {
                         self.pos = pos;

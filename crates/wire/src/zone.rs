@@ -79,15 +79,17 @@ impl Zone {
             .map_or(0, |v| v.len())
     }
 
+    /// The index entries owned by `name`, any type. The index orders by
+    /// owner first, so they are one contiguous range: O(log n) to find,
+    /// however large the zone.
+    fn at(&self, name: &Name) -> impl Iterator<Item = (&(Name, u16), &Vec<Record>)> {
+        self.records
+            .range((name.clone(), 0)..=(name.clone(), u16::MAX))
+    }
+
     /// Removes every record owned by `name`, of any type.
     pub fn remove_name(&mut self, name: &Name) -> usize {
-        let canon = name.to_canonical();
-        let keys: Vec<_> = self
-            .records
-            .keys()
-            .filter(|(n, _)| *n == canon)
-            .cloned()
-            .collect();
+        let keys: Vec<_> = self.at(name).map(|(key, _)| key.clone()).collect();
         keys.into_iter()
             .map(|k| self.records.remove(&k).map_or(0, |v| v.len()))
             .sum()
@@ -110,20 +112,17 @@ impl Zone {
 
     /// All records at `name`, any type.
     pub fn records_at(&self, name: &Name) -> Vec<Record> {
-        let canon = name.to_canonical();
-        self.records
-            .iter()
-            .filter(|((n, _), _)| *n == canon)
-            .flat_map(|(_, v)| v.iter().cloned())
-            .collect()
+        self.at(name).flat_map(|(_, v)| v.iter().cloned()).collect()
     }
 
     /// True if any record exists at `name` (of any type), or underneath it.
     pub fn name_exists(&self, name: &Name) -> bool {
-        let canon = name.to_canonical();
+        // In canonical order a name's descendants follow it directly, so
+        // the first owner at or after `name` decides.
         self.records
-            .keys()
-            .any(|(n, _)| n == &canon || n.is_strict_subdomain_of(&canon))
+            .range((name.clone(), 0)..)
+            .next()
+            .is_some_and(|((owner, _), _)| owner.is_subdomain_of(name))
     }
 
     /// Iterates every record in canonical owner order.
@@ -173,13 +172,7 @@ impl Zone {
 
     /// The types present at `name`, as an NSEC-style bitmap.
     pub fn types_at(&self, name: &Name) -> TypeBitmap {
-        let canon = name.to_canonical();
-        TypeBitmap::from_types(
-            self.records
-                .keys()
-                .filter(|(n, _)| *n == canon)
-                .map(|&(_, t)| RrType::from_number(t)),
-        )
+        TypeBitmap::from_types(self.at(name).map(|(&(_, t), _)| RrType::from_number(t)))
     }
 
     /// Finds the deepest delegation (an NS RRset strictly below the origin,
@@ -579,6 +572,43 @@ mod tests {
         assert_eq!(z.remove_rrset(&name("www.example.com"), RrType::A), 0);
         assert_eq!(z.remove_name(&name("example.com")), 2);
         assert!(z.is_empty());
+    }
+
+    /// In canonical order `b.example.com` sits between `b.a.example.com`
+    /// and its own child `a.b.example.com`, with `b.c.example.com` after:
+    /// neighbours that share its first label. Per-owner operations must
+    /// touch exactly its own range.
+    #[test]
+    fn per_owner_operations_touch_only_that_owner() {
+        let mut z = Zone::new(name("example.com"));
+        let a = |owner: &str, last: u8| {
+            Record::new(name(owner), 300, RData::A([192, 0, 2, last].into()))
+        };
+        for owner in ["b.a.example.com", "b.example.com", "a.b.example.com", "b.c.example.com"] {
+            z.add(a(owner, 1)).unwrap();
+        }
+        z.add(a("B.example.com", 2)).unwrap();
+        z.add(Record::new(name("b.example.com"), 300, RData::Txt(vec![b"x".to_vec()])))
+            .unwrap();
+
+        let at_b = z.records_at(&name("B.Example.com"));
+        assert_eq!(at_b.len(), 3);
+        assert!(at_b.iter().all(|r| r.name == name("b.example.com")));
+        let types = z.types_at(&name("b.example.com"));
+        assert_eq!(types.iter().collect::<Vec<_>>(), vec![RrType::A, RrType::Txt]);
+        assert!(z.records_at(&name("c.example.com")).is_empty());
+
+        assert_eq!(z.remove_name(&name("B.example.COM")), 3);
+        assert_eq!(z.remove_name(&name("b.example.com")), 0);
+        assert_eq!(
+            z.owner_names(),
+            vec![name("b.a.example.com"), name("a.b.example.com"), name("b.c.example.com")]
+        );
+        // `b.example.com` holds no records any more but still has a child.
+        assert!(z.name_exists(&name("b.example.com")));
+        assert!(z.name_exists(&name("c.example.com")));
+        assert!(!z.name_exists(&name("d.example.com")));
+        assert!(!z.name_exists(&name("a.example.org")));
     }
 
     #[test]

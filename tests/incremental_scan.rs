@@ -199,3 +199,88 @@ fn retry_rounds_one_rescans_and_zero_disables() {
     );
     assert_eq!(single_round.cells, clean.cells);
 }
+
+#[test]
+fn cached_verdict_lapses_with_the_signatures_it_was_computed_from() {
+    use dsec::ecosystem::{
+        DsTiming, ExternalDs, Hosting, OperatorDnssec, Plan, RegistrarPolicy, RolloverPlan,
+        RolloverStyle, TldPolicy, TldRole, World, WorldConfig,
+    };
+    use dsec::wire::Name;
+
+    // One signed `.nl` domain stalled in a double-signature KSK rollover
+    // whose transitional signatures live five days and whose DS never
+    // moves: once they lapse the domain is misconfigured, yet nothing
+    // bumps its generation — only the clock moved.
+    let mut world = World::new(WorldConfig {
+        key_pool: 2,
+        ..WorldConfig::default()
+    });
+    let registrar = world.add_registrar(
+        "LapseReg",
+        Name::parse("lapsereg.nl").unwrap(),
+        RegistrarPolicy {
+            operator_dnssec: OperatorDnssec::Default,
+            external_ds: ExternalDs::Web { validates: false },
+            tlds: ALL_TLDS
+                .iter()
+                .map(|&t| (t, TldPolicy::full(TldRole::Registrar)))
+                .collect(),
+        },
+    );
+    world.auto_sign_on_purchase = true;
+    let hosting = Hosting::Registrar { plan: Plan::Free };
+    let domain = world
+        .purchase(registrar, "lapsing", Tld::Nl, hosting, "o@x")
+        .unwrap();
+    let start = world.today.plus_days(2);
+    let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, start)
+        .with_ds_timing(DsTiming::Never)
+        .with_signature_validity_days(5);
+    world.schedule_rollover(&domain, plan).unwrap();
+    world.advance_to(start);
+    world.stall_rollover(&domain).unwrap();
+    let signed_until = world
+        .rollover_state(&domain)
+        .and_then(|s| s.signed_until())
+        .expect("transitional set is served with bounded validity");
+    let generation = world.domain_generation(&domain);
+
+    let options = ScanOptions::default();
+    let mut cache = ScanCache::new();
+    let mut cache_served = 0;
+    let mut last_verdict = None;
+    for _ in 0..9 {
+        world.tick();
+        let queries = world.network.query_count();
+        let cached = Snapshot::take_cached(&world, &[Tld::Nl], &options, &mut cache);
+        let queried = world.network.query_count() > queries;
+        let uncached = Snapshot::take_with_options(&world, &[Tld::Nl], &options);
+        assert_eq!(
+            cached.cells, uncached.cells,
+            "cached scan agrees with a fresh one on {}",
+            world.today
+        );
+        let totals = cached.tld_totals(Tld::Nl);
+        let verdict = (totals.fully_deployed, totals.misconfigured);
+        let lapsed = world.today.epoch_seconds() > signed_until;
+        assert_eq!(verdict, if lapsed { (0, 1) } else { (1, 0) });
+        if !queried {
+            cache_served += 1;
+        }
+        if last_verdict.is_some_and(|last| last != verdict) {
+            assert!(queried, "the verdict flipped without re-observing");
+        }
+        last_verdict = Some(verdict);
+    }
+    assert_eq!(last_verdict, Some((0, 1)), "the campaign covers the lapse");
+    assert!(
+        cache_served >= 4,
+        "unchanged days are still served from the cache ({cache_served})"
+    );
+    assert_eq!(
+        world.domain_generation(&domain),
+        generation,
+        "nothing but the clock moved"
+    );
+}
