@@ -3,9 +3,12 @@
 //! so the repo carries a perf trajectory across changes.
 //!
 //! A *cold* scan starts from an empty [`ScanCache`] and queries every
-//! domain; the *warm* scan runs one simulated day later, so only domains
-//! the ecosystem actually changed are re-queried. The interesting numbers
-//! are domains/second and the warm-over-cold speedup.
+//! domain; the *warm* scan runs one simulated day later and reads the
+//! registries' change journals, so only domains the ecosystem actually
+//! changed are looked at. The interesting numbers are domains/second, the
+//! warm-over-cold speedup, and what a *fresh* cache costs on a world that
+//! was already scanned (the authorities' response caches and the world's
+//! scan memo answer it).
 //!
 //! ```sh
 //! cargo bench --bench longitudinal                # full_study workload
@@ -140,36 +143,58 @@ fn main() {
         runs.push(run);
     }
 
-    // Thread scaling of the warm (cache-dominated) path: the contention
-    // metric this bench guards. > 1.0 means adding workers helps; < 1.0
-    // means they fight over locks. Judged only on hosts that actually
-    // have the cores (`host_threads`) — a single-core container cannot
-    // show parallel speedup no matter how contention-free the code is.
+    // A fresh cache over the already-scanned world: a population sweep
+    // answered by the world's scan memo and the authorities' response
+    // caches. It is the only scan left that runs the parallel cache pass
+    // over every domain, so it carries both steady-state numbers: its
+    // cost against the world's genuinely cold first scan (same thread
+    // count), and its thread scaling — the contention metric this bench
+    // guards. > 1.0 means adding workers helps; < 1.0 means they fight
+    // over locks. Judged only on hosts that actually have the cores
+    // (`host_threads`) — a single-core container cannot show parallel
+    // speedup no matter how contention-free the code is.
     let host_threads = dsec_bench::host_threads();
     let first = &runs[0];
     let last = &runs[runs.len() - 1];
-    let warm_scaling = first.warm_ms / last.warm_ms.max(f64::MIN_POSITIVE);
+    let steady_cold_ms = |threads: usize| {
+        let options = ScanOptions {
+            threads,
+            ..ScanOptions::default()
+        };
+        (0..if smoke { 1 } else { 3 })
+            .map(|_| {
+                let started = Instant::now();
+                let scan =
+                    Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut ScanCache::new());
+                assert!(!scan.cells.is_empty(), "steady cold scan produced cells");
+                started.elapsed().as_secs_f64() * 1000.0
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (steady_first, steady_last) = (steady_cold_ms(first.threads), steady_cold_ms(last.threads));
+    let warm_scaling = steady_first / steady_last.max(f64::MIN_POSITIVE);
     // Whether the scaling assertions below actually ran: a small host
     // cannot exhibit parallel speedup, so there `warm_scaling_1_to_8` is
     // informational and CI must treat it as "skipped", not "passed".
     let scaling_checked = !smoke && host_threads >= 8;
-    // The steady-state metric the wire-response cache targets: how close
-    // a later cold scan (fresh ScanCache, warm authority plane) gets to
-    // the warm scan. Taken from the final run — by then the authorities
-    // have served every question at least once.
-    let cold_within_warm_ratio = last.cold_ms / last.warm_ms.max(f64::MIN_POSITIVE);
+    let steady_cold_over_first_cold = steady_first / first.cold_ms.max(f64::MIN_POSITIVE);
     eprintln!(
-        "warm scaling {} → {} threads: {:.2}x (host has {} hardware threads); \
-         cold/warm ratio at {} threads: {:.2}",
-        first.threads, last.threads, warm_scaling, host_threads, last.threads,
-        cold_within_warm_ratio
+        "fresh cache over the scanned world: {:.1} ms at {} threads, {:.1} ms at {} \
+         ({:.2}x; host has {} hardware threads); {:.2} of the first cold scan",
+        steady_first,
+        first.threads,
+        steady_last,
+        last.threads,
+        warm_scaling,
+        host_threads,
+        steady_cold_over_first_cold
     );
 
     let json = format!(
         "{{\n  \"bench\": \"longitudinal\",\n  \"smoke\": {},\n  \"scale\": {},\n  \
          \"domains\": {},\n  \"tlds\": {},\n  \"host_threads\": {},\n  \
          \"scaling_checked\": {},\n  \"warm_scaling_1_to_8\": {:.2},\n  \
-         \"cold_within_warm_ratio\": {:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
+         \"steady_cold_over_first_cold\": {:.2},\n  \"runs\": [\n{}\n  ]\n}}\n",
         smoke,
         population.scale,
         domains,
@@ -177,7 +202,7 @@ fn main() {
         host_threads,
         scaling_checked,
         warm_scaling,
-        cold_within_warm_ratio,
+        steady_cold_over_first_cold,
         runs.iter()
             .map(Run::to_json)
             .collect::<Vec<_>>()
@@ -199,9 +224,10 @@ fn main() {
     // 1. On the FIRST run — the only genuinely cold authority plane — a
     //    day-later warm scan must still be at least twice as fast as the
     //    cold scan (the ScanCache's reason to exist).
-    // 2. On the LAST run the authority plane is warm, so a cold scan
-    //    (fresh ScanCache) must land within 2× of the warm scan — the
-    //    wire-response cache's contract.
+    // 2. Once the world has been scanned, a fresh ScanCache must cost at
+    //    most half of that first scan — the wire-response cache's and
+    //    the scan memo's contract. (The gate used to compare it with the
+    //    warm scan; a warm scan is a delta now, not a sweep.)
     if !smoke {
         assert!(
             first.speedup() >= 2.0,
@@ -210,17 +236,16 @@ fn main() {
             first.speedup()
         );
         assert!(
-            cold_within_warm_ratio <= 2.0,
-            "steady-state cold scan at {} threads is {cold_within_warm_ratio:.2}x warm \
-             (wire-response cache not absorbing the cold path)",
-            last.threads
+            steady_cold_over_first_cold <= 0.5,
+            "a fresh cache over the scanned world costs {steady_cold_over_first_cold:.2} of \
+             the first scan (response cache and scan memo not absorbing the cold path)"
         );
         // Contention guard, only meaningful with real cores under the
-        // workers: more threads must never make the warm scan slower.
+        // workers: more threads must never make the cache pass slower.
         if scaling_checked {
             assert!(
                 warm_scaling >= 1.0,
-                "warm scan got slower with threads: {warm_scaling:.2}x from {} to {}",
+                "cache pass got slower with threads: {warm_scaling:.2}x from {} to {}",
                 first.threads,
                 last.threads
             );

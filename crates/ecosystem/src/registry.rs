@@ -21,7 +21,7 @@ use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
 use dsec_wire::{DsRdata, Name, NameInterner, RData, Record, RrSet, RrType, SoaRdata, Zone};
 
-use crate::table::{DomainTable, OrderedRows};
+use crate::table::{DomainTable, JournalCursor, OrderedRows};
 use crate::tld::Tld;
 use crate::RegistrarId;
 
@@ -62,10 +62,6 @@ pub struct Registry {
     /// DS set replaced); the incremental scan cache keys its entries on
     /// it so an unchanged domain is never re-queried.
     table: DomainTable,
-    /// Bumped whenever the *set* of delegations changes (add/remove, not
-    /// edits). The scan cache skips its departed-domain prune — a full
-    /// rehash of the population — on days this hasn't moved.
-    population_epoch: u64,
 }
 
 impl Registry {
@@ -153,7 +149,6 @@ impl Registry {
             discounts_cents: BTreeMap::new(),
             audit_failures: BTreeMap::new(),
             table: DomainTable::new(interner),
-            population_epoch: 0,
         }
     }
 
@@ -229,7 +224,6 @@ impl Registry {
         let row = self.table.intern_row(domain);
         self.table.set_live(row, registrar);
         self.table.bump(row);
-        self.population_epoch += 1;
         Ok(())
     }
 
@@ -303,7 +297,6 @@ impl Registry {
         });
         let row = self.table.intern_row(domain);
         self.table.set_dead(row);
-        self.population_epoch += 1;
         // Keep (and bump) the generation column: if the name is later
         // re-registered its generation must not restart from a value a
         // stale cache entry could collide with.
@@ -404,12 +397,33 @@ impl Registry {
         self.table.ordered()
     }
 
-    /// A counter that moves exactly when the delegation *set* does
-    /// (registration or removal; edits to existing delegations do not
-    /// count). Lets incremental consumers detect that no domain can have
-    /// departed since they last looked.
-    pub fn population_epoch(&self) -> u64 {
-        self.population_epoch
+    /// Number of live delegations, without enumerating them.
+    pub fn delegation_count(&self) -> usize {
+        self.table.live_count()
+    }
+
+    /// The delegation at columnar `row` as `(&name, generation)`, or
+    /// `None` if that row is not currently delegated.
+    pub fn delegation_at(&self, row: u32) -> Option<(&Name, u64)> {
+        self.table
+            .is_live(row)
+            .then(|| (self.table.name(row), self.table.generation(row)))
+    }
+
+    /// The end of this registry's change journal (see
+    /// [`DomainTable::bump`]): what an incremental consumer remembers
+    /// after a sweep so that its next look reads only what changed.
+    pub fn journal_cursor(&self) -> JournalCursor {
+        self.table.journal_cursor()
+    }
+
+    /// The rows whose generation was bumped since `cursor`, one per bump
+    /// (delegations added, removed, or edited; dead rows included), or
+    /// `None` when `cursor` belongs to another registry or reaches back
+    /// further than the journal remembers — sweep
+    /// [`Registry::delegations_columnar`] instead.
+    pub fn changes_since(&self, cursor: JournalCursor) -> Option<&[u32]> {
+        self.table.changes_since(cursor)
     }
 
     /// The sponsoring registrar of `domain`.

@@ -27,7 +27,14 @@
 //! cache entries can never collide) and is simply marked dead. The row id
 //! is therefore a stable per-table handle that the scanner uses as a cache
 //! key in place of the name.
+//!
+//! The table also keeps a bounded **change journal**: every
+//! [`DomainTable::bump`] appends its row, and a consumer holding a
+//! [`JournalCursor`] reads the rows bumped since it last looked
+//! ([`DomainTable::changes_since`]) instead of re-reading every
+//! generation. See DESIGN.md §9.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use dsec_wire::{FnvHashMap, Name, NameId, NameInterner};
@@ -47,6 +54,20 @@ struct OrderCache {
     dirty: bool,
 }
 
+/// A position in one table's change journal: the journal it belongs to
+/// and how many bumps that journal had seen. Only the table that issued
+/// it can read from it ([`DomainTable::changes_since`]).
+#[derive(Debug, Clone, Copy)]
+pub struct JournalCursor {
+    journal: u64,
+    at: u64,
+}
+
+/// Source of journal identities. Process-unique rather than derived from
+/// the table's address: allocators reuse addresses, and a cursor must
+/// never read a journal it was not issued by.
+static NEXT_JOURNAL: AtomicU64 = AtomicU64::new(0);
+
 /// The registry-side columnar table: sponsor, change generation, and
 /// liveness per delegated name. See the module docs for the layout.
 #[derive(Debug)]
@@ -64,6 +85,13 @@ pub struct DomainTable {
     index: FnvHashMap<NameId, u32>,
     live_count: usize,
     order: RwLock<OrderCache>,
+    /// This journal's identity (see [`NEXT_JOURNAL`]).
+    journal_id: u64,
+    /// Rows bumped since `journal_base`, oldest first, one per bump.
+    journal: Vec<u32>,
+    /// How many bumps were journaled and since forgotten: the absolute
+    /// position of `journal[0]`.
+    journal_base: u64,
 }
 
 impl DomainTable {
@@ -78,6 +106,10 @@ impl DomainTable {
             index: FnvHashMap::default(),
             live_count: 0,
             order: RwLock::new(OrderCache::default()),
+            // Relaxed: the counter only hands out distinct numbers.
+            journal_id: NEXT_JOURNAL.fetch_add(1, Ordering::Relaxed),
+            journal: Vec::new(),
+            journal_base: 0,
         }
     }
 
@@ -119,9 +151,43 @@ impl DomainTable {
         self.row_of(name).map_or(0, |row| self.generation(row))
     }
 
-    /// Bumps the change generation at `row`.
+    /// Bumps the change generation at `row` and journals the row. Every
+    /// scan-observable edit ends here (a liveness change is always paired
+    /// with a bump), so the journal misses nothing the generation shows.
+    ///
+    /// The journal bounds itself: once it is longer than the table has
+    /// rows it is forgotten and its base advanced. A consumer that far
+    /// behind gets `None` from [`DomainTable::changes_since`] and sweeps
+    /// the table instead, which costs it no more than replaying would.
     pub fn bump(&mut self, row: u32) {
         self.generation[row as usize] += 1;
+        self.journal.push(row);
+        if self.journal.len() > self.names.len() {
+            self.journal_base += self.journal.len() as u64;
+            self.journal.clear();
+        }
+    }
+
+    /// The end of the change journal: a later
+    /// [`DomainTable::changes_since`] from here yields the rows bumped
+    /// in between.
+    pub fn journal_cursor(&self) -> JournalCursor {
+        JournalCursor {
+            journal: self.journal_id,
+            at: self.journal_base + self.journal.len() as u64,
+        }
+    }
+
+    /// The rows bumped since `cursor` was taken, oldest first, one per
+    /// bump (a row bumped twice appears twice; it may be dead by now).
+    /// `None` when the cursor was issued by another table or the journal
+    /// has since forgotten that far back.
+    pub fn changes_since(&self, cursor: JournalCursor) -> Option<&[u32]> {
+        if cursor.journal != self.journal_id {
+            return None;
+        }
+        let skip = usize::try_from(cursor.at.checked_sub(self.journal_base)?).ok()?;
+        self.journal.get(skip..)
     }
 
     /// Whether the delegation at `row` currently exists.
@@ -466,6 +532,78 @@ mod tests {
         assert_eq!(t.generation_of(&name("X.Com")), 2);
         let via_iter: Vec<u64> = t.ordered().map(|(_, _, g)| g).collect();
         assert_eq!(via_iter, vec![2], "column read matches name-keyed read");
+    }
+
+    #[test]
+    fn journal_yields_one_row_per_bump_since_the_cursor() {
+        let mut t = table();
+        let rows: Vec<u32> = ["a.com", "b.com", "c.com", "d.com", "e.com", "f.com"]
+            .iter()
+            .map(|n| t.intern_row(&name(n)))
+            .collect();
+        for &row in &rows {
+            t.set_live(row, RegistrarId(1));
+        }
+        t.bump(rows[0]);
+        let cursor = t.journal_cursor();
+        assert_eq!(t.changes_since(cursor), Some(&[][..]), "nothing yet");
+
+        // Removed and revived between two looks: once per bump, in bump
+        // order, and the reader finds the row live.
+        t.set_dead(rows[1]);
+        t.bump(rows[1]);
+        t.set_live(rows[1], RegistrarId(2));
+        t.bump(rows[1]);
+        t.bump(rows[2]);
+        assert_eq!(
+            t.changes_since(cursor),
+            Some(&[rows[1], rows[1], rows[2]][..])
+        );
+        assert!(t.is_live(rows[1]));
+        // An older cursor still sees everything after it; the newest
+        // one sees nothing.
+        assert_eq!(t.changes_since(t.journal_cursor()), Some(&[][..]));
+    }
+
+    #[test]
+    fn journal_forgets_once_longer_than_the_table() {
+        let mut t = table();
+        let a = t.intern_row(&name("a.com"));
+        let b = t.intern_row(&name("b.com"));
+        let start = t.journal_cursor();
+        t.bump(a);
+        t.bump(b);
+        assert_eq!(
+            t.changes_since(start),
+            Some(&[a, b][..]),
+            "as long as the table"
+        );
+        let middle = t.journal_cursor();
+        // The third bump makes it longer than the table has rows.
+        t.bump(a);
+        assert_eq!(t.changes_since(start), None, "reaches before the discard");
+        assert_eq!(
+            t.changes_since(middle),
+            None,
+            "bumped row was discarded too"
+        );
+        // A cursor taken after the discard reads on from the new base.
+        let fresh = t.journal_cursor();
+        t.bump(b);
+        assert_eq!(t.changes_since(fresh), Some(&[b][..]));
+        assert_eq!(t.changes_since(start), None, "still forgotten");
+    }
+
+    #[test]
+    fn journal_refuses_a_foreign_cursor() {
+        let (mut ours, mut theirs) = (table(), table());
+        for t in [&mut ours, &mut theirs] {
+            let row = t.intern_row(&name("a.com"));
+            t.bump(row);
+        }
+        // Same position, same contents — but another table's journal.
+        assert_eq!(ours.changes_since(theirs.journal_cursor()), None);
+        assert_eq!(ours.changes_since(ours.journal_cursor()), Some(&[][..]));
     }
 
     #[test]

@@ -3,28 +3,31 @@
 //! and fetch the DNSKEY RRset + RRSIGs with a real DO-bit query; classify
 //! and aggregate per (operator, TLD).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use dsec_dnssec::{classify, DeploymentStatus};
 use dsec_ecosystem::{ObservationQuality, SimDate, Tld, World, ALL_TLDS};
-use dsec_wire::{FnvHashSet, Name};
+use dsec_wire::{FnvHashMap, Name};
 
-use crate::cache::{domain_key, CacheEntry, DomainKey, ScanCache, ScanMemo};
+use crate::cache::{
+    domain_key, Aggregate, CacheEntry, Contribution, DomainKey, ScanCache, ScanMemo,
+};
 use crate::operator_id::operator_of;
 
 /// One delegation to scan: the borrowed name plus the columnar identity
 /// the incremental cache keys on — the row-packed [`DomainKey`] and the
-/// current change generation, both read in one dense registry sweep
-/// ([`dsec_ecosystem::Registry::delegations_columnar`]) instead of a
-/// per-domain map probe.
-struct ScanItem<'a> {
-    name: &'a Name,
-    tld: Tld,
-    key: DomainKey,
-    generation: u64,
+/// current change generation, read from the registry's columns (a dense
+/// [`dsec_ecosystem::Registry::delegations_columnar`] sweep, or
+/// [`dsec_ecosystem::Registry::delegation_at`] for a journaled row)
+/// instead of a per-domain map probe.
+pub(crate) struct ScanItem<'a> {
+    pub(crate) name: &'a Name,
+    pub(crate) tld: Tld,
+    pub(crate) key: DomainKey,
+    pub(crate) generation: u64,
 }
 
 /// Aggregate DNSSEC state of one (operator, TLD) cell.
@@ -51,7 +54,7 @@ pub struct OperatorStats {
 }
 
 impl OperatorStats {
-    fn absorb(&mut self, other: &OperatorStats) {
+    pub(crate) fn absorb(&mut self, other: &OperatorStats) {
         self.domains += other.domains;
         self.with_dnskey += other.with_dnskey;
         self.with_ds += other.with_ds;
@@ -60,6 +63,18 @@ impl OperatorStats {
         self.misconfigured += other.misconfigured;
         self.unreachable += other.unreachable;
         self.indeterminate += other.indeterminate;
+    }
+
+    /// Undoes an earlier [`OperatorStats::absorb`] of `other`.
+    pub(crate) fn retract(&mut self, other: &OperatorStats) {
+        self.domains -= other.domains;
+        self.with_dnskey -= other.with_dnskey;
+        self.with_ds -= other.with_ds;
+        self.fully_deployed -= other.fully_deployed;
+        self.partially_deployed -= other.partially_deployed;
+        self.misconfigured -= other.misconfigured;
+        self.unreachable -= other.unreachable;
+        self.indeterminate -= other.indeterminate;
     }
 
     /// Domains whose served state could not be observed this snapshot.
@@ -155,8 +170,14 @@ impl Snapshot {
     /// identical to a full scan whenever cached entries match what a fresh
     /// scan would observe — which holds by construction with the fault
     /// plane off, and is protected under faults by never caching
-    /// unreachable or indeterminate outcomes. After the scan the cache is
-    /// pruned to the currently delegated population.
+    /// unreachable or indeterminate outcomes.
+    ///
+    /// When `cache` last scanned this very scope of this world, the scan
+    /// is a *delta*: the registries' change journals, the unobserved rows
+    /// and the lapsed validity windows name the few domains to look at,
+    /// and everything else is the previous aggregate (see the
+    /// [`crate::cache`] module docs). Otherwise it sweeps the population.
+    /// Either way the cache ends up holding exactly the live population.
     pub fn take_cached(
         world: &World,
         tlds: &[Tld],
@@ -173,40 +194,42 @@ impl Snapshot {
         mut cache: Option<&mut ScanCache>,
     ) -> Snapshot {
         let now = world.today.epoch_seconds();
-        // Enumerate the population by *borrowing* each registry's
-        // columnar delegation table — names stay where they are, and the
-        // change generation rides along from the same dense sweep, so
-        // the cache pass never hashes a name or probes a map for it.
-        let pairs: Vec<ScanItem<'_>> = tlds
-            .iter()
-            .flat_map(|&tld| {
-                world
-                    .registry(tld)
-                    .delegations_columnar()
-                    .map(move |(row, name, generation)| ScanItem {
-                        name,
-                        tld,
-                        key: domain_key(tld, row),
-                        generation,
-                    })
-            })
-            .collect();
-
+        // The warm path: a cache that last scanned this scope of this
+        // world hands over its running aggregate and the short list of
+        // rows that may have moved. `unlisted` rows are certain hits.
+        let resumed = cache
+            .as_deref_mut()
+            .and_then(|cache| cache.resume(world, tlds, now, options.force_full));
+        let swept = resumed.is_none();
         // Aggregation happens under shared `Arc<str>` operator keys (a
         // warm hit costs a refcount bump, not a String); the map is
         // converted to the `String`-keyed public cells at the end, one
         // allocation per distinct cell.
-        let mut agg: HashMap<(Arc<str>, Tld), OperatorStats> = HashMap::new();
+        let (pairs, mut agg, unlisted): (Vec<ScanItem<'_>>, Aggregate, u64) = match resumed {
+            Some(resumed) => (resumed.work, resumed.aggregate, resumed.unlisted),
+            // The fallback: enumerate the population by *borrowing* each
+            // registry's columnar delegation table — names stay where
+            // they are, and the change generation rides along from the
+            // same dense sweep, so the cache pass never hashes a name or
+            // probes a map for it.
+            None => {
+                let pairs = tlds
+                    .iter()
+                    .flat_map(|&tld| {
+                        world.registry(tld).delegations_columnar().map(
+                            move |(row, name, generation)| ScanItem {
+                                name,
+                                tld,
+                                key: domain_key(tld, row),
+                                generation,
+                            },
+                        )
+                    })
+                    .collect();
+                (pairs, Aggregate::new(), 0)
+            }
+        };
 
-        // Fused cache pass: generation read + cache peek + partial
-        // aggregation in one parallel sweep over contiguous chunks. On a
-        // warm cache the generation reads are the scan's dominant cost,
-        // and the old design serialized the lookups behind them; here
-        // each worker peeks through a shared `&ScanCache` (hit tallies
-        // stay worker-private) and only the small merge step touches the
-        // cache mutably. Chunks re-join in spawn order, so `to_scan`
-        // comes out in ascending pair order — identical to a sequential
-        // sweep.
         // The world-lifetime L2 memo under the per-campaign cache: a
         // fresh cache over an already-scanned world (a new campaign, a
         // bench's deliberate cold start) hits the memo parked in the
@@ -222,7 +245,14 @@ impl Snapshot {
             _ => None,
         };
 
-        let mut to_scan: Vec<usize> = Vec::with_capacity(pairs.len());
+        // Fused cache pass: cache peek + memo probe + partial
+        // aggregation in one parallel sweep over contiguous chunks. Each
+        // worker peeks through a shared `&ScanCache` (hit tallies stay
+        // worker-private) and only the small merge step touches the
+        // cache mutably. Chunks re-join in spawn order, so `to_scan`
+        // comes out in ascending pair order — identical to a sequential
+        // sweep.
+        let mut to_scan: Vec<usize> = Vec::new();
         if let Some(cache) = cache.as_deref_mut() {
             let partials = run_cache_pass(
                 &pairs,
@@ -232,10 +262,15 @@ impl Snapshot {
                 options.force_full,
                 options.threads,
             );
-            let (mut hits, mut misses) = (0u64, 0u64);
+            let (mut hits, mut misses) = (unlisted, 0u64);
             for part in partials {
                 for (key, stats) in part.agg {
                     agg.entry(key).or_default().absorb(&stats);
+                }
+                // The aggregate now counts these; the cache must hold
+                // what it will one day subtract.
+                for (key, entry) in part.memo_hits {
+                    cache.insert(key, entry);
                 }
                 to_scan.extend(part.to_scan);
                 hits += part.hits;
@@ -245,21 +280,17 @@ impl Snapshot {
         } else {
             to_scan.extend(0..pairs.len());
         }
+        let work: Vec<&ScanItem<'_>> = to_scan.iter().map(|&i| &pairs[i]).collect();
 
         // Operator identification (NS lookup + SLD extraction), only for
         // the domains that will actually be scanned: a cache hit reuses
         // the operator stored with the entry (every NS edit bumps the
         // generation, so a generation match implies the operator too).
-        let mut operator_at: Vec<Option<Arc<str>>> = vec![None; pairs.len()];
-        for (&i, operator) in to_scan
-            .iter()
-            .zip(run_operators(world, &pairs, &to_scan, options.threads))
-        {
-            operator_at[i] = Some(operator);
-        }
+        let operators = run_operators(world, &work, options.threads);
 
-        // First pass over the (possibly cache-reduced) scan list.
-        let first_pass = run_pass(world, &pairs, &to_scan, now, 1, options.threads);
+        // First pass over the (possibly cache-reduced) work-list.
+        let everything: Vec<usize> = (0..work.len()).collect();
+        let first_pass = run_pass(world, &work, &everything, now, 1, options.threads);
 
         // Partition into settled outcomes and the bounded retry queue, in
         // work-list order so the bound is deterministic.
@@ -279,7 +310,7 @@ impl Snapshot {
         // thread, so the outcome is independent of worker interleaving.
         settled.extend(run_pass(
             world,
-            &pairs,
+            &work,
             &retry,
             now,
             options.retry_rounds.max(1),
@@ -287,25 +318,29 @@ impl Snapshot {
         ));
 
         let mut memo_new: Vec<(DomainKey, CacheEntry)> = Vec::new();
+        let mut unobserved: FnvHashMap<DomainKey, Contribution> = FnvHashMap::default();
         for (i, stats, window) in settled {
-            let item = &pairs[i];
-            let operator = operator_at[i]
-                .clone()
-                .expect("scanned domains have a prepared operator key");
-            // Unreachable/indeterminate outcomes (no window) are never
-            // cached.
-            if let Some(window) = window {
-                if let Some(cache) = cache.as_deref_mut() {
-                    cache.insert(item.key, item.generation, window, operator.clone(), stats);
-                }
-                if memo.is_some() {
+            let (item, operator) = (work[i], operators[i].clone());
+            match window {
+                Some(window) => {
                     let entry = CacheEntry {
                         generation: item.generation,
                         window,
                         operator: operator.clone(),
                         stats,
                     };
-                    memo_new.push((item.key, entry));
+                    if memo.is_some() {
+                        memo_new.push((item.key, entry.clone()));
+                    }
+                    if let Some(cache) = cache.as_deref_mut() {
+                        cache.insert(item.key, entry);
+                    }
+                }
+                // Unreachable/indeterminate outcomes are never cached,
+                // but the aggregate counts them: the cache keeps them
+                // aside to subtract next time.
+                None => {
+                    unobserved.insert(item.key, (operator.clone(), stats));
                 }
             }
             agg.entry((operator, item.tld)).or_default().absorb(&stats);
@@ -314,36 +349,18 @@ impl Snapshot {
             memo.store(memo_new);
         }
 
-        if let Some(cache) = cache {
-            // Prune departed domains — but only when some delegation was
-            // actually added or removed since the last prune of this
-            // scope. The prune rehashes the entire population, which on
-            // an unchanged day costs about as much as the cache pass
-            // itself; the registries' population epochs move exactly when
-            // the delegation set does, so skipping is exact, not a
-            // heuristic. (Stale entries can never be *served* regardless:
-            // a re-registered name resumes at a strictly larger
-            // generation.)
-            let fingerprint = tlds
-                .iter()
-                .fold(0u64, |acc, &tld| {
-                    acc.wrapping_mul(31).wrapping_add(tld as u64 + 1)
-                });
-            let epoch = tlds
-                .iter()
-                .map(|&tld| world.registry(tld).population_epoch())
-                .fold(0u64, u64::wrapping_add);
-            if cache.needs_prune(fingerprint, epoch) {
-                let live: FnvHashSet<DomainKey> = pairs.iter().map(|item| item.key).collect();
-                cache.retain_live(&live);
-                cache.note_pruned(fingerprint, epoch);
-            }
-        }
-
         let cells: BTreeMap<(String, Tld), OperatorStats> = agg
-            .into_iter()
-            .map(|((operator, tld), stats)| ((operator.to_string(), tld), stats))
+            .iter()
+            .map(|((operator, tld), stats)| ((operator.to_string(), *tld), *stats))
             .collect();
+        if let Some(cache) = cache {
+            // A sweep holds the live list, so it prunes departed domains
+            // unconditionally. (Stale entries could never be *served*
+            // regardless: a re-registered name resumes at a strictly
+            // larger generation.)
+            let swept = swept.then_some(pairs.as_slice());
+            cache.commit(world, tlds, now, agg, unobserved, swept);
+        }
         Snapshot {
             date: world.today,
             cells,
@@ -422,9 +439,12 @@ impl Metric {
 /// hits, the chunk's cold work-list with the generations already read,
 /// and private lookup tallies.
 struct CachePassPart {
-    agg: HashMap<(Arc<str>, Tld), OperatorStats>,
+    agg: Aggregate,
     /// Pair indices of domains that must be scanned.
     to_scan: Vec<usize>,
+    /// Hits the memo answered, for the merge step to write back into
+    /// the cache.
+    memo_hits: Vec<(DomainKey, CacheEntry)>,
     hits: u64,
     misses: u64,
 }
@@ -439,9 +459,8 @@ struct CachePassPart {
 /// the concatenated work-lists are in ascending pair order. Pure reads
 /// of cache and memo state — threading cannot change the result. A memo
 /// hit counts as a cache hit (the two levels are one logical cache) and
-/// is **not** written back into the [`ScanCache`]: later sweeps probe
-/// both levels anyway, so a write-back would only add an insert per
-/// domain to the cold path.
+/// is handed back for the merge step to write into the [`ScanCache`],
+/// whose aggregate must be backed by contributions it holds itself.
 fn run_cache_pass(
     pairs: &[ScanItem<'_>],
     cache: &ScanCache,
@@ -452,21 +471,25 @@ fn run_cache_pass(
 ) -> Vec<CachePassPart> {
     let sweep = |base: usize, part: &[ScanItem<'_>]| -> CachePassPart {
         let mut out = CachePassPart {
-            agg: HashMap::new(),
-            to_scan: Vec::with_capacity(part.len()),
+            agg: Aggregate::new(),
+            to_scan: Vec::new(),
+            memo_hits: Vec::new(),
             hits: 0,
             misses: 0,
         };
         let memo_view = memo.map(ScanMemo::view);
         for (offset, item) in part.iter().enumerate() {
             if !force_full {
-                if let Some((operator, stats)) =
-                    cache.peek(item.key, item.generation, now).or_else(|| {
-                        memo_view
-                            .as_ref()
-                            .and_then(|view| view.get(item.key, item.generation, now))
-                    })
-                {
+                let hit = cache.peek(item.key, item.generation, now).or_else(|| {
+                    let entry = memo_view
+                        .as_ref()?
+                        .get(item.key, item.generation, now)?
+                        .clone();
+                    let contribution = (entry.operator.clone(), entry.stats);
+                    out.memo_hits.push((item.key, entry));
+                    Some(contribution)
+                });
+                if let Some((operator, stats)) = hit {
                     out.hits += 1;
                     out.agg
                         .entry((operator, item.tld))
@@ -501,29 +524,22 @@ fn run_cache_pass(
 }
 
 /// The threaded operator pass: NS lookup + operator identification for
-/// the pairs selected by `indices`, returned in `indices` order. Pure
-/// reads of the zone state, re-joined in spawn order like the other
-/// passes.
-fn run_operators(
-    world: &World,
-    pairs: &[ScanItem<'_>],
-    indices: &[usize],
-    threads: usize,
-) -> Vec<Arc<str>> {
-    let operator_for = |&i: &usize| -> Arc<str> {
-        let ScanItem { name: domain, tld, .. } = &pairs[i];
-        let ns = world.registry(*tld).ns_of(domain);
+/// every item of the work-list, returned in its order. Pure reads of the
+/// zone state, re-joined in spawn order like the other passes.
+fn run_operators(world: &World, work: &[&ScanItem<'_>], threads: usize) -> Vec<Arc<str>> {
+    let operator_for = |item: &&ScanItem<'_>| -> Arc<str> {
+        let ns = world.registry(item.tld).ns_of(item.name);
         operator_of(&ns)
             .map(|n| Arc::from(n.to_string()))
             .unwrap_or_else(|| Arc::from("(no-ns)"))
     };
-    let threads = threads.max(1).min(indices.len().max(1));
+    let threads = threads.max(1).min(work.len().max(1));
     if threads == 1 {
-        return indices.iter().map(operator_for).collect();
+        return work.iter().map(operator_for).collect();
     }
-    let chunk = indices.len().div_ceil(threads);
+    let chunk = work.len().div_ceil(threads);
     let partials = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = indices
+        let handles: Vec<_> = work
             .chunks(chunk)
             .map(|part| scope.spawn(move |_| part.iter().map(operator_for).collect::<Vec<_>>()))
             .collect();
@@ -536,27 +552,27 @@ fn run_operators(
     partials.into_iter().flatten().collect()
 }
 
-/// One scanned domain: its position in the scan's pair list, its stats
+/// One scanned domain: its position in the scan's work-list, its stats
 /// cell, and the validity window of the verdict — `None` when the
 /// observation failed (unreachable/indeterminate), which makes the domain
 /// a candidate for the retry pass and keeps it out of every cache.
 type ScannedDomain = (usize, OperatorStats, Option<(i64, i64)>);
 
-/// One threaded pass over `indices` (positions in `pairs`), scanning each
+/// One threaded pass over `indices` (positions in `work`), scanning each
 /// domain with `rounds` NS rotations. Results come back in `indices`
 /// order: chunks are contiguous slices of the already-sorted index list
 /// and are re-joined in spawn order, so worker scheduling cannot reorder
 /// them.
 fn run_pass(
     world: &World,
-    pairs: &[ScanItem<'_>],
+    work: &[&ScanItem<'_>],
     indices: &[usize],
     now: u32,
     rounds: u32,
     threads: usize,
 ) -> Vec<ScannedDomain> {
     let scan = |&i: &usize| -> ScannedDomain {
-        let (stats, window) = scan_domain(world, pairs[i].name, now, rounds);
+        let (stats, window) = scan_domain(world, work[i].name, now, rounds);
         (i, stats, window)
     };
     let threads = threads.max(1).min(indices.len().max(1));

@@ -345,7 +345,7 @@ pub fn scan_campaign_streamed(
 ) -> io::Result<StreamedStore> {
     let mut writer = SnapshotWriter::create(path)?;
     let (tx, rx) = mpsc::sync_channel::<Snapshot>(1);
-    let result = thread::scope(|scope| -> io::Result<()> {
+    let snapshots = thread::scope(|scope| -> io::Result<u32> {
         let io_thread = scope.spawn(move || -> io::Result<u32> {
             while let Ok(snapshot) = rx.recv() {
                 writer.record(&snapshot)?;
@@ -378,11 +378,14 @@ pub fn scan_campaign_streamed(
         drop(tx);
         io_thread
             .join()
-            .expect("snapshot writer thread does not panic")?;
-        Ok(())
-    });
-    result?;
-    StreamedStore::open(path)
+            .expect("snapshot writer thread does not panic")
+    })?;
+    // The writer counted what it wrote; replaying the file to count it
+    // again is for files this process did not write.
+    Ok(StreamedStore {
+        path: path.to_path_buf(),
+        snapshots,
+    })
 }
 
 #[cfg(test)]

@@ -284,3 +284,83 @@ fn cached_verdict_lapses_with_the_signatures_it_was_computed_from() {
         "nothing but the clock moved"
     );
 }
+
+/// One tiny 21-day cached campaign, a snapshot every third day, while
+/// every registrar mass-signs its hosted domains (a few dozen changes
+/// per interval): `(hits, misses, entries)` of its cache, the network
+/// queries it issued, and an FNV-1a digest of every operator's extended
+/// CSV. The faulted flavour adds a 5% drop/SERVFAIL mix, takes the
+/// busiest nameserver fleet down for good and leaves the retry queue too
+/// short for it, so the digest also pins *which* failed domains the
+/// bounded retry pass picks.
+fn campaign_counters(faulted: bool, threads: usize) -> (u64, u64, usize, u64, u64) {
+    use dsec::ecosystem::{PolicyChange, RegistrarId};
+
+    let mut world = build(&PopulationConfig::tiny()).world;
+    for id in (0..world.registrar_count() as u32).map(RegistrarId) {
+        world.add_milestone(
+            id,
+            world.today.plus_days(2),
+            PolicyChange::MassSignHosted {
+                tlds: ALL_TLDS.to_vec(),
+                over_days: 12,
+            },
+        );
+    }
+    let mut config = CampaignConfig::new(world.today.plus_days(21), 3).with_threads(threads);
+    if faulted {
+        world.fault_plane().enable(CHAOS_SEED);
+        world
+            .fault_plane()
+            .set_global_profile(FaultProfile::mixed(0.05));
+        let mut fleets = std::collections::BTreeMap::new();
+        for d in world.domains() {
+            *fleets
+                .entry(world.registry(d.tld).ns_of(&d.name))
+                .or_insert(0u32) += 1;
+        }
+        let (busiest, _) = fleets
+            .iter()
+            .max_by_key(|(_, &n)| n)
+            .expect("populated world");
+        for ns in busiest {
+            world.fault_plane().set_down(ns, true);
+        }
+        config = config.with_retries(3, 8);
+    }
+    let mut cache = ScanCache::new();
+    let queries = world.network.query_count();
+    let store = scan_campaign_cached(&mut world, &config, &mut cache);
+    let queries = world.network.query_count() - queries;
+    cache
+        .check_against_sweep(&world)
+        .expect("delta state after the campaign");
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for op in operators(&store) {
+        for byte in store.to_csv_extended(&op).bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let stats = cache.stats();
+    (stats.hits, stats.misses, stats.entries, queries, digest)
+}
+
+/// Recorded at commit d5b7f5c — the last one whose warm snapshots swept
+/// the population and looked every domain up — by this very function
+/// (minus the oracle call). A warm snapshot that only reads the change
+/// journal must count, query and export exactly what the sweep did.
+#[test]
+fn delta_campaign_counts_what_the_sweep_counted() {
+    for threads in [1, 4] {
+        assert_eq!(
+            campaign_counters(false, threads),
+            (2199, 673, 359, 682, 0xacc4_5619_4d55_0f2d),
+            "fault-free, {threads} threads"
+        );
+        assert_eq!(
+            campaign_counters(true, threads),
+            (1623, 1249, 263, 2463, 0xbfb3_cf3c_fcdc_926d),
+            "faulted, {threads} threads"
+        );
+    }
+}

@@ -10,7 +10,10 @@
 //!   event log, the incentive bookkeeping and the campaign CSVs of three
 //!   seeded tiny-population campaigns, byte for byte;
 //! * the audit memo never skips the RFC 4035 time check, and stands aside
-//!   completely while the fault plane is live.
+//!   completely while the fault plane is live;
+//! * the scanner's warm snapshots, which patch a running aggregate from
+//!   the registries' change journals, agree with a population sweep after
+//!   every step of random and scripted sequences.
 
 use std::collections::BTreeSet;
 
@@ -574,4 +577,475 @@ fn fault_plane_runs_bypass_the_memo() {
     // still current (nothing changed), so again nothing is queried.
     world.fault_plane().disable();
     assert_eq!(audit_day_queries(&mut world), 0);
+}
+
+// ---------------------------------------------------------------------------
+// (d) Warm snapshots read the change journal: delta state == sweep.
+// ---------------------------------------------------------------------------
+//
+// The scanner's counterpart of (a). `ScanCache` keeps a running aggregate
+// and patches it from the registries' change journals; after every step a
+// cached snapshot must equal a fresh uncached scan and the population
+// sweep it replaces, and `ScanCache::check_against_sweep` must find the
+// delta state exact.
+
+use dsec::scanner::{ScanOptions, Snapshot};
+use dsec::wire::DsRdata;
+
+#[derive(Debug, Clone)]
+enum ScanStep {
+    /// Any step of (a): purchases, signings, moves to owner hosting
+    /// (an NS edit into a one-domain operator cell), milestones, ticks.
+    World(Step),
+    /// Delegates a name the world never sold, straight at the registry —
+    /// to an operator of its own (`lonely`) or to a shared one. A label
+    /// delegated, removed and delegated again revives its row.
+    Delegate { label: u8, lonely: bool },
+    /// Removes such a delegation.
+    Undelegate { label: u8 },
+    /// Moves such a delegation between its own operator and the shared
+    /// one: moving the only domain out empties the operator's cell.
+    MoveNs { label: u8, lonely: bool },
+    /// Installs a DS (nothing checks it) or withdraws the DS set.
+    SetDs { idx: u8, install: bool },
+    /// Stalls the bounded-validity rollover, so its signatures lapse with
+    /// no generation bump a few ticks later.
+    Stall,
+    /// Fault plane on (a drop/SERVFAIL mix and a dead fleet) or off.
+    Faults { on: bool },
+    /// All five TLDs, or two of them.
+    Scope { narrow: bool },
+    /// The next snapshot re-scans everything.
+    ForceFull,
+    /// Bumps one delegation until its registry's journal forgets.
+    Churn,
+    /// One snapshot of a second world through the same cache.
+    OtherWorld,
+}
+
+fn scan_step() -> impl Strategy<Value = ScanStep> {
+    prop_oneof![
+        step().prop_map(ScanStep::World),
+        step().prop_map(ScanStep::World),
+        step().prop_map(ScanStep::World),
+        Just(ScanStep::World(Step::Tick)),
+        (any::<u8>(), any::<bool>())
+            .prop_map(|(label, lonely)| ScanStep::Delegate { label, lonely }),
+        (any::<u8>(), any::<bool>())
+            .prop_map(|(label, lonely)| ScanStep::Delegate { label, lonely }),
+        any::<u8>().prop_map(|label| ScanStep::Undelegate { label }),
+        (any::<u8>(), any::<bool>()).prop_map(|(label, lonely)| ScanStep::MoveNs { label, lonely }),
+        (any::<u8>(), any::<bool>()).prop_map(|(idx, install)| ScanStep::SetDs { idx, install }),
+        Just(ScanStep::Stall),
+        any::<bool>().prop_map(|on| ScanStep::Faults { on }),
+        any::<bool>().prop_map(|narrow| ScanStep::Scope { narrow }),
+        Just(ScanStep::ForceFull),
+        Just(ScanStep::Churn),
+        Just(ScanStep::OtherWorld),
+    ]
+}
+
+const NARROW_SCOPE: [Tld; 2] = [Tld::Com, Tld::Nl];
+
+/// The playground of (a), a signed `.nl` domain whose rollover can be
+/// stalled into a signature lapse, and two scan caches taking turns.
+struct ScanGround {
+    playground: Playground,
+    lapsing: Name,
+    /// Sponsor of the registry-level delegations.
+    sponsor: RegistrarId,
+    /// That registrar's hosting fleet: where its customers and the
+    /// shared registry-level delegations live, and the outage victim.
+    fleet: Vec<Name>,
+    caches: [ScanCache; 2],
+    turn: usize,
+    narrow: bool,
+    force_full: bool,
+    other: Option<World>,
+}
+
+fn ghost(label: u8) -> Name {
+    Name::parse(&format!("ghost{}.com", label % 6)).unwrap()
+}
+
+impl ScanGround {
+    fn new() -> Self {
+        let mut playground = playground();
+        let world = &mut playground.world;
+        let signer = world.add_registrar(
+            "TickLapse",
+            Name::parse("ticklapse.nl").unwrap(),
+            full_policy(OperatorDnssec::Default),
+        );
+        world.auto_sign_on_purchase = true;
+        let lapsing = world
+            .purchase(
+                signer,
+                "lapsing",
+                Tld::Nl,
+                Hosting::Registrar { plan: Plan::Free },
+                "o@x",
+            )
+            .unwrap();
+        world.auto_sign_on_purchase = false;
+        let plan =
+            RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(2))
+                .with_ds_timing(DsTiming::Never)
+                .with_signature_validity_days(3);
+        world.schedule_rollover(&lapsing, plan).unwrap();
+        let sponsor = playground.registrars[0];
+        let fleet = world
+            .operator(world.registrar(sponsor).operator)
+            .ns_hosts
+            .clone();
+        playground.domains.push(lapsing.clone());
+        ScanGround {
+            sponsor,
+            playground,
+            lapsing,
+            fleet,
+            caches: [ScanCache::new(), ScanCache::new()],
+            turn: 0,
+            narrow: false,
+            force_full: false,
+            other: None,
+        }
+    }
+
+    fn scope(&self) -> &'static [Tld] {
+        if self.narrow {
+            &NARROW_SCOPE
+        } else {
+            &ALL_TLDS
+        }
+    }
+
+    fn apply(&mut self, step: &ScanStep) {
+        // Nameserver of a registry-level delegation: an operator of its
+        // own, or the shared fleet.
+        let shared = self.fleet[0].clone();
+        let hosts = |label: u8, lonely: bool| {
+            if lonely {
+                [Name::parse(&format!("ns1.lonely{}.net", label % 6)).unwrap()]
+            } else {
+                [shared.clone()]
+            }
+        };
+        let world = &mut self.playground.world;
+        match *step {
+            ScanStep::World(ref step) => self.playground.apply(step),
+            ScanStep::Delegate { label, lonely } => {
+                let _ = world.registry_mut(Tld::Com).add_delegation(
+                    self.sponsor,
+                    &ghost(label),
+                    &hosts(label, lonely),
+                );
+            }
+            ScanStep::Undelegate { label } => {
+                let _ = world
+                    .registry_mut(Tld::Com)
+                    .remove_delegation(self.sponsor, &ghost(label));
+            }
+            ScanStep::MoveNs { label, lonely } => {
+                let _ = world.registry_mut(Tld::Com).set_ns(
+                    self.sponsor,
+                    &ghost(label),
+                    &hosts(label, lonely),
+                );
+            }
+            ScanStep::SetDs { idx, install } => {
+                let domain = pick(&self.playground.domains, idx).clone();
+                let tld = Tld::of_domain(&domain).unwrap();
+                let Some(sponsor) = world.registry(tld).sponsor_of(&domain) else {
+                    return;
+                };
+                let ds = DsRdata {
+                    key_tag: u16::from(idx),
+                    algorithm: 8,
+                    digest_type: 2,
+                    digest: vec![idx; 32],
+                };
+                let set = if install { vec![ds] } else { Vec::new() };
+                world
+                    .registry_mut(tld)
+                    .set_ds(sponsor, &domain, &set)
+                    .unwrap();
+            }
+            ScanStep::Stall => {
+                let _ = world.stall_rollover(&self.lapsing);
+            }
+            ScanStep::Faults { on: true } => {
+                world.fault_plane().enable(0x5CA7);
+                world
+                    .fault_plane()
+                    .set_global_profile(FaultProfile::mixed(0.2));
+                for ns in &self.fleet {
+                    world.fault_plane().set_down(ns, true);
+                }
+            }
+            ScanStep::Faults { on: false } => world.fault_plane().disable(),
+            ScanStep::Scope { narrow } => self.narrow = narrow,
+            ScanStep::ForceFull => self.force_full = true,
+            ScanStep::Churn => {
+                // A delegation of its own, so the step works on any day.
+                let name = Name::parse("churn.com").unwrap();
+                let registry = world.registry_mut(Tld::Com);
+                let _ = registry.add_delegation(self.sponsor, &name, &hosts(0, false));
+                let before = registry.journal_cursor();
+                let mut bumps = 0;
+                while registry.changes_since(before).is_some() {
+                    registry
+                        .set_ns(self.sponsor, &name, &hosts(0, bumps % 2 == 0))
+                        .unwrap();
+                    bumps += 1;
+                    assert!(bumps < 100_000, "the journal bounds itself");
+                }
+            }
+            ScanStep::OtherWorld => {
+                let other = self
+                    .other
+                    .get_or_insert_with(|| build(&PopulationConfig::tiny()).world);
+                let options = ScanOptions::default();
+                let cache = &mut self.caches[self.turn];
+                let cached = Snapshot::take_cached(other, &ALL_TLDS, &options, cache);
+                let fresh = Snapshot::take_with_options(other, &ALL_TLDS, &options);
+                assert_eq!(
+                    cached.cells, fresh.cells,
+                    "the carried cache on another world"
+                );
+                cache
+                    .check_against_sweep(other)
+                    .expect("delta state on another world");
+            }
+        }
+    }
+
+    /// One snapshot through the cache whose turn it is, checked three
+    /// ways. Returns it with the number of queries it took.
+    fn check(&mut self, context: &dyn std::fmt::Debug) -> (Snapshot, u64) {
+        let world = &self.playground.world;
+        let scope = self.scope();
+        let options = ScanOptions {
+            force_full: std::mem::take(&mut self.force_full),
+            ..ScanOptions::default()
+        };
+        let cache = &mut self.caches[self.turn];
+        self.turn ^= 1;
+        // The population sweep from the same starting point: a reordered
+        // scope is a different scope, and a different scope sweeps.
+        let mut sweeping = cache.clone();
+        let reordered: Vec<Tld> = scope.iter().rev().copied().collect();
+
+        world.begin_scan_epoch();
+        let before = world.network.query_count();
+        let cached = Snapshot::take_cached(world, scope, &options, cache);
+        let queries = world.network.query_count() - before;
+        if let Err(diverged) = cache.check_against_sweep(world) {
+            panic!("after {context:?}: {diverged}");
+        }
+        assert!(
+            cached.cells.values().all(|cell| cell.domains > 0),
+            "after {context:?}: an emptied cell was emitted"
+        );
+
+        let faulted = world.fault_plane().is_enabled();
+        world.begin_scan_epoch();
+        let swept = Snapshot::take_cached(world, &reordered, &options, &mut sweeping);
+        assert_eq!(
+            cached.cells, swept.cells,
+            "after {context:?}: delta vs sweep"
+        );
+        let (delta, sweep) = (cache.stats(), sweeping.stats());
+        assert_eq!(delta.entries, sweep.entries, "after {context:?}: entries");
+        assert_eq!(
+            delta.hits + delta.misses,
+            sweep.hits + sweep.misses,
+            "after {context:?}: lookups"
+        );
+        if faulted {
+            // No memo under faults: the sweep had to miss where the
+            // delta missed. (Fault-free, the delta's scans are in the
+            // world's memo by now and the sweep hits them.)
+            assert_eq!(delta, sweep, "after {context:?}: counters");
+        } else {
+            let fresh = Snapshot::take_with_options(world, scope, &options);
+            assert_eq!(
+                cached.cells, fresh.cells,
+                "after {context:?}: delta vs fresh"
+            );
+        }
+        (cached, queries)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        max_shrink_iters: 64,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn delta_snapshots_match_a_sweep_after_every_step(
+        steps in proptest::collection::vec(scan_step(), 12..48)
+    ) {
+        let mut ground = ScanGround::new();
+        ground.check(&"the fresh world");
+        for step in &steps {
+            ground.apply(step);
+            ground.check(step);
+        }
+        // Drain what the steps scheduled (the rollover, the lapse).
+        for _ in 0..6 {
+            ground.apply(&ScanStep::World(Step::Tick));
+            ground.check(&"draining ticks");
+        }
+    }
+}
+
+/// The transitions and fallbacks a random sequence may or may not reach,
+/// each reached on purpose.
+#[test]
+fn delta_snapshots_survive_every_transition_and_fallback() {
+    use ScanStep::*;
+    let mut ground = ScanGround::new();
+    ground.check(&"cold, first cache");
+    ground.check(&"cold, second cache (memo hits written back)");
+    let (_, queries) = ground.check(&"nothing changed");
+    assert_eq!(queries, 0, "an unchanged world is not queried");
+
+    let script = [
+        // Purchase, signing, DS upload and removal.
+        World(Step::Purchase {
+            label: 1,
+            tld: 0,
+            hosting: 2,
+        }),
+        World(Step::Purchase {
+            label: 2,
+            tld: 3,
+            hosting: 0,
+        }),
+        World(Step::EnableDnssec { idx: 1 }),
+        SetDs {
+            idx: 1,
+            install: true,
+        },
+        SetDs {
+            idx: 1,
+            install: false,
+        },
+        // Removal and re-registration between two snapshots of one
+        // cache (the caches alternate, so each sees every other step).
+        Delegate {
+            label: 0,
+            lonely: true,
+        },
+        Delegate {
+            label: 1,
+            lonely: false,
+        },
+        Undelegate { label: 0 },
+        Delegate {
+            label: 0,
+            lonely: true,
+        },
+        Undelegate { label: 1 },
+        Undelegate { label: 0 },
+        Delegate {
+            label: 0,
+            lonely: true,
+        },
+        // An NS move that empties the lonely operator's cell, and back.
+        MoveNs {
+            label: 0,
+            lonely: false,
+        },
+        MoveNs {
+            label: 0,
+            lonely: true,
+        },
+        World(Step::SwitchToOwner { idx: 1 }),
+        // Fault plane on, and two delegations that never answer —
+        // contributions no entry can hold — then a change and two
+        // removals under it (one of them unobserved), then off.
+        Faults { on: true },
+        Delegate {
+            label: 3,
+            lonely: false,
+        },
+        Delegate {
+            label: 4,
+            lonely: false,
+        },
+        World(Step::Tick),
+        SetDs {
+            idx: 3,
+            install: true,
+        },
+        Undelegate { label: 0 },
+        Undelegate { label: 4 },
+        World(Step::Tick),
+        Faults { on: false },
+        World(Step::Tick),
+        // The fallbacks: scope change, force_full, journal discarded,
+        // another world and back.
+        Scope { narrow: true },
+        World(Step::Purchase {
+            label: 3,
+            tld: 0,
+            hosting: 2,
+        }),
+        Scope { narrow: false },
+        ForceFull,
+        Churn,
+        Delegate {
+            label: 2,
+            lonely: true,
+        },
+        OtherWorld,
+        World(Step::Tick),
+        OtherWorld,
+    ];
+    let mut unreachable_days = 0;
+    for step in &script {
+        ground.apply(step);
+        let (snapshot, _) = ground.check(step);
+        let unreachable: u64 = snapshot.cells.values().map(|cell| cell.unreachable).sum();
+        let faulted = ground.playground.world.fault_plane().is_enabled();
+        assert!(faulted || unreachable == 0, "after {step:?}: recovered");
+        unreachable_days += u32::from(unreachable > 0);
+    }
+    assert!(unreachable_days >= 7, "the dead fleet stayed unobserved");
+
+    // The stalled-rollover lapse: nothing but the clock moves, and the
+    // verdict flips on the day the signatures run out.
+    let lapsing = ground.lapsing.clone();
+    let world = &mut ground.playground.world;
+    world.advance_to(world.today.plus_days(2));
+    world.stall_rollover(&lapsing).unwrap();
+    let signed_until = world
+        .rollover_state(&lapsing)
+        .and_then(|s| s.signed_until())
+        .expect("transitional set is served with bounded validity");
+    let generation = world.domain_generation(&lapsing);
+    let mut verdicts = Vec::new();
+    for _ in 0..6 {
+        ground.apply(&World(Step::Tick));
+        ground.check(&"lapse window");
+        ground.check(&"lapse window, other cache");
+        let world = &ground.playground.world;
+        let lapsed = world.today.epoch_seconds() > signed_until;
+        let misconfigured = Snapshot::take_filtered(world, &[Tld::Nl])
+            .operator_totals("ticklapse.nl.", &[Tld::Nl])
+            .misconfigured;
+        assert_eq!(misconfigured, u64::from(lapsed), "on {}", world.today);
+        verdicts.push(lapsed);
+    }
+    assert!(verdicts.contains(&false) && verdicts.contains(&true));
+    assert_eq!(
+        ground.playground.world.domain_generation(&lapsing),
+        generation,
+        "nothing but the clock moved"
+    );
 }
