@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod anchor;
-pub mod annex;
 pub mod clock;
 pub mod domain;
 pub mod events;
@@ -29,7 +28,6 @@ pub mod tld;
 pub mod world;
 
 pub use anchor::AnchorRollPlan;
-pub use annex::Annex;
 pub use clock::SimDate;
 pub use domain::{Domain, Hosting};
 pub use events::{Event, EventLog};

@@ -506,9 +506,9 @@ impl World {
 
     fn run_audits(&mut self) {
         let now = self.today.epoch_seconds();
-        // Same rule as the scanner's `ScanMemo`: with the fault plane live
-        // every audit really queries, so fault draws and attempt counters
-        // are what they would be without a memo.
+        // With the fault plane live every audit really queries, so fault
+        // draws and attempt counters are what they would be without a
+        // memo.
         let use_memo = !self.network.faults().is_enabled();
         let mut memo = std::mem::take(&mut self.tick.audit_memo);
         for tld in ALL_TLDS {

@@ -19,7 +19,6 @@ use dsec_wire::{
 };
 
 use crate::anchor::AnchorRollPlan;
-use crate::annex::Annex;
 use crate::clock::SimDate;
 use crate::domain::{Domain, Hosting};
 use crate::events::{Event, EventLog};
@@ -294,10 +293,6 @@ pub struct World {
     /// signed fraction is controlled by the calibration data instead of
     /// the (later-arriving) policy.
     pub auto_sign_on_purchase: bool,
-    /// World-lifetime extension slots for downstream caches (see
-    /// [`Annex`]). Pure performance state: nothing stored here may
-    /// change results.
-    annex: Annex,
     rng: StdRng,
 }
 
@@ -404,7 +399,6 @@ impl World {
             interner,
             events: EventLog::new(),
             auto_sign_on_purchase: true,
-            annex: Annex::default(),
             rng,
         }
     }
@@ -622,11 +616,6 @@ impl World {
     /// Registry access.
     pub fn registry(&self, tld: Tld) -> &Registry {
         &self.registries[&tld]
-    }
-
-    /// The world's extension slots (downstream world-lifetime caches).
-    pub fn annex(&self) -> &Annex {
-        &self.annex
     }
 
     /// The name interner shared by every registry and the domain store.

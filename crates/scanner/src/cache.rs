@@ -37,7 +37,7 @@
 //! rows and the entries whose validity window has closed (a min-heap of
 //! the finite upper edges), subtracts their old contributions, and hands
 //! that short list — in the sweep's own (TLD, canonical name) order — to
-//! the same peek → memo → operator → scan → retry pipeline a sweep runs.
+//! the same peek → operator → scan → retry pipeline a sweep runs.
 //! Every row not on the list is a certain hit and is counted as one
 //! without being touched.
 //!
@@ -53,7 +53,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 use dsec_ecosystem::{JournalCursor, Tld, World};
 use dsec_wire::{FnvHashMap, FnvHashSet};
@@ -189,26 +189,10 @@ impl ScanCache {
 
     /// The cached (operator key, stats cell) for `key` if it was
     /// classified at exactly `generation` and `now` is inside the
-    /// validity window of that verdict. Counts a hit or a miss.
-    pub fn lookup(
-        &mut self,
-        key: DomainKey,
-        generation: u64,
-        now: u32,
-    ) -> Option<(Arc<str>, OperatorStats)> {
-        let found = self.peek(key, generation, now);
-        if found.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        found
-    }
-
-    /// [`ScanCache::lookup`] **without** touching the hit/miss counters.
-    /// This is the shared-read half of the parallel cache pass: workers
-    /// peek through `&ScanCache` concurrently and tally hits/misses
-    /// privately, then the merge step records them once via
+    /// validity window of that verdict. Does not touch the hit/miss
+    /// counters: this is the shared-read half of the parallel cache pass
+    /// — workers peek through `&ScanCache` concurrently and tally
+    /// hits/misses privately, then the merge step records them once via
     /// [`ScanCache::note_lookups`].
     pub fn peek(
         &self,
@@ -496,107 +480,6 @@ impl ScanCache {
     }
 }
 
-/// World-lifetime scan memo: the second cache level under [`ScanCache`].
-///
-/// A [`ScanCache`] lives with one campaign, so every new campaign —
-/// and every bench run that deliberately starts one cold — re-scans a
-/// world whose authority plane is unchanged. The memo holds the same
-/// generation-stamped classified cells, but it is parked in the
-/// world's [`dsec_ecosystem::Annex`] and therefore lives exactly as
-/// long as the world: the cache pass probes it on every [`ScanCache`]
-/// miss, so a *fresh* cache over an already-scanned world costs one
-/// extra map probe per domain instead of DNSKEY queries and RSA
-/// verification. A memo hit is written back into the [`ScanCache`] that
-/// asked: the cache's aggregate counts the hit, so the cache must hold
-/// the contribution it will one day subtract — the memo cannot be
-/// trusted to, because another cache scanning the same world refreshes
-/// the memo entry to a later generation in between.
-///
-/// It follows [`ScanCache`]'s invalidation rules to the letter (exact
-/// generation match inside the verdict's validity window; unobserved
-/// outcomes never stored), and two extra
-/// guards keep it pure: the scan pipeline bypasses it entirely while
-/// the fault plane is enabled (failure draws must not be replayed from
-/// a cache) and under `force_full` (a ground-truth scan must not read
-/// any cache). Entries for departed domains are left in place — a
-/// re-registered name resumes its *row* (rows are per-name-stable) at
-/// a strictly larger generation, so they can never be served.
-///
-/// The memo is an optimization, not working state, so its size is hard
-/// capped ([`MEMO_CAP`] entries): a full memo keeps refreshing keys it
-/// already holds (their generation moved) but admits no new keys. Below
-/// the cap the map stays bounded by every name the world has ever
-/// delegated; past it, campaigns simply lean on their own per-campaign
-/// [`ScanCache`], which is unaffected.
-#[derive(Debug)]
-pub(crate) struct ScanMemo {
-    entries: RwLock<FnvHashMap<DomainKey, CacheEntry>>,
-    cap: usize,
-}
-
-/// World-lifetime memo entry cap: comfortably above the 1:200-scale
-/// population (~743 K), deliberately below 1:20 (~7.4 M) so the memo's
-/// footprint stops tracking the population at campaign scale.
-const MEMO_CAP: usize = 2 * 1024 * 1024;
-
-impl Default for ScanMemo {
-    fn default() -> Self {
-        Self::with_capacity(MEMO_CAP)
-    }
-}
-
-impl ScanMemo {
-    /// A memo admitting at most `cap` keys (tests use tiny caps; the
-    /// world annex uses [`MEMO_CAP`] via `default`).
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        Self {
-            entries: RwLock::new(FnvHashMap::default()),
-            cap,
-        }
-    }
-    /// A read view for one worker's sweep: the lock is taken once per
-    /// chunk, not once per probe. Readers share; [`ScanMemo::store`]
-    /// waits until every view is dropped.
-    pub(crate) fn view(&self) -> MemoView<'_> {
-        MemoView {
-            entries: self.entries.read().expect("scan memo lock"),
-        }
-    }
-
-    /// Stores freshly classified cells, under one write lock. A full
-    /// memo refreshes keys it already holds and drops the rest.
-    /// Unobserved outcomes must be filtered out by the caller, exactly
-    /// as for [`ScanCache::insert`].
-    pub(crate) fn store(&self, cells: impl IntoIterator<Item = (DomainKey, CacheEntry)>) {
-        let mut entries = self.entries.write().expect("scan memo lock");
-        for (key, entry) in cells {
-            debug_assert_eq!(
-                entry.stats.unobserved(),
-                0,
-                "unobserved outcomes must never be cached"
-            );
-            if entries.len() >= self.cap && !entries.contains_key(&key) {
-                continue;
-            }
-            entries.insert(key, entry);
-        }
-    }
-}
-
-/// A frozen read view of a [`ScanMemo`] (see [`ScanMemo::view`]).
-pub(crate) struct MemoView<'a> {
-    entries: RwLockReadGuard<'a, FnvHashMap<DomainKey, CacheEntry>>,
-}
-
-impl MemoView<'_> {
-    /// The memoized entry for `key`, under [`ScanCache::peek`]'s rule.
-    pub(crate) fn get(&self, key: DomainKey, generation: u64, now: u32) -> Option<&CacheEntry> {
-        self.entries
-            .get(&key)
-            .filter(|entry| entry.servable(generation, now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,13 +512,6 @@ mod tests {
         }
     }
 
-    /// What a sweep at [`NOW`] would be served from `memo`.
-    fn memo_get(memo: &ScanMemo, key: DomainKey, generation: u64) -> Option<Contribution> {
-        memo.view()
-            .get(key, generation, NOW)
-            .map(CacheEntry::contribution)
-    }
-
     #[test]
     fn packed_keys_separate_tlds_and_rows() {
         assert_ne!(domain_key(Tld::Com, 7), domain_key(Tld::Net, 7));
@@ -646,13 +522,16 @@ mod tests {
     #[test]
     fn lookup_hits_only_on_matching_generation() {
         let mut cache = ScanCache::new();
-        assert!(cache.lookup(key(0), 1, NOW).is_none(), "cold miss");
+        assert!(cache.peek(key(0), 1, NOW).is_none(), "cold miss");
         cache.insert(key(0), entry(1, "ns.host.net", cell(1)));
         assert_eq!(
-            cache.lookup(key(0), 1, NOW),
+            cache.peek(key(0), 1, NOW),
             Some((op("ns.host.net"), cell(1)))
         );
-        assert!(cache.lookup(key(0), 2, NOW).is_none(), "stale generation");
+        assert!(cache.peek(key(0), 2, NOW).is_none(), "stale generation");
+        // Peeking counts nothing; the pass that peeked reports its tally.
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
+        cache.note_lookups(1, 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
@@ -665,28 +544,20 @@ mod tests {
             ..entry(1, "x.net", cell(1))
         };
         let mut cache = ScanCache::new();
-        cache.insert(key(0), lapsing.clone());
+        cache.insert(key(0), lapsing);
         assert!(cache.peek(key(0), 1, 901).is_some());
         assert!(cache.peek(key(0), 1, 1_099).is_some());
         // Both edges are exclusive: the time check flips *at* the edge.
         assert!(cache.peek(key(0), 1, 900).is_none());
         assert!(cache.peek(key(0), 1, 1_100).is_none());
-        assert!(
-            cache.lookup(key(0), 1, 2_000).is_none(),
-            "signatures lapsed"
-        );
-
-        let memo = ScanMemo::default();
-        memo.store([(key(0), lapsing)]);
-        assert!(memo.view().get(key(0), 1, NOW).is_some());
-        assert!(memo.view().get(key(0), 1, 1_100).is_none());
+        assert!(cache.peek(key(0), 1, 2_000).is_none(), "signatures lapsed");
     }
 
     #[test]
     fn clear_resets_counters() {
         let mut cache = ScanCache::new();
         cache.insert(key(0), entry(1, "x.net", cell(1)));
-        cache.lookup(key(0), 1, NOW);
+        cache.note_lookups(1, 0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
@@ -701,53 +572,5 @@ mod tests {
         let mut stats = cell(1);
         stats.unreachable = 1;
         cache.insert(key(0), entry(1, "x.net", stats));
-    }
-
-    #[test]
-    fn memo_hits_only_on_exact_generation() {
-        let memo = ScanMemo::default();
-        memo.store([
-            (key(0), entry(1, "x.net", cell(1))),
-            (key(2), entry(5, "y.net", cell(1))),
-        ]);
-        assert_eq!(memo_get(&memo, key(0), 1), Some((op("x.net"), cell(1))));
-        assert_eq!(memo_get(&memo, key(1), 9), None, "never stored");
-        assert_eq!(memo_get(&memo, key(2), 4), None, "stale generation");
-
-        // Refresh row 2 at its current generation: the next view hits.
-        memo.store([(key(2), entry(4, "y.net", cell(1)))]);
-        assert_eq!(memo_get(&memo, key(2), 4), Some((op("y.net"), cell(1))));
-    }
-
-    #[test]
-    fn memo_cap_refreshes_held_keys_but_admits_no_new_ones() {
-        let memo = ScanMemo::with_capacity(2);
-        memo.store([
-            (key(0), entry(1, "x.net", cell(1))),
-            (key(1), entry(1, "x.net", cell(1))),
-            (key(2), entry(1, "y.net", cell(1))),
-        ]);
-        // Third key arrived over the cap: dropped, never served.
-        assert_eq!(memo_get(&memo, key(2), 1), None);
-
-        // Held keys still refresh in place at their new generation...
-        memo.store([(key(0), entry(7, "z.net", cell(2)))]);
-        assert_eq!(memo_get(&memo, key(0), 7), Some((op("z.net"), cell(2))));
-        assert_eq!(memo_get(&memo, key(0), 1), None, "old generation gone");
-
-        // ...and a refresh does not open a slot for new keys.
-        memo.store([(key(3), entry(1, "x.net", cell(1)))]);
-        assert_eq!(memo_get(&memo, key(3), 1), None);
-        assert_eq!(memo_get(&memo, key(1), 1), Some((op("x.net"), cell(1))));
-    }
-
-    #[test]
-    #[should_panic(expected = "never be cached")]
-    #[cfg(debug_assertions)]
-    fn memo_rejects_unobserved_outcomes() {
-        let memo = ScanMemo::default();
-        let mut stats = cell(1);
-        stats.indeterminate = 1;
-        memo.store([(key(0), entry(1, "x.net", stats))]);
     }
 }

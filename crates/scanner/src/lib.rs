@@ -34,6 +34,8 @@ pub use store::{LongitudinalStore, SeriesPoint};
 pub use stream::{scan_campaign_streamed, SnapshotWriter, StreamedStore};
 pub use takeover_census::{takeover_census, takeover_census_table, RegistrarTakeoverStats};
 
+use std::io;
+
 use dsec_ecosystem::{SimDate, Tld, World, ALL_TLDS};
 
 /// Campaign parameters for [`scan_campaign`].
@@ -54,11 +56,6 @@ pub struct CampaignConfig {
     pub retry_rounds: u32,
     /// Bound on the per-snapshot retry queue.
     pub retry_limit: usize,
-    /// Reuse per-domain results across snapshots via a [`ScanCache`]
-    /// (generation-checked; see the cache module docs). On by default —
-    /// with faults off the output is byte-identical to the uncached
-    /// campaign.
-    pub use_cache: bool,
 }
 
 impl CampaignConfig {
@@ -72,7 +69,6 @@ impl CampaignConfig {
             threads: 1,
             retry_rounds: defaults.retry_rounds,
             retry_limit: defaults.retry_limit,
-            use_cache: true,
         }
     }
 
@@ -86,12 +82,6 @@ impl CampaignConfig {
     pub fn with_retries(mut self, rounds: u32, limit: usize) -> Self {
         self.retry_rounds = rounds;
         self.retry_limit = limit;
-        self
-    }
-
-    /// Enable or disable cross-snapshot result caching.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
         self
     }
 
@@ -109,19 +99,13 @@ impl CampaignConfig {
 /// every `interval_days`. Returns the longitudinal store.
 ///
 /// The world is borrowed mutably because time advances; each snapshot is
-/// a pure read (real queries against the then-current zones).
+/// a pure read (real queries against the then-current zones). Per-domain
+/// results are reused across snapshots through a campaign-private
+/// [`ScanCache`] (generation-checked; see the cache module docs) — with
+/// faults off the output is byte-identical to re-scanning every day with
+/// [`Snapshot::take_with_options`].
 pub fn scan_campaign(world: &mut World, config: &CampaignConfig) -> LongitudinalStore {
-    if config.use_cache {
-        let mut cache = ScanCache::new();
-        scan_campaign_cached(world, config, &mut cache)
-    } else {
-        let mut store = LongitudinalStore::new();
-        let options = config.scan_options();
-        run_campaign(world, config, |world| {
-            Snapshot::take_with_options(world, &config.tlds, &options)
-        }, &mut store);
-        store
-    }
+    scan_campaign_cached(world, config, &mut ScanCache::new())
 }
 
 /// [`scan_campaign`] with a caller-owned [`ScanCache`], so the cache can
@@ -133,33 +117,35 @@ pub fn scan_campaign_cached(
     cache: &mut ScanCache,
 ) -> LongitudinalStore {
     let mut store = LongitudinalStore::new();
-    let options = config.scan_options();
-    run_campaign(world, config, |world| {
-        Snapshot::take_cached(world, &config.tlds, &options, cache)
-    }, &mut store);
+    run_campaign(world, config, cache, |snapshot| {
+        store.record(snapshot);
+        Ok(())
+    })
+    .expect("recording in memory cannot fail");
     store
 }
 
-fn run_campaign(
+/// The campaign loop: one snapshot through `cache` today and after every
+/// `interval_days` ticks until `config.until`, each handed to `sink` as
+/// soon as it is taken. Stops at the sink's first error.
+pub(crate) fn run_campaign(
     world: &mut World,
     config: &CampaignConfig,
-    mut take: impl FnMut(&World) -> Snapshot,
-    store: &mut LongitudinalStore,
-) {
-    world.begin_scan_epoch();
-    store.record(take(world));
-    while world.today < config.until {
-        for _ in 0..config.interval_days {
-            if world.today >= config.until {
-                break;
-            }
-            world.tick();
-        }
+    cache: &mut ScanCache,
+    mut sink: impl FnMut(Snapshot) -> io::Result<()>,
+) -> io::Result<()> {
+    let options = config.scan_options();
+    loop {
         // Each snapshot is a fresh scan epoch: fault-plane attempt
         // counters are pruned so campaign length doesn't grow state (or
         // skew per-snapshot draws).
         world.begin_scan_epoch();
-        store.record(take(world));
+        sink(Snapshot::take_cached(world, &config.tlds, &options, cache))?;
+        if world.today >= config.until {
+            return Ok(());
+        }
+        let next = world.today.plus_days(config.interval_days);
+        world.advance_to(next.min(config.until));
     }
 }
 

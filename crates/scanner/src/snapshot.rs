@@ -6,15 +6,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dsec_dnssec::{classify, DeploymentStatus};
 use dsec_ecosystem::{ObservationQuality, SimDate, Tld, World, ALL_TLDS};
 use dsec_wire::{FnvHashMap, Name};
 
-use crate::cache::{
-    domain_key, Aggregate, CacheEntry, Contribution, DomainKey, ScanCache, ScanMemo,
-};
+use crate::cache::{domain_key, Aggregate, CacheEntry, Contribution, DomainKey, ScanCache};
 use crate::operator_id::operator_of;
 
 /// One delegation to scan: the borrowed name plus the columnar identity
@@ -31,7 +27,7 @@ pub(crate) struct ScanItem<'a> {
 }
 
 /// Aggregate DNSSEC state of one (operator, TLD) cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OperatorStats {
     /// Delegated domains.
     pub domains: u64,
@@ -75,6 +71,21 @@ impl OperatorStats {
         self.misconfigured -= other.misconfigured;
         self.unreachable -= other.unreachable;
         self.indeterminate -= other.indeterminate;
+    }
+
+    /// Every counter, in declaration order: the column order of the CSV
+    /// exports and of a spill-file cell.
+    pub(crate) fn counters(&self) -> [u64; 8] {
+        [
+            self.domains,
+            self.with_dnskey,
+            self.with_ds,
+            self.fully_deployed,
+            self.partially_deployed,
+            self.misconfigured,
+            self.unreachable,
+            self.indeterminate,
+        ]
     }
 
     /// Domains whose served state could not be observed this snapshot.
@@ -230,47 +241,19 @@ impl Snapshot {
             }
         };
 
-        // The world-lifetime L2 memo under the per-campaign cache: a
-        // fresh cache over an already-scanned world (a new campaign, a
-        // bench's deliberate cold start) hits the memo parked in the
-        // world's annex instead of issuing real queries. Off under
-        // faults (failure draws must not replay from a cache) and under
-        // `force_full` (ground truth reads no cache); the
-        // generation-match rule is identical to the cache's, so a hit
-        // is exactly what a fresh scan would have produced.
-        let memo = match &cache {
-            Some(_) if !options.force_full && !world.network.faults().is_enabled() => {
-                Some(world.annex().get_or_init(ScanMemo::default))
-            }
-            _ => None,
-        };
-
-        // Fused cache pass: cache peek + memo probe + partial
-        // aggregation in one parallel sweep over contiguous chunks. Each
-        // worker peeks through a shared `&ScanCache` (hit tallies stay
-        // worker-private) and only the small merge step touches the
-        // cache mutably. Chunks re-join in spawn order, so `to_scan`
-        // comes out in ascending pair order — identical to a sequential
-        // sweep.
+        // Fused cache pass: cache peek + partial aggregation in one
+        // parallel sweep over contiguous chunks. Each worker peeks
+        // through a shared `&ScanCache` (hit tallies stay worker-private)
+        // and only the small merge step touches the cache mutably.
+        // Chunks re-join in spawn order, so `to_scan` comes out in
+        // ascending pair order — identical to a sequential sweep.
         let mut to_scan: Vec<usize> = Vec::new();
         if let Some(cache) = cache.as_deref_mut() {
-            let partials = run_cache_pass(
-                &pairs,
-                cache,
-                memo.as_deref(),
-                now,
-                options.force_full,
-                options.threads,
-            );
+            let partials = run_cache_pass(&pairs, cache, now, options.force_full, options.threads);
             let (mut hits, mut misses) = (unlisted, 0u64);
             for part in partials {
                 for (key, stats) in part.agg {
                     agg.entry(key).or_default().absorb(&stats);
-                }
-                // The aggregate now counts these; the cache must hold
-                // what it will one day subtract.
-                for (key, entry) in part.memo_hits {
-                    cache.insert(key, entry);
                 }
                 to_scan.extend(part.to_scan);
                 hits += part.hits;
@@ -317,22 +300,18 @@ impl Snapshot {
             options.threads,
         ));
 
-        let mut memo_new: Vec<(DomainKey, CacheEntry)> = Vec::new();
         let mut unobserved: FnvHashMap<DomainKey, Contribution> = FnvHashMap::default();
         for (i, stats, window) in settled {
             let (item, operator) = (work[i], operators[i].clone());
             match window {
                 Some(window) => {
-                    let entry = CacheEntry {
-                        generation: item.generation,
-                        window,
-                        operator: operator.clone(),
-                        stats,
-                    };
-                    if memo.is_some() {
-                        memo_new.push((item.key, entry.clone()));
-                    }
                     if let Some(cache) = cache.as_deref_mut() {
+                        let entry = CacheEntry {
+                            generation: item.generation,
+                            window,
+                            operator: operator.clone(),
+                            stats,
+                        };
                         cache.insert(item.key, entry);
                     }
                 }
@@ -344,9 +323,6 @@ impl Snapshot {
                 }
             }
             agg.entry((operator, item.tld)).or_default().absorb(&stats);
-        }
-        if let Some(memo) = &memo {
-            memo.store(memo_new);
         }
 
         let cells: BTreeMap<(String, Tld), OperatorStats> = agg
@@ -442,54 +418,81 @@ struct CachePassPart {
     agg: Aggregate,
     /// Pair indices of domains that must be scanned.
     to_scan: Vec<usize>,
-    /// Hits the memo answered, for the merge step to write back into
-    /// the cache.
-    memo_hits: Vec<(DomainKey, CacheEntry)>,
     hits: u64,
     misses: u64,
 }
 
-/// The fused threaded cache pass: cache peek, memo probe, and warm-hit
-/// aggregation in one sweep. The change generation was already read by
-/// the columnar enumeration and rides on each [`ScanItem`], so workers
-/// hash one packed integer per domain and never touch name bytes.
-/// Workers share the cache immutably ([`ScanCache::peek`] never counts)
-/// and take one memo read view per chunk; everything mutable is
-/// chunk-private; chunks are contiguous and re-joined in spawn order, so
-/// the concatenated work-lists are in ascending pair order. Pure reads
-/// of cache and memo state — threading cannot change the result. A memo
-/// hit counts as a cache hit (the two levels are one logical cache) and
-/// is handed back for the merge step to write into the [`ScanCache`],
-/// whose aggregate must be backed by contributions it holds itself.
+/// The one fan-out every pass of a scan shares: `per_chunk(base, chunk)`
+/// runs over contiguous chunks of `items` (`base` is the chunk's offset)
+/// on up to `threads` workers, inline when one suffices. Chunks are
+/// re-joined in spawn order, so the concatenated results are in `items`
+/// order whatever the scheduling, and the passes only read shared state:
+/// threading cannot change a result.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    per_chunk: impl Fn(usize, &[T]) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1).min(items.len().max(1));
+    if threads == 1 {
+        return vec![per_chunk(0, items)];
+    }
+    let chunk = items.len().div_ceil(threads);
+    let per_chunk = &per_chunk;
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(n, part)| scope.spawn(move |_| per_chunk(n * chunk, part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan worker does not panic"))
+            .collect()
+    })
+    .expect("scan scope completes")
+}
+
+/// [`fan_out`] for the passes that map item by item: `f` of every item,
+/// in `items` order.
+fn map_in_order<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let mut parts = fan_out(items, threads, |_, part| {
+        part.iter().map(&f).collect::<Vec<_>>()
+    })
+    .into_iter();
+    // The inline scan is one part: hand it on as it is.
+    let mut all = parts.next().unwrap_or_default();
+    all.extend(parts.flatten());
+    all
+}
+
+/// The fused cache pass: cache peek and warm-hit aggregation in one
+/// sweep. The change generation was already read by the columnar
+/// enumeration and rides on each [`ScanItem`], so workers hash one packed
+/// integer per domain and never touch name bytes. Workers share the cache
+/// immutably ([`ScanCache::peek`] never counts); everything mutable is
+/// chunk-private.
 fn run_cache_pass(
     pairs: &[ScanItem<'_>],
     cache: &ScanCache,
-    memo: Option<&ScanMemo>,
     now: u32,
     force_full: bool,
     threads: usize,
 ) -> Vec<CachePassPart> {
-    let sweep = |base: usize, part: &[ScanItem<'_>]| -> CachePassPart {
+    fan_out(pairs, threads, |base, part| {
         let mut out = CachePassPart {
             agg: Aggregate::new(),
             to_scan: Vec::new(),
-            memo_hits: Vec::new(),
             hits: 0,
             misses: 0,
         };
-        let memo_view = memo.map(ScanMemo::view);
         for (offset, item) in part.iter().enumerate() {
             if !force_full {
-                let hit = cache.peek(item.key, item.generation, now).or_else(|| {
-                    let entry = memo_view
-                        .as_ref()?
-                        .get(item.key, item.generation, now)?
-                        .clone();
-                    let contribution = (entry.operator.clone(), entry.stats);
-                    out.memo_hits.push((item.key, entry));
-                    Some(contribution)
-                });
-                if let Some((operator, stats)) = hit {
+                if let Some((operator, stats)) = cache.peek(item.key, item.generation, now) {
                     out.hits += 1;
                     out.agg
                         .entry((operator, item.tld))
@@ -502,54 +505,18 @@ fn run_cache_pass(
             out.to_scan.push(base + offset);
         }
         out
-    };
-    let threads = threads.max(1).min(pairs.len().max(1));
-    if threads == 1 {
-        return vec![sweep(0, pairs)];
-    }
-    let chunk = pairs.len().div_ceil(threads);
-    let sweep = &sweep;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(n, part)| scope.spawn(move |_| sweep(n * chunk, part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cache-pass worker does not panic"))
-            .collect::<Vec<_>>()
     })
-    .expect("cache-pass scope completes")
 }
 
-/// The threaded operator pass: NS lookup + operator identification for
-/// every item of the work-list, returned in its order. Pure reads of the
-/// zone state, re-joined in spawn order like the other passes.
+/// The operator pass: NS lookup + operator identification for every item
+/// of the work-list, returned in its order.
 fn run_operators(world: &World, work: &[&ScanItem<'_>], threads: usize) -> Vec<Arc<str>> {
-    let operator_for = |item: &&ScanItem<'_>| -> Arc<str> {
+    map_in_order(work, threads, |item| {
         let ns = world.registry(item.tld).ns_of(item.name);
         operator_of(&ns)
             .map(|n| Arc::from(n.to_string()))
             .unwrap_or_else(|| Arc::from("(no-ns)"))
-    };
-    let threads = threads.max(1).min(work.len().max(1));
-    if threads == 1 {
-        return work.iter().map(operator_for).collect();
-    }
-    let chunk = work.len().div_ceil(threads);
-    let partials = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .chunks(chunk)
-            .map(|part| scope.spawn(move |_| part.iter().map(operator_for).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("operator worker does not panic"))
-            .collect::<Vec<_>>()
     })
-    .expect("operator scope completes");
-    partials.into_iter().flatten().collect()
 }
 
 /// One scanned domain: its position in the scan's work-list, its stats
@@ -558,11 +525,8 @@ fn run_operators(world: &World, work: &[&ScanItem<'_>], threads: usize) -> Vec<A
 /// a candidate for the retry pass and keeps it out of every cache.
 type ScannedDomain = (usize, OperatorStats, Option<(i64, i64)>);
 
-/// One threaded pass over `indices` (positions in `work`), scanning each
-/// domain with `rounds` NS rotations. Results come back in `indices`
-/// order: chunks are contiguous slices of the already-sorted index list
-/// and are re-joined in spawn order, so worker scheduling cannot reorder
-/// them.
+/// One pass over `indices` (positions in `work`), scanning each domain
+/// with `rounds` NS rotations. Results come back in `indices` order.
 fn run_pass(
     world: &World,
     work: &[&ScanItem<'_>],
@@ -571,27 +535,10 @@ fn run_pass(
     rounds: u32,
     threads: usize,
 ) -> Vec<ScannedDomain> {
-    let scan = |&i: &usize| -> ScannedDomain {
+    map_in_order(indices, threads, |&i| {
         let (stats, window) = scan_domain(world, work[i].name, now, rounds);
         (i, stats, window)
-    };
-    let threads = threads.max(1).min(indices.len().max(1));
-    if threads == 1 {
-        return indices.iter().map(scan).collect();
-    }
-    let chunk = indices.len().div_ceil(threads);
-    let partials = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = indices
-            .chunks(chunk)
-            .map(|part| scope.spawn(move |_| part.iter().map(scan).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker does not panic"))
-            .collect::<Vec<_>>()
     })
-    .expect("scan scope completes");
-    partials.into_iter().flatten().collect()
 }
 
 /// Scans one domain into a single-domain stats cell plus the window its

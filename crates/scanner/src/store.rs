@@ -2,6 +2,8 @@
 //! per-registrar time-series extraction and CSV export — the substrate for
 //! Figures 4–8.
 
+use std::fmt::{Display, Write};
+
 use dsec_ecosystem::{SimDate, Tld};
 
 use crate::snapshot::{OperatorStats, Snapshot};
@@ -139,24 +141,7 @@ impl LongitudinalStore {
     /// operator was ever seen in — all-zero rows fill days without cells):
     /// `date,operator,tld,domains,with_dnskey,with_ds,full,partial,misconfigured`.
     pub fn to_csv(&self, operator: &str) -> String {
-        let mut out = String::from(
-            "date,operator,tld,domains,with_dnskey,with_ds,fully_deployed,partially_deployed,misconfigured\n",
-        );
-        for (date, tld, stats) in self.rows(operator) {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                date,
-                operator,
-                tld.label(),
-                stats.domains,
-                stats.with_dnskey,
-                stats.with_ds,
-                stats.fully_deployed,
-                stats.partially_deployed,
-                stats.misconfigured,
-            ));
-        }
-        out
+        self.csv(operator, false)
     }
 
     /// Degradation-aware CSV: [`LongitudinalStore::to_csv`]'s columns
@@ -164,27 +149,75 @@ impl LongitudinalStore {
     /// that could not be observed that day. Kept as a separate export so
     /// downstream consumers of the original column layout are unaffected.
     pub fn to_csv_extended(&self, operator: &str) -> String {
-        let mut out = String::from(
-            "date,operator,tld,domains,with_dnskey,with_ds,fully_deployed,partially_deployed,misconfigured,unreachable,indeterminate\n",
-        );
+        self.csv(operator, true)
+    }
+
+    fn csv(&self, operator: &str, extended: bool) -> String {
+        let mut out = csv_header(extended);
         for (date, tld, stats) in self.rows(operator) {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
-                date,
-                operator,
-                tld.label(),
-                stats.domains,
-                stats.with_dnskey,
-                stats.with_ds,
-                stats.fully_deployed,
-                stats.partially_deployed,
-                stats.misconfigured,
-                stats.unreachable,
-                stats.indeterminate,
-            ));
+            csv_row(&mut out, operator, date, tld, &stats, extended);
         }
         out
     }
+}
+
+/// Column names of [`OperatorStats::counters`], in its order.
+const COUNTER_COLUMNS: [&str; 8] = [
+    "domains",
+    "with_dnskey",
+    "with_ds",
+    "fully_deployed",
+    "partially_deployed",
+    "misconfigured",
+    "unreachable",
+    "indeterminate",
+];
+
+/// How many of the counters an export carries: the extended one all of
+/// them, the legacy one all but the two degradation columns.
+fn exported(extended: bool) -> usize {
+    if extended {
+        COUNTER_COLUMNS.len()
+    } else {
+        COUNTER_COLUMNS.len() - 2
+    }
+}
+
+/// The one CSV line writer: the header (column names) and every row
+/// (counts) of every export, in memory or replayed from a spill file.
+fn csv_line<C: Display>(
+    out: &mut String,
+    date: impl Display,
+    operator: &str,
+    tld: &str,
+    counters: &[C],
+) {
+    write!(out, "{date},{operator},{tld}").expect("writing to a String cannot fail");
+    for counter in counters {
+        write!(out, ",{counter}").expect("writing to a String cannot fail");
+    }
+    out.push('\n');
+}
+
+/// A CSV export holding only its header line.
+pub(crate) fn csv_header(extended: bool) -> String {
+    let mut out = String::new();
+    let columns = &COUNTER_COLUMNS[..exported(extended)];
+    csv_line(&mut out, "date", "operator", "tld", columns);
+    out
+}
+
+/// Appends `operator`'s row for one (snapshot, TLD) cell.
+pub(crate) fn csv_row(
+    out: &mut String,
+    operator: &str,
+    date: SimDate,
+    tld: Tld,
+    stats: &OperatorStats,
+    extended: bool,
+) {
+    let counters = &stats.counters()[..exported(extended)];
+    csv_line(out, date, operator, tld.label(), counters);
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //!
 //! [`crate::LongitudinalStore`] keeps every snapshot of a campaign in
 //! memory. Each snapshot is already aggregated — O(operators × TLDs)
-//! cells, not O(domains) — but a population-scale campaign additionally
-//! wants the *day pipeline* overlapped: day N's scan running while day
-//! N−1's finished cells are serialized out. This module provides both
-//! halves:
+//! cells, not O(domains) — so writing one out is a sliver of the day it
+//! took to scan, and a population-scale campaign simply appends each
+//! snapshot to a file as it is taken:
 //!
 //! * [`SnapshotWriter`] spills each finished [`Snapshot`] to a compact
 //!   binary row format (append-only, date-ordered), so the campaign's
@@ -14,9 +13,8 @@
 //! * [`StreamedStore`] replays a spill file into the exact CSV exports
 //!   of [`crate::LongitudinalStore`] — byte-identical, by construction
 //!   of the same gap-day zero-filling in two passes over the file;
-//! * [`scan_campaign_streamed`] runs a cached campaign with day-level
-//!   pipelining: the scanner thread hands each finished snapshot over a
-//!   bounded channel to a writer thread that owns the spill file.
+//! * [`scan_campaign_streamed`] runs a cached campaign whose sink is
+//!   [`SnapshotWriter::record`]; an I/O error ends it.
 //!
 //! ## Spill format
 //!
@@ -30,29 +28,16 @@
 //!
 //! Cells are written in the snapshot's `BTreeMap` order (operator, then
 //! TLD), so a spill file is a deterministic function of the campaign.
-//!
-//! ## Pipelining barrier rules
-//!
-//! * Snapshots cross the channel in date order; the channel is bounded
-//!   at one in-flight snapshot, so the scanner is never more than one
-//!   day ahead of the writer (bounded memory, bounded skew).
-//! * The writer thread owns the file; the scanner never touches it.
-//! * The writer consumes only finished, owned snapshot data — it cannot
-//!   observe or perturb the world, so scan results are byte-identical
-//!   to the sequential path.
-//! * Joining the writer (in [`scan_campaign_streamed`]) surfaces any
-//!   I/O error after the last snapshot is recorded.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::thread;
 
 use dsec_ecosystem::{SimDate, Tld, World, ALL_TLDS};
 
 use crate::cache::ScanCache;
 use crate::snapshot::{OperatorStats, Snapshot};
+use crate::store::{csv_header, csv_row};
 use crate::CampaignConfig;
 
 const MAGIC: &[u8; 8] = b"DSECSNAP";
@@ -97,16 +82,7 @@ impl SnapshotWriter {
             let op = operator.as_bytes();
             self.out.write_all(&(op.len() as u16).to_le_bytes())?;
             self.out.write_all(op)?;
-            for v in [
-                stats.domains,
-                stats.with_dnskey,
-                stats.with_ds,
-                stats.fully_deployed,
-                stats.partially_deployed,
-                stats.misconfigured,
-                stats.unreachable,
-                stats.indeterminate,
-            ] {
+            for v in stats.counters() {
                 self.out.write_all(&v.to_le_bytes())?;
             }
         }
@@ -284,59 +260,29 @@ impl StreamedStore {
     /// CSV of one operator's series, byte-identical to
     /// [`crate::LongitudinalStore::to_csv`] over the same snapshots.
     pub fn to_csv(&self, operator: &str) -> io::Result<String> {
-        let mut out = String::from(
-            "date,operator,tld,domains,with_dnskey,with_ds,fully_deployed,partially_deployed,misconfigured\n",
-        );
-        self.rows(operator, |date, tld, stats| {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                date,
-                operator,
-                tld.label(),
-                stats.domains,
-                stats.with_dnskey,
-                stats.with_ds,
-                stats.fully_deployed,
-                stats.partially_deployed,
-                stats.misconfigured,
-            ));
-        })?;
-        Ok(out)
+        self.csv(operator, false)
     }
 
     /// Degradation-aware CSV, byte-identical to
     /// [`crate::LongitudinalStore::to_csv_extended`].
     pub fn to_csv_extended(&self, operator: &str) -> io::Result<String> {
-        let mut out = String::from(
-            "date,operator,tld,domains,with_dnskey,with_ds,fully_deployed,partially_deployed,misconfigured,unreachable,indeterminate\n",
-        );
+        self.csv(operator, true)
+    }
+
+    fn csv(&self, operator: &str, extended: bool) -> io::Result<String> {
+        let mut out = csv_header(extended);
         self.rows(operator, |date, tld, stats| {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}\n",
-                date,
-                operator,
-                tld.label(),
-                stats.domains,
-                stats.with_dnskey,
-                stats.with_ds,
-                stats.fully_deployed,
-                stats.partially_deployed,
-                stats.misconfigured,
-                stats.unreachable,
-                stats.indeterminate,
-            ));
+            csv_row(&mut out, operator, date, tld, &stats, extended);
         })?;
         Ok(out)
     }
 }
 
-/// [`crate::scan_campaign_cached`] with day-level pipelining and disk
-/// spilling: day N's scan overlaps day N−1's export. A writer thread
-/// owns the spill file; finished snapshots cross a bounded (capacity 1)
-/// channel in date order, so the campaign's resident set is one day of
-/// accumulators plus at most one snapshot in flight — independent of
-/// window length. Scan results are byte-identical to the sequential
-/// in-memory path (the writer only serializes owned, finished data).
+/// [`crate::scan_campaign_cached`] spilling to disk: each snapshot is
+/// appended to the file at `path` as soon as it is taken, so the
+/// campaign's resident set is one day of accumulators — independent of
+/// window length. Scan results are byte-identical to the in-memory path.
+/// An I/O error stops the campaign where it happened.
 pub fn scan_campaign_streamed(
     world: &mut World,
     config: &CampaignConfig,
@@ -344,47 +290,12 @@ pub fn scan_campaign_streamed(
     path: &Path,
 ) -> io::Result<StreamedStore> {
     let mut writer = SnapshotWriter::create(path)?;
-    let (tx, rx) = mpsc::sync_channel::<Snapshot>(1);
-    let snapshots = thread::scope(|scope| -> io::Result<u32> {
-        let io_thread = scope.spawn(move || -> io::Result<u32> {
-            while let Ok(snapshot) = rx.recv() {
-                writer.record(&snapshot)?;
-            }
-            writer.finish()
-        });
-        let options = crate::ScanOptions {
-            threads: config.threads,
-            retry_rounds: config.retry_rounds,
-            retry_limit: config.retry_limit,
-            force_full: false,
-        };
-        world.begin_scan_epoch();
-        let send = |snapshot: Snapshot| {
-            // A send fails only if the writer died on an I/O error; stop
-            // scanning and surface the error from the join below.
-            tx.send(snapshot).is_ok()
-        };
-        let mut alive = send(Snapshot::take_cached(world, &config.tlds, &options, cache));
-        while alive && world.today < config.until {
-            for _ in 0..config.interval_days {
-                if world.today >= config.until {
-                    break;
-                }
-                world.tick();
-            }
-            world.begin_scan_epoch();
-            alive = send(Snapshot::take_cached(world, &config.tlds, &options, cache));
-        }
-        drop(tx);
-        io_thread
-            .join()
-            .expect("snapshot writer thread does not panic")
-    })?;
+    crate::run_campaign(world, config, cache, |snapshot| writer.record(&snapshot))?;
     // The writer counted what it wrote; replaying the file to count it
     // again is for files this process did not write.
     Ok(StreamedStore {
         path: path.to_path_buf(),
-        snapshots,
+        snapshots: writer.finish()?,
     })
 }
 
@@ -463,6 +374,24 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn streamed_campaign_reports_an_unwritable_spill_path() {
+        let mut pw = dsec_workloads::build(&dsec_workloads::PopulationConfig::tiny());
+        let config = CampaignConfig::new(pw.world.today.plus_days(14), 7);
+        // No such directory: the file cannot be created.
+        let missing = temp_path("no-such-dir").join("spill");
+        let mut cache = ScanCache::new();
+        let result = scan_campaign_streamed(&mut pw.world, &config, &mut cache, &missing);
+        assert!(result.is_err(), "create failed, yet {result:?}");
+        // A device that accepts no byte: creation succeeds, the writes
+        // behind `record`/`finish` do not.
+        let full = Path::new("/dev/full");
+        if full.exists() {
+            let result = scan_campaign_streamed(&mut pw.world, &config, &mut cache, full);
+            assert!(result.is_err(), "nothing was written, yet {result:?}");
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@ use std::collections::BTreeSet;
 use dsec::authserver::{Fault, FaultProfile};
 use dsec::ecosystem::{Tld, ALL_TLDS};
 use dsec::scanner::{
-    scan_campaign, scan_campaign_cached, CampaignConfig, LongitudinalStore, ScanCache,
-    ScanOptions, Snapshot,
+    scan_campaign_cached, CampaignConfig, LongitudinalStore, ScanCache, ScanOptions, Snapshot,
 };
 use dsec::workloads::{build, PopulationConfig};
 
@@ -41,10 +40,22 @@ fn cached_campaign_csvs_are_byte_identical_to_uncached() {
         &CampaignConfig::new(until, 7),
         &mut cache,
     );
-    let uncached = scan_campaign(
-        &mut uncached_world.world,
-        &CampaignConfig::new(until, 7).with_cache(false),
-    );
+    // The reference: every snapshot an uncached scan of the whole
+    // population.
+    let mut uncached = LongitudinalStore::new();
+    let world = &mut uncached_world.world;
+    loop {
+        world.begin_scan_epoch();
+        uncached.record(Snapshot::take_with_options(
+            world,
+            &ALL_TLDS,
+            &ScanOptions::default(),
+        ));
+        if world.today >= until {
+            break;
+        }
+        world.advance_to(world.today.plus_days(7));
+    }
 
     assert_eq!(cached.snapshots().len(), uncached.snapshots().len());
     for (a, b) in cached.snapshots().iter().zip(uncached.snapshots()) {

@@ -862,12 +862,9 @@ impl ScanGround {
             sweep.hits + sweep.misses,
             "after {context:?}: lookups"
         );
-        if faulted {
-            // No memo under faults: the sweep had to miss where the
-            // delta missed. (Fault-free, the delta's scans are in the
-            // world's memo by now and the sweep hits them.)
-            assert_eq!(delta, sweep, "after {context:?}: counters");
-        } else {
+        // The sweep had to miss exactly where the delta missed.
+        assert_eq!(delta, sweep, "after {context:?}: counters");
+        if !faulted {
             let fresh = Snapshot::take_with_options(world, scope, &options);
             assert_eq!(
                 cached.cells, fresh.cells,
@@ -910,7 +907,7 @@ fn delta_snapshots_survive_every_transition_and_fallback() {
     use ScanStep::*;
     let mut ground = ScanGround::new();
     ground.check(&"cold, first cache");
-    ground.check(&"cold, second cache (memo hits written back)");
+    ground.check(&"cold, second cache");
     let (_, queries) = ground.check(&"nothing changed");
     assert_eq!(queries, 0, "an unchanged world is not queried");
 
