@@ -177,12 +177,6 @@ impl AttackCampaign {
         }
     }
 
-    /// Overrides the forged-mail envelope sender (builder style).
-    pub fn with_mailbox(mut self, mailbox: &str) -> AttackCampaign {
-        self.mailbox = mailbox.to_string();
-        self
-    }
-
     /// The attacker's authoritative server.
     pub fn authority(&self) -> &Arc<Authority> {
         &self.authority

@@ -68,11 +68,6 @@ impl<T: Clone> Epoch<T> {
             inner: RwLock::new(self.read()),
         }
     }
-
-    /// A clone of the current state (used to seed unrelated storage).
-    pub fn clone_master(&self) -> T {
-        self.inner.read().as_ref().clone()
-    }
 }
 
 #[cfg(test)]

@@ -316,11 +316,6 @@ impl FaultPlane {
         );
     }
 
-    /// Removes a server's flap schedule.
-    pub fn clear_flap(&self, ns: &Name) {
-        self.flaps.write().remove(&ns.to_canonical());
-    }
-
     /// Forces a server down (or back up) regardless of probabilities.
     pub fn set_down(&self, ns: &Name, down: bool) {
         if down {

@@ -121,16 +121,6 @@ impl Network {
         }
     }
 
-    /// Sets the wire-response cache entry capacity on every registered
-    /// authority (default 262 144 entries per authority; 0 freezes
-    /// admission). The hard bound that keeps cache memory O(capacity),
-    /// not O(population), at campaign scale.
-    pub fn set_response_cache_capacity(&self, entries: usize) {
-        for authority in self.servers.read().values() {
-            authority.set_response_cache_capacity(entries);
-        }
-    }
-
     /// Aggregate `(hits, misses)` of the per-authority response caches.
     /// An authority registered under several hostnames is counted once.
     pub fn response_cache_stats(&self) -> (u64, u64) {

@@ -7,7 +7,7 @@
 //!
 //! Key sizes: the simulation defaults to 512-bit keys so that signing whole
 //! synthetic TLD populations stays fast; the API supports any size ≥ 256
-//! bits and the benches exercise 1024/2048.
+//! bits and the unit tests exercise up to 1024.
 //!
 //! Signing uses the Chinese remainder theorem: the private key keeps both
 //! primes with a prebuilt Montgomery context each, so a signature is two

@@ -19,7 +19,7 @@ use rand::RngCore;
 use dsec_authserver::Authority;
 use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
-use dsec_wire::{DsRdata, Name, NameInterner, RData, Record, RrSet, RrType, SoaRdata, Zone};
+use dsec_wire::{DsRdata, Name, NameInterner, RData, Record, RrType, SoaRdata, Zone};
 
 use crate::table::{DomainTable, JournalCursor, OrderedRows};
 use crate::tld::Tld;
@@ -491,14 +491,6 @@ fn remove_rrsig_covering(zone: &mut Zone, owner: &Name, rtype: RrType) {
             zone.add(record).expect("kept RRSIG still in zone");
         }
     }
-}
-
-/// Validates the DS RRset signature of `domain` inside the registry zone
-/// (used by tests and the audit path).
-pub fn ds_rrset_of(registry: &Registry, domain: &Name) -> Option<RrSet> {
-    registry.authority.with_zone(&registry.tld.zone(), |zone| {
-        zone.rrset(domain, RrType::Ds)
-    })?
 }
 
 /// Errors from registry operations.

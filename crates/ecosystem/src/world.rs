@@ -211,22 +211,6 @@ pub struct RolloverState {
 }
 
 impl RolloverState {
-    /// The DS of the incoming key generation (what the registrar must
-    /// install at the registry).
-    pub fn incoming_ds(&self) -> DsRdata {
-        self.new_keys.ds(DigestType::Sha256)
-    }
-
-    /// The incoming key generation.
-    pub fn incoming_keys(&self) -> &ZoneKeys {
-        &self.new_keys
-    }
-
-    /// The outgoing key generation.
-    pub fn outgoing_keys(&self) -> &ZoneKeys {
-        &self.old_keys
-    }
-
     /// When the currently served RRSIGs lapse (epoch seconds), if the
     /// plan bounds validity and the transitional set is being served.
     pub fn signed_until(&self) -> Option<u32> {
@@ -441,11 +425,6 @@ impl World {
             promoted: false,
             revoked: false,
         });
-    }
-
-    /// The scheduled anchor-roll plan, if one exists.
-    pub fn anchor_roll_plan(&self) -> Option<AnchorRollPlan> {
-        self.anchor_roll.as_ref().map(|s| s.plan)
     }
 
     /// Rebuilds the root zone (same recipe as construction, serial
@@ -1253,12 +1232,6 @@ impl World {
         self.network.set_response_cache(enabled);
     }
 
-    /// Caps every authority's wire-response cache at `entries` (see
-    /// `dsec_authserver::Authority::set_response_cache_capacity`).
-    pub fn set_response_cache_capacity(&self, entries: usize) {
-        self.network.set_response_cache_capacity(entries);
-    }
-
     /// Publishes a CDS record (for the zone's current KSK) in a signed
     /// domain's zone — what RFC 7344 asks operators to do so the parent
     /// can pick the DS up in-band.
@@ -1483,11 +1456,6 @@ impl World {
     /// event log).
     pub fn rollover_state(&self, domain: &Name) -> Option<&RolloverState> {
         self.rollovers.get(&domain.to_canonical())
-    }
-
-    /// All in-flight scheduled rollovers.
-    pub fn active_rollovers(&self) -> impl Iterator<Item = (&Name, &RolloverState)> {
-        self.rollovers.iter()
     }
 
     /// The transitional signing set a plan serves between `start` and

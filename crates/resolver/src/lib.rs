@@ -112,27 +112,6 @@ impl std::error::Error for ResolveError {}
 
 use std::sync::Arc;
 
-/// How degraded the network path was during a robust resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Degradation {
-    /// Every exchange succeeded on the first attempt.
-    None,
-    /// Timeouts, truncations, or error rcodes forced retries, but an
-    /// answer was eventually obtained.
-    Retried,
-    /// Some zone cut never answered within the retry budget.
-    Unreachable,
-}
-
-/// A fault-aware resolution: the answer plus how hard it was to get.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RobustAnswer {
-    /// The resolution outcome (synthesized SERVFAIL when unreachable).
-    pub answer: Answer,
-    /// Path degradation observed while resolving.
-    pub degradation: Degradation,
-}
-
 /// A validating iterative resolver bound to a network.
 ///
 /// A `Resolver` is a per-worker object: its stats and query-id counters
@@ -883,49 +862,6 @@ impl Resolver {
         }
         last_error_response
     }
-
-    /// Resolves like [`Resolver::resolve`], additionally reporting how
-    /// degraded the network path was. Transport-level failure (every
-    /// server at some zone cut dead beyond the retry budget) is mapped to
-    /// a synthesized SERVFAIL answer with
-    /// [`Degradation::Unreachable`] instead of an error, so scanning
-    /// pipelines can record the observation and move on.
-    pub fn resolve_robust(
-        &self,
-        qname: &Name,
-        qtype: RrType,
-        now: u32,
-    ) -> Result<RobustAnswer, ResolveError> {
-        let before = self.stats.snapshot();
-        match self.resolve(qname, qtype, now) {
-            Ok(answer) => {
-                let after = self.stats.snapshot();
-                let retried = after.timeouts > before.timeouts
-                    || after.tcp_fallbacks > before.tcp_fallbacks
-                    || after.error_rcodes > before.error_rcodes;
-                Ok(RobustAnswer {
-                    answer,
-                    degradation: if retried {
-                        Degradation::Retried
-                    } else {
-                        Degradation::None
-                    },
-                })
-            }
-            Err(ResolveError::AllServersUnreachable(zone)) => Ok(RobustAnswer {
-                answer: Answer {
-                    records: Vec::new(),
-                    rcode: Rcode::ServFail,
-                    security: Security::Insecure,
-                    chain: vec![Name::parse(&zone).unwrap_or_else(|_| Name::root())],
-                    negative_ttl: None,
-                    poisoned: false,
-                },
-                degradation: Degradation::Unreachable,
-            }),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 /// The trust anchor (root KSK DS) for a root zone signed with `root_keys`.
@@ -1406,18 +1342,13 @@ mod tests {
                 max_attempts: 2,
                 ..RetryPolicy::default()
             });
-        let robust = resolver
-            .resolve_robust(&name("www.example.com"), RrType::A, NOW)
-            .unwrap();
-        assert_eq!(robust.answer.rcode, Rcode::ServFail);
-        assert!(robust.answer.records.is_empty());
-        assert_eq!(robust.degradation, Degradation::Unreachable);
-        // The plain API still reports the hard error for callers that
-        // want to distinguish transport failure from lookup failure.
-        assert!(matches!(
-            resolver.resolve(&name("www.example.com"), RrType::A, NOW),
-            Err(ResolveError::AllServersUnreachable(_))
-        ));
+        // Transport failure is a hard error, distinct from a lookup
+        // failure, and names the zone cut that never answered.
+        match resolver.resolve(&name("www.example.com"), RrType::A, NOW) {
+            Err(ResolveError::AllServersUnreachable(zone)) => assert_eq!(zone, "."),
+            other => panic!("expected AllServersUnreachable, got {other:?}"),
+        }
+        assert!(resolver.stats().timeouts > 0, "the retry budget was spent");
     }
 
     #[test]
@@ -1446,20 +1377,31 @@ mod tests {
         let w = build_world(true, true);
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let clean = resolver
-            .resolve_robust(&name("www.example.com"), RrType::A, NOW)
+            .resolve(&name("www.example.com"), RrType::A, NOW)
             .unwrap();
-        assert_eq!(clean.degradation, Degradation::None);
-        assert_eq!(clean.answer.security, Security::Secure);
+        assert_eq!(clean.security, Security::Secure);
+        let before = resolver.stats();
+        assert_eq!(
+            (before.timeouts, before.tcp_fallbacks, before.error_rcodes),
+            (0, 0, 0),
+            "a clean path counts no retry"
+        );
 
         w.network.faults().enable(6);
         w.network
             .faults()
             .script(&name("a.gtld-servers.net"), [dsec_authserver::Fault::Drop]);
         let retried = resolver
-            .resolve_robust(&name("www.example.com"), RrType::A, NOW)
+            .resolve(&name("www.example.com"), RrType::A, NOW)
             .unwrap();
-        assert_eq!(retried.degradation, Degradation::Retried);
-        assert_eq!(retried.answer.security, Security::Secure);
+        assert_eq!(retried.security, Security::Secure);
+        let after = resolver.stats();
+        assert_eq!(after.timeouts, 1, "the dropped exchange was retried once");
+        assert_eq!(
+            after.udp_attempts - before.udp_attempts,
+            before.udp_attempts + 1,
+            "the same walk plus the one retry"
+        );
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt per zone cut, mirroring
-    /// the pre-retry resolver.
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Exponential backoff before retry number `attempt` (0-based),
     /// capped at [`RetryPolicy::max_backoff_ms`].
     pub fn backoff_ms(&self, attempt: u32) -> u32 {

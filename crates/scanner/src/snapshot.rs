@@ -439,18 +439,17 @@ fn fan_out<T: Sync, R: Send>(
     }
     let chunk = items.len().div_ceil(threads);
     let per_chunk = &per_chunk;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
             .enumerate()
-            .map(|(n, part)| scope.spawn(move |_| per_chunk(n * chunk, part)))
+            .map(|(n, part)| scope.spawn(move || per_chunk(n * chunk, part)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("scan worker does not panic"))
             .collect()
     })
-    .expect("scan scope completes")
 }
 
 /// [`fan_out`] for the passes that map item by item: `f` of every item,

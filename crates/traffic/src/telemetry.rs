@@ -12,7 +12,7 @@
 //! width never exceeds 1/8 ≈ 12.5%. Pure log2 buckets — the previous
 //! design — collapsed every latency in `[64, 128)` ms into one bucket,
 //! which made p50 = p90 = p99 = p999 whenever the distribution sat
-//! inside one octave (exactly what `BENCH_traffic.json` showed: four
+//! inside one octave (exactly what the first traffic runs showed: four
 //! identical 128 ms percentiles). With 8 sub-buckets per octave the
 //! percentiles of any realistically spread distribution are distinct.
 

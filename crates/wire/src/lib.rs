@@ -82,13 +82,6 @@ pub enum WireError {
         /// The zone origin.
         origin: String,
     },
-    /// A zone text line could not be parsed.
-    ZoneSyntax {
-        /// 1-based line number (0 for whole-file problems).
-        line: usize,
-        /// What was wrong.
-        what: &'static str,
-    },
 }
 
 impl std::fmt::Display for WireError {
@@ -114,9 +107,6 @@ impl std::fmt::Display for WireError {
             }
             WireError::OutOfZone { name, origin } => {
                 write!(f, "{name} is outside zone {origin}")
-            }
-            WireError::ZoneSyntax { line, what } => {
-                write!(f, "zone syntax error at line {line}: {what}")
             }
         }
     }
@@ -232,20 +222,6 @@ mod proptests {
         #[test]
         fn decoder_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = Message::from_wire(&data);
-        }
-
-        #[test]
-        fn zone_text_round_trip(
-            records in proptest::collection::vec((label_str(), any::<u32>(), arb_rdata()), 0..8)
-        ) {
-            let origin = Name::parse("example.com").unwrap();
-            let mut zone = Zone::new(origin.clone());
-            for (l, ttl, rd) in records {
-                let owner = origin.child(&l).unwrap();
-                zone.add(Record::new(owner, ttl, rd)).unwrap();
-            }
-            let back = Zone::from_text(&zone.to_text()).unwrap();
-            prop_assert_eq!(back, zone);
         }
     }
 }

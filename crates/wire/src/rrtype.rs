@@ -88,33 +88,6 @@ impl RrType {
             other => RrType::Unknown(other),
         }
     }
-
-    /// Parses a type mnemonic (`"DNSKEY"`), including RFC 3597 `TYPE12345`.
-    pub fn parse(s: &str) -> Option<Self> {
-        let t = match s.to_ascii_uppercase().as_str() {
-            "A" => RrType::A,
-            "NS" => RrType::Ns,
-            "CNAME" => RrType::Cname,
-            "SOA" => RrType::Soa,
-            "MX" => RrType::Mx,
-            "TXT" => RrType::Txt,
-            "AAAA" => RrType::Aaaa,
-            "OPT" => RrType::Opt,
-            "DS" => RrType::Ds,
-            "RRSIG" => RrType::Rrsig,
-            "NSEC" => RrType::Nsec,
-            "DNSKEY" => RrType::Dnskey,
-            "NSEC3" => RrType::Nsec3,
-            "NSEC3PARAM" => RrType::Nsec3Param,
-            "CDS" => RrType::Cds,
-            "CDNSKEY" => RrType::Cdnskey,
-            other => {
-                let n = other.strip_prefix("TYPE")?.parse().ok()?;
-                RrType::from_number(n)
-            }
-        };
-        Some(t)
-    }
 }
 
 impl fmt::Display for RrType {
@@ -293,12 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn type_parse_and_display() {
-        assert_eq!(RrType::parse("dnskey"), Some(RrType::Dnskey));
-        assert_eq!(RrType::parse("DS"), Some(RrType::Ds));
-        assert_eq!(RrType::parse("TYPE999"), Some(RrType::Unknown(999)));
-        assert_eq!(RrType::parse("TYPE46"), Some(RrType::Rrsig));
-        assert_eq!(RrType::parse("NOPE"), None);
+    fn type_display() {
         assert_eq!(RrType::Cdnskey.to_string(), "CDNSKEY");
         assert_eq!(RrType::Unknown(999).to_string(), "TYPE999");
     }

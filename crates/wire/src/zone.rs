@@ -1,5 +1,5 @@
 //! Zone model: the set of RRsets a single organization serves, with a
-//! master-file style text form (serialize and parse).
+//! master-file style text form (output only).
 //!
 //! The registry/registrar simulation manipulates zones through this type:
 //! TLD registries hold delegation-only zones (NS + DS per child), and DNS
@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::name::Name;
-use crate::rdata::{DnskeyRdata, DsRdata, Nsec3ParamRdata, Nsec3Rdata, RData, RrsigRdata, SoaRdata};
 use crate::record::{Record, RrSet};
 use crate::rrtype::{RrType, TypeBitmap};
 use crate::WireError;
@@ -154,22 +153,6 @@ impl Zone {
         names
     }
 
-    /// Distinct owner names exactly one label below the origin, canonical
-    /// order — a parent zone's delegation points. Clones only the
-    /// matching names, so enumerating a TLD zone's 10⁵ delegations does
-    /// not also copy every other owner in the zone.
-    pub fn child_names(&self) -> Vec<Name> {
-        let depth = self.origin.label_count() + 1;
-        let mut names: Vec<Name> = self
-            .records
-            .keys()
-            .filter(|(n, _)| n.label_count() == depth)
-            .map(|(n, _)| n.clone())
-            .collect();
-        names.dedup();
-        names
-    }
-
     /// The types present at `name`, as an NSEC-style bitmap.
     pub fn types_at(&self, name: &Name) -> TypeBitmap {
         TypeBitmap::from_types(self.at(name).map(|(&(_, t), _)| RrType::from_number(t)))
@@ -200,64 +183,6 @@ impl Zone {
         }
         out
     }
-
-    /// Parses the text form produced by [`Zone::to_text`] (absolute owner
-    /// names, `name ttl class type rdata` per line, `;` comments).
-    pub fn from_text(text: &str) -> Result<Self, WireError> {
-        let mut origin: Option<Name> = None;
-        let mut records = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tokens = tokenize(line);
-            if line.starts_with("$ORIGIN") {
-                tokens.remove(0);
-                let o = tokens.first().ok_or(WireError::ZoneSyntax {
-                    line: lineno + 1,
-                    what: "missing $ORIGIN argument",
-                })?;
-                origin = Some(Name::parse(o)?);
-                continue;
-            }
-            if tokens.len() < 4 {
-                return Err(WireError::ZoneSyntax {
-                    line: lineno + 1,
-                    what: "expected: name ttl class type rdata",
-                });
-            }
-            let name = Name::parse(&tokens[0])?;
-            let ttl: u32 = tokens[1].parse().map_err(|_| WireError::ZoneSyntax {
-                line: lineno + 1,
-                what: "bad TTL",
-            })?;
-            if !tokens[2].eq_ignore_ascii_case("IN") {
-                return Err(WireError::ZoneSyntax {
-                    line: lineno + 1,
-                    what: "only class IN is supported",
-                });
-            }
-            let rtype = RrType::parse(&tokens[3]).ok_or(WireError::ZoneSyntax {
-                line: lineno + 1,
-                what: "unknown record type",
-            })?;
-            let rdata = parse_rdata(rtype, &tokens[4..]).map_err(|_| WireError::ZoneSyntax {
-                line: lineno + 1,
-                what: "bad RDATA",
-            })?;
-            records.push(Record::new(name, ttl, rdata));
-        }
-        let origin = origin.ok_or(WireError::ZoneSyntax {
-            line: 0,
-            what: "missing $ORIGIN",
-        })?;
-        let mut zone = Zone::new(origin);
-        for record in records {
-            zone.add(record)?;
-        }
-        Ok(zone)
-    }
 }
 
 impl fmt::Display for Zone {
@@ -266,230 +191,10 @@ impl fmt::Display for Zone {
     }
 }
 
-/// Strips a `;` comment, ignoring semicolons inside quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quotes => escaped = true,
-            '"' => in_quotes = !in_quotes,
-            ';' if !in_quotes => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Splits a zone-file line into tokens, honoring double quotes for TXT.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for c in line.chars() {
-        if escaped {
-            // Keep the escape intact; TXT parsing unescapes later.
-            current.push('\\');
-            current.push(c);
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quotes => {
-                escaped = true;
-            }
-            '"' => {
-                in_quotes = !in_quotes;
-                // Keep quote markers so TXT parsing can distinguish
-                // quoted empty strings.
-                current.push('"');
-            }
-            c if c.is_whitespace() && !in_quotes => {
-                if !current.is_empty() {
-                    tokens.push(std::mem::take(&mut current));
-                }
-            }
-            c => current.push(c),
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
-}
-
-/// Parses RDATA presentation tokens for `rtype`.
-fn parse_rdata(rtype: RrType, t: &[String]) -> Result<RData, ()> {
-    let tok = |i: usize| -> Result<&str, ()> { t.get(i).map(String::as_str).ok_or(()) };
-    let num = |i: usize| -> Result<u32, ()> { tok(i)?.parse().map_err(|_| ()) };
-    Ok(match rtype {
-        RrType::A => RData::A(tok(0)?.parse().map_err(|_| ())?),
-        RrType::Aaaa => RData::Aaaa(tok(0)?.parse().map_err(|_| ())?),
-        RrType::Ns => RData::Ns(Name::parse(tok(0)?).map_err(|_| ())?),
-        RrType::Cname => RData::Cname(Name::parse(tok(0)?).map_err(|_| ())?),
-        RrType::Soa => RData::Soa(SoaRdata {
-            mname: Name::parse(tok(0)?).map_err(|_| ())?,
-            rname: Name::parse(tok(1)?).map_err(|_| ())?,
-            serial: num(2)?,
-            refresh: num(3)?,
-            retry: num(4)?,
-            expire: num(5)?,
-            minimum: num(6)?,
-        }),
-        RrType::Mx => RData::Mx {
-            preference: num(0)? as u16,
-            exchange: Name::parse(tok(1)?).map_err(|_| ())?,
-        },
-        RrType::Txt => {
-            let mut strings = Vec::new();
-            for s in t {
-                let inner = s.strip_prefix('"').and_then(|x| x.strip_suffix('"'));
-                strings.push(unescape_txt(inner.unwrap_or(s))?);
-            }
-            RData::Txt(strings)
-        }
-        RrType::Dnskey | RrType::Cdnskey => {
-            let key = DnskeyRdata {
-                flags: num(0)? as u16,
-                protocol: num(1)? as u8,
-                algorithm: num(2)? as u8,
-                public_key: dsec_crypto::base64::decode(&t[3..].join("")).map_err(|_| ())?,
-            };
-            if rtype == RrType::Dnskey {
-                RData::Dnskey(key)
-            } else {
-                RData::Cdnskey(key)
-            }
-        }
-        RrType::Ds | RrType::Cds => {
-            let ds = DsRdata {
-                key_tag: num(0)? as u16,
-                algorithm: num(1)? as u8,
-                digest_type: num(2)? as u8,
-                digest: parse_hex(&t[3..].join("")).ok_or(())?,
-            };
-            if rtype == RrType::Ds {
-                RData::Ds(ds)
-            } else {
-                RData::Cds(ds)
-            }
-        }
-        RrType::Rrsig => RData::Rrsig(RrsigRdata {
-            type_covered: RrType::parse(tok(0)?).ok_or(())?,
-            algorithm: num(1)? as u8,
-            labels: num(2)? as u8,
-            original_ttl: num(3)?,
-            expiration: num(4)?,
-            inception: num(5)?,
-            key_tag: num(6)? as u16,
-            signer_name: Name::parse(tok(7)?).map_err(|_| ())?,
-            signature: dsec_crypto::base64::decode(&t[8..].join("")).map_err(|_| ())?,
-        }),
-        RrType::Nsec => {
-            let next = Name::parse(tok(0)?).map_err(|_| ())?;
-            let mut types = Vec::new();
-            for s in &t[1..] {
-                types.push(RrType::parse(s).ok_or(())?);
-            }
-            RData::Nsec {
-                next,
-                types: TypeBitmap::from_types(types),
-            }
-        }
-        RrType::Nsec3 => {
-            let salt = if tok(3)? == "-" {
-                Vec::new()
-            } else {
-                parse_hex(tok(3)?).ok_or(())?
-            };
-            let next_hashed = dsec_crypto::base32::decode_hex(tok(4)?).ok_or(())?;
-            let mut types = Vec::new();
-            for s in &t[5..] {
-                types.push(RrType::parse(s).ok_or(())?);
-            }
-            RData::Nsec3(Nsec3Rdata {
-                hash_algorithm: num(0)? as u8,
-                flags: num(1)? as u8,
-                iterations: num(2)? as u16,
-                salt,
-                next_hashed,
-                types: TypeBitmap::from_types(types),
-            })
-        }
-        RrType::Nsec3Param => {
-            let salt = if tok(3)? == "-" {
-                Vec::new()
-            } else {
-                parse_hex(tok(3)?).ok_or(())?
-            };
-            RData::Nsec3Param(Nsec3ParamRdata {
-                hash_algorithm: num(0)? as u8,
-                flags: num(1)? as u8,
-                iterations: num(2)? as u16,
-                salt,
-            })
-        }
-        other => {
-            // RFC 3597: \# <len> <hex>
-            if tok(0)? != "\\#" {
-                return Err(());
-            }
-            let len: usize = tok(1)?.parse().map_err(|_| ())?;
-            let data = parse_hex(&t[2..].join("")).ok_or(())?;
-            if data.len() != len {
-                return Err(());
-            }
-            RData::Unknown { rtype: other, data }
-        }
-    })
-}
-
-/// Reverses the TXT presentation escaping: `\\`, `\"`, and `\DDD`.
-fn unescape_txt(s: &str) -> Result<Vec<u8>, ()> {
-    let mut out = Vec::with_capacity(s.len());
-    let mut bytes = s.bytes();
-    while let Some(b) = bytes.next() {
-        if b != b'\\' {
-            out.push(b);
-            continue;
-        }
-        let next = bytes.next().ok_or(())?;
-        if next.is_ascii_digit() {
-            let d2 = bytes.next().ok_or(())?;
-            let d3 = bytes.next().ok_or(())?;
-            if !d2.is_ascii_digit() || !d3.is_ascii_digit() {
-                return Err(());
-            }
-            let v = (next - b'0') as u32 * 100 + (d2 - b'0') as u32 * 10 + (d3 - b'0') as u32;
-            if v > 255 {
-                return Err(());
-            }
-            out.push(v as u8);
-        } else {
-            out.push(next);
-        }
-    }
-    Ok(out)
-}
-
-fn parse_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rdata::{RData, SoaRdata};
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -643,138 +348,5 @@ mod tests {
         // Queries for the zone apex of the TLD itself find no delegation.
         assert!(tld.find_delegation(&name("com")).is_none());
         assert!(tld.find_delegation(&name("other.com")).is_none());
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let z = sample_zone();
-        let text = z.to_text();
-        let back = Zone::from_text(&text).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn text_round_trip_dnssec_types() {
-        let mut z = Zone::new(name("example.com"));
-        z.add(Record::new(
-            name("example.com"),
-            3600,
-            RData::Dnskey(DnskeyRdata {
-                flags: 257,
-                protocol: 3,
-                algorithm: 8,
-                public_key: vec![1, 2, 3, 4, 5, 6, 7, 8],
-            }),
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("example.com"),
-            3600,
-            RData::Ds(DsRdata {
-                key_tag: 60485,
-                algorithm: 8,
-                digest_type: 2,
-                digest: vec![0xAB; 32],
-            }),
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("example.com"),
-            3600,
-            RData::Rrsig(RrsigRdata {
-                type_covered: RrType::Dnskey,
-                algorithm: 8,
-                labels: 2,
-                original_ttl: 3600,
-                expiration: 1483228800,
-                inception: 1480550400,
-                key_tag: 60485,
-                signer_name: name("example.com"),
-                signature: vec![9; 64],
-            }),
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("example.com"),
-            3600,
-            RData::Nsec {
-                next: name("www.example.com"),
-                types: TypeBitmap::from_types([RrType::Soa, RrType::Dnskey]),
-            },
-        ))
-        .unwrap();
-        let back = Zone::from_text(&z.to_text()).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn text_round_trip_nsec3() {
-        let mut z = Zone::new(name("example.com"));
-        z.add(Record::new(
-            name("0p9mhaveqvm6t7vbl5lop2u3t2rp3tom.example.com"),
-            3600,
-            RData::Nsec3(Nsec3Rdata {
-                hash_algorithm: 1,
-                flags: 0,
-                iterations: 12,
-                salt: vec![0xAA, 0xBB, 0xCC, 0xDD],
-                next_hashed: vec![0x5C; 20],
-                types: TypeBitmap::from_types([RrType::A, RrType::Rrsig]),
-            }),
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("example.com"),
-            3600,
-            RData::Nsec3Param(Nsec3ParamRdata {
-                hash_algorithm: 1,
-                flags: 0,
-                iterations: 12,
-                salt: vec![],
-            }),
-        ))
-        .unwrap();
-        let back = Zone::from_text(&z.to_text()).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn text_round_trip_txt_and_unknown() {
-        let mut z = Zone::new(name("example.com"));
-        z.add(Record::new(
-            name("example.com"),
-            60,
-            RData::Txt(vec![b"v=spf1 -all".to_vec()]),
-        ))
-        .unwrap();
-        z.add(Record::new(
-            name("example.com"),
-            60,
-            RData::Unknown {
-                rtype: RrType::Unknown(999),
-                data: vec![0xde, 0xad],
-            },
-        ))
-        .unwrap();
-        let back = Zone::from_text(&z.to_text()).unwrap();
-        assert_eq!(back, z);
-    }
-
-    #[test]
-    fn parse_rejects_syntax_errors() {
-        assert!(Zone::from_text("example.com. 60 IN A 192.0.2.1").is_err()); // no $ORIGIN
-        assert!(Zone::from_text("$ORIGIN example.com.\nfoo").is_err());
-        assert!(Zone::from_text("$ORIGIN example.com.\nx.example.com. abc IN A 192.0.2.1").is_err());
-        assert!(Zone::from_text("$ORIGIN example.com.\nx.example.com. 60 CH A 192.0.2.1").is_err());
-        assert!(Zone::from_text("$ORIGIN example.com.\nx.example.com. 60 IN A notanip").is_err());
-    }
-
-    #[test]
-    fn parse_skips_comments_and_blank_lines() {
-        let z = Zone::from_text(
-            "; header comment\n$ORIGIN example.com.\n\nwww.example.com. 60 IN A 192.0.2.1 ; inline\n",
-        )
-        .unwrap();
-        assert_eq!(z.len(), 1);
     }
 }

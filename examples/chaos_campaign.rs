@@ -11,7 +11,7 @@
 //! a phase-by-phase availability timeline.
 //!
 //! Exits nonzero unless both robustness experiments reproduce (the CI
-//! chaos-smoke job runs this binary).
+//! examples-smoke job runs this binary).
 //!
 //! Run with: `cargo run --release --example chaos_campaign`
 

@@ -10,7 +10,7 @@
 //! validating one is saved by the unchanged DS. Detection rolls both
 //! back to a Secure chain. The same two vectors against a
 //! verified-sender channel must bounce — any capture there is a hard
-//! failure (the CI attack-smoke job runs this binary).
+//! failure (the CI examples-smoke job runs this binary).
 //!
 //! Part 2 runs E-A1 on the tiny population: authenticated-channel arm
 //! with zero captures, LaxMail arm whose victim queries split exactly

@@ -8,7 +8,7 @@
 //! per-registrar poison census both catch the forgery. The *same*
 //! attacker against the hardened profile (16+16 entropy bits, 0x20,
 //! strict bailiwick) must capture nothing — any admitted forgery there
-//! is a hard failure (the CI poison-smoke job runs this binary). An
+//! is a hard failure (the CI examples-smoke job runs this binary). An
 //! RFC 5011 trust-anchor walk shows why revoking an old anchor inside
 //! the add hold-down strands followers.
 //!

@@ -5,7 +5,7 @@
 //! double-signature KSK rollover next to one whose registrar pushes the
 //! DS five days late, classified day by day through the resolver. The
 //! correctly timed arm must never show a bogus day — any leakage is a
-//! hard failure (the CI chaos-smoke job runs this binary).
+//! hard failure (the CI examples-smoke job runs this binary).
 //!
 //! Part 2 runs E-K1 on the tiny population: correct rollover ⇒ zero
 //! bogus, mistimed DS ⇒ a bogus window matching the injected timing

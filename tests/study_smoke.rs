@@ -33,6 +33,56 @@ fn tiny_study_produces_every_artifact() {
         assert!(e.reproduced(), "{e}");
     }
 
+    // The self-check experiments must reproduce, and must still carry
+    // their headline checkpoints: `reproduced()` alone would keep
+    // passing if one were silently removed.
+    let headlines: [(&str, &[&str]); 4] = [
+        (
+            "E-R2",
+            &[
+                "baseline victim queries collapse to ServFail without serve-stale",
+                "tallies byte-identical across 1 and 8 worker threads",
+            ],
+        ),
+        (
+            "E-K1",
+            &[
+                "arm A: correct double-signature rollover serves zero bogus answers",
+                "arm B: bogus observed on exactly the predicted window days",
+                "arm C: the rollover's bogus window stays visible through the outage",
+            ],
+        ),
+        (
+            "E-A1",
+            &[
+                "arm A: authenticated email repels both takeover vectors (zero captures)",
+                "arm B: hijacked + saved-by-validation equals the victim's planned query count",
+                "arm B: the hijacked count is exactly the non-validating share of victim hits",
+                "arm B: tallies byte-identical across 1 and 8 worker threads",
+            ],
+        ),
+        (
+            "E-A2",
+            &[
+                "arm A: the hardened fleet admits zero forged answers",
+                "arm B: naive-profile captures match the birthday bound within 4 sigma",
+                "arm B: the poison census attributes the forged cached answer to the victim's registrar",
+                "arm C: validating users go bogus on exactly the stranded window [revoke, promotion)",
+                "arm C: tallies byte-identical across 1 and 8 worker threads",
+            ],
+        ),
+    ];
+    for (id, rows) in headlines {
+        let e = output.experiments.iter().find(|e| e.id == id).unwrap();
+        assert!(e.reproduced(), "{e}");
+        for row in rows {
+            assert!(
+                e.checkpoints.iter().any(|c| c.metric == *row),
+                "{id} lost its headline checkpoint {row:?}"
+            );
+        }
+    }
+
     // Snapshot conservation: the population is static over the window,
     // so every snapshot accounts for the same domains. (The probe buys
     // its own domains only after the campaign, so the world's final

@@ -82,6 +82,14 @@ fn outcome_counts_are_invariant_across_thread_counts() {
     assert_eq!(one.histogram, eight.histogram);
     assert_eq!(one.resolver.cache_hits, eight.resolver.cache_hits);
     assert_eq!(one.resolver.cache_misses, eight.resolver.cache_misses);
+    // The driver's contract: eight balanced shards retire the stream in
+    // well under one worker's simulated time. Simulated time is
+    // deterministic, so the tiny population gives a stable ratio.
+    let sim_speedup = eight.sim_qps() / one.sim_qps();
+    assert!(
+        sim_speedup > 1.5,
+        "simulated-time throughput only scaled {sim_speedup:.2}x from 1 to 8 threads"
+    );
 }
 
 #[test]
