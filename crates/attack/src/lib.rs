@@ -16,7 +16,7 @@
 //!   decided by that registrar's calibrated [`ExternalDs`]
 //!   authentication policy, exactly like the legitimate path — and runs
 //!   the attacker's authoritative infrastructure: an [`Authority`]
-//!   registered in the world's [`Network`] serving forged zones for
+//!   registered in the world's `Network` serving forged zones for
 //!   every captured domain, signed with attacker-held keys the parent
 //!   DS does not match;
 //! * detection restores the pre-attack DS/NS state through the same
@@ -151,8 +151,8 @@ pub struct AttackCampaign {
     /// zone). The parent DS never matches them — that mismatch is what
     /// validating resolvers catch.
     keys: ZoneKeys,
-    /// Plans keyed by canonical domain name.
-    states: BTreeMap<String, (Name, AttackState)>,
+    /// One plan per domain.
+    states: BTreeMap<Name, AttackState>,
 }
 
 impl AttackCampaign {
@@ -193,21 +193,18 @@ impl AttackCampaign {
             original_ns: Vec::new(),
             forged_ns: Vec::new(),
         };
-        self.states
-            .insert(domain.to_canonical().to_string(), (domain, state));
+        self.states.insert(domain, state);
     }
 
     /// The state of the plan against `domain`, if one is scheduled.
     pub fn state(&self, domain: &Name) -> Option<&AttackState> {
-        self.states
-            .get(&domain.to_canonical().to_string())
-            .map(|(_, s)| s)
+        self.states.get(domain)
     }
 
     /// Domains the attacker currently controls (any vector).
     pub fn captured(&self) -> Vec<Name> {
         self.states
-            .values()
+            .iter()
             .filter(|(_, s)| s.phase == AttackPhase::Captured)
             .map(|(n, _)| n.clone())
             .collect()
@@ -219,7 +216,7 @@ impl AttackCampaign {
     /// operator still answers — so it is excluded here.
     pub fn hijacked_zones(&self) -> Vec<Name> {
         self.states
-            .values()
+            .iter()
             .filter(|(_, s)| {
                 s.phase == AttackPhase::Captured
                     && matches!(s.plan.vector, AttackVector::ForgedNs { .. })
@@ -233,10 +230,10 @@ impl AttackCampaign {
     /// day has come. Call after `world.tick()`.
     pub fn tick(&mut self, world: &mut World) {
         let today = world.today;
-        let due: Vec<String> = self
+        let due: Vec<Name> = self
             .states
             .iter()
-            .filter(|(_, (_, s))| match s.phase {
+            .filter(|(_, s)| match s.phase {
                 AttackPhase::Scheduled => today >= s.plan.launch,
                 AttackPhase::Captured => {
                     s.plan.detection_day().is_some_and(|d| today >= d)
@@ -245,14 +242,14 @@ impl AttackCampaign {
             })
             .map(|(k, _)| k.clone())
             .collect();
-        for key in due {
-            let (domain, mut state) = self.states.remove(&key).expect("key just listed");
+        for domain in due {
+            let mut state = self.states.remove(&domain).expect("key just listed");
             match state.phase {
                 AttackPhase::Scheduled => self.launch(world, &domain, &mut state),
                 AttackPhase::Captured => self.remediate(world, &domain, &mut state),
                 _ => unreachable!("only due phases were selected"),
             }
-            self.states.insert(key, (domain, state));
+            self.states.insert(domain, state);
         }
     }
 
@@ -491,4 +488,28 @@ fn forged_zone(domain: &Name, ns_host: &Name) -> Zone {
         .expect("MX fits");
     }
     zone
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_plan_is_found_and_replaced_under_any_spelling_of_its_domain() {
+        let plan = |day| AttackPlan::new(AttackVector::ForgedNs { stealthy: false }, SimDate(day));
+        let name = |s: &str| Name::parse(s).expect("valid name");
+        let mut campaign = AttackCampaign::new();
+        // (scheduled as, looked up — and rescheduled — as)
+        let rows = [("victim.com", "VICTIM.Com"), ("Other.NL", "other.nl")];
+        for (day, (scheduled_as, asked_as)) in (1u32..).zip(rows) {
+            campaign.schedule(name(scheduled_as), plan(day));
+            assert_eq!(campaign.state(&name(asked_as)).map(|s| s.plan.launch), Some(SimDate(day)));
+            // One live plan per domain: the other spelling replaces it.
+            campaign.schedule(name(asked_as), plan(day + 100));
+            assert_eq!(campaign.states.len(), day as usize);
+            let replaced = campaign.state(&name(scheduled_as)).map(|s| s.plan.launch);
+            assert_eq!(replaced, Some(SimDate(day + 100)));
+        }
+        assert!(campaign.state(&name("victim.net")).is_none());
+    }
 }

@@ -11,7 +11,7 @@
 //!   shared locks**; mutations (re-signing, rollovers, DS swaps) go
 //!   through the master copy and bump a per-zone generation.
 //! * Every answered question is recorded in a striped **response cache**
-//!   keyed by `(interned qname, qtype, echoed header bits)`, holding
+//!   keyed by `(qname, qtype, echoed header bits)`, holding
 //!   both the parsed [`Message`] and its pre-serialized wire bytes.
 //!   Entries are invalidated by the *mutation path* — a generation
 //!   mismatch on the answering zone, or an origin-set change — never by
@@ -27,13 +27,13 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use dsec_wire::{
-    Flags, FnvHashMap, Message, Name, NameId, NameInterner, Opcode, Question, RData, Rcode,
-    Record, RrClass, RrType, Zone,
+    name_hash64, Flags, FnvHashMap, Message, Name, Opcode, Question, RData, Rcode, Record,
+    RrClass, RrType, Zone,
 };
 
 use crate::epoch::Epoch;
 
-/// Response-cache stripes (power of two; same fan-out as the interner).
+/// Response-cache stripes (power of two).
 const CACHE_STRIPES: usize = 16;
 
 /// One served zone: its contents plus the generation of its last
@@ -50,15 +50,28 @@ type ZoneMap = BTreeMap<Name, ZoneSlot>;
 
 /// Cache key: the question plus every echoed query attribute that
 /// changes the response bytes (RD/CD flags, EDNS presence, DO bit, and
-/// the verbatim-echoed EDNS payload size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// the verbatim-echoed EDNS payload size). Names differing only in
+/// ASCII case are one key.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CacheKey {
-    qname: NameId,
+    /// [`name_hash64`] of `qname`: picks the stripe and, with the three
+    /// integers below, the bucket — the label bytes are hashed once.
+    hash: u64,
+    qname: Name,
     qtype: u16,
     /// Bit 0 = RD, bit 1 = CD, bit 2 = EDNS present, bit 3 = DO.
     echo: u8,
     /// Echoed EDNS payload size (0 without EDNS).
     payload: u16,
+}
+
+impl std::hash::Hash for CacheKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+        state.write_u16(self.qtype);
+        state.write_u8(self.echo);
+        state.write_u16(self.payload);
+    }
 }
 
 /// One cached answer.
@@ -84,7 +97,6 @@ struct CacheEntry {
 /// invalidated entries in place on the next miss for their key.
 struct ResponseCache {
     enabled: AtomicBool,
-    interner: NameInterner,
     stripes: Vec<RwLock<FnvHashMap<CacheKey, CacheEntry>>>,
     stripe_cap: AtomicUsize,
     hits: AtomicU64,
@@ -102,7 +114,6 @@ impl ResponseCache {
     fn new() -> Self {
         ResponseCache {
             enabled: AtomicBool::new(true),
-            interner: NameInterner::new(),
             stripes: (0..CACHE_STRIPES)
                 .map(|_| RwLock::new(FnvHashMap::default()))
                 .collect(),
@@ -139,7 +150,8 @@ impl ResponseCache {
             payload = edns.udp_payload_size;
         }
         Some(CacheKey {
-            qname: self.interner.intern(&question.name),
+            hash: name_hash64(&question.name),
+            qname: question.name.clone(),
             qtype: question.qtype.number(),
             echo,
             payload,
@@ -147,7 +159,7 @@ impl ResponseCache {
     }
 
     fn stripe(&self, key: &CacheKey) -> &RwLock<FnvHashMap<CacheKey, CacheEntry>> {
-        &self.stripes[(key.qname.raw() as usize) & (CACHE_STRIPES - 1)]
+        &self.stripes[(key.hash as usize) & (CACHE_STRIPES - 1)]
     }
 
     /// A cached response as a parsed message, re-stamped with the
@@ -1054,6 +1066,29 @@ mod tests {
         assert_eq!(resp.questions[0].name.to_string(), "WWW.Example.COM.");
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(auth.response_cache_stats().0, 1, "case variant still hits");
+    }
+
+    #[test]
+    fn another_spelling_hits_the_same_entry_on_both_paths_and_is_echoed() {
+        let auth = authority(false);
+        auth.handle_query(&Message::query(1, name("www.example.com"), RrType::A, false));
+        // (id, spelling, over the datagram path?) — every row is a hit on
+        // the one entry the lowercase question stored.
+        let rows = [
+            (77, "WWW.Example.COM", false),
+            (78, "wWw.example.com", true),
+            (79, "www.example.com", true),
+        ];
+        for (hits, (id, spelling, datagram)) in (1u64..).zip(rows) {
+            let q = Message::query(id, name(spelling), RrType::A, false);
+            let resp = match datagram {
+                true => Message::from_wire(&auth.handle_datagram(&q.to_wire()).unwrap()).unwrap(),
+                false => auth.handle_query(&q),
+            };
+            assert_eq!((resp.id, resp.answers.len()), (id, 1));
+            assert_eq!(resp.questions[0].name.to_string(), format!("{spelling}."));
+            assert_eq!(auth.response_cache_stats(), (hits, 1), "{spelling}");
+        }
     }
 
     #[test]

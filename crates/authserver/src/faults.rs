@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use dsec_wire::Name;
+use dsec_wire::{FnvHashMap, Name};
 
 use crate::authority::Authority;
 
@@ -216,6 +216,40 @@ impl std::hash::Hash for AttemptKey {
     }
 }
 
+/// Everything the plane holds against one server hostname.
+#[derive(Debug, Default)]
+struct ServerFaults {
+    /// Override of the global profile.
+    profile: Option<FaultProfile>,
+    flap: Option<FlapSchedule>,
+    /// Administratively forced down.
+    down: bool,
+    /// Scheduled down-windows: half-open `[from_s, until_s)` intervals in
+    /// simulated epoch seconds, seen only by queries that carry their sim
+    /// clock ([`crate::Network::query_udp`] with `now_s`). Purely
+    /// declarative — membership is a function of the query's sim clock,
+    /// so outage behavior is deterministic and thread-order independent.
+    windows: Vec<(u32, u32)>,
+    /// Scripted outcomes consumed FIFO (deterministic tests).
+    script: VecDeque<Fault>,
+    /// Stale zone copy, frozen lazily when a Stale fault first fires.
+    stale: Option<Arc<Authority>>,
+}
+
+impl ServerFaults {
+    fn in_window(&self, now_s: u32) -> bool {
+        self.windows.iter().any(|&(from, until)| now_s >= from && now_s < until)
+    }
+}
+
+/// The plane's configuration: one record per server, next to the
+/// profile of every server that has no override.
+#[derive(Debug, Default)]
+struct Servers {
+    global: FaultProfile,
+    by_name: FnvHashMap<Name, ServerFaults>,
+}
+
 /// The fault-injection plane a [`crate::Network`] consults on every
 /// simulated packet. Disabled (the default) it adds one atomic load to
 /// the hot path and changes nothing.
@@ -226,26 +260,12 @@ pub struct FaultPlane {
     seed: AtomicU64,
     /// Current simulation day, advanced by the world tick (flapping).
     day: AtomicU32,
-    global: RwLock<FaultProfile>,
-    per_server: RwLock<HashMap<Name, FaultProfile>>,
-    flaps: RwLock<HashMap<Name, FlapSchedule>>,
-    /// Servers administratively forced down.
-    down: RwLock<HashMap<Name, bool>>,
-    /// Scheduled down-windows per server: half-open `[from_s, until_s)`
-    /// intervals in simulated epoch seconds, consulted by the sim-time-
-    /// aware query paths ([`crate::Network::query_udp_at`]). Purely
-    /// declarative — membership is a function of the query's sim clock,
-    /// so outage behavior is deterministic and thread-order independent.
-    windows: RwLock<HashMap<Name, Vec<(u32, u32)>>>,
-    /// Scripted outcomes consumed FIFO per server (deterministic tests).
-    scripts: Mutex<HashMap<Name, VecDeque<Fault>>>,
+    servers: RwLock<Servers>,
     /// Per-(server, qname, qtype) attempt counters: make draws
     /// independent of cross-thread query interleaving. Pruned at each
     /// campaign epoch ([`FaultPlane::begin_epoch`]) so multi-day
     /// campaigns don't grow it without bound.
     attempts: Mutex<HashMap<AttemptKey, u32>>,
-    /// Stale zone copies, frozen lazily when a Stale fault first fires.
-    stale: Mutex<HashMap<Name, Arc<Authority>>>,
     counters: FaultCounters,
 }
 
@@ -260,7 +280,9 @@ impl FaultPlane {
     pub fn enable(&self, seed: u64) {
         self.seed.store(seed, Ordering::Relaxed);
         self.attempts.lock().clear();
-        self.stale.lock().clear();
+        for server in self.servers.write().by_name.values_mut() {
+            server.stale = None;
+        }
         self.enabled.store(true, Ordering::Release);
     }
 
@@ -288,17 +310,23 @@ impl FaultPlane {
     /// Sets the fault profile applied to every server without a
     /// per-server override.
     pub fn set_global_profile(&self, profile: FaultProfile) {
-        *self.global.write() = profile;
+        self.servers.write().global = profile;
+    }
+
+    /// Edits `ns`'s record (created on first touch; names differing only
+    /// in ASCII case are one server).
+    fn edit<R>(&self, ns: &Name, f: impl FnOnce(&mut ServerFaults) -> R) -> R {
+        f(self.servers.write().by_name.entry(ns.clone()).or_default())
     }
 
     /// Sets a per-server override profile.
     pub fn set_server_profile(&self, ns: &Name, profile: FaultProfile) {
-        self.per_server.write().insert(ns.to_canonical(), profile);
+        self.edit(ns, |server| server.profile = Some(profile));
     }
 
     /// Removes a per-server override.
     pub fn clear_server_profile(&self, ns: &Name) {
-        self.per_server.write().remove(&ns.to_canonical());
+        self.edit(ns, |server| server.profile = None);
     }
 
     /// Installs an up/down flap schedule for a server; the phase is
@@ -306,23 +334,17 @@ impl FaultPlane {
     pub fn flap_server(&self, ns: &Name, up_days: u32, down_days: u32) {
         let phase = (fnv1a(&ns.to_canonical_wire(), 0x1F1A9) % (up_days + down_days).max(1) as u64)
             as u32;
-        self.flaps.write().insert(
-            ns.to_canonical(),
-            FlapSchedule {
-                up_days,
-                down_days,
-                phase,
-            },
-        );
+        let flap = FlapSchedule {
+            up_days,
+            down_days,
+            phase,
+        };
+        self.edit(ns, |server| server.flap = Some(flap));
     }
 
     /// Forces a server down (or back up) regardless of probabilities.
     pub fn set_down(&self, ns: &Name, down: bool) {
-        if down {
-            self.down.write().insert(ns.to_canonical(), true);
-        } else {
-            self.down.write().remove(&ns.to_canonical());
-        }
+        self.edit(ns, |server| server.down = down);
     }
 
     /// Schedules a down-window for `ns`: the server times out for every
@@ -330,59 +352,35 @@ impl FaultPlane {
     /// accumulate (a server may go down repeatedly — flapping scenarios
     /// install many short windows).
     pub fn schedule_down(&self, ns: &Name, from_s: u32, until_s: u32) {
-        if from_s >= until_s {
-            return;
+        if from_s < until_s {
+            self.edit(ns, |server| server.windows.push((from_s, until_s)));
         }
-        self.windows
-            .write()
-            .entry(ns.to_canonical())
-            .or_default()
-            .push((from_s, until_s));
     }
 
     /// Removes every scheduled down-window for `ns`.
     pub fn clear_schedule(&self, ns: &Name) {
-        self.windows.write().remove(&ns.to_canonical());
+        self.edit(ns, |server| server.windows.clear());
     }
 
     /// Removes all scheduled down-windows.
     pub fn clear_schedules(&self) {
-        self.windows.write().clear();
+        for server in self.servers.write().by_name.values_mut() {
+            server.windows.clear();
+        }
     }
 
     /// Whether a scheduled window has `ns` down at sim-time `now_s`.
     /// Pure configuration lookup: no counters, no enable gate — used by
     /// scenario harnesses to print outage timelines.
     pub fn scheduled_down(&self, ns: &Name, now_s: u32) -> bool {
-        self.windows
-            .read()
-            .get(&ns.to_canonical())
-            .map(|ws| ws.iter().any(|&(from, until)| now_s >= from && now_s < until))
-            .unwrap_or(false)
-    }
-
-    /// Whether a scheduled window has `ns` down at sim-time `now_s`,
-    /// counting a downtime drop when it does (the query path).
-    pub(crate) fn window_down(&self, ns: &Name, now_s: u32) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        let down = self.scheduled_down(ns, now_s);
-        if down {
-            self.counters.downtime_drops.fetch_add(1, Ordering::Relaxed);
-        }
-        down
+        self.servers.read().by_name.get(ns).is_some_and(|server| server.in_window(now_s))
     }
 
     /// Queues forced fault outcomes for the next UDP queries to `ns`,
     /// consumed FIFO before any probabilistic draw (deterministic tests:
     /// "drop twice, then answer"). TCP queries do not consume entries.
     pub fn script(&self, ns: &Name, faults: impl IntoIterator<Item = Fault>) {
-        self.scripts
-            .lock()
-            .entry(ns.to_canonical())
-            .or_default()
-            .extend(faults);
+        self.edit(ns, |server| server.script.extend(faults));
     }
 
     /// Advances the plane's notion of the current simulation day (drives
@@ -404,61 +402,60 @@ impl FaultPlane {
         }
     }
 
-    /// Whether `ns` is down right now (kill switch or flap schedule).
-    /// Counts a downtime drop when it is.
-    pub(crate) fn server_down(&self, ns: &Name) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
-        let canonical = ns.to_canonical();
-        let down = self.down.read().contains_key(&canonical)
-            || self
-                .flaps
-                .read()
-                .get(&canonical)
-                .map(|f| f.is_down(self.day.load(Ordering::Relaxed)))
-                .unwrap_or(false);
-        if down {
-            self.counters.downtime_drops.fetch_add(1, Ordering::Relaxed);
-        }
-        down
-    }
-
-    /// Decides the fault (if any) for one UDP query. `None` means the
-    /// exchange is clean.
-    pub(crate) fn decide(&self, ns: &Name, qname: &Name, qtype: u16) -> Option<Fault> {
+    /// What the plane does to one exchange with `ns`; `None` means the
+    /// exchange is clean. One lookup of `ns`'s record answers, in order:
+    /// is the server down (kill switch, flap schedule, or — for a query
+    /// stamped with its sim-time `now_s` — a scheduled window)? That is
+    /// counted as a downtime drop and reported as [`Fault::Drop`]. Else,
+    /// for a UDP exchange (`question` given), is a scripted outcome
+    /// queued? Else the server's profile decides by a seeded draw. A TCP
+    /// exchange (`question` absent) sees downtime only.
+    pub(crate) fn intercept(
+        &self,
+        ns: &Name,
+        now_s: Option<u32>,
+        question: Option<(&Name, u16)>,
+    ) -> Option<Fault> {
         if !self.is_enabled() {
             return None;
         }
-        let canonical = ns.to_canonical();
-        // Scripted outcome first.
-        if let Some(queue) = self.scripts.lock().get_mut(&canonical) {
-            if let Some(fault) = queue.pop_front() {
+        let (profile, scripted) = {
+            let servers = self.servers.read();
+            let server = servers.by_name.get(ns);
+            let down = server.is_some_and(|s| {
+                s.down
+                    || s.flap.is_some_and(|f| f.is_down(self.day.load(Ordering::Relaxed)))
+                    || now_s.is_some_and(|t| s.in_window(t))
+            });
+            if down {
+                self.counters.downtime_drops.fetch_add(1, Ordering::Relaxed);
+                return Some(Fault::Drop);
+            }
+            (
+                server.and_then(|s| s.profile).unwrap_or(servers.global),
+                server.is_some_and(|s| !s.script.is_empty()),
+            )
+        };
+        let (qname, qtype) = question?;
+        if scripted {
+            // Rare (tests only), so the pop retakes the lock for writing.
+            if let Some(fault) = self.edit(ns, |server| server.script.pop_front()) {
                 self.count(fault);
                 return Some(fault);
             }
         }
-        let profile = {
-            let per_server = self.per_server.read();
-            match per_server.get(&canonical) {
-                Some(p) => *p,
-                None => *self.global.read(),
-            }
-        };
         if profile.is_zero() {
             return None;
         }
         // Key the draw on (server, qname, qtype, attempt#): identical
-        // across runs regardless of thread interleaving. (Canonical wire
-        // form is lowercase already, so hashing `ns` directly equals
-        // hashing its canonical name.)
+        // across runs regardless of thread interleaving.
         let mut hash = fnv1a(&ns.to_canonical_wire(), 0xF0_17);
         hash = fnv1a(&qname.to_canonical_wire(), hash);
         hash = fnv1a(&qtype.to_be_bytes(), hash);
         let key = AttemptKey {
             hash,
-            server: canonical,
-            qname: qname.to_canonical(),
+            server: ns.clone(),
+            qname: qname.clone(),
             qtype,
         };
         let attempt = {
@@ -480,11 +477,9 @@ impl FaultPlane {
     /// The stale authority for `ns`, freezing a copy of `live`'s zones on
     /// first use (the secondary stopped syncing when the fault began).
     pub(crate) fn stale_authority(&self, ns: &Name, live: &Authority) -> Arc<Authority> {
-        self.stale
-            .lock()
-            .entry(ns.to_canonical())
-            .or_insert_with(|| Arc::new(live.snapshot()))
-            .clone()
+        self.edit(ns, |server| {
+            server.stale.get_or_insert_with(|| Arc::new(live.snapshot())).clone()
+        })
     }
 
     fn count(&self, fault: Fault) {
@@ -525,6 +520,21 @@ mod tests {
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
+    }
+
+    /// The parts of the one question the query path asks, by name.
+    impl FaultPlane {
+        fn server_down(&self, ns: &Name) -> bool {
+            self.intercept(ns, None, None).is_some()
+        }
+
+        fn window_down(&self, ns: &Name, now_s: u32) -> bool {
+            self.intercept(ns, Some(now_s), None).is_some()
+        }
+
+        fn decide(&self, ns: &Name, qname: &Name, qtype: u16) -> Option<Fault> {
+            self.intercept(ns, None, Some((qname, qtype)))
+        }
     }
 
     #[test]
@@ -722,6 +732,33 @@ mod tests {
         assert_eq!(plane.stats().downtime_drops, 0);
         plane.clear_schedules();
         assert!(!plane.scheduled_down(&ns, 500));
+    }
+
+    #[test]
+    fn every_setter_reaches_the_record_the_query_path_reads_in_any_spelling() {
+        let spellings = [name("ns1.op.net"), name("NS1.Op.NET")];
+        let drop_all = FaultProfile {
+            drop_prob: 1.0,
+            ..FaultProfile::default()
+        };
+        type Setter<'a> = &'a dyn Fn(&FaultPlane, &Name);
+        let rows: [(&str, Setter); 5] = [
+            ("set_down", &|p, ns| p.set_down(ns, true)),
+            ("schedule_down", &|p, ns| p.schedule_down(ns, 0, 100)),
+            ("script", &|p, ns| p.script(ns, [Fault::Drop])),
+            ("flap_server", &|p, ns| p.flap_server(ns, 0, 1)),
+            ("set_server_profile", &|p, ns| p.set_server_profile(ns, drop_all)),
+        ];
+        for (setter, configure) in rows {
+            for (set_as, asked_as) in [(0, 1), (1, 0)] {
+                let plane = FaultPlane::new();
+                plane.enable(3);
+                configure(&plane, &spellings[set_as]);
+                let hit = plane.intercept(&spellings[asked_as], Some(50), Some((&name("x.com"), 1)));
+                assert_eq!(hit, Some(Fault::Drop), "{setter} as {}", spellings[set_as]);
+                assert_eq!(plane.servers.read().by_name.len(), 1, "{setter}: one record");
+            }
+        }
     }
 
     #[test]

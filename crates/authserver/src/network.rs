@@ -13,13 +13,12 @@
 //! degradations a real scan sees. Disabled (the default), the transport
 //! is perfect and behavior is identical to the pre-fault-plane network.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dsec_wire::{Message, Name, Rcode};
+use dsec_wire::{FnvHashMap, Message, Name, Rcode};
 
 use crate::authority::Authority;
 use crate::epoch::Epoch;
@@ -63,7 +62,7 @@ impl QueryOutcome {
 /// mutations (registration churn) go through the epoch's master copy.
 #[derive(Debug, Default)]
 pub struct Network {
-    servers: Epoch<HashMap<Name, Arc<Authority>>>,
+    servers: Epoch<FnvHashMap<Name, Arc<Authority>>>,
     /// Nameserver hostnames of the root servers.
     root_hints: RwLock<Vec<Name>>,
     /// Total UDP queries dispatched (measurement bookkeeping).
@@ -83,7 +82,6 @@ impl Network {
     /// Registers `authority` under the nameserver hostname `ns`.
     /// One authority may be registered under many hostnames.
     pub fn register(&self, ns: Name, authority: Arc<Authority>) {
-        let ns = ns.to_canonical();
         self.servers.mutate(|servers| {
             servers.insert(ns, authority);
         });
@@ -146,32 +144,18 @@ impl Network {
     /// Sends `query` to the server at `ns`. `None` models an unreachable
     /// nameserver — unregistered, down, or (with faults enabled) a
     /// dropped packet. Fault-oblivious compatibility wrapper around
-    /// [`Network::query_udp`] with an effectively infinite deadline.
+    /// [`Network::query_udp`] with an effectively infinite deadline and
+    /// no sim-time.
     pub fn query(&self, ns: &Name, query: &Message) -> Option<Message> {
-        self.query_udp(ns, query, u32::MAX).into_response()
+        self.query_udp(ns, query, u32::MAX, None).into_response()
     }
 
     /// Sends `query` to the server at `ns` over simulated UDP, waiting at
-    /// most `deadline_ms` for the response.
-    pub fn query_udp(&self, ns: &Name, query: &Message, deadline_ms: u32) -> QueryOutcome {
-        self.query_udp_inner(ns, query, deadline_ms, None)
-    }
-
-    /// Like [`Network::query_udp`], additionally stamped with the query's
-    /// simulated epoch seconds so scheduled down-windows
-    /// ([`FaultPlane::schedule_down`]) apply. Timing-oblivious callers
-    /// keep using [`Network::query_udp`] and never see windows.
-    pub fn query_udp_at(
-        &self,
-        ns: &Name,
-        query: &Message,
-        deadline_ms: u32,
-        now_s: u32,
-    ) -> QueryOutcome {
-        self.query_udp_inner(ns, query, deadline_ms, Some(now_s))
-    }
-
-    fn query_udp_inner(
+    /// most `deadline_ms` for the response. `now_s` stamps the query with
+    /// its simulated epoch seconds so scheduled down-windows
+    /// ([`FaultPlane::schedule_down`]) apply; timing-oblivious callers
+    /// pass `None` and never see a window.
+    pub fn query_udp(
         &self,
         ns: &Name,
         query: &Message,
@@ -182,30 +166,27 @@ impl Network {
             return QueryOutcome::Unreachable;
         };
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if self.faults.server_down(ns)
-            || now_s.is_some_and(|t| self.faults.window_down(ns, t))
-        {
-            return QueryOutcome::Timeout;
-        }
-        let (qname, qtype) = match query.questions.first() {
-            Some(q) => (q.name.clone(), q.qtype.number()),
-            None => (Name::root(), 0),
+        let root;
+        let question = match query.questions.first() {
+            Some(q) => (&q.name, q.qtype.number()),
+            None => {
+                root = Name::root();
+                (&root, 0)
+            }
         };
-        match self.faults.decide(ns, &qname, qtype) {
-            None => QueryOutcome::Answered {
-                response: authority.handle_query(query),
-                latency_ms: BASE_LATENCY_MS,
-            },
+        let answered = |authority: &Authority, latency_ms| QueryOutcome::Answered {
+            response: authority.handle_query(query),
+            latency_ms,
+        };
+        match self.faults.intercept(ns, now_s, Some(question)) {
+            None => answered(&authority, BASE_LATENCY_MS),
             Some(Fault::Drop) => QueryOutcome::Timeout,
             Some(Fault::Delay(ms)) => {
                 let latency_ms = BASE_LATENCY_MS.saturating_add(ms);
                 if latency_ms > deadline_ms {
                     QueryOutcome::Timeout
                 } else {
-                    QueryOutcome::Answered {
-                        response: authority.handle_query(query),
-                        latency_ms,
-                    }
+                    answered(&authority, latency_ms)
                 }
             }
             Some(Fault::Truncate) => {
@@ -227,11 +208,7 @@ impl Network {
                 latency_ms: BASE_LATENCY_MS,
             },
             Some(Fault::Stale) => {
-                let stale = self.faults.stale_authority(ns, &authority);
-                QueryOutcome::Answered {
-                    response: stale.handle_query(query),
-                    latency_ms: BASE_LATENCY_MS,
-                }
+                answered(&self.faults.stale_authority(ns, &authority), BASE_LATENCY_MS)
             }
         }
     }
@@ -239,26 +216,15 @@ impl Network {
     /// Sends `query` to the server at `ns` over simulated TCP — the
     /// truncation-fallback path. TCP responses are never truncated and
     /// the stream either connects or it does not, so only downtime
-    /// (flaps, kill switch) affects it; the per-packet fault profile and
-    /// scripted UDP faults do not apply.
-    pub fn query_tcp(&self, ns: &Name, query: &Message) -> QueryOutcome {
-        self.query_tcp_inner(ns, query, None)
-    }
-
-    /// Like [`Network::query_tcp`], stamped with sim-time so scheduled
-    /// down-windows apply (a downed server accepts no TCP either).
-    pub fn query_tcp_at(&self, ns: &Name, query: &Message, now_s: u32) -> QueryOutcome {
-        self.query_tcp_inner(ns, query, Some(now_s))
-    }
-
-    fn query_tcp_inner(&self, ns: &Name, query: &Message, now_s: Option<u32>) -> QueryOutcome {
+    /// (flaps, kill switch, and with `now_s` a scheduled window — a
+    /// downed server accepts no TCP either) affects it; the per-packet
+    /// fault profile and scripted UDP faults do not apply.
+    pub fn query_tcp(&self, ns: &Name, query: &Message, now_s: Option<u32>) -> QueryOutcome {
         let Some(authority) = self.authority(ns) else {
             return QueryOutcome::Unreachable;
         };
         self.tcp_queries.fetch_add(1, Ordering::Relaxed);
-        if self.faults.server_down(ns)
-            || now_s.is_some_and(|t| self.faults.window_down(ns, t))
-        {
+        if self.faults.intercept(ns, now_s, None).is_some() {
             return QueryOutcome::Timeout;
         }
         QueryOutcome::Answered {
@@ -331,7 +297,7 @@ mod tests {
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert!(net.query(&name("ns1.ghost.net"), &q).is_none());
         assert_eq!(
-            net.query_udp(&name("ns1.ghost.net"), &q, 100),
+            net.query_udp(&name("ns1.ghost.net"), &q, 100, None),
             QueryOutcome::Unreachable
         );
         assert_eq!(net.query_count(), 0);
@@ -397,7 +363,7 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 1000),
+            net.query_udp(&name("ns1.op.net"), &q, 1000, None),
             QueryOutcome::Timeout
         );
         assert!(net.query(&name("ns1.op.net"), &q).is_none());
@@ -417,10 +383,10 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 500),
+            net.query_udp(&name("ns1.op.net"), &q, 500, None),
             QueryOutcome::Timeout
         );
-        match net.query_udp(&name("ns1.op.net"), &q, 2000) {
+        match net.query_udp(&name("ns1.op.net"), &q, 2000, None) {
             QueryOutcome::Answered { latency_ms, .. } => {
                 assert_eq!(latency_ms, BASE_LATENCY_MS + 900)
             }
@@ -439,12 +405,12 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         let udp = net
-            .query_udp(&name("ns1.op.net"), &q, 1000)
+            .query_udp(&name("ns1.op.net"), &q, 1000, None)
             .into_response()
             .unwrap();
         assert!(udp.flags.truncated);
         assert!(udp.answers.is_empty());
-        let tcp = net.query_tcp(&name("ns1.op.net"), &q).into_response().unwrap();
+        let tcp = net.query_tcp(&name("ns1.op.net"), &q, None).into_response().unwrap();
         assert!(!tcp.flags.truncated);
         assert_eq!(tcp.answers.len(), 1);
         assert_eq!(net.tcp_query_count(), 1);
@@ -504,18 +470,18 @@ mod tests {
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         // Inside the window the sim-time path times out over UDP and TCP.
         assert_eq!(
-            net.query_udp_at(&name("ns1.op.net"), &q, 500, 1500),
+            net.query_udp(&name("ns1.op.net"), &q, 500, Some(1500)),
             QueryOutcome::Timeout
         );
         assert_eq!(
-            net.query_tcp_at(&name("ns1.op.net"), &q, 1500),
+            net.query_tcp(&name("ns1.op.net"), &q, Some(1500)),
             QueryOutcome::Timeout
         );
         // Before and after the window, service is normal.
-        assert!(net.query_udp_at(&name("ns1.op.net"), &q, 500, 999).into_response().is_some());
-        assert!(net.query_udp_at(&name("ns1.op.net"), &q, 500, 2000).into_response().is_some());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, Some(999)).into_response().is_some());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, Some(2000)).into_response().is_some());
         // The timing-oblivious path never consults windows.
-        assert!(net.query_udp(&name("ns1.op.net"), &q, 500).into_response().is_some());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, None).into_response().is_some());
         assert_eq!(net.faults().stats().downtime_drops, 2);
     }
 
@@ -527,11 +493,11 @@ mod tests {
         net.faults().set_down(&name("ns1.op.net"), true);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 1000),
+            net.query_udp(&name("ns1.op.net"), &q, 1000, None),
             QueryOutcome::Timeout
         );
         assert_eq!(
-            net.query_tcp(&name("ns1.op.net"), &q),
+            net.query_tcp(&name("ns1.op.net"), &q, None),
             QueryOutcome::Timeout
         );
         net.faults().set_down(&name("ns1.op.net"), false);

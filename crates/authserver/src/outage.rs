@@ -3,8 +3,8 @@
 //! An [`OutageScenario`] is a named set of scheduled down-windows —
 //! which servers, from when, until when, in simulated epoch seconds.
 //! Installing one translates it into [`FaultPlane::schedule_down`]
-//! windows, which the sim-time-aware query paths
-//! ([`crate::Network::query_udp_at`]) consult. Because window membership
+//! windows, which queries stamped with their sim-time
+//! ([`crate::Network::query_udp`] with `now_s`) consult. Because window membership
 //! is a pure function of the query's sim clock, a scenario plays back
 //! identically run-to-run and across worker-thread counts: there is no
 //! RNG, no wall clock, and no shared mutable schedule state on the query

@@ -26,14 +26,13 @@ use dsec_attack::{AttackCampaign, AttackPhase, AttackPlan, AttackVector};
 use dsec_authserver::OutageScenario;
 use dsec_ecosystem::{ExternalDs, World};
 use dsec_reports::ExperimentResult;
-use dsec_scanner::{takeover_census, takeover_census_table};
+use dsec_scanner::{largest_operator_fleet, takeover_census, takeover_census_table};
 use dsec_traffic::{
     run_load, run_load_mixed, validating_assignment, Cache, LoadConfig, TrafficPopulation,
     TrafficReport,
 };
 use dsec_workloads::{build, PopulationConfig};
 
-use crate::experiments::largest_operator_fleet;
 use crate::rollover::rollover_victim;
 
 /// Stream seed for every E-A1 load.

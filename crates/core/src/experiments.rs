@@ -12,10 +12,10 @@ use dsec_reports::{
 };
 use dsec_resolver::{BreakerPolicy, Cache};
 use dsec_scanner::{
-    operator_of, operators_to_cover, LongitudinalStore, Metric, ScanCache, ScanOptions, Snapshot,
+    largest_operator_fleet, operators_to_cover, LongitudinalStore, Metric, ScanCache,
+    ScanOptions, Snapshot,
 };
 use dsec_traffic::{run_load_shared, LoadConfig, TrafficReport};
-use dsec_wire::Name;
 use dsec_workloads::{build, PopulationConfig};
 
 /// The paper's top-20 registrar list (Table 2 order).
@@ -533,39 +533,6 @@ pub(crate) const OUTAGE_QPS: u32 = 4;
 /// Serve-stale horizon for the degraded arms: long enough that every
 /// phase-1 entry survives to the end of phase 2.
 pub(crate) const OUTAGE_MAX_STALE: u32 = 7_200;
-
-/// The largest DNS operator by hosted-domain count (the Zipf head — the
-/// operator whose outage hurts the most user queries) and its full
-/// nameserver fleet, deterministically tie-broken by operator key.
-/// `exclude` skips one operator (E-K1 hosts its roller outside the
-/// outage victim's fleet, so the victim is the largest *other* fleet).
-pub(crate) fn largest_operator_fleet(
-    world: &World,
-    exclude: Option<&str>,
-) -> (String, Vec<Name>) {
-    let mut sizes: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut fleets: std::collections::BTreeMap<String, std::collections::BTreeSet<Name>> =
-        std::collections::BTreeMap::new();
-    for d in world.domains() {
-        let ns = world.registry(d.tld).ns_of(&d.name);
-        let Some(op) = operator_of(&ns) else { continue };
-        let key = op.to_string();
-        *sizes.entry(key.clone()).or_insert(0) += 1;
-        fleets.entry(key).or_default().extend(ns);
-    }
-    let victim = sizes
-        .iter()
-        .filter(|(k, _)| exclude != Some(k.as_str()))
-        .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(k, _)| k.clone())
-        .unwrap_or_default();
-    let fleet = fleets
-        .remove(&victim)
-        .unwrap_or_default()
-        .into_iter()
-        .collect();
-    (victim, fleet)
-}
 
 /// Runs the two-phase load for one E-R2 arm: a warm-up phase over a clean
 /// network, then the identical stream (same seed, sim clock advanced by

@@ -26,13 +26,12 @@ use std::collections::BTreeMap;
 use dsec_authserver::OutageScenario;
 use dsec_ecosystem::{DsTiming, Hosting, RolloverPlan, RolloverStyle, Tld, World};
 use dsec_reports::ExperimentResult;
-use dsec_scanner::{rollover_census, rollover_census_table};
+use dsec_scanner::{largest_operator_fleet, rollover_census, rollover_census_table};
 use dsec_traffic::{run_load, LoadConfig, OutcomeCounts, TrafficPopulation, TrafficReport};
 use dsec_workloads::{build, PopulationConfig};
 
 use crate::experiments::{
-    largest_operator_fleet, outage_phases, OUTAGE_MAX_STALE, OUTAGE_QPS, OUTAGE_QUERIES,
-    OUTAGE_SEED,
+    outage_phases, OUTAGE_MAX_STALE, OUTAGE_QPS, OUTAGE_QUERIES, OUTAGE_SEED,
 };
 
 /// Stream seed for the day-by-day arms.

@@ -11,7 +11,7 @@
 //! Operations implemented: comparison, addition, subtraction, schoolbook
 //! multiplication, bit operations, long division (Knuth-style, limb by limb
 //! via a normalized 128-bit estimate), modular exponentiation (one
-//! allocation-free Montgomery kernel over odd moduli — see [`Montgomery`] —
+//! allocation-free Montgomery kernel over odd moduli — see `Montgomery` —
 //! with a generic fallback for even ones), extended Euclid / modular
 //! inverse, and Miller–Rabin probabilistic primality testing.
 
@@ -374,7 +374,7 @@ impl BigUint {
 
     /// `self^exponent mod modulus`.
     ///
-    /// Runs on the [`Montgomery`] kernel when the modulus is odd (the RSA
+    /// Runs on the `Montgomery` kernel when the modulus is odd (the RSA
     /// case), and falls back to plain square-and-multiply otherwise.
     pub fn modpow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "modpow with zero modulus");

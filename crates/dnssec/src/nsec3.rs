@@ -5,7 +5,7 @@ use std::sync::{OnceLock, RwLock};
 
 use dsec_crypto::base32;
 use dsec_crypto::sha::sha1;
-use dsec_wire::{FnvHashMap, Name, NameId, NameInterner};
+use dsec_wire::{name_hash64, FnvHashMap, Name};
 
 /// NSEC3 parameters (hash algorithm is always 1 = SHA-1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,20 +38,19 @@ pub fn nsec3_hash(owner: &Name, salt: &[u8], iterations: u16) -> [u8; 20] {
     digest
 }
 
-/// A memo table for [`nsec3_hash`]: `(interned owner, salt, iterations)
-/// → digest`.
+/// A memo table for [`nsec3_hash`]: `(owner, salt, iterations) → digest`.
 ///
 /// Under Zipf traffic and repeated daily scans the same owner names are
 /// hashed over and over with the same zone parameters; the memo makes
 /// every repeat a map probe instead of 1 + iterations SHA-1 passes.
-/// Entries are keyed by the interned owner and iteration count, with the
-/// salt stored alongside and byte-compared on lookup — a salt rotation
-/// simply overwrites the stale entry, so the memo needs no invalidation
-/// hook and lives for the process lifetime.
+/// Entries are keyed by the owner (case-insensitively, as [`Name`]
+/// compares) and iteration count, with the salt stored alongside and
+/// byte-compared on lookup — a salt rotation simply overwrites the stale
+/// entry, so the memo needs no invalidation hook and lives for the
+/// process lifetime.
 #[derive(Debug)]
 pub struct Nsec3Memo {
-    interner: NameInterner,
-    shards: Vec<RwLock<FnvHashMap<(NameId, u16), MemoEntry>>>,
+    shards: Vec<RwLock<FnvHashMap<(Name, u16), MemoEntry>>>,
 }
 
 const MEMO_SHARDS: usize = 16;
@@ -72,21 +71,15 @@ impl Nsec3Memo {
     /// An empty memo.
     pub fn new() -> Self {
         Nsec3Memo {
-            interner: NameInterner::new(),
             shards: (0..MEMO_SHARDS).map(|_| RwLock::default()).collect(),
         }
-    }
-
-    fn shard(&self, id: NameId) -> &RwLock<FnvHashMap<(NameId, u16), MemoEntry>> {
-        &self.shards[(id.raw() as usize) & (MEMO_SHARDS - 1)]
     }
 
     /// [`nsec3_hash`], memoized. Byte-identical to the direct
     /// computation for every input.
     pub fn hash(&self, owner: &Name, salt: &[u8], iterations: u16) -> [u8; 20] {
-        let id = self.interner.intern(owner);
-        let key = (id, iterations);
-        let shard = self.shard(id);
+        let key = (owner.clone(), iterations);
+        let shard = &self.shards[(name_hash64(owner) as usize) & (MEMO_SHARDS - 1)];
         if let Some(entry) = read_lock(shard).get(&key) {
             if entry.salt == salt {
                 return entry.digest;
@@ -195,6 +188,19 @@ mod tests {
         assert_eq!(memo.hash(&owner, &[0xBB], 5), nsec3_hash(&owner, &[0xBB], 5));
         // And the replacement is itself memoized correctly.
         assert_eq!(memo.hash(&owner, &[0xBB], 5), nsec3_hash(&owner, &[0xBB], 5));
+    }
+
+    #[test]
+    fn memo_serves_every_spelling_of_an_owner_from_one_entry() {
+        let memo = Nsec3Memo::new();
+        let entries = || memo.shards.iter().map(|s| read_lock(s).len()).sum::<usize>();
+        let direct = nsec3_hash(&name("www.example.com"), &[0xAA], 5);
+        for spelling in ["www.example.com", "WWW.Example.COM", "wWw.eXaMpLe.cOm"] {
+            assert_eq!(memo.hash(&name(spelling), &[0xAA], 5), direct, "{spelling}");
+            assert_eq!(entries(), 1, "{spelling} found the first spelling's entry");
+        }
+        memo.hash(&name("www.example.com"), &[0xAA], 6);
+        assert_eq!(entries(), 2, "the iteration count is part of the key");
     }
 
     mod memo_properties {

@@ -13,7 +13,7 @@
 //!   (`crates/wire`), so identity is a `u32` [`NameId`];
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
 //!   [`RegistrarId`], change generation, liveness for the registry table;
-//!   the [`Domain`](crate::Domain) payload row — hosting, DNSSEC keys,
+//!   the [`Domain`] payload row — hosting, DNSSEC keys,
 //!   expiry — plus the rollover slot for the world store);
 //! * a `NameId → row` FNV map is the only hash probe left on the edge,
 //!   and it hashes a single integer;

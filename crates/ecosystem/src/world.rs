@@ -267,9 +267,6 @@ pub struct World {
     pending_rollover: BTreeMap<Name, ZoneKeys>,
     /// Scheduled rollover lifecycles driven by the daily tick.
     rollovers: BTreeMap<Name, RolloverState>,
-    /// Name interner shared by every registry, the domain store, and any
-    /// downstream scanner/traffic machinery that wants stable `NameId`s.
-    interner: Arc<NameInterner>,
     /// Event log.
     pub events: EventLog,
     /// Whether a purchase from a default-signing registrar is signed
@@ -291,7 +288,8 @@ impl World {
         let network = Arc::new(Network::new());
         let interner = Arc::new(NameInterner::new());
 
-        // Registries (all sharing one interner so `NameId`s are global).
+        // Registries and the domain store share one interner, so a
+        // `NameId` means the same name in every table.
         let mut registries = BTreeMap::new();
         for tld in ALL_TLDS {
             let registry =
@@ -373,14 +371,13 @@ impl World {
             registrars: Vec::new(),
             operators: Vec::new(),
             third_parties: Vec::new(),
-            domains: DomainStore::new(interner.clone()),
+            domains: DomainStore::new(interner),
             owner_authority: Arc::new(Authority::new()),
             key_pool,
             tick: tick::TickState::default(),
             cds_first_seen: BTreeMap::new(),
             pending_rollover: BTreeMap::new(),
             rollovers: BTreeMap::new(),
-            interner,
             events: EventLog::new(),
             auto_sign_on_purchase: true,
             rng,
@@ -597,11 +594,6 @@ impl World {
         &self.registries[&tld]
     }
 
-    /// The name interner shared by every registry and the domain store.
-    pub fn interner(&self) -> &Arc<NameInterner> {
-        &self.interner
-    }
-
     /// Domain access.
     pub fn domain(&self, name: &Name) -> Option<&Domain> {
         self.domains.get(name)
@@ -621,7 +613,7 @@ impl World {
     /// (delegation/NS/DS) plus served-zone edits (signing, rollovers,
     /// CDS publication, hosting moves). Two scans of an unchanged world
     /// see the same generation; any mutation a scan could observe makes
-    /// it strictly larger. The incremental [`ScanCache`] in the scanner
+    /// it strictly larger. The incremental `ScanCache` in the scanner
     /// crate keys its entries on this value — see DESIGN.md §9 for the
     /// invalidation contract every new mutation path must honour.
     pub fn domain_generation(&self, domain: &Name) -> u64 {
@@ -1124,13 +1116,13 @@ impl World {
         let mut registered_any = false;
         for _ in 0..rounds.max(1) {
             for ns in &ns_hosts {
-                match self.network.query_udp(ns, &query, SCAN_DEADLINE_MS) {
+                match self.network.query_udp(ns, &query, SCAN_DEADLINE_MS, None) {
                     QueryOutcome::Answered { response, .. } => {
                         registered_any = true;
                         if response.flags.truncated {
                             retried = true;
                             if let QueryOutcome::Answered { response, .. } =
-                                self.network.query_tcp(ns, &query)
+                                self.network.query_tcp(ns, &query, None)
                             {
                                 return DomainQuery::Answered { response, retried };
                             }
@@ -1271,8 +1263,9 @@ impl World {
     /// scheduled) is already pending — silently regenerating keys here
     /// would orphan the CDS already served.
     pub fn prepare_rollover(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        // The store's spelling of the name: what the tick later logs.
+        let key = d.name.clone();
         let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
             return Err(ActionError::RolloverInProgress);
@@ -1297,12 +1290,11 @@ impl World {
     /// zone with them. Completing before the DS update makes the domain
     /// bogus — the rollover failure mode.
     pub fn complete_rollover(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let key = domain.to_canonical();
         let new_keys = self
             .pending_rollover
-            .remove(&key)
+            .remove(domain)
             .ok_or(ActionError::NoPendingRollover)?;
-        self.clear_rollover_slot(&key);
+        self.clear_rollover_slot(domain);
         self.resign_with(domain, &new_keys)?;
         let row = self.domains.row_of(domain).expect("resigned domain exists");
         self.set_keys(row, new_keys);
@@ -1348,8 +1340,9 @@ impl World {
         domain: &Name,
         plan: RolloverPlan,
     ) -> Result<(), ActionError> {
-        let key = domain.to_canonical();
-        let d = self.domains.get(&key).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        // The store's spelling of the name: what the tick later logs.
+        let key = d.name.clone();
         let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
             return Err(ActionError::RolloverInProgress);
@@ -1432,10 +1425,7 @@ impl World {
     /// real. The registrar's DS leg is *not* frozen — it is a different
     /// organisation working its own queue.
     pub fn stall_rollover(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let state = self
-            .rollovers
-            .get_mut(&domain.to_canonical())
-            .ok_or(ActionError::NoPendingRollover)?;
+        let state = self.rollovers.get_mut(domain).ok_or(ActionError::NoPendingRollover)?;
         state.stalled = true;
         Ok(())
     }
@@ -1443,10 +1433,7 @@ impl World {
     /// Unfreezes a stalled rollover; the driver catches up on the next
     /// tick.
     pub fn resume_rollover(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let state = self
-            .rollovers
-            .get_mut(&domain.to_canonical())
-            .ok_or(ActionError::NoPendingRollover)?;
+        let state = self.rollovers.get_mut(domain).ok_or(ActionError::NoPendingRollover)?;
         state.stalled = false;
         Ok(())
     }
@@ -1455,7 +1442,7 @@ impl World {
     /// rollovers are removed from the map (their history lives in the
     /// event log).
     pub fn rollover_state(&self, domain: &Name) -> Option<&RolloverState> {
-        self.rollovers.get(&domain.to_canonical())
+        self.rollovers.get(domain)
     }
 
     /// The transitional signing set a plan serves between `start` and

@@ -3,10 +3,9 @@
 //! A sustained operator outage would otherwise turn every cache miss into
 //! a full retry ladder — `max_attempts` UDP exchanges, backoff, and a
 //! possible TCP fallback — against servers that are known to be down.
-//! A [`BreakerSet`] tracks consecutive failures per authority hostname
-//! (keyed by an interned [`NameId`], so the per-attempt check hashes one
-//! `u32`): after [`BreakerPolicy::failure_threshold`] consecutive
-//! failures the authority's breaker *trips* and subsequent attempts are
+//! A [`BreakerSet`] tracks consecutive failures per authority hostname:
+//! after [`BreakerPolicy::failure_threshold`] consecutive failures the
+//! authority's breaker *trips* and subsequent attempts are
 //! short-circuited without touching the network.
 //!
 //! An open breaker is not a permanent verdict. Every
@@ -26,7 +25,7 @@
 
 use std::cell::RefCell;
 
-use dsec_wire::{FnvHashMap, Name, NameInterner};
+use dsec_wire::{FnvHashMap, Name};
 
 /// Knobs for per-authority circuit breaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +96,7 @@ struct AuthorityState {
 #[derive(Debug, Default)]
 pub struct BreakerSet {
     policy: BreakerPolicy,
-    interner: NameInterner,
-    states: RefCell<FnvHashMap<u32, AuthorityState>>,
+    states: RefCell<FnvHashMap<Name, AuthorityState>>,
     events: RefCell<Vec<BreakerEvent>>,
 }
 
@@ -126,9 +124,8 @@ impl BreakerSet {
     /// half-open probe per probe interval (logged as such) and
     /// short-circuit everything else.
     pub fn allow(&self, ns: &Name, now: u32) -> bool {
-        let id = self.interner.intern(ns).raw();
         let mut states = self.states.borrow_mut();
-        let Some(state) = states.get_mut(&id) else {
+        let Some(state) = states.get_mut(ns) else {
             return true;
         };
         if !state.open {
@@ -150,9 +147,8 @@ impl BreakerSet {
     /// Records a failed exchange with `ns`; returns true when this
     /// failure tripped the breaker open.
     pub fn record_failure(&self, ns: &Name, now: u32) -> bool {
-        let id = self.interner.intern(ns).raw();
         let mut states = self.states.borrow_mut();
-        let state = states.entry(id).or_default();
+        let state = states.entry(ns.clone()).or_default();
         state.consecutive_failures = state.consecutive_failures.saturating_add(1);
         if !state.open && state.consecutive_failures >= self.policy.failure_threshold {
             state.open = true;
@@ -169,13 +165,10 @@ impl BreakerSet {
     /// Records a successful exchange with `ns`; returns true when this
     /// success closed an open breaker.
     pub fn record_success(&self, ns: &Name, now: u32) -> bool {
-        let id = self.interner.intern(ns).raw();
-        let mut states = self.states.borrow_mut();
-        let Some(state) = states.get_mut(&id) else {
+        let Some(state) = self.states.borrow_mut().remove(ns) else {
             return false;
         };
         let was_open = state.open;
-        states.remove(&id);
         if was_open {
             self.events.borrow_mut().push(BreakerEvent {
                 at: now,

@@ -1,7 +1,7 @@
 //! A positive answer cache keyed by (qname, qtype) with TTL-based expiry
 //! and an optional capacity bound — lock-striped for contention-free
 //! multi-worker access — that also remembers, per zone, where the
-//! delegation walk stood when it got there ([`ZoneCut`]).
+//! delegation walk stood when it got there (a `ZoneCut`).
 //!
 //! TTLs count in the same seconds as the simulation clock, so cached
 //! entries age naturally as the simulated days advance. A bounded cache
@@ -24,19 +24,19 @@
 //! optimization for caches big enough that per-shard capacity is
 //! meaningful.
 //!
-//! Keys are interned: the cache owns a [`NameInterner`] and exposes
-//! [`Cache::key_of`], so repeat lookups of the same name hash a `u32`
-//! instead of re-hashing label bytes, and callers that plan queries ahead
-//! (the traffic driver) can precompute a [`CacheKey`] once per planned
-//! query and skip name handling entirely on the hot path. Entries hold
-//! `Arc<Answer>`, so a hit is a refcount bump under a read lock — the
-//! deep copy of the old single-lock design is gone from the critical
+//! A [`CacheKey`] is the name, its [`name_hash64`] and the qtype: the
+//! label bytes are hashed once when the key is made, and every probe
+//! after that feeds the hasher the stored 64 bits. A key belongs to no
+//! cache, so callers that plan queries ahead (the traffic driver) make
+//! one per planned query and use it on every cache of the fleet. Entries
+//! hold `Arc<Answer>`, so a hit is a refcount bump under a read lock —
+//! the deep copy of the old single-lock design is gone from the critical
 //! section (and, for [`Cache::get_shared`] callers, gone entirely).
 //!
 //! ## Infrastructure entries
 //!
-//! Next to its answers a zone's shard holds at most one [`ZoneCut`] per
-//! zone, keyed by the interned apex: the NS host set, the verdict the
+//! Next to its answers a zone's shard holds at most one `ZoneCut` per
+//! zone, keyed by the apex: the NS host set, the verdict the
 //! trust chain reached there (authenticated DNSKEYs, `Insecure`, or
 //! `Bogus`), and the referral chain above it. It is an ordinary entry —
 //! same stripes, same insertion sequence, same capacity bound, dropped
@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dsec_wire::{name_hash64, DnskeyRdata, FnvHashMap, Name, NameId, NameInterner, RrType};
+use dsec_wire::{name_hash64, DnskeyRdata, FnvHashMap, Name, RrType};
 
 use crate::{Answer, Security};
 
@@ -65,7 +65,7 @@ pub const MAX_NEGATIVE_TTL: u32 = 10_800;
 /// Negative/empty answers with no SOA-derived TTL fall back to this.
 pub(crate) const DEFAULT_NEGATIVE_TTL: u32 = 60;
 
-/// Second half of a zone cut's map key. Answers use their 16-bit qtype
+/// [`CacheKey::slot`] of a zone cut. Answers use their 16-bit qtype
 /// there, so one past that range can never collide with one.
 const CUT_SLOT: u32 = 1 << 16;
 
@@ -78,19 +78,42 @@ pub const STRIPE_THRESHOLD: usize = 256;
 /// Shard count used by striped caches (unbounded or large-capacity).
 const DEFAULT_SHARDS: usize = 16;
 
-/// A precomputed cache key: the interned qname, the qtype, and the shard
-/// the pair lives in. Only meaningful to the [`Cache`] that issued it
-/// (ids come from that cache's interner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A precomputed cache key: the qname, the qtype, and the hash that
+/// picks the pair's shard and its bucket inside it. Good on any
+/// [`Cache`]; equal for names that differ only in ASCII case.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
-    id: NameId,
-    qtype: u16,
-    shard: u32,
+    /// [`name_hash64`] of `name`, for an answer mixed with its qtype.
+    hash: u64,
+    name: Name,
+    /// The qtype of an answer, [`CUT_SLOT`] for a zone cut.
+    slot: u32,
 }
 
 impl CacheKey {
-    fn slot(self) -> (u32, u32) {
-        (self.id.raw(), u32::from(self.qtype))
+    /// The key of (`qname`, `qtype`): one pass over the label bytes.
+    pub fn new(qname: &Name, qtype: RrType) -> CacheKey {
+        let slot = u32::from(qtype.number());
+        CacheKey {
+            hash: name_hash64(qname) ^ u64::from(slot).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            name: qname.clone(),
+            slot,
+        }
+    }
+
+    /// The key of `apex`'s zone cut.
+    fn cut(apex: &Name) -> CacheKey {
+        CacheKey {
+            hash: name_hash64(apex),
+            name: apex.clone(),
+            slot: CUT_SLOT,
+        }
+    }
+}
+
+impl std::hash::Hash for CacheKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -135,9 +158,7 @@ impl Entry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// Keyed by (interned name, qtype) for answers and by (interned
-    /// apex, [`CUT_SLOT`]) for zone cuts.
-    entries: FnvHashMap<(u32, u32), Entry>,
+    entries: FnvHashMap<CacheKey, Entry>,
     next_seq: u64,
 }
 
@@ -154,24 +175,13 @@ impl Shard {
         let before = self.entries.len();
         self.entries
             .retain(|_, e| e.expires_at.saturating_add(max_stale) > now);
-        let mut excess = self.entries.len().saturating_sub(capacity);
+        let excess = self.entries.len().saturating_sub(capacity);
         if excess > 0 {
-            // Oldest `excess` insertion sequence numbers go. Collecting
-            // and sorting the keys is O(n log n) but eviction is rare:
-            // `put` amortizes it by evicting in batches.
-            let mut by_age: Vec<(u64, (u32, u32))> = self
-                .entries
-                .iter()
-                .map(|(k, e)| (e.seq, *k))
-                .collect();
-            by_age.sort_unstable_by_key(|entry| entry.0);
-            for (_, key) in by_age.into_iter().take(excess) {
-                self.entries.remove(&key);
-                excess -= 1;
-                if excess == 0 {
-                    break;
-                }
-            }
+            // The oldest `excess` insertion sequence numbers go; they are
+            // unique within a shard, so the cutoff removes exactly those.
+            let mut seqs: Vec<u64> = self.entries.values().map(|e| e.seq).collect();
+            let (_, &mut cutoff, _) = seqs.select_nth_unstable(excess - 1);
+            self.entries.retain(|_, e| e.seq > cutoff);
         }
         before - self.entries.len()
     }
@@ -184,7 +194,6 @@ pub struct Cache {
     shards: Vec<RwLock<Shard>>,
     capacity: usize,
     per_shard_capacity: usize,
-    interner: NameInterner,
     /// Serve-stale horizon (RFC 8767): how long past expiry an entry
     /// stays readable via [`Cache::get_stale`]. 0 disables serve-stale
     /// and restores strict at-expiry eviction.
@@ -198,7 +207,7 @@ impl Default for Cache {
 }
 
 impl Cache {
-    /// An empty, unbounded cache ([`DEFAULT_SHARDS`]-way striped).
+    /// An empty, unbounded cache (16-way striped).
     pub fn new() -> Self {
         Self::default()
     }
@@ -227,7 +236,6 @@ impl Cache {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             capacity,
             per_shard_capacity,
-            interner: NameInterner::new(),
             max_stale: 0,
         }
     }
@@ -256,28 +264,17 @@ impl Cache {
         self.shards.len()
     }
 
-    /// Interns `qname` and returns the precomputed key for
-    /// (`qname`, `qtype`). The first call for a name pays one label hash
-    /// and a possible interner insert; afterwards the key is a couple of
-    /// integer operations. Keys from one cache must not be used on
-    /// another.
-    pub fn key_of(&self, qname: &Name, qtype: RrType) -> CacheKey {
-        let hash = name_hash64(qname);
-        let id = self.interner.intern(qname);
-        let qtype = qtype.number();
-        CacheKey {
-            id,
-            qtype,
-            shard: ((hash ^ (qtype as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                % self.shards.len() as u64) as u32,
-        }
+    /// The shard `key` lives in: `(name_hash64 ^ qtype·φ) % shards` for
+    /// an answer, `name_hash64 % shards` for a zone cut.
+    fn shard(&self, key: &CacheKey) -> &RwLock<Shard> {
+        &self.shards[(key.hash % self.shards.len() as u64) as usize]
     }
 
     /// Looks up a live entry by precomputed key, sharing the stored
     /// answer (no deep copy).
-    pub fn get_shared(&self, key: CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let shard = self.shards[key.shard as usize].read();
-        let entry = shard.entries.get(&key.slot())?;
+    pub fn get_shared(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
+        let shard = self.shard(key).read();
+        let entry = shard.entries.get(key)?;
         if entry.expires_at <= now {
             return None;
         }
@@ -291,20 +288,20 @@ impl Cache {
     /// `None` when serve-stale is disabled (`max_stale == 0`) and the
     /// entry is expired, or when the entry is past the horizon — a
     /// stale read never resurrects anything beyond `max_stale`.
-    pub fn get_stale(&self, key: CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let shard = self.shards[key.shard as usize].read();
-        let entry = shard.entries.get(&key.slot())?;
+    pub fn get_stale(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
+        let shard = self.shard(key).read();
+        let entry = shard.entries.get(key)?;
         if entry.expires_at.saturating_add(self.max_stale) <= now {
             return None;
         }
         entry.answer().map(Arc::clone)
     }
 
-    /// Looks up a live entry (compat wrapper: interns the name and deep-
-    /// copies the answer; hot paths should use [`Cache::key_of`] +
+    /// Looks up a live entry (compat wrapper: keys the name and deep-
+    /// copies the answer; hot paths should use [`CacheKey::new`] +
     /// [`Cache::get_shared`]).
     pub fn get(&self, qname: &Name, qtype: RrType, now: u32) -> Option<Answer> {
-        self.get_shared(self.key_of(qname, qtype), now)
+        self.get_shared(&CacheKey::new(qname, qtype), now)
             .map(|answer| (*answer).clone())
     }
 
@@ -315,7 +312,7 @@ impl Cache {
     /// at [`MAX_NEGATIVE_TTL`], else 60 seconds. On a bounded cache the
     /// insert never leaves more than the shard's slice of `capacity` in
     /// the shard: expired entries are dropped first, then the oldest.
-    pub fn put_shared(&self, key: CacheKey, answer: &Arc<Answer>, now: u32) {
+    pub fn put_shared(&self, key: &CacheKey, answer: &Arc<Answer>, now: u32) {
         let ttl = match answer.records.iter().map(|r| r.ttl).min() {
             Some(ttl) => ttl.clamp(1, MAX_TTL),
             None => answer
@@ -323,16 +320,15 @@ impl Cache {
                 .unwrap_or(DEFAULT_NEGATIVE_TTL)
                 .clamp(1, MAX_NEGATIVE_TTL),
         };
-        let value = Cached::Answer(Arc::clone(answer));
-        self.insert(key.shard as usize, key.slot(), value, ttl, now);
+        self.insert(key.clone(), Cached::Answer(Arc::clone(answer)), ttl, now);
     }
 
-    fn insert(&self, shard: usize, slot: (u32, u32), value: Cached, ttl: u32, now: u32) {
-        let mut shard = self.shards[shard].write();
+    fn insert(&self, key: CacheKey, value: Cached, ttl: u32, now: u32) {
+        let mut shard = self.shard(&key).write();
         let seq = shard.next_seq;
         shard.next_seq += 1;
         shard.entries.insert(
-            slot,
+            key,
             Entry {
                 value,
                 expires_at: now.saturating_add(ttl),
@@ -340,11 +336,6 @@ impl Cache {
             },
         );
         shard.enforce(self.per_shard_capacity, now, self.max_stale);
-    }
-
-    /// The shard a zone's infrastructure entry lives in.
-    fn cut_shard(&self, apex: &Name) -> usize {
-        (name_hash64(apex) % self.shards.len() as u64) as usize
     }
 
     /// Stores `cut` for `lifetime` seconds (capped at one day like any
@@ -355,21 +346,15 @@ impl Cache {
         if lifetime == 0 {
             return;
         }
-        let id = self.interner.intern(&cut.apex);
-        self.insert(
-            self.cut_shard(&cut.apex),
-            (id.raw(), CUT_SLOT),
-            Cached::Cut(Arc::clone(cut)),
-            lifetime.min(MAX_TTL),
-            now,
-        );
+        let value = Cached::Cut(Arc::clone(cut));
+        self.insert(CacheKey::cut(&cut.apex), value, lifetime.min(MAX_TTL), now);
     }
 
     /// The live infrastructure entry of `zone` itself, if any.
     fn cut_at(&self, zone: &Name, now: u32) -> Option<Arc<ZoneCut>> {
-        let id = self.interner.get(zone)?;
-        let shard = self.shards[self.cut_shard(zone)].read();
-        match shard.entries.get(&(id.raw(), CUT_SLOT)) {
+        let key = CacheKey::cut(zone);
+        let shard = self.shard(&key).read();
+        match shard.entries.get(&key) {
             Some(Entry {
                 value: Cached::Cut(cut),
                 expires_at,
@@ -408,7 +393,7 @@ impl Cache {
     /// Stores an answer (compat wrapper over [`Cache::put_shared`]; one
     /// deep copy to move the answer behind an `Arc`).
     pub fn put(&self, qname: &Name, qtype: RrType, answer: &Answer, now: u32) {
-        self.put_shared(self.key_of(qname, qtype), &Arc::new(answer.clone()), now);
+        self.put_shared(&CacheKey::new(qname, qtype), &Arc::new(answer.clone()), now);
     }
 
     /// Drops entries past their serve-stale horizon (plain expiry when
@@ -476,7 +461,7 @@ impl Cache {
             .iter()
             .map(|shard| {
                 let shard = shard.read();
-                shard.entries.keys().filter(|(_, slot)| (*slot == CUT_SLOT) == cuts).count()
+                shard.entries.keys().filter(|key| (key.slot == CUT_SLOT) == cuts).count()
             })
             .sum()
     }
@@ -486,8 +471,7 @@ impl Cache {
         self.len() == 0
     }
 
-    /// Removes every entry, zone cuts included (interned ids remain
-    /// valid).
+    /// Removes every entry, zone cuts included.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.write().entries.clear();
@@ -507,13 +491,7 @@ impl Cache {
             .map(|shard| {
                 let mut shard = shard.write();
                 let before = shard.entries.len();
-                shard.entries.retain(|(raw, _), _| {
-                    !self
-                        .interner
-                        .resolve(NameId::from_raw(*raw))
-                        .map(|name| name.is_subdomain_of(origin))
-                        .unwrap_or(false)
-                });
+                shard.entries.retain(|key, _| !key.name.is_subdomain_of(origin));
                 before - shard.entries.len()
             })
             .sum()
@@ -570,8 +548,8 @@ mod tests {
         assert!(cache.get(&name("WWW.EXAMPLE.COM"), RrType::A, 10).is_some());
         assert!(cache.get(&name("www.example.com"), RrType::Aaaa, 10).is_none());
         assert_eq!(
-            cache.key_of(&name("WWW.EXAMPLE.COM"), RrType::A),
-            cache.key_of(&name("www.example.com"), RrType::A),
+            CacheKey::new(&name("WWW.EXAMPLE.COM"), RrType::A),
+            CacheKey::new(&name("www.example.com"), RrType::A),
         );
     }
 
@@ -598,36 +576,36 @@ mod tests {
     #[test]
     fn stale_reads_only_within_horizon() {
         let cache = Cache::bounded(16).with_max_stale(600);
-        let key = cache.key_of(&name("www.example.com"), RrType::A);
-        cache.put_shared(key, &Arc::new(answer(300)), 0);
+        let key = CacheKey::new(&name("www.example.com"), RrType::A);
+        cache.put_shared(&key, &Arc::new(answer(300)), 0);
         // Fresh: both paths hit.
-        assert!(cache.get_shared(key, 299).is_some());
-        assert!(cache.get_stale(key, 299).is_some());
+        assert!(cache.get_shared(&key, 299).is_some());
+        assert!(cache.get_stale(&key, 299).is_some());
         // Expired but within max_stale: only the stale path hits.
-        assert!(cache.get_shared(key, 500).is_none());
-        assert!(cache.get_stale(key, 500).is_some());
+        assert!(cache.get_shared(&key, 500).is_none());
+        assert!(cache.get_stale(&key, 500).is_some());
         // Past expires_at + max_stale: gone for good.
-        assert!(cache.get_stale(key, 900).is_none());
+        assert!(cache.get_stale(&key, 900).is_none());
     }
 
     #[test]
     fn zero_max_stale_disables_stale_reads() {
         let cache = Cache::new();
-        let key = cache.key_of(&name("www.example.com"), RrType::A);
-        cache.put_shared(key, &Arc::new(answer(300)), 0);
-        assert!(cache.get_stale(key, 299).is_some(), "fresh still readable");
-        assert!(cache.get_stale(key, 300).is_none());
+        let key = CacheKey::new(&name("www.example.com"), RrType::A);
+        cache.put_shared(&key, &Arc::new(answer(300)), 0);
+        assert!(cache.get_stale(&key, 299).is_some(), "fresh still readable");
+        assert!(cache.get_stale(&key, 300).is_none());
     }
 
     #[test]
     fn expiry_sweep_respects_stale_horizon() {
         let cache = Cache::bounded(16).with_max_stale(600);
-        let key = cache.key_of(&name("www.example.com"), RrType::A);
-        cache.put_shared(key, &Arc::new(answer(300)), 0);
+        let key = CacheKey::new(&name("www.example.com"), RrType::A);
+        cache.put_shared(&key, &Arc::new(answer(300)), 0);
         assert_eq!(cache.evict_expired(500), 0, "stale-servable entry survives");
-        assert!(cache.get_stale(key, 500).is_some());
+        assert!(cache.get_stale(&key, 500).is_some());
         assert_eq!(cache.evict_expired(901), 1, "past horizon it goes");
-        assert!(cache.get_stale(key, 901).is_none());
+        assert!(cache.get_stale(&key, 901).is_none());
     }
 
     #[test]
@@ -802,13 +780,13 @@ mod tests {
                 probe_offset in 0u32..400_000,
             ) {
                 let cache = Cache::bounded(16).with_max_stale(max_stale);
-                let key = cache.key_of(&name("p.example.com"), RrType::A);
-                cache.put_shared(key, &Arc::new(answer(ttl)), inserted_at);
+                let key = CacheKey::new(&name("p.example.com"), RrType::A);
+                cache.put_shared(&key, &Arc::new(answer(ttl)), inserted_at);
                 let expires_at = inserted_at
                     .saturating_add(ttl.clamp(1, 86_400));
                 let now = inserted_at.saturating_add(probe_offset);
-                let stale = cache.get_stale(key, now);
-                let fresh = cache.get_shared(key, now);
+                let stale = cache.get_stale(&key, now);
+                let fresh = cache.get_shared(&key, now);
                 if now >= expires_at.saturating_add(max_stale) {
                     prop_assert!(stale.is_none(), "served past the stale horizon");
                 }
@@ -817,9 +795,9 @@ mod tests {
                 }
                 // Sweeping at `now` never removes what get_stale would
                 // still serve.
-                let served_before = cache.get_stale(key, now).is_some();
+                let served_before = cache.get_stale(&key, now).is_some();
                 cache.evict_expired(now);
-                prop_assert_eq!(cache.get_stale(key, now).is_some(), served_before);
+                prop_assert_eq!(cache.get_stale(&key, now).is_some(), served_before);
             }
 
             /// After a trust-anchor change under `origin`, flushing the
@@ -872,11 +850,11 @@ mod tests {
                 probe in 0u32..200_000,
             ) {
                 let cache = Cache::new();
-                let key = cache.key_of(&name("n.example.com"), RrType::A);
-                cache.put_shared(key, &Arc::new(negative(Some(soa_minimum))), 0);
+                let key = CacheKey::new(&name("n.example.com"), RrType::A);
+                cache.put_shared(&key, &Arc::new(negative(Some(soa_minimum))), 0);
                 let effective = soa_minimum.clamp(1, MAX_NEGATIVE_TTL);
                 prop_assert_eq!(
-                    cache.get_shared(key, probe).is_some(),
+                    cache.get_shared(&key, probe).is_some(),
                     probe < effective,
                     "negative entry lifetime must be exactly min(SOA minimum, {})",
                     MAX_NEGATIVE_TTL
@@ -975,13 +953,33 @@ mod tests {
     }
 
     #[test]
+    fn one_key_works_on_any_cache_and_a_flush_needs_no_name_table() {
+        // Different shard counts, as the two pools of a mixed fleet may
+        // have: one key table serves both.
+        let key = CacheKey::new(&name("www.example.com"), RrType::A);
+        let shouted = CacheKey::new(&name("WWW.EXAMPLE.COM"), RrType::A);
+        let outside = CacheKey::new(&name("www.example.net"), RrType::A);
+        for cache in [Cache::with_shards(64, 1), Cache::with_shards(4_096, 16)] {
+            cache.put_shared(&key, &Arc::new(answer(300)), 0);
+            cache.put_shared(&outside, &Arc::new(answer(300)), 0);
+            cache.put_cut(&cut("Example.COM"), 300, 0);
+            assert!(cache.get_shared(&shouted, 1).is_some(), "any spelling, any cache");
+            // The subtree goes — answer and cut — by the names in the keys.
+            assert_eq!(cache.flush_origin(&name("EXAMPLE.com")), 2);
+            assert!(cache.get_shared(&key, 1).is_none());
+            assert!(cache.get_shared(&outside, 1).is_some(), "outside the subtree");
+            assert_eq!((cache.len(), cache.cut_count()), (1, 0));
+        }
+    }
+
+    #[test]
     fn shared_answers_are_not_deep_copied() {
         let cache = Cache::new();
-        let key = cache.key_of(&name("www.example.com"), RrType::A);
-        cache.put_shared(key, &Arc::new(answer(300)), 0);
-        let first = cache.get_shared(key, 10).unwrap();
-        let second = cache.get_shared(key, 10).unwrap();
+        let key = CacheKey::new(&name("www.example.com"), RrType::A);
+        cache.put_shared(&key, &Arc::new(answer(300)), 0);
+        let first = cache.get_shared(&key, 10).unwrap();
+        let second = cache.get_shared(&key, 10).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "hits share one allocation");
-        assert!(cache.get_shared(key, 301).is_none(), "TTL still applies");
+        assert!(cache.get_shared(&key, 301).is_none(), "TTL still applies");
     }
 }

@@ -248,20 +248,19 @@ impl Resolver {
         qtype: RrType,
         now: u32,
     ) -> Result<Answer, ResolveError> {
-        let key = self.cache.key_of(qname, qtype);
-        self.resolve_cached_keyed(key, qname, qtype, now)
+        self.resolve_cached_keyed(&CacheKey::new(qname, qtype), qname, qtype, now)
             .map(|answer| (*answer).clone())
     }
 
     /// Like [`Resolver::resolve_cached`], but with a precomputed
-    /// [`CacheKey`] (from this resolver's cache's [`Cache::key_of`]) and
-    /// a shared, copy-free answer. The traffic driver plans its whole
-    /// stream ahead of time and keys every query once, so the per-query
-    /// hot path is a striped-shard probe plus a refcount bump — no name
-    /// hashing, no record cloning.
+    /// [`CacheKey`] (of the same `qname` and `qtype`) and a shared,
+    /// copy-free answer. The traffic driver plans its whole stream ahead
+    /// of time and keys every query once, so the per-query hot path is a
+    /// striped-shard probe plus a refcount bump — no name hashing, no
+    /// record cloning.
     pub fn resolve_cached_keyed(
         &self,
-        key: CacheKey,
+        key: &CacheKey,
         qname: &Name,
         qtype: RrType,
         now: u32,
@@ -793,7 +792,7 @@ impl Resolver {
                 self.stats.count_attempt();
                 match self
                     .network
-                    .query_udp_at(ns, &query, self.policy.deadline_ms, now)
+                    .query_udp(ns, &query, self.policy.deadline_ms, Some(now))
                 {
                     QueryOutcome::Unreachable => {
                         // Not registered: retrying cannot help this server.
@@ -813,7 +812,7 @@ impl Resolver {
                         self.spend(latency_ms);
                         if response.flags.truncated {
                             self.stats.count_tcp_fallback();
-                            match self.network.query_tcp_at(ns, &query, now) {
+                            match self.network.query_tcp(ns, &query, Some(now)) {
                                 QueryOutcome::Answered { response, latency_ms } => {
                                     self.spend(latency_ms);
                                     self.health.record_success(ns);

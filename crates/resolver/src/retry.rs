@@ -12,11 +12,10 @@
 //! fast while latency accounting stays meaningful.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use dsec_wire::Name;
+use dsec_wire::{FnvHashMap, Name};
 
 /// Knobs for the resolver's retry behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +71,7 @@ struct ServerHealth {
 /// the back of the candidate ordering.
 #[derive(Debug, Default)]
 pub struct HealthCache {
-    servers: Mutex<HashMap<Name, ServerHealth>>,
+    servers: Mutex<FnvHashMap<Name, ServerHealth>>,
 }
 
 impl HealthCache {
@@ -88,11 +87,10 @@ impl HealthCache {
     /// whose penalty decays to 0 is dropped for the same reason.
     pub fn record_success(&self, ns: &Name) {
         let mut servers = self.servers.lock();
-        let key = ns.to_canonical();
-        if let Some(health) = servers.get_mut(&key) {
+        if let Some(health) = servers.get_mut(ns) {
             health.penalty /= 2;
             if health.penalty == 0 {
-                servers.remove(&key);
+                servers.remove(ns);
             }
         }
     }
@@ -100,7 +98,7 @@ impl HealthCache {
     /// Records a failed exchange (timeout, error rcode) with `ns`.
     pub fn record_failure(&self, ns: &Name) {
         let mut servers = self.servers.lock();
-        let health = servers.entry(ns.to_canonical()).or_default();
+        let health = servers.entry(ns.clone()).or_default();
         health.penalty = health.penalty.saturating_add(1);
     }
 
@@ -112,11 +110,7 @@ impl HealthCache {
 
     /// The current penalty of `ns` (0 = healthy or unknown).
     pub fn penalty(&self, ns: &Name) -> u32 {
-        self.servers
-            .lock()
-            .get(&ns.to_canonical())
-            .map(|h| h.penalty)
-            .unwrap_or(0)
+        self.servers.lock().get(ns).map_or(0, |h| h.penalty)
     }
 
     /// Orders candidate servers healthiest-first. The sort is stable, so
@@ -139,12 +133,7 @@ impl HealthCache {
             return (0..servers.len()).collect();
         }
         let mut ordered: Vec<usize> = (0..servers.len()).collect();
-        ordered.sort_by_key(|&i| {
-            penalties
-                .get(&servers[i].to_canonical())
-                .map(|h| h.penalty)
-                .unwrap_or(0)
-        });
+        ordered.sort_by_key(|&i| penalties.get(&servers[i]).map_or(0, |h| h.penalty));
         ordered
     }
 }
@@ -241,6 +230,27 @@ impl ResolverStatsSnapshot {
         } else {
             self.cache_hits as f64 / lookups as f64
         }
+    }
+}
+
+/// Field-wise sum, for merging the snapshots of a resolver pool.
+impl std::ops::AddAssign for ResolverStatsSnapshot {
+    fn add_assign(&mut self, rhs: Self) {
+        self.udp_attempts += rhs.udp_attempts;
+        self.timeouts += rhs.timeouts;
+        self.tcp_fallbacks += rhs.tcp_fallbacks;
+        self.error_rcodes += rhs.error_rcodes;
+        self.backoff_ms += rhs.backoff_ms;
+        self.cache_hits += rhs.cache_hits;
+        self.cache_misses += rhs.cache_misses;
+        self.stale_hits += rhs.stale_hits;
+        self.negative_hits += rhs.negative_hits;
+        self.budget_exhausted += rhs.budget_exhausted;
+        self.breaker_trips += rhs.breaker_trips;
+        self.breaker_short_circuits += rhs.breaker_short_circuits;
+        self.poison_races += rhs.poison_races;
+        self.poison_admitted += rhs.poison_admitted;
+        self.poison_scrubbed += rhs.poison_scrubbed;
     }
 }
 
@@ -401,6 +411,56 @@ mod tests {
         assert_eq!(health.tracked_servers(), 0);
         // A dropped server behaves exactly like an unknown one.
         assert_eq!(health.penalty(&name("ns1.a.net")), 0);
+    }
+
+    #[test]
+    fn health_and_breaker_state_follow_the_server_in_any_spelling() {
+        use crate::breaker::{BreakerPolicy, BreakerSet};
+        let spellings = [name("ns1.a.net"), name("NS1.A.Net")];
+        for (first, second) in [(&spellings[0], &spellings[1]), (&spellings[1], &spellings[0])] {
+            let health = HealthCache::new();
+            let breakers = BreakerSet::new(BreakerPolicy {
+                failure_threshold: 2,
+                probe_interval_s: 10,
+            });
+            health.record_failure(first);
+            health.record_failure(second);
+            assert_eq!((health.penalty(second), health.tracked_servers()), (2, 1));
+            assert_eq!(health.order_indices(&[second.clone(), name("ns2.a.net")]), [1, 0]);
+            breakers.record_failure(first, 100);
+            assert!(breakers.record_failure(second, 100), "one streak: the second failure trips");
+            assert!(breakers.allow(first, 100), "the half-open probe");
+            assert!(!breakers.allow(second, 101), "same bucket, same breaker");
+            assert!(breakers.record_success(second, 102), "closes the open breaker");
+            assert_eq!(breakers.open_count(), 0);
+        }
+    }
+
+    #[test]
+    fn snapshots_sum_field_by_field() {
+        // Field k holds `base + k · step`: non-zero and distinct, so a
+        // counter summed into the wrong field (or not at all) shows. No
+        // `..Default::default()`: a new counter must be listed here.
+        let numbered = |base: u64, step: u64| ResolverStatsSnapshot {
+            udp_attempts: base + step,
+            timeouts: base + 2 * step,
+            tcp_fallbacks: base + 3 * step,
+            error_rcodes: base + 4 * step,
+            backoff_ms: base + 5 * step,
+            cache_hits: base + 6 * step,
+            cache_misses: base + 7 * step,
+            stale_hits: base + 8 * step,
+            negative_hits: base + 9 * step,
+            budget_exhausted: base + 10 * step,
+            breaker_trips: base + 11 * step,
+            breaker_short_circuits: base + 12 * step,
+            poison_races: base + 13 * step,
+            poison_admitted: base + 14 * step,
+            poison_scrubbed: base + 15 * step,
+        };
+        let mut sum = numbered(100, 1);
+        sum += numbered(1_000, 2);
+        assert_eq!(sum, numbered(1_100, 3));
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl ScanCache {
     /// counters: this is the shared-read half of the parallel cache pass
     /// — workers peek through `&ScanCache` concurrently and tally
     /// hits/misses privately, then the merge step records them once via
-    /// [`ScanCache::note_lookups`].
+    /// `ScanCache::note_lookups`.
     pub fn peek(
         &self,
         key: DomainKey,

@@ -24,7 +24,7 @@ pub mod stream;
 pub mod takeover_census;
 
 pub use cache::{domain_key, CacheStats, DomainKey, ScanCache};
-pub use operator_id::{operator_key, operator_of};
+pub use operator_id::{largest_operator_fleet, operator_key, operator_of};
 pub use poison_census::{poison_census, poison_census_table, RegistrarPoisonStats};
 pub use rollover_census::{rollover_census, rollover_census_table, OperatorRolloverStats};
 pub use snapshot::{

@@ -10,6 +10,9 @@
 //! - footnote 13: 1AND1's nameservers share the `1and1` second-level
 //!   label across many ccTLDs and are grouped by that label.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use dsec_ecosystem::World;
 use dsec_wire::Name;
 
 /// The operator grouping key for one nameserver hostname.
@@ -33,6 +36,35 @@ pub fn operator_key(ns: &Name) -> Name {
 /// practice, and the paper groups by the shared SLD).
 pub fn operator_of(ns_set: &[Name]) -> Option<Name> {
     ns_set.first().map(operator_key)
+}
+
+/// The largest DNS operator by hosted-domain count (the Zipf head — the
+/// operator whose outage hurts the most user queries) and its full
+/// nameserver fleet, deterministically tie-broken by operator key.
+/// `exclude` skips one operator (E-K1 hosts its roller outside the
+/// outage victim's fleet, so the victim is the largest *other* fleet).
+pub fn largest_operator_fleet(world: &World, exclude: Option<&str>) -> (String, Vec<Name>) {
+    let mut sizes: BTreeMap<String, u64> = BTreeMap::new();
+    let mut fleets: BTreeMap<String, BTreeSet<Name>> = BTreeMap::new();
+    for d in world.domains() {
+        let ns = world.registry(d.tld).ns_of(&d.name);
+        let Some(op) = operator_of(&ns) else { continue };
+        let key = op.to_string();
+        *sizes.entry(key.clone()).or_insert(0) += 1;
+        fleets.entry(key).or_default().extend(ns);
+    }
+    let victim = sizes
+        .iter()
+        .filter(|(k, _)| exclude != Some(k.as_str()))
+        .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
+        .map(|(k, _)| k.clone())
+        .unwrap_or_default();
+    let fleet = fleets
+        .remove(&victim)
+        .unwrap_or_default()
+        .into_iter()
+        .collect();
+    (victim, fleet)
 }
 
 #[cfg(test)]

@@ -22,9 +22,9 @@
 //!
 //! ## Contention-free hot path
 //!
-//! Cache keys are interned once, single-threaded, before the timed
+//! Cache keys are made once, single-threaded, before the timed
 //! region: workers look up precomputed [`CacheKey`]s instead of hashing
-//! and cloning names per query, cache hits hand back `Arc`-shared
+//! names per query, cache hits hand back `Arc`-shared
 //! answers, and all accounting (outcome tallies, per-actor attribution,
 //! histograms, resolver counters) lives in worker-private accumulators
 //! indexed by dense registrar/operator ids — merged once after join.
@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use dsec_ecosystem::World;
 use dsec_resolver::{BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver, RetryPolicy, SpoofGuard};
-use dsec_wire::{name_hash64, Name};
+use dsec_wire::{name_hash64, FnvHashSet, Name};
 use dsec_workloads::TrafficMix;
 
 use crate::account::{classify_answer, Outcome, OutcomeCounts, TrafficReport};
@@ -236,10 +236,11 @@ fn jitter_ms(seed: u64, index: u64) -> u32 {
 }
 
 /// Whether stream query `index` belongs to a validating user, given the
-/// fleet's `share` of validating resolvers. Like [`jitter_ms`] this is a
-/// splitmix-style hash of (seed, index) — a property of the stream, not
-/// of worker interleaving — so the same user population shows up across
-/// thread counts and repeated phases. The extremes short-circuit:
+/// fleet's `share` of validating resolvers. Like the per-query RTT
+/// jitter this is a splitmix-style hash of (seed, index) — a property of
+/// the stream, not of worker interleaving — so the same user population
+/// shows up across thread counts and repeated phases. The extremes
+/// short-circuit:
 /// `share >= 1.0` is *exactly* the historical all-validating fleet.
 pub fn validating_assignment(seed: u64, index: u64, share: f64) -> bool {
     if share >= 1.0 {
@@ -288,29 +289,6 @@ impl WorkerTally {
             stats: dsec_resolver::ResolverStatsSnapshot::default(),
         }
     }
-}
-
-/// Field-wise sum of resolver-pool counters (the snapshot carries no
-/// arithmetic of its own).
-fn add_stats(
-    dst: &mut dsec_resolver::ResolverStatsSnapshot,
-    src: &dsec_resolver::ResolverStatsSnapshot,
-) {
-    dst.udp_attempts += src.udp_attempts;
-    dst.timeouts += src.timeouts;
-    dst.tcp_fallbacks += src.tcp_fallbacks;
-    dst.error_rcodes += src.error_rcodes;
-    dst.backoff_ms += src.backoff_ms;
-    dst.cache_hits += src.cache_hits;
-    dst.cache_misses += src.cache_misses;
-    dst.stale_hits += src.stale_hits;
-    dst.negative_hits += src.negative_hits;
-    dst.budget_exhausted += src.budget_exhausted;
-    dst.breaker_trips += src.breaker_trips;
-    dst.breaker_short_circuits += src.breaker_short_circuits;
-    dst.poison_races += src.poison_races;
-    dst.poison_admitted += src.poison_admitted;
-    dst.poison_scrubbed += src.poison_scrubbed;
 }
 
 /// Runs the load against `world`: plans the stream, shards it across
@@ -363,43 +341,22 @@ pub fn run_load_mixed(
         shards[shard_of(query, &population, threads)].push(i);
     }
 
-    // Intern every query name once, single-threaded, before the clock
-    // starts: workers index this table instead of hashing names.
+    // Key every query once, single-threaded, before the clock starts:
+    // workers index this table instead of hashing names. A key belongs
+    // to no cache, so both pools of a mixed fleet share the table.
     let keys: Vec<CacheKey> = stream
         .iter()
-        .map(|q| cache.key_of(&q.qname, q.qtype))
+        .map(|q| CacheKey::new(&q.qname, q.qtype))
         .collect();
-    // Cache keys carry the owning cache's interner ids, so the
-    // non-validating pool needs its own table (empty, and never indexed,
-    // when the whole fleet validates).
-    let nv_keys: Vec<CacheKey> = if config.validating_share < 1.0 {
-        stream
-            .iter()
-            .map(|q| nv_cache.key_of(&q.qname, q.qtype))
-            .collect()
-    } else {
-        Vec::new()
-    };
     let trust_anchor = world.trust_anchor();
     let network = world.network.clone();
     let evict_interval = config.evict_interval.max(1);
 
     // Captured-domain lookup as a dense per-site flag: the hot loop tests
     // a Vec<bool> instead of comparing names.
-    let captured_site: Vec<bool> = if config.captured.is_empty() {
-        vec![false; population.sites.len()]
-    } else {
-        let captured_names: std::collections::BTreeSet<String> = config
-            .captured
-            .iter()
-            .map(|n| n.to_canonical().to_string())
-            .collect();
-        population
-            .sites
-            .iter()
-            .map(|s| captured_names.contains(&s.name.to_canonical().to_string()))
-            .collect()
-    };
+    let captured: FnvHashSet<&Name> = config.captured.iter().collect();
+    let captured_site: Vec<bool> =
+        population.sites.iter().map(|s| captured.contains(&s.name)).collect();
 
     // Warm start: the root's and every TLD's zone cut, into each cache a
     // worker will use. Single-threaded and through resolvers of its own,
@@ -429,7 +386,6 @@ pub fn run_load_mixed(
                 let network = Arc::clone(&network);
                 let stream = &stream;
                 let keys = &keys;
-                let nv_keys = &nv_keys;
                 let population = &population;
                 let captured_site = &captured_site;
                 scope.spawn(move || {
@@ -458,14 +414,14 @@ pub fn run_load_mixed(
                         let query = &stream[i];
                         let validating =
                             validating_assignment(config.seed, i as u64, config.validating_share);
-                        let (r, key) = if validating {
-                            (&mut resolver, keys[i])
-                        } else {
-                            (&mut nv_resolver, nv_keys[i])
-                        };
+                        let r = if validating { &resolver } else { &nv_resolver };
                         let before = r.stats();
-                        let result =
-                            r.resolve_cached_keyed(key, &query.qname, query.qtype, query.now);
+                        let result = r.resolve_cached_keyed(
+                            &keys[i],
+                            &query.qname,
+                            query.qtype,
+                            query.now,
+                        );
                         let after = r.stats();
                         let latency = if after.cache_hits > before.cache_hits {
                             CACHE_HIT_MS
@@ -517,7 +473,7 @@ pub fn run_load_mixed(
                         }
                     }
                     tally.stats = resolver.stats();
-                    add_stats(&mut tally.stats, &nv_resolver.stats());
+                    tally.stats += nv_resolver.stats();
                     tally
                 })
             })
@@ -554,7 +510,7 @@ pub fn run_load_mixed(
             }
         }
         histogram.merge(&tally.histogram);
-        add_stats(&mut resolver_stats, &tally.stats);
+        resolver_stats += tally.stats;
         sim_elapsed_ms = sim_elapsed_ms.max(tally.sim_busy_ms);
     }
 
@@ -577,6 +533,28 @@ pub fn run_load_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsec_workloads::{build, PopulationConfig};
+
+    #[test]
+    fn a_captured_domain_flags_its_site_under_any_spelling() {
+        let pw = build(&PopulationConfig::tiny());
+        let population = TrafficPopulation::from_world(&pw.world);
+        // The most-queried site of the stream's first TLD.
+        let head = population.ranked.values().next().expect("a TLD")[0];
+        let site = population.sites[head as usize].name.to_string();
+        let hijacked = |captured: Option<&str>| {
+            let captured = captured.map(|s| Name::parse(s).expect("valid name"));
+            let config = LoadConfig::tiny()
+                .with_queries(256)
+                .with_validating_share(0.0)
+                .with_captured(captured.into_iter().collect());
+            run_load(&pw.world, &config).outcomes.hijacked
+        };
+        assert_eq!(hijacked(None), 0);
+        let as_stored = hijacked(Some(&site));
+        assert!(as_stored > 0, "the head site is queried");
+        assert_eq!(hijacked(Some(&site.to_uppercase())), as_stored);
+    }
 
     #[test]
     fn jitter_is_deterministic_per_seed_and_index() {

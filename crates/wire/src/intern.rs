@@ -1,18 +1,19 @@
-//! Name interning: stable `u32` ids for domain names on hot paths.
+//! Name interning, and the stable name hash every striped map shares.
 //!
-//! The scanner, the resolver cache, and the traffic plane all key maps by
-//! [`Name`]. Using a `Name` as a key costs a case-folding hash and
-//! comparison over its label bytes per probe. A [`NameInterner`] assigns
-//! each distinct name a dense [`NameId`] once; after that, hot-path
-//! lookups hash a single `u32` and never touch label bytes again.
+//! A map keyed by a domain name is keyed by [`Name`] itself: its `Eq` and
+//! `Hash` fold ASCII case in one pass and a clone is a refcount bump
+//! (hot paths that probe several maps compute [`name_hash64`] once and
+//! feed that alone to the hasher). A [`NameInterner`] is for the one
+//! place that wants a *dense integer* per name: the ecosystem's columnar
+//! domain tables, whose `NameId → row` index it backs.
 //!
 //! The interner is striped 16 ways by [`name_hash64`] so concurrent
-//! workers interning different names rarely contend on the same lock,
+//! callers interning different names rarely contend on the same lock,
 //! and repeat interning of an already-known name takes only a stripe
 //! *read* lock. Ids are stable for the lifetime of the interner — entries
 //! are never evicted (an id handed out must stay valid), so its memory is
-//! bounded by the number of *distinct* names it ever sees: in this
-//! codebase, the registered-domain population, not the query volume.
+//! bounded by the number of *distinct* names it ever sees: the
+//! registered-domain population.
 
 use std::sync::RwLock;
 
@@ -25,35 +26,16 @@ const STRIPES: usize = 16;
 /// Bits of a [`NameId`] reserved for the per-stripe slot index.
 const SLOT_BITS: u32 = 28;
 
-/// A stable, dense identifier for an interned [`Name`].
+/// A stable, dense identifier for an interned [`Name`]: the stripe index
+/// in the top 4 bits, the slot within the stripe below.
 ///
 /// Ids are only meaningful to the [`NameInterner`] that issued them, and
 /// compare/hash as plain integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
-impl NameId {
-    /// The raw integer value (stripe index in the top 4 bits).
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Rebuilds a `NameId` from a value previously obtained via
-    /// [`NameId::raw`]. Only meaningful with raw values that came from
-    /// the same interner — [`NameInterner::resolve`] returns `None` for
-    /// ids the interner never issued.
-    pub fn from_raw(raw: u32) -> NameId {
-        NameId(raw)
-    }
-}
-
-#[derive(Debug, Default)]
-struct Stripe {
-    /// Name → slot within this stripe.
-    ids: FnvHashMap<Name, u32>,
-    /// Slot → name, for [`NameInterner::resolve`].
-    names: Vec<Name>,
-}
+/// One stripe: name → slot within the stripe, slots dense from 0.
+type Stripe = FnvHashMap<Name, u32>;
 
 /// A concurrent, striped name-to-id table. See the module docs.
 #[derive(Debug)]
@@ -82,20 +64,15 @@ impl NameInterner {
     pub fn intern(&self, name: &Name) -> NameId {
         let stripe_idx = (name_hash64(name) as usize) & (STRIPES - 1);
         let stripe = &self.stripes[stripe_idx];
-        if let Some(&slot) = read_lock(stripe).ids.get(name) {
+        if let Some(&slot) = read_lock(stripe).get(name) {
             return NameId(((stripe_idx as u32) << SLOT_BITS) | slot);
         }
         let mut guard = stripe.write().unwrap_or_else(|e| e.into_inner());
-        let slot = match guard.ids.get(name) {
-            Some(&slot) => slot,
-            None => {
-                let slot = guard.names.len() as u32;
-                assert!(slot < (1 << SLOT_BITS), "interner stripe overflow");
-                guard.names.push(name.clone());
-                guard.ids.insert(name.clone(), slot);
-                slot
-            }
-        };
+        let next = guard.len() as u32;
+        let slot = *guard.entry(name.clone()).or_insert_with(|| {
+            assert!(next < (1 << SLOT_BITS), "interner stripe overflow");
+            next
+        });
         NameId(((stripe_idx as u32) << SLOT_BITS) | slot)
     }
 
@@ -103,27 +80,8 @@ impl NameInterner {
     pub fn get(&self, name: &Name) -> Option<NameId> {
         let stripe_idx = (name_hash64(name) as usize) & (STRIPES - 1);
         read_lock(&self.stripes[stripe_idx])
-            .ids
             .get(name)
             .map(|&slot| NameId(((stripe_idx as u32) << SLOT_BITS) | slot))
-    }
-
-    /// The name behind `id` (a clone), or `None` for an id this interner
-    /// never issued.
-    pub fn resolve(&self, id: NameId) -> Option<Name> {
-        let stripe_idx = (id.0 >> SLOT_BITS) as usize;
-        let slot = (id.0 & ((1 << SLOT_BITS) - 1)) as usize;
-        read_lock(self.stripes.get(stripe_idx)?).names.get(slot).cloned()
-    }
-
-    /// How many distinct names are interned.
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| read_lock(s).names.len()).sum()
-    }
-
-    /// True when nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -168,18 +126,8 @@ mod tests {
         let c = interner.intern(&name("mail.example.com"));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(interner.len(), 2);
         assert_eq!(interner.get(&name("www.EXAMPLE.com")), Some(a));
         assert_eq!(interner.get(&name("absent.example.com")), None);
-    }
-
-    #[test]
-    fn resolve_round_trips() {
-        let interner = NameInterner::new();
-        let id = interner.intern(&name("a.b.example.net"));
-        assert_eq!(interner.resolve(id), Some(name("a.b.example.net")));
-        assert_eq!(interner.resolve(NameId(0x0fff_ffff)), None);
-        assert!(interner.resolve(NameId(u32::MAX)).is_none());
     }
 
     #[test]
@@ -208,15 +156,7 @@ mod tests {
         for worker in &ids[1..] {
             assert_eq!(worker, &ids[0], "every worker sees the same ids");
         }
-        assert_eq!(interner.len(), 64);
-    }
-
-    #[test]
-    fn empty_interner_reports_empty() {
-        let interner = NameInterner::new();
-        assert!(interner.is_empty());
-        assert_eq!(interner.len(), 0);
-        interner.intern(&Name::root());
-        assert!(!interner.is_empty());
+        let distinct: std::collections::BTreeSet<NameId> = ids[0].iter().copied().collect();
+        assert_eq!(distinct.len(), 64, "one id per name");
     }
 }

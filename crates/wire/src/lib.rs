@@ -5,8 +5,8 @@
 //! no runtime, and explicit typed errors.
 //!
 //! - [`name`]: domain names with RFC 4034 §6.1 canonical ordering;
-//! - [`intern`]: a striped name interner giving hot paths dense `u32`
-//!   keys and a stable cross-run name hash;
+//! - [`intern`]: the stable cross-run name hash striped maps share, and
+//!   a striped interner for the tables that want a dense id per name;
 //! - [`fnv`]: an FNV-1a hasher for simulator-internal Name-keyed maps;
 //! - [`rrtype`]: TYPE/CLASS registries and the NSEC type bitmap;
 //! - [`rdata`]: typed RDATA for A/AAAA/NS/CNAME/SOA/MX/TXT/DNSKEY/DS/

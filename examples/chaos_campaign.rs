@@ -19,35 +19,14 @@ use std::sync::Arc;
 
 use dsec::authserver::{FaultProfile, OutageScenario};
 use dsec::core::{experiment_chaos, experiment_outage};
-use dsec::ecosystem::{Tld, World};
+use dsec::ecosystem::Tld;
 use dsec::resolver::{BreakerPolicy, Cache, Resolver};
-use dsec::scanner::{operator_of, scan_campaign, CampaignConfig};
+use dsec::scanner::{largest_operator_fleet, scan_campaign, CampaignConfig};
 use dsec::traffic::{run_load_shared, LoadConfig};
-use dsec::wire::{Name, RrType};
+use dsec::wire::RrType;
 use dsec::workloads::{build, PopulationConfig};
 
 const CHAOS_SEED: u64 = 0xC4A05;
-
-/// The biggest DNS operator (by hosted domains) and its nameserver fleet.
-fn largest_operator(world: &World) -> (String, Vec<Name>) {
-    let mut sizes: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut fleets: std::collections::BTreeMap<String, std::collections::BTreeSet<Name>> =
-        std::collections::BTreeMap::new();
-    for d in world.domains() {
-        let ns = world.registry(d.tld).ns_of(&d.name);
-        let Some(op) = operator_of(&ns) else { continue };
-        let key = op.to_string();
-        *sizes.entry(key.clone()).or_insert(0) += 1;
-        fleets.entry(key).or_default().extend(ns);
-    }
-    let victim = sizes
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(k, _)| k.clone())
-        .expect("populated world");
-    let fleet = fleets.remove(&victim).unwrap_or_default().into_iter().collect();
-    (victim, fleet)
-}
 
 /// Prints the E-R2 demo: breaker transition log + availability timeline.
 fn degradation_demo() {
@@ -57,7 +36,7 @@ fn degradation_demo() {
     let queries: u64 = 2_048;
     let qps: u32 = 4;
     let span = (queries / qps as u64) as u32;
-    let (victim, fleet) = largest_operator(world);
+    let (victim, fleet) = largest_operator_fleet(world, None);
 
     world.fault_plane().enable(CHAOS_SEED);
     OutageScenario::operator_outage("operator-outage", fleet.clone(), base + span, base + 2 * span)

@@ -10,36 +10,14 @@
 use std::sync::Arc;
 
 use dsec::authserver::{FaultProfile, OutageScenario};
-use dsec::ecosystem::{Tld, World, ALL_TLDS};
+use dsec::ecosystem::{Tld, ALL_TLDS};
 use dsec::resolver::{BreakerPolicy, Cache, Resolver};
-use dsec::scanner::{operator_of, scan_campaign, CampaignConfig, OperatorStats};
+use dsec::scanner::{largest_operator_fleet, scan_campaign, CampaignConfig, OperatorStats};
 use dsec::traffic::{run_load_shared, LoadConfig};
-use dsec::wire::{Name, RrType};
+use dsec::wire::RrType;
 use dsec::workloads::{build, PopulationConfig};
 
 const CHAOS_SEED: u64 = 0xC4A05;
-
-/// The biggest DNS operator's key and nameserver fleet — the outage
-/// victim whose domains are guaranteed a healthy share of the Zipf head.
-fn largest_operator(world: &World) -> (String, Vec<Name>) {
-    let mut sizes: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut fleets: std::collections::BTreeMap<String, std::collections::BTreeSet<Name>> =
-        std::collections::BTreeMap::new();
-    for d in world.domains() {
-        let ns = world.registry(d.tld).ns_of(&d.name);
-        let Some(op) = operator_of(&ns) else { continue };
-        let key = op.to_string();
-        *sizes.entry(key.clone()).or_insert(0) += 1;
-        fleets.entry(key).or_default().extend(ns);
-    }
-    let victim = sizes
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-        .map(|(k, _)| k.clone())
-        .expect("populated world");
-    let fleet = fleets.remove(&victim).unwrap_or_default().into_iter().collect();
-    (victim, fleet)
-}
 
 fn total_degraded(stats: &OperatorStats) -> u64 {
     stats.unreachable + stats.indeterminate
@@ -130,7 +108,7 @@ fn outage_load_serves_stale_during_window_and_recovers() {
     let queries: u64 = 2_048;
     let qps: u32 = 4;
     let span = (queries / qps as u64) as u32;
-    let (victim_key, fleet) = largest_operator(world);
+    let (victim_key, fleet) = largest_operator_fleet(world, None);
 
     world.fault_plane().enable(CHAOS_SEED);
     OutageScenario::operator_outage("mid-campaign", fleet, base + span, base + 2 * span + 60)
@@ -183,7 +161,7 @@ fn breaker_trips_during_outage_and_recloses_after() {
     let pw = build(&PopulationConfig::tiny());
     let world = &pw.world;
     let base = world.today.epoch_seconds();
-    let (_, fleet) = largest_operator(world);
+    let (_, fleet) = largest_operator_fleet(world, None);
     let victim_domain = world
         .domains()
         .find(|d| {
