@@ -20,8 +20,8 @@
 //!   every captured domain, signed with attacker-held keys the parent
 //!   DS does not match;
 //! * detection restores the pre-attack DS/NS state through the same
-//!   registry mutation path as everything else, so the wire-response
-//!   cache and delegation generations stay coherent (DESIGN.md §9/§14).
+//!   registry mutation path as everything else, so the delegation
+//!   generations stay coherent (DESIGN.md §9).
 //!
 //! What a capture *means* for users is measured by the traffic plane:
 //! validating resolvers refuse the forged chain (`SavedByValidation`),

@@ -1,289 +1,32 @@
 //! An authoritative nameserver: a set of zones plus the RFC 1034 §4.3.2
 //! answer algorithm, including DNSSEC additions (RFC 4035 §3.1).
 //!
-//! ## Memcpy-fast answering
-//!
-//! The query path is built so that the steady state — a scanner or
-//! traffic plane asking the same questions against unchanged zones — is
-//! a lock-free map probe plus a memcpy:
-//!
-//! * Zones live behind an [`Epoch`] snapshot, so lookups take **zero
-//!   shared locks**; mutations (re-signing, rollovers, DS swaps) go
-//!   through the master copy and bump a per-zone generation.
-//! * Every answered question is recorded in a striped **response cache**
-//!   keyed by `(qname, qtype, echoed header bits)`, holding
-//!   both the parsed [`Message`] and its pre-serialized wire bytes.
-//!   Entries are invalidated by the *mutation path* — a generation
-//!   mismatch on the answering zone, or an origin-set change — never by
-//!   TTL, so a re-signed RRSIG is visible on the very next query.
-//! * [`Authority::handle_datagram`] serves repeat questions by cloning
-//!   the cached wire bytes and patching the 2-byte message id.
+//! Zones live behind an [`Epoch`] snapshot, so queries take **zero shared
+//! locks** and every answer is built from the zone as it is now: a
+//! mutation (re-signing, rollover, DS swap) is visible on the very next
+//! query, with nothing to invalidate.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use dsec_wire::{
-    name_hash64, Flags, FnvHashMap, Message, Name, Opcode, Question, RData, Rcode, Record,
-    RrClass, RrType, Zone,
-};
+use dsec_wire::{Flags, Message, Name, Question, RData, Rcode, Record, RrType, Zone};
 
 use crate::epoch::Epoch;
 
-/// Response-cache stripes (power of two).
-const CACHE_STRIPES: usize = 16;
-
-/// One served zone: its contents plus the generation of its last
-/// mutation. The zone is shared via `Arc` so epoch republishes and
-/// frozen secondaries ([`Authority::snapshot`]) are pointer copies;
-/// in-place edits go through [`Arc::make_mut`] (copy-on-write).
-#[derive(Debug, Clone)]
-struct ZoneSlot {
-    gen: u64,
-    zone: Arc<Zone>,
-}
-
-type ZoneMap = BTreeMap<Name, ZoneSlot>;
-
-/// Cache key: the question plus every echoed query attribute that
-/// changes the response bytes (RD/CD flags, EDNS presence, DO bit, and
-/// the verbatim-echoed EDNS payload size). Names differing only in
-/// ASCII case are one key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CacheKey {
-    /// [`name_hash64`] of `qname`: picks the stripe and, with the three
-    /// integers below, the bucket — the label bytes are hashed once.
-    hash: u64,
-    qname: Name,
-    qtype: u16,
-    /// Bit 0 = RD, bit 1 = CD, bit 2 = EDNS present, bit 3 = DO.
-    echo: u8,
-    /// Echoed EDNS payload size (0 without EDNS).
-    payload: u16,
-}
-
-impl std::hash::Hash for CacheKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-        state.write_u16(self.qtype);
-        state.write_u8(self.echo);
-        state.write_u16(self.payload);
-    }
-}
-
-/// One cached answer.
-struct CacheEntry {
-    /// Exact-case qname the cached response echoes (wire bytes reusable
-    /// only for a byte-identical question).
-    qname: Name,
-    /// The answering zone's origin and content generation; `None` when
-    /// no served zone matched (REFUSED).
-    origin: Option<(Name, u64)>,
-    /// The response with id 0 and the cached question.
-    msg: Message,
-    /// `msg.to_wire()` — the datagram fast path.
-    wire: Vec<u8>,
-}
-
-/// Striped map of pre-serialized answers. Growth is bounded by the
-/// number of distinct `(qname, qtype, flags)` tuples ever asked — the
-/// registered population for the scanner, not query volume — *and* by a
-/// hard per-stripe entry cap, so resident memory stays flat no matter
-/// how large the population: a full stripe stops admitting new keys
-/// (serving uncached is always correct) while still overwriting
-/// invalidated entries in place on the next miss for their key.
-struct ResponseCache {
-    enabled: AtomicBool,
-    stripes: Vec<RwLock<FnvHashMap<CacheKey, CacheEntry>>>,
-    stripe_cap: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Default per-stripe entry cap: 16 stripes × 16Ki = 262 144 entries
-/// per authority. Well above what a 1:2000 study population ever asks
-/// one authority (so the steady-state cold-scan contract is untouched),
-/// and the lever that keeps population-scale campaigns' resident cache
-/// memory O(cap), not O(domains).
-const CACHE_STRIPE_CAP: usize = 16 * 1024;
-
-impl ResponseCache {
-    fn new() -> Self {
-        ResponseCache {
-            enabled: AtomicBool::new(true),
-            stripes: (0..CACHE_STRIPES)
-                .map(|_| RwLock::new(FnvHashMap::default()))
-                .collect(),
-            stripe_cap: AtomicUsize::new(CACHE_STRIPE_CAP),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The cache key for `query`, or `None` when the query is not
-    /// cacheable (cache off, multi-question, non-QUERY opcode, or a
-    /// class other than IN).
-    fn key_for(&self, query: &Message, question: &Question) -> Option<CacheKey> {
-        if !self.enabled.load(Ordering::Relaxed)
-            || query.questions.len() != 1
-            || query.opcode != Opcode::Query
-            || question.qclass != RrClass::In
-        {
-            return None;
-        }
-        let mut echo = 0u8;
-        if query.flags.recursion_desired {
-            echo |= 1;
-        }
-        if query.flags.checking_disabled {
-            echo |= 2;
-        }
-        let mut payload = 0u16;
-        if let Some(edns) = &query.edns {
-            echo |= 4;
-            if edns.dnssec_ok {
-                echo |= 8;
-            }
-            payload = edns.udp_payload_size;
-        }
-        Some(CacheKey {
-            hash: name_hash64(&question.name),
-            qname: question.name.clone(),
-            qtype: question.qtype.number(),
-            echo,
-            payload,
-        })
-    }
-
-    fn stripe(&self, key: &CacheKey) -> &RwLock<FnvHashMap<CacheKey, CacheEntry>> {
-        &self.stripes[(key.hash as usize) & (CACHE_STRIPES - 1)]
-    }
-
-    /// A cached response as a parsed message, re-stamped with the
-    /// querier's id and exact-case question.
-    fn message_hit(&self, key: &CacheKey, query: &Message, zones: &ZoneMap) -> Option<Message> {
-        let stripe = self.stripe(key).read();
-        let entry = stripe.get(key)?;
-        if !entry_current(entry, zones) {
-            return None;
-        }
-        let mut response = entry.msg.clone();
-        response.id = query.id;
-        response.questions = query.questions.clone();
-        Some(response)
-    }
-
-    /// A cached response as raw wire bytes with the id patched in — only
-    /// when the incoming question is byte-identical (same label case) to
-    /// the cached one, since the response echoes the question verbatim.
-    fn wire_hit(
-        &self,
-        key: &CacheKey,
-        query: &Message,
-        question: &Question,
-        zones: &ZoneMap,
-    ) -> Option<Vec<u8>> {
-        let stripe = self.stripe(key).read();
-        let entry = stripe.get(key)?;
-        if !entry_current(entry, zones) || !same_label_bytes(&entry.qname, &question.name) {
-            return None;
-        }
-        let mut wire = entry.wire.clone();
-        wire[0..2].copy_from_slice(&query.id.to_be_bytes());
-        Some(wire)
-    }
-
-    fn insert(&self, key: CacheKey, qname: Name, origin: Option<(Name, u64)>, response: &Message) {
-        let cap = self.stripe_cap.load(Ordering::Relaxed);
-        // Cheap read-probe first: once a stripe is full, misses on new
-        // keys must not pay the clone + serialize below just to be
-        // turned away at the write lock.
-        {
-            let stripe = self.stripe(&key).read();
-            if stripe.len() >= cap && !stripe.contains_key(&key) {
-                return;
-            }
-        }
-        let mut msg = response.clone();
-        msg.id = 0;
-        let wire = msg.to_wire();
-        let mut stripe = self.stripe(&key).write();
-        if stripe.len() >= cap && !stripe.contains_key(&key) {
-            return;
-        }
-        stripe.insert(
-            key,
-            CacheEntry {
-                qname,
-                origin,
-                msg,
-                wire,
-            },
-        );
-    }
-
-    /// Drops every entry whose qname sits at or under `origin` — the
-    /// targeted sweep for a *newly served* origin, which can steal the
-    /// longest match (or a REFUSED verdict) from existing entries.
-    fn sweep_under(&self, origin: &Name) {
-        for stripe in &self.stripes {
-            stripe.write().retain(|_, e| !e.qname.is_subdomain_of(origin));
-        }
-    }
-
-    fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.write().clear();
-        }
-    }
-}
-
-/// Whether `entry` still reflects the current zone set.
-fn entry_current(entry: &CacheEntry, zones: &ZoneMap) -> bool {
-    match &entry.origin {
-        None => true,
-        Some((origin, gen)) => zones.get(origin).is_some_and(|slot| slot.gen == *gen),
-    }
-}
-
-/// Byte-level (case-sensitive) label equality — the test for reusing
-/// pre-serialized question bytes.
-fn same_label_bytes(a: &Name, b: &Name) -> bool {
-    a.labels().eq(b.labels())
-}
+/// Served zones by origin. Each zone is shared via `Arc` so epoch
+/// republishes and frozen secondaries ([`Authority::snapshot`]) are
+/// pointer copies; in-place edits go through [`Arc::make_mut`]
+/// (copy-on-write).
+type ZoneMap = BTreeMap<Name, Arc<Zone>>;
 
 /// One DNS operator's authoritative service.
 ///
 /// Thread-safe: the ecosystem mutates zones (daily re-signing, customer
 /// changes) while the scanner queries concurrently. Queries take no
 /// shared locks — see the module docs.
+#[derive(Debug, Default)]
 pub struct Authority {
     zones: Epoch<ZoneMap>,
-    /// Monotonic source of [`ZoneSlot::gen`] values; never reused, so a
-    /// removed-and-readded origin cannot revive stale cache entries.
-    zone_gen: AtomicU64,
-    cache: ResponseCache,
-}
-
-impl fmt::Debug for Authority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Authority")
-            .field("zones", &self.zones)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for Authority {
-    fn default() -> Self {
-        Authority {
-            zones: Epoch::new(BTreeMap::new()),
-            zone_gen: AtomicU64::new(0),
-            cache: ResponseCache::new(),
-        }
-    }
 }
 
 impl Authority {
@@ -292,55 +35,30 @@ impl Authority {
         Self::default()
     }
 
-    fn next_gen(&self) -> u64 {
-        self.zone_gen.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Installs or replaces the zone with the same origin.
-    ///
-    /// Replacements invalidate cached answers lazily (the slot
-    /// generation changes); a *new* origin triggers a targeted cache
-    /// sweep, since it may become the longest match for names previously
-    /// answered by an ancestor zone or refused outright.
     pub fn upsert_zone(&self, zone: Zone) {
-        let gen = self.next_gen();
         let origin = zone.origin().to_canonical();
-        let slot = ZoneSlot {
-            gen,
-            zone: Arc::new(zone),
-        };
-        let newly_served = self
-            .zones
-            .mutate(|zones| zones.insert(origin.clone(), slot).is_none());
-        if newly_served {
-            self.cache.sweep_under(&origin);
-        }
+        self.zones.mutate(|zones| {
+            zones.insert(origin, Arc::new(zone));
+        });
     }
 
     /// Removes the zone rooted at `origin`; returns whether it existed.
-    /// Cached answers from it invalidate lazily (their origin lookup
-    /// fails).
     pub fn remove_zone(&self, origin: &Name) -> bool {
         self.zones.mutate(|zones| zones.remove(origin).is_some())
     }
 
     /// Runs `f` over the zone rooted at `origin`, if served.
     pub fn with_zone<R>(&self, origin: &Name, f: impl FnOnce(&Zone) -> R) -> Option<R> {
-        self.zones.read().get(origin).map(|slot| f(&slot.zone))
+        self.zones.read().get(origin).map(|zone| f(zone))
     }
 
     /// Runs `f` mutably over the zone rooted at `origin`, if served.
     /// Copy-on-write: frozen secondaries holding the old `Arc` keep the
-    /// pre-edit contents. The slot generation bump invalidates every
-    /// cached answer derived from this zone.
+    /// pre-edit contents.
     pub fn with_zone_mut<R>(&self, origin: &Name, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        let gen = self.next_gen();
-        self.zones.mutate(|zones| {
-            let slot = zones.get_mut(origin)?;
-            let result = f(Arc::make_mut(&mut slot.zone));
-            slot.gen = gen;
-            Some(result)
-        })
+        self.zones
+            .mutate(|zones| Some(f(Arc::make_mut(zones.get_mut(origin)?))))
     }
 
     /// Origins of all served zones.
@@ -353,64 +71,25 @@ impl Authority {
     ///
     /// O(1): the snapshot shares the live zone-map `Arc`; later edits to
     /// the live authority copy-on-write and leave the frozen view
-    /// untouched. The snapshot starts with an empty response cache of
-    /// its own (no answers leak between the live and stale views).
+    /// untouched.
     pub fn snapshot(&self) -> Authority {
         Authority {
             zones: self.zones.share(),
-            zone_gen: AtomicU64::new(self.zone_gen.load(Ordering::Relaxed)),
-            cache: ResponseCache::new(),
         }
     }
 
-    /// Enables or disables the response cache (on by default). Disabling
-    /// also drops every cached entry, so re-enabling starts cold.
-    pub fn set_response_cache(&self, enabled: bool) {
-        self.cache.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// Overrides the response cache's total entry capacity (divided
-    /// evenly across the stripes; default 262 144 entries; 0 admits no
-    /// new entries at all). The cap is a hard resident-memory bound:
-    /// full stripes stop admitting new keys but still refresh
-    /// invalidated entries in place.
-    pub fn set_response_cache_capacity(&self, entries: usize) {
-        self.cache
-            .stripe_cap
-            .store(entries.div_ceil(CACHE_STRIPES), Ordering::Relaxed);
-    }
-
-    /// `(hits, misses)` of the response cache since construction.
-    pub fn response_cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache.hits.load(Ordering::Relaxed),
-            self.cache.misses.load(Ordering::Relaxed),
-        )
-    }
+    /// Does nothing: there is no response cache to switch. Kept only
+    /// because the frozen `crates/benchmark/src/layers.rs` calls it on
+    /// its "uncached" authority (ROADMAP item 3 retires it).
+    #[doc(hidden)]
+    pub fn set_response_cache(&self, _enabled: bool) {}
 
     /// Answers one query message.
     pub fn handle_query(&self, query: &Message) -> Message {
         let mut response = query.response_to();
-        let Some(question) = query.questions.first() else {
-            response.rcode = Rcode::FormErr;
-            return response;
-        };
-        let zones = self.zones.read();
-        let key = self.cache.key_for(query, question);
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.message_hit(key, query, &zones) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let origin = answer(&zones, query, question, &mut response);
-        if let Some(key) = key {
-            self.cache
-                .insert(key, question.name.clone(), origin, &response);
+        match query.questions.first() {
+            Some(question) => answer(&self.zones.read(), query, question, &mut response),
+            None => response.rcode = Rcode::FormErr,
         }
         response
     }
@@ -430,18 +109,6 @@ impl Authority {
                     .map(|e| e.udp_payload_size as usize)
                     .unwrap_or(512)
                     .max(512);
-                // Memcpy fast path: cached wire bytes, id patched in.
-                if let Some(question) = query.questions.first() {
-                    if let Some(key) = self.cache.key_for(&query, question) {
-                        let zones = self.zones.read();
-                        if let Some(wire) = self.cache.wire_hit(&key, &query, question, &zones) {
-                            if wire.len() <= limit {
-                                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                                return Some(wire);
-                            }
-                        }
-                    }
-                }
                 let response = self.handle_query(&query);
                 let wire = response.to_wire();
                 if wire.len() <= limit {
@@ -488,15 +155,9 @@ impl Authority {
     }
 }
 
-/// The RFC 1034 §4.3.2 answer algorithm over one zone snapshot. Fills
-/// `response` and returns the answering zone's `(origin, generation)`,
-/// or `None` when no served zone matched (REFUSED).
-fn answer(
-    zones: &ZoneMap,
-    query: &Message,
-    question: &Question,
-    response: &mut Message,
-) -> Option<(Name, u64)> {
+/// The RFC 1034 §4.3.2 answer algorithm over one zone snapshot: fills
+/// `response` (REFUSED when no served zone matches).
+fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut Message) {
     let qname = &question.name;
     let qtype = question.qtype;
     let dnssec_ok = query.dnssec_ok();
@@ -504,21 +165,12 @@ fn answer(
     // Longest-match zone for the qname: walk the ancestor chain so the
     // lookup stays O(labels · log zones) even when one operator serves
     // tens of thousands of customer zones.
-    let mut found: Option<(&Name, &ZoneSlot)> = None;
-    let mut candidate = Some(qname.clone());
-    while let Some(c) = candidate {
-        if let Some((key, slot)) = zones.get_key_value(&c) {
-            found = Some((key, slot));
-            break;
-        }
-        candidate = c.parent();
-    }
-    let Some((origin_key, slot)) = found else {
+    let Some(zone) = std::iter::successors(Some(qname.clone()), Name::parent)
+        .find_map(|candidate| zones.get(&candidate))
+    else {
         response.rcode = Rcode::Refused;
-        return None;
+        return;
     };
-    let provenance = Some((origin_key.clone(), slot.gen));
-    let zone: &Zone = &slot.zone;
 
     response.flags = Flags {
         response: true,
@@ -565,7 +217,7 @@ fn answer(
                     }
                 }
             }
-            return provenance;
+            return;
         }
     }
 
@@ -575,7 +227,7 @@ fn answer(
         if dnssec_ok {
             append_rrsigs(zone, qname, &[qtype], &mut response.answers);
         }
-        return provenance;
+        return;
     }
 
     // CNAME at the name?
@@ -584,7 +236,7 @@ fn answer(
         if dnssec_ok {
             append_rrsigs(zone, qname, &[RrType::Cname], &mut response.answers);
         }
-        return provenance;
+        return;
     }
 
     // Negative answer: NODATA (name exists) or NXDOMAIN.
@@ -620,7 +272,6 @@ fn answer(
             }
         }
     }
-    provenance
 }
 
 /// Appends RRSIGs at `owner` covering any of `types`.
@@ -644,7 +295,7 @@ fn nsec3_denial_owner(zone: &Zone, qname: &Name) -> Option<Name> {
     let RData::Nsec3Param(param) = &param_set[0].rdata else {
         return None;
     };
-    let qhash = dsec_dnssec::nsec3_hash_memoized(qname, &param.salt, param.iterations);
+    let qhash = dsec_dnssec::nsec3_hash(qname, &param.salt, param.iterations);
     // Collect (owner-hash, owner) for every NSEC3 in the zone.
     let mut entries: Vec<([u8; 20], Name)> = zone
         .rrsets()
@@ -952,6 +603,32 @@ mod tests {
     }
 
     #[test]
+    fn datagram_and_message_paths_agree() {
+        let auth = authority(true);
+        let rows = [
+            ("www.example.com", RrType::A),          // positive
+            ("www.example.com", RrType::Mx),         // NODATA
+            ("nope.example.com", RrType::A),         // NXDOMAIN
+            ("deep.sub.example.com", RrType::A),     // referral
+            ("other.org", RrType::A),                // REFUSED
+            ("WwW.eXaMpLe.CoM", RrType::A),          // mixed-case question
+        ];
+        for (id, (qname, qtype)) in (0xBE00u16..).zip(rows) {
+            for dnssec in [false, true] {
+                let q = Message::query(id, name(qname), qtype, dnssec);
+                let expected = auth.handle_query(&q);
+                assert_eq!(expected.id, id);
+                assert_eq!(expected.questions[0].name.to_string(), format!("{qname}."));
+                assert_eq!(
+                    auth.handle_datagram(&q.to_wire()).unwrap(),
+                    expected.to_wire(),
+                    "{qname} {qtype:?} DO={dnssec}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn malformed_datagram_gets_formerr() {
         let auth = authority(false);
         let out = auth.handle_datagram(&[0xAB, 0xCD, 0xFF]).unwrap();
@@ -983,7 +660,7 @@ mod tests {
         let resp = Message::from_wire(&out).unwrap();
         assert!(resp.flags.truncated);
         assert!(resp.answers.is_empty());
-        // Truncation must hold on the repeat (cached) query too.
+        // Truncation must hold on the repeat query too.
         let out = auth.handle_datagram(&q.to_wire()).unwrap();
         assert!(Message::from_wire(&out).unwrap().flags.truncated);
         // With EDNS 4096 → fits, not truncated.
@@ -1043,20 +720,10 @@ mod tests {
         assert!(!auth.remove_zone(&name("example.com")));
     }
 
-    // ——— response-cache behavior ———
+    // ——— freshness: every answer is built from the zones as they are now ———
 
     #[test]
-    fn repeat_queries_hit_the_cache_and_match() {
-        let auth = authority(true);
-        let first = ask(&auth, "www.example.com", RrType::A, true);
-        let second = ask(&auth, "www.example.com", RrType::A, true);
-        assert_eq!(first, second);
-        let (hits, misses) = auth.response_cache_stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn cache_hit_echoes_querier_id_and_case() {
+    fn another_spelling_reaches_the_same_zone_and_echoes_id_and_case() {
         let auth = authority(false);
         let warm = Message::query(1, name("www.example.com"), RrType::A, false);
         auth.handle_query(&warm);
@@ -1065,30 +732,6 @@ mod tests {
         assert_eq!(resp.id, 77);
         assert_eq!(resp.questions[0].name.to_string(), "WWW.Example.COM.");
         assert_eq!(resp.answers.len(), 1);
-        assert_eq!(auth.response_cache_stats().0, 1, "case variant still hits");
-    }
-
-    #[test]
-    fn another_spelling_hits_the_same_entry_on_both_paths_and_is_echoed() {
-        let auth = authority(false);
-        auth.handle_query(&Message::query(1, name("www.example.com"), RrType::A, false));
-        // (id, spelling, over the datagram path?) — every row is a hit on
-        // the one entry the lowercase question stored.
-        let rows = [
-            (77, "WWW.Example.COM", false),
-            (78, "wWw.example.com", true),
-            (79, "www.example.com", true),
-        ];
-        for (hits, (id, spelling, datagram)) in (1u64..).zip(rows) {
-            let q = Message::query(id, name(spelling), RrType::A, false);
-            let resp = match datagram {
-                true => Message::from_wire(&auth.handle_datagram(&q.to_wire()).unwrap()).unwrap(),
-                false => auth.handle_query(&q),
-            };
-            assert_eq!((resp.id, resp.answers.len()), (id, 1));
-            assert_eq!(resp.questions[0].name.to_string(), format!("{spelling}."));
-            assert_eq!(auth.response_cache_stats(), (hits, 1), "{spelling}");
-        }
     }
 
     #[test]
@@ -1183,63 +826,12 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_cache_bypasses_it() {
-        let auth = authority(false);
-        auth.set_response_cache(false);
-        for _ in 0..3 {
-            assert_eq!(ask(&auth, "www.example.com", RrType::A, false).answers.len(), 1);
-        }
-        assert_eq!(auth.response_cache_stats(), (0, 0));
-        auth.set_response_cache(true);
-        ask(&auth, "www.example.com", RrType::A, false);
-        ask(&auth, "www.example.com", RrType::A, false);
-        assert_eq!(auth.response_cache_stats(), (1, 1));
-    }
-
-    #[test]
-    fn capacity_cap_stops_growth_but_keeps_serving() {
-        let auth = authority(false);
-        // Admit one entry at the default (roomy) capacity…
-        assert_eq!(ask(&auth, "www.example.com", RrType::A, false).answers.len(), 1);
-        // …then freeze the cache: capacity 0 admits no new keys.
-        auth.set_response_cache_capacity(0);
-        for i in 0..8 {
-            for _ in 0..2 {
-                let resp = ask(&auth, &format!("x{i}.example.com"), RrType::A, false);
-                assert_eq!(resp.rcode, Rcode::NxDomain, "full cache must not change answers");
-            }
-        }
-        // 1 admitted miss + 16 rejected misses, zero hits: repeat asks
-        // of never-admitted names stay misses — growth has stopped.
-        assert_eq!(auth.response_cache_stats(), (0, 17));
-        // The entry admitted before the freeze still serves…
-        assert_eq!(ask(&auth, "www.example.com", RrType::A, false).answers.len(), 1);
-        assert_eq!(auth.response_cache_stats(), (1, 17));
-        // …and an invalidated entry is refreshed *in place* even at full
-        // capacity (existing keys bypass the cap).
-        auth.with_zone_mut(&name("example.com"), |z| {
-            z.add(Record::new(
-                name("www.example.com"),
-                60,
-                RData::A("192.0.2.99".parse().unwrap()),
-            ))
-            .unwrap();
-        });
-        assert_eq!(ask(&auth, "www.example.com", RrType::A, false).answers.len(), 2);
-        assert_eq!(auth.response_cache_stats(), (1, 18), "stale entry re-inserted");
-        assert_eq!(ask(&auth, "www.example.com", RrType::A, false).answers.len(), 2);
-        assert_eq!(auth.response_cache_stats(), (2, 18), "refreshed entry hits again");
-    }
-
-    #[test]
-    fn do_bit_and_flags_partition_the_cache() {
+    fn do_bit_changes_the_answer_to_the_same_question() {
         let auth = authority(true);
         let plain = ask(&auth, "www.example.com", RrType::A, false);
         let with_do = ask(&auth, "www.example.com", RrType::A, true);
         assert!(!plain.answers.iter().any(|r| r.rtype() == RrType::Rrsig));
         assert!(with_do.answers.iter().any(|r| r.rtype() == RrType::Rrsig));
-        // Both were misses: distinct keys, no cross-contamination.
-        assert_eq!(auth.response_cache_stats().1, 2);
     }
 
     #[test]

@@ -110,29 +110,13 @@ impl Network {
         self.servers.read().get(ns).cloned()
     }
 
-    /// Enables or disables the wire-response cache on every registered
-    /// authority (on by default). Used by determinism harnesses to prove
-    /// cached and uncached runs are byte-identical.
-    pub fn set_response_cache(&self, enabled: bool) {
-        for authority in self.servers.read().values() {
-            authority.set_response_cache(enabled);
-        }
-    }
-
-    /// Aggregate `(hits, misses)` of the per-authority response caches.
-    /// An authority registered under several hostnames is counted once.
+    /// Always `(0, 0)`: no authority caches responses. Kept only because
+    /// the frozen `crates/benchmark/src/workloads/{traffic,campaign}.rs`
+    /// read it for `authserver.response_cache_hit_rate` (ROADMAP item 3
+    /// retires it).
+    #[doc(hidden)]
     pub fn response_cache_stats(&self) -> (u64, u64) {
-        let mut seen = std::collections::HashSet::new();
-        let mut hits = 0;
-        let mut misses = 0;
-        for authority in self.servers.read().values() {
-            if seen.insert(Arc::as_ptr(authority)) {
-                let (h, m) = authority.response_cache_stats();
-                hits += h;
-                misses += m;
-            }
-        }
-        (hits, misses)
+        (0, 0)
     }
 
     /// The fault-injection plane (dormant until

@@ -29,7 +29,7 @@ pub mod validate;
 pub use cds::{process_scan, CdsAction, CdsError, CdsScan};
 pub use deployment::{classify, DeploymentStatus, Misconfiguration, Observation};
 pub use keys::{ds_matches, make_ds, ZoneKeys, DEFAULT_KEY_BITS};
-pub use nsec3::{hashed_owner_name, nsec3_hash, nsec3_hash_memoized, Nsec3Config, Nsec3Memo};
+pub use nsec3::{hashed_owner_name, nsec3_hash, Nsec3Config};
 pub use signer::{sign_rrset, sign_zone, sign_zone_set, SignerConfig, SigningSet};
 pub use trust_anchor::{AnchorState, AnchorTracker, ADD_HOLD_DOWN_DAYS};
 pub use validate::{authenticate_dnskeys, validate_rrset, ValidationError};

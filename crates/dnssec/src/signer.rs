@@ -8,7 +8,7 @@ use dsec_wire::{Name, RData, Record, RrSet, RrType, RrsigRdata, Zone};
 use dsec_crypto::SigningKey;
 
 use crate::keys::ZoneKeys;
-use crate::nsec3::{nsec3_hash_memoized, Nsec3Config};
+use crate::nsec3::{nsec3_hash, Nsec3Config};
 use crate::DnssecError;
 
 /// Signing parameters.
@@ -222,14 +222,7 @@ pub fn sign_zone_set(
             .collect();
         let mut hashed: Vec<([u8; 20], Name)> = auth_owners
             .iter()
-            .map(|owner| {
-                (
-                    // Memoized: daily re-signing rehashes the same owners
-                    // with unchanged zone parameters.
-                    nsec3_hash_memoized(owner, &nsec3.salt, nsec3.iterations),
-                    owner.clone(),
-                )
-            })
+            .map(|owner| (nsec3_hash(owner, &nsec3.salt, nsec3.iterations), owner.clone()))
             .collect();
         hashed.sort_by_key(|a| a.0);
         for (i, (hash, owner)) in hashed.iter().enumerate() {

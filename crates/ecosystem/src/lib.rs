@@ -341,6 +341,70 @@ mod tests {
             .unwrap(),
             UploadOutcome::Accepted
         );
+        // The NS path runs the same check: forged → rejected, genuine → accepted.
+        for (actual_from, outcome) in [
+            ("evil@attacker.net", UploadOutcome::EmailNotVerified),
+            ("owner@a.com", UploadOutcome::Accepted),
+        ] {
+            let via = DsSubmission::Email {
+                claimed_from: "owner@a.com".into(),
+                actual_from: actual_from.into(),
+            };
+            assert_eq!(
+                w.submit_ns_change(&d, &[name("ns1.elsewhere.net")], via).unwrap(),
+                outcome,
+                "NS change mailed by {actual_from}"
+            );
+        }
+        assert_eq!(w.events.count("forged_ns_accepted"), 0);
+    }
+
+    #[test]
+    fn a_forged_ds_that_validation_rejects_is_not_logged_as_accepted() {
+        // Header-only sender check, but the DS is validated against the
+        // served DNSKEY: the forged From gets through, the forged DS does not.
+        let mut w = small_world();
+        let r = w.add_registrar(
+            "CheckedMail",
+            name("checkedmail.net"),
+            RegistrarPolicy {
+                operator_dnssec: OperatorDnssec::Unsupported,
+                external_ds: ExternalDs::Email {
+                    verifies_sender: false,
+                    accepts_foreign_sender: false,
+                    validates: true,
+                },
+                tlds: [(Tld::Com, TldPolicy::full(TldRole::Registrar))].into(),
+            },
+        );
+        let d = w
+            .purchase(r, "victim", Tld::Com, Hosting::Owner, "owner@victim.com")
+            .unwrap();
+        let real_ds = w.owner_sign_zone(&d).unwrap();
+        let forged_mail = || DsSubmission::Email {
+            claimed_from: "owner@victim.com".into(),
+            actual_from: "evil@attacker.net".into(),
+        };
+        let attacker_ds = DsRdata {
+            key_tag: 666,
+            algorithm: 8,
+            digest_type: 2,
+            digest: vec![6; 32],
+        };
+        assert_eq!(
+            w.upload_ds(&d, attacker_ds, forged_mail()).unwrap(),
+            UploadOutcome::RejectedInvalid
+        );
+        assert!(w.registry(Tld::Com).ds_of(&d).is_empty());
+        assert_eq!(w.events.count("ds_rejected"), 1);
+        assert_eq!(w.events.count("forged_email_accepted"), 0, "nothing was accepted");
+        // A forged mail carrying a DS that does validate is installed, and logged.
+        assert_eq!(
+            w.upload_ds(&d, real_ds.clone(), forged_mail()).unwrap(),
+            UploadOutcome::Accepted
+        );
+        assert_eq!(w.registry(Tld::Com).ds_of(&d), vec![real_ds]);
+        assert_eq!(w.events.count("forged_email_accepted"), 1);
     }
 
     #[test]

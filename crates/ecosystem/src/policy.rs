@@ -104,6 +104,34 @@ impl ExternalDs {
                 | ExternalDs::FetchDnskey
         )
     }
+
+    /// Sender authentication of one emailed request for a domain whose
+    /// registrant is `registrant` (§5.3, §6.1): `None` = refused,
+    /// `Some(forged)` = let through, and whether it came from a mailbox
+    /// other than the registrant's. Only `verifies_sender` looks at the
+    /// mailbox that really sent it; the From: header is forgeable. A
+    /// channel that is not email admits no mail.
+    pub fn admits_sender(
+        &self,
+        registrant: &str,
+        claimed_from: &str,
+        actual_from: &str,
+    ) -> Option<bool> {
+        let authentic = actual_from == registrant;
+        let admitted = match self {
+            ExternalDs::Email {
+                verifies_sender: true,
+                ..
+            } => authentic,
+            ExternalDs::Email {
+                accepts_foreign_sender: true,
+                ..
+            } => true,
+            ExternalDs::Email { .. } => claimed_from == registrant,
+            _ => false,
+        };
+        admitted.then_some(!authentic)
+    }
 }
 
 /// A registrar's role for one TLD (Table 4).

@@ -19,7 +19,7 @@ use rand::RngCore;
 use dsec_authserver::Authority;
 use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
-use dsec_wire::{DsRdata, Name, NameInterner, RData, Record, RrType, SoaRdata, Zone};
+use dsec_wire::{DsRdata, Name, RData, Record, RrType, SoaRdata, Zone};
 
 use crate::table::{DomainTable, JournalCursor, OrderedRows};
 use crate::tld::Tld;
@@ -56,7 +56,7 @@ pub struct Registry {
     /// Incentive bookkeeping: validation failures per registrar.
     pub audit_failures: BTreeMap<RegistrarId, u64>,
     /// Columnar per-delegation state: sponsor, change generation, and
-    /// liveness in dense `NameId`-indexed columns (see [`DomainTable`]).
+    /// liveness in dense row-indexed columns (see [`DomainTable`]).
     /// The generation column is bumped on every registry-side edit a
     /// scanner could observe (delegation added/removed, NS set replaced,
     /// DS set replaced); the incremental scan cache keys its entries on
@@ -75,19 +75,6 @@ impl Registry {
         rng: &mut dyn RngCore,
         valid_from: u32,
         valid_until: u32,
-    ) -> Self {
-        Self::with_interner(tld, rng, valid_from, valid_until, Arc::new(NameInterner::new()))
-    }
-
-    /// [`Registry::new`] interning delegation names into a shared
-    /// interner (the world passes one interner to all its registries so
-    /// `NameId`s are comparable across the ecosystem).
-    pub fn with_interner(
-        tld: Tld,
-        rng: &mut dyn RngCore,
-        valid_from: u32,
-        valid_until: u32,
-        interner: Arc<NameInterner>,
     ) -> Self {
         let origin = tld.zone();
         let keys = ZoneKeys::generate_default(rng, origin.clone(), Algorithm::RsaSha256)
@@ -148,7 +135,7 @@ impl Registry {
             signer,
             discounts_cents: BTreeMap::new(),
             audit_failures: BTreeMap::new(),
-            table: DomainTable::new(interner),
+            table: DomainTable::new(),
         }
     }
 
@@ -156,8 +143,6 @@ impl Registry {
     /// changes what a scan of the TLD zone would observe bumps this;
     /// sponsorship transfers do not (they are invisible on the wire).
     pub fn generation_of(&self, domain: &Name) -> u64 {
-        // `Name` hashes case-insensitively, so the interner lookup needs
-        // no canonical copy; the rest is two integer probes.
         self.table.generation_of(domain)
     }
 

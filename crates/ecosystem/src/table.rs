@@ -1,4 +1,4 @@
-//! Columnar, `NameId`-keyed per-domain state.
+//! Columnar, row-indexed per-domain state.
 //!
 //! The registration universe is write-once-read-often: a population build
 //! inserts millions of domains, then campaigns sweep them every snapshot.
@@ -9,14 +9,12 @@
 //! [`DomainTable`] and [`DomainStore`] replace those maps with a
 //! struct-of-arrays layout:
 //!
-//! * every name is interned once in the shared [`NameInterner`]
-//!   (`crates/wire`), so identity is a `u32` [`NameId`];
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
 //!   [`RegistrarId`], change generation, liveness for the registry table;
 //!   the [`Domain`] payload row — hosting, DNSSEC keys,
 //!   expiry — plus the rollover slot for the world store);
-//! * a `NameId → row` FNV map is the only hash probe left on the edge,
-//!   and it hashes a single integer;
+//! * a `Name → row` FNV map is the only hash probe left on the edge
+//!   (case-folding, like every `Name`-keyed map);
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
 //!   zone files require — is a lazily rebuilt sorted row index behind an
 //!   `RwLock`, so reads stay `&self` and an unchanged population sorts
@@ -35,9 +33,9 @@
 //! generation. See DESIGN.md §9.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{RwLock, RwLockReadGuard};
 
-use dsec_wire::{FnvHashMap, Name, NameId, NameInterner};
+use dsec_wire::{FnvHashMap, Name};
 
 use crate::domain::Domain;
 use crate::RegistrarId;
@@ -72,7 +70,6 @@ static NEXT_JOURNAL: AtomicU64 = AtomicU64::new(0);
 /// liveness per delegated name. See the module docs for the layout.
 #[derive(Debug)]
 pub struct DomainTable {
-    interner: Arc<NameInterner>,
     /// Row → canonical name (the API edge; never shrinks).
     names: Vec<Name>,
     /// Row → sponsoring registrar (last known for dead rows).
@@ -81,8 +78,8 @@ pub struct DomainTable {
     generation: Vec<u64>,
     /// Row → whether the delegation currently exists.
     live: Vec<bool>,
-    /// Interned id → row. The single hash probe on the lookup edge.
-    index: FnvHashMap<NameId, u32>,
+    /// Name → row. The single hash probe on the lookup edge.
+    index: FnvHashMap<Name, u32>,
     live_count: usize,
     order: RwLock<OrderCache>,
     /// This journal's identity (see [`NEXT_JOURNAL`]).
@@ -94,11 +91,16 @@ pub struct DomainTable {
     journal_base: u64,
 }
 
+impl Default for DomainTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DomainTable {
-    /// An empty table interning into `interner`.
-    pub fn new(interner: Arc<NameInterner>) -> Self {
+    /// An empty table.
+    pub fn new() -> Self {
         DomainTable {
-            interner,
             names: Vec::new(),
             sponsor: Vec::new(),
             generation: Vec::new(),
@@ -115,24 +117,22 @@ impl DomainTable {
 
     /// The row for `name`, if the table has ever seen it (live or dead).
     pub fn row_of(&self, name: &Name) -> Option<u32> {
-        let id = self.interner.get(name)?;
-        self.index.get(&id).copied()
+        self.index.get(name).copied()
     }
 
     /// The row for `name`, creating a dead generation-0 row on first
-    /// sight. This is the write-side edge: one label hash (interner),
-    /// one integer hash (index).
+    /// sight.
     pub fn intern_row(&mut self, name: &Name) -> u32 {
-        let id = self.interner.intern(name);
-        if let Some(&row) = self.index.get(&id) {
+        if let Some(row) = self.row_of(name) {
             return row;
         }
         let row = self.names.len() as u32;
-        self.names.push(name.to_canonical());
+        let canonical = name.to_canonical();
+        self.names.push(canonical.clone());
         self.sponsor.push(RegistrarId(u32::MAX));
         self.generation.push(0);
         self.live.push(false);
-        self.index.insert(id, row);
+        self.index.insert(canonical, row);
         row
     }
 
@@ -303,37 +303,29 @@ impl<'a> Iterator for OrderedRows<'a> {
 impl ExactSizeIterator for OrderedRows<'_> {}
 
 /// The world-side store: dense [`Domain`] payload rows plus the
-/// rollover-slot column, indexed by interned id, enumerated in canonical
+/// rollover-slot column, indexed by name, enumerated in canonical
 /// order. Mirrors the `BTreeMap<Name, Domain>` surface it replaced
 /// (domains are never removed from the world, so there are no tombstones).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DomainStore {
-    interner: Arc<NameInterner>,
     /// Row → domain payload (insertion-ordered, dense).
     rows: Vec<Domain>,
     /// Row → rollover slot ([`NO_ROLLOVER_SLOT`] = none in flight). The
     /// world's rollover driver keys its in-flight state on this.
     rollover: Vec<u32>,
-    index: FnvHashMap<NameId, u32>,
+    index: FnvHashMap<Name, u32>,
     order: RwLock<OrderCache>,
 }
 
 impl DomainStore {
-    /// An empty store interning into `interner`.
-    pub fn new(interner: Arc<NameInterner>) -> Self {
-        DomainStore {
-            interner,
-            rows: Vec::new(),
-            rollover: Vec::new(),
-            index: FnvHashMap::default(),
-            order: RwLock::new(OrderCache::default()),
-        }
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The row for `name`, if present.
     pub fn row_of(&self, name: &Name) -> Option<u32> {
-        let id = self.interner.get(name)?;
-        self.index.get(&id).copied()
+        self.index.get(name).copied()
     }
 
     /// The domain payload at `row`.
@@ -356,7 +348,7 @@ impl DomainStore {
         self.rollover[row as usize] = slot;
     }
 
-    /// Lookup by name (one label hash + one integer hash).
+    /// Lookup by name.
     pub fn get(&self, name: &Name) -> Option<&Domain> {
         self.row_of(name).map(|row| self.at(row))
     }
@@ -373,15 +365,14 @@ impl DomainStore {
 
     /// Inserts (or replaces) the payload for `name`; returns the row.
     pub fn insert(&mut self, name: Name, domain: Domain) -> u32 {
-        let id = self.interner.intern(&name);
-        if let Some(&row) = self.index.get(&id) {
+        if let Some(row) = self.row_of(&name) {
             self.rows[row as usize] = domain;
             return row;
         }
         let row = self.rows.len() as u32;
         self.rows.push(domain);
         self.rollover.push(NO_ROLLOVER_SLOT);
-        self.index.insert(id, row);
+        self.index.insert(name, row);
         self.order.get_mut().expect("order lock").dirty = true;
         row
     }
@@ -480,13 +471,9 @@ mod tests {
         Name::parse(s).unwrap()
     }
 
-    fn table() -> DomainTable {
-        DomainTable::new(Arc::new(NameInterner::new()))
-    }
-
     #[test]
     fn rows_are_stable_across_removal_and_revival() {
-        let mut t = table();
+        let mut t = DomainTable::new();
         let row = t.intern_row(&name("a.com"));
         t.set_live(row, RegistrarId(1));
         t.bump(row);
@@ -506,7 +493,7 @@ mod tests {
 
     #[test]
     fn ordered_is_canonical_and_live_only() {
-        let mut t = table();
+        let mut t = DomainTable::new();
         for label in ["delta.com", "alpha.com", "bravo.com"] {
             let row = t.intern_row(&name(label));
             t.set_live(row, RegistrarId(1));
@@ -523,7 +510,7 @@ mod tests {
 
     #[test]
     fn generations_read_through_both_edges() {
-        let mut t = table();
+        let mut t = DomainTable::new();
         assert_eq!(t.generation_of(&name("ghost.com")), 0);
         let row = t.intern_row(&name("x.com"));
         t.set_live(row, RegistrarId(1));
@@ -536,7 +523,7 @@ mod tests {
 
     #[test]
     fn journal_yields_one_row_per_bump_since_the_cursor() {
-        let mut t = table();
+        let mut t = DomainTable::new();
         let rows: Vec<u32> = ["a.com", "b.com", "c.com", "d.com", "e.com", "f.com"]
             .iter()
             .map(|n| t.intern_row(&name(n)))
@@ -567,7 +554,7 @@ mod tests {
 
     #[test]
     fn journal_forgets_once_longer_than_the_table() {
-        let mut t = table();
+        let mut t = DomainTable::new();
         let a = t.intern_row(&name("a.com"));
         let b = t.intern_row(&name("b.com"));
         let start = t.journal_cursor();
@@ -596,7 +583,7 @@ mod tests {
 
     #[test]
     fn journal_refuses_a_foreign_cursor() {
-        let (mut ours, mut theirs) = (table(), table());
+        let (mut ours, mut theirs) = (DomainTable::new(), DomainTable::new());
         for t in [&mut ours, &mut theirs] {
             let row = t.intern_row(&name("a.com"));
             t.bump(row);
@@ -608,8 +595,7 @@ mod tests {
 
     #[test]
     fn store_mirrors_btreemap_semantics() {
-        let interner = Arc::new(NameInterner::new());
-        let mut s = DomainStore::new(interner);
+        let mut s = DomainStore::new();
         assert!(s.is_empty());
         let d = |n: &str| Domain {
             name: name(n),

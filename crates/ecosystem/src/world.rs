@@ -14,9 +14,7 @@ use dsec_dnssec::{
     classify, ds_matches, sign_zone, sign_zone_set, DeploymentStatus, Observation, SignerConfig,
     SigningSet, ZoneKeys,
 };
-use dsec_wire::{
-    DsRdata, Message, Name, NameInterner, RData, Record, RrSet, RrType, SoaRdata, Zone,
-};
+use dsec_wire::{DsRdata, Message, Name, RData, Record, RrSet, RrType, SoaRdata, Zone};
 
 use crate::anchor::AnchorRollPlan;
 use crate::clock::SimDate;
@@ -286,14 +284,10 @@ impl World {
         let valid_until = config.end.plus_days(400).epoch_seconds();
 
         let network = Arc::new(Network::new());
-        let interner = Arc::new(NameInterner::new());
 
-        // Registries and the domain store share one interner, so a
-        // `NameId` means the same name in every table.
         let mut registries = BTreeMap::new();
         for tld in ALL_TLDS {
-            let registry =
-                Registry::with_interner(tld, &mut rng, valid_from, valid_until, interner.clone());
+            let registry = Registry::new(tld, &mut rng, valid_from, valid_until);
             network.register(tld.registry_ns(), registry.authority());
             registries.insert(tld, registry);
         }
@@ -371,7 +365,7 @@ impl World {
             registrars: Vec::new(),
             operators: Vec::new(),
             third_parties: Vec::new(),
-            domains: DomainStore::new(interner),
+            domains: DomainStore::new(),
             owner_authority: Arc::new(Authority::new()),
             key_pool,
             tick: tick::TickState::default(),
@@ -619,7 +613,7 @@ impl World {
     pub fn domain_generation(&self, domain: &Name) -> u64 {
         // `Name` hashes case-insensitively (RFC 4034); no canonical copy.
         // Served-zone edits are folded into the registry's columnar counter
-        // by `bump_zone_generation`, so the scan path pays one probe.
+        // by `note_zone_edit`, so the scan path pays one probe.
         Tld::of_domain(domain)
             .map(|tld| self.registries[&tld].generation_of(domain))
             .unwrap_or(0)
@@ -628,7 +622,7 @@ impl World {
     /// Records a served-zone edit for `domain` (cache invalidation).
     /// Every registered domain sits under a studied TLD (purchase is the
     /// only entry into the store), so the registry fold is total.
-    fn bump_zone_generation(&mut self, domain: &Name) {
+    fn note_zone_edit(&mut self, domain: &Name) {
         if let Some(registry) = Tld::of_domain(domain).and_then(|tld| self.registries.get_mut(&tld))
         {
             registry.note_external_change(domain);
@@ -814,39 +808,21 @@ impl World {
             return Ok(UploadOutcome::ChannelUnsupported);
         };
 
-        // Channel-specific authentication.
-        if let (
-                ExternalDs::Email {
-                    verifies_sender,
-                    accepts_foreign_sender,
-                    ..
-                },
-                DsSubmission::Email {
-                    claimed_from,
-                    actual_from,
-                },
-            ) = (&policy.external_ds, &via) {
-            let authentic = actual_from == &registrant_email;
-            let header_ok = claimed_from == &registrant_email;
-            let accepted = if *verifies_sender {
-                authentic
-            } else if *accepts_foreign_sender {
-                true
-            } else {
-                header_ok // forgeable!
-            };
-            if !accepted {
+        // Channel-specific authentication. A forgery that gets through is
+        // logged only once the DS is installed: validation below may still
+        // turn it away.
+        let mut forged_from = None;
+        if let DsSubmission::Email {
+            claimed_from,
+            actual_from,
+        } = &via
+        {
+            let channel = &policy.external_ds;
+            let Some(forged) = channel.admits_sender(&registrant_email, claimed_from, actual_from)
+            else {
                 return Ok(UploadOutcome::EmailNotVerified);
-            }
-            if !authentic {
-                self.events.record(
-                    self.today,
-                    Event::ForgedEmailAccepted {
-                        domain: domain.clone(),
-                        claimed_from: claimed_from.clone(),
-                    },
-                );
-            }
+            };
+            forged_from = forged.then(|| claimed_from.clone());
         }
 
         // FetchDnskey derives the DS itself from the served DNSKEY.
@@ -911,6 +887,15 @@ impl World {
             .expect("all TLDs present")
             .set_ds(sponsor, domain, &[effective_ds])
             .map_err(|e| ActionError::Registry(e.to_string()))?;
+        if let Some(claimed_from) = forged_from {
+            self.events.record(
+                self.today,
+                Event::ForgedEmailAccepted {
+                    domain: domain.clone(),
+                    claimed_from,
+                },
+            );
+        }
         self.events.record(
             self.today,
             Event::DsPublished {
@@ -941,36 +926,19 @@ impl World {
             return Ok(UploadOutcome::ChannelUnsupported);
         }
 
-        // Same sender authentication as the DS path: only `verifies_sender`
-        // checks the envelope; a header-only check is forgeable.
+        // Same sender authentication as the DS path.
         let mut forged_from = None;
-        if let (
-            ExternalDs::Email {
-                verifies_sender,
-                accepts_foreign_sender,
-                ..
-            },
-            DsSubmission::Email {
-                claimed_from,
-                actual_from,
-            },
-        ) = (&policy.external_ds, &via)
+        if let DsSubmission::Email {
+            claimed_from,
+            actual_from,
+        } = &via
         {
-            let authentic = actual_from == &registrant_email;
-            let header_ok = claimed_from == &registrant_email;
-            let accepted = if *verifies_sender {
-                authentic
-            } else if *accepts_foreign_sender {
-                true
-            } else {
-                header_ok // forgeable!
-            };
-            if !accepted {
+            let channel = &policy.external_ds;
+            let Some(forged) = channel.admits_sender(&registrant_email, claimed_from, actual_from)
+            else {
                 return Ok(UploadOutcome::EmailNotVerified);
-            }
-            if !authentic {
-                forged_from = Some(claimed_from.clone());
-            }
+            };
+            forged_from = forged.then(|| claimed_from.clone());
         }
 
         self.registries
@@ -1066,7 +1034,7 @@ impl World {
         let keys = self.pool_keys_salted(domain, 2);
         let signer = self.signer_config();
         self.operators[operator.0 as usize].host_signed(domain, &keys, &signer);
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         let ds = keys.ds(DigestType::Sha256);
         self.set_keys(row, keys);
         self.events.record(
@@ -1214,14 +1182,6 @@ impl World {
     /// before each snapshot.
     pub fn begin_scan_epoch(&self) {
         self.network.faults().begin_epoch();
-    }
-
-    /// Enables or disables the authorities' wire-response cache (on by
-    /// default; see `dsec_authserver::Authority::set_response_cache`).
-    /// With caching off, answers are recomputed per query — used to prove
-    /// cached and uncached runs are byte-identical.
-    pub fn set_response_cache(&self, enabled: bool) {
-        self.network.set_response_cache(enabled);
     }
 
     /// Publishes a CDS record (for the zone's current KSK) in a signed
@@ -1493,7 +1453,7 @@ impl World {
                 return Ok(());
             }
         }
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         Ok(())
     }
 
@@ -1526,7 +1486,7 @@ impl World {
                     .register(ns_host, self.owner_authority.clone());
             }
         }
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         Ok(())
     }
 
@@ -1567,7 +1527,7 @@ impl World {
                 });
             }
         }
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         Ok(())
     }
 
@@ -1679,7 +1639,7 @@ impl World {
         let signer = self.signer_config();
         let op = self.registrars[registrar.0 as usize].operator;
         self.operators[op.0 as usize].host_signed(domain, &keys, &signer);
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         let ds = keys.ds(DigestType::Sha256);
         self.set_keys(row, keys);
         self.events.record(
@@ -1749,7 +1709,7 @@ impl World {
         self.owner_authority.upsert_zone(zone);
         self.network
             .register(ns_host.clone(), self.owner_authority.clone());
-        self.bump_zone_generation(domain);
+        self.note_zone_edit(domain);
         ns_host
     }
 

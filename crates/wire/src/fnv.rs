@@ -2,7 +2,7 @@
 //!
 //! The keys on the per-query hot paths are short: a [`Name`](crate::Name)
 //! hashes as one slice of a few dozen lowercased octets, a packed domain
-//! key or a `NameId` as one integer. SipHash (the `HashMap` default) pays
+//! key as one integer. SipHash (the `HashMap` default) pays
 //! a fixed set-up and finalisation cost that dominates at that size;
 //! FNV-1a folds a byte in with one xor and one multiply. The scan cache,
 //! the per-domain generation maps, and the resolver cache's shard maps

@@ -4,9 +4,8 @@
 //! of smoltcp: everything is plain data plus encode/decode, with no sockets,
 //! no runtime, and explicit typed errors.
 //!
-//! - [`name`]: domain names with RFC 4034 §6.1 canonical ordering;
-//! - [`intern`]: the stable cross-run name hash striped maps share, and
-//!   a striped interner for the tables that want a dense id per name;
+//! - [`name`]: domain names with RFC 4034 §6.1 canonical ordering, and
+//!   the stable cross-run name hash striped maps share;
 //! - [`fnv`]: an FNV-1a hasher for simulator-internal Name-keyed maps;
 //! - [`rrtype`]: TYPE/CLASS registries and the NSEC type bitmap;
 //! - [`rdata`]: typed RDATA for A/AAAA/NS/CNAME/SOA/MX/TXT/DNSKEY/DS/
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod fnv;
-pub mod intern;
 pub mod message;
 pub mod name;
 pub mod rdata;
@@ -30,9 +28,8 @@ pub mod wire;
 pub mod zone;
 
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
-pub use intern::{name_hash64, NameId, NameInterner};
 pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
-pub use name::{Labels, Name};
+pub use name::{name_hash64, Labels, Name};
 pub use rdata::{DnskeyRdata, DsRdata, RData, RrsigRdata, SoaRdata};
 pub use record::{group_rrsets, Record, RrSet};
 pub use rrtype::{RrClass, RrType, TypeBitmap};

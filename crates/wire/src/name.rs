@@ -458,6 +458,27 @@ impl std::str::FromStr for Name {
     }
 }
 
+/// A stable, case-insensitive 64-bit FNV-1a hash over a name's labels.
+///
+/// Identical for names that compare equal (ASCII case folded per label,
+/// labels separated by an `0xff` sentinel that cannot appear *as a
+/// length-prefix boundary* ambiguity since labels are hashed in order).
+/// Deterministic across processes and platforms — used to pick resolver
+/// cache shards and traffic worker shards, so the same key always lands
+/// in the same place run-to-run.
+pub fn name_hash64(name: &Name) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for label in name.labels() {
+        for &b in label {
+            hash ^= b.to_ascii_lowercase() as u64;
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+        hash ^= 0xff;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,5 +617,14 @@ mod tests {
     fn wire_len() {
         assert_eq!(Name::root().wire_len(), 1);
         assert_eq!(name("example.com").wire_len(), 13);
+    }
+
+    #[test]
+    fn hash_folds_case_and_separates_labels() {
+        assert_eq!(name_hash64(&name("www.example.com")), name_hash64(&name("WWW.EXAMPLE.com")));
+        assert_ne!(name_hash64(&name("ab.c")), name_hash64(&name("a.bc")));
+        assert_ne!(name_hash64(&name("example.com")), name_hash64(&name("example.net")));
+        // Root hashes to the FNV offset basis — stable across runs.
+        assert_eq!(name_hash64(&Name::root()), 0xcbf2_9ce4_8422_2325);
     }
 }

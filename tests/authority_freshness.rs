@@ -1,13 +1,12 @@
-//! The authority-plane wire-response cache, end to end:
+//! Authorities answer from the zones as they are now, end to end:
 //!
-//! * cached answers go stale-free across every zone mutation edge — a
-//!   re-sign with fresh keys, a rollover phase entry (CDS publication
-//!   and completion), and a DS swap at the parent registry;
-//! * a same-seed campaign produces byte-identical CSVs with the
-//!   response cache on vs off, and across 1 vs 8 scan threads;
+//! * a repeated question sees every zone mutation edge on the very next
+//!   query — a re-sign with fresh keys, a rollover phase entry (CDS
+//!   publication and completion), and a DS swap at the parent registry;
+//! * a same-seed campaign produces byte-identical CSVs across 1 vs 8
+//!   scan threads;
 //! * a registrar-channel takeover redelegates on the very next query —
-//!   the wire cache never serves pre-takeover bytes across the capture
-//!   or the restore.
+//!   no pre-takeover bytes are served across the capture or the restore.
 
 use std::collections::BTreeSet;
 
@@ -56,18 +55,14 @@ fn resign_with_fresh_keys_is_visible_immediately() {
     let mut pw = build(&PopulationConfig::tiny());
     let domain = signed_domain(&pw.world);
 
-    // Prime the wire cache: the second identical query is the memcpy path.
     let first = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
     let repeat = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
-    assert_eq!(first.answers, repeat.answers, "cache hit must echo the answer");
-    let (hits, _) = pw.world.network.response_cache_stats();
-    assert!(hits > 0, "repeat query must be served from the wire cache");
+    assert_eq!(first.answers, repeat.answers, "a repeat must echo the answer");
 
     let old_tags = dnskey_tags(&first);
     pw.world.roll_keys_abrupt(&domain).expect("re-sign with new keys");
 
-    // The re-sign bumped the zone generation; the cached wire answer must
-    // not survive it.
+    // The same question again must be answered from the re-signed zone.
     let after = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
     let new_keys = pw.world.domain(&domain).unwrap().keys.clone().unwrap();
     let expected: BTreeSet<u16> = [new_keys.ksk_tag(), new_keys.zsk_tag()].into();
@@ -80,8 +75,7 @@ fn rollover_phase_entry_is_visible_immediately() {
     let mut pw = build(&PopulationConfig::tiny());
     let domain = signed_domain(&pw.world);
 
-    // Prime the negative answer: no CDS is published yet, and the NODATA
-    // response is cached like any other.
+    // Ask for the negative answer twice: no CDS is published yet.
     let before = pw.world.query_domain(&domain, RrType::Cds).expect("answer");
     assert!(
         !before.answers.iter().any(|r| matches!(r.rdata, RData::Cds(_))),
@@ -90,7 +84,7 @@ fn rollover_phase_entry_is_visible_immediately() {
     let _ = pw.world.query_domain(&domain, RrType::Cds);
 
     // Phase 1: CDS published, signed by the still-chained old keys. The
-    // cached NODATA must be invalidated by the same zone edit.
+    // earlier NODATA must not outlive the zone edit.
     let new_ds = pw.world.prepare_rollover(&domain).expect("phase 1");
     let during = pw.world.query_domain(&domain, RrType::Cds).expect("answer");
     let served_cds: Vec<_> = during
@@ -104,7 +98,7 @@ fn rollover_phase_entry_is_visible_immediately() {
     assert_eq!(served_cds.len(), 1, "exactly one CDS after phase 1");
     assert_eq!(served_cds[0].digest, new_ds.digest, "CDS carries the new DS");
 
-    // Prime the DNSKEY answer under the old keys, then complete: the new
+    // Ask for the DNSKEYs under the old keys, then complete: the new
     // key set must be served on the very next query.
     let _ = pw.world.query_domain(&domain, RrType::Dnskey);
     pw.world.complete_rollover(&domain).expect("phase 2");
@@ -123,7 +117,7 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
     let (tld, sponsor) = (d.tld, d.sponsor);
     let keys = d.keys.clone().unwrap();
 
-    // Prime the parent-side DS answer at the registry's nameserver.
+    // Ask for the parent-side DS at the registry's nameserver, twice.
     let ns = tld.registry_ns();
     let query = Message::query(1, domain.clone(), RrType::Ds, true);
     let before = pw.world.network.query(&ns, &query).expect("registry answers");
@@ -140,8 +134,8 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
     assert_eq!(before.answers, repeat.answers);
 
     // Swap the DS to a SHA-384 digest of the same KSK. `set_ds` edits the
-    // TLD zone through the same mutation path as everything else, so the
-    // cached wire answer must be invalidated.
+    // TLD zone through the same mutation path as everything else, and
+    // the next answer must come from the edited zone.
     let swapped = keys.ds(DigestType::Sha384);
     pw.world
         .registry_mut(tld)
@@ -165,8 +159,8 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
 }
 
 /// A takeover must be visible on the very next query, and the rollback
-/// just as fast: neither the registry's cached referral nor the old
-/// authority's cached answers may leak across the NS swap in either
+/// just as fast: neither the registry's earlier referral nor the old
+/// authority's earlier answers may leak across the NS swap in either
 /// direction.
 #[test]
 fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
@@ -213,14 +207,12 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
         (resp.security, a)
     };
 
-    // Prime every wire cache on the resolution path (registry referral +
-    // victim authority answer), and pin the pre-takeover bytes.
+    // Ask twice along the resolution path (registry referral + victim
+    // authority answer), and pin the pre-takeover bytes.
     let (security, original_a) = a_of(&world, true);
     assert_eq!(security, Security::Secure);
     assert!(!original_a.is_empty());
     let _ = a_of(&world, true);
-    let (hits, _) = world.network.response_cache_stats();
-    assert!(hits > 0, "repeat resolution runs on the wire cache");
 
     // The forged redelegation lands.
     let mut campaign = AttackCampaign::new();
@@ -236,7 +228,7 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
     campaign.tick(&mut world);
     assert_eq!(campaign.hijacked_zones(), vec![victim.clone()]);
 
-    // Next query, same cache-primed network: a non-validating client
+    // Next query, same network: a non-validating client
     // gets the attacker's bytes — never the pre-takeover answer — and a
     // validating one gets nothing at all.
     let (nv_security, hijacked_a) = a_of(&world, false);
@@ -260,36 +252,20 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
 }
 
 #[test]
-fn campaign_csvs_are_byte_identical_with_cache_on_off_and_across_threads() {
-    let mut cached = build(&PopulationConfig::tiny());
-    let mut uncached = build(&PopulationConfig::tiny());
+fn campaign_csvs_are_byte_identical_across_threads() {
+    let mut single = build(&PopulationConfig::tiny());
     let mut threaded = build(&PopulationConfig::tiny());
-    let until = cached.world.today.plus_days(21);
+    let until = single.world.today.plus_days(21);
 
-    uncached.world.set_response_cache(false);
-
-    let on = scan_campaign(&mut cached.world, &CampaignConfig::new(until, 7));
-    let off = scan_campaign(&mut uncached.world, &CampaignConfig::new(until, 7));
+    let on = scan_campaign(&mut single.world, &CampaignConfig::new(until, 7));
     let wide = scan_campaign(
         &mut threaded.world,
         &CampaignConfig::new(until, 7).with_threads(8),
     );
 
-    let (hits, _) = cached.world.network.response_cache_stats();
-    assert!(hits > 0, "the cached campaign actually used the wire cache");
-    let (off_hits, _) = uncached.world.network.response_cache_stats();
-    assert_eq!(off_hits, 0, "the disabled cache served nothing");
-
     let ops = operators(&on);
-    assert_eq!(ops, operators(&off));
     assert_eq!(ops, operators(&wide));
     for op in &ops {
-        assert_eq!(on.to_csv(op), off.to_csv(op), "cache on/off legacy CSV of {op}");
-        assert_eq!(
-            on.to_csv_extended(op),
-            off.to_csv_extended(op),
-            "cache on/off extended CSV of {op}"
-        );
         assert_eq!(on.to_csv(op), wide.to_csv(op), "1-vs-8-thread legacy CSV of {op}");
         assert_eq!(
             on.to_csv_extended(op),

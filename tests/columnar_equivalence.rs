@@ -1,7 +1,7 @@
-//! Name ↔ NameId equivalence for the columnar ecosystem store.
+//! Name ↔ row equivalence for the columnar ecosystem store.
 //!
 //! The registry's delegation state moved from `BTreeMap<Name, …>` maps
-//! into the dense NameId-indexed [`DomainTable`]; the Name-keyed API
+//! into the dense row-indexed [`DomainTable`]; the Name-keyed API
 //! (`delegations`, `sponsor_of`, `generation_of`) survived as a facade
 //! over the columns. These properties pin the facade to a literal
 //! Name-keyed reference model:
