@@ -125,15 +125,6 @@ impl Network {
         &self.faults
     }
 
-    /// Sends `query` to the server at `ns`. `None` models an unreachable
-    /// nameserver — unregistered, down, or (with faults enabled) a
-    /// dropped packet. Fault-oblivious compatibility wrapper around
-    /// [`Network::query_udp`] with an effectively infinite deadline and
-    /// no sim-time.
-    pub fn query(&self, ns: &Name, query: &Message) -> Option<Message> {
-        self.query_udp(ns, query, u32::MAX, None).into_response()
-    }
-
     /// Sends `query` to the server at `ns` over simulated UDP, waiting at
     /// most `deadline_ms` for the response. `now_s` stamps the query with
     /// its simulated epoch seconds so scheduled down-windows
@@ -270,7 +261,7 @@ mod tests {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        let resp = net.query(&name("ns1.op.net"), &q).unwrap();
+        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(net.query_count(), 1);
     }
@@ -279,7 +270,7 @@ mod tests {
     fn unknown_server_is_unreachable() {
         let net = Network::new();
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query(&name("ns1.ghost.net"), &q).is_none());
+        assert!(net.query_udp(&name("ns1.ghost.net"), &q, u32::MAX, None).into_response().is_none());
         assert_eq!(
             net.query_udp(&name("ns1.ghost.net"), &q, 100, None),
             QueryOutcome::Unreachable
@@ -292,7 +283,7 @@ mod tests {
         let net = Network::new();
         net.register(name("NS1.Op.NET"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query(&name("ns1.op.net"), &q).is_some());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_some());
     }
 
     #[test]
@@ -304,7 +295,7 @@ mod tests {
         assert_eq!(net.server_count(), 2);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query(&name("ns2.op.net"), &q).unwrap().answers.len(),
+            net.query_udp(&name("ns2.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(),
             1
         );
     }
@@ -316,7 +307,7 @@ mod tests {
         assert!(net.deregister(&name("ns1.op.net")));
         assert!(!net.deregister(&name("ns1.op.net")));
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query(&name("ns1.op.net"), &q).is_none());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_none());
     }
 
     #[test]
@@ -332,7 +323,7 @@ mod tests {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.other.org"), RrType::A, false);
-        let resp = net.query(&name("ns1.op.net"), &q).unwrap();
+        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
         assert_eq!(resp.rcode, Rcode::Refused);
     }
 
@@ -350,7 +341,7 @@ mod tests {
             net.query_udp(&name("ns1.op.net"), &q, 1000, None),
             QueryOutcome::Timeout
         );
-        assert!(net.query(&name("ns1.op.net"), &q).is_none());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_none());
         // Dropped packets still count as dispatched queries.
         assert_eq!(net.query_count(), 2);
     }
@@ -410,7 +401,7 @@ mod tests {
             ..FaultProfile::default()
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        let resp = net.query(&name("ns1.op.net"), &q).unwrap();
+        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
         assert_eq!(resp.rcode, Rcode::ServFail);
     }
 
@@ -429,7 +420,7 @@ mod tests {
         );
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         // First stale serve freezes the copy.
-        assert_eq!(net.query(&name("ns1.op.net"), &q).unwrap().answers.len(), 1);
+        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 1);
         // The live zone changes…
         auth.with_zone_mut(&name("example.com"), |z| {
             z.add(Record::new(
@@ -440,9 +431,9 @@ mod tests {
             .unwrap();
         });
         // …but the stale secondary still serves the frozen copy.
-        assert_eq!(net.query(&name("ns1.op.net"), &q).unwrap().answers.len(), 1);
+        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 1);
         net.faults().clear_server_profile(&name("ns1.op.net"));
-        assert_eq!(net.query(&name("ns1.op.net"), &q).unwrap().answers.len(), 2);
+        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 2);
     }
 
     #[test]
@@ -485,6 +476,6 @@ mod tests {
             QueryOutcome::Timeout
         );
         net.faults().set_down(&name("ns1.op.net"), false);
-        assert!(net.query(&name("ns1.op.net"), &q).is_some());
+        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_some());
     }
 }

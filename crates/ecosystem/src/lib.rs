@@ -39,8 +39,7 @@ pub use rollover::{DsTiming, RolloverPhase, RolloverPlan, RolloverStyle};
 pub use table::{DomainStore, DomainTable, JournalCursor, OrderedRows};
 pub use tld::{Incentive, Tld, ALL_TLDS};
 pub use world::{
-    ActionError, DomainQuery, DsSubmission, ObservationQuality, RolloverState, ThirdParty,
-    UploadOutcome, World, WorldConfig, SCAN_DEADLINE_MS,
+    ActionError, DsSubmission, RolloverState, ThirdParty, UploadOutcome, World, WorldConfig,
 };
 
 /// Index of a registrar in the world's registrar table.

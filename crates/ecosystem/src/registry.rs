@@ -310,17 +310,14 @@ impl Registry {
     pub fn ds_of(&self, domain: &Name) -> Vec<DsRdata> {
         self.authority
             .with_zone(&self.tld.zone(), |zone| {
-                zone.rrset(domain, RrType::Ds)
-                    .map(|set| {
-                        set.records()
-                            .iter()
-                            .filter_map(|r| match &r.rdata {
-                                RData::Ds(ds) => Some(ds.clone()),
-                                _ => None,
-                            })
-                            .collect()
-                    })
+                zone.rrset_records(domain, RrType::Ds)
                     .unwrap_or_default()
+                    .iter()
+                    .filter_map(|r| match &r.rdata {
+                        RData::Ds(ds) => Some(ds.clone()),
+                        _ => None,
+                    })
+                    .collect()
             })
             .unwrap_or_default()
     }
@@ -339,17 +336,14 @@ impl Registry {
     pub fn ns_of(&self, domain: &Name) -> Vec<Name> {
         self.authority
             .with_zone(&self.tld.zone(), |zone| {
-                zone.rrset(domain, RrType::Ns)
-                    .map(|set| {
-                        set.records()
-                            .iter()
-                            .filter_map(|r| match &r.rdata {
-                                RData::Ns(h) => Some(h.clone()),
-                                _ => None,
-                            })
-                            .collect()
-                    })
+                zone.rrset_records(domain, RrType::Ns)
                     .unwrap_or_default()
+                    .iter()
+                    .filter_map(|r| match &r.rdata {
+                        RData::Ns(h) => Some(h.clone()),
+                        _ => None,
+                    })
+                    .collect()
             })
             .unwrap_or_default()
     }

@@ -8,6 +8,7 @@
 //! mutation path must honour.
 
 use super::*;
+use dsec_dnssec::{CdsAction, CdsScan};
 
 /// Worklist slot of the registrar-hosted opt-in candidates; slot `1 + i`
 /// holds the candidates hosted at `World::third_parties[i]`.
@@ -619,21 +620,18 @@ impl World {
         }
     }
 
-    /// The CDS set of `domain` if it is published and correctly signed by
-    /// the zone's own served DNSKEYs (the RFC 8078 self-consistency bar).
-    fn consistent_cds_of(&self, domain: &Name, now: u32) -> Option<Vec<DsRdata>> {
-        let resp = self.query_domain(domain, RrType::Cds)?;
+    /// What `domain` serves for CDS, with the RRSIGs beside it, ready to
+    /// judge once the caller names the keys it trusts; `None` when no CDS
+    /// is published.
+    fn served_cds(&self, domain: &Name) -> Option<CdsScan> {
+        let resp = self.exchange(domain, RrType::Cds, 1).into_response()?;
         let cds_records: Vec<Record> = resp
             .answers
             .iter()
             .filter(|r| r.rtype() == RrType::Cds)
             .cloned()
             .collect();
-        if cds_records.is_empty() {
-            return None;
-        }
-        let cds_rrset = RrSet::new(cds_records).ok()?;
-        let rrsigs: Vec<_> = resp
+        let rrsigs = resp
             .answers
             .iter()
             .filter_map(|r| match &r.rdata {
@@ -641,15 +639,21 @@ impl World {
                 _ => None,
             })
             .collect();
-        let served = self.served_dnskeys(domain);
-        let scan = dsec_dnssec::CdsScan {
-            cds: Some(cds_rrset),
+        Some(CdsScan {
+            cds: Some(RrSet::new(cds_records).ok()?),
             cdnskey: None,
             rrsigs,
-            trusted_keys: served,
-        };
+            trusted_keys: Vec::new(),
+        })
+    }
+
+    /// The CDS set of `domain` if it is published and correctly signed by
+    /// the zone's own served DNSKEYs (the RFC 8078 self-consistency bar).
+    fn consistent_cds_of(&self, domain: &Name, now: u32) -> Option<Vec<DsRdata>> {
+        let mut scan = self.served_cds(domain)?;
+        scan.trusted_keys = self.served_dnskeys(domain);
         match dsec_dnssec::process_scan(domain, &scan, now) {
-            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
+            Ok(CdsAction::ReplaceDs(ds)) => Some(ds),
             _ => None,
         }
     }
@@ -660,29 +664,11 @@ impl World {
         if !registry.has_ds(domain) {
             return None; // RFC 7344 trust bootstrap from current chain only
         }
-        let resp = self.query_domain(domain, RrType::Cds)?;
-        let cds_records: Vec<Record> = resp
-            .answers
-            .iter()
-            .filter(|r| r.rtype() == RrType::Cds)
-            .cloned()
-            .collect();
-        if cds_records.is_empty() {
-            return None;
-        }
-        let cds_rrset = RrSet::new(cds_records).ok()?;
-        let rrsigs: Vec<_> = resp
-            .answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Rrsig(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
+        let mut scan = self.served_cds(domain)?;
         // Trusted keys: DNSKEYs chained from the current DS.
         let obs = self.observation_of(domain);
         let dnskey_rrset = obs.dnskey_rrset?;
-        let trusted = dsec_dnssec::authenticate_dnskeys(
+        scan.trusted_keys = dsec_dnssec::authenticate_dnskeys(
             domain,
             &dnskey_rrset,
             &obs.dnskey_rrsigs,
@@ -690,15 +676,9 @@ impl World {
             now,
         )
         .ok()?;
-        let scan = dsec_dnssec::CdsScan {
-            cds: Some(cds_rrset),
-            cdnskey: None,
-            rrsigs,
-            trusted_keys: trusted,
-        };
         match dsec_dnssec::process_scan(domain, &scan, now) {
-            Ok(dsec_dnssec::CdsAction::ReplaceDs(ds)) => Some(ds),
-            Ok(dsec_dnssec::CdsAction::DeleteDs) => Some(Vec::new()),
+            Ok(CdsAction::ReplaceDs(ds)) => Some(ds),
+            Ok(CdsAction::DeleteDs) => Some(Vec::new()),
             _ => None,
         }
     }

@@ -8,12 +8,13 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use dsec_authserver::{Authority, FaultPlane, Network, QueryOutcome};
+use dsec_authserver::{Authority, FaultPlane, Network};
 use dsec_crypto::{Algorithm, DigestType};
 use dsec_dnssec::{
     classify, ds_matches, sign_zone, sign_zone_set, DeploymentStatus, Observation, SignerConfig,
     SigningSet, ZoneKeys,
 };
+use dsec_resolver::{Exchange, ExchangeOutcome, RetryPolicy};
 use dsec_wire::{DsRdata, Message, Name, RData, Record, RrSet, RrType, SoaRdata, Zone};
 
 use crate::anchor::AnchorRollPlan;
@@ -34,48 +35,10 @@ use crate::RegistrarId;
 #[path = "tick.rs"]
 mod tick;
 
-/// How long a scan waits for each simulated UDP response, in ms.
-/// Injected delays beyond this budget degrade into timeouts.
-pub const SCAN_DEADLINE_MS: u32 = 500;
-
 /// Rollover-slot tag: a one-shot CDS rollover ([`World::prepare_rollover`]).
 const ROLLOVER_SLOT_ONE_SHOT: u32 = 1;
 /// Rollover-slot tag: a scheduled lifecycle ([`World::schedule_rollover`]).
 const ROLLOVER_SLOT_SCHEDULED: u32 = 2;
-
-/// Result of a fault-aware domain query ([`World::query_domain_robust`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DomainQuery {
-    /// A usable response arrived (any rcode except SERVFAIL).
-    Answered {
-        /// The response message.
-        response: Message,
-        /// Whether timeouts, truncation, or error rcodes forced retries.
-        retried: bool,
-    },
-    /// Every rotation ended in SERVFAIL: the servers are up but the
-    /// answer cannot be trusted to reflect the zone.
-    Indeterminate,
-    /// Registered servers exist but none answered within the retry
-    /// budget.
-    Unreachable,
-    /// The domain has no delegated nameservers to ask (or no TLD).
-    NoServers,
-}
-
-/// How trustworthy a fault-aware observation is
-/// ([`World::observe_domain`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObservationQuality {
-    /// First-attempt answers everywhere.
-    Clean,
-    /// Answers required retries or TCP fallback, but were obtained.
-    Degraded,
-    /// Only error rcodes came back; served zone state is unknown.
-    Indeterminate,
-    /// No response at all; served zone state is unknown.
-    Unreachable,
-}
 
 /// World construction parameters.
 #[derive(Debug, Clone)]
@@ -1052,105 +1015,24 @@ impl World {
     /// RRset + RRSIGs (via a real DO-bit query to the domain's
     /// nameservers) and the DS set in the registry.
     pub fn observation_of(&self, domain: &Name) -> Observation {
-        self.observe_domain(domain, 1).0
+        self.observe(domain, 1).0
     }
 
-    /// Sends one DNSSEC-OK query to the domain's delegated nameservers.
-    pub fn query_domain(&self, domain: &Name, rtype: RrType) -> Option<Message> {
-        let tld = Tld::of_domain(domain)?;
-        let ns_hosts = self.registries[&tld].ns_of(domain);
-        let query = Message::query(0, domain.clone(), rtype, true);
-        ns_hosts
-            .iter()
-            .find_map(|ns| self.network.query(ns, &query))
-    }
-
-    /// Like [`World::query_domain`] but fault-aware: rotates across every
-    /// delegated nameserver, retries up to `rounds` full rotations on
-    /// timeouts, and falls back to TCP on truncation. With the fault
-    /// plane disabled the first server always answers, so the result is
-    /// identical to [`World::query_domain`].
-    pub fn query_domain_robust(&self, domain: &Name, rtype: RrType, rounds: u32) -> DomainQuery {
-        let Some(tld) = Tld::of_domain(domain) else {
-            return DomainQuery::NoServers;
-        };
-        let ns_hosts = self.registries[&tld].ns_of(domain);
-        if ns_hosts.is_empty() {
-            return DomainQuery::NoServers;
-        }
-        let query = Message::query(0, domain.clone(), rtype, true);
-        let mut retried = false;
-        let mut saw_servfail = false;
-        let mut registered_any = false;
-        for _ in 0..rounds.max(1) {
-            for ns in &ns_hosts {
-                match self.network.query_udp(ns, &query, SCAN_DEADLINE_MS, None) {
-                    QueryOutcome::Answered { response, .. } => {
-                        registered_any = true;
-                        if response.flags.truncated {
-                            retried = true;
-                            if let QueryOutcome::Answered { response, .. } =
-                                self.network.query_tcp(ns, &query, None)
-                            {
-                                return DomainQuery::Answered { response, retried };
-                            }
-                            continue;
-                        }
-                        // An injected SERVFAIL carries no zone data; keep
-                        // rotating rather than mistake it for "unsigned".
-                        if response.rcode == dsec_wire::Rcode::ServFail {
-                            saw_servfail = true;
-                            retried = true;
-                            continue;
-                        }
-                        return DomainQuery::Answered { response, retried };
-                    }
-                    QueryOutcome::Timeout => {
-                        registered_any = true;
-                        retried = true;
-                    }
-                    QueryOutcome::Unreachable => {}
-                }
-            }
-        }
-        if saw_servfail {
-            DomainQuery::Indeterminate
-        } else if registered_any {
-            DomainQuery::Unreachable
-        } else {
-            // No delegated host is even registered: a configuration gap in
-            // the simulated world, not a transient network failure.
-            DomainQuery::NoServers
-        }
-    }
-
-    /// Fault-aware observation: [`World::observation_of`] plus a verdict
-    /// on how trustworthy the observation is. `Unreachable` and
-    /// `Indeterminate` observations carry the registry-side DS set but no
-    /// served DNSKEY data; callers should record the degradation instead
-    /// of classifying.
-    pub fn observe_domain(&self, domain: &Name, rounds: u32) -> (Observation, ObservationQuality) {
+    /// [`World::observation_of`] with `rounds` rotations over the NS set,
+    /// plus the exchange it was read from. An exchange that ended
+    /// unreachable, or answered only SERVFAIL, saw no zone data: the
+    /// observation then holds the registry's DS set alone, and a scan
+    /// records the domain as unobserved instead of classifying it. A
+    /// lame (REFUSED) server is skipped; if all are lame, the domain
+    /// serves no DNSKEY.
+    pub fn observe(&self, domain: &Name, rounds: u32) -> (Observation, ExchangeOutcome) {
         let mut obs = Observation::default();
         if let Some(tld) = Tld::of_domain(domain) {
             obs.ds_set = self.registries[&tld].ds_of(domain);
         }
-        let (response, quality) = match self.query_domain_robust(domain, RrType::Dnskey, rounds) {
-            DomainQuery::Answered { response, retried } => (
-                Some(response),
-                if retried {
-                    ObservationQuality::Degraded
-                } else {
-                    ObservationQuality::Clean
-                },
-            ),
-            DomainQuery::Indeterminate => (None, ObservationQuality::Indeterminate),
-            DomainQuery::Unreachable => (None, ObservationQuality::Unreachable),
-            // Nothing to query: the observation is complete as far as the
-            // world can answer, matching the fault-oblivious scan.
-            DomainQuery::NoServers => (None, ObservationQuality::Clean),
-        };
-        if let Some(resp) = response {
-            let keys: Vec<Record> = resp
+        let outcome = self.exchange(domain, RrType::Dnskey, rounds);
+        if let ExchangeOutcome::Answered { response, .. } = &outcome {
+            let keys: Vec<Record> = response
                 .answers
                 .iter()
                 .filter(|r| r.rtype() == RrType::Dnskey)
@@ -1158,7 +1040,7 @@ impl World {
                 .collect();
             if !keys.is_empty() {
                 obs.dnskey_rrset = RrSet::new(keys).ok();
-                obs.dnskey_rrsigs = resp
+                obs.dnskey_rrsigs = response
                     .answers
                     .iter()
                     .filter_map(|r| match &r.rdata {
@@ -1168,7 +1050,25 @@ impl World {
                     .collect();
             }
         }
-        (obs, quality)
+        (obs, outcome)
+    }
+
+    /// Asks `domain`'s delegated nameservers for `rtype` through one
+    /// [`Exchange`] (DESIGN.md §18.1): `rounds` rotations over the NS set,
+    /// with neither a clock (registries and scanners see no scheduled
+    /// window) nor a latency budget beyond the rotations.
+    fn exchange(&self, domain: &Name, rtype: RrType, rounds: u32) -> ExchangeOutcome {
+        let Some(tld) = Tld::of_domain(domain) else {
+            return ExchangeOutcome::NoServers;
+        };
+        let servers = self.registries[&tld].ns_of(domain);
+        let policy = RetryPolicy {
+            max_attempts: rounds.max(1).saturating_mul(servers.len() as u32),
+            budget_ms: u32::MAX,
+            ..RetryPolicy::default()
+        };
+        let query = Message::query(0, domain.clone(), rtype, true);
+        Exchange::new(&self.network, policy, None).ask(&servers, &query)
     }
 
     /// The network's fault-injection plane (chaos-campaign control).
@@ -1715,7 +1615,8 @@ impl World {
 
     /// The DNSKEYs currently served for `domain` by whoever hosts it.
     pub fn served_dnskeys(&self, domain: &Name) -> Vec<dsec_wire::DnskeyRdata> {
-        self.query_domain(domain, RrType::Dnskey)
+        self.exchange(domain, RrType::Dnskey, 1)
+            .into_response()
             .map(|resp| {
                 resp.answers
                     .iter()

@@ -3,6 +3,13 @@
 //! report, per zone, the keys found, the DS linkage, and the signature
 //! state, with actionable advice for each failure mode the study
 //! documents.
+//!
+//! Every question goes through one [`Exchange`] (DESIGN.md §18.1)
+//! stamped with the diagnosis clock, under the resolver's own
+//! [`RetryPolicy`]: a dropped packet or an injected SERVFAIL is retried,
+//! a lame server is skipped, and an outage window over `now` is an
+//! outage, exactly as the validating resolver would see the chain at
+//! that moment.
 
 use std::fmt;
 
@@ -11,6 +18,8 @@ use dsec_crypto::Algorithm;
 use dsec_dnssec::validate::{covering_rrsigs, ValidationError};
 use dsec_dnssec::{authenticate_dnskeys, ds_matches};
 use dsec_wire::{DnskeyRdata, DsRdata, Message, Name, RData, Record, RrSet, RrType};
+
+use crate::{Exchange, RetryPolicy};
 
 /// One DNSKEY as seen at a zone apex.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,12 +126,17 @@ pub fn diagnose(
         .map(|depth| target.trim_to(depth))
         .collect();
 
+    let exchange = Exchange::new(network, RetryPolicy::default(), Some(now));
+    let query_any = |servers: &[Name], qname: &Name, rtype: RrType| {
+        let query = Message::query(0, qname.clone(), rtype, true);
+        exchange.ask(servers, &query).into_response()
+    };
     let mut servers = network.root_hints();
     let mut parent_ds: Vec<DsRdata> = trust_anchor.to_vec();
     let mut is_root = true;
 
     for apex in apexes {
-        let Some(resp) = query_any(network, &servers, &apex, RrType::Dnskey) else {
+        let Some(resp) = query_any(&servers, &apex, RrType::Dnskey) else {
             advice.push(format!("{apex}: no nameserver answered"));
             verdict = crate::Security::Bogus(ValidationError::MissingDnskey);
             break;
@@ -263,7 +277,7 @@ pub fn diagnose(
 
         // Fetch the referral for the next zone down: NS + DS at the cut.
         let next = &apexes_child(&apex, target);
-        let Some(resp) = query_any(network, &servers, next, RrType::Ns) else {
+        let Some(resp) = query_any(&servers, next, RrType::Ns) else {
             break;
         };
         let referral_ns: Vec<Name> = resp
@@ -275,7 +289,7 @@ pub fn diagnose(
                 _ => None,
             })
             .collect();
-        let Some(ds_resp) = query_any(network, &servers, next, RrType::Ds) else {
+        let Some(ds_resp) = query_any(&servers, next, RrType::Ds) else {
             break;
         };
         parent_ds = ds_resp
@@ -316,11 +330,6 @@ fn key_info(k: &DnskeyRdata) -> KeyInfo {
         algorithm: Algorithm::from_number(k.algorithm).mnemonic(),
         is_ksk: k.is_ksk(),
     }
-}
-
-fn query_any(network: &Network, servers: &[Name], qname: &Name, rtype: RrType) -> Option<Message> {
-    let query = Message::query(0, qname.clone(), rtype, true);
-    servers.iter().find_map(|ns| network.query(ns, &query))
 }
 
 /// How a wrong answer got wrong — the three capture planes a chaos

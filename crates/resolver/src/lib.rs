@@ -23,10 +23,11 @@
 pub mod breaker;
 pub mod cache;
 pub mod diagnose;
+pub mod exchange;
 pub mod retry;
 pub mod spoofguard;
 
-use dsec_authserver::{Network, QueryOutcome};
+use dsec_authserver::Network;
 use dsec_crypto::DigestType;
 use dsec_dnssec::validate::ValidationError;
 use dsec_dnssec::{authenticate_dnskeys, validate_rrset};
@@ -39,6 +40,7 @@ pub use breaker::{BreakerEvent, BreakerPolicy, BreakerSet, Transition};
 use cache::ZoneCut;
 pub use cache::{Cache, CacheKey};
 pub use diagnose::{capture_kind, diagnose, CaptureKind, Diagnosis, DsLink, SignatureState, ZoneDiagnosis};
+pub use exchange::{Exchange, ExchangeOutcome};
 pub use retry::{HealthCache, ResolverStats, ResolverStatsSnapshot, RetryPolicy};
 pub use spoofguard::{OnPathThreat, SpoofGuard, POISON_A, POISON_AAAA, POISON_TTL};
 
@@ -673,29 +675,6 @@ impl Resolver {
         Security::Secure
     }
 
-    /// Records a transport-level failure against `ns` with the breaker,
-    /// counting a trip when this failure opened it.
-    fn note_upstream_failure(&self, ns: &Name, now: u32) {
-        if let Some(breaker) = &self.breaker {
-            if breaker.record_failure(ns, now) {
-                self.stats.count_breaker_trip();
-            }
-        }
-    }
-
-    /// Records a live response from `ns` with the breaker (any response —
-    /// even an error rcode — proves the server is up).
-    fn note_upstream_success(&self, ns: &Name, now: u32) {
-        if let Some(breaker) = &self.breaker {
-            breaker.record_success(ns, now);
-        }
-    }
-
-    /// Charges `ms` of simulated latency against the resolution budget.
-    fn spend(&self, ms: u32) {
-        self.budget_spent.set(self.budget_spent.get().saturating_add(ms));
-    }
-
     /// Applies the on-path threat model to an accepted response: the
     /// deterministic Kaminsky race (a won race substitutes the attacker's
     /// forged response for the legitimate one), then strict-bailiwick
@@ -724,27 +703,12 @@ impl Resolver {
         resp
     }
 
-    /// Queries the zone cut's servers with retries, backoff, health-aware
-    /// rotation, and TCP fallback on truncation.
-    ///
-    /// Each round walks every candidate server healthiest-first; a server
-    /// that times out is penalized and the next one is tried after a
-    /// simulated exponential backoff. A truncated response is retried
-    /// over TCP against the same server. SERVFAIL/REFUSED responses are
-    /// kept as a last resort so a lame-but-responding fleet still yields
-    /// its rcode to the caller (as the pre-retry resolver did), while a
-    /// healthier server later in the rotation can still win. SERVFAIL is
-    /// transient and retried like a timeout; REFUSED is the server saying
-    /// it does not serve the zone, which asking again cannot change — a
-    /// server that said it is not asked again in this ladder, and the
-    /// ladder ends once every server has.
-    ///
-    /// Two degradation guards bound the ladder: the resolution-wide
-    /// latency budget ([`RetryPolicy::budget_ms`]) cuts it off once the
-    /// accumulated simulated time (answer latencies, timeout deadlines,
-    /// backoff) crosses the budget, and an enabled circuit breaker
-    /// ([`Resolver::with_breaker`]) skips servers whose breaker is open,
-    /// letting one half-open probe through per probe interval.
+    /// Asks the zone cut's servers through one [`Exchange`] (DESIGN.md
+    /// §18.1: the retry ladder and the REFUSED rule), with this
+    /// resolver's health ordering, breakers, counters and resolution-wide
+    /// latency budget. A usable answer goes through
+    /// [`Resolver::guard_response`]; an error rcode that is all that came
+    /// back reaches the caller as it is.
     fn query_any(
         &self,
         servers: &[Name],
@@ -756,110 +720,21 @@ impl Resolver {
         let id = self.next_id.get();
         self.next_id.set(id.wrapping_add(1));
         let query = Message::query(id, qname.clone(), qtype, true);
-        if servers.is_empty() {
-            return None;
-        }
-        let mut attempts = 0u32;
-        let mut retries = 0u32;
-        let mut last_error_response: Option<Message> = None;
-        // Servers that answered REFUSED, one bit per position in
-        // `servers` (an NS set is far smaller than 64; a server past
-        // that has no bit and is simply never marked).
-        let mut lame = 0u64;
-        let bit = |idx: usize| 1u64.checked_shl(idx as u32).unwrap_or(0);
-        while attempts < self.policy.max_attempts && lame.count_ones() as usize != servers.len() {
-            let attempts_at_round_start = attempts;
-            // Index-based healthiest-first order: on the fault-free path
-            // this is the identity permutation with zero name clones.
-            for idx in self.health.order_indices(servers) {
-                let ns = &servers[idx];
-                if attempts >= self.policy.max_attempts {
-                    break;
-                }
-                if lame & bit(idx) != 0 {
-                    continue;
-                }
-                if self.budget_spent.get() >= self.policy.budget_ms {
-                    return last_error_response;
-                }
-                if let Some(breaker) = &self.breaker {
-                    if !breaker.allow(ns, now) {
-                        self.stats.count_breaker_short_circuit();
-                        continue;
-                    }
-                }
-                attempts += 1;
-                self.stats.count_attempt();
-                match self
-                    .network
-                    .query_udp(ns, &query, self.policy.deadline_ms, Some(now))
-                {
-                    QueryOutcome::Unreachable => {
-                        // Not registered: retrying cannot help this server.
-                        self.health.record_failure(ns);
-                        self.note_upstream_failure(ns, now);
-                    }
-                    QueryOutcome::Timeout => {
-                        self.stats.count_timeout();
-                        self.health.record_failure(ns);
-                        self.note_upstream_failure(ns, now);
-                        let backoff = self.policy.backoff_ms(retries);
-                        self.stats.count_backoff(backoff);
-                        self.spend(self.policy.deadline_ms.saturating_add(backoff));
-                        retries += 1;
-                    }
-                    QueryOutcome::Answered { response, latency_ms } => {
-                        self.spend(latency_ms);
-                        if response.flags.truncated {
-                            self.stats.count_tcp_fallback();
-                            match self.network.query_tcp(ns, &query, Some(now)) {
-                                QueryOutcome::Answered { response, latency_ms } => {
-                                    self.spend(latency_ms);
-                                    self.health.record_success(ns);
-                                    self.note_upstream_success(ns, now);
-                                    return Some(self.guard_response(response, &query, bailiwick));
-                                }
-                                _ => {
-                                    self.stats.count_timeout();
-                                    self.health.record_failure(ns);
-                                    self.note_upstream_failure(ns, now);
-                                    self.spend(self.policy.deadline_ms);
-                                    continue;
-                                }
-                            }
-                        }
-                        // Any response — even an error rcode — proves the
-                        // server is alive: the breaker only guards against
-                        // transport-level outages.
-                        self.note_upstream_success(ns, now);
-                        if matches!(response.rcode, Rcode::ServFail | Rcode::Refused) {
-                            self.stats.count_error_rcode();
-                            self.health.record_failure(ns);
-                            if response.rcode == Rcode::Refused {
-                                lame |= bit(idx);
-                            }
-                            last_error_response.get_or_insert(response);
-                            continue;
-                        }
-                        self.health.record_success(ns);
-                        return Some(self.guard_response(response, &query, bailiwick));
-                    }
-                }
-            }
-            // Every candidate short-circuited by an open breaker: another
-            // round in the same sim-second cannot make progress.
-            if attempts == attempts_at_round_start {
-                break;
-            }
-            // A round with zero live candidates cannot improve: stop early.
-            if servers
-                .iter()
-                .all(|ns| self.network.authority(ns).is_none())
+        let exchange = Exchange {
+            health: Some(&self.health),
+            breaker: self.breaker.as_ref(),
+            stats: Some(&self.stats),
+            spent: Some(&self.budget_spent),
+            ..Exchange::new(&self.network, self.policy, Some(now))
+        };
+        match exchange.ask(servers, &query) {
+            ExchangeOutcome::Answered { response, .. }
+                if !matches!(response.rcode, Rcode::ServFail | Rcode::Refused) =>
             {
-                break;
+                Some(self.guard_response(response, &query, bailiwick))
             }
+            outcome => outcome.into_response(),
         }
-        last_error_response
     }
 }
 
@@ -1306,6 +1181,37 @@ mod tests {
             .iter()
             .any(|z| z.signatures == crate::diagnose::SignatureState::Expired));
         assert!(report.advice.iter().any(|a| a.contains("re-sign")));
+    }
+
+    #[test]
+    fn diagnose_retries_an_injected_servfail() {
+        // The SERVFAIL carries no zone data: read as the DNSKEY answer it
+        // would make the healthy zone look unsigned.
+        let w = build_world(true, true);
+        w.network.faults().enable(36);
+        w.network.faults().script(
+            &name("ns1.operator.net"),
+            [dsec_authserver::Fault::ServFail],
+        );
+        let anchor = trust_anchor_for(&w.root_keys);
+        let report = crate::diagnose::diagnose(&w.network, &anchor, &name("example.com"), NOW);
+        assert!(report.is_secure(), "{report}");
+    }
+
+    #[test]
+    fn diagnose_sees_an_outage_window_over_its_clock() {
+        let w = build_world(true, true);
+        w.network.faults().enable(37);
+        w.network
+            .faults()
+            .schedule_down(&name("ns1.operator.net"), NOW - 10, NOW + 10);
+        let anchor = trust_anchor_for(&w.root_keys);
+        let report = crate::diagnose::diagnose(&w.network, &anchor, &name("example.com"), NOW);
+        assert!(!report.is_secure(), "{report}");
+        assert!(report
+            .advice
+            .iter()
+            .any(|a| a.contains("no nameserver answered")));
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! the registrar's channel had no part in (the defense here is the
 //! resolver's entropy profile, not channel authentication — the row
 //! shows which registrar's *customers* absorbed the damage).
+//!
+//! The authoritative side is asked through one [`Exchange`] (DESIGN.md
+//! §18.1) under the resolver's [`RetryPolicy`], so a lame server is
+//! skipped and a SERVFAIL retried. An exchange that ends with only an
+//! error rcode saw no zone data: that name is not compared, rather than
+//! counting a clean cached answer against an empty authoritative set.
 
 use std::collections::BTreeMap;
 
 use dsec_ecosystem::{Tld, World};
-use dsec_resolver::Cache;
-use dsec_wire::{Message, Name, RData, RrType};
+use dsec_resolver::{Cache, Exchange, RetryPolicy};
+use dsec_wire::{Message, Name, RData, Rcode, RrType};
 
 /// Poison tallies for one registrar's customer domains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,9 +52,10 @@ fn authoritative_a(world: &World, domain: &Name, qname: &Name) -> Option<Vec<std
     let tld = Tld::of_domain(domain)?;
     let ns_hosts = world.registry(tld).ns_of(domain);
     let query = Message::query(0, qname.clone(), RrType::A, true);
-    let response = ns_hosts
-        .iter()
-        .find_map(|ns| world.network.query(ns, &query))?;
+    let response = Exchange::new(&world.network, RetryPolicy::default(), None)
+        .ask(&ns_hosts, &query)
+        .into_response()
+        .filter(|r| !matches!(r.rcode, Rcode::ServFail | Rcode::Refused))?;
     let mut addrs: Vec<std::net::Ipv4Addr> = response
         .answers
         .iter()

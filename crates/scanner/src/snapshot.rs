@@ -7,8 +7,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dsec_dnssec::{classify, DeploymentStatus};
-use dsec_ecosystem::{ObservationQuality, SimDate, Tld, World, ALL_TLDS};
-use dsec_wire::{FnvHashMap, Name};
+use dsec_ecosystem::{SimDate, Tld, World, ALL_TLDS};
+use dsec_resolver::ExchangeOutcome;
+use dsec_wire::{FnvHashMap, Name, Rcode};
 
 use crate::cache::{domain_key, Aggregate, CacheEntry, Contribution, DomainKey, ScanCache};
 use crate::operator_id::operator_of;
@@ -541,28 +542,33 @@ fn run_pass(
 }
 
 /// Scans one domain into a single-domain stats cell plus the window its
-/// classification holds for (see [`ScannedDomain`]).
+/// classification holds for (see [`ScannedDomain`]). The observation's
+/// exchange (DESIGN.md §18.1) decides whether there is anything to
+/// classify: not when nobody answered (unreachable), or when only SERVFAIL
+/// came back from a fleet that is not lame everywhere (indeterminate).
 fn scan_domain(
     world: &World,
     domain: &Name,
     now: u32,
     rounds: u32,
 ) -> (OperatorStats, Option<(i64, i64)>) {
-    let (obs, quality) = world.observe_domain(domain, rounds);
+    let (obs, outcome) = world.observe(domain, rounds);
     let mut stats = OperatorStats {
         domains: 1,
         ..Default::default()
     };
-    match quality {
-        ObservationQuality::Unreachable => {
+    match outcome {
+        ExchangeOutcome::Unreachable => {
             stats.unreachable = 1;
             return (stats, None);
         }
-        ObservationQuality::Indeterminate => {
+        ExchangeOutcome::Answered { response, .. } if response.rcode == Rcode::ServFail => {
             stats.indeterminate = 1;
             return (stats, None);
         }
-        ObservationQuality::Clean | ObservationQuality::Degraded => {}
+        // An answer, a fleet lame everywhere ("no DNSKEY"), or nobody to
+        // ask: all classified.
+        _ => {}
     }
     if obs.has_dnskey() {
         stats.with_dnskey = 1;

@@ -1,11 +1,15 @@
 //! A DNSSEC "doctor": the DNSViz-style chain diagnosis the paper's §3
 //! points administrators at, run against three domains in the three
-//! states the study cares about — healthy, partial, and broken.
+//! states the study cares about — healthy, partial, and broken — plus a
+//! healthy domain whose first nameserver is lame.
 //!
 //! ```sh
 //! cargo run --release --example doctor
 //! ```
 
+use std::sync::Arc;
+
+use dsec::authserver::Authority;
 use dsec::ecosystem::{
     DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, RegistrarPolicy, Tld, TldPolicy,
     TldRole, World, WorldConfig, ALL_TLDS,
@@ -57,9 +61,21 @@ fn main() {
         )
         .unwrap();
 
+    // Lame first NS: a secondary added to the delegation that never got
+    // the zone answers REFUSED, and the real server behind it still
+    // serves the signed zone. Lame is "no data here", not "unsigned".
+    let lame_first = world
+        .purchase(registrar, "lamefirst", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .unwrap();
+    let secondary = Name::parse("ns.forgotten-secondary.net").unwrap();
+    world.network.register(secondary.clone(), Arc::new(Authority::new()));
+    let mut ns = vec![secondary];
+    ns.extend(world.registry(Tld::Com).ns_of(&lame_first));
+    world.submit_ns_change(&lame_first, &ns, DsSubmission::Web).unwrap();
+
     let anchor = world.trust_anchor();
     let now = world.today.epoch_seconds();
-    for domain in [&healthy, &partial, &broken] {
+    for domain in [&healthy, &partial, &broken, &lame_first] {
         let report = diagnose(&world.network, &anchor, domain, now);
         println!("{report}");
     }
@@ -68,5 +84,6 @@ fn main() {
     assert!(diagnose(&world.network, &anchor, &healthy, now).is_secure());
     assert!(!diagnose(&world.network, &anchor, &partial, now).is_secure());
     assert!(!diagnose(&world.network, &anchor, &broken, now).is_secure());
+    assert!(diagnose(&world.network, &anchor, &lame_first, now).is_secure());
     println!("doctor OK");
 }

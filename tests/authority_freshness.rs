@@ -16,7 +16,7 @@ use dsec::ecosystem::{
     DsSubmission, ExternalDs, Hosting, OperatorDnssec, RegistrarPolicy, Tld, TldPolicy, TldRole,
     World, WorldConfig,
 };
-use dsec::resolver::{Resolver, Security};
+use dsec::resolver::{Exchange, Resolver, RetryPolicy, Security};
 use dsec::scanner::{scan_campaign, CampaignConfig, LongitudinalStore};
 use dsec::wire::{Message, Name, RData, RrType};
 use dsec::workloads::{build, PopulationConfig};
@@ -40,6 +40,21 @@ fn signed_domain(world: &World) -> Name {
         .expect("tiny population has signed domains")
 }
 
+/// Asks `servers` for (`qname`, `rtype`) through the one exchange every
+/// client uses.
+fn ask(world: &World, servers: &[Name], qname: &Name, rtype: RrType) -> Option<Message> {
+    let query = Message::query(1, qname.clone(), rtype, true);
+    Exchange::new(&world.network, RetryPolicy::default(), None)
+        .ask(servers, &query)
+        .into_response()
+}
+
+/// Asks `domain`'s delegated nameservers.
+fn ask_domain(world: &World, domain: &Name, rtype: RrType) -> Option<Message> {
+    let tld = Tld::of_domain(domain).expect("a studied TLD");
+    ask(world, &world.registry(tld).ns_of(domain), domain, rtype)
+}
+
 fn dnskey_tags(resp: &Message) -> BTreeSet<u16> {
     resp.answers
         .iter()
@@ -55,15 +70,15 @@ fn resign_with_fresh_keys_is_visible_immediately() {
     let mut pw = build(&PopulationConfig::tiny());
     let domain = signed_domain(&pw.world);
 
-    let first = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
-    let repeat = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
+    let first = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
+    let repeat = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
     assert_eq!(first.answers, repeat.answers, "a repeat must echo the answer");
 
     let old_tags = dnskey_tags(&first);
     pw.world.roll_keys_abrupt(&domain).expect("re-sign with new keys");
 
     // The same question again must be answered from the re-signed zone.
-    let after = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
+    let after = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
     let new_keys = pw.world.domain(&domain).unwrap().keys.clone().unwrap();
     let expected: BTreeSet<u16> = [new_keys.ksk_tag(), new_keys.zsk_tag()].into();
     assert_eq!(dnskey_tags(&after), expected, "served DNSKEYs match the new keys");
@@ -76,17 +91,17 @@ fn rollover_phase_entry_is_visible_immediately() {
     let domain = signed_domain(&pw.world);
 
     // Ask for the negative answer twice: no CDS is published yet.
-    let before = pw.world.query_domain(&domain, RrType::Cds).expect("answer");
+    let before = ask_domain(&pw.world, &domain, RrType::Cds).expect("answer");
     assert!(
         !before.answers.iter().any(|r| matches!(r.rdata, RData::Cds(_))),
         "no CDS before the rollover starts"
     );
-    let _ = pw.world.query_domain(&domain, RrType::Cds);
+    let _ = ask_domain(&pw.world, &domain, RrType::Cds);
 
     // Phase 1: CDS published, signed by the still-chained old keys. The
     // earlier NODATA must not outlive the zone edit.
     let new_ds = pw.world.prepare_rollover(&domain).expect("phase 1");
-    let during = pw.world.query_domain(&domain, RrType::Cds).expect("answer");
+    let during = ask_domain(&pw.world, &domain, RrType::Cds).expect("answer");
     let served_cds: Vec<_> = during
         .answers
         .iter()
@@ -100,9 +115,9 @@ fn rollover_phase_entry_is_visible_immediately() {
 
     // Ask for the DNSKEYs under the old keys, then complete: the new
     // key set must be served on the very next query.
-    let _ = pw.world.query_domain(&domain, RrType::Dnskey);
+    let _ = ask_domain(&pw.world, &domain, RrType::Dnskey);
     pw.world.complete_rollover(&domain).expect("phase 2");
-    let after = pw.world.query_domain(&domain, RrType::Dnskey).expect("answer");
+    let after = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
     assert!(
         dnskey_tags(&after).contains(&new_ds.key_tag),
         "completed rollover serves the DNSKEY the new DS points at"
@@ -119,8 +134,7 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
 
     // Ask for the parent-side DS at the registry's nameserver, twice.
     let ns = tld.registry_ns();
-    let query = Message::query(1, domain.clone(), RrType::Ds, true);
-    let before = pw.world.network.query(&ns, &query).expect("registry answers");
+    let before = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     let old_digests: BTreeSet<Vec<u8>> = before
         .answers
         .iter()
@@ -130,7 +144,7 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
         })
         .collect();
     assert!(!old_digests.is_empty(), "signed domain has a parent DS");
-    let repeat = pw.world.network.query(&ns, &query).expect("registry answers");
+    let repeat = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     assert_eq!(before.answers, repeat.answers);
 
     // Swap the DS to a SHA-384 digest of the same KSK. `set_ds` edits the
@@ -141,7 +155,7 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
         .registry_mut(tld)
         .set_ds(sponsor, &domain, std::slice::from_ref(&swapped))
         .expect("sponsor may swap the DS");
-    let after = pw.world.network.query(&ns, &query).expect("registry answers");
+    let after = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     let new_digests: BTreeSet<Vec<u8>> = after
         .answers
         .iter()

@@ -360,17 +360,24 @@ fn campaign_counters(faulted: bool, threads: usize) -> (u64, u64, usize, u64, u6
 /// the population and looked every domain up — by this very function
 /// (minus the oracle call). A warm snapshot that only reads the change
 /// journal must count, query and export exactly what the sweep did.
+///
+/// Re-pinned once since, when the scan moved onto the resolver's
+/// exchange: a lame (REFUSED) first NS no longer ends a domain's ladder,
+/// so each unmaterialized domain costs one REFUSED per NS (fault-free
+/// queries 682 → 1031, digest unchanged), and under the 5% drop /
+/// SERVFAIL mix the second NS now meets the draws, which moves which
+/// domains end indeterminate and so the whole faulted tuple.
 #[test]
 fn delta_campaign_counts_what_the_sweep_counted() {
     for threads in [1, 4] {
         assert_eq!(
             campaign_counters(false, threads),
-            (2199, 673, 359, 682, 0xacc4_5619_4d55_0f2d),
+            (2199, 673, 359, 1031, 0xacc4_5619_4d55_0f2d),
             "fault-free, {threads} threads"
         );
         assert_eq!(
             campaign_counters(true, threads),
-            (1623, 1249, 263, 2463, 0xbfb3_cf3c_fcdc_926d),
+            (1607, 1265, 262, 2726, 0x4671_b0c9_868c_e49c),
             "faulted, {threads} threads"
         );
     }
