@@ -321,8 +321,17 @@ mod tests {
                 on_schedule: false,
             },
         );
-        log.record(SimDate(9), Event::SignatureExpired { domain: name("x.com") });
-        assert_eq!(log.entries().len(), 3, "quiet log still keeps lifecycle events");
+        log.record(
+            SimDate(9),
+            Event::SignatureExpired {
+                domain: name("x.com"),
+            },
+        );
+        assert_eq!(
+            log.entries().len(),
+            3,
+            "quiet log still keeps lifecycle events"
+        );
         assert_eq!(log.count("rollover_prepared"), 1);
         assert_eq!(log.count("rollover_ds_swapped"), 1);
         assert_eq!(log.count("signature_expired"), 1);

@@ -100,7 +100,10 @@ impl ExternalDs {
         matches!(
             self,
             ExternalDs::Web { validates: true }
-                | ExternalDs::Email { validates: true, .. }
+                | ExternalDs::Email {
+                    validates: true,
+                    ..
+                }
                 | ExternalDs::FetchDnskey
         )
     }
@@ -209,7 +212,10 @@ impl RegistrarPolicy {
 
     /// The TLD policy, defaulting to unsupported.
     pub fn tld(&self, tld: Tld) -> TldPolicy {
-        self.tlds.get(&tld).cloned().unwrap_or_else(TldPolicy::unsupported)
+        self.tlds
+            .get(&tld)
+            .cloned()
+            .unwrap_or_else(TldPolicy::unsupported)
     }
 
     /// Whether the registrar sells domains in `tld` (as registrar or

@@ -70,12 +70,7 @@ impl Registry {
     ///
     /// `valid_until` is the epoch-seconds expiration used for every
     /// signature the registry makes (set it past the simulation end).
-    pub fn new(
-        tld: Tld,
-        rng: &mut dyn RngCore,
-        valid_from: u32,
-        valid_until: u32,
-    ) -> Self {
+    pub fn new(tld: Tld, rng: &mut dyn RngCore, valid_from: u32, valid_until: u32) -> Self {
         let origin = tld.zone();
         let keys = ZoneKeys::generate_default(rng, origin.clone(), Algorithm::RsaSha256)
             .expect("RSA-SHA256 is supported");
@@ -190,7 +185,8 @@ impl Registry {
         ns_hosts: &[Name],
     ) -> Result<(), RegistryError> {
         self.check(registrar, domain)?;
-        if self.authority
+        if self
+            .authority
             .with_zone(&self.tld.zone(), |z| z.rrset(domain, RrType::Ns).is_some())
             .unwrap_or(false)
         {
@@ -266,7 +262,11 @@ impl Registry {
     }
 
     /// Removes the DS RRset (and its signature).
-    pub fn remove_ds(&mut self, registrar: RegistrarId, domain: &Name) -> Result<(), RegistryError> {
+    pub fn remove_ds(
+        &mut self,
+        registrar: RegistrarId,
+        domain: &Name,
+    ) -> Result<(), RegistryError> {
         self.set_ds(registrar, domain, &[])
     }
 
@@ -407,7 +407,9 @@ impl Registry {
 
     /// The sponsoring registrar of `domain`.
     pub fn sponsor_of(&self, domain: &Name) -> Option<RegistrarId> {
-        self.table.row_of(domain).and_then(|row| self.table.sponsor(row))
+        self.table
+            .row_of(domain)
+            .and_then(|row| self.table.sponsor(row))
     }
 
     /// Records an audit outcome for incentive bookkeeping: a correctly
@@ -576,7 +578,8 @@ mod tests {
             digest_type: 2,
             digest: vec![7; 32],
         };
-        r.set_ds(reg, &name("x.com"), std::slice::from_ref(&ds)).unwrap();
+        r.set_ds(reg, &name("x.com"), std::slice::from_ref(&ds))
+            .unwrap();
         assert_eq!(r.ds_of(&name("x.com")), vec![ds]);
         assert!(r.has_ds(&name("X.com")));
         // The DS RRset is signed by the registry.
@@ -611,7 +614,8 @@ mod tests {
             digest_type: 99,
             digest: b"not a digest".to_vec(),
         };
-        r.set_ds(reg, &name("x.com"), std::slice::from_ref(&garbage)).unwrap();
+        r.set_ds(reg, &name("x.com"), std::slice::from_ref(&garbage))
+            .unwrap();
         assert_eq!(r.ds_of(&name("x.com")), vec![garbage]);
     }
 
@@ -703,7 +707,8 @@ mod tests {
             digest_type: 2,
             digest: vec![7; 32],
         };
-        r.set_ds(RegistrarId(1), &d, std::slice::from_ref(&ds)).unwrap();
+        r.set_ds(RegistrarId(1), &d, std::slice::from_ref(&ds))
+            .unwrap();
         assert_eq!(r.generation_of(&d), 3);
         r.remove_ds(RegistrarId(1), &d).unwrap();
         assert_eq!(r.generation_of(&d), 4);

@@ -197,7 +197,8 @@ mod tests {
     use super::*;
 
     fn plan(timing: DsTiming) -> RolloverPlan {
-        RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, SimDate(100)).with_ds_timing(timing)
+        RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, SimDate(100))
+            .with_ds_timing(timing)
     }
 
     #[test]
@@ -225,7 +226,10 @@ mod tests {
         assert!(!p.is_bogus_on(SimDate(97)));
         assert!(p.is_bogus_on(SimDate(98)));
         assert!(p.is_bogus_on(SimDate(99)));
-        assert!(!p.is_bogus_on(SimDate(100)), "zone serves both sets from start");
+        assert!(
+            !p.is_bogus_on(SimDate(100)),
+            "zone serves both sets from start"
+        );
     }
 
     #[test]
