@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use dsec_attack::{AttackCampaign, AttackPhase, AttackPlan, AttackVector};
 use dsec_authserver::OutageScenario;
-use dsec_ecosystem::{ExternalDs, World};
+use dsec_ecosystem::{ExternalDs, PolicyChange, World};
 use dsec_reports::ExperimentResult;
 use dsec_scanner::{largest_operator_fleet, takeover_census, takeover_census_table};
 use dsec_traffic::{
@@ -78,7 +78,7 @@ fn set_channel(world: &mut World, registrar: &str, channel: ExternalDs) {
     let id = world
         .registrar_by_name(registrar)
         .expect("victim registrar exists");
-    world.set_external_ds(id, channel);
+    world.change_policy(id, PolicyChange::SetExternalDs(channel));
 }
 
 /// One load at the mixed fleet share with the campaign's hijacked zones

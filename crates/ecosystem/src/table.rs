@@ -12,7 +12,7 @@
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
 //!   [`RegistrarId`], change generation, liveness for the registry table;
 //!   the [`Domain`] payload row — hosting, DNSSEC keys,
-//!   expiry — plus the rollover slot for the world store);
+//!   expiry — for the world store);
 //! * a `Name → row` FNV map is the only hash probe left on the edge
 //!   (case-folding, like every `Name`-keyed map);
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
@@ -39,9 +39,6 @@ use dsec_wire::{FnvHashMap, Name};
 
 use crate::domain::Domain;
 use crate::RegistrarId;
-
-/// Sentinel for "no rollover in flight" in the rollover-slot column.
-pub const NO_ROLLOVER_SLOT: u32 = u32::MAX;
 
 /// Lazily maintained canonical-order view of the live rows.
 #[derive(Debug, Default)]
@@ -302,17 +299,14 @@ impl<'a> Iterator for OrderedRows<'a> {
 
 impl ExactSizeIterator for OrderedRows<'_> {}
 
-/// The world-side store: dense [`Domain`] payload rows plus the
-/// rollover-slot column, indexed by name, enumerated in canonical
-/// order. Mirrors the `BTreeMap<Name, Domain>` surface it replaced
-/// (domains are never removed from the world, so there are no tombstones).
+/// The world-side store: dense [`Domain`] payload rows, indexed by name,
+/// enumerated in canonical order. Mirrors the `BTreeMap<Name, Domain>`
+/// surface it replaced (domains are never removed from the world, so
+/// there are no tombstones).
 #[derive(Debug, Default)]
 pub struct DomainStore {
     /// Row → domain payload (insertion-ordered, dense).
     rows: Vec<Domain>,
-    /// Row → rollover slot ([`NO_ROLLOVER_SLOT`] = none in flight). The
-    /// world's rollover driver keys its in-flight state on this.
-    rollover: Vec<u32>,
     index: FnvHashMap<Name, u32>,
     order: RwLock<OrderCache>,
 }
@@ -338,16 +332,6 @@ impl DomainStore {
         &mut self.rows[row as usize]
     }
 
-    /// The rollover slot at `row` ([`NO_ROLLOVER_SLOT`] = none).
-    pub fn rollover_slot(&self, row: u32) -> u32 {
-        self.rollover[row as usize]
-    }
-
-    /// Sets the rollover slot at `row`.
-    pub fn set_rollover_slot(&mut self, row: u32, slot: u32) {
-        self.rollover[row as usize] = slot;
-    }
-
     /// Lookup by name.
     pub fn get(&self, name: &Name) -> Option<&Domain> {
         self.row_of(name).map(|row| self.at(row))
@@ -371,7 +355,6 @@ impl DomainStore {
         }
         let row = self.rows.len() as u32;
         self.rows.push(domain);
-        self.rollover.push(NO_ROLLOVER_SLOT);
         self.index.insert(name, row);
         self.order.get_mut().expect("order lock").dirty = true;
         row
@@ -616,10 +599,5 @@ mod tests {
         let order: Vec<String> = s.values().map(|dom| dom.name.to_string()).collect();
         assert_eq!(order, vec!["aa.com.", "zz.com."], "canonical iteration");
         assert_eq!(s[&name("zz.com")].name, name("zz.com"));
-        // Replacement keeps the row and the rollover slot column aligned.
-        let row = s.insert(name("aa.com"), d("aa.com"));
-        assert_eq!(s.rollover_slot(row), NO_ROLLOVER_SLOT);
-        s.set_rollover_slot(row, 7);
-        assert_eq!(s.rollover_slot(row), 7);
     }
 }

@@ -279,12 +279,14 @@ impl World {
                 .map(|m| m.change.clone())
                 .collect();
             for change in due {
-                self.apply_change(RegistrarId(idx as u32), change);
+                self.change_policy(RegistrarId(idx as u32), change);
             }
         }
     }
 
-    fn apply_change(&mut self, id: RegistrarId, change: PolicyChange) {
+    /// Applies a policy change to registrar `id` now — what a milestone
+    /// ([`World::add_milestone`]) does on its day.
+    pub fn change_policy(&mut self, id: RegistrarId, change: PolicyChange) {
         // Policy and hazard decide opt-in eligibility.
         self.tick.invalidate_worklists();
         match change {
@@ -415,19 +417,10 @@ impl World {
                 signed_any = true;
                 // The owner must relay the DS to the registrar; 40% never do.
                 if self.rng.random::<f64>() < relay {
-                    let d = self.domains.at(row);
-                    let (sponsor, tld) = (d.sponsor, d.tld);
-                    let _ = self
-                        .registries
-                        .get_mut(&tld)
-                        .expect("all TLDs present")
-                        .set_ds(sponsor, &domain, &[ds]);
-                    self.events.record(
-                        self.today,
-                        Event::DsPublished {
-                            domain: domain.clone(),
-                        },
-                    );
+                    let published = Event::DsPublished {
+                        domain: domain.clone(),
+                    };
+                    let _ = self.commit(&domain, Delegation::Ds(&[ds]), [published]);
                 } else {
                     self.events
                         .record(self.today, Event::RelayDropped { domain });
@@ -554,27 +547,22 @@ impl World {
         // Only registries with CDS support scan (an extension experiment;
         // none of the five paper TLDs had it in-window).
         let now = self.today.epoch_seconds();
-        let mut scans: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
-        for (tld, registry) in &self.registries {
+        let mut scans: Vec<(Name, Vec<DsRdata>)> = Vec::new();
+        for registry in self.registries.values() {
             if !registry.supports_cds {
                 continue;
             }
             for domain in registry.delegation_names() {
                 if let Some(action) = self.scan_child_cds(domain, registry, now) {
-                    scans.push((*tld, domain.clone(), action));
+                    scans.push((domain.clone(), action));
                 }
             }
         }
-        for (tld, domain, ds_set) in scans {
-            let sponsor = self.registries[&tld].sponsor_of(&domain);
-            if let Some(sponsor) = sponsor {
-                let _ = self
-                    .registries
-                    .get_mut(&tld)
-                    .expect("all TLDs present")
-                    .set_ds(sponsor, &domain, &ds_set);
-                self.events.record(self.today, Event::CdsApplied { domain });
-            }
+        for (domain, ds_set) in scans {
+            let applied = Event::CdsApplied {
+                domain: domain.clone(),
+            };
+            let _ = self.commit(&domain, Delegation::Ds(&ds_set), [applied]);
         }
         self.run_cds_bootstrap(now);
     }
@@ -585,8 +573,8 @@ impl World {
     /// the partial deployments the paper laments.
     fn run_cds_bootstrap(&mut self, now: u32) {
         let mut first_seen = std::mem::take(&mut self.cds_first_seen);
-        let mut to_install: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
-        for (tld, registry) in &self.registries {
+        let mut to_install: Vec<(Name, Vec<DsRdata>)> = Vec::new();
+        for registry in self.registries.values() {
             let Some(delay) = registry.cds_bootstrap_delay_days else {
                 continue;
             };
@@ -596,7 +584,7 @@ impl World {
                     Some(ds_set) => {
                         let first = *first_seen.entry(domain.clone()).or_insert(self.today);
                         if self.today.days_since(first) >= delay {
-                            to_install.push((*tld, domain.clone(), ds_set));
+                            to_install.push((domain.clone(), ds_set));
                         }
                     }
                     None => {
@@ -606,17 +594,16 @@ impl World {
             }
         }
         self.cds_first_seen = first_seen;
-        for (tld, domain, ds_set) in to_install {
-            let Some(sponsor) = self.registries[&tld].sponsor_of(&domain) else {
-                continue;
+        for (domain, ds_set) in to_install {
+            let applied = Event::CdsApplied {
+                domain: domain.clone(),
             };
-            let _ = self
-                .registries
-                .get_mut(&tld)
-                .expect("all TLDs present")
-                .set_ds(sponsor, &domain, &ds_set);
-            self.cds_first_seen.remove(&domain);
-            self.events.record(self.today, Event::CdsApplied { domain });
+            if self
+                .commit(&domain, Delegation::Ds(&ds_set), [applied])
+                .is_ok()
+            {
+                self.cds_first_seen.remove(&domain);
+            }
         }
     }
 
@@ -704,27 +691,29 @@ impl World {
         let stalled = state.stalled;
         let old = state.old_keys.clone();
         let new = state.new_keys.clone();
+        let row = self.domains.row_of(domain).expect("rolling domain exists");
+        let d = self.domains.at(row);
+        let (registrar, hosting) = (d.registrar, d.hosting.clone());
 
         // Operator leg 1: start serving the transitional set.
         if !stalled && state.phase == RolloverPhase::Scheduled && today >= plan.start {
             let set = Self::transitional_set(&plan, &old, &new);
             let signer = self.rollover_signer(&plan);
-            if self.resign_with_set(domain, &set, &signer).is_ok() {
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                st.phase = if st.ds_swapped {
-                    RolloverPhase::DsSwapped
-                } else {
-                    RolloverPhase::Prepared
-                };
-                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
-                self.events.record(
-                    today,
-                    Event::RolloverPrepared {
-                        domain: domain.clone(),
-                        style: plan.style,
-                    },
-                );
-            }
+            self.serve(domain, registrar, &hosting, Some((&set, &signer)));
+            let st = self.rollovers.get_mut(domain).expect("still present");
+            st.phase = if st.ds_swapped {
+                RolloverPhase::DsSwapped
+            } else {
+                RolloverPhase::Prepared
+            };
+            st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
+            self.events.record(
+                today,
+                Event::RolloverPrepared {
+                    domain: domain.clone(),
+                    style: plan.style,
+                },
+            );
         }
 
         // Operator leg 1b (pre-publish ZSK only): on the scheduled swap
@@ -737,11 +726,10 @@ impl World {
         {
             let set = SigningSet::prepublish(&new, &old).expect("same zone");
             let signer = self.rollover_signer(&plan);
-            if self.resign_with_set(domain, &set, &signer).is_ok() {
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                st.phase = RolloverPhase::DsSwapped;
-                st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
-            }
+            self.serve(domain, registrar, &hosting, Some((&set, &signer)));
+            let st = self.rollovers.get_mut(domain).expect("still present");
+            st.phase = RolloverPhase::DsSwapped;
+            st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
         }
 
         // Registrar/registry leg: the DS moves on *its* schedule — early,
@@ -756,43 +744,32 @@ impl World {
         {
             if let Some(swap_day) = plan.actual_swap() {
                 if today >= swap_day {
-                    let (sponsor, tld) = {
-                        let d = self.domains.get(domain).expect("rolling domain exists");
-                        (d.sponsor, d.tld)
-                    };
                     let ds = new.ds(DigestType::Sha256);
-                    match self
-                        .registries
-                        .get_mut(&tld)
-                        .expect("all TLDs present")
-                        .set_ds(sponsor, domain, &[ds])
-                    {
+                    let swapped = Event::RolloverDsSwapped {
+                        domain: domain.clone(),
+                        on_schedule: plan.ds_timing == DsTiming::OnSchedule,
+                    };
+                    match self.commit(domain, Delegation::Ds(&[ds]), [swapped]) {
                         Ok(()) => {
                             let st = self.rollovers.get_mut(domain).expect("still present");
                             st.ds_swapped = true;
-                            let operator_done = st.phase == RolloverPhase::Completed;
                             if st.phase == RolloverPhase::Prepared {
                                 st.phase = RolloverPhase::DsSwapped;
                             }
-                            self.events.record(
-                                today,
-                                Event::RolloverDsSwapped {
-                                    domain: domain.clone(),
-                                    on_schedule: plan.ds_timing == DsTiming::OnSchedule,
-                                },
-                            );
-                            if operator_done {
+                            if st.phase == RolloverPhase::Completed {
                                 // The operator finished long ago; this late
                                 // DS landing was the last outstanding leg.
                                 self.rollovers.remove(domain);
-                                self.clear_rollover_slot(domain);
                             }
                         }
                         Err(e) => self.events.record(
                             today,
                             Event::DsRejected {
                                 domain: domain.clone(),
-                                reason: e.to_string(),
+                                reason: match e {
+                                    ActionError::Registry(reason) => reason,
+                                    e => format!("{e:?}"),
+                                },
                             },
                         ),
                     }
@@ -811,31 +788,27 @@ impl World {
             )
             && today >= plan.completion()
         {
-            if self.resign_with(domain, &new).is_ok() {
-                let row = self.domains.row_of(domain).expect("rolling domain exists");
-                self.set_keys(row, new);
-                let st = self.rollovers.get_mut(domain).expect("still present");
-                let ds_pending =
-                    plan.style.changes_ds() && !st.ds_swapped && plan.actual_swap().is_some();
-                if ds_pending {
-                    // The operator is done but the registrar still owes a
-                    // (late) DS swap: keep the state so the registrar leg
-                    // drives it — that landing is what closes the bogus
-                    // window.
-                    st.phase = RolloverPhase::Completed;
-                    st.signed_until = None;
-                } else {
-                    self.rollovers.remove(domain);
-                    self.clear_rollover_slot(domain);
-                }
-                self.events.record(
-                    today,
-                    Event::RolloverCompleted {
-                        domain: domain.clone(),
-                        style: plan.style,
-                    },
-                );
+            self.rekey(row, domain, new);
+            let st = self.rollovers.get_mut(domain).expect("still present");
+            let ds_pending =
+                plan.style.changes_ds() && !st.ds_swapped && plan.actual_swap().is_some();
+            if ds_pending {
+                // The operator is done but the registrar still owes a
+                // (late) DS swap: keep the state so the registrar leg
+                // drives it — that landing is what closes the bogus
+                // window.
+                st.phase = RolloverPhase::Completed;
+                st.signed_until = None;
+            } else {
+                self.rollovers.remove(domain);
             }
+            self.events.record(
+                today,
+                Event::RolloverCompleted {
+                    domain: domain.clone(),
+                    style: plan.style,
+                },
+            );
             return;
         }
 
@@ -862,11 +835,10 @@ impl World {
                     Self::transitional_set(&plan, &old, &new)
                 };
                 let signer = self.rollover_signer(&plan);
-                if self.resign_with_set(domain, &set, &signer).is_ok() {
-                    let st = self.rollovers.get_mut(domain).expect("still present");
-                    st.signed_until = Some(signer.expiration);
-                    st.expiry_noted = false;
-                }
+                self.serve(domain, registrar, &hosting, Some((&set, &signer)));
+                let st = self.rollovers.get_mut(domain).expect("still present");
+                st.signed_until = Some(signer.expiration);
+                st.expiry_noted = false;
             } else if now >= until && !state.expiry_noted {
                 self.rollovers
                     .get_mut(domain)

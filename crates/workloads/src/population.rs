@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dsec_ecosystem::{
-    Hosting, OperatorId, Plan, RegistrarId, RegistrarPolicy, Tld, TldPolicy, TldRole,
-    World, WorldConfig, ALL_TLDS,
+    Hosting, OperatorId, Plan, PolicyChange, RegistrarId, RegistrarPolicy, Tld, TldPolicy,
+    TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec_wire::Name;
 
@@ -144,7 +144,7 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
         }
     }
     for (id, hazard) in max_hazard {
-        world.set_optin_hazard(id, hazard);
+        world.change_policy(id, PolicyChange::SetOptInHazard(hazard));
     }
 
     // Generic retail registrar for parking / third-party / tail domains.

@@ -141,7 +141,7 @@ fn playground() -> Playground {
         Name::parse("tickoptin.net").unwrap(),
         full_policy(OperatorDnssec::OptIn { adoption_rate: 0.0 }),
     );
-    world.set_optin_hazard(opt_in, 0.2);
+    world.change_policy(opt_in, PolicyChange::SetOptInHazard(0.2));
     // A reseller whose partner switch migrates (and signs) at renewal.
     world.add_registrar(
         "TickPartner",
@@ -236,7 +236,8 @@ impl Playground {
             }
             Step::SetHazard { registrar, hazard } => {
                 let registrar = self.registrars[registrar as usize % self.registrars.len()];
-                world.set_optin_hazard(registrar, f64::from(hazard % 4) * 0.1);
+                let hazard = f64::from(hazard % 4) * 0.1;
+                world.change_policy(registrar, PolicyChange::SetOptInHazard(hazard));
             }
             Step::SetExpiry { idx, in_days } => {
                 let on = world.today.plus_days(u32::from(in_days % 6));
@@ -349,7 +350,8 @@ fn campaign_digests(seed: u64, boost: f64) -> (u64, u64, u64) {
             let id = RegistrarId(id);
             let hazard = world.registrar(id).daily_optin_hazard;
             if hazard > 0.0 {
-                world.set_optin_hazard(id, (hazard * boost).min(0.05));
+                let boosted = (hazard * boost).min(0.05);
+                world.change_policy(id, PolicyChange::SetOptInHazard(boosted));
             }
         }
     }
