@@ -158,10 +158,7 @@ mod tests {
     fn campaign_over_tiny_population() {
         let mut pw = build(&PopulationConfig::tiny());
         let start = pw.world.today;
-        let store = scan_campaign(
-            &mut pw.world,
-            &CampaignConfig::new(start.plus_days(21), 7),
-        );
+        let store = scan_campaign(&mut pw.world, &CampaignConfig::new(start.plus_days(21), 7));
         assert_eq!(store.snapshots().len(), 4); // day 0, 7, 14, 21
         assert_eq!(pw.world.today, start.plus_days(21));
         // Every snapshot covers the whole population.

@@ -213,7 +213,10 @@ mod tests {
         let census = poison_census(&w, &cache, 10);
         let stats = census.get("Probed").expect("registrar row");
         assert_eq!(stats.cached_names, 1);
-        assert_eq!(stats.poisoned_names, 1, "forged bytes diverge from the wire");
+        assert_eq!(
+            stats.poisoned_names, 1,
+            "forged bytes diverge from the wire"
+        );
         let table = poison_census_table(&census);
         assert!(table.contains("Probed"), "{table}");
         assert!(poison_census_table(&BTreeMap::new()).contains("no cached answers"));

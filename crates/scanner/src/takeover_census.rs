@@ -225,7 +225,10 @@ mod tests {
         let census = takeover_census(&w);
         let stats = census.get("LaxMail").expect("attributed to the registrar");
         assert_eq!(stats.forged_ds_accepted, 1);
-        assert_eq!(stats.ds_dnskey_mismatch, 1, "live DS/DNSKEY mismatch observed");
+        assert_eq!(
+            stats.ds_dnskey_mismatch, 1,
+            "live DS/DNSKEY mismatch observed"
+        );
         assert_eq!(stats.ns_drift, 0);
         assert_eq!(stats.captures(), 1);
         assert_eq!(stats.outstanding(), 1);

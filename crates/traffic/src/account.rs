@@ -289,7 +289,6 @@ impl TrafficReport {
             self.cache_entries,
         )
     }
-
 }
 
 #[cfg(test)]
@@ -326,7 +325,10 @@ mod tests {
         assert_eq!(counts.total(), 5);
         assert_eq!(counts.stale, 1);
         assert_eq!(counts.negative, 1);
-        assert!((counts.availability() - 0.6).abs() < 1e-12, "3 of 5 answered");
+        assert!(
+            (counts.availability() - 0.6).abs() < 1e-12,
+            "3 of 5 answered"
+        );
         // secure_share stays honest: stale serves are not "secure".
         assert!((counts.secure_share() - 0.2).abs() < 1e-12);
         assert_eq!(OutcomeCounts::default().availability(), 0.0);

@@ -41,7 +41,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsec_ecosystem::World;
-use dsec_resolver::{BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver, RetryPolicy, SpoofGuard};
+use dsec_resolver::{
+    BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver, RetryPolicy, SpoofGuard,
+};
 use dsec_wire::{name_hash64, FnvHashSet, Name};
 use dsec_workloads::TrafficMix;
 
@@ -308,8 +310,7 @@ pub fn run_load(world: &World, config: &LoadConfig) -> TrafficReport {
 /// the fleet (if `validating_share` < 1.0) gets a fresh cache; use
 /// [`run_load_mixed`] to carry that one across phases too.
 pub fn run_load_shared(world: &World, config: &LoadConfig, cache: Arc<Cache>) -> TrafficReport {
-    let nv_cache =
-        Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(config.max_stale));
+    let nv_cache = Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(config.max_stale));
     run_load_mixed(world, config, cache, nv_cache)
 }
 
@@ -331,7 +332,10 @@ pub fn run_load_mixed(
         &config.mix,
         config.seed,
         config.queries.max(1),
-        world.today.epoch_seconds().saturating_add(config.now_offset_s),
+        world
+            .today
+            .epoch_seconds()
+            .saturating_add(config.now_offset_s),
         config.sim_qps,
     );
 
@@ -355,8 +359,11 @@ pub fn run_load_mixed(
     // Captured-domain lookup as a dense per-site flag: the hot loop tests
     // a Vec<bool> instead of comparing names.
     let captured: FnvHashSet<&Name> = config.captured.iter().collect();
-    let captured_site: Vec<bool> =
-        population.sites.iter().map(|s| captured.contains(&s.name)).collect();
+    let captured_site: Vec<bool> = population
+        .sites
+        .iter()
+        .map(|s| captured.contains(&s.name))
+        .collect();
 
     // Warm start: the root's and every TLD's zone cut, into each cache a
     // worker will use. Single-threaded and through resolvers of its own,
@@ -416,12 +423,8 @@ pub fn run_load_mixed(
                             validating_assignment(config.seed, i as u64, config.validating_share);
                         let r = if validating { &resolver } else { &nv_resolver };
                         let before = r.stats();
-                        let result = r.resolve_cached_keyed(
-                            &keys[i],
-                            &query.qname,
-                            query.qtype,
-                            query.now,
-                        );
+                        let result =
+                            r.resolve_cached_keyed(&keys[i], &query.qname, query.qtype, query.now);
                         let after = r.stats();
                         let latency = if after.cache_hits > before.cache_hits {
                             CACHE_HIT_MS
@@ -577,7 +580,10 @@ mod tests {
         // …and the tails fire at roughly their design rates (1/64, 1/512).
         let moderate = samples.iter().filter(|&&s| s >= 32).count();
         let far = samples.iter().filter(|&&s| s >= 160).count();
-        assert!((500..4_000).contains(&moderate), "moderate tail: {moderate}/100000");
+        assert!(
+            (500..4_000).contains(&moderate),
+            "moderate tail: {moderate}/100000"
+        );
         assert!((50..600).contains(&far), "far tail: {far}/100000");
     }
 }

@@ -189,7 +189,22 @@ mod tests {
 
     #[test]
     fn upper_bounds_bracket_their_bucket() {
-        for v in [0u32, 1, 7, 8, 9, 15, 16, 63, 64, 100, 127, 128, 1000, 1 << 20] {
+        for v in [
+            0u32,
+            1,
+            7,
+            8,
+            9,
+            15,
+            16,
+            63,
+            64,
+            100,
+            127,
+            128,
+            1000,
+            1 << 20,
+        ] {
             let b = bucket_of(v);
             assert!(upper_bound_ms(b) >= v as u64, "upper({b}) < {v}");
             // Conservative but tight: within 12.5% above SUB_BUCKETS.
