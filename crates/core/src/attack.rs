@@ -130,7 +130,8 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     let mut pw = build(population);
     let traffic_pop = TrafficPopulation::from_world(&pw.world);
     let victim = rollover_victim(&mut pw.world, &traffic_pop);
-    set_channel(&mut pw.world, &victim.registrar, authenticated_email());
+    let victim_registrar = traffic_pop.registrar_of(&victim);
+    set_channel(&mut pw.world, victim_registrar, authenticated_email());
     let ds_before = pw.world.registry(victim.tld).ds_of(&victim.name);
     let ns_before = pw.world.registry(victim.tld).ns_of(&victim.name);
     let launch = pw.world.today.plus_days(1);
@@ -185,7 +186,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     let mut pw_b = build(population);
     let victim_b = rollover_victim(&mut pw_b.world, &traffic_pop);
     assert_eq!(victim_b.name, victim.name, "identical builds pick one victim");
-    set_channel(&mut pw_b.world, &victim.registrar, lax_email());
+    set_channel(&mut pw_b.world, victim_registrar, lax_email());
     let mut campaign_b = AttackCampaign::new();
     campaign_b.schedule(
         victim.name.clone(),
@@ -230,7 +231,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     );
     let victim_counts = load_1
         .by_registrar
-        .get(&victim.registrar)
+        .get(victim_registrar)
         .copied()
         .unwrap_or_default();
     result.check(
@@ -257,7 +258,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     // ---- Arm C: the hijack rides through an unrelated fleet outage. ----
     let mut pw_c = build(population);
     rollover_victim(&mut pw_c.world, &traffic_pop);
-    set_channel(&mut pw_c.world, &victim.registrar, lax_email());
+    set_channel(&mut pw_c.world, victim_registrar, lax_email());
     let mut campaign_c = AttackCampaign::new();
     campaign_c.schedule(
         victim.name.clone(),
@@ -269,7 +270,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     let until_c = pw_c.world.today.plus_days(2);
     campaign_c.advance_to(&mut pw_c.world, until_c);
     let (outage_victim, fleet) =
-        largest_operator_fleet(&pw_c.world, Some(victim.operator.as_str()));
+        largest_operator_fleet(&pw_c.world, Some(traffic_pop.operator_of(&victim)));
     let span = (A1_QUERIES / A1_QPS as u64) as u32;
     let base = pw_c.world.today.epoch_seconds();
     pw_c.world.fault_plane().enable(A1_FAULT_SEED);
@@ -318,8 +319,8 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
          {} stale, {} hijacked, {} saved\n\npaper tie-in: §5.3/§6.4 — the channel decides; \
          validation only caps the blast radius.\n\nper-registrar takeover census (arm B world):\n",
         victim.name,
-        victim.registrar,
-        victim.operator,
+        victim_registrar,
+        traffic_pop.operator_of(&victim),
         clean.outcomes.hijacked + clean.outcomes.saved_by_validation,
         indices.len(),
         load_1.outcomes.hijacked,

@@ -220,7 +220,7 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         .with_on_path_threat(OnPathThreat::new(victim.name.clone(), A2_SPOOFS, census_seed));
     let _ = census_resolver.resolve_cached(&www, RrType::A, now);
     let census = poison_census(&pw.world, &census_cache, now);
-    let victim_row = census.get(&victim.registrar).copied().unwrap_or_default();
+    let victim_row = census.get(traffic_pop.registrar_of(&victim)).copied().unwrap_or_default();
     result.check(
         "arm B: the poison census attributes the forged cached answer to the victim's registrar",
         1.0,
@@ -322,8 +322,8 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
          profile and anchor hygiene decide the rest — hardened fleets hold both lines.\n\n\
          per-registrar poison census (arm B cache):\n",
         victim.name,
-        victim.registrar,
-        victim.operator,
+        traffic_pop.registrar_of(&victim),
+        traffic_pop.operator_of(&victim),
         hard_1.resolver.poison_races,
         hard_1.resolver.poison_admitted,
         hard_1.outcomes.poisoned,

@@ -145,6 +145,10 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     let mut pw = build(population);
     let traffic_pop = TrafficPopulation::from_world(&pw.world);
     let victim = rollover_victim(&mut pw.world, &traffic_pop);
+    let (victim_registrar, victim_operator) = (
+        traffic_pop.registrar_of(&victim),
+        traffic_pop.operator_of(&victim),
+    );
     let plan_a = RolloverPlan::correct(
         RolloverStyle::DoubleSignatureKsk,
         pw.world.today.plus_days(1),
@@ -235,7 +239,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     let in_window_8 = day_load(&pw_b8.world, 8);
     let victim_counts = in_window_1
         .by_registrar
-        .get(&victim.registrar)
+        .get(victim_registrar)
         .copied()
         .unwrap_or_default();
     result.check(
@@ -246,7 +250,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
                 && victim_counts.bogus == in_window_1.outcomes.bogus
                 && in_window_1
                     .by_operator
-                    .get(&victim.operator)
+                    .get(victim_operator)
                     .map(|c| c.bogus == in_window_1.outcomes.bogus)
                     .unwrap_or(false),
         ),
@@ -273,7 +277,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     let pop_c = TrafficPopulation::from_world(&pw_c.world);
     let roller = rollover_victim(&mut pw_c.world, &pop_c);
     let (outage_victim, fleet) =
-        largest_operator_fleet(&pw_c.world, Some(roller.operator.as_str()));
+        largest_operator_fleet(&pw_c.world, Some(pop_c.operator_of(&roller)));
     let plan_c = RolloverPlan::correct(
         RolloverStyle::DoubleSignatureKsk,
         pw_c.world.today.plus_days(1),
@@ -305,7 +309,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         .unwrap_or_default();
     let roller_counts = outage_run
         .by_registrar
-        .get(&roller.registrar)
+        .get(pop_c.registrar_of(&roller))
         .copied()
         .unwrap_or_default();
     result.check(
@@ -342,8 +346,8 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
          arm C (outage collision): outage victim {} availability {:.1}% with serve-stale; \
          {} stale, {} bogus (roller {})\n\nday-by-day (arm B, day offset: bogus/total):\n",
         victim.name,
-        victim.registrar,
-        victim.operator,
+        victim_registrar,
+        victim_operator,
         bogus_a,
         days_a.len(),
         K1_LATE_DAYS,

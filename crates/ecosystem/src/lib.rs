@@ -31,7 +31,7 @@ pub use anchor::AnchorRollPlan;
 pub use clock::SimDate;
 pub use domain::{Domain, Hosting};
 pub use events::{Event, EventLog};
-pub use operator::{Operator, OperatorId};
+pub use operator::{operator_key, operator_of, Operator, OperatorId};
 pub use policy::{ExternalDs, OperatorDnssec, Plan, RegistrarPolicy, TldPolicy, TldRole};
 pub use registrar::{Milestone, PolicyChange, Registrar};
 pub use registry::{Registry, RegistryError};

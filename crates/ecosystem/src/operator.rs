@@ -10,6 +10,20 @@
 //! delegations in the TLD zone; queries for them reach the operator and
 //! get REFUSED, which the scanner reads as "no DNSKEY" — the same
 //! conclusion a live scan of a parked, unsigned domain produces.
+//!
+//! Measured from outside, an operator is a grouping key (§4.2 of the
+//! paper): the second-level domain of a delegation's nameservers —
+//! `ns01.domaincontrol.com` and `ns02.domaincontrol.com` both map to
+//! `domaincontrol.com` ([`operator_key`]). Two special cases from the
+//! paper's footnotes are honored:
+//!
+//! - footnote 15: Amazon's nameservers follow `awsdns-NN.<tld>` and are
+//!   grouped by the `awsdns` label regardless of TLD;
+//! - footnote 13: 1AND1's nameservers share the `1and1` second-level
+//!   label across many ccTLDs and are grouped by that label.
+//!
+//! The registry stores this key with every delegation it writes
+//! ([`crate::Registry::operator_of`]), so readers never re-derive it.
 
 use std::sync::Arc;
 
@@ -183,6 +197,30 @@ pub(crate) fn publish_cds(
     });
 }
 
+/// The operator grouping key for one nameserver hostname (see the module
+/// docs).
+pub fn operator_key(ns: &Name) -> Name {
+    let sld = ns.second_level().to_canonical();
+    // `sld` is canonical, so its first label is lowercase already.
+    if let Some(label) = sld.labels().next() {
+        // Footnote 15: awsdns-13.net, awsdns-07.org, … → "awsdns".
+        if label.starts_with(b"awsdns") {
+            return Name::parse("awsdns.group").expect("static name");
+        }
+        // Footnote 13: 1and1 spread across ccTLDs → "1and1".
+        if label == b"1and1" {
+            return Name::parse("1and1.group").expect("static name");
+        }
+    }
+    sld
+}
+
+/// Groups a full NS set; the first NS record decides (sets are uniform in
+/// practice, and the paper groups by the shared SLD).
+pub fn operator_of(ns_set: &[Name]) -> Option<Name> {
+    ns_set.first().map(operator_key)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,5 +313,55 @@ mod tests {
             })
             .unwrap();
         assert!(has_cds);
+    }
+
+    #[test]
+    fn plain_sld_grouping() {
+        assert_eq!(
+            operator_key(&name("ns01.domaincontrol.com")),
+            name("domaincontrol.com")
+        );
+        assert_eq!(
+            operator_key(&name("dns1.registrar-servers.com")),
+            name("registrar-servers.com")
+        );
+        assert_eq!(operator_key(&name("a.b.c.ovh.net")), name("ovh.net"));
+    }
+
+    #[test]
+    fn grouping_is_case_insensitive() {
+        assert_eq!(
+            operator_key(&name("NS01.DomainControl.COM")),
+            name("domaincontrol.com")
+        );
+    }
+
+    #[test]
+    fn awsdns_footnote_15() {
+        assert_eq!(
+            operator_key(&name("ns-1.awsdns-13.net")),
+            name("awsdns.group")
+        );
+        assert_eq!(
+            operator_key(&name("ns-2.awsdns-07.org")),
+            name("awsdns.group")
+        );
+        assert_eq!(
+            operator_key(&name("x.awsdns-99.net")),
+            operator_key(&name("y.awsdns-01.com"))
+        );
+    }
+
+    #[test]
+    fn oneandone_footnote_13() {
+        assert_eq!(operator_key(&name("ns.1and1.com")), name("1and1.group"));
+        assert_eq!(operator_key(&name("ns.1and1.de")), name("1and1.group"));
+    }
+
+    #[test]
+    fn operator_of_uses_first_ns() {
+        let set = vec![name("ns01.op.net"), name("ns02.op.net")];
+        assert_eq!(operator_of(&set), Some(name("op.net")));
+        assert_eq!(operator_of(&[]), None);
     }
 }

@@ -21,6 +21,7 @@ use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
 use dsec_wire::{DsRdata, Name, RData, Record, RrType, SoaRdata, Zone};
 
+use crate::operator::operator_of;
 use crate::table::{DomainTable, JournalCursor, OrderedRows};
 use crate::tld::Tld;
 use crate::RegistrarId;
@@ -55,8 +56,10 @@ pub struct Registry {
     pub discounts_cents: BTreeMap<RegistrarId, u64>,
     /// Incentive bookkeeping: validation failures per registrar.
     pub audit_failures: BTreeMap<RegistrarId, u64>,
-    /// Columnar per-delegation state: sponsor, change generation, and
-    /// liveness in dense row-indexed columns (see [`DomainTable`]).
+    /// Columnar per-delegation state: sponsor, change generation,
+    /// liveness and DNS operator in dense row-indexed columns (see
+    /// [`DomainTable`]). The operator column is written only with the NS
+    /// records it is derived from.
     /// The generation column is bumped on every registry-side edit a
     /// scanner could observe (delegation added/removed, NS set replaced,
     /// DS set replaced); the incremental scan cache keys its entries on
@@ -177,7 +180,8 @@ impl Registry {
         self.accredited.contains(&registrar)
     }
 
-    /// Registers a new delegation. Only accredited registrars may do this.
+    /// Registers a new delegation. Only accredited registrars may do
+    /// this, and only with at least one nameserver.
     pub fn add_delegation(
         &mut self,
         registrar: RegistrarId,
@@ -185,30 +189,20 @@ impl Registry {
         ns_hosts: &[Name],
     ) -> Result<(), RegistryError> {
         self.check(registrar, domain)?;
-        if self
-            .authority
-            .with_zone(&self.tld.zone(), |z| z.rrset(domain, RrType::Ns).is_some())
-            .unwrap_or(false)
-        {
+        if self.sponsor_of(domain).is_some() {
             return Err(RegistryError::AlreadyRegistered(domain.to_string()));
         }
-        self.authority.with_zone_mut(&self.tld.zone(), |zone| {
-            for ns in ns_hosts {
-                zone.add(Record::new(
-                    domain.clone(),
-                    DELEGATION_TTL,
-                    RData::Ns(ns.clone()),
-                ))
-                .expect("delegation in zone");
-            }
-        });
+        let operator = first_operator(domain, ns_hosts)?;
+        self.write_ns(domain, ns_hosts);
         let row = self.table.intern_row(domain);
         self.table.set_live(row, registrar);
+        self.table.set_operator(row, operator);
         self.table.bump(row);
         Ok(())
     }
 
     /// Replaces the NS set of an existing delegation (hosting change).
+    /// The new set must not be empty.
     pub fn set_ns(
         &mut self,
         registrar: RegistrarId,
@@ -216,6 +210,18 @@ impl Registry {
         ns_hosts: &[Name],
     ) -> Result<(), RegistryError> {
         self.check_sponsor(registrar, domain)?;
+        let operator = first_operator(domain, ns_hosts)?;
+        self.write_ns(domain, ns_hosts);
+        let row = self.table.intern_row(domain);
+        self.table.set_operator(row, operator);
+        self.table.bump(row);
+        Ok(())
+    }
+
+    /// Replaces `domain`'s NS RRset in the TLD zone with `ns_hosts` — the
+    /// one writer of delegation NS records, so the operator column the
+    /// callers set next always describes what the zone serves.
+    fn write_ns(&self, domain: &Name, ns_hosts: &[Name]) {
         self.authority.with_zone_mut(&self.tld.zone(), |zone| {
             zone.remove_rrset(domain, RrType::Ns);
             for ns in ns_hosts {
@@ -227,8 +233,6 @@ impl Registry {
                 .expect("delegation in zone");
             }
         });
-        self.bump_generation(domain);
-        Ok(())
     }
 
     /// Installs (replacing) the DS RRset for a delegation and signs it.
@@ -412,6 +416,32 @@ impl Registry {
             .and_then(|row| self.table.sponsor(row))
     }
 
+    /// The DNS operator of `domain`: the
+    /// [`operator_key`](crate::operator_key) of its first NS
+    /// host, stored by the write that set the NS records. `None` when
+    /// `domain` is not delegated.
+    pub fn operator_of(&self, domain: &Name) -> Option<&Name> {
+        let id = self.operator_id_of(domain)?;
+        Some(&self.table.operators()[id as usize])
+    }
+
+    /// [`Registry::operator_of`] as an id into [`Registry::operators`].
+    pub fn operator_id_of(&self, domain: &Name) -> Option<u32> {
+        self.table.operator(self.table.row_of(domain)?)
+    }
+
+    /// The operator id at columnar `row`, or `None` if that row is not
+    /// currently delegated.
+    pub fn operator_at(&self, row: u32) -> Option<u32> {
+        self.table.operator(row)
+    }
+
+    /// Operator keys by id. Ids are dense and this registry's own: the
+    /// same key has unrelated ids in two registries.
+    pub fn operators(&self) -> &[Name] {
+        self.table.operators()
+    }
+
     /// Records an audit outcome for incentive bookkeeping: a correctly
     /// signed domain earns its sponsor the per-domain discount, a broken
     /// one counts as a failure.
@@ -458,6 +488,12 @@ impl Registry {
     }
 }
 
+/// The operator a delegation to `ns_hosts` is keyed on, or
+/// [`RegistryError::EmptyNsSet`]: a delegation needs a nameserver.
+fn first_operator(domain: &Name, ns_hosts: &[Name]) -> Result<Name, RegistryError> {
+    operator_of(ns_hosts).ok_or_else(|| RegistryError::EmptyNsSet(domain.to_string()))
+}
+
 /// Removes RRSIG records at `owner` covering `rtype`, leaving others.
 fn remove_rrsig_covering(zone: &mut Zone, owner: &Name, rtype: RrType) {
     if let Some(set) = zone.rrset(owner, RrType::Rrsig) {
@@ -490,6 +526,8 @@ pub enum RegistryError {
     NotRegistered(String),
     /// The domain is already delegated.
     AlreadyRegistered(String),
+    /// A delegation was written with no nameservers.
+    EmptyNsSet(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -501,6 +539,7 @@ impl std::fmt::Display for RegistryError {
             }
             RegistryError::NotRegistered(d) => write!(f, "{d} is not registered"),
             RegistryError::AlreadyRegistered(d) => write!(f, "{d} is already registered"),
+            RegistryError::EmptyNsSet(d) => write!(f, "{d} needs at least one nameserver"),
         }
     }
 }
@@ -726,6 +765,64 @@ mod tests {
             .set_ds(RegistrarId(9), &d, std::slice::from_ref(&ds))
             .is_err());
         assert_eq!(r.generation_of(&d), 6);
+    }
+
+    #[test]
+    fn an_empty_ns_set_cannot_open_a_live_delegation_to_takeover() {
+        let mut r = registry();
+        r.accredit(RegistrarId(2));
+        let d = name("x.com");
+        r.add_delegation(RegistrarId(1), &d, &[name("ns1.op.net")])
+            .unwrap();
+        // Emptying the NS set is refused and changes nothing.
+        assert_eq!(
+            r.set_ns(RegistrarId(1), &d, &[]),
+            Err(RegistryError::EmptyNsSet("x.com.".into()))
+        );
+        assert_eq!(r.generation_of(&d), 1);
+        assert_eq!(r.ns_of(&d), vec![name("ns1.op.net")]);
+        // The delegation is live, so no other registrar can register it.
+        assert_eq!(
+            r.add_delegation(RegistrarId(2), &d, &[name("ns1.evil.net")]),
+            Err(RegistryError::AlreadyRegistered("x.com.".into()))
+        );
+        assert_eq!(r.sponsor_of(&d), Some(RegistrarId(1)));
+        // Nor can a new delegation start empty.
+        assert_eq!(
+            r.add_delegation(RegistrarId(1), &name("y.com"), &[]),
+            Err(RegistryError::EmptyNsSet("y.com.".into()))
+        );
+        assert_eq!(r.generation_of(&name("y.com")), 0);
+        assert_eq!(r.sponsor_of(&name("y.com")), None);
+    }
+
+    #[test]
+    fn the_operator_column_follows_the_ns_writes() {
+        let mut r = registry();
+        let d = name("x.com");
+        let reg = RegistrarId(1);
+        assert_eq!(r.operator_of(&d), None, "never delegated");
+        r.add_delegation(reg, &d, &[name("NS1.Op.NET"), name("ns2.other.net")])
+            .unwrap();
+        assert_eq!(r.operator_of(&name("X.COM")), Some(&name("op.net")));
+        r.set_ns(reg, &d, &[name("ns-7.awsdns-13.org")]).unwrap();
+        assert_eq!(r.operator_of(&d), Some(&name("awsdns.group")));
+        // A failed edit leaves the column as it was.
+        assert!(r.set_ns(RegistrarId(9), &d, &[name("ns.x.net")]).is_err());
+        assert!(r.set_ns(reg, &d, &[]).is_err());
+        assert_eq!(r.operator_of(&d), Some(&name("awsdns.group")));
+        r.remove_delegation(reg, &d).unwrap();
+        assert_eq!(r.operator_of(&d), None, "dead rows have no operator");
+        r.add_delegation(reg, &d, &[name("ns.1and1.de")]).unwrap();
+        assert_eq!(r.operator_of(&d), Some(&name("1and1.group")));
+        // Ids are this registry's, one per key, in first-write order.
+        r.add_delegation(reg, &name("y.com"), &[name("ns2.awsdns-01.net")])
+            .unwrap();
+        let keys: Vec<String> = r.operators().iter().map(|k| k.to_string()).collect();
+        assert_eq!(keys, ["op.net.", "awsdns.group.", "1and1.group."]);
+        assert_eq!(r.operator_id_of(&name("y.com")), Some(1));
+        let (row, _, _) = r.delegations_columnar().last().unwrap();
+        assert_eq!(r.operator_at(row), Some(1), "y.com sorts last");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! struct-of-arrays layout:
 //!
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
-//!   [`RegistrarId`], change generation, liveness for the registry table;
+//!   [`RegistrarId`], change generation, liveness and DNS operator for
+//!   the registry table;
 //!   the [`Domain`] payload row — hosting, DNSSEC keys,
 //!   expiry — for the world store);
 //! * a `Name → row` FNV map is the only hash probe left on the edge
@@ -63,8 +64,12 @@ pub struct JournalCursor {
 /// never read a journal it was not issued by.
 static NEXT_JOURNAL: AtomicU64 = AtomicU64::new(0);
 
-/// The registry-side columnar table: sponsor, change generation, and
-/// liveness per delegated name. See the module docs for the layout.
+/// The operator column's "none": the row is dead.
+const NO_OPERATOR: u32 = u32::MAX;
+
+/// The registry-side columnar table: sponsor, change generation,
+/// liveness and DNS operator per delegated name. See the module docs
+/// for the layout.
 #[derive(Debug)]
 pub struct DomainTable {
     /// Row → canonical name (the API edge; never shrinks).
@@ -75,6 +80,13 @@ pub struct DomainTable {
     generation: Vec<u64>,
     /// Row → whether the delegation currently exists.
     live: Vec<bool>,
+    /// Row → index into `operators`, [`NO_OPERATOR`] while dead.
+    operator: Vec<u32>,
+    /// Operator id → operator key, in first-write order. Ids are dense
+    /// per table: a registry's few hundred operators, not the world's.
+    operators: Vec<Name>,
+    /// Operator key → id.
+    operator_ids: FnvHashMap<Name, u32>,
     /// Name → row. The single hash probe on the lookup edge.
     index: FnvHashMap<Name, u32>,
     live_count: usize,
@@ -102,6 +114,9 @@ impl DomainTable {
             sponsor: Vec::new(),
             generation: Vec::new(),
             live: Vec::new(),
+            operator: Vec::new(),
+            operators: Vec::new(),
+            operator_ids: FnvHashMap::default(),
             index: FnvHashMap::default(),
             live_count: 0,
             order: RwLock::new(OrderCache::default()),
@@ -129,6 +144,7 @@ impl DomainTable {
         self.sponsor.push(RegistrarId(u32::MAX));
         self.generation.push(0);
         self.live.push(false);
+        self.operator.push(NO_OPERATOR);
         self.index.insert(canonical, row);
         row
     }
@@ -214,8 +230,9 @@ impl DomainTable {
         self.sponsor[i] = sponsor;
     }
 
-    /// Marks `row` dead (delegation removed). The generation column is
-    /// kept so a re-registration resumes at a strictly larger value.
+    /// Marks `row` dead (delegation removed) and clears its operator. The
+    /// generation column is kept so a re-registration resumes at a
+    /// strictly larger value.
     pub fn set_dead(&mut self, row: u32) {
         let i = row as usize;
         if self.live[i] {
@@ -223,6 +240,34 @@ impl DomainTable {
             self.live_count -= 1;
             self.order.get_mut().expect("order lock").dirty = true;
         }
+        self.operator[i] = NO_OPERATOR;
+    }
+
+    /// The DNS operator id at `row` (an index into
+    /// [`DomainTable::operators`]), `None` for a dead row.
+    pub(crate) fn operator(&self, row: u32) -> Option<u32> {
+        let id = self.operator[row as usize];
+        (id != NO_OPERATOR).then_some(id)
+    }
+
+    /// Operator keys by id, in the order they were first written.
+    pub(crate) fn operators(&self) -> &[Name] {
+        &self.operators
+    }
+
+    /// Records `key` as the DNS operator at `row`, giving the key an id
+    /// on first sight.
+    pub(crate) fn set_operator(&mut self, row: u32, key: Name) {
+        let id = match self.operator_ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                let id = self.operators.len() as u32;
+                self.operators.push(key.clone());
+                self.operator_ids.insert(key, id);
+                id
+            }
+        };
+        self.operator[row as usize] = id;
     }
 
     /// Number of live delegations.

@@ -59,7 +59,9 @@ fn main() {
         .expect("victim is signed");
     println!(
         "--- abrupt key roll at {} (registrar {}, operator {}) ---",
-        victim.name, victim.registrar, victim.operator
+        victim.name,
+        population.registrar_of(&victim),
+        population.operator_of(&victim)
     );
 
     let broken = run_load(&pw.world, &config);

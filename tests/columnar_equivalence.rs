@@ -10,7 +10,7 @@
 //!   DS-swap / NS-change, including rejected ones) leaves the Name-keyed
 //!   API, the columnar enumeration, and a shadow `BTreeMap` model in
 //!   exact agreement — names, canonical order, sponsors, generations,
-//!   and the generation-persists-across-removal rule;
+//!   operators, and the generation-persists-across-removal rule;
 //! * any world mutated by an arbitrary customer action sequence produces
 //!   byte-identical campaign CSVs through the in-memory store and the
 //!   streamed (spill + replay) store.
@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dsec::ecosystem::{
-    DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, Registry, RegistrarId,
+    operator_of, DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, Registry, RegistrarId,
     RegistrarPolicy, Tld, TldPolicy, TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec::scanner::{scan_campaign_cached, scan_campaign_streamed, CampaignConfig, ScanCache};
@@ -93,10 +93,13 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
         live.iter().map(|(n, _, g)| ((*n).clone(), *g)).collect();
     assert_eq!(columnar, expected, "delegations_columnar() diverged from shadow");
 
-    // Point lookups, live and dead.
+    // Point lookups, live and dead. A live row's operator is its NS
+    // set's; a dead row has none.
     for (name, row) in shadow {
         assert_eq!(registry.sponsor_of(name), row.sponsor, "{name}: sponsor");
         assert_eq!(registry.generation_of(name), row.generation, "{name}: generation");
+        let operator = row.sponsor.and_then(|_| operator_of(&registry.ns_of(name)));
+        assert_eq!(registry.operator_of(name), operator.as_ref(), "{name}: operator");
     }
 }
 

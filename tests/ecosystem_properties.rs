@@ -2,14 +2,16 @@
 //! must preserve the world's structural invariants, the deployment
 //! classification must remain internally consistent at every step, and
 //! the event log must record a delegation change only when the registry
-//! really holds it.
+//! really holds it, and the registry's operator column must always name
+//! the operator of the NS set it serves.
 
 use proptest::prelude::*;
 
 use dsec::dnssec::{classify, DeploymentStatus};
 use dsec::ecosystem::{
-    ActionError, DsSubmission, Event, ExternalDs, Hosting, OperatorDnssec, OperatorId, Plan,
-    RegistrarPolicy, SimDate, TldPolicy, TldRole, UploadOutcome, World, WorldConfig, ALL_TLDS,
+    operator_of, ActionError, DsSubmission, Event, ExternalDs, Hosting, OperatorDnssec,
+    OperatorId, Plan, RegistrarPolicy, SimDate, TldPolicy, TldRole, UploadOutcome, World,
+    WorldConfig, ALL_TLDS,
 };
 use dsec::wire::{DsRdata, Name};
 
@@ -211,6 +213,25 @@ fn check_invariants(world: &World, domains: &[Name]) {
     }
 }
 
+/// The operator column oracle: every live delegation's stored operator,
+/// by row and by name, is the key of the NS set its zone serves. (Dead
+/// rows reading `None` is checked where rows die,
+/// `tests/columnar_equivalence.rs`: a world never removes one.)
+fn check_operator_column(world: &World) {
+    for tld in ALL_TLDS {
+        let registry = world.registry(tld);
+        for (row, domain, _) in registry.delegations_columnar() {
+            let expected = operator_of(&registry.ns_of(domain));
+            assert!(expected.is_some(), "{domain}: a live delegation has NS");
+            let by_row = registry
+                .operator_at(row)
+                .map(|id| &registry.operators()[id as usize]);
+            assert_eq!(by_row, expected.as_ref(), "{domain}: operator column");
+            assert_eq!(registry.operator_of(domain), by_row, "{domain}: by name");
+        }
+    }
+}
+
 /// What one step wrote, for checking the events it logged against the
 /// registry: the DS set an upload submitted or the NS set a change did.
 #[derive(Default)]
@@ -368,6 +389,7 @@ proptest! {
             }
             check_event_delta(&world, before, ok, &written, &action);
             check_invariants(&world, &domains);
+            check_operator_column(&world);
         }
     }
 }

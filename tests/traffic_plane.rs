@@ -3,12 +3,88 @@
 //! attribution, shared-cache bounding, and composition with the fault
 //! plane.
 
-use dsec::ecosystem::Tld;
+use std::collections::{BTreeMap, HashMap};
+
+use dsec::ecosystem::{operator_of, Tld, World};
 use dsec::traffic::{run_load, LoadConfig, TrafficPopulation};
+use dsec::wire::Name;
 use dsec::workloads::{build, PopulationConfig};
 
 fn tiny_world() -> dsec::workloads::PaperWorld {
     build(&PopulationConfig::tiny())
+}
+
+/// A site as `(name, www, tld, registrar id, operator id)`.
+type SiteRow = (Name, Name, Tld, u32, u32);
+
+/// A population as `(sites, per-TLD ranking, registrars, operators)`.
+type Reference = (Vec<SiteRow>, BTreeMap<Tld, Vec<u32>>, Vec<String>, Vec<String>);
+
+/// The population as built before attribution was a registry column:
+/// every NS set read from the zone, registrar and operator strings per
+/// site, ids in first-occurrence order, and a stable sort of each TLD
+/// by operator size (descending) then operator key, looked up by string.
+fn reference_population(world: &World) -> Reference {
+    let mut sites = Vec::new();
+    let mut site_operators: Vec<String> = Vec::new();
+    let mut operator_sizes: BTreeMap<String, u64> = BTreeMap::new();
+    let (mut registrars, mut operators): (Vec<String>, Vec<String>) = (Vec::new(), Vec::new());
+    let mut registrar_ids: HashMap<String, u32> = HashMap::new();
+    let mut operator_ids: HashMap<String, u32> = HashMap::new();
+    for d in world.domains() {
+        let ns = world.registry(d.tld).ns_of(&d.name);
+        let operator = operator_of(&ns)
+            .map(|n| n.to_string())
+            .unwrap_or_else(|| "(undelegated)".to_string());
+        *operator_sizes.entry(operator.clone()).or_insert(0) += 1;
+        let registrar = world.registrar(d.registrar).name.clone();
+        let registrar_id = *registrar_ids.entry(registrar.clone()).or_insert_with(|| {
+            registrars.push(registrar.clone());
+            (registrars.len() - 1) as u32
+        });
+        let operator_id = *operator_ids.entry(operator.clone()).or_insert_with(|| {
+            operators.push(operator.clone());
+            (operators.len() - 1) as u32
+        });
+        let www = d.name.child("www").unwrap();
+        sites.push((d.name.clone(), www, d.tld, registrar_id, operator_id));
+        site_operators.push(operator);
+    }
+    let mut ranked: BTreeMap<Tld, Vec<u32>> = BTreeMap::new();
+    for (i, site) in sites.iter().enumerate() {
+        ranked.entry(site.2).or_default().push(i as u32);
+    }
+    for indices in ranked.values_mut() {
+        indices.sort_by(|&a, &b| {
+            let (oa, ob) = (&site_operators[a as usize], &site_operators[b as usize]);
+            operator_sizes[ob]
+                .cmp(&operator_sizes[oa])
+                .then_with(|| oa.cmp(ob))
+        });
+    }
+    (sites, ranked, registrars, operators)
+}
+
+#[test]
+fn population_from_columns_matches_the_string_keyed_reference() {
+    let tiny = tiny_world();
+    let small = build(&PopulationConfig {
+        scale: 20_000,
+        ..PopulationConfig::default()
+    });
+    for world in [&tiny.world, &small.world] {
+        let population = TrafficPopulation::from_world(world);
+        let sites: Vec<SiteRow> = population
+            .sites
+            .iter()
+            .map(|s| (s.name.clone(), s.www.clone(), s.tld, s.registrar_id, s.operator_id))
+            .collect();
+        let (ref_sites, ref_ranked, ref_registrars, ref_operators) = reference_population(world);
+        assert_eq!(sites, ref_sites, "sites and their ids");
+        assert_eq!(population.ranked, ref_ranked, "popularity ranks");
+        assert_eq!(population.registrars, ref_registrars);
+        assert_eq!(population.operators, ref_operators);
+    }
 }
 
 #[test]
@@ -173,18 +249,18 @@ fn mismatched_ds_injection_attributes_bogus_to_the_right_registrar() {
         report.outcomes.bogus > 0,
         "the head .nl site must be queried and fail validation"
     );
-    let victim_counts = report.by_registrar[&victim.registrar];
+    let victim_registrar = population.registrar_of(&victim);
+    let victim_counts = report.by_registrar[victim_registrar];
     assert_eq!(
         victim_counts.bogus, report.outcomes.bogus,
-        "all bogus queries attribute to {}",
-        victim.registrar
+        "all bogus queries attribute to {victim_registrar}"
     );
     for (registrar, counts) in &report.by_registrar {
-        if registrar != &victim.registrar {
+        if registrar != victim_registrar {
             assert_eq!(counts.bogus, 0, "{registrar} wrongly blamed");
         }
     }
-    let operator_counts = report.by_operator[&victim.operator];
+    let operator_counts = report.by_operator[population.operator_of(&victim)];
     assert_eq!(operator_counts.bogus, report.outcomes.bogus);
 }
 
