@@ -238,7 +238,9 @@ struct ServerFaults {
 
 impl ServerFaults {
     fn in_window(&self, now_s: u32) -> bool {
-        self.windows.iter().any(|&(from, until)| now_s >= from && now_s < until)
+        self.windows
+            .iter()
+            .any(|&(from, until)| now_s >= from && now_s < until)
     }
 }
 
@@ -332,8 +334,8 @@ impl FaultPlane {
     /// Installs an up/down flap schedule for a server; the phase is
     /// derived from the hostname so flapping fleets desynchronize.
     pub fn flap_server(&self, ns: &Name, up_days: u32, down_days: u32) {
-        let phase = (fnv1a(&ns.to_canonical_wire(), 0x1F1A9) % (up_days + down_days).max(1) as u64)
-            as u32;
+        let phase =
+            (fnv1a(&ns.to_canonical_wire(), 0x1F1A9) % (up_days + down_days).max(1) as u64) as u32;
         let flap = FlapSchedule {
             up_days,
             down_days,
@@ -373,7 +375,11 @@ impl FaultPlane {
     /// Pure configuration lookup: no counters, no enable gate — used by
     /// scenario harnesses to print outage timelines.
     pub fn scheduled_down(&self, ns: &Name, now_s: u32) -> bool {
-        self.servers.read().by_name.get(ns).is_some_and(|server| server.in_window(now_s))
+        self.servers
+            .read()
+            .by_name
+            .get(ns)
+            .is_some_and(|server| server.in_window(now_s))
     }
 
     /// Queues forced fault outcomes for the next UDP queries to `ns`,
@@ -424,7 +430,8 @@ impl FaultPlane {
             let server = servers.by_name.get(ns);
             let down = server.is_some_and(|s| {
                 s.down
-                    || s.flap.is_some_and(|f| f.is_down(self.day.load(Ordering::Relaxed)))
+                    || s.flap
+                        .is_some_and(|f| f.is_down(self.day.load(Ordering::Relaxed)))
                     || now_s.is_some_and(|t| s.in_window(t))
             });
             if down {
@@ -478,7 +485,10 @@ impl FaultPlane {
     /// first use (the secondary stopped syncing when the fault began).
     pub(crate) fn stale_authority(&self, ns: &Name, live: &Authority) -> Arc<Authority> {
         self.edit(ns, |server| {
-            server.stale.get_or_insert_with(|| Arc::new(live.snapshot())).clone()
+            server
+                .stale
+                .get_or_insert_with(|| Arc::new(live.snapshot()))
+                .clone()
         })
     }
 
@@ -574,13 +584,7 @@ mod tests {
             plane.enable(seed);
             plane.set_global_profile(FaultProfile::mixed(0.5));
             (0..64)
-                .map(|i| {
-                    plane.decide(
-                        &name("ns1.op.net"),
-                        &name(&format!("d{i}.com")),
-                        1,
-                    )
-                })
+                .map(|i| plane.decide(&name("ns1.op.net"), &name(&format!("d{i}.com")), 1))
                 .collect()
         };
         assert_eq!(run(7), run(7));
@@ -727,7 +731,10 @@ mod tests {
         let plane = FaultPlane::new();
         let ns = name("ns1.op.net");
         plane.schedule_down(&ns, 0, 1000);
-        assert!(!plane.window_down(&ns, 500), "dormant plane injects nothing");
+        assert!(
+            !plane.window_down(&ns, 500),
+            "dormant plane injects nothing"
+        );
         assert!(plane.scheduled_down(&ns, 500), "pure config lookup");
         assert_eq!(plane.stats().downtime_drops, 0);
         plane.clear_schedules();
@@ -747,16 +754,23 @@ mod tests {
             ("schedule_down", &|p, ns| p.schedule_down(ns, 0, 100)),
             ("script", &|p, ns| p.script(ns, [Fault::Drop])),
             ("flap_server", &|p, ns| p.flap_server(ns, 0, 1)),
-            ("set_server_profile", &|p, ns| p.set_server_profile(ns, drop_all)),
+            ("set_server_profile", &|p, ns| {
+                p.set_server_profile(ns, drop_all)
+            }),
         ];
         for (setter, configure) in rows {
             for (set_as, asked_as) in [(0, 1), (1, 0)] {
                 let plane = FaultPlane::new();
                 plane.enable(3);
                 configure(&plane, &spellings[set_as]);
-                let hit = plane.intercept(&spellings[asked_as], Some(50), Some((&name("x.com"), 1)));
+                let hit =
+                    plane.intercept(&spellings[asked_as], Some(50), Some((&name("x.com"), 1)));
                 assert_eq!(hit, Some(Fault::Drop), "{setter} as {}", spellings[set_as]);
-                assert_eq!(plane.servers.read().by_name.len(), 1, "{setter}: one record");
+                assert_eq!(
+                    plane.servers.read().by_name.len(),
+                    1,
+                    "{setter}: one record"
+                );
             }
         }
     }

@@ -182,9 +182,10 @@ impl Network {
                 response: error_response(query, Rcode::Refused),
                 latency_ms: BASE_LATENCY_MS,
             },
-            Some(Fault::Stale) => {
-                answered(&self.faults.stale_authority(ns, &authority), BASE_LATENCY_MS)
-            }
+            Some(Fault::Stale) => answered(
+                &self.faults.stale_authority(ns, &authority),
+                BASE_LATENCY_MS,
+            ),
         }
     }
 
@@ -261,7 +262,10 @@ mod tests {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
+        let resp = net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .unwrap();
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(net.query_count(), 1);
     }
@@ -270,7 +274,10 @@ mod tests {
     fn unknown_server_is_unreachable() {
         let net = Network::new();
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query_udp(&name("ns1.ghost.net"), &q, u32::MAX, None).into_response().is_none());
+        assert!(net
+            .query_udp(&name("ns1.ghost.net"), &q, u32::MAX, None)
+            .into_response()
+            .is_none());
         assert_eq!(
             net.query_udp(&name("ns1.ghost.net"), &q, 100, None),
             QueryOutcome::Unreachable
@@ -283,7 +290,10 @@ mod tests {
         let net = Network::new();
         net.register(name("NS1.Op.NET"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_some());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .is_some());
     }
 
     #[test]
@@ -295,7 +305,11 @@ mod tests {
         assert_eq!(net.server_count(), 2);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns2.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(),
+            net.query_udp(&name("ns2.op.net"), &q, u32::MAX, None)
+                .into_response()
+                .unwrap()
+                .answers
+                .len(),
             1
         );
     }
@@ -307,7 +321,10 @@ mod tests {
         assert!(net.deregister(&name("ns1.op.net")));
         assert!(!net.deregister(&name("ns1.op.net")));
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_none());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .is_none());
     }
 
     #[test]
@@ -323,7 +340,10 @@ mod tests {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.other.org"), RrType::A, false);
-        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
+        let resp = net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .unwrap();
         assert_eq!(resp.rcode, Rcode::Refused);
     }
 
@@ -341,7 +361,10 @@ mod tests {
             net.query_udp(&name("ns1.op.net"), &q, 1000, None),
             QueryOutcome::Timeout
         );
-        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_none());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .is_none());
         // Dropped packets still count as dispatched queries.
         assert_eq!(net.query_count(), 2);
     }
@@ -385,7 +408,10 @@ mod tests {
             .unwrap();
         assert!(udp.flags.truncated);
         assert!(udp.answers.is_empty());
-        let tcp = net.query_tcp(&name("ns1.op.net"), &q, None).into_response().unwrap();
+        let tcp = net
+            .query_tcp(&name("ns1.op.net"), &q, None)
+            .into_response()
+            .unwrap();
         assert!(!tcp.flags.truncated);
         assert_eq!(tcp.answers.len(), 1);
         assert_eq!(net.tcp_query_count(), 1);
@@ -401,7 +427,10 @@ mod tests {
             ..FaultProfile::default()
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        let resp = net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap();
+        let resp = net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .unwrap();
         assert_eq!(resp.rcode, Rcode::ServFail);
     }
 
@@ -420,7 +449,14 @@ mod tests {
         );
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         // First stale serve freezes the copy.
-        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 1);
+        assert_eq!(
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+                .into_response()
+                .unwrap()
+                .answers
+                .len(),
+            1
+        );
         // The live zone changes…
         auth.with_zone_mut(&name("example.com"), |z| {
             z.add(Record::new(
@@ -431,9 +467,23 @@ mod tests {
             .unwrap();
         });
         // …but the stale secondary still serves the frozen copy.
-        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 1);
+        assert_eq!(
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+                .into_response()
+                .unwrap()
+                .answers
+                .len(),
+            1
+        );
         net.faults().clear_server_profile(&name("ns1.op.net"));
-        assert_eq!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().unwrap().answers.len(), 2);
+        assert_eq!(
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+                .into_response()
+                .unwrap()
+                .answers
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -453,10 +503,19 @@ mod tests {
             QueryOutcome::Timeout
         );
         // Before and after the window, service is normal.
-        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, Some(999)).into_response().is_some());
-        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, Some(2000)).into_response().is_some());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, 500, Some(999))
+            .into_response()
+            .is_some());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, 500, Some(2000))
+            .into_response()
+            .is_some());
         // The timing-oblivious path never consults windows.
-        assert!(net.query_udp(&name("ns1.op.net"), &q, 500, None).into_response().is_some());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, 500, None)
+            .into_response()
+            .is_some());
         assert_eq!(net.faults().stats().downtime_drops, 2);
     }
 
@@ -476,6 +535,9 @@ mod tests {
             QueryOutcome::Timeout
         );
         net.faults().set_down(&name("ns1.op.net"), false);
-        assert!(net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None).into_response().is_some());
+        assert!(net
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .into_response()
+            .is_some());
     }
 }

@@ -67,12 +67,7 @@ impl OutageScenario {
 
     /// A single correlated window over an arbitrary server set (e.g. a
     /// TLD registry fleet for a TLD-wide outage).
-    pub fn window(
-        name: impl Into<String>,
-        servers: Vec<Name>,
-        from_s: u32,
-        until_s: u32,
-    ) -> Self {
+    pub fn window(name: impl Into<String>, servers: Vec<Name>, from_s: u32, until_s: u32) -> Self {
         OutageScenario {
             name: name.into(),
             windows: vec![OutageWindow {
@@ -170,8 +165,7 @@ mod tests {
 
     #[test]
     fn active_at_spans_gaps_between_flap_cycles() {
-        let scenario =
-            OutageScenario::flapping("flap", vec![name("ns1.op.net")], 1000, 60, 40, 2);
+        let scenario = OutageScenario::flapping("flap", vec![name("ns1.op.net")], 1000, 60, 40, 2);
         assert!(scenario.active_at(1030), "first down window");
         assert!(!scenario.active_at(1070), "up gap is not active");
         assert!(scenario.active_at(1130), "second down window");
@@ -180,8 +174,7 @@ mod tests {
 
     #[test]
     fn flapping_generates_cycles() {
-        let scenario =
-            OutageScenario::flapping("flap", vec![name("ns1.op.net")], 1000, 60, 40, 3);
+        let scenario = OutageScenario::flapping("flap", vec![name("ns1.op.net")], 1000, 60, 40, 3);
         assert_eq!(scenario.windows.len(), 3);
         assert_eq!(scenario.windows[0].from_s, 1000);
         assert_eq!(scenario.windows[0].until_s, 1060);

@@ -94,7 +94,10 @@ impl std::fmt::Display for WireError {
             WireError::BadLabelType(b) => write!(f, "reserved label type {b:#04x}"),
             WireError::BadTypeBitmap => write!(f, "malformed NSEC type bitmap"),
             WireError::RdataLengthMismatch { expected, actual } => {
-                write!(f, "RDATA length mismatch: RDLENGTH {expected}, parsed {actual}")
+                write!(
+                    f,
+                    "RDATA length mismatch: RDLENGTH {expected}, parsed {actual}"
+                )
             }
             WireError::DuplicateOpt => write!(f, "more than one OPT record"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
@@ -132,25 +135,39 @@ mod proptests {
             any::<[u8; 16]>().prop_map(|b| RData::Aaaa(b.into())),
             arb_name().prop_map(RData::Ns),
             arb_name().prop_map(RData::Cname),
-            (any::<u16>(), arb_name())
-                .prop_map(|(preference, exchange)| RData::Mx { preference, exchange }),
+            (any::<u16>(), arb_name()).prop_map(|(preference, exchange)| RData::Mx {
+                preference,
+                exchange
+            }),
             proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..50), 1..4)
                 .prop_map(RData::Txt),
-            (any::<u16>(), any::<u8>(), any::<u8>(), proptest::collection::vec(any::<u8>(), 1..64))
-                .prop_map(|(key_tag, algorithm, digest_type, digest)| RData::Ds(DsRdata {
-                    key_tag,
-                    algorithm,
-                    digest_type,
-                    digest
-                })),
-            (any::<u16>(), any::<u8>(), proptest::collection::vec(any::<u8>(), 1..64)).prop_map(
-                |(flags, algorithm, public_key)| RData::Dnskey(DnskeyRdata {
-                    flags,
-                    protocol: 3,
-                    algorithm,
-                    public_key
-                })
-            ),
+            (
+                any::<u16>(),
+                any::<u8>(),
+                any::<u8>(),
+                proptest::collection::vec(any::<u8>(), 1..64)
+            )
+                .prop_map(|(key_tag, algorithm, digest_type, digest)| RData::Ds(
+                    DsRdata {
+                        key_tag,
+                        algorithm,
+                        digest_type,
+                        digest
+                    }
+                )),
+            (
+                any::<u16>(),
+                any::<u8>(),
+                proptest::collection::vec(any::<u8>(), 1..64)
+            )
+                .prop_map(|(flags, algorithm, public_key)| RData::Dnskey(
+                    DnskeyRdata {
+                        flags,
+                        protocol: 3,
+                        algorithm,
+                        public_key
+                    }
+                )),
         ]
     }
 

@@ -558,10 +558,7 @@ mod tests {
             name("ns01.domaincontrol.com").second_level(),
             name("domaincontrol.com")
         );
-        assert_eq!(
-            name("a.b.c.ovh.net").second_level(),
-            name("ovh.net")
-        );
+        assert_eq!(name("a.b.c.ovh.net").second_level(), name("ovh.net"));
         assert_eq!(name("example.com").second_level(), name("example.com"));
         assert_eq!(name("com").second_level(), name("com"));
     }
@@ -583,13 +580,7 @@ mod tests {
         for w in sorted.windows(2) {
             let a = Name::parse(w[0]).unwrap();
             let b = Name::parse(w[1]).unwrap();
-            assert_eq!(
-                a.canonical_cmp(&b),
-                Ordering::Less,
-                "{} < {}",
-                w[0],
-                w[1]
-            );
+            assert_eq!(a.canonical_cmp(&b), Ordering::Less, "{} < {}", w[0], w[1]);
         }
     }
 
@@ -607,10 +598,7 @@ mod tests {
     fn canonical_wire_is_lowercase() {
         let n = name("WwW.ExAmPlE.CoM");
         let wire = n.to_canonical_wire();
-        assert_eq!(
-            wire,
-            b"\x03www\x07example\x03com\x00".to_vec()
-        );
+        assert_eq!(wire, b"\x03www\x07example\x03com\x00".to_vec());
     }
 
     #[test]
@@ -621,9 +609,15 @@ mod tests {
 
     #[test]
     fn hash_folds_case_and_separates_labels() {
-        assert_eq!(name_hash64(&name("www.example.com")), name_hash64(&name("WWW.EXAMPLE.com")));
+        assert_eq!(
+            name_hash64(&name("www.example.com")),
+            name_hash64(&name("WWW.EXAMPLE.com"))
+        );
         assert_ne!(name_hash64(&name("ab.c")), name_hash64(&name("a.bc")));
-        assert_ne!(name_hash64(&name("example.com")), name_hash64(&name("example.net")));
+        assert_ne!(
+            name_hash64(&name("example.com")),
+            name_hash64(&name("example.net"))
+        );
         // Root hashes to the FNV offset basis — stable across runs.
         assert_eq!(name_hash64(&Name::root()), 0xcbf2_9ce4_8422_2325);
     }

@@ -594,7 +594,11 @@ impl fmt::Display for RData {
                 n.hash_algorithm,
                 n.flags,
                 n.iterations,
-                if n.salt.is_empty() { "-".into() } else { hex(&n.salt) },
+                if n.salt.is_empty() {
+                    "-".into()
+                } else {
+                    hex(&n.salt)
+                },
                 dsec_crypto::base32::encode_hex(&n.next_hashed),
                 n.types
             ),
@@ -604,7 +608,11 @@ impl fmt::Display for RData {
                 p.hash_algorithm,
                 p.flags,
                 p.iterations,
-                if p.salt.is_empty() { "-".into() } else { hex(&p.salt) },
+                if p.salt.is_empty() {
+                    "-".into()
+                } else {
+                    hex(&p.salt)
+                },
             ),
             RData::Unknown { data, .. } => {
                 // RFC 3597 unknown-type presentation.
@@ -836,7 +844,10 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(RData::A("192.0.2.1".parse().unwrap()).to_string(), "192.0.2.1");
+        assert_eq!(
+            RData::A("192.0.2.1".parse().unwrap()).to_string(),
+            "192.0.2.1"
+        );
         let ds = RData::Ds(DsRdata {
             key_tag: 1,
             algorithm: 8,

@@ -317,7 +317,7 @@ mod tests {
         assert!(TypeBitmap::from_wire(&[0, 0]).is_err()); // zero length
         assert!(TypeBitmap::from_wire(&[0, 33]).is_err()); // oversize window
         assert!(TypeBitmap::from_wire(&[0, 2, 0xff]).is_err()); // short data
-        // Windows must be strictly increasing.
+                                                                // Windows must be strictly increasing.
         assert!(TypeBitmap::from_wire(&[1, 1, 0x80, 0, 1, 0x80]).is_err());
     }
 
