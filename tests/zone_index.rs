@@ -1,0 +1,418 @@
+//! `Zone` against the ordered index it replaced, step by step.
+//!
+//! The zone keeps one hashed node per owner and sorts owners only when a
+//! caller asks for canonical order. The reference below is the previous
+//! algorithm verbatim: a `BTreeMap<(Name, u16), Vec<Record>>` in which
+//! owners are lowercase keys, probes fold case through `Name`'s `Ord`,
+//! and a name exists when the first key at or after it is its subdomain.
+//! Seeded sequences of `add`, `remove_rrset` and `remove_name` over a small
+//! pool of owners — mixed-case spellings, glue under a cut, empty
+//! non-terminals — must leave both answering every query alike, down to
+//! the exact order and spelling of every enumeration.
+//!
+//! The last test does the same for the authority's zone map: nested zones
+//! on one authority, an unserved name, any spelling.
+
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
+
+use dsec::authserver::Authority;
+use dsec::wire::{DsRdata, Message, Name, RData, Rcode, Record, RrSet, RrType, TypeBitmap, Zone};
+
+fn name(s: &str) -> Name {
+    Name::parse(s).unwrap()
+}
+
+/// SplitMix64: a dependency-free seeded stream for the operation mix.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// `s` with each ASCII letter's case flipped by a coin toss.
+    fn spell(&mut self, s: &str) -> Name {
+        let bits = self.next();
+        let spelled: String = s
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if bits >> (i % 64) & 1 == 1 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        name(&spelled)
+    }
+}
+
+const ORIGIN: &str = "example.com";
+
+/// Owners records are added at: the apex, neighbours sharing a first
+/// label, a cut (`sub`) with glue and deeper names under it, and chains
+/// whose middle names hold nothing of their own.
+const OWNERS: &[&str] = &[
+    "example.com",
+    "www.example.com",
+    "b.example.com",
+    "a.b.example.com",
+    "b.a.example.com",
+    "sub.example.com",
+    "ns1.sub.example.com",
+    "x.deep.ns1.sub.example.com",
+    "c.d.e.example.com",
+    "z.example.com",
+];
+
+/// Names only ever probed: empty non-terminals (or names that become one),
+/// absent names, the origin's ancestors and names outside the zone.
+const PROBES: &[&str] = &[
+    "a.example.com",
+    "d.e.example.com",
+    "e.example.com",
+    "deep.ns1.sub.example.com",
+    "www.sub.example.com",
+    "nope.example.com",
+    "com",
+    ".",
+    "example.org",
+    "www.example.org",
+];
+
+const TYPES: [RrType; 4] = [RrType::A, RrType::Ns, RrType::Txt, RrType::Ds];
+
+/// One of three records of `rtype` at `owner`, so repeats are duplicates.
+fn record(owner: Name, rtype: RrType, pick: usize) -> Record {
+    let v = pick as u8;
+    let rdata = match rtype {
+        RrType::A => RData::A(Ipv4Addr::new(192, 0, 2, v)),
+        RrType::Ns => RData::Ns(name(["ns1.sub.example.com", "ns.op.net", "NS2.Op.Net"][pick])),
+        RrType::Txt => RData::Txt(vec![vec![b'a' + v]]),
+        _ => RData::Ds(DsRdata {
+            key_tag: u16::from(v),
+            algorithm: 8,
+            digest_type: 2,
+            digest: vec![v; 32],
+        }),
+    };
+    Record::new(owner, 300, rdata)
+}
+
+/// The ordered index `Zone` used to be, kept to its old algorithms.
+struct Reference {
+    origin: Name,
+    records: BTreeMap<(Name, u16), Vec<Record>>,
+}
+
+impl Reference {
+    fn new(origin: Name) -> Self {
+        Reference {
+            origin,
+            records: BTreeMap::new(),
+        }
+    }
+
+    fn add(&mut self, record: Record) -> bool {
+        if !record.name.is_subdomain_of(&self.origin) {
+            return false;
+        }
+        let key = (record.name.to_canonical(), record.rtype().number());
+        let entry = self.records.entry(key).or_default();
+        if !entry.contains(&record) {
+            entry.push(record);
+        }
+        true
+    }
+
+    fn at(&self, owner: &Name) -> impl Iterator<Item = (&(Name, u16), &Vec<Record>)> {
+        self.records
+            .range((owner.clone(), 0)..=(owner.clone(), u16::MAX))
+    }
+
+    fn remove_rrset(&mut self, owner: &Name, rtype: RrType) -> usize {
+        self.records
+            .remove(&(owner.clone(), rtype.number()))
+            .map_or(0, |v| v.len())
+    }
+
+    fn remove_name(&mut self, owner: &Name) -> usize {
+        let keys: Vec<_> = self.at(owner).map(|(key, _)| key.clone()).collect();
+        keys.into_iter()
+            .map(|k| self.records.remove(&k).map_or(0, |v| v.len()))
+            .sum()
+    }
+
+    fn rrset_records(&self, owner: &Name, rtype: RrType) -> Option<&[Record]> {
+        self.records
+            .get(&(owner.clone(), rtype.number()))
+            .map(Vec::as_slice)
+    }
+
+    fn records_at(&self, owner: &Name) -> Vec<Record> {
+        self.at(owner).flat_map(|(_, v)| v.iter().cloned()).collect()
+    }
+
+    fn name_exists(&self, owner: &Name) -> bool {
+        self.records
+            .range((owner.clone(), 0)..)
+            .next()
+            .is_some_and(|((o, _), _)| o.is_subdomain_of(owner))
+    }
+
+    fn types_at(&self, owner: &Name) -> TypeBitmap {
+        TypeBitmap::from_types(self.at(owner).map(|(&(_, t), _)| RrType::from_number(t)))
+    }
+
+    fn find_delegation(&self, qname: &Name) -> Option<(Name, &[Record])> {
+        let mut cut = qname.to_canonical();
+        loop {
+            if !cut.is_strict_subdomain_of(&self.origin) {
+                return None;
+            }
+            if let Some(set) = self.rrset_records(&cut, RrType::Ns) {
+                return Some((cut, set));
+            }
+            cut = cut.parent()?;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.records.values().map(Vec::len).sum()
+    }
+
+    fn rrsets(&self) -> Vec<RrSet> {
+        self.records
+            .values()
+            .map(|v| RrSet::new(v.clone()).unwrap())
+            .collect()
+    }
+
+    fn owner_names(&self) -> Vec<Name> {
+        let mut names: Vec<Name> = self.records.keys().map(|(n, _)| n.clone()).collect();
+        names.dedup();
+        names
+    }
+}
+
+/// Exact presentation of records: `Record`'s `==` folds owner case, this
+/// does not.
+fn shown<'a>(records: impl IntoIterator<Item = &'a Record>) -> Vec<String> {
+    records.into_iter().map(Record::to_string).collect()
+}
+
+fn names_shown(names: &[Name]) -> Vec<String> {
+    names.iter().map(Name::to_string).collect()
+}
+
+fn cut_shown(found: Option<(Name, &[Record])>) -> Option<(String, Vec<String>)> {
+    found.map(|(cut, ns)| (cut.to_string(), shown(ns)))
+}
+
+fn assert_agree(zone: &Zone, reference: &Reference, draw: &mut Draw, step: &str) {
+    for &probe in OWNERS.iter().chain(PROBES) {
+        let probe = draw.spell(probe);
+        for rtype in TYPES {
+            assert_eq!(
+                zone.rrset_records(&probe, rtype).map(shown),
+                reference.rrset_records(&probe, rtype).map(shown),
+                "{step}: rrset_records({probe}, {rtype})"
+            );
+            assert_eq!(
+                zone.rrset(&probe, rtype),
+                reference
+                    .rrset_records(&probe, rtype)
+                    .map(|r| RrSet::new(r.to_vec()).unwrap()),
+                "{step}: rrset({probe}, {rtype})"
+            );
+        }
+        assert_eq!(
+            zone.name_exists(&probe),
+            reference.name_exists(&probe),
+            "{step}: name_exists({probe})"
+        );
+        assert_eq!(
+            zone.types_at(&probe),
+            reference.types_at(&probe),
+            "{step}: types_at({probe})"
+        );
+        assert_eq!(
+            shown(&zone.records_at(&probe)),
+            shown(&reference.records_at(&probe)),
+            "{step}: records_at({probe})"
+        );
+        assert_eq!(
+            cut_shown(zone.find_delegation(&probe)),
+            cut_shown(reference.find_delegation(&probe)),
+            "{step}: find_delegation({probe})"
+        );
+    }
+    assert_eq!(zone.len(), reference.len(), "{step}: len");
+    assert_eq!(
+        zone.is_empty(),
+        reference.records.is_empty(),
+        "{step}: is_empty"
+    );
+    assert_eq!(
+        shown(zone.iter()),
+        shown(reference.records.values().flatten()),
+        "{step}: iter order"
+    );
+    let rrsets: Vec<RrSet> = zone.rrsets().collect();
+    assert_eq!(rrsets, reference.rrsets(), "{step}: rrsets order");
+    assert_eq!(
+        names_shown(&zone.owner_names()),
+        names_shown(&reference.owner_names()),
+        "{step}: owner_names order and spelling"
+    );
+    // Equality does not depend on the edit history that led here.
+    let mut rebuilt = Zone::new(name(ORIGIN));
+    for record in zone.iter() {
+        rebuilt.add(record.clone()).unwrap();
+    }
+    assert_eq!(&rebuilt, zone, "{step}: rebuilt from its own records");
+}
+
+#[test]
+fn seeded_edit_sequences_agree_with_the_ordered_index() {
+    for seed in 0..12u64 {
+        let mut draw = Draw(seed);
+        let mut zone = Zone::new(draw.spell(ORIGIN));
+        let mut reference = Reference::new(name(ORIGIN));
+        for step in 0..300 {
+            let pick = draw.below(OWNERS.len());
+            let owner = draw.spell(OWNERS[pick]);
+            let rtype = TYPES[draw.below(TYPES.len())];
+            let what = match draw.below(10) {
+                0..=5 => {
+                    let record = record(owner.clone(), rtype, draw.below(3));
+                    assert_eq!(
+                        zone.add(record.clone()).is_ok(),
+                        reference.add(record),
+                        "seed {seed} step {step}: add"
+                    );
+                    "add"
+                }
+                6..=8 => {
+                    assert_eq!(
+                        zone.remove_rrset(&owner, rtype),
+                        reference.remove_rrset(&owner, rtype),
+                        "seed {seed} step {step}: remove_rrset({owner}, {rtype})"
+                    );
+                    "remove_rrset"
+                }
+                _ => {
+                    assert_eq!(
+                        zone.remove_name(&owner),
+                        reference.remove_name(&owner),
+                        "seed {seed} step {step}: remove_name({owner})"
+                    );
+                    "remove_name"
+                }
+            };
+            assert_agree(
+                &zone,
+                &reference,
+                &mut draw,
+                &format!("seed {seed} step {step} after {what} at {owner}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn out_of_zone_owners_are_refused_and_change_nothing() {
+    let mut zone = Zone::new(name(ORIGIN));
+    zone.add(record(name("www.example.com"), RrType::A, 1))
+        .unwrap();
+    for outside in ["example.org", "com", ".", "wwwexample.com"] {
+        assert!(zone.add(record(name(outside), RrType::A, 0)).is_err());
+    }
+    assert_eq!(zone.len(), 1);
+    assert_eq!(names_shown(&zone.owner_names()), ["www.example.com."]);
+}
+
+/// Three zones on one authority, two of them nested: every spelling of a
+/// name is answered by the deepest zone that contains it, byte for byte
+/// as an authority serving only that zone answers, and a name no zone
+/// contains is REFUSED.
+#[test]
+fn nested_zones_on_one_authority_answer_from_the_deepest_match() {
+    let origins = ["example.com", "sub.example.com", "example.org"];
+    let zone_of = |origin: &Name| {
+        let mut zone = Zone::new(origin.clone());
+        zone.add(record(origin.clone(), RrType::Ns, 1)).unwrap();
+        for (label, rtype) in [("www", RrType::A), ("host", RrType::Txt)] {
+            zone.add(record(origin.child(label).unwrap(), rtype, 2))
+                .unwrap();
+        }
+        zone
+    };
+    let shared = Authority::new();
+    for origin in origins {
+        shared.upsert_zone(zone_of(&name(origin)));
+    }
+    assert_eq!(
+        names_shown(&shared.zone_origins()),
+        ["example.com.", "sub.example.com.", "example.org."],
+        "canonical order"
+    );
+
+    let mut draw = Draw(7);
+    let qnames = [
+        "example.com",
+        "www.example.com",
+        "sub.example.com",
+        "www.sub.example.com",
+        "deep.host.sub.example.com",
+        "host.example.org",
+        "example.net",
+        "com",
+        ".",
+    ];
+    for (id, qname) in (1u16..).zip(qnames.iter().cycle().take(qnames.len() * 4)) {
+        let spelled = draw.spell(qname);
+        let deepest = origins
+            .iter()
+            .map(|o| name(o))
+            .filter(|o| spelled.is_subdomain_of(o))
+            .max_by_key(Name::label_count);
+        for qtype in [RrType::A, RrType::Txt, RrType::Ns] {
+            let query = Message::query(id, spelled.clone(), qtype, false);
+            let got = shared.handle_query(&query);
+            match &deepest {
+                None => assert_eq!(got.rcode, Rcode::Refused, "{spelled} {qtype}"),
+                Some(origin) => {
+                    let alone = Authority::new();
+                    alone.upsert_zone(zone_of(origin));
+                    assert_eq!(
+                        got.to_wire(),
+                        alone.handle_query(&query).to_wire(),
+                        "{spelled} {qtype} from {origin}"
+                    );
+                    assert_ne!(got.rcode, Rcode::Refused, "{spelled} {qtype}");
+                }
+            }
+        }
+        let served = shared.with_zone(&spelled, |zone| zone.origin().clone());
+        assert_eq!(
+            served.as_ref(),
+            deepest.as_ref().filter(|o| **o == spelled)
+        );
+    }
+    assert!(shared.remove_zone(&draw.spell("sub.example.com")));
+    assert_eq!(
+        names_shown(&shared.zone_origins()),
+        ["example.com.", "example.org."]
+    );
+}
