@@ -141,7 +141,10 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         AttackPlan::new(AttackVector::ForgedNs { stealthy: true }, launch),
     );
     let mut ds_campaign = AttackCampaign::new();
-    ds_campaign.schedule(victim.name.clone(), AttackPlan::new(AttackVector::ForgedDs, launch));
+    ds_campaign.schedule(
+        victim.name.clone(),
+        AttackPlan::new(AttackVector::ForgedDs, launch),
+    );
     let until = pw.world.today.plus_days(2);
     while pw.world.today < until {
         pw.world.tick();
@@ -185,7 +188,10 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     // ---- Arm B: the LaxMail channel lets the forged NS land. ----
     let mut pw_b = build(population);
     let victim_b = rollover_victim(&mut pw_b.world, &traffic_pop);
-    assert_eq!(victim_b.name, victim.name, "identical builds pick one victim");
+    assert_eq!(
+        victim_b.name, victim.name,
+        "identical builds pick one victim"
+    );
     set_channel(&mut pw_b.world, victim_registrar, lax_email());
     let mut campaign_b = AttackCampaign::new();
     campaign_b.schedule(
@@ -274,8 +280,13 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     let span = (A1_QUERIES / A1_QPS as u64) as u32;
     let base = pw_c.world.today.epoch_seconds();
     pw_c.world.fault_plane().enable(A1_FAULT_SEED);
-    OutageScenario::operator_outage("attack-under-outage", fleet, base + span, base + 2 * span + 60)
-        .install(pw_c.world.fault_plane());
+    OutageScenario::operator_outage(
+        "attack-under-outage",
+        fleet,
+        base + span,
+        base + 2 * span + 60,
+    )
+    .install(pw_c.world.fault_plane());
     let outage_run = attack_outage_phases(&pw_c.world, &campaign_c, span, 1);
     let outage_run8 = attack_outage_phases(&pw_c.world, &campaign_c, span, 8);
     let outage_victim_counts = outage_run
@@ -292,9 +303,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     result.check(
         "arm C: the hijack stays fully visible through the outage",
         1.0,
-        f64::from(
-            outage_run.outcomes.hijacked > 0 && outage_run.outcomes.saved_by_validation > 0,
-        ),
+        f64::from(outage_run.outcomes.hijacked > 0 && outage_run.outcomes.saved_by_validation > 0),
         0.0,
     );
     result.check(

@@ -12,8 +12,8 @@ use dsec_reports::{
 };
 use dsec_resolver::{BreakerPolicy, Cache};
 use dsec_scanner::{
-    largest_operator_fleet, operators_to_cover, LongitudinalStore, Metric, ScanCache,
-    ScanOptions, Snapshot,
+    largest_operator_fleet, operators_to_cover, LongitudinalStore, Metric, ScanCache, ScanOptions,
+    Snapshot,
 };
 use dsec_traffic::{run_load_shared, LoadConfig, TrafficReport};
 use dsec_workloads::{build, PopulationConfig};
@@ -149,9 +149,19 @@ pub fn experiment_table2(reports: &[ProbeReport], snapshot: Option<&Snapshot>) -
         .count();
     result.check("registrars probed", 20.0, reports.len() as f64, 0.0);
     result.check("support DNSSEC as DNS operator", 3.0, hosted as f64, 0.0);
-    result.check("support DNSSEC for external NS", 11.0, external as f64, 0.10);
+    result.check(
+        "support DNSSEC for external NS",
+        11.0,
+        external as f64,
+        0.10,
+    );
     result.check("validate uploaded DS", 2.0, validating as f64, 0.0);
-    result.check("DNSSEC by default (all plans)", 0.0, default_full as f64, 0.1);
+    result.check(
+        "DNSSEC by default (all plans)",
+        0.0,
+        default_full as f64,
+        0.1,
+    );
     result.check(
         "DNSSEC by default (some plans only)",
         1.0,
@@ -200,11 +210,26 @@ pub fn experiment_table3(reports: &[ProbeReport], snapshot: Option<&Snapshot>) -
     // 9 of 10 sign hosted domains by default (OVH is opt-in).
     result.check("DNSSEC by default", 9.0, default as f64, 0.12);
     result.check("support external NS", 8.0, external as f64, 0.15);
-    result.check("validate uploaded DS (OVH, PCExtreme)", 2.0, validating as f64, 0.0);
+    result.check(
+        "validate uploaded DS (OVH, PCExtreme)",
+        2.0,
+        validating as f64,
+        0.0,
+    );
     // Loopia/KPN/NameCheap publish DS only for some TLDs (▲ rows); Mesh
     // publishes none.
-    result.check("partial per-TLD DS publication", 3.0, partial_ds as f64, 0.40);
-    result.check("email channels verifying sender", 1.0, email_verifying as f64, 0.0);
+    result.check(
+        "partial per-TLD DS publication",
+        3.0,
+        partial_ds as f64,
+        0.40,
+    );
+    result.check(
+        "email channels verifying sender",
+        1.0,
+        email_verifying as f64,
+        0.0,
+    );
     result.check(
         "email channels accepting foreign address",
         1.0,
@@ -251,7 +276,10 @@ pub fn experiment_figure4(store: &LongitudinalStore) -> ExperimentResult {
     );
     let ovh = store.series("ovh.net.", &GTLDS);
     let godaddy = store.series("domaincontrol.com.", &GTLDS);
-    let ovh_start = ovh.first().map(|p| 100.0 * p.full_fraction()).unwrap_or(0.0);
+    let ovh_start = ovh
+        .first()
+        .map(|p| 100.0 * p.full_fraction())
+        .unwrap_or(0.0);
     let ovh_end = ovh.last().map(|p| 100.0 * p.full_fraction()).unwrap_or(0.0);
     let gd_end = godaddy
         .last()
@@ -307,10 +335,7 @@ pub fn experiment_figure5(store: &LongitudinalStore) -> ExperimentResult {
         store,
         "",
         "is.nl.",
-        &[
-            ("KPN-gTLD", GTLDS.to_vec()),
-            ("KPN-.nl", vec![Tld::Nl]),
-        ],
+        &[("KPN-gTLD", GTLDS.to_vec()), ("KPN-.nl", vec![Tld::Nl])],
     );
     result
 }
@@ -327,25 +352,47 @@ pub fn experiment_figure6(store: &LongitudinalStore) -> ExperimentResult {
     let binero_se = last_full_pct(store, "binero.se.", &[Tld::Se]);
     let antagonist_series = store.series("webhostingserver.nl.", &GTLDS);
     let counts_flat = {
-        let first = antagonist_series.first().map(|p| p.stats.domains).unwrap_or(0);
-        let last = antagonist_series.last().map(|p| p.stats.domains).unwrap_or(0);
+        let first = antagonist_series
+            .first()
+            .map(|p| p.stats.domains)
+            .unwrap_or(0);
+        let last = antagonist_series
+            .last()
+            .map(|p| p.stats.domains)
+            .unwrap_or(0);
         first == last
     };
-    result.check("Antagonist gTLD % fully deployed at end", 52.7, antagonist_gtld_end, 0.35);
+    result.check(
+        "Antagonist gTLD % fully deployed at end",
+        52.7,
+        antagonist_gtld_end,
+        0.35,
+    );
     result.check("Antagonist .nl % fully deployed", 95.4, antagonist_nl, 0.12);
-    result.check("Binero gTLD % fully deployed at end", 37.8, binero_gtld, 0.35);
+    result.check(
+        "Binero gTLD % fully deployed at end",
+        37.8,
+        binero_gtld,
+        0.35,
+    );
     result.check("Binero .se % fully deployed", 92.9, binero_se, 0.12);
     result.check("domain counts stay flat", 1.0, f64::from(counts_flat), 0.0);
     result.artifact = figure_series(
         store,
         "Figure 6: % with DNSKEY and DS",
         "webhostingserver.nl.",
-        &[("Antagonist-gTLD", GTLDS.to_vec()), ("Antagonist-.nl", vec![Tld::Nl])],
+        &[
+            ("Antagonist-gTLD", GTLDS.to_vec()),
+            ("Antagonist-.nl", vec![Tld::Nl]),
+        ],
     ) + &figure_series(
         store,
         "",
         "binero.se.",
-        &[("Binero-gTLD", GTLDS.to_vec()), ("Binero-.se", vec![Tld::Se])],
+        &[
+            ("Binero-gTLD", GTLDS.to_vec()),
+            ("Binero-.se", vec![Tld::Se]),
+        ],
     );
     result
 }
@@ -353,10 +400,8 @@ pub fn experiment_figure6(store: &LongitudinalStore) -> ExperimentResult {
 /// E-F7 — Figure 7: TransIP (registrar vs reseller gap) and PCExtreme
 /// (the 10-day mass-signing step).
 pub fn experiment_figure7(store: &LongitudinalStore) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "E-F7",
-        "Figure 7: TransIP and PCExtreme full deployment",
-    );
+    let mut result =
+        ExperimentResult::new("E-F7", "Figure 7: TransIP and PCExtreme full deployment");
     let transip_gtld = last_full_pct(store, "transip.net.", &GTLDS);
     let transip_se = last_full_pct(store, "transip.net.", &[Tld::Se]);
     let pcx_gtld_end = last_full_pct(store, "pcextreme.nl.", &GTLDS);
@@ -375,7 +420,12 @@ pub fn experiment_figure7(store: &LongitudinalStore) -> ExperimentResult {
         .map(|p| 100.0 * p.full_fraction())
         .unwrap_or(0.0);
     result.check("TransIP gTLD % fully deployed", 99.2, transip_gtld, 0.10);
-    result.check("TransIP .se % fully deployed (reseller lag)", 48.4, transip_se, 0.40);
+    result.check(
+        "TransIP .se % fully deployed (reseller lag)",
+        48.4,
+        transip_se,
+        0.40,
+    );
     result.check("PCExtreme % before mass signing", 0.44, before, 6.0);
     result.check("PCExtreme % shortly after mass signing", 98.3, after, 0.15);
     result.check("PCExtreme % at window end", 97.0, pcx_gtld_end, 0.15);
@@ -383,12 +433,18 @@ pub fn experiment_figure7(store: &LongitudinalStore) -> ExperimentResult {
         store,
         "Figure 7: % fully deployed",
         "transip.net.",
-        &[("TransIP-gTLD", GTLDS.to_vec()), ("TransIP-.se", vec![Tld::Se])],
+        &[
+            ("TransIP-gTLD", GTLDS.to_vec()),
+            ("TransIP-.se", vec![Tld::Se]),
+        ],
     ) + &figure_series(
         store,
         "",
         "pcextreme.nl.",
-        &[("PCExtreme-gTLD", GTLDS.to_vec()), ("PCExtreme-.nl", vec![Tld::Nl])],
+        &[
+            ("PCExtreme-gTLD", GTLDS.to_vec()),
+            ("PCExtreme-.nl", vec![Tld::Nl]),
+        ],
     );
     result
 }
@@ -418,7 +474,12 @@ pub fn experiment_figure8(store: &LongitudinalStore) -> ExperimentResult {
         .unwrap_or(0.0);
     result.check("% with DNSKEY before launch", 0.0, before, 0.2);
     result.check("% with DNSKEY at window end", 1.9, end_dnskey, 0.45);
-    result.check("% of DNSKEY domains with DS (relay success)", 60.7, end_relay, 0.30);
+    result.check(
+        "% of DNSKEY domains with DS (relay success)",
+        60.7,
+        end_relay,
+        0.30,
+    );
     result.artifact = figure8(store, "cloudflare-dns.sim.");
     result
 }
@@ -438,7 +499,12 @@ pub fn experiment_s52(snapshot: &Snapshot) -> ExperimentResult {
         }
     };
     result.check("OVH % deployed", 25.9, pct("ovh.net."), 0.30);
-    result.check("NameCheap % deployed", 0.59, pct("registrar-servers.com."), 1.0);
+    result.check(
+        "NameCheap % deployed",
+        0.59,
+        pct("registrar-servers.com."),
+        1.0,
+    );
     result.check("GoDaddy % deployed", 0.02, pct("domaincontrol.com."), 10.0);
     result
 }
@@ -465,7 +531,9 @@ pub fn experiment_chaos(clean: &LongitudinalStore, chaos: &LongitudinalStore) ->
         let stats = snapshot.tld_totals(tld);
         // Unobserved domains can hide DNSKEYs; measure against the
         // observed subpopulation.
-        let observed = stats.domains.saturating_sub(stats.unreachable + stats.indeterminate);
+        let observed = stats
+            .domains
+            .saturating_sub(stats.unreachable + stats.indeterminate);
         if observed == 0 {
             0.0
         } else {
@@ -499,7 +567,12 @@ pub fn experiment_chaos(clean: &LongitudinalStore, chaos: &LongitudinalStore) ->
             100.0 * (domains - unobserved) as f64 / domains as f64
         }
     };
-    result.check("% of population observed", 100.0, coverage(chaos_last), 0.10);
+    result.check(
+        "% of population observed",
+        100.0,
+        coverage(chaos_last),
+        0.10,
+    );
 
     let mut artifact = String::from("date      unreachable  indeterminate\n");
     for snapshot in chaos.snapshots() {
@@ -565,7 +638,13 @@ pub(crate) fn outage_phases(
     (outage, drops)
 }
 
-fn outage_row(artifact: &mut String, scenario: &str, arm: &str, report: &TrafficReport, drops: u64) {
+fn outage_row(
+    artifact: &mut String,
+    scenario: &str,
+    arm: &str,
+    report: &TrafficReport,
+    drops: u64,
+) {
     let pct = |n: u64| 100.0 * n as f64 / report.total.max(1) as f64;
     artifact.push_str(&format!(
         "{scenario:<18} {arm:<14} {:>6.1} {:>6.1} {:>9.1} {:>5.1} {:>6} {:>9} {:>10}\n",
@@ -722,7 +801,8 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         4,
     )
     .install(flap_world.fault_plane());
-    let (flap_run, flap_drops) = outage_phases(flap_world, span, 1, OUTAGE_MAX_STALE, Some(breaker));
+    let (flap_run, flap_drops) =
+        outage_phases(flap_world, span, 1, OUTAGE_MAX_STALE, Some(breaker));
     result.check(
         "flapping: breaker re-closes and fresh answers return between windows",
         1.0,
@@ -747,11 +827,41 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     artifact.push_str(
         "scenario           arm            avail% stale% servfail%  neg%  trips  short-cir  dead-drops\n",
     );
-    outage_row(&mut artifact, "operator-outage", "baseline", &baseline, drops_baseline);
-    outage_row(&mut artifact, "operator-outage", "serve-stale", &stale1, drops_bare);
-    outage_row(&mut artifact, "operator-outage", "stale+breaker", &brk1, drops_breaker);
-    outage_row(&mut artifact, "tld-wide(.com)", "stale+breaker", &tld_run, tld_drops);
-    outage_row(&mut artifact, "flapping", "stale+breaker", &flap_run, flap_drops);
+    outage_row(
+        &mut artifact,
+        "operator-outage",
+        "baseline",
+        &baseline,
+        drops_baseline,
+    );
+    outage_row(
+        &mut artifact,
+        "operator-outage",
+        "serve-stale",
+        &stale1,
+        drops_bare,
+    );
+    outage_row(
+        &mut artifact,
+        "operator-outage",
+        "stale+breaker",
+        &brk1,
+        drops_breaker,
+    );
+    outage_row(
+        &mut artifact,
+        "tld-wide(.com)",
+        "stale+breaker",
+        &tld_run,
+        tld_drops,
+    );
+    outage_row(
+        &mut artifact,
+        "flapping",
+        "stale+breaker",
+        &flap_run,
+        flap_drops,
+    );
     artifact.push_str(
         "\nnote: tld-wide(.com) degrades nothing here. The outage phase replays the warm-up's stream,\n\
          so every domain it names already has its zone cut in the resolver cache, and a cut outlives\n\
@@ -860,10 +970,8 @@ pub fn experiment_user_impact(
 /// uncached full re-scan of the same day. The wall-clock counterpart
 /// lives in the `longitudinal` benchmark.
 pub fn experiment_scan_cache(population: &PopulationConfig) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "E-P1",
-        "Pipeline: incremental scan cache, cold vs warm",
-    );
+    let mut result =
+        ExperimentResult::new("E-P1", "Pipeline: incremental scan cache, cold vs warm");
     let mut pw = build(population);
     let world = &mut pw.world;
     let options = ScanOptions::default();
@@ -901,8 +1009,11 @@ pub fn experiment_scan_cache(population: &PopulationConfig) -> ExperimentResult 
     result.check(
         "cache covers the population after warm scan",
         1.0,
-        f64::from(stats.entries as u64 >= warm.cells.values().map(|s| s.domains).sum::<u64>()
-            - warm.cells.values().map(|s| s.unobserved()).sum::<u64>()),
+        f64::from(
+            stats.entries as u64
+                >= warm.cells.values().map(|s| s.domains).sum::<u64>()
+                    - warm.cells.values().map(|s| s.unobserved()).sum::<u64>(),
+        ),
         0.0,
     );
     result.artifact = format!(

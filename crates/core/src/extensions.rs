@@ -267,7 +267,12 @@ pub fn experiment_rollover() -> ExperimentResult {
     world.complete_rollover(&coordinated).unwrap();
     let secure_after_complete = secure(&world, &coordinated);
 
-    result.check("both secure initially", 1.0, f64::from(both_secure_before), 0.0);
+    result.check(
+        "both secure initially",
+        1.0,
+        f64::from(both_secure_before),
+        0.0,
+    );
     result.check("abrupt roll goes bogus", 1.0, f64::from(abrupt_broken), 0.0);
     result.check(
         "coordinated roll: secure during preparation",

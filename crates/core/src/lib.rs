@@ -25,18 +25,17 @@ pub mod poison;
 pub mod rollover;
 
 pub use attack::experiment_attack_plane;
-pub use poison::experiment_poison_resistance;
+pub use experiments::{
+    experiment_chaos, experiment_figure3, experiment_figure4, experiment_figure5,
+    experiment_figure6, experiment_figure7, experiment_figure8, experiment_outage, experiment_s52,
+    experiment_scan_cache, experiment_table1, experiment_table2, experiment_table3,
+    experiment_table4, experiment_user_impact, TABLE4_OPERATORS, TOP10_DNSSEC, TOP20,
+};
 pub use extensions::{
     experiment_cds_bootstrap, experiment_default_signing_ablation, experiment_rollover,
 };
+pub use poison::experiment_poison_resistance;
 pub use rollover::experiment_rollover_lifecycle;
-pub use experiments::{
-    experiment_chaos, experiment_figure3, experiment_figure4, experiment_figure5,
-    experiment_figure6, experiment_figure7, experiment_figure8, experiment_outage,
-    experiment_s52, experiment_scan_cache, experiment_table1, experiment_table2,
-    experiment_table3, experiment_table4, experiment_user_impact, TABLE4_OPERATORS,
-    TOP10_DNSSEC, TOP20,
-};
 
 use dsec_probe::{probe_all, ProbeReport};
 use dsec_reports::ExperimentResult;
@@ -185,9 +184,7 @@ pub fn run_study(config: &StudyConfig) -> StudyOutput {
     // window-end world, sized with the population so the Zipf head and
     // tail are both exercised.
     let queries = (paper_world.world.domain_count() as u64 * 2).clamp(4_000, 40_000);
-    let load = LoadConfig::default()
-        .with_queries(queries)
-        .with_threads(4);
+    let load = LoadConfig::default().with_queries(queries).with_threads(4);
     let traffic = run_load(&paper_world.world, &load);
     experiments.push(experiment_user_impact(&traffic, &last));
 

@@ -217,10 +217,17 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
     let census_resolver = Resolver::new(pw.world.network.clone(), Vec::new())
         .with_spoof_guard(naive)
         .with_shared_cache(census_cache.clone())
-        .with_on_path_threat(OnPathThreat::new(victim.name.clone(), A2_SPOOFS, census_seed));
+        .with_on_path_threat(OnPathThreat::new(
+            victim.name.clone(),
+            A2_SPOOFS,
+            census_seed,
+        ));
     let _ = census_resolver.resolve_cached(&www, RrType::A, now);
     let census = poison_census(&pw.world, &census_cache, now);
-    let victim_row = census.get(traffic_pop.registrar_of(&victim)).copied().unwrap_or_default();
+    let victim_row = census
+        .get(traffic_pop.registrar_of(&victim))
+        .copied()
+        .unwrap_or_default();
     result.check(
         "arm B: the poison census attributes the forged cached answer to the victim's registrar",
         1.0,

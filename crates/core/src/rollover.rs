@@ -48,7 +48,10 @@ const K1_LATE_DAYS: u32 = 5;
 /// at full scale the first organically signed site can sit hundreds of
 /// ranks deep, far below the daily query volume, so an unsigned head is
 /// signed first (operator enables DNSSEC, DS relayed) and rolled.
-pub(crate) fn rollover_victim(world: &mut World, population: &TrafficPopulation) -> dsec_traffic::Site {
+pub(crate) fn rollover_victim(
+    world: &mut World,
+    population: &TrafficPopulation,
+) -> dsec_traffic::Site {
     for &i in &population.ranked[&Tld::Nl] {
         let site = population.sites[i as usize].clone();
         let Some(d) = world.domain(&site.name) else {
@@ -185,7 +188,10 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     // ---- Arm B: the same rollover with the DS leg landing late. ----
     let mut pw_b = build(population);
     let victim_b = rollover_victim(&mut pw_b.world, &traffic_pop);
-    assert_eq!(victim_b.name, victim.name, "identical builds pick one victim");
+    assert_eq!(
+        victim_b.name, victim.name,
+        "identical builds pick one victim"
+    );
     let plan_b = RolloverPlan::correct(
         RolloverStyle::DoubleSignatureKsk,
         pw_b.world.today.plus_days(1),
@@ -315,9 +321,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     result.check(
         "arm C: serve-stale keeps the outage victim's availability ≥ 90%",
         1.0,
-        f64::from(
-            outage_run.outcomes.stale > 0 && outage_victim_counts.availability() >= 0.90,
-        ),
+        f64::from(outage_run.outcomes.stale > 0 && outage_victim_counts.availability() >= 0.90),
         0.0,
     );
     result.check(
@@ -366,7 +370,11 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
             "  day +{offset:<2} {:>5}/{:<5} {}\n",
             counts.bogus,
             counts.total(),
-            if counts.bogus > 0 { "← bogus window" } else { "" }
+            if counts.bogus > 0 {
+                "← bogus window"
+            } else {
+                ""
+            }
         ));
     }
     artifact.push_str("\nper-operator rollover census (arm B world):\n");

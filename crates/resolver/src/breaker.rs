@@ -267,8 +267,7 @@ mod tests {
         assert!(!set.allow(&ns, 109), "same bucket exhausted");
         assert!(set.allow(&ns, 110), "next bucket");
         set.record_success(&ns, 110);
-        let kinds: Vec<Transition> =
-            set.transitions().iter().map(|e| e.transition).collect();
+        let kinds: Vec<Transition> = set.transitions().iter().map(|e| e.transition).collect();
         assert_eq!(
             kinds,
             vec![

@@ -217,7 +217,11 @@ impl Cache {
     /// bound and eviction order); larger ones are striped.
     pub fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let shards = if capacity < STRIPE_THRESHOLD { 1 } else { DEFAULT_SHARDS };
+        let shards = if capacity < STRIPE_THRESHOLD {
+            1
+        } else {
+            DEFAULT_SHARDS
+        };
         Self::with_shards(capacity, shards)
     }
 
@@ -437,7 +441,9 @@ impl Cache {
                 if shard.read().entries.len() <= self.per_shard_capacity {
                     return 0;
                 }
-                shard.write().enforce(self.per_shard_capacity, now, self.max_stale)
+                shard
+                    .write()
+                    .enforce(self.per_shard_capacity, now, self.max_stale)
             })
             .sum()
     }
@@ -461,7 +467,11 @@ impl Cache {
             .iter()
             .map(|shard| {
                 let shard = shard.read();
-                shard.entries.keys().filter(|key| (key.slot == CUT_SLOT) == cuts).count()
+                shard
+                    .entries
+                    .keys()
+                    .filter(|key| (key.slot == CUT_SLOT) == cuts)
+                    .count()
             })
             .sum()
     }
@@ -491,7 +501,9 @@ impl Cache {
             .map(|shard| {
                 let mut shard = shard.write();
                 let before = shard.entries.len();
-                shard.entries.retain(|key, _| !key.name.is_subdomain_of(origin));
+                shard
+                    .entries
+                    .retain(|key, _| !key.name.is_subdomain_of(origin));
                 before - shard.entries.len()
             })
             .sum()
@@ -537,8 +549,12 @@ mod tests {
     fn hit_within_ttl_miss_after() {
         let cache = Cache::new();
         cache.put(&name("www.example.com"), RrType::A, &answer(300), 1000);
-        assert!(cache.get(&name("www.example.com"), RrType::A, 1299).is_some());
-        assert!(cache.get(&name("www.example.com"), RrType::A, 1300).is_none());
+        assert!(cache
+            .get(&name("www.example.com"), RrType::A, 1299)
+            .is_some());
+        assert!(cache
+            .get(&name("www.example.com"), RrType::A, 1300)
+            .is_none());
     }
 
     #[test]
@@ -546,7 +562,9 @@ mod tests {
         let cache = Cache::new();
         cache.put(&name("www.example.com"), RrType::A, &answer(300), 0);
         assert!(cache.get(&name("WWW.EXAMPLE.COM"), RrType::A, 10).is_some());
-        assert!(cache.get(&name("www.example.com"), RrType::Aaaa, 10).is_none());
+        assert!(cache
+            .get(&name("www.example.com"), RrType::Aaaa, 10)
+            .is_none());
         assert_eq!(
             CacheKey::new(&name("WWW.EXAMPLE.COM"), RrType::A),
             CacheKey::new(&name("www.example.com"), RrType::A),
@@ -557,20 +575,42 @@ mod tests {
     fn empty_answers_get_short_ttl() {
         let cache = Cache::new();
         cache.put(&name("gone.example.com"), RrType::A, &negative(None), 0);
-        assert!(cache.get(&name("gone.example.com"), RrType::A, 59).is_some());
-        assert!(cache.get(&name("gone.example.com"), RrType::A, 61).is_none());
+        assert!(cache
+            .get(&name("gone.example.com"), RrType::A, 59)
+            .is_some());
+        assert!(cache
+            .get(&name("gone.example.com"), RrType::A, 61)
+            .is_none());
     }
 
     #[test]
     fn negative_answers_use_soa_minimum_ttl() {
         let cache = Cache::new();
-        cache.put(&name("gone.example.com"), RrType::A, &negative(Some(300)), 0);
-        assert!(cache.get(&name("gone.example.com"), RrType::A, 299).is_some());
-        assert!(cache.get(&name("gone.example.com"), RrType::A, 300).is_none());
+        cache.put(
+            &name("gone.example.com"),
+            RrType::A,
+            &negative(Some(300)),
+            0,
+        );
+        assert!(cache
+            .get(&name("gone.example.com"), RrType::A, 299)
+            .is_some());
+        assert!(cache
+            .get(&name("gone.example.com"), RrType::A, 300)
+            .is_none());
         // RFC 2308 cap: an absurd SOA minimum is clamped to 3 hours.
-        cache.put(&name("huge.example.com"), RrType::A, &negative(Some(1_000_000)), 0);
-        assert!(cache.get(&name("huge.example.com"), RrType::A, MAX_NEGATIVE_TTL - 1).is_some());
-        assert!(cache.get(&name("huge.example.com"), RrType::A, MAX_NEGATIVE_TTL).is_none());
+        cache.put(
+            &name("huge.example.com"),
+            RrType::A,
+            &negative(Some(1_000_000)),
+            0,
+        );
+        assert!(cache
+            .get(&name("huge.example.com"), RrType::A, MAX_NEGATIVE_TTL - 1)
+            .is_some());
+        assert!(cache
+            .get(&name("huge.example.com"), RrType::A, MAX_NEGATIVE_TTL)
+            .is_none());
     }
 
     #[test]
@@ -612,8 +652,12 @@ mod tests {
     fn ttl_is_capped() {
         let cache = Cache::new();
         cache.put(&name("www.example.com"), RrType::A, &answer(10_000_000), 0);
-        assert!(cache.get(&name("www.example.com"), RrType::A, 86_399).is_some());
-        assert!(cache.get(&name("www.example.com"), RrType::A, 86_401).is_none());
+        assert!(cache
+            .get(&name("www.example.com"), RrType::A, 86_399)
+            .is_some());
+        assert!(cache
+            .get(&name("www.example.com"), RrType::A, 86_401)
+            .is_none());
     }
 
     #[test]
@@ -633,7 +677,12 @@ mod tests {
         let cache = Cache::bounded(4);
         assert_eq!(cache.shard_count(), 1, "small bound stays single-shard");
         for i in 0..32 {
-            cache.put(&name(&format!("d{i}.example.com")), RrType::A, &answer(300), 0);
+            cache.put(
+                &name(&format!("d{i}.example.com")),
+                RrType::A,
+                &answer(300),
+                0,
+            );
             assert!(cache.len() <= 4, "len {} after insert {i}", cache.len());
         }
         assert_eq!(cache.capacity(), 4);
@@ -649,9 +698,15 @@ mod tests {
         // Both `old*` entries are expired at t=500; inserting a fourth
         // entry must drop them and keep the older-but-live entry.
         cache.put(&name("new.example.com"), RrType::A, &answer(300), 500);
-        assert!(cache.get(&name("live.example.com"), RrType::A, 500).is_some());
-        assert!(cache.get(&name("new.example.com"), RrType::A, 500).is_some());
-        assert!(cache.get(&name("old1.example.com"), RrType::A, 500).is_none());
+        assert!(cache
+            .get(&name("live.example.com"), RrType::A, 500)
+            .is_some());
+        assert!(cache
+            .get(&name("new.example.com"), RrType::A, 500)
+            .is_some());
+        assert!(cache
+            .get(&name("old1.example.com"), RrType::A, 500)
+            .is_none());
     }
 
     #[test]
@@ -661,9 +716,15 @@ mod tests {
         cache.put(&name("second.example.com"), RrType::A, &answer(10_000), 1);
         cache.put(&name("third.example.com"), RrType::A, &answer(10_000), 2);
         // Nothing expired, so the oldest insert (`first`) went.
-        assert!(cache.get(&name("first.example.com"), RrType::A, 3).is_none());
-        assert!(cache.get(&name("second.example.com"), RrType::A, 3).is_some());
-        assert!(cache.get(&name("third.example.com"), RrType::A, 3).is_some());
+        assert!(cache
+            .get(&name("first.example.com"), RrType::A, 3)
+            .is_none());
+        assert!(cache
+            .get(&name("second.example.com"), RrType::A, 3)
+            .is_some());
+        assert!(cache
+            .get(&name("third.example.com"), RrType::A, 3)
+            .is_some());
         assert_eq!(cache.len(), 2);
     }
 
@@ -671,7 +732,12 @@ mod tests {
     fn enforce_capacity_is_callable_mid_stream() {
         let cache = Cache::bounded(8);
         for i in 0..8 {
-            cache.put(&name(&format!("d{i}.example.com")), RrType::A, &answer(60), 0);
+            cache.put(
+                &name(&format!("d{i}.example.com")),
+                RrType::A,
+                &answer(60),
+                0,
+            );
         }
         // All 8 fit; at t=100 they are all expired but still resident.
         assert_eq!(cache.len(), 8);
@@ -707,7 +773,11 @@ mod tests {
         });
         assert!(cache.len() <= 1024, "final len {} over bound", cache.len());
         // Plenty was inserted: the shards actually filled up.
-        assert!(cache.len() >= 1024 / 2, "final len {} suspiciously small", cache.len());
+        assert!(
+            cache.len() >= 1024 / 2,
+            "final len {} suspiciously small",
+            cache.len()
+        );
     }
 
     #[test]
@@ -717,9 +787,16 @@ mod tests {
         // overflows its shard, and the expired residents must go first.
         let cache = Cache::with_shards(64, 4);
         for i in 0..120 {
-            cache.put(&name(&format!("stale{i}.example.com")), RrType::A, &answer(100), 0);
+            cache.put(
+                &name(&format!("stale{i}.example.com")),
+                RrType::A,
+                &answer(100),
+                0,
+            );
         }
-        let live: Vec<Name> = (0..8).map(|i| name(&format!("live{i}.example.com"))).collect();
+        let live: Vec<Name> = (0..8)
+            .map(|i| name(&format!("live{i}.example.com")))
+            .collect();
         for qname in &live {
             cache.put(qname, RrType::A, &answer(600), 500);
         }
@@ -743,11 +820,20 @@ mod tests {
         let mut hits = 0u64;
         let mut state = 0x9E37_79B9u64;
         for step in 0..4_000u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let domain = name(&format!("d{}.example.com", state % 257));
-            let qtype = if state & 1 == 0 { RrType::A } else { RrType::Aaaa };
+            let qtype = if state & 1 == 0 {
+                RrType::A
+            } else {
+                RrType::Aaaa
+            };
             let now = step / 4;
-            let (a, b) = (single.get(&domain, qtype, now), striped.get(&domain, qtype, now));
+            let (a, b) = (
+                single.get(&domain, qtype, now),
+                striped.get(&domain, qtype, now),
+            );
             assert_eq!(a.is_some(), b.is_some(), "hit/miss diverged at step {step}");
             if a.is_some() {
                 hits += 1;
@@ -875,16 +961,29 @@ mod tests {
     #[test]
     fn deepest_live_cut_at_or_above_the_qname_wins() {
         let cache = Cache::new();
-        assert!(cache.deepest_cut(&name("www.example.com"), RrType::A, 0).is_none());
+        assert!(cache
+            .deepest_cut(&name("www.example.com"), RrType::A, 0)
+            .is_none());
         cache.put_cut(&cut("."), 1_000, 0);
         cache.put_cut(&cut("com"), 600, 0);
         cache.put_cut(&cut("example.com"), 300, 0);
         let apex_at = |qname: &str, qtype, now| {
-            cache.deepest_cut(&name(qname), qtype, now).map(|cut| cut.apex.clone())
+            cache
+                .deepest_cut(&name(qname), qtype, now)
+                .map(|cut| cut.apex.clone())
         };
-        assert_eq!(apex_at("www.example.com", RrType::A, 0), Some(name("example.com")));
-        assert_eq!(apex_at("WWW.Example.COM", RrType::A, 0), Some(name("example.com")));
-        assert_eq!(apex_at("example.com", RrType::Ns, 0), Some(name("example.com")));
+        assert_eq!(
+            apex_at("www.example.com", RrType::A, 0),
+            Some(name("example.com"))
+        );
+        assert_eq!(
+            apex_at("WWW.Example.COM", RrType::A, 0),
+            Some(name("example.com"))
+        );
+        assert_eq!(
+            apex_at("example.com", RrType::Ns, 0),
+            Some(name("example.com"))
+        );
         assert_eq!(apex_at("notexample.com", RrType::A, 0), Some(name("com")));
         assert_eq!(apex_at("example.org", RrType::A, 0), Some(Name::root()));
         // A zone's DS is its parent's data.
@@ -892,9 +991,18 @@ mod tests {
         assert_eq!(apex_at("com", RrType::Ds, 0), Some(Name::root()));
         assert_eq!(apex_at(".", RrType::Ds, 0), None);
         // Expiry peels the cuts off one by one; nothing is served stale.
-        assert_eq!(apex_at("www.example.com", RrType::A, 299), Some(name("example.com")));
-        assert_eq!(apex_at("www.example.com", RrType::A, 300), Some(name("com")));
-        assert_eq!(apex_at("www.example.com", RrType::A, 600), Some(Name::root()));
+        assert_eq!(
+            apex_at("www.example.com", RrType::A, 299),
+            Some(name("example.com"))
+        );
+        assert_eq!(
+            apex_at("www.example.com", RrType::A, 300),
+            Some(name("com"))
+        );
+        assert_eq!(
+            apex_at("www.example.com", RrType::A, 600),
+            Some(Name::root())
+        );
         assert_eq!(apex_at("www.example.com", RrType::A, 1_000), None);
     }
 
@@ -902,9 +1010,13 @@ mod tests {
     fn cut_lifetime_is_capped_and_zero_stores_nothing() {
         let cache = Cache::bounded(16).with_max_stale(3_600);
         cache.put_cut(&cut("com"), u32::MAX, 0);
-        assert!(cache.deepest_cut(&name("com"), RrType::A, MAX_TTL - 1).is_some());
+        assert!(cache
+            .deepest_cut(&name("com"), RrType::A, MAX_TTL - 1)
+            .is_some());
         assert!(
-            cache.deepest_cut(&name("com"), RrType::A, MAX_TTL).is_none(),
+            cache
+                .deepest_cut(&name("com"), RrType::A, MAX_TTL)
+                .is_none(),
             "a serve-stale horizon is for answers"
         );
         cache.put_cut(&cut("net"), 0, 0);
@@ -916,7 +1028,11 @@ mod tests {
         let cache = Cache::bounded(4);
         cache.put(&name("example.com"), RrType::A, &answer(300), 0);
         cache.put_cut(&cut("example.com"), 300, 0);
-        assert_eq!((cache.len(), cache.cut_count()), (1, 1), "same name, two slots");
+        assert_eq!(
+            (cache.len(), cache.cut_count()),
+            (1, 1),
+            "same name, two slots"
+        );
         assert!(cache.get(&name("example.com"), RrType::A, 1).is_some());
         // Six more entries into a cache of four: the bound holds over
         // answers and cuts together, oldest first.
@@ -927,7 +1043,9 @@ mod tests {
         }
         assert_eq!((cache.len(), cache.cut_count()), (2, 2));
         // An evicted cut is a walk from further up, here from the roots.
-        assert!(cache.deepest_cut(&name("example.com"), RrType::A, 1).is_none());
+        assert!(cache
+            .deepest_cut(&name("example.com"), RrType::A, 1)
+            .is_none());
         assert!(cache.get(&name("example.com"), RrType::A, 1).is_none());
         assert!(cache.deepest_cut(&name("d1.net"), RrType::A, 1).is_some());
         cache.clear();
@@ -942,11 +1060,19 @@ mod tests {
             cache.put_cut(&cut(apex), 300, 0);
         }
         cache.put(&name("www.example.com"), RrType::A, &answer(300), 0);
-        assert_eq!(cache.flush_origin(&name("com")), 3, "two cuts and the answer");
+        assert_eq!(
+            cache.flush_origin(&name("com")),
+            3,
+            "two cuts and the answer"
+        );
         assert_eq!(cache.cut_count(), 3);
-        let under_com = cache.deepest_cut(&name("www.example.com"), RrType::A, 1).unwrap();
+        let under_com = cache
+            .deepest_cut(&name("www.example.com"), RrType::A, 1)
+            .unwrap();
         assert!(under_com.apex.is_root());
-        let under_net = cache.deepest_cut(&name("www.example.net"), RrType::A, 1).unwrap();
+        let under_net = cache
+            .deepest_cut(&name("www.example.net"), RrType::A, 1)
+            .unwrap();
         assert_eq!(under_net.apex, name("example.net"));
         assert_eq!(cache.flush_origin(&Name::root()), 3);
         assert_eq!(cache.cut_count(), 0);
@@ -963,11 +1089,17 @@ mod tests {
             cache.put_shared(&key, &Arc::new(answer(300)), 0);
             cache.put_shared(&outside, &Arc::new(answer(300)), 0);
             cache.put_cut(&cut("Example.COM"), 300, 0);
-            assert!(cache.get_shared(&shouted, 1).is_some(), "any spelling, any cache");
+            assert!(
+                cache.get_shared(&shouted, 1).is_some(),
+                "any spelling, any cache"
+            );
             // The subtree goes — answer and cut — by the names in the keys.
             assert_eq!(cache.flush_origin(&name("EXAMPLE.com")), 2);
             assert!(cache.get_shared(&key, 1).is_none());
-            assert!(cache.get_shared(&outside, 1).is_some(), "outside the subtree");
+            assert!(
+                cache.get_shared(&outside, 1).is_some(),
+                "outside the subtree"
+            );
             assert_eq!((cache.len(), cache.cut_count()), (1, 0));
         }
     }

@@ -110,12 +110,7 @@ impl Diagnosis {
 }
 
 /// Walks the delegation chain to `target` and diagnoses every link.
-pub fn diagnose(
-    network: &Network,
-    trust_anchor: &[DsRdata],
-    target: &Name,
-    now: u32,
-) -> Diagnosis {
+pub fn diagnose(network: &Network, trust_anchor: &[DsRdata], target: &Name, now: u32) -> Diagnosis {
     let mut zones = Vec::new();
     let mut advice = Vec::new();
     let mut verdict = crate::Security::Secure;
@@ -236,10 +231,12 @@ pub fn diagnose(
                     chain_broken = true;
                 }
             }
-        } else if !chain_broken && parent_ds.is_empty()
-            && matches!(verdict, crate::Security::Secure) {
-                verdict = crate::Security::Insecure;
-            }
+        } else if !chain_broken
+            && parent_ds.is_empty()
+            && matches!(verdict, crate::Security::Secure)
+        {
+            verdict = crate::Security::Insecure;
+        }
 
         // Advice per finding.
         match (&ds_link, &signatures) {
@@ -506,7 +503,11 @@ mod capture_tests {
         let served = answer(forged, Security::Insecure, false);
         assert_eq!(capture_kind(&served, Some(&legit)), CaptureKind::Hijacked);
         // Without a baseline the divergence is invisible.
-        let served = answer(vec![a_record("www.example.nl", "203.0.113.66")], Security::Insecure, false);
+        let served = answer(
+            vec![a_record("www.example.nl", "203.0.113.66")],
+            Security::Insecure,
+            false,
+        );
         assert_eq!(capture_kind(&served, None), CaptureKind::Clean);
     }
 

@@ -39,7 +39,9 @@ use dsec_wire::{
 pub use breaker::{BreakerEvent, BreakerPolicy, BreakerSet, Transition};
 use cache::ZoneCut;
 pub use cache::{Cache, CacheKey};
-pub use diagnose::{capture_kind, diagnose, CaptureKind, Diagnosis, DsLink, SignatureState, ZoneDiagnosis};
+pub use diagnose::{
+    capture_kind, diagnose, CaptureKind, Diagnosis, DsLink, SignatureState, ZoneDiagnosis,
+};
 pub use exchange::{Exchange, ExchangeOutcome};
 pub use retry::{HealthCache, ResolverStats, ResolverStatsSnapshot, RetryPolicy};
 pub use spoofguard::{OnPathThreat, SpoofGuard, POISON_A, POISON_AAAA, POISON_TTL};
@@ -359,7 +361,9 @@ impl Resolver {
                 self.resolve_no_cname(&current_qname, qtype, now, &mut chain, cuts)?;
             all_records.append(&mut answer.records);
             match target {
-                Some(next) if cname_budget > 0 && !matches!(answer.security, Security::Bogus(_)) => {
+                Some(next)
+                    if cname_budget > 0 && !matches!(answer.security, Security::Bogus(_)) =>
+                {
                     cname_budget -= 1;
                     current_qname = next;
                 }
@@ -463,7 +467,11 @@ impl Resolver {
                     negative_ttl,
                     poisoned,
                 },
-                if has_direct_answer { None } else { cname_target },
+                if has_direct_answer {
+                    None
+                } else {
+                    cname_target
+                },
             ));
         }
         Err(ResolveError::TooManySteps)
@@ -787,7 +795,11 @@ mod tests {
     }
 
     fn soa(zone: &str) -> Record {
-        let owner = if zone == "." { Name::root() } else { name(zone) };
+        let owner = if zone == "." {
+            Name::root()
+        } else {
+            name(zone)
+        };
         Record::new(
             owner,
             3600,
@@ -1221,9 +1233,10 @@ mod tests {
         let w = build_world(true, true);
         let ns = name("ns1.operator.net");
         w.network.faults().enable(3);
-        w.network
-            .faults()
-            .script(&ns, [dsec_authserver::Fault::Drop, dsec_authserver::Fault::Drop]);
+        w.network.faults().script(
+            &ns,
+            [dsec_authserver::Fault::Drop, dsec_authserver::Fault::Drop],
+        );
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let answer = resolver
             .resolve(&name("www.example.com"), RrType::A, NOW)
@@ -1239,7 +1252,11 @@ mod tests {
     fn dead_fleet_yields_servfail_with_unreachable_diagnosis() {
         let w = build_world(true, true);
         w.network.faults().enable(4);
-        for ns in ["a.root-servers.net", "a.gtld-servers.net", "ns1.operator.net"] {
+        for ns in [
+            "a.root-servers.net",
+            "a.gtld-servers.net",
+            "ns1.operator.net",
+        ] {
             w.network.faults().set_down(&name(ns), true);
         }
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys))
@@ -1314,9 +1331,7 @@ mod tests {
         let w = build_world(true, true);
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         w.network.faults().enable(7);
-        w.network
-            .faults()
-            .set_down(&name("ns1.operator.net"), true);
+        w.network.faults().set_down(&name("ns1.operator.net"), true);
         let _ = resolver.resolve(&name("www.example.com"), RrType::A, NOW);
         let penalty_while_down = resolver.health().penalty(&name("ns1.operator.net"));
         assert!(penalty_while_down > 0, "timeouts accumulate penalty");
@@ -1341,14 +1356,22 @@ mod tests {
             .resolve_cached(&name("missing.example.com"), RrType::A, NOW)
             .unwrap();
         assert_eq!(first.rcode, Rcode::NxDomain);
-        assert_eq!(first.negative_ttl, Some(300), "min(SOA TTL 3600, minimum 300)");
+        assert_eq!(
+            first.negative_ttl,
+            Some(300),
+            "min(SOA TTL 3600, minimum 300)"
+        );
         let queries = w.network.query_count();
         // Within the SOA minimum, the repeat miss is a negative hit.
         let hit = resolver
             .resolve_cached(&name("missing.example.com"), RrType::A, NOW + 299)
             .unwrap();
         assert_eq!(hit.rcode, Rcode::NxDomain);
-        assert_eq!(w.network.query_count(), queries, "served from negative cache");
+        assert_eq!(
+            w.network.query_count(),
+            queries,
+            "served from negative cache"
+        );
         assert_eq!(resolver.stats().negative_hits, 1);
         // Past it, authorities are consulted again.
         let _ = resolver
@@ -1368,13 +1391,20 @@ mod tests {
         assert_eq!(warm.security, Security::Secure);
         // Whole fleet goes dark; the www A record (TTL 300) has expired.
         w.network.faults().enable(21);
-        for ns in ["a.root-servers.net", "a.gtld-servers.net", "ns1.operator.net"] {
+        for ns in [
+            "a.root-servers.net",
+            "a.gtld-servers.net",
+            "ns1.operator.net",
+        ] {
             w.network.faults().set_down(&name(ns), true);
         }
         let stale = resolver
             .resolve_cached(&name("www.example.com"), RrType::A, NOW + 400)
             .unwrap();
-        assert_eq!(stale.records, warm.records, "stale serve returns the old data");
+        assert_eq!(
+            stale.records, warm.records,
+            "stale serve returns the old data"
+        );
         assert_eq!(resolver.stats().stale_hits, 1);
         // Past the stale horizon, the transport failure propagates:
         // serve-stale never resurrects entries beyond max_stale.
@@ -1436,7 +1466,11 @@ mod tests {
     fn sustained_outage_exhausts_latency_budget() {
         let w = build_world(true, true);
         w.network.faults().enable(23);
-        for ns in ["a.root-servers.net", "a.gtld-servers.net", "ns1.operator.net"] {
+        for ns in [
+            "a.root-servers.net",
+            "a.gtld-servers.net",
+            "ns1.operator.net",
+        ] {
             w.network.faults().set_down(&name(ns), true);
         }
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
@@ -1449,7 +1483,11 @@ mod tests {
         // Without the budget, the walk would burn 8 attempts on the root
         // DNSKEY fetch and 8 more on the root zone cut; the budget cuts
         // it off well before that.
-        assert!(stats.udp_attempts <= 6, "attempts {} not clamped", stats.udp_attempts);
+        assert!(
+            stats.udp_attempts <= 6,
+            "attempts {} not clamped",
+            stats.udp_attempts
+        );
     }
 
     /// Queries a from-the-root walk to a name in example.com sends: a
@@ -1513,10 +1551,14 @@ mod tests {
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         let before = w.network.query_count();
-        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 3_599).unwrap();
+        resolver
+            .resolve_cached(&www(), RrType::Aaaa, NOW + 3_599)
+            .unwrap();
         assert_eq!(w.network.query_count() - before, 1, "live until the TTL");
         let before = w.network.query_count();
-        let answer = resolver.resolve_cached(&www(), RrType::Mx, NOW + 3_600).unwrap();
+        let answer = resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 3_600)
+            .unwrap();
         assert_eq!(w.network.query_count() - before, FULL_WALK, "expired at it");
         assert_eq!(answer.security, Security::Secure);
 
@@ -1526,11 +1568,15 @@ mod tests {
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         let before = w.network.query_count();
-        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 86_399).unwrap();
+        resolver
+            .resolve_cached(&www(), RrType::Aaaa, NOW + 86_399)
+            .unwrap();
         // The root's and com's keys are long gone, example.com's cut is not.
         assert_eq!(w.network.query_count() - before, 1);
         let before = w.network.query_count();
-        resolver.resolve_cached(&www(), RrType::Mx, NOW + 86_400).unwrap();
+        resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 86_400)
+            .unwrap();
         assert_eq!(w.network.query_count() - before, FULL_WALK - 1);
     }
 
@@ -1541,17 +1587,27 @@ mod tests {
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         let before = w.network.query_count();
-        resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 899).unwrap();
+        resolver
+            .resolve_cached(&www(), RrType::Aaaa, NOW + 899)
+            .unwrap();
         assert_eq!(w.network.query_count() - before, 1);
         // At the expiration second the signatures still verify, but the
         // cuts are gone: the chain is rebuilt rather than trusted.
         let before = w.network.query_count();
-        let last = resolver.resolve_cached(&www(), RrType::Mx, NOW + 900).unwrap();
+        let last = resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 900)
+            .unwrap();
         assert_eq!(w.network.query_count() - before, FULL_WALK);
         assert_eq!(last.security, Security::Secure);
-        assert_eq!(resolver.cache().cut_count(), 3, "and nothing was stored for 0 s");
+        assert_eq!(
+            resolver.cache().cut_count(),
+            3,
+            "and nothing was stored for 0 s"
+        );
         // One second on nothing validates, and no cached key says otherwise.
-        let expired = resolver.resolve_cached(&www(), RrType::Txt, NOW + 901).unwrap();
+        let expired = resolver
+            .resolve_cached(&www(), RrType::Txt, NOW + 901)
+            .unwrap();
         assert_eq!(expired.rcode, Rcode::ServFail);
         assert!(matches!(
             expired.security,
@@ -1569,18 +1625,33 @@ mod tests {
         let first = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         assert_eq!(first.rcode, Rcode::ServFail);
         let before = w.network.query_count();
-        let second = resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 1).unwrap();
-        assert_eq!(w.network.query_count() - before, 1, "no second DNSKEY fetch");
+        let second = resolver
+            .resolve_cached(&www(), RrType::Aaaa, NOW + 1)
+            .unwrap();
+        assert_eq!(
+            w.network.query_count() - before,
+            1,
+            "no second DNSKEY fetch"
+        );
         assert_eq!(second.rcode, Rcode::ServFail);
         assert_eq!(
             second.security,
             Security::Bogus(ValidationError::MissingDnskey)
         );
-        assert_eq!(second, resolver.resolve(&www(), RrType::Aaaa, NOW + 1).unwrap());
+        assert_eq!(
+            second,
+            resolver.resolve(&www(), RrType::Aaaa, NOW + 1).unwrap()
+        );
         // …for the negative TTL of that NODATA (SOA minimum, 300 s).
         let before = w.network.query_count();
-        resolver.resolve_cached(&www(), RrType::Mx, NOW + 300).unwrap();
-        assert_eq!(w.network.query_count() - before, 3, "referral, DNSKEY, question");
+        resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 300)
+            .unwrap();
+        assert_eq!(
+            w.network.query_count() - before,
+            3,
+            "referral, DNSKEY, question"
+        );
         assert_eq!(resolver.stats().stale_hits, 0);
     }
 
@@ -1593,12 +1664,18 @@ mod tests {
         assert_eq!(good.security, Security::Secure);
         w.example_auth.with_zone_mut(&name("example.com"), |z| {
             z.remove_rrset(&www(), RrType::A);
-            z.add(Record::new(www(), 300, RData::A("203.0.113.66".parse().unwrap())))
-                .unwrap();
+            z.add(Record::new(
+                www(),
+                300,
+                RData::A("203.0.113.66".parse().unwrap()),
+            ))
+            .unwrap();
         });
         // The answer (TTL 300) has expired into the stale horizon; the
         // cut (3,600 s) is live, and its keys refuse the new data.
-        let refused = resolver.resolve_cached(&www(), RrType::A, NOW + 400).unwrap();
+        let refused = resolver
+            .resolve_cached(&www(), RrType::A, NOW + 400)
+            .unwrap();
         assert_eq!(refused.rcode, Rcode::ServFail);
         assert!(refused.records.is_empty());
         assert_eq!(resolver.stats().stale_hits, 0);
@@ -1620,16 +1697,19 @@ mod tests {
         assert_eq!(resolver.cache().cut_count(), 2, "root and com only");
         // A remembered `MissingDnskey` would make this ServFail until the
         // DS expired; the outage is over, so is its effect.
-        let after = resolver.resolve_cached(&www(), RrType::A, NOW + 200).unwrap();
+        let after = resolver
+            .resolve_cached(&www(), RrType::A, NOW + 200)
+            .unwrap();
         assert_eq!(after.security, Security::Secure);
         assert_eq!(resolver.cache().cut_count(), 3);
 
         // Same for a fleet that answers, but only with SERVFAIL.
         let w = build_world(true, true);
         w.network.faults().enable(32);
-        w.network
-            .faults()
-            .script(&ns, std::iter::repeat_n(dsec_authserver::Fault::ServFail, 16));
+        w.network.faults().script(
+            &ns,
+            std::iter::repeat_n(dsec_authserver::Fault::ServFail, 16),
+        );
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let during = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         assert_eq!(during.rcode, Rcode::ServFail);
@@ -1656,8 +1736,15 @@ mod tests {
                 ..RetryPolicy::default()
             });
         let during = resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
-        assert_eq!(during.security, Security::Bogus(ValidationError::MissingDnskey));
-        assert_eq!(resolver.cache().cut_count(), 1, "the root's, settled before the loss");
+        assert_eq!(
+            during.security,
+            Security::Bogus(ValidationError::MissingDnskey)
+        );
+        assert_eq!(
+            resolver.cache().cut_count(),
+            1,
+            "the root's, settled before the loss"
+        );
         let after = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
         assert_eq!(after.security, Security::Secure);
         assert_eq!(resolver.cache().cut_count(), 3);
@@ -1674,16 +1761,22 @@ mod tests {
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
         // The walk starts at example.com's cached cut, straight into the
         // outage: the failures trip the breaker…
-        assert!(resolver.resolve_cached(&www(), RrType::Aaaa, NOW + 10).is_err());
+        assert!(resolver
+            .resolve_cached(&www(), RrType::Aaaa, NOW + 10)
+            .is_err());
         assert_eq!(resolver.stats().breaker_trips, 1);
         // …and the next walk from the same cut is short-circuited without
         // a packet leaving.
         let before = w.network.query_count();
-        assert!(resolver.resolve_cached(&www(), RrType::Mx, NOW + 10).is_err());
+        assert!(resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 10)
+            .is_err());
         assert!(resolver.stats().breaker_short_circuits > 0);
         assert_eq!(w.network.query_count(), before);
         // Recovery: the half-open probe goes to the cached cut's server.
-        let after = resolver.resolve_cached(&www(), RrType::Mx, NOW + 200).unwrap();
+        let after = resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 200)
+            .unwrap();
         assert_eq!(after.security, Security::Secure);
         assert_eq!(resolver.breaker().unwrap().open_count(), 0);
     }
@@ -1698,12 +1791,22 @@ mod tests {
             z.remove_rrset(&name("example.com"), RrType::Ds);
         });
         let walked = resolver.resolve(&www(), RrType::Aaaa, NOW).unwrap();
-        assert_eq!(walked.security, Security::Insecure, "resolve() reads no cut");
+        assert_eq!(
+            walked.security,
+            Security::Insecure,
+            "resolve() reads no cut"
+        );
         let cached = resolver.resolve_cached(&www(), RrType::Aaaa, NOW).unwrap();
-        assert_eq!(cached.security, Security::Secure, "the cached cut has not expired");
+        assert_eq!(
+            cached.security,
+            Security::Secure,
+            "the cached cut has not expired"
+        );
         assert_eq!(resolver.cache().cut_count(), 3, "and resolve() wrote none");
         // Past the cut's lifetime the cached path agrees.
-        let later = resolver.resolve_cached(&www(), RrType::Mx, NOW + 3_600).unwrap();
+        let later = resolver
+            .resolve_cached(&www(), RrType::Mx, NOW + 3_600)
+            .unwrap();
         assert_eq!(later.security, Security::Insecure);
         // `resolve()` on a fresh resolver leaves the cache empty.
         let fresh = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
@@ -1716,7 +1819,11 @@ mod tests {
         let w = build_world(true, true);
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
-        assert_eq!(resolver.cache().flush_origin(&name("com")), 3, "2 cuts, 1 answer");
+        assert_eq!(
+            resolver.cache().flush_origin(&name("com")),
+            3,
+            "2 cuts, 1 answer"
+        );
         assert_eq!(resolver.cache().cut_count(), 1, "the root's stays");
         let before = w.network.query_count();
         resolver.resolve_cached(&www(), RrType::A, NOW).unwrap();
@@ -1734,9 +1841,18 @@ mod tests {
         let primed = w.network.query_count();
         resolver.prime_cut(&name("com"), NOW + 10);
         assert_eq!(w.network.query_count(), primed, "live: nothing to do");
-        let answer = resolver.resolve_cached(&www(), RrType::A, NOW + 10).unwrap();
-        assert_eq!(w.network.query_count() - primed, 3, "referral, DNSKEY, question");
-        assert_eq!(answer, resolver.resolve(&www(), RrType::A, NOW + 10).unwrap());
+        let answer = resolver
+            .resolve_cached(&www(), RrType::A, NOW + 10)
+            .unwrap();
+        assert_eq!(
+            w.network.query_count() - primed,
+            3,
+            "referral, DNSKEY, question"
+        );
+        assert_eq!(
+            answer,
+            resolver.resolve(&www(), RrType::A, NOW + 10).unwrap()
+        );
     }
 
     #[test]
@@ -1747,7 +1863,11 @@ mod tests {
             .register(name("ns1.operator.net"), Arc::new(Authority::new()));
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let answer = resolver.resolve(&www(), RrType::A, NOW).unwrap();
-        assert_eq!(answer.rcode, Rcode::Refused, "the rcode still reaches the caller");
+        assert_eq!(
+            answer.rcode,
+            Rcode::Refused,
+            "the rcode still reaches the caller"
+        );
         assert_eq!(answer.security, Security::Insecure);
         let stats = resolver.stats();
         assert_eq!(stats.error_rcodes, 1, "not max_attempts of them");
@@ -1759,7 +1879,10 @@ mod tests {
         w.network.faults().enable(34);
         w.network.faults().script(
             &name("ns1.operator.net"),
-            [dsec_authserver::Fault::ServFail, dsec_authserver::Fault::ServFail],
+            [
+                dsec_authserver::Fault::ServFail,
+                dsec_authserver::Fault::ServFail,
+            ],
         );
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let answer = resolver.resolve(&www(), RrType::A, NOW).unwrap();

@@ -305,7 +305,8 @@ impl ResolverStats {
     }
 
     pub(crate) fn count_breaker_short_circuit(&self) {
-        self.breaker_short_circuits.set(self.breaker_short_circuits.get() + 1);
+        self.breaker_short_circuits
+            .set(self.breaker_short_circuits.get() + 1);
     }
 
     pub(crate) fn count_poison_race(&self) {
@@ -317,7 +318,8 @@ impl ResolverStats {
     }
 
     pub(crate) fn count_poison_scrubbed(&self, records: u64) {
-        self.poison_scrubbed.set(self.poison_scrubbed.get() + records);
+        self.poison_scrubbed
+            .set(self.poison_scrubbed.get() + records);
     }
 
     /// A copy of the current counter values.
@@ -417,7 +419,10 @@ mod tests {
     fn health_and_breaker_state_follow_the_server_in_any_spelling() {
         use crate::breaker::{BreakerPolicy, BreakerSet};
         let spellings = [name("ns1.a.net"), name("NS1.A.Net")];
-        for (first, second) in [(&spellings[0], &spellings[1]), (&spellings[1], &spellings[0])] {
+        for (first, second) in [
+            (&spellings[0], &spellings[1]),
+            (&spellings[1], &spellings[0]),
+        ] {
             let health = HealthCache::new();
             let breakers = BreakerSet::new(BreakerPolicy {
                 failure_threshold: 2,
@@ -426,12 +431,21 @@ mod tests {
             health.record_failure(first);
             health.record_failure(second);
             assert_eq!((health.penalty(second), health.tracked_servers()), (2, 1));
-            assert_eq!(health.order_indices(&[second.clone(), name("ns2.a.net")]), [1, 0]);
+            assert_eq!(
+                health.order_indices(&[second.clone(), name("ns2.a.net")]),
+                [1, 0]
+            );
             breakers.record_failure(first, 100);
-            assert!(breakers.record_failure(second, 100), "one streak: the second failure trips");
+            assert!(
+                breakers.record_failure(second, 100),
+                "one streak: the second failure trips"
+            );
             assert!(breakers.allow(first, 100), "the half-open probe");
             assert!(!breakers.allow(second, 101), "same bucket, same breaker");
-            assert!(breakers.record_success(second, 102), "closes the open breaker");
+            assert!(
+                breakers.record_success(second, 102),
+                "closes the open breaker"
+            );
             assert_eq!(breakers.open_count(), 0);
         }
     }
