@@ -8,7 +8,7 @@
 //! the victim resolver's entropy budget — TXID bits, source-port bits,
 //! 0x20 case bits — evaluated deterministically per query name (see
 //! [`dsec_resolver::spoofguard`]); no wall-clock, no shared RNG, so
-//! campaign outcomes are byte-identical across runs and thread counts.
+//! campaign outcomes are byte-identical across runs.
 //!
 //! The campaign is day-pinned: it opens on a launch day, optionally
 //! closes on an end day, and records its lifecycle in the world's event

@@ -19,9 +19,7 @@
 //!
 //! Determinism: every decision is a pure function of the plane's seed,
 //! the (server, qname, qtype) tuple, and a per-tuple attempt counter, so
-//! two runs with the same seed produce identical fault sequences even
-//! when queries are issued from multiple scanner threads in different
-//! interleavings.
+//! two runs with the same seed produce identical fault sequences.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

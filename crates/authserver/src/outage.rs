@@ -6,7 +6,7 @@
 //! windows, which queries stamped with their sim-time
 //! ([`crate::Network::query_udp`] with `now_s`) consult. Because window membership
 //! is a pure function of the query's sim clock, a scenario plays back
-//! identically run-to-run and across worker-thread counts: there is no
+//! identically run-to-run: there is no
 //! RNG, no wall clock, and no shared mutable schedule state on the query
 //! path.
 //!

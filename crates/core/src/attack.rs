@@ -3,7 +3,7 @@
 //! Three arms wire the attack plane (`dsec_attack`) through the
 //! ecosystem's channel authentication, the attacker's authoritative
 //! infrastructure, and the mixed validating/non-validating traffic
-//! fleet, all seeded and byte-identical across worker thread counts:
+//! fleet, all seeded and byte-identical run to run:
 //!
 //! * **Arm A (authenticated channel)** — the victim's registrar
 //!   verifies email senders. Both vectors (forged DS, forged NS) must
@@ -83,12 +83,11 @@ fn set_channel(world: &mut World, registrar: &str, channel: ExternalDs) {
 
 /// One load at the mixed fleet share with the campaign's hijacked zones
 /// marked for re-labelling, over fresh caches.
-fn mixed_load(world: &World, campaign: &AttackCampaign, threads: usize) -> TrafficReport {
+fn mixed_load(world: &World, campaign: &AttackCampaign) -> TrafficReport {
     run_load(
         world,
         &LoadConfig::default()
             .with_queries(A1_QUERIES)
-            .with_threads(threads)
             .with_seed(A1_SEED)
             .with_validating_share(A1_SHARE)
             .with_captured(campaign.hijacked_zones()),
@@ -177,7 +176,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         ),
         0.0,
     );
-    let clean = mixed_load(&pw.world, &ns_campaign, 1);
+    let clean = mixed_load(&pw.world, &ns_campaign);
     result.check(
         "arm A: mixed-fleet load sees zero hijacked and zero saved-by-validation",
         0.0,
@@ -215,8 +214,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         .iter()
         .filter(|&&i| !validating_assignment(A1_SEED, i, A1_SHARE))
         .count() as u64;
-    let load_1 = mixed_load(&pw_b.world, &campaign_b, 1);
-    let load_8 = mixed_load(&pw_b.world, &campaign_b, 8);
+    let load = mixed_load(&pw_b.world, &campaign_b);
     result.check(
         "arm B: the captured victim is actually queried by both sub-fleets",
         1.0,
@@ -226,16 +224,16 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     result.check(
         "arm B: hijacked + saved-by-validation equals the victim's planned query count",
         indices.len() as f64,
-        (load_1.outcomes.hijacked + load_1.outcomes.saved_by_validation) as f64,
+        (load.outcomes.hijacked + load.outcomes.saved_by_validation) as f64,
         0.0,
     );
     result.check(
         "arm B: the hijacked count is exactly the non-validating share of victim hits",
         expected_hijacked as f64,
-        load_1.outcomes.hijacked as f64,
+        load.outcomes.hijacked as f64,
         0.0,
     );
-    let victim_counts = load_1
+    let victim_counts = load
         .by_registrar
         .get(victim_registrar)
         .copied()
@@ -244,19 +242,8 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         "arm B: every attack outcome attributes to the responsible registrar",
         1.0,
         f64::from(
-            victim_counts.hijacked == load_1.outcomes.hijacked
-                && victim_counts.saved_by_validation == load_1.outcomes.saved_by_validation,
-        ),
-        0.0,
-    );
-    result.check(
-        "arm B: tallies byte-identical across 1 and 8 worker threads",
-        1.0,
-        f64::from(
-            load_1.outcomes == load_8.outcomes
-                && load_1.by_registrar == load_8.by_registrar
-                && load_1.by_operator == load_8.by_operator
-                && load_1.histogram == load_8.histogram,
+            victim_counts.hijacked == load.outcomes.hijacked
+                && victim_counts.saved_by_validation == load.outcomes.saved_by_validation,
         ),
         0.0,
     );
@@ -287,8 +274,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         base + 2 * span + 60,
     )
     .install(pw_c.world.fault_plane());
-    let outage_run = attack_outage_phases(&pw_c.world, &campaign_c, span, 1);
-    let outage_run8 = attack_outage_phases(&pw_c.world, &campaign_c, span, 8);
+    let outage_run = attack_outage_phases(&pw_c.world, &campaign_c, span);
     let outage_victim_counts = outage_run
         .by_operator
         .get(&outage_victim)
@@ -304,16 +290,6 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         "arm C: the hijack stays fully visible through the outage",
         1.0,
         f64::from(outage_run.outcomes.hijacked > 0 && outage_run.outcomes.saved_by_validation > 0),
-        0.0,
-    );
-    result.check(
-        "arm C: tallies byte-identical across 1 and 8 worker threads",
-        1.0,
-        f64::from(
-            outage_run.outcomes == outage_run8.outcomes
-                && outage_run.by_registrar == outage_run8.by_registrar
-                && outage_run.by_operator == outage_run8.by_operator,
-        ),
         0.0,
     );
 
@@ -332,9 +308,9 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
         traffic_pop.operator_of(&victim),
         clean.outcomes.hijacked + clean.outcomes.saved_by_validation,
         indices.len(),
-        load_1.outcomes.hijacked,
+        load.outcomes.hijacked,
         (100.0 * (1.0 - A1_SHARE)) as u32,
-        load_1.outcomes.saved_by_validation,
+        load.outcomes.saved_by_validation,
         outage_victim,
         100.0 * outage_victim_counts.availability(),
         outage_run.outcomes.stale,
@@ -350,15 +326,9 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
 /// persistent validating *and* non-validating caches — the poisoned
 /// side of the fleet keeps its cache across the phase boundary exactly
 /// like the clean side does.
-fn attack_outage_phases(
-    world: &World,
-    campaign: &AttackCampaign,
-    span_s: u32,
-    threads: usize,
-) -> TrafficReport {
+fn attack_outage_phases(world: &World, campaign: &AttackCampaign, span_s: u32) -> TrafficReport {
     let mut config = LoadConfig::default()
         .with_queries(A1_QUERIES)
-        .with_threads(threads)
         .with_seed(A1_SEED)
         .with_max_stale(A1_MAX_STALE)
         .with_validating_share(A1_SHARE)

@@ -617,13 +617,11 @@ pub(crate) const OUTAGE_MAX_STALE: u32 = 7_200;
 pub(crate) fn outage_phases(
     world: &World,
     span_s: u32,
-    threads: usize,
     max_stale: u32,
     breaker: Option<BreakerPolicy>,
 ) -> (TrafficReport, u64) {
     let mut config = LoadConfig::default()
         .with_queries(OUTAGE_QUERIES)
-        .with_threads(threads)
         .with_seed(OUTAGE_SEED)
         .with_max_stale(max_stale);
     config.sim_qps = OUTAGE_QPS;
@@ -672,8 +670,7 @@ fn outage_row(
 /// * negative caching (RFC 2308) answers repeat NODATA/NXDOMAIN from
 ///   memory;
 /// * per-authority circuit breakers cut the load hammered onto dead
-///   authorities by ≥ 5× without changing a single outcome;
-/// * every tally is byte-identical across 1 and 8 worker threads.
+///   authorities by ≥ 5× without changing a single outcome.
 pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "E-R2",
@@ -701,15 +698,13 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     )
     .install(world.fault_plane());
 
-    let (baseline, drops_baseline) = outage_phases(world, span, 1, 0, None);
-    let (stale1, drops_bare) = outage_phases(world, span, 1, OUTAGE_MAX_STALE, None);
-    let (stale8, _) = outage_phases(world, span, 8, OUTAGE_MAX_STALE, None);
-    let (brk1, drops_breaker) = outage_phases(world, span, 1, OUTAGE_MAX_STALE, Some(breaker));
-    let (brk8, _) = outage_phases(world, span, 8, OUTAGE_MAX_STALE, Some(breaker));
+    let (baseline, drops_baseline) = outage_phases(world, span, 0, None);
+    let (stale, drops_bare) = outage_phases(world, span, OUTAGE_MAX_STALE, None);
+    let (brk, drops_breaker) = outage_phases(world, span, OUTAGE_MAX_STALE, Some(breaker));
 
     let victim_counts = |r: &TrafficReport| r.by_operator.get(&victim).copied().unwrap_or_default();
     let v_base = victim_counts(&baseline);
-    let v_stale = victim_counts(&stale1);
+    let v_stale = victim_counts(&stale);
     result.check(
         "serve-stale victim availability ≥ 90% through the outage",
         1.0,
@@ -725,13 +720,13 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     result.check(
         "stale serves appear only in the degraded arm",
         1.0,
-        f64::from(baseline.outcomes.stale == 0 && stale1.outcomes.stale > 0),
+        f64::from(baseline.outcomes.stale == 0 && stale.outcomes.stale > 0),
         0.0,
     );
     result.check(
         "negative cache answers repeat NODATA from memory",
         1.0,
-        f64::from(stale1.resolver.negative_hits > 0),
+        f64::from(stale.resolver.negative_hits > 0),
         0.0,
     );
     result.check(
@@ -743,30 +738,16 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     result.check(
         "breaker tripped and short-circuited during the outage",
         1.0,
-        f64::from(brk1.resolver.breaker_trips > 0 && brk1.resolver.breaker_short_circuits > 0),
+        f64::from(brk.resolver.breaker_trips > 0 && brk.resolver.breaker_short_circuits > 0),
         0.0,
     );
     result.check(
         "breaker is outcome-neutral (identical tallies with and without)",
         1.0,
         f64::from(
-            brk1.outcomes == stale1.outcomes
-                && brk1.by_registrar == stale1.by_registrar
-                && brk1.by_operator == stale1.by_operator,
-        ),
-        0.0,
-    );
-    result.check(
-        "tallies byte-identical across 1 and 8 worker threads",
-        1.0,
-        f64::from(
-            stale1.outcomes == stale8.outcomes
-                && stale1.by_registrar == stale8.by_registrar
-                && stale1.by_operator == stale8.by_operator
-                && stale1.histogram == stale8.histogram
-                && brk1.outcomes == brk8.outcomes
-                && brk1.by_registrar == brk8.by_registrar
-                && brk1.by_operator == brk8.by_operator,
+            brk.outcomes == stale.outcomes
+                && brk.by_registrar == stale.by_registrar
+                && brk.by_operator == stale.by_operator,
         ),
         0.0,
     );
@@ -785,7 +766,7 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         tld_base + 2 * span + 60,
     )
     .install(tld_world.fault_plane());
-    let (tld_run, tld_drops) = outage_phases(tld_world, span, 1, OUTAGE_MAX_STALE, Some(breaker));
+    let (tld_run, tld_drops) = outage_phases(tld_world, span, OUTAGE_MAX_STALE, Some(breaker));
 
     let pw_flap = build(population);
     let flap_world = &pw_flap.world;
@@ -801,15 +782,14 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         4,
     )
     .install(flap_world.fault_plane());
-    let (flap_run, flap_drops) =
-        outage_phases(flap_world, span, 1, OUTAGE_MAX_STALE, Some(breaker));
+    let (flap_run, flap_drops) = outage_phases(flap_world, span, OUTAGE_MAX_STALE, Some(breaker));
     result.check(
         "flapping: breaker re-closes and fresh answers return between windows",
         1.0,
         f64::from(
             flap_run.outcomes.stale > 0
-                && flap_run.outcomes.stale < stale1.outcomes.stale
-                && flap_run.availability() >= stale1.availability(),
+                && flap_run.outcomes.stale < stale.outcomes.stale
+                && flap_run.availability() >= stale.availability(),
         ),
         0.0,
     );
@@ -838,14 +818,14 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         &mut artifact,
         "operator-outage",
         "serve-stale",
-        &stale1,
+        &stale,
         drops_bare,
     );
     outage_row(
         &mut artifact,
         "operator-outage",
         "stale+breaker",
-        &brk1,
+        &brk,
         drops_breaker,
     );
     outage_row(

@@ -184,7 +184,7 @@ pub fn run_study(config: &StudyConfig) -> StudyOutput {
     // window-end world, sized with the population so the Zipf head and
     // tail are both exercised.
     let queries = (paper_world.world.domain_count() as u64 * 2).clamp(4_000, 40_000);
-    let load = LoadConfig::default().with_queries(queries).with_threads(4);
+    let load = LoadConfig::default().with_queries(queries);
     let traffic = run_load(&paper_world.world, &load);
     experiments.push(experiment_user_impact(&traffic, &last));
 

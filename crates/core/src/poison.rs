@@ -3,7 +3,7 @@
 //! Three arms wire the spoofing race (`dsec_resolver::spoofguard`), the
 //! on-path campaign arm (`dsec_attack::onpath`), and the RFC 5011
 //! trust-anchor roll (`dsec_ecosystem::anchor`) through the traffic
-//! plane, all seeded and byte-identical across worker thread counts:
+//! plane, all seeded and byte-identical run to run:
 //!
 //! * **Arm A (hardened fleet)** — a Kaminsky campaign races every fresh
 //!   resolution under the Zipf-head victim while the whole fleet runs
@@ -54,18 +54,16 @@ const A2_HOLD_DOWN: u32 = 10;
 const A2_REVOKE_AFTER: u32 = 5;
 
 /// A mixed-fleet load with the on-path threat armed and the given
-/// defense profile on every worker resolver.
+/// defense profile on both resolvers.
 fn raced_load(
     world: &dsec_ecosystem::World,
     guard: SpoofGuard,
     threat: OnPathThreat,
-    threads: usize,
 ) -> TrafficReport {
     run_load(
         world,
         &LoadConfig::default()
             .with_queries(A2_QUERIES)
-            .with_threads(threads)
             .with_seed(A2_SEED)
             .with_validating_share(A2_SHARE)
             .with_spoof_guard(guard)
@@ -74,12 +72,11 @@ fn raced_load(
 }
 
 /// A plain day load for the anchor walk (no attacker on the wire).
-fn anchor_day_load(world: &dsec_ecosystem::World, share: f64, threads: usize) -> TrafficReport {
+fn anchor_day_load(world: &dsec_ecosystem::World, share: f64) -> TrafficReport {
     run_load(
         world,
         &LoadConfig::default()
             .with_queries(A2_QUERIES)
-            .with_threads(threads)
             .with_seed(A2_SEED)
             .with_validating_share(share),
     )
@@ -119,30 +116,17 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         pw.world.events.count("poison_race_launched") as f64,
         0.0,
     );
-    let hard_1 = raced_load(&pw.world, SpoofGuard::hardened(), threat.clone(), 1);
-    let hard_8 = raced_load(&pw.world, SpoofGuard::hardened(), threat.clone(), 8);
+    let hard = raced_load(&pw.world, SpoofGuard::hardened(), threat.clone());
     result.check(
         "arm A: the attacker genuinely contests exchanges under the victim zone",
         1.0,
-        f64::from(hard_1.resolver.poison_races > 0),
+        f64::from(hard.resolver.poison_races > 0),
         0.0,
     );
     result.check(
         "arm A: the hardened fleet admits zero forged answers",
         0.0,
-        (hard_1.resolver.poison_admitted + hard_1.outcomes.poisoned) as f64,
-        0.0,
-    );
-    result.check(
-        "arm A: tallies byte-identical across 1 and 8 worker threads",
-        1.0,
-        f64::from(
-            hard_1.outcomes == hard_8.outcomes
-                && hard_1.by_registrar == hard_8.by_registrar
-                && hard_1.by_operator == hard_8.by_operator
-                && hard_1.histogram == hard_8.histogram
-                && hard_1.resolver.poison_races == hard_8.resolver.poison_races,
-        ),
+        (hard.resolver.poison_admitted + hard.outcomes.poisoned) as f64,
         0.0,
     );
 
@@ -246,7 +230,7 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
     let mut healed_day = None;
     while pw_c.world.today < last {
         pw_c.world.tick();
-        let day = anchor_day_load(&pw_c.world, A2_SHARE, 1);
+        let day = anchor_day_load(&pw_c.world, A2_SHARE);
         let stranded = plan.is_stranded_on(pw_c.world.today);
         if (day.outcomes.bogus > 0) != stranded {
             window_exact = false;
@@ -254,8 +238,8 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         if stranded && stranded_day.is_none() {
             // Replay this day as two pure fleets: validation itself is
             // what hurts during the gap.
-            let all_v = anchor_day_load(&pw_c.world, 1.0, 1);
-            let none_v = anchor_day_load(&pw_c.world, 0.0, 1);
+            let all_v = anchor_day_load(&pw_c.world, 1.0);
+            let none_v = anchor_day_load(&pw_c.world, 0.0);
             stranded_day = Some((day, all_v, none_v));
         } else if pw_c.world.today >= plan.promotion() && healed_day.is_none() {
             healed_day = Some(day);
@@ -306,18 +290,6 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         f64::from(healed.outcomes.bogus == 0 && healed.outcomes.secure > 0),
         0.0,
     );
-    let mixed_8 = anchor_day_load(&pw_c.world, A2_SHARE, 8);
-    let mixed_1 = anchor_day_load(&pw_c.world, A2_SHARE, 1);
-    result.check(
-        "arm C: tallies byte-identical across 1 and 8 worker threads",
-        1.0,
-        f64::from(
-            mixed_1.outcomes == mixed_8.outcomes
-                && mixed_1.by_registrar == mixed_8.by_registrar
-                && mixed_1.by_operator == mixed_8.by_operator,
-        ),
-        0.0,
-    );
 
     let mut artifact = format!(
         "victim zone {} (registrar {}, operator {})\n\
@@ -331,9 +303,9 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         victim.name,
         traffic_pop.registrar_of(&victim),
         traffic_pop.operator_of(&victim),
-        hard_1.resolver.poison_races,
-        hard_1.resolver.poison_admitted,
-        hard_1.outcomes.poisoned,
+        hard.resolver.poison_races,
+        hard.resolver.poison_admitted,
+        hard.outcomes.poisoned,
         observed,
         A2_RACES,
         expected,

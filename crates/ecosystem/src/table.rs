@@ -17,9 +17,10 @@
 //! * a `Name → row` FNV map is the only hash probe left on the edge
 //!   (case-folding, like every `Name`-keyed map);
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
-//!   zone files require — is a lazily rebuilt sorted row index behind an
-//!   `RwLock`, so reads stay `&self` and an unchanged population sorts
-//!   exactly once.
+//!   zone files require — is a lazily rebuilt sorted row index in a
+//!   `RefCell`, so reads stay `&self` and an unchanged population sorts
+//!   exactly once. A world is read on one thread, so the tables are not
+//!   `Sync`.
 //!
 //! Rows are never reused: a removed delegation keeps its row (and its
 //! generation column, which must survive re-registration so stale scan
@@ -33,8 +34,8 @@
 //! ([`DomainTable::changes_since`]) instead of re-reading every
 //! generation. See DESIGN.md §9.
 
+use std::cell::{Ref, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard};
 
 use dsec_wire::{FnvHashMap, Name};
 
@@ -90,7 +91,7 @@ pub struct DomainTable {
     /// Name → row. The single hash probe on the lookup edge.
     index: FnvHashMap<Name, u32>,
     live_count: usize,
-    order: RwLock<OrderCache>,
+    order: RefCell<OrderCache>,
     /// This journal's identity (see [`NEXT_JOURNAL`]).
     journal_id: u64,
     /// Rows bumped since `journal_base`, oldest first, one per bump.
@@ -119,7 +120,7 @@ impl DomainTable {
             operator_ids: FnvHashMap::default(),
             index: FnvHashMap::default(),
             live_count: 0,
-            order: RwLock::new(OrderCache::default()),
+            order: RefCell::default(),
             // Relaxed: the counter only hands out distinct numbers.
             journal_id: NEXT_JOURNAL.fetch_add(1, Ordering::Relaxed),
             journal: Vec::new(),
@@ -225,7 +226,7 @@ impl DomainTable {
         if !self.live[i] {
             self.live[i] = true;
             self.live_count += 1;
-            self.order.get_mut().expect("order lock").dirty = true;
+            self.order.get_mut().dirty = true;
         }
         self.sponsor[i] = sponsor;
     }
@@ -238,7 +239,7 @@ impl DomainTable {
         if self.live[i] {
             self.live[i] = false;
             self.live_count -= 1;
-            self.order.get_mut().expect("order lock").dirty = true;
+            self.order.get_mut().dirty = true;
         }
         self.operator[i] = NO_OPERATOR;
     }
@@ -276,26 +277,20 @@ impl DomainTable {
     }
 
     /// Rebuilds the canonical-order row index if liveness changed since
-    /// the last enumeration, then returns a read guard over it.
-    fn ensure_order(&self) -> RwLockReadGuard<'_, OrderCache> {
-        {
-            let order = self.order.read().expect("order lock");
-            if !order.dirty {
-                return order;
-            }
-        }
-        let mut order = self.order.write().expect("order lock");
-        if order.dirty {
+    /// the last enumeration, then returns a borrow of it.
+    fn ensure_order(&self) -> Ref<'_, OrderCache> {
+        if self.order.borrow().dirty {
             let names = &self.names;
             let mut sorted: Vec<u32> = (0..self.names.len() as u32)
                 .filter(|&row| self.live[row as usize])
                 .collect();
             sorted.sort_unstable_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
-            order.sorted = sorted;
-            order.dirty = false;
+            *self.order.borrow_mut() = OrderCache {
+                sorted,
+                dirty: false,
+            };
         }
-        drop(order);
-        self.order.read().expect("order lock")
+        self.order.borrow()
     }
 
     /// Live rows in canonical (RFC 4034) order: `(row, &name, generation)`.
@@ -316,9 +311,9 @@ impl DomainTable {
 }
 
 /// Iterator over a [`DomainTable`]'s live rows in canonical order,
-/// holding the order-cache read guard for its lifetime.
+/// borrowing the order cache for its lifetime.
 pub struct OrderedRows<'a> {
-    guard: RwLockReadGuard<'a, OrderCache>,
+    guard: Ref<'a, OrderCache>,
     table: &'a DomainTable,
     pos: usize,
 }
@@ -353,7 +348,7 @@ pub struct DomainStore {
     /// Row → domain payload (insertion-ordered, dense).
     rows: Vec<Domain>,
     index: FnvHashMap<Name, u32>,
-    order: RwLock<OrderCache>,
+    order: RefCell<OrderCache>,
 }
 
 impl DomainStore {
@@ -401,7 +396,7 @@ impl DomainStore {
         let row = self.rows.len() as u32;
         self.rows.push(domain);
         self.index.insert(name, row);
-        self.order.get_mut().expect("order lock").dirty = true;
+        self.order.get_mut().dirty = true;
         row
     }
 
@@ -415,23 +410,17 @@ impl DomainStore {
         self.rows.is_empty()
     }
 
-    fn ensure_order(&self) -> RwLockReadGuard<'_, OrderCache> {
-        {
-            let order = self.order.read().expect("order lock");
-            if !order.dirty {
-                return order;
-            }
-        }
-        let mut order = self.order.write().expect("order lock");
-        if order.dirty {
+    fn ensure_order(&self) -> Ref<'_, OrderCache> {
+        if self.order.borrow().dirty {
             let rows = &self.rows;
             let mut sorted: Vec<u32> = (0..rows.len() as u32).collect();
             sorted.sort_unstable_by(|&a, &b| rows[a as usize].name.cmp(&rows[b as usize].name));
-            order.sorted = sorted;
-            order.dirty = false;
+            *self.order.borrow_mut() = OrderCache {
+                sorted,
+                dirty: false,
+            };
         }
-        drop(order);
-        self.order.read().expect("order lock")
+        self.order.borrow()
     }
 
     /// Domains in canonical name order (the order the replaced `BTreeMap`
@@ -469,7 +458,7 @@ impl std::ops::Index<&Name> for DomainStore {
 /// Canonical-order iterator over a [`DomainStore`]'s `(row, payload)`
 /// pairs.
 pub struct StoreEntries<'a> {
-    guard: RwLockReadGuard<'a, OrderCache>,
+    guard: Ref<'a, OrderCache>,
     store: &'a DomainStore,
     pos: usize,
 }

@@ -283,8 +283,8 @@ pub fn user_impact(report: &TrafficReport, snapshot: &Snapshot) -> String {
     let mut out = String::from("User impact (query-weighted view)\n");
     let total = report.total.max(1) as f64;
     out.push_str(&format!(
-        "queries      : {} over {} threads (seed {:#x})\n",
-        report.total, report.threads, report.seed
+        "queries      : {} (seed {:#x})\n",
+        report.total, report.seed
     ));
     out.push_str(&format!(
         "outcomes     : {:.1}% secure, {:.1}% insecure, {} bogus, {} servfail\n",
@@ -552,7 +552,6 @@ mod tests {
         let mut by_operator = BTreeMap::new();
         by_operator.insert("ovh.net.".to_string(), outcomes);
         TrafficReport {
-            threads: 2,
             seed: 7,
             total: 100,
             outcomes,

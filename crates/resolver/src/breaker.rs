@@ -16,11 +16,11 @@
 //! (`now / probe_interval_s` buckets) — never wall-clock — so breaker
 //! behavior is deterministic and reproducible run-to-run.
 //!
-//! Each [`Resolver`](crate::Resolver) owns its breaker state (the set is
-//! `Send` but deliberately not shared): worker threads of a pool learn
-//! about an outage independently, which keeps outcome tallies identical
-//! across thread counts when faults are deterministic scheduled windows
-//! (a down-window is down for every probe inside it, so fail-fast and
+//! Each [`Resolver`](crate::Resolver) owns its breaker state, in
+//! `RefCell`s like the rest of its per-query state: two resolvers that
+//! share a cache learn about an outage independently. Under
+//! deterministic scheduled windows that leaves outcome tallies alone (a
+//! down-window is down for every probe inside it, so fail-fast and
 //! full-ladder agree on the answer; only the attempt counts differ).
 
 use std::cell::RefCell;

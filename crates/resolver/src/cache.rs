@@ -1,45 +1,39 @@
 //! A positive answer cache keyed by (qname, qtype) with TTL-based expiry
-//! and an optional capacity bound — lock-striped for contention-free
-//! multi-worker access — that also remembers, per zone, where the
-//! delegation walk stood when it got there (a `ZoneCut`).
+//! and an optional capacity bound, that also remembers, per zone, where
+//! the delegation walk stood when it got there (a `ZoneCut`).
 //!
 //! TTLs count in the same seconds as the simulation clock, so cached
 //! entries age naturally as the simulated days advance. A bounded cache
 //! ([`Cache::bounded`]) never holds more than `capacity` entries: when an
 //! insert would exceed the bound, expired entries are evicted first, then
-//! the oldest-inserted live entries until the cache fits. Long-running
-//! query campaigns (the traffic plane) use this to keep resolver memory
+//! the oldest-inserted live entries until the cache fits. Nothing live
+//! is evicted while the cache is below its bound. Long-running query
+//! campaigns (the traffic plane) use this to keep resolver memory
 //! proportional to the working set instead of the population.
 //!
-//! ## Concurrency
+//! ## One map
 //!
-//! Entries live in N independently locked shards; a key's shard is chosen
-//! by [`name_hash64`], so two workers touching different names almost
-//! never contend. The capacity bound is enforced *per shard* (each shard
-//! holds at most `capacity / N` entries, expired-first/oldest-next
-//! eviction within the shard), which keeps eviction decisions local to
-//! one lock while still bounding the whole cache by `capacity`. Small
-//! caches (below [`STRIPE_THRESHOLD`]) use a single shard so the bound
-//! and eviction order are exact — the multi-shard layout is a throughput
-//! optimization for caches big enough that per-shard capacity is
-//! meaningful.
+//! Entries live in one [`FnvHashMap`] behind one lock. Every resolver
+//! runs on its caller's thread, so the lock is never contended. It is
+//! there because resolvers share a cache through an `Arc<Cache>` (the
+//! resolvers of a traffic load and the warm-up before it), and an `Arc`
+//! around a `RefCell` is neither `Send` nor `Sync` (clippy's
+//! `arc_with_non_send_sync`).
 //!
 //! A [`CacheKey`] is the name, its [`name_hash64`] and the qtype: the
 //! label bytes are hashed once when the key is made, and every probe
 //! after that feeds the hasher the stored 64 bits. A key belongs to no
-//! cache, so callers that plan queries ahead (the traffic driver) make
-//! one per planned query and use it on every cache of the fleet. Entries
-//! hold `Arc<Answer>`, so a hit is a refcount bump under a read lock —
-//! the deep copy of the old single-lock design is gone from the critical
-//! section (and, for [`Cache::get_shared`] callers, gone entirely).
+//! cache, so one key works on every cache of a fleet. Entries hold
+//! `Arc<Answer>`, so a hit is a refcount bump, not a deep copy (and, for
+//! [`Cache::get_shared`] callers, no copy at all).
 //!
 //! ## Infrastructure entries
 //!
-//! Next to its answers a zone's shard holds at most one `ZoneCut` per
+//! Next to its answers the cache holds at most one `ZoneCut` per
 //! zone, keyed by the apex: the NS host set, the verdict the
 //! trust chain reached there (authenticated DNSKEYs, `Insecure`, or
 //! `Bogus`), and the referral chain above it. It is an ordinary entry —
-//! same stripes, same insertion sequence, same capacity bound, dropped
+//! same map, same insertion sequence, same capacity bound, dropped
 //! by [`Cache::clear`], [`Cache::flush_origin`] and the expiry sweeps
 //! like any other — so an answer-cache miss can start at the deepest
 //! live cut above its qname instead of at the root hints. A cut is never
@@ -49,7 +43,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use dsec_wire::{name_hash64, DnskeyRdata, FnvHashMap, Name, RrType};
 
@@ -69,18 +63,9 @@ pub(crate) const DEFAULT_NEGATIVE_TTL: u32 = 60;
 /// there, so one past that range can never collide with one.
 const CUT_SLOT: u32 = 1 << 16;
 
-/// Caches bounded below this capacity use a single shard, keeping the
-/// exact global eviction order of the old single-lock design; at or
-/// above it, per-shard capacity is large enough for striping to make
-/// sense.
-pub const STRIPE_THRESHOLD: usize = 256;
-
-/// Shard count used by striped caches (unbounded or large-capacity).
-const DEFAULT_SHARDS: usize = 16;
-
 /// A precomputed cache key: the qname, the qtype, and the hash that
-/// picks the pair's shard and its bucket inside it. Good on any
-/// [`Cache`]; equal for names that differ only in ASCII case.
+/// picks the pair's bucket. Good on any [`Cache`]; equal for names that
+/// differ only in ASCII case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     /// [`name_hash64`] of `name`, for an answer mixed with its qtype.
@@ -157,43 +142,47 @@ impl Entry {
 }
 
 #[derive(Debug, Default)]
-struct Shard {
-    entries: FnvHashMap<CacheKey, Entry>,
+struct Entries {
+    map: FnvHashMap<CacheKey, Entry>,
     next_seq: u64,
 }
 
-impl Shard {
+impl Entries {
     /// Expired-first, then oldest-entry eviction down to `capacity`.
     /// Entries still inside their serve-stale horizon (`expires_at +
     /// max_stale > now`) count as live for the expiry sweep, so a
     /// bounded cache keeps stale-servable entries around unless the
     /// capacity bound forces the oldest out.
-    fn enforce(&mut self, capacity: usize, now: u32, max_stale: u32) -> usize {
-        if self.entries.len() <= capacity {
-            return 0;
+    fn enforce(&mut self, capacity: usize, now: u32, max_stale: u32) {
+        if self.map.len() <= capacity {
+            return;
         }
-        let before = self.entries.len();
-        self.entries
+        self.map
             .retain(|_, e| e.expires_at.saturating_add(max_stale) > now);
-        let excess = self.entries.len().saturating_sub(capacity);
+        let excess = self.map.len().saturating_sub(capacity);
         if excess > 0 {
             // The oldest `excess` insertion sequence numbers go; they are
-            // unique within a shard, so the cutoff removes exactly those.
-            let mut seqs: Vec<u64> = self.entries.values().map(|e| e.seq).collect();
+            // unique, so the cutoff removes exactly those.
+            let mut seqs: Vec<u64> = self.map.values().map(|e| e.seq).collect();
             let (_, &mut cutoff, _) = seqs.select_nth_unstable(excess - 1);
-            self.entries.retain(|_, e| e.seq > cutoff);
+            self.map.retain(|_, e| e.seq > cutoff);
         }
-        before - self.entries.len()
+    }
+
+    /// Drops the entries `keep` refuses; returns how many went.
+    fn remove_unless(&mut self, keep: impl FnMut(&CacheKey, &mut Entry) -> bool) -> usize {
+        let before = self.map.len();
+        self.map.retain(keep);
+        before - self.map.len()
     }
 }
 
-/// A thread-safe, lock-striped positive cache, optionally
-/// capacity-bounded. See the module docs for the sharding model.
+/// A positive cache, optionally capacity-bounded, shareable between
+/// resolvers. See the module docs.
 #[derive(Debug)]
 pub struct Cache {
-    shards: Vec<RwLock<Shard>>,
+    entries: Mutex<Entries>,
     capacity: usize,
-    per_shard_capacity: usize,
     /// Serve-stale horizon (RFC 8767): how long past expiry an entry
     /// stays readable via [`Cache::get_stale`]. 0 disables serve-stale
     /// and restores strict at-expiry eviction.
@@ -202,45 +191,25 @@ pub struct Cache {
 
 impl Default for Cache {
     fn default() -> Self {
-        Self::with_shards(usize::MAX, DEFAULT_SHARDS)
+        Cache {
+            entries: Mutex::default(),
+            capacity: usize::MAX,
+            max_stale: 0,
+        }
     }
 }
 
 impl Cache {
-    /// An empty, unbounded cache (16-way striped).
+    /// An empty, unbounded cache.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An empty cache holding at most `capacity` entries (at least 1).
-    /// Capacities below [`STRIPE_THRESHOLD`] get a single shard (exact
-    /// bound and eviction order); larger ones are striped.
     pub fn bounded(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = if capacity < STRIPE_THRESHOLD {
-            1
-        } else {
-            DEFAULT_SHARDS
-        };
-        Self::with_shards(capacity, shards)
-    }
-
-    /// An empty cache with an explicit shard count (mostly for tests that
-    /// pin down striped behavior). `shards` is clamped to at least 1; the
-    /// per-shard bound is `capacity / shards`, at least 1.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = shards.max(1);
-        let per_shard_capacity = if capacity == usize::MAX {
-            usize::MAX
-        } else {
-            (capacity / shards).max(1)
-        };
         Cache {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
-            capacity,
-            per_shard_capacity,
-            max_stale: 0,
+            capacity: capacity.max(1),
+            ..Self::default()
         }
     }
 
@@ -263,22 +232,11 @@ impl Cache {
         self.capacity
     }
 
-    /// Number of shards the key space is striped over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `key` lives in: `(name_hash64 ^ qtype·φ) % shards` for
-    /// an answer, `name_hash64 % shards` for a zone cut.
-    fn shard(&self, key: &CacheKey) -> &RwLock<Shard> {
-        &self.shards[(key.hash % self.shards.len() as u64) as usize]
-    }
-
     /// Looks up a live entry by precomputed key, sharing the stored
     /// answer (no deep copy).
     pub fn get_shared(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let shard = self.shard(key).read();
-        let entry = shard.entries.get(key)?;
+        let entries = self.entries.lock();
+        let entry = entries.map.get(key)?;
         if entry.expires_at <= now {
             return None;
         }
@@ -287,14 +245,14 @@ impl Cache {
 
     /// Looks up an entry that may be *expired* but is still within the
     /// serve-stale horizon (`expires_at + max_stale > now`). Fresh
-    /// entries qualify too, so a caller falling back after a failed
-    /// refresh never loses a race against a concurrent insert. Returns
-    /// `None` when serve-stale is disabled (`max_stale == 0`) and the
-    /// entry is expired, or when the entry is past the horizon — a
-    /// stale read never resurrects anything beyond `max_stale`.
+    /// entries qualify too: a stale read finds everything a fresh read
+    /// would. Returns `None` when serve-stale is disabled (`max_stale ==
+    /// 0`) and the entry is expired, or when the entry is past the
+    /// horizon — a stale read never resurrects anything beyond
+    /// `max_stale`.
     pub fn get_stale(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let shard = self.shard(key).read();
-        let entry = shard.entries.get(key)?;
+        let entries = self.entries.lock();
+        let entry = entries.map.get(key)?;
         if entry.expires_at.saturating_add(self.max_stale) <= now {
             return None;
         }
@@ -314,8 +272,8 @@ impl Cache {
     /// cached under the RFC 2308 TTL — the SOA-minimum-derived
     /// [`Answer::negative_ttl`] when the resolution captured one, capped
     /// at [`MAX_NEGATIVE_TTL`], else 60 seconds. On a bounded cache the
-    /// insert never leaves more than the shard's slice of `capacity` in
-    /// the shard: expired entries are dropped first, then the oldest.
+    /// insert never leaves more than `capacity` entries: expired entries
+    /// are dropped first, then the oldest.
     pub fn put_shared(&self, key: &CacheKey, answer: &Arc<Answer>, now: u32) {
         let ttl = match answer.records.iter().map(|r| r.ttl).min() {
             Some(ttl) => ttl.clamp(1, MAX_TTL),
@@ -328,10 +286,10 @@ impl Cache {
     }
 
     fn insert(&self, key: CacheKey, value: Cached, ttl: u32, now: u32) {
-        let mut shard = self.shard(&key).write();
-        let seq = shard.next_seq;
-        shard.next_seq += 1;
-        shard.entries.insert(
+        let mut entries = self.entries.lock();
+        let seq = entries.next_seq;
+        entries.next_seq += 1;
+        entries.map.insert(
             key,
             Entry {
                 value,
@@ -339,13 +297,13 @@ impl Cache {
                 seq,
             },
         );
-        shard.enforce(self.per_shard_capacity, now, self.max_stale);
+        entries.enforce(self.capacity, now, self.max_stale);
     }
 
     /// Stores `cut` for `lifetime` seconds (capped at one day like any
-    /// answer; a zero lifetime stores nothing). It takes a slot of its
-    /// shard like an answer does, so it counts toward the capacity bound
-    /// and is evicted by the same expired-first, oldest-next rule.
+    /// answer; a zero lifetime stores nothing). It takes a slot like an
+    /// answer does, so it counts toward the capacity bound and is
+    /// evicted by the same expired-first, oldest-next rule.
     pub(crate) fn put_cut(&self, cut: &Arc<ZoneCut>, lifetime: u32, now: u32) {
         if lifetime == 0 {
             return;
@@ -356,9 +314,7 @@ impl Cache {
 
     /// The live infrastructure entry of `zone` itself, if any.
     fn cut_at(&self, zone: &Name, now: u32) -> Option<Arc<ZoneCut>> {
-        let key = CacheKey::cut(zone);
-        let shard = self.shard(&key).read();
-        match shard.entries.get(&key) {
+        match self.entries.lock().map.get(&CacheKey::cut(zone)) {
             Some(Entry {
                 value: Cached::Cut(cut),
                 expires_at,
@@ -401,55 +357,16 @@ impl Cache {
     }
 
     /// Drops entries past their serve-stale horizon (plain expiry when
-    /// `max_stale` is 0); returns how many were evicted. Walks the
-    /// shards one at a time — no global lock.
+    /// `max_stale` is 0); returns how many were evicted.
     pub fn evict_expired(&self, now: u32) -> usize {
         let max_stale = self.max_stale;
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut shard = shard.write();
-                let before = shard.entries.len();
-                shard
-                    .entries
-                    .retain(|_, e| e.expires_at.saturating_add(max_stale) > now);
-                before - shard.entries.len()
-            })
-            .sum()
+        self.entries
+            .lock()
+            .remove_unless(|_, e| e.expires_at.saturating_add(max_stale) > now)
     }
 
-    /// Evicts down to the capacity bound — expired entries first, then
-    /// the oldest-inserted, per shard — and returns how many were
-    /// dropped. A no-op on an unbounded or not-yet-full cache. The
-    /// traffic driver calls this periodically so a shared cache stays
-    /// bounded even between inserts. Shards are enforced one lock at a
-    /// time; concurrent readers of other shards are never blocked.
-    pub fn enforce_capacity(&self, now: u32) -> usize {
-        if self.capacity == usize::MAX {
-            return 0;
-        }
-        self.shards
-            .iter()
-            .map(|shard| {
-                // Shared-lock probe first: a shard at or under its bound
-                // has nothing to evict (exactly `Shard::enforce`'s own
-                // early-out), and the read lock coexists with concurrent
-                // lookups where the old unconditional write lock
-                // serialized every worker behind the sweep. `put_shared`
-                // re-enforces under its own write lock, so a racing
-                // insert between the probe and here is still bounded.
-                if shard.read().entries.len() <= self.per_shard_capacity {
-                    return 0;
-                }
-                shard
-                    .write()
-                    .enforce(self.per_shard_capacity, now, self.max_stale)
-            })
-            .sum()
-    }
-
-    /// Number of answers (live or not-yet-evicted), summed shard by
-    /// shard. Zone cuts are counted by [`Cache::cut_count`].
+    /// Number of answers (live or not-yet-evicted). Zone cuts are
+    /// counted by [`Cache::cut_count`].
     pub fn len(&self) -> usize {
         self.count(false)
     }
@@ -463,17 +380,12 @@ impl Cache {
 
     /// Entries that are (`cuts`) or are not zone cuts.
     fn count(&self, cuts: bool) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.read();
-                shard
-                    .entries
-                    .keys()
-                    .filter(|key| (key.slot == CUT_SLOT) == cuts)
-                    .count()
-            })
-            .sum()
+        self.entries
+            .lock()
+            .map
+            .keys()
+            .filter(|key| (key.slot == CUT_SLOT) == cuts)
+            .count()
     }
 
     /// True when the cache holds no answer.
@@ -483,9 +395,7 @@ impl Cache {
 
     /// Removes every entry, zone cuts included.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().entries.clear();
-        }
+        self.entries.lock().map.clear();
     }
 
     /// Evicts every entry whose qname — or, for a zone cut, apex — is
@@ -494,19 +404,11 @@ impl Cache {
     /// RFC 5011 re-priming call for: after a trust-anchor change (or a
     /// detected forgery flood) nothing signed or authenticated under the
     /// old regime may keep being served from cache. Flushing at the root
-    /// empties the cache. Shards are swept one write lock at a time.
+    /// empties the cache.
     pub fn flush_origin(&self, origin: &Name) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut shard = shard.write();
-                let before = shard.entries.len();
-                shard
-                    .entries
-                    .retain(|key, _| !key.name.is_subdomain_of(origin));
-                before - shard.entries.len()
-            })
-            .sum()
+        self.entries
+            .lock()
+            .remove_unless(|key, _| !key.name.is_subdomain_of(origin))
     }
 }
 
@@ -675,7 +577,6 @@ mod tests {
     #[test]
     fn bounded_cache_never_exceeds_capacity() {
         let cache = Cache::bounded(4);
-        assert_eq!(cache.shard_count(), 1, "small bound stays single-shard");
         for i in 0..32 {
             cache.put(
                 &name(&format!("d{i}.example.com")),
@@ -729,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn enforce_capacity_is_callable_mid_stream() {
+    fn an_insert_over_the_bound_sweeps_the_expired_first() {
         let cache = Cache::bounded(8);
         for i in 0..8 {
             cache.put(
@@ -739,112 +640,29 @@ mod tests {
                 0,
             );
         }
-        // All 8 fit; at t=100 they are all expired but still resident.
+        // All 8 fit; at t=100 they are all expired but still resident:
+        // nothing is swept while the cache is within its bound.
         assert_eq!(cache.len(), 8);
-        // Under capacity → no-op even with expired entries.
-        assert_eq!(cache.enforce_capacity(100), 0);
         cache.put(&name("fresh.example.com"), RrType::A, &answer(600), 100);
         // The insert itself enforced the bound (8 expired dropped).
         assert_eq!(cache.len(), 1);
-        assert_eq!(Cache::new().enforce_capacity(100), 0);
     }
 
     #[test]
-    fn large_bounds_are_striped() {
-        let cache = Cache::bounded(STRIPE_THRESHOLD);
-        assert_eq!(cache.shard_count(), 16);
-        assert_eq!(Cache::new().shard_count(), 16, "unbounded is striped too");
-    }
-
-    #[test]
-    fn striped_capacity_bound_holds_under_concurrent_insert() {
-        let cache = Cache::with_shards(1024, 16);
-        std::thread::scope(|scope| {
-            for worker in 0..8 {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        let qname = name(&format!("w{worker}-d{i}.example.com"));
-                        cache.put(&qname, RrType::A, &answer(600), 0);
-                        assert!(cache.len() <= 1024, "bound violated mid-insert");
-                    }
-                });
+    fn a_bounded_cache_evicts_nothing_live_below_its_capacity() {
+        for capacity in [256, 1_024, 65_536] {
+            let cache = Cache::bounded(capacity);
+            for i in 0..capacity {
+                let key = CacheKey::new(&name(&format!("d{i}.example.com")), RrType::A);
+                cache.put_shared(&key, &Arc::new(answer(600)), 0);
             }
-        });
-        assert!(cache.len() <= 1024, "final len {} over bound", cache.len());
-        // Plenty was inserted: the shards actually filled up.
-        assert!(
-            cache.len() >= 1024 / 2,
-            "final len {} suspiciously small",
-            cache.len()
-        );
-    }
-
-    #[test]
-    fn striped_eviction_prefers_expired_within_each_shard() {
-        // 4 shards × 16 per-shard capacity. Flood with expired entries,
-        // then insert a handful of live ones late: every live insert
-        // overflows its shard, and the expired residents must go first.
-        let cache = Cache::with_shards(64, 4);
-        for i in 0..120 {
-            cache.put(
-                &name(&format!("stale{i}.example.com")),
-                RrType::A,
-                &answer(100),
-                0,
-            );
+            assert_eq!(cache.len(), capacity, "every live answer kept");
+            // One more is one too many: exactly the oldest goes.
+            cache.put(&name("last.example.com"), RrType::A, &answer(600), 1);
+            assert_eq!(cache.len(), capacity);
+            assert!(cache.get(&name("d0.example.com"), RrType::A, 1).is_none());
+            assert!(cache.get(&name("d1.example.com"), RrType::A, 1).is_some());
         }
-        let live: Vec<Name> = (0..8)
-            .map(|i| name(&format!("live{i}.example.com")))
-            .collect();
-        for qname in &live {
-            cache.put(qname, RrType::A, &answer(600), 500);
-        }
-        for qname in &live {
-            assert!(
-                cache.get(qname, RrType::A, 500).is_some(),
-                "{qname} evicted while expired entries remained in its shard"
-            );
-        }
-        assert!(cache.len() <= 64);
-    }
-
-    #[test]
-    fn striped_and_single_shard_agree_on_hits() {
-        // Same deterministic workload against a 1-shard and a 16-shard
-        // cache with capacity above the working set: every get must
-        // agree, so a resolver's hit/miss counters are identical no
-        // matter the shard layout.
-        let single = Cache::with_shards(100_000, 1);
-        let striped = Cache::with_shards(100_000, 16);
-        let mut hits = 0u64;
-        let mut state = 0x9E37_79B9u64;
-        for step in 0..4_000u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let domain = name(&format!("d{}.example.com", state % 257));
-            let qtype = if state & 1 == 0 {
-                RrType::A
-            } else {
-                RrType::Aaaa
-            };
-            let now = step / 4;
-            let (a, b) = (
-                single.get(&domain, qtype, now),
-                striped.get(&domain, qtype, now),
-            );
-            assert_eq!(a.is_some(), b.is_some(), "hit/miss diverged at step {step}");
-            if a.is_some() {
-                hits += 1;
-            } else {
-                let fresh = answer(120);
-                single.put(&domain, qtype, &fresh, now);
-                striped.put(&domain, qtype, &fresh, now);
-            }
-        }
-        assert!(hits > 0, "workload produced no hits at all");
-        assert_eq!(single.len(), striped.len());
     }
 
     mod properties {
@@ -1080,12 +898,12 @@ mod tests {
 
     #[test]
     fn one_key_works_on_any_cache_and_a_flush_needs_no_name_table() {
-        // Different shard counts, as the two pools of a mixed fleet may
-        // have: one key table serves both.
+        // Two caches, as the two pools of a mixed fleet have: one key
+        // serves both.
         let key = CacheKey::new(&name("www.example.com"), RrType::A);
         let shouted = CacheKey::new(&name("WWW.EXAMPLE.COM"), RrType::A);
         let outside = CacheKey::new(&name("www.example.net"), RrType::A);
-        for cache in [Cache::with_shards(64, 1), Cache::with_shards(4_096, 16)] {
+        for cache in [Cache::bounded(64), Cache::new()] {
             cache.put_shared(&key, &Arc::new(answer(300)), 0);
             cache.put_shared(&outside, &Arc::new(answer(300)), 0);
             cache.put_cut(&cut("Example.COM"), 300, 0);

@@ -118,11 +118,10 @@ use std::sync::Arc;
 
 /// A validating iterative resolver bound to a network.
 ///
-/// A `Resolver` is a per-worker object: its stats and query-id counters
-/// are unsynchronized (`Cell`-based), so it is `Send` but not `Sync`.
-/// Pools share state through the [`Cache`] (see
-/// [`Resolver::with_shared_cache`]), which *is* designed for concurrent
-/// use — lock-striped, contention-free across workers.
+/// A `Resolver` runs on its caller's thread: its stats, query-id
+/// counters, health and breaker state are `Cell`s and `RefCell`s, so it
+/// is `Send` but not `Sync`. Resolvers share state only through the
+/// [`Cache`] (see [`Resolver::with_shared_cache`]).
 pub struct Resolver {
     network: Arc<Network>,
     /// Trust anchor: DS records for the root KSK. Empty → no validation.
@@ -203,8 +202,8 @@ impl Resolver {
     }
 
     /// Enables per-authority circuit breaking (builder style). Breaker
-    /// state is private to this resolver — pool workers learn about an
-    /// outage independently, keeping tallies deterministic per worker.
+    /// state is private to this resolver: two resolvers sharing a cache
+    /// learn about an outage independently.
     pub fn with_breaker(mut self, policy: breaker::BreakerPolicy) -> Self {
         self.breaker = Some(breaker::BreakerSet::new(policy));
         self
@@ -216,10 +215,10 @@ impl Resolver {
     }
 
     /// Replaces the positive cache with a caller-owned one (builder
-    /// style). A pool of resolvers handed clones of the same `Arc` share
-    /// one cache: any member's answers — and the zone cuts its walks
-    /// left behind — serve the whole pool, which is how the traffic
-    /// plane runs a resolver farm behind a single cache. Both carry the
+    /// style). Resolvers handed clones of the same `Arc` share one
+    /// cache: any one's answers — and the zone cuts its walks left
+    /// behind — serve them all, which is how the traffic plane carries a
+    /// cache across a warm-up and the phases of a load. Both carry the
     /// verdict of the trust anchor they were resolved under, so share a
     /// cache only among resolvers configured alike.
     pub fn with_shared_cache(mut self, cache: Arc<Cache>) -> Self {
@@ -258,10 +257,9 @@ impl Resolver {
 
     /// Like [`Resolver::resolve_cached`], but with a precomputed
     /// [`CacheKey`] (of the same `qname` and `qtype`) and a shared,
-    /// copy-free answer. The traffic driver plans its whole stream ahead
-    /// of time and keys every query once, so the per-query hot path is a
-    /// striped-shard probe plus a refcount bump — no name hashing, no
-    /// record cloning.
+    /// copy-free answer: a hit is one map probe plus a refcount bump, no
+    /// record cloning. The traffic driver keys each query once and uses
+    /// the key on both the lookup and the insert.
     pub fn resolve_cached_keyed(
         &self,
         key: &CacheKey,
@@ -302,9 +300,9 @@ impl Resolver {
     /// Fetches and caches the zone cuts from the root down to `zone`,
     /// the way [`Resolver::resolve_cached`] would on its first miss under
     /// it, without caching an answer or counting a lookup. A no-op when
-    /// `zone`'s cut is already live. A resolver pool calls this for the
-    /// root and the TLDs before its workers start, so which worker pays
-    /// for those shared fetches is not left to thread timing.
+    /// `zone`'s cut is already live. The traffic driver calls this for
+    /// the root and the TLDs before its stream starts, so no user query
+    /// is charged for those shared fetches.
     pub fn prime_cut(&self, zone: &Name, now: u32) {
         let live = self
             .cache

@@ -11,9 +11,7 @@
 //! waited instead of sleeping, so tests and million-domain campaigns stay
 //! fast while latency accounting stays meaningful.
 
-use std::cell::Cell;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 
 use dsec_wire::{FnvHashMap, Name};
 
@@ -68,10 +66,11 @@ struct ServerHealth {
 }
 
 /// Per-server health bookkeeping: servers that keep timing out sink to
-/// the back of the candidate ordering.
+/// the back of the candidate ordering. Owned by one resolver, like its
+/// [`ResolverStats`].
 #[derive(Debug, Default)]
 pub struct HealthCache {
-    servers: Mutex<FnvHashMap<Name, ServerHealth>>,
+    servers: RefCell<FnvHashMap<Name, ServerHealth>>,
 }
 
 impl HealthCache {
@@ -86,7 +85,7 @@ impl HealthCache {
     /// accumulate an all-zero-penalty entry per server), and an entry
     /// whose penalty decays to 0 is dropped for the same reason.
     pub fn record_success(&self, ns: &Name) {
-        let mut servers = self.servers.lock();
+        let mut servers = self.servers.borrow_mut();
         if let Some(health) = servers.get_mut(ns) {
             health.penalty /= 2;
             if health.penalty == 0 {
@@ -97,7 +96,7 @@ impl HealthCache {
 
     /// Records a failed exchange (timeout, error rcode) with `ns`.
     pub fn record_failure(&self, ns: &Name) {
-        let mut servers = self.servers.lock();
+        let mut servers = self.servers.borrow_mut();
         let health = servers.entry(ns.clone()).or_default();
         health.penalty = health.penalty.saturating_add(1);
     }
@@ -105,12 +104,12 @@ impl HealthCache {
     /// How many servers currently carry a non-zero penalty entry. Bounded
     /// by the number of *failing* servers, not by campaign size.
     pub fn tracked_servers(&self) -> usize {
-        self.servers.lock().len()
+        self.servers.borrow().len()
     }
 
     /// The current penalty of `ns` (0 = healthy or unknown).
     pub fn penalty(&self, ns: &Name) -> u32 {
-        self.servers.lock().get(ns).map_or(0, |h| h.penalty)
+        self.servers.borrow().get(ns).map_or(0, |h| h.penalty)
     }
 
     /// Orders candidate servers healthiest-first. The sort is stable, so
@@ -126,9 +125,9 @@ impl HealthCache {
     /// Like [`HealthCache::order`], but returns positions into `servers`
     /// instead of cloned names. With no tracked failures (the fault-free
     /// hot path) this is the identity permutation and touches no name
-    /// bytes at all — the per-query cost is one short mutex hold.
+    /// bytes at all — the per-query cost is one borrow of the map.
     pub fn order_indices(&self, servers: &[Name]) -> Vec<usize> {
-        let penalties = self.servers.lock();
+        let penalties = self.servers.borrow();
         if penalties.is_empty() {
             return (0..servers.len()).collect();
         }
@@ -140,14 +139,11 @@ impl HealthCache {
 
 /// Monotonic counters describing how hard the resolver had to work.
 ///
-/// Counters are plain [`Cell`]s, not atomics: each [`Resolver`] — and
-/// therefore each worker thread of a pool — accumulates privately with
-/// zero synchronization, and callers merge [`snapshot`]s once at the end
-/// of a run (the traffic driver sums its workers' snapshots after join).
-/// This removes the last shared read-modify-write from the per-query
-/// path; the trade-off is that `ResolverStats` (and `Resolver`) are no
-/// longer `Sync`, which nothing required — workers always owned their
-/// resolver.
+/// Counters are plain [`Cell`]s: each [`Resolver`] runs on its caller's
+/// thread and counts privately, and callers that run several resolvers
+/// add their [`snapshot`]s (the traffic driver sums its validating and
+/// non-validating resolver). `ResolverStats`, and so `Resolver`, is not
+/// `Sync`.
 ///
 /// [`Resolver`]: crate::Resolver
 /// [`snapshot`]: ResolverStats::snapshot
@@ -233,7 +229,7 @@ impl ResolverStatsSnapshot {
     }
 }
 
-/// Field-wise sum, for merging the snapshots of a resolver pool.
+/// Field-wise sum, for adding up the snapshots of several resolvers.
 impl std::ops::AddAssign for ResolverStatsSnapshot {
     fn add_assign(&mut self, rhs: Self) {
         self.udp_attempts += rhs.udp_attempts;

@@ -18,8 +18,8 @@
 //! [`OnPathThreat`] carries a seed, and the outcome for a given
 //! `(qname, qtype)` is a pure splitmix draw over
 //! `(seed, name_hash64(qname), qtype)` compared against the bound — no
-//! wall-clock, no shared RNG state, so repeat resolutions and any thread
-//! interleaving agree byte-for-byte.
+//! wall-clock, no shared RNG state, so repeat resolutions agree
+//! byte-for-byte.
 //!
 //! Bailiwick filtering is the orthogonal defense (RFC 5452 §5.2 / the
 //! classic "scrub out-of-zone records" rule): even a *won* race cannot
@@ -174,8 +174,8 @@ impl OnPathThreat {
     /// The deterministic race outcome for `(qname, qtype)` under defense
     /// profile `guard`: a pure splitmix draw over
     /// `(seed, name_hash64(qname), qtype)` compared against the analytic
-    /// bound. Every retransmission and every worker computes the same
-    /// answer, which keeps multi-threaded tallies byte-identical.
+    /// bound. Every retransmission computes the same answer, which keeps
+    /// tallies byte-identical.
     pub fn race_won(&self, guard: &SpoofGuard, qname: &Name, qtype: RrType) -> bool {
         let p = guard.race_success_probability(qname, self.spoofs_per_race);
         if p <= 0.0 {

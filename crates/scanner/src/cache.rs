@@ -190,10 +190,9 @@ impl ScanCache {
     /// The cached (operator key, stats cell) for `key` if it was
     /// classified at exactly `generation` and `now` is inside the
     /// validity window of that verdict. Does not touch the hit/miss
-    /// counters: this is the shared-read half of the parallel cache pass
-    /// — workers peek through `&ScanCache` concurrently and tally
-    /// hits/misses privately, then the merge step records them once via
-    /// `ScanCache::note_lookups`.
+    /// counters: the scan's cache pass tallies hits and misses itself and
+    /// records them once via `ScanCache::note_lookups`, together with the
+    /// rows a warm scan never had to look at.
     pub fn peek(
         &self,
         key: DomainKey,

@@ -48,7 +48,9 @@ pub struct CampaignConfig {
     pub interval_days: u32,
     /// TLDs to scan.
     pub tlds: Vec<Tld>,
-    /// Scan worker threads per snapshot (1 = inline).
+    /// Ignored: every snapshot is scanned on the caller's thread. Kept
+    /// because `crates/benchmark/src/workloads/campaign.rs` reads it.
+    #[doc(hidden)]
     pub threads: usize,
     /// NS-rotation rounds for re-scanning failed domains (≥ 1 re-scans,
     /// 0 disables the retry pass; irrelevant while the fault plane is
@@ -72,12 +74,6 @@ impl CampaignConfig {
         }
     }
 
-    /// Fan the per-snapshot scan out over `threads` workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Tune the failed-domain retry pass.
     pub fn with_retries(mut self, rounds: u32, limit: usize) -> Self {
         self.retry_rounds = rounds;
@@ -87,10 +83,9 @@ impl CampaignConfig {
 
     fn scan_options(&self) -> ScanOptions {
         ScanOptions {
-            threads: self.threads,
             retry_rounds: self.retry_rounds,
             retry_limit: self.retry_limit,
-            force_full: false,
+            ..ScanOptions::default()
         }
     }
 }
@@ -184,15 +179,6 @@ mod tests {
                     <= stats.with_dnskey
             );
         }
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let pw = build(&PopulationConfig::tiny());
-        let sequential = Snapshot::take_with_threads(&pw.world, &ALL_TLDS, 1);
-        let parallel = Snapshot::take_with_threads(&pw.world, &ALL_TLDS, 4);
-        assert_eq!(parallel.cells, sequential.cells);
-        assert_eq!(parallel.date, sequential.date);
     }
 
     #[test]

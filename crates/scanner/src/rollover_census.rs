@@ -66,8 +66,7 @@ fn operator_key_of(world: &World, domain: &Name) -> String {
 
 /// Builds the census: walks the world's always-logged key-lifecycle
 /// entries and tallies them under the owning operator's key. Counts are
-/// cumulative over the world's whole history, deterministic, and
-/// independent of scan threading (the log is single-writer).
+/// cumulative over the world's whole history and deterministic.
 pub fn rollover_census(world: &World) -> BTreeMap<String, OperatorRolloverStats> {
     let mut census: BTreeMap<String, OperatorRolloverStats> = BTreeMap::new();
     for (_, event) in world.events.entries() {

@@ -1,7 +1,9 @@
 //! One day's scan: for every delegated SLD in every studied TLD, read the
 //! NS and DS sets from the TLD zone (as OpenINTEL does from zone files)
 //! and fetch the DNSKEY RRset + RRSIGs with a real DO-bit query; classify
-//! and aggregate per (operator, TLD).
+//! and aggregate per (operator, TLD). A scan runs on the caller's
+//! thread: one cache pass, one operator pass, one observation pass and a
+//! bounded retry pass, each a plain loop in work-list order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,7 +99,10 @@ impl OperatorStats {
 /// Knobs for one snapshot scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Worker threads (1 = inline).
+    /// Ignored: a scan runs on the caller's thread. Kept because
+    /// `crates/benchmark/src/workloads/campaign.rs` builds a
+    /// `ScanOptions` with it.
+    #[doc(hidden)]
     pub threads: usize,
     /// NS-rotation rounds used when re-scanning a failed domain. Any
     /// value ≥ 1 re-scans (a single round is a legitimate second
@@ -144,22 +149,7 @@ impl Snapshot {
 
     /// Scans only the given TLDs (per-figure focused worlds).
     pub fn take_filtered(world: &World, tlds: &[Tld]) -> Snapshot {
-        Self::take_with_threads(world, tlds, 1)
-    }
-
-    /// Parallel scan: the per-TLD delegation lists are partitioned across
-    /// `threads` workers (OpenINTEL's scanner is similarly fanned out).
-    /// Every worker issues real queries against the shared authorities;
-    /// results are merged into one snapshot. `threads == 1` scans inline.
-    pub fn take_with_threads(world: &World, tlds: &[Tld], threads: usize) -> Snapshot {
-        Self::take_with_options(
-            world,
-            tlds,
-            &ScanOptions {
-                threads,
-                ..ScanOptions::default()
-            },
-        )
+        Self::take_with_options(world, tlds, &ScanOptions::default())
     }
 
     /// Degradation-aware scan. Domains whose first pass ends unreachable
@@ -241,29 +231,29 @@ impl Snapshot {
             }
         };
 
-        // Fused cache pass: cache peek + partial aggregation in one
-        // parallel sweep over contiguous chunks. Each worker peeks
-        // through a shared `&ScanCache` (hit tallies stay worker-private)
-        // and only the small merge step touches the cache mutably.
-        // Chunks re-join in spawn order, so `to_scan` comes out in
-        // ascending pair order — identical to a sequential sweep.
-        let mut to_scan: Vec<usize> = Vec::new();
+        // The cache pass: a warm hit joins the aggregate under the
+        // operator stored with its entry; everything else is scanned. The
+        // change generation was already read by the enumeration and rides
+        // on each [`ScanItem`], so this hashes one packed integer per
+        // domain and never touches name bytes.
+        let mut work: Vec<&ScanItem<'_>> = Vec::new();
         if let Some(cache) = cache.as_deref_mut() {
-            let partials = run_cache_pass(&pairs, cache, now, options.force_full, options.threads);
             let (mut hits, mut misses) = (unlisted, 0u64);
-            for part in partials {
-                for (key, stats) in part.agg {
-                    agg.entry(key).or_default().absorb(&stats);
+            for item in &pairs {
+                if !options.force_full {
+                    if let Some((operator, stats)) = cache.peek(item.key, item.generation, now) {
+                        hits += 1;
+                        agg.entry((operator, item.tld)).or_default().absorb(&stats);
+                        continue;
+                    }
                 }
-                to_scan.extend(part.to_scan);
-                hits += part.hits;
-                misses += part.misses;
+                misses += 1;
+                work.push(item);
             }
             cache.note_lookups(hits, misses);
         } else {
-            to_scan.extend(0..pairs.len());
+            work.extend(&pairs);
         }
-        let work: Vec<&ScanItem<'_>> = to_scan.iter().map(|&i| &pairs[i]).collect();
 
         // Operator attribution, only for the domains that will actually
         // be scanned: a cache hit reuses the operator stored with the
@@ -271,15 +261,13 @@ impl Snapshot {
         // match implies the operator too).
         let operators = run_operators(world, &work);
 
-        // First pass over the (possibly cache-reduced) work-list.
-        let everything: Vec<usize> = (0..work.len()).collect();
-        let first_pass = run_pass(world, &work, &everything, now, 1, options.threads);
-
-        // Partition into settled outcomes and the bounded retry queue, in
-        // work-list order so the bound is deterministic.
-        let mut settled: Vec<ScannedDomain> = Vec::with_capacity(first_pass.len());
+        // First pass over the (possibly cache-reduced) work-list. Failed
+        // observations queue for the bounded retry pass, in work-list
+        // order so the bound is deterministic.
+        let mut settled: Vec<ScannedDomain> = Vec::with_capacity(work.len());
         let mut retry: Vec<usize> = Vec::new();
-        for (i, stats, window) in first_pass {
+        for (i, item) in work.iter().enumerate() {
+            let (stats, window) = scan_domain(world, item.name, now, 1);
             if window.is_none() && options.retry_rounds >= 1 && retry.len() < options.retry_limit {
                 retry.push(i);
             } else {
@@ -287,18 +275,13 @@ impl Snapshot {
             }
         }
 
-        // Retry pass: fanned out over the same worker pool as the first
-        // pass. It runs strictly after the first pass, and per-domain
-        // fault draws are keyed by (server, query, attempt) rather than by
-        // thread, so the outcome is independent of worker interleaving.
-        settled.extend(run_pass(
-            world,
-            &work,
-            &retry,
-            now,
-            options.retry_rounds.max(1),
-            options.threads,
-        ));
+        // Retry pass, strictly after the first: each queued domain once
+        // more, with `retry_rounds` NS rotations.
+        for i in retry {
+            let (stats, window) =
+                scan_domain(world, work[i].name, now, options.retry_rounds.max(1));
+            settled.push((i, stats, window));
+        }
 
         let mut unobserved: FnvHashMap<DomainKey, Contribution> = FnvHashMap::default();
         for (i, stats, window) in settled {
@@ -405,102 +388,6 @@ impl Metric {
     }
 }
 
-/// One worker's share of the fused cache pass: partially aggregated warm
-/// hits, the chunk's cold work-list with the generations already read,
-/// and private lookup tallies.
-struct CachePassPart {
-    agg: Aggregate,
-    /// Pair indices of domains that must be scanned.
-    to_scan: Vec<usize>,
-    hits: u64,
-    misses: u64,
-}
-
-/// The one fan-out every pass of a scan shares: `per_chunk(base, chunk)`
-/// runs over contiguous chunks of `items` (`base` is the chunk's offset)
-/// on up to `threads` workers, inline when one suffices. Chunks are
-/// re-joined in spawn order, so the concatenated results are in `items`
-/// order whatever the scheduling, and the passes only read shared state:
-/// threading cannot change a result.
-fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    per_chunk: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return vec![per_chunk(0, items)];
-    }
-    let chunk = items.len().div_ceil(threads);
-    let per_chunk = &per_chunk;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(n, part)| scope.spawn(move || per_chunk(n * chunk, part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker does not panic"))
-            .collect()
-    })
-}
-
-/// [`fan_out`] for the passes that map item by item: `f` of every item,
-/// in `items` order.
-fn map_in_order<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let mut parts = fan_out(items, threads, |_, part| {
-        part.iter().map(&f).collect::<Vec<_>>()
-    })
-    .into_iter();
-    // The inline scan is one part: hand it on as it is.
-    let mut all = parts.next().unwrap_or_default();
-    all.extend(parts.flatten());
-    all
-}
-
-/// The fused cache pass: cache peek and warm-hit aggregation in one
-/// sweep. The change generation was already read by the columnar
-/// enumeration and rides on each [`ScanItem`], so workers hash one packed
-/// integer per domain and never touch name bytes. Workers share the cache
-/// immutably ([`ScanCache::peek`] never counts); everything mutable is
-/// chunk-private.
-fn run_cache_pass(
-    pairs: &[ScanItem<'_>],
-    cache: &ScanCache,
-    now: u32,
-    force_full: bool,
-    threads: usize,
-) -> Vec<CachePassPart> {
-    fan_out(pairs, threads, |base, part| {
-        let mut out = CachePassPart {
-            agg: Aggregate::new(),
-            to_scan: Vec::new(),
-            hits: 0,
-            misses: 0,
-        };
-        for (offset, item) in part.iter().enumerate() {
-            if !force_full {
-                if let Some((operator, stats)) = cache.peek(item.key, item.generation, now) {
-                    out.hits += 1;
-                    out.agg
-                        .entry((operator, item.tld))
-                        .or_default()
-                        .absorb(&stats);
-                    continue;
-                }
-            }
-            out.misses += 1;
-            out.to_scan.push(base + offset);
-        }
-        out
-    })
-}
-
 /// The operator pass: every work item's operator key, in work-list order,
 /// read from its registry's operator column by row. Each (TLD, operator
 /// id) becomes one shared string per scan, not one per domain.
@@ -527,22 +414,6 @@ fn run_operators(world: &World, work: &[&ScanItem<'_>]) -> Vec<Arc<str>> {
 /// observation failed (unreachable/indeterminate), which makes the domain
 /// a candidate for the retry pass and keeps it out of every cache.
 type ScannedDomain = (usize, OperatorStats, Option<(i64, i64)>);
-
-/// One pass over `indices` (positions in `work`), scanning each domain
-/// with `rounds` NS rotations. Results come back in `indices` order.
-fn run_pass(
-    world: &World,
-    work: &[&ScanItem<'_>],
-    indices: &[usize],
-    now: u32,
-    rounds: u32,
-    threads: usize,
-) -> Vec<ScannedDomain> {
-    map_in_order(indices, threads, |&i| {
-        let (stats, window) = scan_domain(world, work[i].name, now, rounds);
-        (i, stats, window)
-    })
-}
 
 /// Scans one domain into a single-domain stats cell plus the window its
 /// classification holds for (see [`ScannedDomain`]). The observation's

@@ -64,8 +64,7 @@ fn registrar_key_of(world: &World, domain: &Name) -> String {
 /// Builds the census: tallies the always-logged attack-lifecycle events
 /// under each victim's registrar, then sweeps every registered domain
 /// for the two live takeover signatures (DS/DNSKEY mismatch, NS drift).
-/// Deterministic and threading-independent — the log is single-writer
-/// and the sweep reads a consistent world.
+/// Deterministic: the sweep reads a consistent world.
 pub fn takeover_census(world: &World) -> BTreeMap<String, RegistrarTakeoverStats> {
     let mut census: BTreeMap<String, RegistrarTakeoverStats> = BTreeMap::new();
     for (_, event) in world.events.entries() {

@@ -68,7 +68,7 @@ pub fn classify(result: &Result<Answer, ResolveError>) -> Outcome {
 
 /// Classifies a successfully returned answer into an [`Outcome`]. Split
 /// out from [`classify`] so callers holding shared (`Arc`) answers from
-/// the striped cache can classify without materialising a `Result`.
+/// the cache can classify without materialising a `Result`.
 pub fn classify_answer(answer: &Answer) -> Outcome {
     match &answer.security {
         Security::Bogus(_) => Outcome::Bogus,
@@ -183,8 +183,6 @@ impl OutcomeCounts {
 /// Everything one load run produced.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
-    /// Worker threads used.
-    pub threads: usize,
     /// Stream seed.
     pub seed: u64,
     /// Queries issued.
@@ -197,18 +195,19 @@ pub struct TrafficReport {
     pub by_operator: BTreeMap<String, OutcomeCounts>,
     /// Simulated per-query latency distribution.
     pub histogram: LatencyHistogram,
-    /// Merged resolver-pool counters (attempts, timeouts, cache
-    /// hits/misses, …).
+    /// Resolver counters, validating and non-validating summed
+    /// (attempts, timeouts, cache hits/misses, …).
     pub resolver: ResolverStatsSnapshot,
-    /// Entries left in the shared cache at the end of the run.
+    /// Answers left in the validating resolver's cache at the end of the
+    /// run.
     pub cache_entries: usize,
-    /// Capacity bound of the shared cache.
+    /// Capacity bound of each cache.
     pub cache_capacity: usize,
     /// Wall-clock duration of the run, ms (host-dependent; excluded from
     /// determinism comparisons).
     pub elapsed_ms: f64,
-    /// Simulated duration of the run, ms: the longest worker's summed
-    /// per-query latency (deterministic).
+    /// Simulated duration of the run, ms: the summed per-query latency
+    /// of the one client pipeline (deterministic).
     pub sim_elapsed_ms: u64,
 }
 
@@ -222,11 +221,9 @@ impl TrafficReport {
         }
     }
 
-    /// Simulated-time throughput: total queries over the longest worker's
-    /// summed simulated latency — the deterministic, machine-independent
-    /// number the scaling sweep is judged on. Each worker models one
-    /// closed-loop client pipeline, so doubling workers roughly halves
-    /// the simulated duration of the same stream.
+    /// Simulated-time throughput: total queries over the summed
+    /// simulated latency of the one closed-loop client pipeline — a
+    /// deterministic, machine-independent number.
     pub fn sim_qps(&self) -> f64 {
         if self.sim_elapsed_ms == 0 {
             0.0

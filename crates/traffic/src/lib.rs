@@ -1,9 +1,9 @@
 //! # dsec-traffic — the user-traffic plane
 //!
 //! The paper measures *domains*; this crate re-expresses the same
-//! population in *query* space: a deterministic, multi-threaded load
-//! generator that plays a population of stub clients against the
-//! validating resolver farm, over the simulated ecosystem's network (and
+//! population in *query* space: a deterministic load generator that
+//! plays a population of stub clients against a validating and a
+//! non-validating resolver, over the simulated ecosystem's network (and
 //! therefore through its fault plane — chaos campaigns compose with
 //! load).
 //!
@@ -13,9 +13,9 @@
 //!   big-operator head bias (Figure 3's concentration, re-lived by
 //!   users), the per-TLD query mix and qtype mix from
 //!   [`dsec_workloads::spec::TrafficMix`];
-//! - [`driver`]: N worker threads sharding the client stream over a pool
-//!   of [`dsec_resolver::Resolver`]s behind one shared, capacity-bounded
-//!   [`dsec_resolver::Cache`];
+//! - [`driver`]: one loop over the client stream, in order, through
+//!   [`dsec_resolver::Resolver`]s behind capacity-bounded
+//!   [`dsec_resolver::Cache`]s;
 //! - [`account`]: per-query RFC 4035 classification
 //!   (Secure/Insecure/Bogus/ServFail) attributed to the responsible
 //!   registrar and DNS operator — "registrar X's policy left Y% of real
@@ -23,13 +23,10 @@
 //! - [`telemetry`]: fixed log-bucket latency histograms with
 //!   p50/p90/p99/p999 over the simulated per-query latency.
 //!
-//! Determinism: queries are sharded to workers by a stable hash of
-//! their site (the registered domain), so every query under a site is
-//! handled by the same worker in stream order. Outcome counts,
-//! attribution, cache hit/miss counts, and latency histograms are then
-//! identical run-to-run *and* across thread counts (as long as the
-//! shared cache's capacity bound is not hit mid-run); only wall-clock
-//! throughput varies with the host.
+//! Determinism: the stream is planned from its seed and resolved in
+//! order on the caller's thread, so outcome counts, attribution, cache
+//! hit/miss counts and latency histograms are identical run to run;
+//! only wall-clock throughput varies with the host.
 
 #![warn(missing_docs)]
 

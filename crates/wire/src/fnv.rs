@@ -5,8 +5,8 @@
 //! key as one integer. SipHash (the `HashMap` default) pays
 //! a fixed set-up and finalisation cost that dominates at that size;
 //! FNV-1a folds a byte in with one xor and one multiply. The scan cache,
-//! the per-domain generation maps, and the resolver cache's shard maps
-//! all use [`FnvHashMap`].
+//! the per-domain generation maps, and the resolver cache's map all use
+//! [`FnvHashMap`].
 //!
 //! FNV is not DoS-resistant. Every key hashed here is simulator-internal
 //! (generated domain names, dense cache ids), never attacker-chosen, so

@@ -5,7 +5,7 @@
 //! no runtime, and explicit typed errors.
 //!
 //! - [`name`]: domain names with RFC 4034 §6.1 canonical ordering, and
-//!   the stable cross-run name hash striped maps share;
+//!   the stable cross-run name hash cache keys carry;
 //! - [`fnv`]: an FNV-1a hasher for simulator-internal Name-keyed maps;
 //! - [`rrtype`]: TYPE/CLASS registries and the NSEC type bitmap;
 //! - [`rdata`]: typed RDATA for A/AAAA/NS/CNAME/SOA/MX/TXT/DNSKEY/DS/

@@ -463,9 +463,9 @@ impl std::str::FromStr for Name {
 /// Identical for names that compare equal (ASCII case folded per label,
 /// labels separated by an `0xff` sentinel that cannot appear *as a
 /// length-prefix boundary* ambiguity since labels are hashed in order).
-/// Deterministic across processes and platforms — used to pick resolver
-/// cache shards and traffic worker shards, so the same key always lands
-/// in the same place run-to-run.
+/// Deterministic across processes and platforms — resolver cache keys
+/// carry it, so the same key always lands in the same place
+/// run-to-run.
 pub fn name_hash64(name: &Name) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for label in name.labels() {

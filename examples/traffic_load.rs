@@ -28,7 +28,7 @@ fn main() {
         pw.world.domain_count()
     );
 
-    let config = LoadConfig::default().with_threads(4);
+    let config = LoadConfig::default();
     let report = run_load(&pw.world, &config);
     println!("{}", report.summary_line());
     println!(

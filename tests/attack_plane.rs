@@ -263,7 +263,7 @@ proptest! {
 #[test]
 fn full_validating_share_is_byte_identical_to_the_default() {
     let pw = build(&PopulationConfig::tiny());
-    let base = LoadConfig::default().with_queries(2_000).with_threads(4).with_seed(7);
+    let base = LoadConfig::default().with_queries(2_000).with_seed(7);
     let default_run = run_load(&pw.world, &base);
     let explicit_run = run_load(
         &pw.world,

@@ -3,8 +3,6 @@
 //! * a repeated question sees every zone mutation edge on the very next
 //!   query — a re-sign with fresh keys, a rollover phase entry (CDS
 //!   publication and completion), and a DS swap at the parent registry;
-//! * a same-seed campaign produces byte-identical CSVs across 1 vs 8
-//!   scan threads;
 //! * a registrar-channel takeover redelegates on the very next query —
 //!   no pre-takeover bytes are served across the capture or the restore.
 
@@ -17,17 +15,8 @@ use dsec::ecosystem::{
     World, WorldConfig,
 };
 use dsec::resolver::{Exchange, Resolver, RetryPolicy, Security};
-use dsec::scanner::{scan_campaign, CampaignConfig, LongitudinalStore};
 use dsec::wire::{Message, Name, RData, RrType};
 use dsec::workloads::{build, PopulationConfig};
-
-fn operators(store: &LongitudinalStore) -> BTreeSet<String> {
-    store
-        .snapshots()
-        .iter()
-        .flat_map(|s| s.cells.keys().map(|(op, _)| op.clone()))
-        .collect()
-}
 
 /// The lexically-first signed domain: deterministic across same-seed
 /// worlds, guaranteed to have keys and a parent DS.
@@ -263,28 +252,4 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
     let (security, restored_a) = a_of(&world, true);
     assert_eq!(security, Security::Secure);
     assert_eq!(restored_a, original_a, "restore serves the pre-attack bytes");
-}
-
-#[test]
-fn campaign_csvs_are_byte_identical_across_threads() {
-    let mut single = build(&PopulationConfig::tiny());
-    let mut threaded = build(&PopulationConfig::tiny());
-    let until = single.world.today.plus_days(21);
-
-    let on = scan_campaign(&mut single.world, &CampaignConfig::new(until, 7));
-    let wide = scan_campaign(
-        &mut threaded.world,
-        &CampaignConfig::new(until, 7).with_threads(8),
-    );
-
-    let ops = operators(&on);
-    assert_eq!(ops, operators(&wide));
-    for op in &ops {
-        assert_eq!(on.to_csv(op), wide.to_csv(op), "1-vs-8-thread legacy CSV of {op}");
-        assert_eq!(
-            on.to_csv_extended(op),
-            wide.to_csv_extended(op),
-            "1-vs-8-thread extended CSV of {op}"
-        );
-    }
 }

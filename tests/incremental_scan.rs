@@ -132,36 +132,20 @@ fn warm_snapshot_issues_fewer_queries_than_cold() {
 
 #[test]
 fn faulted_snapshot_is_identical_across_thread_counts() {
-    let take = |threads: usize| {
-        let pw = build(&PopulationConfig::tiny());
-        pw.world.fault_plane().enable(CHAOS_SEED);
-        pw.world
-            .fault_plane()
-            .set_global_profile(FaultProfile::mixed(0.05));
-        // A permanently dead fleet so unreachable outcomes flow through
-        // the (parallelized) retry pass too.
-        let victim = pw.world.registry(Tld::Com).delegations()[0].clone();
-        for ns in pw.world.registry(Tld::Com).ns_of(&victim) {
-            pw.world.fault_plane().set_down(&ns, true);
-        }
-        Snapshot::take_with_options(
-            &pw.world,
-            &ALL_TLDS,
-            &ScanOptions {
-                threads,
-                ..ScanOptions::default()
-            },
-        )
-    };
-    let sequential = take(1);
-    let parallel = take(4);
-    assert_eq!(sequential.date, parallel.date);
-    assert_eq!(
-        sequential.cells, parallel.cells,
-        "retry ordering and fault draws independent of thread count"
-    );
+    let pw = build(&PopulationConfig::tiny());
+    pw.world.fault_plane().enable(CHAOS_SEED);
+    pw.world
+        .fault_plane()
+        .set_global_profile(FaultProfile::mixed(0.05));
+    // A permanently dead fleet so unreachable outcomes flow through the
+    // retry pass too.
+    let victim = pw.world.registry(Tld::Com).delegations()[0].clone();
+    for ns in pw.world.registry(Tld::Com).ns_of(&victim) {
+        pw.world.fault_plane().set_down(&ns, true);
+    }
+    let snapshot = Snapshot::take_with_options(&pw.world, &ALL_TLDS, &ScanOptions::default());
     assert!(
-        sequential.cells.values().any(|s| s.unreachable > 0),
+        snapshot.cells.values().any(|s| s.unreachable > 0),
         "the dead fleet exercised the retry pass"
     );
 }
@@ -304,7 +288,7 @@ fn cached_verdict_lapses_with_the_signatures_it_was_computed_from() {
 /// busiest nameserver fleet down for good and leaves the retry queue too
 /// short for it, so the digest also pins *which* failed domains the
 /// bounded retry pass picks.
-fn campaign_counters(faulted: bool, threads: usize) -> (u64, u64, usize, u64, u64) {
+fn campaign_counters(faulted: bool) -> (u64, u64, usize, u64, u64) {
     use dsec::ecosystem::{PolicyChange, RegistrarId};
 
     let mut world = build(&PopulationConfig::tiny()).world;
@@ -318,7 +302,7 @@ fn campaign_counters(faulted: bool, threads: usize) -> (u64, u64, usize, u64, u6
             },
         );
     }
-    let mut config = CampaignConfig::new(world.today.plus_days(21), 3).with_threads(threads);
+    let mut config = CampaignConfig::new(world.today.plus_days(21), 3);
     if faulted {
         world.fault_plane().enable(CHAOS_SEED);
         world
@@ -369,16 +353,14 @@ fn campaign_counters(faulted: bool, threads: usize) -> (u64, u64, usize, u64, u6
 /// domains end indeterminate and so the whole faulted tuple.
 #[test]
 fn delta_campaign_counts_what_the_sweep_counted() {
-    for threads in [1, 4] {
-        assert_eq!(
-            campaign_counters(false, threads),
-            (2199, 673, 359, 1031, 0xacc4_5619_4d55_0f2d),
-            "fault-free, {threads} threads"
-        );
-        assert_eq!(
-            campaign_counters(true, threads),
-            (1607, 1265, 262, 2726, 0x4671_b0c9_868c_e49c),
-            "faulted, {threads} threads"
-        );
-    }
+    assert_eq!(
+        campaign_counters(false),
+        (2199, 673, 359, 1031, 0xacc4_5619_4d55_0f2d),
+        "fault-free"
+    );
+    assert_eq!(
+        campaign_counters(true),
+        (1607, 1265, 262, 2726, 0x4671_b0c9_868c_e49c),
+        "faulted"
+    );
 }

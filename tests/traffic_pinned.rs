@@ -48,18 +48,16 @@ fn fault_free_loads_reproduce_the_from_the_root_tallies() {
         (0x7AF1C, 0x0946_71b5_c6c9_1a43u64),
         (0xDECAF, 0x324a_8a39_c723_ccbd),
     ] {
-        for threads in [1, 8] {
-            let config = LoadConfig::tiny().with_seed(seed).with_threads(threads);
-            let report = run_load(&pw.world, &config);
-            assert_eq!(report.outcomes.total(), config.queries);
-            assert!(report.resolver.cache_misses > 0 && report.resolver.cache_hits > 0);
-            assert_eq!(
-                digest(&report),
-                golden,
-                "seed {seed:#x}, {threads} thread(s): {:#018x}",
-                digest(&report)
-            );
-        }
+        let config = LoadConfig::tiny().with_seed(seed);
+        let report = run_load(&pw.world, &config);
+        assert_eq!(report.outcomes.total(), config.queries);
+        assert!(report.resolver.cache_misses > 0 && report.resolver.cache_hits > 0);
+        assert_eq!(
+            digest(&report),
+            golden,
+            "seed {seed:#x}: {:#018x}",
+            digest(&report)
+        );
     }
 }
 
@@ -83,7 +81,7 @@ fn shared_cache_replay_reproduces_the_from_the_root_tallies() {
         .clone();
     pw.world.roll_keys_abrupt(&victim).expect("victim is signed");
 
-    let config = LoadConfig::tiny().with_seed(0x5EED).with_threads(4);
+    let config = LoadConfig::tiny().with_seed(0x5EED);
     let cache = Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(3_600));
     let golden = [
         (0, 0x393d_a971_c08f_3af9u64),

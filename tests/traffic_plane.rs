@@ -4,9 +4,11 @@
 //! plane.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use dsec::ecosystem::{operator_of, Tld, World};
-use dsec::traffic::{run_load, LoadConfig, TrafficPopulation};
+use dsec::resolver::Cache;
+use dsec::traffic::{run_load, run_load_shared, LoadConfig, TrafficPopulation};
 use dsec::wire::Name;
 use dsec::workloads::{build, PopulationConfig};
 
@@ -90,7 +92,7 @@ fn population_from_columns_matches_the_string_keyed_reference() {
 #[test]
 fn fault_free_load_reports_zero_bogus_and_accounts_every_query() {
     let pw = tiny_world();
-    let config = LoadConfig::tiny().with_threads(2);
+    let config = LoadConfig::tiny();
     let report = run_load(&pw.world, &config);
 
     assert_eq!(report.total, config.queries);
@@ -131,7 +133,7 @@ fn fault_free_load_reports_zero_bogus_and_accounts_every_query() {
 #[test]
 fn same_seed_same_threads_reproduces_outcomes_and_histogram() {
     let pw = tiny_world();
-    let config = LoadConfig::tiny().with_threads(3).with_seed(0xDECAF);
+    let config = LoadConfig::tiny().with_seed(0xDECAF);
     let first = run_load(&pw.world, &config);
     let second = run_load(&pw.world, &config);
 
@@ -144,76 +146,14 @@ fn same_seed_same_threads_reproduces_outcomes_and_histogram() {
 }
 
 #[test]
-fn outcome_counts_are_invariant_across_thread_counts() {
-    let pw = tiny_world();
-    let one = run_load(&pw.world, &LoadConfig::tiny().with_threads(1));
-    let eight = run_load(&pw.world, &LoadConfig::tiny().with_threads(8));
-
-    assert_eq!(one.outcomes, eight.outcomes);
-    assert_eq!(one.by_registrar, eight.by_registrar);
-    assert_eq!(one.by_operator, eight.by_operator);
-    // Key-hash sharding makes even the latency buckets and cache
-    // counters line up while the capacity bound is never hit: a query's
-    // hit/miss depends only on the per-key stream, not the interleaving.
-    assert_eq!(one.histogram, eight.histogram);
-    assert_eq!(one.resolver.cache_hits, eight.resolver.cache_hits);
-    assert_eq!(one.resolver.cache_misses, eight.resolver.cache_misses);
-    // The driver's contract: eight balanced shards retire the stream in
-    // well under one worker's simulated time. Simulated time is
-    // deterministic, so the tiny population gives a stable ratio.
-    let sim_speedup = eight.sim_qps() / one.sim_qps();
-    assert!(
-        sim_speedup > 1.5,
-        "simulated-time throughput only scaled {sim_speedup:.2}x from 1 to 8 threads"
-    );
-}
-
-#[test]
-fn striped_cache_matches_single_shard_at_the_resolver_level() {
-    // The lock-striped cache must be observationally identical to a
-    // single-lock cache: same answers, same hit/miss counters, same
-    // entry count — striping may only change who holds which lock.
-    let pw = tiny_world();
-    let population = TrafficPopulation::from_world(&pw.world);
-    let now = pw.world.today.epoch_seconds();
-    let trust = pw.world.trust_anchor();
-
-    let run = |shards: usize| {
-        let cache = std::sync::Arc::new(dsec::resolver::Cache::with_shards(4096, shards));
-        assert_eq!(cache.shard_count(), shards);
-        let resolver = dsec::resolver::Resolver::new(pw.world.network.clone(), trust.clone())
-            .with_shared_cache(cache.clone());
-        let mut answers = Vec::new();
-        // Two passes over the same names: the second must be all hits.
-        for _ in 0..2 {
-            for site in population.sites.iter().take(64) {
-                answers.push(resolver.resolve_cached(&site.name, dsec::wire::RrType::A, now));
-                answers.push(resolver.resolve_cached(&site.www, dsec::wire::RrType::A, now));
-            }
-        }
-        (answers, resolver.stats(), cache.len())
-    };
-
-    let (answers_1, stats_1, len_1) = run(1);
-    let (answers_16, stats_16, len_16) = run(16);
-    assert_eq!(answers_1, answers_16, "answers independent of shard count");
-    assert_eq!(stats_1, stats_16, "hit/miss counters independent of shard count");
-    assert_eq!(len_1, len_16);
-    assert!(stats_1.cache_hits >= 128, "second pass served from cache");
-}
-
-#[test]
 fn shared_cache_stays_within_its_capacity_bound() {
     let pw = tiny_world();
-    let mut config = LoadConfig::tiny().with_threads(2);
-    config.cache_capacity = 32;
-    config.evict_interval = 64;
-    let report = run_load(&pw.world, &config);
-    assert!(
-        report.cache_entries <= 32,
-        "cache ended at {} entries",
-        report.cache_entries
-    );
+    let cache = Arc::new(Cache::bounded(32));
+    let report = run_load_shared(&pw.world, &LoadConfig::tiny(), Arc::clone(&cache));
+    // Answers and zone cuts share the bound.
+    let held = cache.len() + cache.cut_count();
+    assert!(held <= 32, "cache ended at {held} entries");
+    assert_eq!(report.cache_entries, cache.len());
     assert_eq!(report.outcomes.bogus, 0);
     assert_eq!(report.outcomes.total(), report.total);
 }
@@ -244,7 +184,7 @@ fn mismatched_ds_injection_attributes_bogus_to_the_right_registrar() {
         .roll_keys_abrupt(&victim.name)
         .expect("victim is signed");
 
-    let report = run_load(&pw.world, &LoadConfig::tiny().with_threads(2));
+    let report = run_load(&pw.world, &LoadConfig::tiny());
     assert!(
         report.outcomes.bogus > 0,
         "the head .nl site must be queried and fail validation"
@@ -267,13 +207,13 @@ fn mismatched_ds_injection_attributes_bogus_to_the_right_registrar() {
 #[test]
 fn load_composes_with_the_fault_plane_and_stays_deterministic() {
     let pw = tiny_world();
-    let clean = run_load(&pw.world, &LoadConfig::tiny().with_threads(2));
+    let clean = run_load(&pw.world, &LoadConfig::tiny());
 
     pw.world
         .network
         .faults()
         .set_global_profile(dsec::authserver::FaultProfile::mixed(0.05));
-    let config = LoadConfig::tiny().with_threads(2);
+    let config = LoadConfig::tiny();
     pw.world.network.faults().enable(0xFA017);
     let faulty = run_load(&pw.world, &config);
     // Re-seeding resets the plane's per-(server, query) attempt counters,
@@ -292,22 +232,13 @@ fn load_composes_with_the_fault_plane_and_stays_deterministic() {
         clean.histogram.p999()
     );
 
-    // Same seed + same thread count stays deterministic under faults:
-    // outcomes, attribution, and total simulated work replay exactly.
-    // (Bucket-exact histograms need a single worker here — the plane's
-    // per-(server, qname) attempt counters are shared across workers, so
-    // an injected fault can land on a different query of the same
-    // exchange key depending on interleaving.)
+    // The same seed stays deterministic under faults: outcomes,
+    // attribution, resolver counters and every latency bucket replay
+    // exactly.
     assert_eq!(faulty.outcomes, again.outcomes);
     assert_eq!(faulty.by_registrar, again.by_registrar);
+    assert_eq!(faulty.by_operator, again.by_operator);
     assert_eq!(faulty.resolver, again.resolver);
-    assert_eq!(faulty.histogram.count(), again.histogram.count());
-    assert_eq!(faulty.histogram.total_ms(), again.histogram.total_ms());
-
-    pw.world.network.faults().enable(0xFA017);
-    let single = run_load(&pw.world, &LoadConfig::tiny().with_threads(1));
-    pw.world.network.faults().enable(0xFA017);
-    let single_again = run_load(&pw.world, &LoadConfig::tiny().with_threads(1));
-    assert_eq!(single.histogram, single_again.histogram);
-    assert_eq!(single.outcomes, single_again.outcomes);
+    assert_eq!(faulty.histogram, again.histogram);
+    assert_eq!(faulty.sim_elapsed_ms, again.sim_elapsed_ms);
 }
