@@ -180,7 +180,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let key = SigningKey::generate(&mut rng, Algorithm::RsaSha256, 512).unwrap();
         let sig = key.sign(b"rrset data");
-        let ok = verify(Algorithm::RsaSha256, &key.public_key_wire(), b"rrset data", &sig);
+        let ok = verify(
+            Algorithm::RsaSha256,
+            &key.public_key_wire(),
+            b"rrset data",
+            &sig,
+        );
         assert!(ok.unwrap());
         let bad = verify(Algorithm::RsaSha256, &key.public_key_wire(), b"other", &sig);
         assert!(!bad.unwrap());

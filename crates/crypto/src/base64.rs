@@ -134,7 +134,10 @@ mod tests {
             decode("Zm9*"),
             Err(Base64Error::InvalidCharacter('*'))
         ));
-        assert!(matches!(decode("Zg==Zg"), Err(Base64Error::DataAfterPadding)));
+        assert!(matches!(
+            decode("Zg==Zg"),
+            Err(Base64Error::DataAfterPadding)
+        ));
         assert!(matches!(decode("Z"), Err(Base64Error::TrailingBits)));
         // 'h' = 33 -> low bits non-zero for 1-byte output
         assert!(matches!(decode("Zh=="), Err(Base64Error::TrailingBits)));
