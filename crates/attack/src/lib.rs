@@ -43,9 +43,7 @@ use rand::SeedableRng;
 use dsec_authserver::Authority;
 use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_zone, ZoneKeys};
-use dsec_ecosystem::{
-    ActionError, DsSubmission, Event, ExternalDs, SimDate, UploadOutcome, World,
-};
+use dsec_ecosystem::{ActionError, DsSubmission, Event, ExternalDs, SimDate, UploadOutcome, World};
 use dsec_wire::{DsRdata, Name, RData, Record, SoaRdata, Zone};
 
 /// How a takeover is attempted.
@@ -235,9 +233,7 @@ impl AttackCampaign {
             .iter()
             .filter(|(_, s)| match s.phase {
                 AttackPhase::Scheduled => today >= s.plan.launch,
-                AttackPhase::Captured => {
-                    s.plan.detection_day().is_some_and(|d| today >= d)
-                }
+                AttackPhase::Captured => s.plan.detection_day().is_some_and(|d| today >= d),
                 _ => false,
             })
             .map(|(k, _)| k.clone())
@@ -300,9 +296,12 @@ impl AttackCampaign {
             }
         } else {
             state.phase = AttackPhase::Repelled;
-            world
-                .events
-                .record(world.today, Event::AttackRepelled { domain: domain.clone() });
+            world.events.record(
+                world.today,
+                Event::AttackRepelled {
+                    domain: domain.clone(),
+                },
+            );
         }
     }
 
@@ -390,9 +389,12 @@ impl AttackCampaign {
     /// drop the forged zone, and log the lifecycle.
     fn remediate(&mut self, world: &mut World, domain: &Name, state: &mut AttackState) {
         let today = world.today;
-        world
-            .events
-            .record(today, Event::HijackDetected { domain: domain.clone() });
+        world.events.record(
+            today,
+            Event::HijackDetected {
+                domain: domain.clone(),
+            },
+        );
         if let Some(d) = world.domain(domain) {
             let (tld, sponsor) = (d.tld, d.sponsor);
             let registry = world.registry_mut(tld);
@@ -406,9 +408,12 @@ impl AttackCampaign {
             }
         }
         self.authority.remove_zone(domain);
-        world
-            .events
-            .record(today, Event::HijackRemediated { domain: domain.clone() });
+        world.events.record(
+            today,
+            Event::HijackRemediated {
+                domain: domain.clone(),
+            },
+        );
         state.phase = AttackPhase::Restored;
         state.restored_on = Some(today);
     }
@@ -461,8 +466,12 @@ fn forged_zone(domain: &Name, ns_host: &Name) -> Zone {
         }),
     ))
     .expect("SOA fits");
-    zone.add(Record::new(domain.clone(), 3600, RData::Ns(ns_host.clone())))
-        .expect("NS fits");
+    zone.add(Record::new(
+        domain.clone(),
+        3600,
+        RData::Ns(ns_host.clone()),
+    ))
+    .expect("NS fits");
     let mx = Name::parse("mail.mallory-dns.example").expect("valid name");
     for owner in [domain.clone(), domain.child("www").expect("www fits")] {
         zone.add(Record::new(
@@ -503,7 +512,10 @@ mod tests {
         let rows = [("victim.com", "VICTIM.Com"), ("Other.NL", "other.nl")];
         for (day, (scheduled_as, asked_as)) in (1u32..).zip(rows) {
             campaign.schedule(name(scheduled_as), plan(day));
-            assert_eq!(campaign.state(&name(asked_as)).map(|s| s.plan.launch), Some(SimDate(day)));
+            assert_eq!(
+                campaign.state(&name(asked_as)).map(|s| s.plan.launch),
+                Some(SimDate(day))
+            );
             // One live plan per domain: the other spelling replaces it.
             campaign.schedule(name(asked_as), plan(day + 100));
             assert_eq!(campaign.states.len(), day as usize);

@@ -134,7 +134,11 @@ impl OnPathCampaign {
             return None;
         }
         let OnPathVector::KaminskyRace { spoofs_per_race } = self.vector;
-        Some(OnPathThreat::new(self.zone.clone(), spoofs_per_race, self.seed))
+        Some(OnPathThreat::new(
+            self.zone.clone(),
+            spoofs_per_race,
+            self.seed,
+        ))
     }
 }
 

@@ -29,7 +29,9 @@ pub fn probe_registrar(world: &mut World, registrar: RegistrarId) -> ProbeReport
         .into_iter()
         .find(|&t| world.resolve_sponsor(registrar, t).is_ok());
     let Some(tld) = tld else {
-        report.notes.push("registrar sells none of the studied TLDs".into());
+        report
+            .notes
+            .push("registrar sells none of the studied TLDs".into());
         return report;
     };
 
@@ -157,7 +159,9 @@ fn probe_ds_publication(
             registrar,
             &label,
             tld,
-            Hosting::Registrar { plan: Plan::Premium },
+            Hosting::Registrar {
+                plan: Plan::Premium,
+            },
             email.to_string(),
         )
         .ok()?;
@@ -260,12 +264,11 @@ fn probe_external(
 
     // Step 6: verify the DS deployment completed.
     let obs = world.observation_of(&domain);
-    report.external_fully_deployed =
-        match classify(&domain, &obs, world.today.epoch_seconds()) {
-            DeploymentStatus::FullyDeployed => Finding::Yes,
-            DeploymentStatus::PartiallyDeployed => Finding::Partial,
-            _ => Finding::No,
-        };
+    report.external_fully_deployed = match classify(&domain, &obs, world.today.epoch_seconds()) {
+        DeploymentStatus::FullyDeployed => Finding::Yes,
+        DeploymentStatus::PartiallyDeployed => Finding::Partial,
+        _ => Finding::No,
+    };
 
     // Step 7: upload a DS that does NOT match the served DNSKEY. The
     // FetchDnskey channel takes no customer data at all, so there is
@@ -289,7 +292,11 @@ fn probe_external(
                 .notes
                 .push("accepted arbitrary bytes as a DS record".into());
             // Restore the correct DS for subsequent checks.
-            let _ = world.upload_ds(&domain, real_ds.clone(), submission_for(channel, email, email));
+            let _ = world.upload_ds(
+                &domain,
+                real_ds.clone(),
+                submission_for(channel, email, email),
+            );
         }
         Ok(UploadOutcome::DnssecUnsupported) => report.validates_ds = Finding::NotApplicable,
         _ => {}

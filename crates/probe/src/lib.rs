@@ -243,11 +243,7 @@ mod tests {
         let id = w.add_registrar(
             "PCExtremeLike",
             name("pcxlike.net"),
-            policy(
-                OperatorDnssec::Default,
-                ExternalDs::FetchDnskey,
-                true,
-            ),
+            policy(OperatorDnssec::Default, ExternalDs::FetchDnskey, true),
         );
         let report = probe_registrar(&mut w, id);
         assert_eq!(report.ds_channel, Some(DsChannel::FetchDnskey));

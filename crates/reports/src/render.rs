@@ -13,7 +13,12 @@ pub const GTLDS: [Tld; 3] = [Tld::Com, Tld::Net, Tld::Org];
 
 /// Table 1: dataset overview — per-TLD domain counts and % with DNSKEY.
 pub fn table1(snapshot: &Snapshot, scale: u64) -> String {
-    let mut t = Table::new(&["TLD", "Domains (scaled)", "Domains (x scale)", "with DNSKEY"]);
+    let mut t = Table::new(&[
+        "TLD",
+        "Domains (scaled)",
+        "Domains (x scale)",
+        "with DNSKEY",
+    ]);
     for tld in ALL_TLDS {
         let stats = snapshot.tld_totals(tld);
         let pct = if stats.domains > 0 {
@@ -323,8 +328,7 @@ pub fn user_impact(report: &TrafficReport, snapshot: &Snapshot) -> String {
     ));
 
     // Per-operator domain totals across TLD cells, for the share contrast.
-    let mut domain_share: std::collections::BTreeMap<&str, u64> =
-        std::collections::BTreeMap::new();
+    let mut domain_share: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     for ((operator, _), stats) in &snapshot.cells {
         *domain_share.entry(operator.as_str()).or_insert(0) += stats.domains;
     }
@@ -521,9 +525,18 @@ mod tests {
         assert!(out.contains("study window : 2015-01-01 → 2015-01-01 (1 snapshots)"));
         assert!(out.contains("experiments  : 9/12 reproduced"));
         assert!(out.contains("scan cache   : 75.0% hit rate (75 hits / 25 misses, 150 entries)"));
-        assert!(!out.contains("user traffic"), "no traffic line without a report");
+        assert!(
+            !out.contains("user traffic"),
+            "no traffic line without a report"
+        );
 
-        let empty = study_summary(&LongitudinalStore::new(), &CacheStats::default(), None, 0, 0);
+        let empty = study_summary(
+            &LongitudinalStore::new(),
+            &CacheStats::default(),
+            None,
+            0,
+            0,
+        );
         assert!(empty.contains("(no snapshots)"));
         assert!(empty.contains("0.0% hit rate"));
     }

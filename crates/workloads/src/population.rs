@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dsec_ecosystem::{
-    Hosting, OperatorId, Plan, PolicyChange, RegistrarId, RegistrarPolicy, Tld, TldPolicy,
-    TldRole, World, WorldConfig, ALL_TLDS,
+    Hosting, OperatorId, Plan, PolicyChange, RegistrarId, RegistrarPolicy, Tld, TldPolicy, TldRole,
+    World, WorldConfig, ALL_TLDS,
 };
 use dsec_wire::Name;
 
@@ -73,11 +73,7 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
     // purchase-time default signing would override it.
     world.auto_sign_on_purchase = false;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let window_days = config
-        .world
-        .end
-        .days_since(config.world.start)
-        .max(1);
+    let window_days = config.world.end.days_since(config.world.start).max(1);
 
     let mut registrars = BTreeMap::new();
     let mut placed: BTreeMap<Tld, u64> = BTreeMap::new();
@@ -242,8 +238,7 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
             let remaining = (total.saturating_sub(placed.get(&tld).copied().unwrap_or(0))
                 / config.scale) as usize;
             for (i, &id) in tail_ids.iter().enumerate() {
-                let share =
-                    ((remaining as f64) * weights[i] / weight_sum).round() as usize;
+                let share = ((remaining as f64) * weights[i] / weight_sum).round() as usize;
                 for k in 0..share {
                     let label = format!("tail{i:04}-{}-{k}", tld.label());
                     let _ = world.purchase(
@@ -273,7 +268,11 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
 fn scaled_count(rng: &mut StdRng, domains: u64, scale: u64) -> usize {
     let exact = domains as f64 / scale as f64;
     let floor = exact.floor();
-    let extra = if rng.random::<f64>() < exact - floor { 1 } else { 0 };
+    let extra = if rng.random::<f64>() < exact - floor {
+        1
+    } else {
+        0
+    };
     floor as usize + extra
 }
 
@@ -371,7 +370,10 @@ mod tests {
             .filter(|d| d.tld == Tld::Com && d.is_signed())
             .count();
         let frac = com_signed as f64 / com_total.max(1) as f64;
-        assert!(frac < 0.10, ".com signed fraction {frac:.3} should be ≈0.007");
+        assert!(
+            frac < 0.10,
+            ".com signed fraction {frac:.3} should be ≈0.007"
+        );
     }
 
     #[test]
@@ -395,7 +397,10 @@ mod tests {
             }
         }
         assert!(full > 0, "some domains fully deployed");
-        assert!(partial > 0, "some domains partially deployed (Loopia/Mesh/KPN)");
+        assert!(
+            partial > 0,
+            "some domains partially deployed (Loopia/Mesh/KPN)"
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! the per-registrar adoption ratios quoted in §5–6) and are marked
 //! `// calibrated`.
 
-use dsec_ecosystem::{ExternalDs, OperatorDnssec, Plan, PolicyChange, SimDate, Tld, TldPolicy, TldRole};
+use dsec_ecosystem::{
+    ExternalDs, OperatorDnssec, Plan, PolicyChange, SimDate, Tld, TldPolicy, TldRole,
+};
 
 /// Per-TLD population parameters for one registrar.
 #[derive(Debug, Clone, Copy, Default)]
@@ -238,7 +240,12 @@ pub fn table2_registrars() -> Vec<RegistrarSpec> {
     namecheap = namecheap
         .tld(Tld::Com, r(), true, TldLoad::growing(c, 0.002, 0.0059))
         .tld(Tld::Net, r(), true, TldLoad::growing(n, 0.002, 0.0059))
-        .tld(Tld::Org, via("eNom"), false, TldLoad::growing(o, 0.002, 0.0059));
+        .tld(
+            Tld::Org,
+            via("eNom"),
+            false,
+            TldLoad::growing(o, 0.002, 0.0059),
+        );
     specs.push(namecheap);
 
     // HostGator: owner-operator DNSSEC via live chat (error-prone).
@@ -274,7 +281,9 @@ pub fn table2_registrars() -> Vec<RegistrarSpec> {
     let mut ovh = RegistrarSpec::plain(
         "OVH",
         "ovh.net",
-        OperatorDnssec::OptIn { adoption_rate: 0.26 },
+        OperatorDnssec::OptIn {
+            adoption_rate: 0.26,
+        },
         web(true),
     );
     let [c, n, o] = split_gtld(1_228_578);
@@ -469,7 +478,12 @@ pub fn table3_registrars() -> Vec<RegistrarSpec> {
         .tld(Tld::Net, via("Ascio"), false, TldLoad::steady(n, 1.0))
         .tld(Tld::Org, via("Ascio"), false, TldLoad::steady(o, 1.0))
         .tld(Tld::Nl, r(), true, TldLoad::steady(300_000, 0.95)) // calibrated
-        .tld(Tld::Se, via("OpenProvider"), false, TldLoad::steady(3_000, 1.0)); // calibrated
+        .tld(
+            Tld::Se,
+            via("OpenProvider"),
+            false,
+            TldLoad::steady(3_000, 1.0),
+        ); // calibrated
     specs.push(kpn);
 
     // PCExtreme (NL): the March-2015 mass signing (0.44% → 98.3% in 10
@@ -481,9 +495,24 @@ pub fn table3_registrars() -> Vec<RegistrarSpec> {
         OperatorDnssec::Default,
         ExternalDs::FetchDnskey,
     )
-    .tld(Tld::Com, via("OpenProvider"), true, TldLoad::steady(c, 0.0044))
-    .tld(Tld::Net, via("OpenProvider"), true, TldLoad::steady(n, 0.0044))
-    .tld(Tld::Org, via("OpenProvider"), true, TldLoad::steady(o, 0.0044))
+    .tld(
+        Tld::Com,
+        via("OpenProvider"),
+        true,
+        TldLoad::steady(c, 0.0044),
+    )
+    .tld(
+        Tld::Net,
+        via("OpenProvider"),
+        true,
+        TldLoad::steady(n, 0.0044),
+    )
+    .tld(
+        Tld::Org,
+        via("OpenProvider"),
+        true,
+        TldLoad::steady(o, 0.0044),
+    )
     .tld(Tld::Nl, r(), true, TldLoad::steady(120_000, 0.0044)) // calibrated
     .milestone(
         d(2015, 3, 15),
@@ -506,9 +535,24 @@ pub fn table3_registrars() -> Vec<RegistrarSpec> {
     )
     // The partner switch predates the window, so the builder starts gTLD
     // domains under the old no-DNSSEC partner with migration pending.
-    .tld(Tld::Com, via("OpenProvider"), true, TldLoad::growing(c, 0.05, 0.527))
-    .tld(Tld::Net, via("OpenProvider"), true, TldLoad::growing(n, 0.05, 0.527))
-    .tld(Tld::Org, via("OpenProvider"), true, TldLoad::growing(o, 0.05, 0.527))
+    .tld(
+        Tld::Com,
+        via("OpenProvider"),
+        true,
+        TldLoad::growing(c, 0.05, 0.527),
+    )
+    .tld(
+        Tld::Net,
+        via("OpenProvider"),
+        true,
+        TldLoad::growing(n, 0.05, 0.527),
+    )
+    .tld(
+        Tld::Org,
+        via("OpenProvider"),
+        true,
+        TldLoad::growing(o, 0.05, 0.527),
+    )
     .tld(Tld::Nl, r(), true, TldLoad::steady(110_000, 0.954)); // calibrated
     specs.push(antagonist);
 
@@ -703,16 +747,16 @@ pub enum QtypeMix {
 impl Default for TrafficMix {
     fn default() -> Self {
         TrafficMix {
-            zipf_exponent: 0.95,                    // calibrated
+            zipf_exponent: 0.95, // calibrated
             tld_share: vec![
-                (Tld::Com, 0.72),                   // calibrated
+                (Tld::Com, 0.72), // calibrated
                 (Tld::Net, 0.10),
                 (Tld::Org, 0.08),
                 (Tld::Nl, 0.07),
                 (Tld::Se, 0.03),
             ],
             qtype_share: vec![
-                (QtypeMix::A, 0.70),                // calibrated
+                (QtypeMix::A, 0.70), // calibrated
                 (QtypeMix::Aaaa, 0.22),
                 (QtypeMix::Mx, 0.08),
             ],
@@ -773,7 +817,10 @@ mod tests {
                     }
                 }
                 "MeshDigital" => {
-                    assert!(spec.tlds.iter().all(|(_, _, p, _)| !p), "Mesh never uploads");
+                    assert!(
+                        spec.tlds.iter().all(|(_, _, p, _)| !p),
+                        "Mesh never uploads"
+                    );
                 }
                 _ => {}
             }
@@ -849,8 +896,14 @@ mod tests {
         let mix = TrafficMix::default();
         let tld_total: f64 = mix.tld_share.iter().map(|(_, w)| w).sum();
         let qtype_total: f64 = mix.qtype_share.iter().map(|(_, w)| w).sum();
-        assert!((tld_total - 1.0).abs() < 1e-9, "TLD shares sum to {tld_total}");
-        assert!((qtype_total - 1.0).abs() < 1e-9, "qtype shares sum to {qtype_total}");
+        assert!(
+            (tld_total - 1.0).abs() < 1e-9,
+            "TLD shares sum to {tld_total}"
+        );
+        assert!(
+            (qtype_total - 1.0).abs() < 1e-9,
+            "qtype shares sum to {qtype_total}"
+        );
         assert!(mix.zipf_exponent > 0.0);
         assert!((0.0..=1.0).contains(&mix.www_share));
         // Every scanned TLD appears in the mix, .com heaviest.
