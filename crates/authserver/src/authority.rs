@@ -301,48 +301,37 @@ fn nsec3_denial_owner(zone: &Zone, qname: &Name) -> Option<Name> {
         return None;
     };
     let qhash = dsec_dnssec::nsec3_hash(qname, &param.salt, param.iterations);
-    // Collect (owner-hash, owner) for every NSEC3 in the zone.
-    let mut entries: Vec<([u8; 20], Name)> = zone
-        .rrsets()
-        .filter(|set| set.rtype() == RrType::Nsec3)
-        .filter_map(|set| {
-            let text = std::str::from_utf8(set.name().labels().next()?).ok()?;
-            let raw = dsec_crypto::base32::decode_hex(text)?;
-            let hash: [u8; 20] = raw.try_into().ok()?;
-            Some((hash, set.name().clone()))
-        })
-        .collect();
-    if entries.is_empty() {
-        return None;
-    }
-    entries.sort_by_key(|a| a.0);
-    // Exact match (NODATA) or the greatest owner-hash ≤ qhash; the last
-    // entry covers the wrap-around interval.
-    entries
-        .iter()
-        .rev()
-        .find(|(h, _)| *h <= qhash)
-        .or_else(|| entries.last())
-        .map(|(_, owner)| owner.clone())
+    let hashed = zone.owners_with(RrType::Nsec3).filter_map(|owner| {
+        let text = std::str::from_utf8(owner.labels().next()?).ok()?;
+        let hash: [u8; 20] = dsec_crypto::base32::decode_hex(text)?.try_into().ok()?;
+        Some((hash, owner))
+    });
+    // Exact match (NODATA) or the greatest owner-hash ≤ qhash.
+    greatest_or_wrap(hashed, |&(hash, _)| hash <= qhash).map(|(_, owner)| owner.clone())
 }
 
-/// Finds the NSEC whose (owner, next) interval covers `qname`.
+/// Finds the NSEC whose (owner, next) interval covers `qname`: the
+/// greatest NSEC owner < qname.
 fn covering_nsec_owner(zone: &Zone, qname: &Name) -> Option<Name> {
-    use std::cmp::Ordering;
-    let mut owners: Vec<Name> = zone
-        .rrsets()
-        .filter(|set| set.rtype() == RrType::Nsec)
-        .map(|set| set.name().clone())
-        .collect();
-    owners.sort();
-    // The covering owner is the greatest NSEC owner < qname; with a
-    // circular chain the last owner covers names beyond the end.
-    owners
-        .iter()
-        .rev()
-        .find(|o| o.canonical_cmp(qname) == Ordering::Less)
-        .or_else(|| owners.last())
-        .cloned()
+    greatest_or_wrap(zone.owners_with(RrType::Nsec), |&owner| owner < qname).cloned()
+}
+
+/// The greatest of `items` that `fits`, or else the greatest of all: a
+/// denial chain is circular, so its last link covers the names beyond
+/// the end. One pass over the unordered owners; nothing is sorted or
+/// cloned, which keeps a negative answer at a large zone cheap.
+fn greatest_or_wrap<T: Ord + Copy>(
+    items: impl Iterator<Item = T>,
+    fits: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let (mut fitting, mut greatest) = (None, None);
+    for item in items {
+        if fits(&item) {
+            fitting = fitting.max(Some(item));
+        }
+        greatest = greatest.max(Some(item));
+    }
+    fitting.or(greatest)
 }
 
 #[cfg(test)]
@@ -550,6 +539,62 @@ mod tests {
         assert_eq!(resp.rcode, Rcode::NxDomain);
         assert!(resp.authorities.iter().any(|r| r.rtype() == RrType::Soa));
         assert!(resp.authorities.iter().any(|r| r.rtype() == RrType::Nsec));
+    }
+
+    #[test]
+    fn nxdomain_in_delegation_only_zone_has_no_denial() {
+        // A TLD as the registries serve it: a signed SOA and delegations,
+        // no NSEC chain. The DO NXDOMAIN carries the SOA and its RRSIG
+        // and no NSEC or NSEC3 record.
+        let mut zone = Zone::new(name("com"));
+        let soa = SoaRdata {
+            mname: name("a.gtld-servers.net"),
+            rname: name("nstld.verisign-grs.com"),
+            serial: 1,
+            refresh: 1800,
+            retry: 900,
+            expire: 604800,
+            minimum: 86400,
+        };
+        zone.add(Record::new(name("com"), 900, RData::Soa(soa)))
+            .unwrap();
+        zone.add(Record::new(
+            name("com"),
+            900,
+            RData::Rrsig(dsec_wire::RrsigRdata {
+                type_covered: RrType::Soa,
+                algorithm: 8,
+                labels: 1,
+                original_ttl: 900,
+                expiration: 1_460_000_000,
+                inception: 1_450_000_000,
+                key_tag: 7,
+                signer_name: name("com"),
+                signature: vec![1; 64],
+            }),
+        ))
+        .unwrap();
+        for child in ["alpha.com", "omega.com"] {
+            zone.add(Record::new(
+                name(child),
+                3600,
+                RData::Ns(name("ns1.op.net")),
+            ))
+            .unwrap();
+        }
+        let auth = Authority::new();
+        auth.upsert_zone(zone);
+        let resp = ask(&auth, "nope.com", RrType::A, true);
+        assert_eq!(resp.rcode, Rcode::NxDomain);
+        assert!(resp.authorities.iter().any(|r| r.rtype() == RrType::Soa));
+        assert!(resp
+            .authorities
+            .iter()
+            .any(|r| matches!(&r.rdata, RData::Rrsig(s) if s.type_covered == RrType::Soa)));
+        assert!(!resp
+            .authorities
+            .iter()
+            .any(|r| matches!(r.rtype(), RrType::Nsec | RrType::Nsec3)));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
 use dsec_wire::{DsRdata, Name, RData, Record, RrType, SoaRdata, Zone};
 
 use crate::operator::operator_of;
-use crate::table::{DomainTable, JournalCursor, OrderedRows};
+use crate::table::{DomainTable, JournalCursor, OrderedRows, Ranks};
 use crate::tld::Tld;
 use crate::RegistrarId;
 
@@ -379,6 +379,13 @@ impl Registry {
     /// per-domain map probe.
     pub fn delegations_columnar(&self) -> OrderedRows<'_> {
         self.table.ordered()
+    }
+
+    /// Canonical positions of the live delegations' columnar rows: rows
+    /// sorted by [`Ranks::of`] come out in [`Registry::delegations_columnar`]
+    /// order.
+    pub fn delegation_ranks(&self) -> Ranks<'_> {
+        self.table.ranks()
     }
 
     /// Number of live delegations, without enumerating them.

@@ -18,9 +18,13 @@
 //!   (case-folding, like every `Name`-keyed map);
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
 //!   zone files require — is a lazily rebuilt sorted row index in a
-//!   `RefCell`, so reads stay `&self` and an unchanged population sorts
-//!   exactly once. A world is read on one thread, so the tables are not
-//!   `Sync`.
+//!   `RefCell`, so reads stay `&self` and an unchanged population is
+//!   keyed and sorted once. A world is read on one thread, so the tables
+//!   are not `Sync`. Both tables share one rebuild: each enumerated
+//!   row's [`Name::canonical_key`] goes into one arena, the rows sort by
+//!   key bytes, and each row's position (its rank, 4 bytes a row) stays
+//!   beside the sorted rows. Code that orders a few rows sorts them by
+//!   [`Ranks::of`] and compares no name.
 //!
 //! Rows are never reused: a removed delegation keeps its row (and its
 //! generation column, which must survive re-registration so stale scan
@@ -42,13 +46,77 @@ use dsec_wire::{FnvHashMap, Name};
 use crate::domain::Domain;
 use crate::RegistrarId;
 
-/// Lazily maintained canonical-order view of the live rows.
+/// Lazily maintained canonical-order view of a table's enumerated rows
+/// (a [`DomainTable`]'s live rows, every row of a [`DomainStore`]).
 #[derive(Debug, Default)]
 struct OrderCache {
-    /// Live rows sorted by name (RFC 4034 canonical order).
+    /// Enumerated rows sorted by name (RFC 4034 canonical order).
     sorted: Vec<u32>,
-    /// Set whenever liveness changes; the next reader rebuilds.
+    /// Row → its position in `sorted`; [`UNRANKED`] for a row left out.
+    /// Rows interned since the rebuild have no entry.
+    rank: Vec<u32>,
+    /// Set whenever the enumerated set changes; the next reader rebuilds.
     dirty: bool,
+}
+
+/// The rank of a row the order leaves out: a dead registry row.
+const UNRANKED: u32 = u32::MAX;
+
+impl OrderCache {
+    /// Re-sorts `rows` (a table of `len` rows) by `name`, which it calls
+    /// once per row: each name is written once, as its
+    /// [`Name::canonical_key`], into one arena, and the sort compares
+    /// key bytes. The arena is dropped on return.
+    fn rebuild<'a>(
+        &mut self,
+        len: usize,
+        rows: impl Iterator<Item = u32>,
+        name: impl Fn(u32) -> &'a Name,
+    ) {
+        let mut arena = Vec::new();
+        // (key start, key end, row)
+        let mut keyed: Vec<(u32, u32, u32)> = rows
+            .map(|row| {
+                let start = arena.len() as u32;
+                name(row).canonical_key(&mut arena);
+                (start, arena.len() as u32, row)
+            })
+            .collect();
+        let key = |&(start, end, _): &(u32, u32, u32)| &arena[start as usize..end as usize];
+        // Names are unique per table, so keys are too: unstable is exact.
+        keyed.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        let sorted: Vec<u32> = keyed.iter().map(|&(_, _, row)| row).collect();
+        let mut rank = vec![UNRANKED; len];
+        for (pos, &row) in sorted.iter().enumerate() {
+            rank[row as usize] = pos as u32;
+        }
+        *self = OrderCache {
+            sorted,
+            rank,
+            dirty: false,
+        };
+    }
+}
+
+/// Canonical positions of a table's rows, borrowed from its order cache:
+/// sorting rows by [`Ranks::of`] puts them in canonical name order
+/// without comparing a name.
+pub struct Ranks<'a> {
+    guard: Ref<'a, OrderCache>,
+}
+
+impl Ranks<'_> {
+    /// The position of `row` in the table's canonical enumeration.
+    /// Distinct for every enumerated row; `u32::MAX` for a row the
+    /// enumeration leaves out (a dead registry row, including one
+    /// interned since the order was last rebuilt).
+    pub fn of(&self, row: u32) -> u32 {
+        self.guard
+            .rank
+            .get(row as usize)
+            .copied()
+            .unwrap_or(UNRANKED)
+    }
 }
 
 /// A position in one table's change journal: the journal it belongs to
@@ -280,17 +348,19 @@ impl DomainTable {
     /// the last enumeration, then returns a borrow of it.
     fn ensure_order(&self) -> Ref<'_, OrderCache> {
         if self.order.borrow().dirty {
-            let names = &self.names;
-            let mut sorted: Vec<u32> = (0..self.names.len() as u32)
-                .filter(|&row| self.live[row as usize])
-                .collect();
-            sorted.sort_unstable_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
-            *self.order.borrow_mut() = OrderCache {
-                sorted,
-                dirty: false,
-            };
+            let live = (0..self.names.len() as u32).filter(|&row| self.live[row as usize]);
+            self.order
+                .borrow_mut()
+                .rebuild(self.names.len(), live, |row| &self.names[row as usize]);
         }
         self.order.borrow()
+    }
+
+    /// Canonical positions of the live rows (see [`Ranks`]).
+    pub fn ranks(&self) -> Ranks<'_> {
+        Ranks {
+            guard: self.ensure_order(),
+        }
     }
 
     /// Live rows in canonical (RFC 4034) order: `(row, &name, generation)`.
@@ -413,14 +483,21 @@ impl DomainStore {
     fn ensure_order(&self) -> Ref<'_, OrderCache> {
         if self.order.borrow().dirty {
             let rows = &self.rows;
-            let mut sorted: Vec<u32> = (0..rows.len() as u32).collect();
-            sorted.sort_unstable_by(|&a, &b| rows[a as usize].name.cmp(&rows[b as usize].name));
-            *self.order.borrow_mut() = OrderCache {
-                sorted,
-                dirty: false,
-            };
+            self.order
+                .borrow_mut()
+                .rebuild(rows.len(), 0..rows.len() as u32, |row| {
+                    &rows[row as usize].name
+                });
         }
         self.order.borrow()
+    }
+
+    /// Canonical positions of the rows (see [`Ranks`]): what the tick
+    /// sorts and searches its row lists by.
+    pub fn ranks(&self) -> Ranks<'_> {
+        Ranks {
+            guard: self.ensure_order(),
+        }
     }
 
     /// Domains in canonical name order (the order the replaced `BTreeMap`

@@ -44,7 +44,12 @@ impl TickState {
 
     /// Files `row` under its expiry day.
     pub(super) fn schedule_renewal(&mut self, row: u32, on: SimDate) {
-        self.renewals.entry(on).or_default().push(row);
+        self.schedule_renewals(&[row], on);
+    }
+
+    /// Files every row of `rows` under the same expiry day.
+    pub(super) fn schedule_renewals(&mut self, rows: &[u32], on: SimDate) {
+        self.renewals.entry(on).or_default().extend_from_slice(rows);
     }
 
     /// Takes `row` out of the bucket of its previous expiry day.
@@ -177,12 +182,11 @@ impl World {
     pub(super) fn set_keys(&mut self, row: u32, keys: ZoneKeys) {
         if self.tick.worklists_fresh {
             if let Some(slot) = self.adoption_slot(self.domains.at(row)) {
-                let domains = &self.domains;
-                let name = &domains.at(row).name;
+                let ranks = self.domains.ranks();
                 let list = &mut self.tick.worklists[slot];
                 // Absent only while a pass has the list checked out; the
                 // pass drops signed rows itself before returning it.
-                if let Ok(pos) = list.binary_search_by(|&r| domains.at(r).name.cmp(name)) {
+                if let Ok(pos) = list.binary_search_by_key(&ranks.of(row), |&r| ranks.of(r)) {
                     list.remove(pos);
                 }
             }
@@ -435,16 +439,17 @@ impl World {
         let Some(mut due) = self.tick.renewals.remove(&today) else {
             return;
         };
-        let domains = &self.domains;
-        due.sort_unstable_by(|&a, &b| domains.at(a).name.cmp(&domains.at(b).name));
+        let ranks = self.domains.ranks();
+        due.sort_unstable_by_key(|&row| ranks.of(row));
+        drop(ranks);
+        // Renew for another year.
         let renewed_until = today.plus_days(365);
+        self.tick.schedule_renewals(&due, renewed_until);
         for row in due {
-            // Renew for another year.
             let d = self.domains.at_mut(row);
             d.expires = renewed_until;
             let (registrar, tld, migrate, old_sponsor) =
                 (d.registrar, d.tld, d.pending_partner_migration, d.sponsor);
-            self.tick.schedule_renewal(row, renewed_until);
             if !migrate {
                 continue;
             }

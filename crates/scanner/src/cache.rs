@@ -297,10 +297,14 @@ impl ScanCache {
                 }
             }
         }
-        work.sort_by(|a, b| {
-            position(a.tld)
-                .cmp(&position(b.tld))
-                .then_with(|| a.name.cmp(b.name))
+        let ranks: Vec<_> = tlds
+            .iter()
+            .map(|&tld| world.registry(tld).delegation_ranks())
+            .collect();
+        // Keys are distinct, so every (TLD, rank) is: unstable is exact.
+        work.sort_unstable_by_key(|item| {
+            let at = position(item.tld).expect("work items are in scope");
+            (at, ranks[at].of(item.key as u32))
         });
         let live: usize = tlds
             .iter()

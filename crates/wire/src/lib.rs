@@ -129,6 +129,18 @@ mod proptests {
             .prop_map(|labels| Name::parse(&labels.join(".")).unwrap())
     }
 
+    /// Strategy for short names over a tiny alphabet: the octets the
+    /// canonical key escapes or ends labels with (`0x00`, `0x01`), their
+    /// neighbour, both cases of one letter, and the extremes — so label
+    /// prefix ties, label-count ties and case-only differences are
+    /// common.
+    fn arb_raw_name() -> impl Strategy<Value = Name> {
+        const OCTETS: [u8; 8] = [0x00, 0x01, 0x02, b'a', b'A', b'-', 0x7f, 0xff];
+        let label = proptest::collection::vec(0..OCTETS.len(), 1..5)
+            .prop_map(|picks| picks.into_iter().map(|i| OCTETS[i]).collect::<Vec<u8>>());
+        proptest::collection::vec(label, 0..5).prop_map(|labels| Name::from_labels(labels).unwrap())
+    }
+
     fn arb_rdata() -> impl Strategy<Value = RData> {
         prop_oneof![
             any::<[u8; 4]>().prop_map(|b| RData::A(b.into())),
@@ -169,6 +181,19 @@ mod proptests {
                     }
                 )),
         ]
+    }
+
+    proptest! {
+        // Many cases: an encoding that drops the escape or the terminator
+        // disagrees only on a few shapes of pair.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn canonical_key_orders_like_canonical_cmp(a in arb_raw_name(), b in arb_raw_name()) {
+            let (mut ka, mut kb) = (Vec::new(), Vec::new());
+            a.canonical_key(&mut ka);
+            b.canonical_key(&mut kb);
+            prop_assert_eq!(ka.cmp(&kb), a.canonical_cmp(&b), "{:?} vs {:?}", a, b);
+        }
     }
 
     proptest! {

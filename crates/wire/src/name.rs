@@ -299,22 +299,6 @@ impl Name {
     /// from the root (i.e., reversed), case-insensitively, shorter
     /// sequence first on prefix ties.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
-        // Labels are stored front to back but compared back to front, so
-        // note where each one starts first (on the stack: this is the
-        // comparator of every sort and zone-index probe).
-        fn label_starts(flat: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
-            let (mut pos, mut count) = (0, 0);
-            while pos < flat.len() {
-                starts[count] = pos as u8;
-                count += 1;
-                pos += 1 + usize::from(flat[pos]);
-            }
-            count
-        }
-        fn label_at(flat: &[u8], start: u8) -> &[u8] {
-            let start = usize::from(start);
-            &flat[start + 1..start + 1 + usize::from(flat[start])]
-        }
         let (a, b) = (self.flat(), other.flat());
         let (mut a_starts, mut b_starts) = ([0u8; MAX_LABELS], [0u8; MAX_LABELS]);
         let a_count = label_starts(a, &mut a_starts);
@@ -330,6 +314,31 @@ impl Name {
             }
         }
         a_count.cmp(&b_count)
+    }
+
+    /// Appends this name's canonical sort key to `out`: plain byte order
+    /// on two keys is [`Name::canonical_cmp`] on their names, so a sort
+    /// of many names can encode each once instead of re-parsing both
+    /// names on every comparison.
+    ///
+    /// The key holds the labels from the root, lowercased, each closed
+    /// by `0x00`. Label octets `0x00` and `0x01` are written as
+    /// `0x01 0x01` and `0x01 0x02`, so no label octet encodes to the
+    /// terminator and a label sorts before every longer label it
+    /// prefixes.
+    pub fn canonical_key(&self, out: &mut Vec<u8>) {
+        let flat = self.flat();
+        let mut starts = [0u8; MAX_LABELS];
+        let count = label_starts(flat, &mut starts);
+        for &start in starts[..count].iter().rev() {
+            for &octet in label_at(flat, start) {
+                match octet {
+                    0x00 | 0x01 => out.extend_from_slice(&[0x01, octet + 1]),
+                    _ => out.push(octet.to_ascii_lowercase()),
+                }
+            }
+            out.push(0x00);
+        }
     }
 
     /// The same name with all labels lowercased (the canonical form used
@@ -381,6 +390,25 @@ impl Hash for Name {
         }
         state.write(fold_case(flat, &mut [0; MAX_FLAT_LEN]));
     }
+}
+
+/// Notes where each label of `flat` starts, on the stack: labels are
+/// stored front to back but compared and keyed back to front. Returns
+/// the label count.
+fn label_starts(flat: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
+    let (mut pos, mut count) = (0, 0);
+    while pos < flat.len() {
+        starts[count] = pos as u8;
+        count += 1;
+        pos += 1 + usize::from(flat[pos]);
+    }
+    count
+}
+
+/// The label whose length octet sits at `start` in `flat`.
+fn label_at(flat: &[u8], start: u8) -> &[u8] {
+    let start = usize::from(start);
+    &flat[start + 1..start + 1 + usize::from(flat[start])]
 }
 
 /// `flat` lowercased into `out`, in one pass over the whole buffer, length
@@ -582,6 +610,18 @@ mod tests {
             let b = Name::parse(w[1]).unwrap();
             assert_eq!(a.canonical_cmp(&b), Ordering::Less, "{} < {}", w[0], w[1]);
         }
+    }
+
+    #[test]
+    fn canonical_key_layout() {
+        let key = |s: &str| {
+            let mut out = Vec::new();
+            Name::parse(s).unwrap().canonical_key(&mut out);
+            out
+        };
+        assert_eq!(key("."), b"");
+        assert_eq!(key("WWW.Example.com"), b"com\0example\0www\0");
+        assert_eq!(key("a\\000\\001\\002.x"), b"x\0a\x01\x01\x01\x02\x02\0");
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! Every query probes a zone by owner name, so the index is a hash map
 //! from owner to that owner's records: a point lookup is one FNV probe,
 //! however large the zone. Canonical (RFC 4034 §6.1) order is needed only
-//! by signing, NSEC/NSEC3 denial and the text form, and only the
+//! by signing, NSEC/NSEC3 chain building and the text form, and only the
 //! enumerations they use ([`Zone::iter`], [`Zone::rrsets`],
 //! [`Zone::owner_names`]) pay for it, by sorting the owners on demand.
+//! A negative answer needs one NSEC or NSEC3 owner, not the order:
+//! [`Zone::owners_with`] hands it the candidates unsorted.
 
 use std::fmt;
 use std::ops::Range;
@@ -228,6 +230,16 @@ impl Zone {
     /// True when the zone holds no records.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The owners holding an RRset of `rtype`, in no particular order:
+    /// for a one-pass search that needs no sort (negative answers pick
+    /// their NSEC or NSEC3 owner this way).
+    pub fn owners_with(&self, rtype: RrType) -> impl Iterator<Item = &Name> {
+        self.nodes
+            .iter()
+            .filter(move |(_, node)| node.rrset(rtype.number()).is_some())
+            .map(|(owner, _)| owner)
     }
 
     /// All distinct owner names, canonical order.

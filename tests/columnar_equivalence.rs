@@ -13,7 +13,11 @@
 //!   operators, and the generation-persists-across-removal rule;
 //! * any world mutated by an arbitrary customer action sequence produces
 //!   byte-identical campaign CSVs through the in-memory store and the
-//!   streamed (spill + replay) store.
+//!   streamed (spill + replay) store;
+//! * the canonical ranks both tables keep beside their sorted rows stay
+//!   fresh: through inserts, expiries, revivals and rows interned after
+//!   the last rebuild, sorting rows by rank gives what a fresh
+//!   `canonical_cmp` sort of their names gives.
 
 use std::collections::BTreeMap;
 
@@ -22,8 +26,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dsec::ecosystem::{
-    operator_of, DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, Registry, RegistrarId,
-    RegistrarPolicy, Tld, TldPolicy, TldRole, World, WorldConfig, ALL_TLDS,
+    operator_of, Domain, DomainStore, DomainTable, DsSubmission, ExternalDs, Hosting,
+    OperatorDnssec, Plan, Registry, RegistrarId, RegistrarPolicy, SimDate, Tld, TldPolicy,
+    TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec::scanner::{scan_campaign_cached, scan_campaign_streamed, CampaignConfig, ScanCache};
 use dsec::wire::{DsRdata, Name};
@@ -92,6 +97,22 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
     let expected: Vec<(Name, u64)> =
         live.iter().map(|(n, _, g)| ((*n).clone(), *g)).collect();
     assert_eq!(columnar, expected, "delegations_columnar() diverged from shadow");
+
+    // Rank-ordered sort: the live rows, scrambled, sorted by their
+    // canonical rank alone, come out in the shadow's (Name-sorted) order.
+    let mut rows: Vec<u32> = registry
+        .delegations_columnar()
+        .map(|(row, _, _)| row)
+        .collect();
+    rows.reverse();
+    let ranks = registry.delegation_ranks();
+    rows.sort_by_key(|&row| ranks.of(row));
+    let by_rank: Vec<Name> = rows
+        .iter()
+        .map(|&row| registry.delegation_at(row).expect("live row").0.clone())
+        .collect();
+    drop(ranks);
+    assert_eq!(by_rank, names, "rank-ordered rows diverged from shadow");
 
     // Point lookups, live and dead. A live row's operator is its NS
     // set's; a dead row has none.
@@ -220,6 +241,191 @@ proptest! {
             }
             check_against_shadow(&registry, &shadow);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Table-level: the canonical ranks beside both tables' sorted rows.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum OrderAction {
+    /// Registers a name: a live table row and a store row.
+    Insert { label: u8 },
+    /// Marks a table row dead.
+    Expire { idx: u8 },
+    /// Marks a table row live again.
+    Revive { idx: u8 },
+    /// Gives a name a (dead) table row without touching liveness, so the
+    /// order is not rebuilt: the row postdates every rank.
+    Intern { label: u8 },
+    /// Enumerates both tables.
+    Read,
+    /// Sorts rows by rank, starting from a scrambled order.
+    RankSort { rotate: u8 },
+}
+
+fn order_action() -> impl Strategy<Value = OrderAction> {
+    prop_oneof![
+        any::<u8>().prop_map(|label| OrderAction::Insert { label }),
+        any::<u8>().prop_map(|idx| OrderAction::Expire { idx }),
+        any::<u8>().prop_map(|idx| OrderAction::Revive { idx }),
+        any::<u8>().prop_map(|label| OrderAction::Intern { label }),
+        Just(OrderAction::Read),
+        any::<u8>().prop_map(|rotate| OrderAction::RankSort { rotate }),
+    ]
+}
+
+/// Names that tie on labels, label counts and case, and carry the octets
+/// the canonical key escapes.
+fn order_name(label: u8) -> Name {
+    const POOL: [&str; 16] = [
+        "a.com", "A-b.com", "ab.com", "a.b.com", "b.a.com", "\\000.com", "\\001a.com",
+        "\\255.com", "z.net", "-.com", "com", "ZZ.a.com", "\\001.a.com", "a\\000.com", "b.com",
+        "aB.com",
+    ];
+    Name::parse(POOL[label as usize % POOL.len()]).unwrap()
+}
+
+fn store_row(name: &Name) -> Domain {
+    Domain {
+        name: name.clone(),
+        tld: Tld::Com,
+        registrar: RegistrarId(1),
+        sponsor: RegistrarId(1),
+        hosting: Hosting::Owner,
+        keys: None,
+        created: SimDate::from_ymd(2015, 1, 1),
+        expires: SimDate::from_ymd(2016, 1, 1),
+        pending_partner_migration: false,
+        registrant_email: "o@x".into(),
+    }
+}
+
+/// `names` sorted by a fresh `canonical_cmp`: the reference order.
+fn fresh_sort(mut names: Vec<Name>) -> Vec<Name> {
+    names.sort_by(|a, b| a.canonical_cmp(b));
+    names
+}
+
+/// Rows `0..len`, reversed and rotated by `rotate`.
+fn scrambled(len: usize, rotate: u8) -> Vec<u32> {
+    let mut rows: Vec<u32> = (0..len as u32).rev().collect();
+    rows.rotate_left(usize::from(rotate) % len.max(1));
+    rows
+}
+
+/// Compares both tables' enumerations and rank sorts with fresh sorts of
+/// the shadow's names. `rotate` scrambles the rows before the rank sort.
+fn check_order(
+    table: &DomainTable,
+    store: &DomainStore,
+    shadow: &BTreeMap<Name, bool>,
+    rotate: Option<u8>,
+) {
+    let live = fresh_sort(
+        shadow
+            .iter()
+            .filter(|&(_, &live)| live)
+            .map(|(name, _)| name.clone())
+            .collect(),
+    );
+    let every = fresh_sort(shadow.keys().cloned().collect());
+    let Some(rotate) = rotate else {
+        let ordered: Vec<Name> = table.ordered().map(|(_, name, _)| name.clone()).collect();
+        assert_eq!(ordered, live, "ordered() diverged from a fresh sort");
+        let entries: Vec<Name> = store.entries().map(|(_, d)| d.name.clone()).collect();
+        assert_eq!(entries, every, "entries() diverged from a fresh sort");
+        return;
+    };
+
+    // Every table row, in a scrambled order: live rows sort by rank into
+    // canonical order; dead ones, however recently interned, have the
+    // out-of-order rank and never index past the ranks.
+    let ranks = table.ranks();
+    let mut rows = scrambled(shadow.len(), rotate);
+    for &row in &rows {
+        let rank = ranks.of(row);
+        assert_eq!(
+            rank == u32::MAX,
+            !table.is_live(row),
+            "{}: rank {rank}",
+            table.name(row)
+        );
+    }
+    rows.retain(|&row| table.is_live(row));
+    rows.sort_by_key(|&row| ranks.of(row));
+    let by_rank: Vec<Name> = rows.iter().map(|&row| table.name(row).clone()).collect();
+    assert_eq!(by_rank, live, "table rank sort diverged from a fresh sort");
+    drop(ranks);
+
+    let ranks = store.ranks();
+    let mut rows = scrambled(store.len(), rotate);
+    rows.sort_by_key(|&row| ranks.of(row));
+    let by_rank: Vec<Name> = rows.iter().map(|&row| store.at(row).name.clone()).collect();
+    assert_eq!(by_rank, every, "store rank sort diverged from a fresh sort");
+    // Positions are distinct and dense.
+    let mut positions: Vec<u32> = (0..store.len() as u32).map(|row| ranks.of(row)).collect();
+    positions.sort_unstable();
+    assert!(positions.iter().enumerate().all(|(i, &p)| p as usize == i));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        max_shrink_iters: 64,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn canonical_ranks_match_a_fresh_sort(
+        actions in proptest::collection::vec(order_action(), 1..64)
+    ) {
+        let (mut table, mut store) = (DomainTable::new(), DomainStore::new());
+        // Name → live, for every name with a table row (in row order of
+        // first sight, which the table's interning also follows).
+        let mut shadow: BTreeMap<Name, bool> = BTreeMap::new();
+        let mut seen: Vec<Name> = Vec::new();
+        let pick = |seen: &[Name], idx: u8| {
+            (!seen.is_empty()).then(|| seen[idx as usize % seen.len()].clone())
+        };
+        for action in actions {
+            match action {
+                OrderAction::Insert { label } | OrderAction::Intern { label } => {
+                    let name = order_name(label);
+                    let row = table.intern_row(&name);
+                    // First sight: a store row too, so the store holds
+                    // exactly the shadow's names (it has no liveness).
+                    shadow.entry(name.clone()).or_insert_with(|| {
+                        store.insert(name.clone(), store_row(&name));
+                        seen.push(name.clone());
+                        false
+                    });
+                    if matches!(action, OrderAction::Insert { .. }) {
+                        table.set_live(row, RegistrarId(1));
+                        shadow.insert(name, true);
+                    }
+                }
+                OrderAction::Expire { idx } => {
+                    if let Some(name) = pick(&seen, idx) {
+                        table.set_dead(table.row_of(&name).expect("interned"));
+                        shadow.insert(name, false);
+                    }
+                }
+                OrderAction::Revive { idx } => {
+                    if let Some(name) = pick(&seen, idx) {
+                        table.set_live(table.row_of(&name).expect("interned"), RegistrarId(2));
+                        shadow.insert(name, true);
+                    }
+                }
+                OrderAction::Read => check_order(&table, &store, &shadow, None),
+                OrderAction::RankSort { rotate } => {
+                    check_order(&table, &store, &shadow, Some(rotate))
+                }
+            }
+        }
+        check_order(&table, &store, &shadow, Some(0));
+        check_order(&table, &store, &shadow, None);
     }
 }
 
