@@ -183,7 +183,9 @@ mod tests {
     fn sign_set(set: &RrSet, k: &ZoneKeys) -> RrsigRdata {
         let cfg = SignerConfig::valid_from(NOW - 100, 30 * 86400);
         let rec = sign_rrset(set, &k.zsk, k.zsk_tag(), &k.zone, &cfg);
-        let RData::Rrsig(s) = rec.rdata else { unreachable!() };
+        let RData::Rrsig(s) = rec.rdata else {
+            unreachable!()
+        };
         s
     }
 
@@ -314,10 +316,7 @@ mod tests {
             trusted_keys: vec![k.ksk_dnskey(), k.zsk_dnskey()],
         };
         let action = process_scan(&k.zone, &scan, NOW).unwrap();
-        assert_eq!(
-            action,
-            CdsAction::ReplaceDs(vec![k.ds(DigestType::Sha256)])
-        );
+        assert_eq!(action, CdsAction::ReplaceDs(vec![k.ds(DigestType::Sha256)]));
     }
 
     #[test]
@@ -352,9 +351,8 @@ mod tests {
     fn disagreeing_cds_and_cdnskey_rejected() {
         let k = keys();
         let mut rng = StdRng::seed_from_u64(89);
-        let other =
-            ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
-                .unwrap();
+        let other = ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
+            .unwrap();
         let cds = RrSet::new(vec![Record::new(
             k.zone.clone(),
             3600,

@@ -164,7 +164,9 @@ mod tests {
         let set = RrSet::new(k.dnskey_records(3600)).unwrap();
         let cfg = SignerConfig::valid_from(NOW - 100, 30 * 86400);
         let rec = sign_rrset(&set, &k.ksk, k.ksk_tag(), &k.zone, &cfg);
-        let RData::Rrsig(sig) = rec.rdata else { unreachable!() };
+        let RData::Rrsig(sig) = rec.rdata else {
+            unreachable!()
+        };
         Observation {
             dnskey_rrset: Some(set),
             dnskey_rrsigs: vec![sig],

@@ -97,11 +97,7 @@ impl ZoneKeys {
 
 /// Computes the DS RDATA for (`owner`, `dnskey`) with `digest_type`
 /// (RFC 4034 §5.1.4: digest over canonical owner name ‖ DNSKEY RDATA).
-pub fn make_ds(
-    owner: &Name,
-    dnskey: &DnskeyRdata,
-    digest_type: DigestType,
-) -> Option<DsRdata> {
+pub fn make_ds(owner: &Name, dnskey: &DnskeyRdata, digest_type: DigestType) -> Option<DsRdata> {
     let mut material = owner.to_canonical_wire();
     material.extend_from_slice(&dnskey.to_wire());
     let digest = digest_type.digest(&material)?;
@@ -123,7 +119,11 @@ pub fn ds_matches(owner: &Name, dnskey: &DnskeyRdata, ds: &DsRdata) -> Option<bo
         return None;
     }
     let expected = make_ds(owner, dnskey, digest_type)?;
-    Some(expected.key_tag == ds.key_tag && expected.digest == ds.digest && dnskey.algorithm == ds.algorithm)
+    Some(
+        expected.key_tag == ds.key_tag
+            && expected.digest == ds.digest
+            && dnskey.algorithm == ds.algorithm,
+    )
 }
 
 #[cfg(test)]
@@ -134,8 +134,12 @@ mod tests {
 
     fn keys() -> ZoneKeys {
         let mut rng = StdRng::seed_from_u64(1);
-        ZoneKeys::generate_default(&mut rng, Name::parse("example.com").unwrap(), Algorithm::RsaSha256)
-            .unwrap()
+        ZoneKeys::generate_default(
+            &mut rng,
+            Name::parse("example.com").unwrap(),
+            Algorithm::RsaSha256,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -165,15 +169,9 @@ mod tests {
         let k = keys();
         let ds = k.ds(DigestType::Sha256);
         assert_eq!(ds.key_tag, k.ksk_tag());
-        assert_eq!(
-            ds_matches(&k.zone, &k.ksk_dnskey(), &ds),
-            Some(true)
-        );
+        assert_eq!(ds_matches(&k.zone, &k.ksk_dnskey(), &ds), Some(true));
         // The ZSK does not match the KSK's DS.
-        assert_eq!(
-            ds_matches(&k.zone, &k.zsk_dnskey(), &ds),
-            Some(false)
-        );
+        assert_eq!(ds_matches(&k.zone, &k.zsk_dnskey(), &ds), Some(false));
     }
 
     #[test]

@@ -69,11 +69,7 @@ mod tests {
         ];
         for (owner, expected) in cases {
             let hash = nsec3_hash(&name(owner), &salt, 12);
-            assert_eq!(
-                base32::encode_hex(&hash),
-                expected,
-                "NSEC3 hash of {owner}"
-            );
+            assert_eq!(base32::encode_hex(&hash), expected, "NSEC3 hash of {owner}");
         }
     }
 

@@ -131,8 +131,14 @@ impl SigningSet {
                 new.ksk_dnskey(),
                 new.zsk_dnskey(),
             ],
-            ksk_signers: vec![(old.ksk.clone(), old.ksk_tag()), (new.ksk.clone(), new.ksk_tag())],
-            zsk_signers: vec![(old.zsk.clone(), old.zsk_tag()), (new.zsk.clone(), new.zsk_tag())],
+            ksk_signers: vec![
+                (old.ksk.clone(), old.ksk_tag()),
+                (new.ksk.clone(), new.ksk_tag()),
+            ],
+            zsk_signers: vec![
+                (old.zsk.clone(), old.zsk_tag()),
+                (new.zsk.clone(), new.zsk_tag()),
+            ],
         })
     }
 
@@ -166,7 +172,11 @@ impl SigningSet {
 ///
 /// Skips what RFC 4035 says must not be signed: delegation NS RRsets and
 /// glue (names at/below a zone cut other than the cut's DS/NSEC).
-pub fn sign_zone(zone: &mut Zone, keys: &ZoneKeys, config: &SignerConfig) -> Result<(), DnssecError> {
+pub fn sign_zone(
+    zone: &mut Zone,
+    keys: &ZoneKeys,
+    config: &SignerConfig,
+) -> Result<(), DnssecError> {
     sign_zone_set(zone, &SigningSet::single(keys), config)
 }
 
@@ -222,7 +232,12 @@ pub fn sign_zone_set(
             .collect();
         let mut hashed: Vec<([u8; 20], Name)> = auth_owners
             .iter()
-            .map(|owner| (nsec3_hash(owner, &nsec3.salt, nsec3.iterations), owner.clone()))
+            .map(|owner| {
+                (
+                    nsec3_hash(owner, &nsec3.salt, nsec3.iterations),
+                    owner.clone(),
+                )
+            })
             .collect();
         hashed.sort_by_key(|a| a.0);
         for (i, (hash, owner)) in hashed.iter().enumerate() {
@@ -379,7 +394,9 @@ mod tests {
         assert!(zone.rrset(&name("example.com"), RrType::Dnskey).is_some());
         assert!(zone.rrset(&name("example.com"), RrType::Rrsig).is_some());
         assert!(zone.rrset(&name("example.com"), RrType::Nsec).is_some());
-        assert!(zone.rrset(&name("www.example.com"), RrType::Rrsig).is_some());
+        assert!(zone
+            .rrset(&name("www.example.com"), RrType::Rrsig)
+            .is_some());
         assert!(zone.rrset(&name("www.example.com"), RrType::Nsec).is_some());
     }
 
@@ -394,10 +411,16 @@ mod tests {
             let sigs = zone
                 .rrset(rrset.name(), RrType::Rrsig)
                 .expect("rrsigs present");
-            let covered = sigs.records().iter().any(|r| {
-                matches!(&r.rdata, RData::Rrsig(s) if s.type_covered == rrset.rtype())
-            });
-            assert!(covered, "no RRSIG covering {} {}", rrset.name(), rrset.rtype());
+            let covered = sigs
+                .records()
+                .iter()
+                .any(|r| matches!(&r.rdata, RData::Rrsig(s) if s.type_covered == rrset.rtype()));
+            assert!(
+                covered,
+                "no RRSIG covering {} {}",
+                rrset.name(),
+                rrset.rtype()
+            );
         }
     }
 
@@ -408,7 +431,9 @@ mod tests {
         sign_zone(&mut zone, &keys, &config()).unwrap();
         let sigs = zone.rrset(&name("example.com"), RrType::Rrsig).unwrap();
         for record in sigs.records() {
-            let RData::Rrsig(sig) = &record.rdata else { panic!() };
+            let RData::Rrsig(sig) = &record.rdata else {
+                panic!()
+            };
             if sig.type_covered == RrType::Dnskey {
                 assert_eq!(sig.key_tag, keys.ksk_tag());
             } else {
@@ -423,7 +448,9 @@ mod tests {
         let cfg = config();
         sign_zone(&mut zone, &test_keys(), &cfg).unwrap();
         let sigs = zone.rrset(&name("www.example.com"), RrType::Rrsig).unwrap();
-        let RData::Rrsig(sig) = &sigs.records()[0].rdata else { panic!() };
+        let RData::Rrsig(sig) = &sigs.records()[0].rdata else {
+            panic!()
+        };
         assert_eq!(sig.labels, 3);
         assert_eq!(sig.original_ttl, 300);
         assert_eq!(sig.inception, cfg.inception);
@@ -486,7 +513,9 @@ mod tests {
         ))
         .unwrap();
         sign_zone(&mut zone, &test_keys(), &config()).unwrap();
-        let sigs = zone.rrset(&name("child.example.com"), RrType::Rrsig).unwrap();
+        let sigs = zone
+            .rrset(&name("child.example.com"), RrType::Rrsig)
+            .unwrap();
         assert!(sigs
             .records()
             .iter()
@@ -513,7 +542,9 @@ mod tests {
         let mut cursor = name("example.com");
         loop {
             let nsec = zone.rrset(&cursor, RrType::Nsec).expect("nsec exists");
-            let RData::Nsec { next, .. } = &nsec.records()[0].rdata else { panic!() };
+            let RData::Nsec { next, .. } = &nsec.records()[0].rdata else {
+                panic!()
+            };
             visited.push(cursor.clone());
             cursor = next.clone();
             if cursor == name("example.com") {
@@ -529,7 +560,9 @@ mod tests {
         let mut zone = test_zone();
         sign_zone(&mut zone, &test_keys(), &config()).unwrap();
         let nsec = zone.rrset(&name("www.example.com"), RrType::Nsec).unwrap();
-        let RData::Nsec { types, .. } = &nsec.records()[0].rdata else { panic!() };
+        let RData::Nsec { types, .. } = &nsec.records()[0].rdata else {
+            panic!()
+        };
         assert!(types.contains(RrType::A));
         assert!(types.contains(RrType::Rrsig));
         assert!(types.contains(RrType::Nsec));
@@ -543,7 +576,11 @@ mod tests {
         sign_zone(&mut zone, &keys, &config()).unwrap();
         let first_len = zone.len();
         sign_zone(&mut zone, &keys, &config()).unwrap();
-        assert_eq!(zone.len(), first_len, "re-signing must not accumulate records");
+        assert_eq!(
+            zone.len(),
+            first_len,
+            "re-signing must not accumulate records"
+        );
     }
 
     #[test]
@@ -581,9 +618,10 @@ mod tests {
             assert_eq!(set.name().labels().next().unwrap().len(), 32);
             // Each NSEC3 RRset is signed.
             let sigs = zone.rrset(set.name(), RrType::Rrsig).expect("nsec3 signed");
-            assert!(sigs.records().iter().any(
-                |r| matches!(&r.rdata, RData::Rrsig(s) if s.type_covered == RrType::Nsec3)
-            ));
+            assert!(sigs
+                .records()
+                .iter()
+                .any(|r| matches!(&r.rdata, RData::Rrsig(s) if s.type_covered == RrType::Nsec3)));
         }
         // The chain is circular over the two hashes.
         let hashes: Vec<Vec<u8>> = nsec3s
@@ -653,10 +691,8 @@ mod tests {
         };
         let www = name("www.example.com");
         let a_set = zone.rrset(&www, RrType::A).unwrap();
-        let a_sigs = crate::validate::covering_rrsigs(
-            zone.rrset(&www, RrType::Rrsig).as_ref(),
-            RrType::A,
-        );
+        let a_sigs =
+            crate::validate::covering_rrsigs(zone.rrset(&www, RrType::Rrsig).as_ref(), RrType::A);
         crate::validate::validate_rrset(&a_set, &a_sigs, &trusted, &apex, now).is_ok()
     }
 
@@ -670,14 +706,23 @@ mod tests {
         // Four DNSKEYs served, and the chain closes under the old DS *and*
         // the new DS — the whole point of the double-signature window.
         assert_eq!(
-            zone.rrset(&name("example.com"), RrType::Dnskey).unwrap().records().len(),
+            zone.rrset(&name("example.com"), RrType::Dnskey)
+                .unwrap()
+                .records()
+                .len(),
             4
         );
         let now = 1_450_000_500;
         let old_ds = old.ds(dsec_crypto::DigestType::Sha256);
         let new_ds = new.ds(dsec_crypto::DigestType::Sha256);
-        assert!(chain_validates(&zone, &old_ds, now), "old DS must still validate");
-        assert!(chain_validates(&zone, &new_ds, now), "new DS must already validate");
+        assert!(
+            chain_validates(&zone, &old_ds, now),
+            "old DS must still validate"
+        );
+        assert!(
+            chain_validates(&zone, &new_ds, now),
+            "new DS must already validate"
+        );
     }
 
     #[test]
@@ -687,7 +732,11 @@ mod tests {
         let mut zone = test_zone();
         sign_zone(&mut zone, &old, &config()).unwrap();
         let now = 1_450_000_500;
-        assert!(chain_validates(&zone, &old.ds(dsec_crypto::DigestType::Sha256), now));
+        assert!(chain_validates(
+            &zone,
+            &old.ds(dsec_crypto::DigestType::Sha256),
+            now
+        ));
         assert!(
             !chain_validates(&zone, &new.ds(dsec_crypto::DigestType::Sha256), now),
             "a DS swapped before the zone serves the new keys must go bogus"
@@ -709,7 +758,9 @@ mod tests {
                 continue;
             }
             for r in rrset.records() {
-                let RData::Rrsig(sig) = &r.rdata else { panic!() };
+                let RData::Rrsig(sig) = &r.rdata else {
+                    panic!()
+                };
                 assert!(
                     sig.key_tag == active.ksk_tag() || sig.key_tag == active.zsk_tag(),
                     "incoming ZSK must not sign during pre-publish"
@@ -717,14 +768,19 @@ mod tests {
             }
         }
         // And the chain still closes under the unchanged DS.
-        assert!(chain_validates(&zone, &active.ds(dsec_crypto::DigestType::Sha256), 1_450_000_500));
+        assert!(chain_validates(
+            &zone,
+            &active.ds(dsec_crypto::DigestType::Sha256),
+            1_450_000_500
+        ));
     }
 
     #[test]
     fn mixed_zone_sets_reject_construction() {
         let a = test_keys();
         let mut rng = StdRng::seed_from_u64(9);
-        let b = ZoneKeys::generate_default(&mut rng, name("other.com"), Algorithm::RsaSha256).unwrap();
+        let b =
+            ZoneKeys::generate_default(&mut rng, name("other.com"), Algorithm::RsaSha256).unwrap();
         assert!(matches!(
             SigningSet::double(&a, &b),
             Err(DnssecError::KeyZoneMismatch { .. })

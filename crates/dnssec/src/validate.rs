@@ -72,7 +72,10 @@ impl std::fmt::Display for ValidationError {
                 write!(f, "signature expired at {expiration}, validated at {now}")
             }
             ValidationError::NotYetValid { inception, now } => {
-                write!(f, "signature not valid before {inception}, validated at {now}")
+                write!(
+                    f,
+                    "signature not valid before {inception}, validated at {now}"
+                )
             }
             ValidationError::WrongSigner { signer, expected } => {
                 write!(f, "RRSIG signer {signer} is not the zone apex {expected}")
@@ -390,9 +393,8 @@ mod tests {
     fn wrong_key_reports_no_match() {
         let k = keys();
         let mut rng = StdRng::seed_from_u64(99);
-        let other =
-            ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
-                .unwrap();
+        let other = ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
+            .unwrap();
         let set = a_rrset();
         let sig = signed(&set, &k);
         assert!(matches!(
@@ -435,7 +437,9 @@ mod tests {
     fn dnskey_rrset_and_sig(k: &ZoneKeys) -> (RrSet, RrsigRdata) {
         let set = RrSet::new(k.dnskey_records(3600)).unwrap();
         let rec = sign_rrset(&set, &k.ksk, k.ksk_tag(), &k.zone, &config());
-        let RData::Rrsig(sig) = rec.rdata else { unreachable!() };
+        let RData::Rrsig(sig) = rec.rdata else {
+            unreachable!()
+        };
         (set, sig)
     }
 
@@ -462,9 +466,8 @@ mod tests {
     fn chain_link_fails_with_mismatched_ds() {
         let k = keys();
         let mut rng = StdRng::seed_from_u64(123);
-        let other =
-            ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
-                .unwrap();
+        let other = ZoneKeys::generate_default(&mut rng, name("example.com"), Algorithm::RsaSha256)
+            .unwrap();
         let (set, sig) = dnskey_rrset_and_sig(&k);
         let wrong_ds = other.ds(DigestType::Sha256);
         assert!(matches!(
@@ -480,7 +483,9 @@ mod tests {
         let k = keys();
         let set = RrSet::new(k.dnskey_records(3600)).unwrap();
         let rec = sign_rrset(&set, &k.zsk, k.zsk_tag(), &k.zone, &config());
-        let RData::Rrsig(sig) = rec.rdata else { unreachable!() };
+        let RData::Rrsig(sig) = rec.rdata else {
+            unreachable!()
+        };
         let ds = k.ds(DigestType::Sha256);
         assert!(authenticate_dnskeys(&k.zone, &set, &[sig], &[ds], NOW).is_err());
     }
