@@ -35,7 +35,7 @@ pub mod onpath;
 pub use onpath::{OnPathCampaign, OnPathPhase, OnPathVector};
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -144,7 +144,7 @@ pub struct AttackCampaign {
     /// The attacker's nameserver base domain (loud variant).
     ns_domain: Name,
     /// The attacker's authoritative server, shared by all captures.
-    authority: Arc<Authority>,
+    authority: Rc<Authority>,
     /// Attacker-held zone keys, shared across captures (rebound per
     /// zone). The parent DS never matches them — that mismatch is what
     /// validating resolvers catch.
@@ -169,14 +169,14 @@ impl AttackCampaign {
         AttackCampaign {
             mailbox: "mallory@attacker.example".to_string(),
             ns_domain,
-            authority: Arc::new(Authority::new()),
+            authority: Rc::new(Authority::new()),
             keys,
             states: BTreeMap::new(),
         }
     }
 
     /// The attacker's authoritative server.
-    pub fn authority(&self) -> &Arc<Authority> {
+    pub fn authority(&self) -> &Rc<Authority> {
         &self.authority
     }
 

@@ -1,32 +1,32 @@
 //! An authoritative nameserver: a set of zones plus the RFC 1034 §4.3.2
 //! answer algorithm, including DNSSEC additions (RFC 4035 §3.1).
 //!
-//! Zones live behind an [`Epoch`] snapshot, so queries take **zero shared
-//! locks** and every answer is built from the zone as it is now: a
-//! mutation (re-signing, rollover, DS swap) is visible on the very next
-//! query, with nothing to invalidate.
+//! Every answer is built from the zone as it is now: a mutation
+//! (re-signing, rollover, DS swap) is visible on the very next query,
+//! with nothing to invalidate.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use dsec_wire::{Flags, FnvHashMap, Message, Name, Question, RData, Rcode, Record, RrType, Zone};
 
-use crate::epoch::Epoch;
-
 /// Served zones by origin, hashed: finding the zone for a query is one
-/// probe per label of its name. Each zone is shared via `Arc` so epoch
-/// republishes and frozen secondaries ([`Authority::snapshot`]) are
-/// pointer copies; in-place edits go through [`Arc::make_mut`]
-/// (copy-on-write).
+/// probe per label of its name. Each zone is shared via `Arc` so frozen
+/// secondaries ([`Authority::snapshot`]) are pointer copies; in-place
+/// edits go through [`Arc::make_mut`] (copy-on-write).
 type ZoneMap = FnvHashMap<Name, Arc<Zone>>;
 
 /// One DNS operator's authoritative service.
 ///
-/// Thread-safe: the ecosystem mutates zones (daily re-signing, customer
-/// changes) while the scanner queries concurrently. Queries take no
-/// shared locks — see the module docs.
+/// Single-thread state: zone edits (daily re-signing, customer changes)
+/// and queries run on the caller's thread. The zone map sits in one
+/// `Arc` so [`Authority::snapshot`] is a pointer copy. Edits go through
+/// [`Arc::make_mut`]: in place while no snapshot is held, one copy of
+/// the map when one is (DESIGN.md §14). Zones stay `Arc<Zone>`, so an
+/// owned `Authority` can still be moved to a server thread.
 #[derive(Debug, Default)]
 pub struct Authority {
-    zones: Epoch<ZoneMap>,
+    zones: RefCell<Arc<ZoneMap>>,
 }
 
 impl Authority {
@@ -35,35 +35,37 @@ impl Authority {
         Self::default()
     }
 
+    /// Edits the zone map: in place unless a snapshot shares it.
+    fn edit<R>(&self, f: impl FnOnce(&mut ZoneMap) -> R) -> R {
+        f(Arc::make_mut(&mut self.zones.borrow_mut()))
+    }
+
     /// Installs or replaces the zone with the same origin.
     pub fn upsert_zone(&self, zone: Zone) {
         let origin = zone.origin().to_canonical();
-        self.zones.mutate(|zones| {
-            zones.insert(origin, Arc::new(zone));
-        });
+        self.edit(|zones| zones.insert(origin, Arc::new(zone)));
     }
 
     /// Removes the zone rooted at `origin`; returns whether it existed.
     pub fn remove_zone(&self, origin: &Name) -> bool {
-        self.zones.mutate(|zones| zones.remove(origin).is_some())
+        self.edit(|zones| zones.remove(origin).is_some())
     }
 
     /// Runs `f` over the zone rooted at `origin`, if served.
     pub fn with_zone<R>(&self, origin: &Name, f: impl FnOnce(&Zone) -> R) -> Option<R> {
-        self.zones.read().get(origin).map(|zone| f(zone))
+        self.zones.borrow().get(origin).map(|zone| f(zone))
     }
 
     /// Runs `f` mutably over the zone rooted at `origin`, if served.
     /// Copy-on-write: frozen secondaries holding the old `Arc` keep the
     /// pre-edit contents.
     pub fn with_zone_mut<R>(&self, origin: &Name, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        self.zones
-            .mutate(|zones| Some(f(Arc::make_mut(zones.get_mut(origin)?))))
+        self.edit(|zones| Some(f(Arc::make_mut(zones.get_mut(origin)?))))
     }
 
     /// Origins of all served zones, in canonical order.
     pub fn zone_origins(&self) -> Vec<Name> {
-        let mut origins: Vec<Name> = self.zones.read().keys().cloned().collect();
+        let mut origins: Vec<Name> = self.zones.borrow().keys().cloned().collect();
         origins.sort_unstable();
         origins
     }
@@ -76,7 +78,7 @@ impl Authority {
     /// untouched.
     pub fn snapshot(&self) -> Authority {
         Authority {
-            zones: self.zones.share(),
+            zones: RefCell::new(Arc::clone(&self.zones.borrow())),
         }
     }
 
@@ -90,7 +92,7 @@ impl Authority {
     pub fn handle_query(&self, query: &Message) -> Message {
         let mut response = query.response_to();
         match query.questions.first() {
-            Some(question) => answer(&self.zones.read(), query, question, &mut response),
+            Some(question) => answer(&self.zones.borrow(), query, question, &mut response),
             None => response.rcode = Rcode::FormErr,
         }
         response
@@ -958,5 +960,72 @@ mod tests {
             1,
             "frozen secondary keeps the pre-edit contents"
         );
+        // Neither a new zone nor a removal shows through it either.
+        auth.upsert_zone(single_a_zone("b.example"));
+        auth.remove_zone(&name("example.com"));
+        assert_eq!(
+            ask(&frozen, "www.example.com", RrType::A, false)
+                .answers
+                .len(),
+            1
+        );
+        assert_eq!(
+            ask(&frozen, "www.b.example", RrType::A, false).rcode,
+            Rcode::Refused
+        );
+        assert_eq!(
+            ask(&auth, "www.example.com", RrType::A, false).rcode,
+            Rcode::Refused
+        );
+    }
+
+    // ——— copy-on-write: the zone map is copied only while a snapshot
+    // shares it ———
+
+    /// The address of the live zone-map allocation.
+    fn zone_map_at(auth: &Authority) -> *const ZoneMap {
+        Arc::as_ptr(&auth.zones.borrow())
+    }
+
+    /// A zone at `origin` holding one A record at `www`.
+    fn single_a_zone(origin: &str) -> Zone {
+        let mut zone = Zone::new(name(origin));
+        zone.add(Record::new(
+            name(&format!("www.{origin}")),
+            60,
+            RData::A("192.0.2.7".parse().unwrap()),
+        ))
+        .unwrap();
+        zone
+    }
+
+    #[test]
+    fn edits_without_a_snapshot_stay_in_place() {
+        // The population-build pattern: upsert, query, upsert, query.
+        // With no snapshot held the map must never be cloned.
+        let auth = authority(false);
+        let home = zone_map_at(&auth);
+        for i in 0..100 {
+            let origin = format!("d{i}.example");
+            auth.upsert_zone(single_a_zone(&origin));
+            let www = format!("www.{origin}");
+            assert_eq!(ask(&auth, &www, RrType::A, false).answers.len(), 1);
+            assert_eq!(zone_map_at(&auth), home, "no clone while unshared");
+        }
+        assert_eq!(auth.zone_origins().len(), 101);
+    }
+
+    #[test]
+    fn the_live_side_diverges_on_its_first_edit() {
+        let auth = authority(false);
+        let frozen = auth.snapshot();
+        let shared = zone_map_at(&auth);
+        assert_eq!(zone_map_at(&frozen), shared, "O(1): same allocation");
+        auth.upsert_zone(single_a_zone("b.example"));
+        let live = zone_map_at(&auth);
+        assert_ne!(live, shared, "the first edit copies the map once");
+        assert_eq!(zone_map_at(&frozen), shared, "the frozen side never moves");
+        auth.upsert_zone(single_a_zone("c.example"));
+        assert_eq!(zone_map_at(&auth), live, "unshared again: in place");
     }
 }

@@ -21,13 +21,11 @@
 //! the (server, qname, qtype) tuple, and a per-tuple attempt counter, so
 //! two runs with the same seed produce identical fault sequences.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::{Mutex, RwLock};
-
-use dsec_wire::{FnvHashMap, Name};
+use dsec_wire::{draw, FnvHashMap, Name};
 
 use crate::authority::Authority;
 
@@ -152,18 +150,6 @@ impl FlapSchedule {
 }
 
 /// Counts of injected faults, by kind.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    drops: AtomicU64,
-    delays: AtomicU64,
-    truncations: AtomicU64,
-    servfails: AtomicU64,
-    refusals: AtomicU64,
-    stale_serves: AtomicU64,
-    downtime_drops: AtomicU64,
-}
-
-/// A point-in-time copy of the fault counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Queries dropped by the drop probability.
@@ -226,12 +212,12 @@ struct ServerFaults {
     /// simulated epoch seconds, seen only by queries that carry their sim
     /// clock ([`crate::Network::query_udp`] with `now_s`). Purely
     /// declarative — membership is a function of the query's sim clock,
-    /// so outage behavior is deterministic and thread-order independent.
+    /// so outage behavior is deterministic and query-order independent.
     windows: Vec<(u32, u32)>,
     /// Scripted outcomes consumed FIFO (deterministic tests).
     script: VecDeque<Fault>,
     /// Stale zone copy, frozen lazily when a Stale fault first fires.
-    stale: Option<Arc<Authority>>,
+    stale: Option<Rc<Authority>>,
 }
 
 impl ServerFaults {
@@ -251,22 +237,22 @@ struct Servers {
 }
 
 /// The fault-injection plane a [`crate::Network`] consults on every
-/// simulated packet. Disabled (the default) it adds one atomic load to
+/// simulated packet. Disabled (the default) it adds one flag test to
 /// the hot path and changes nothing.
 #[derive(Debug, Default)]
 pub struct FaultPlane {
-    /// Fast-path gate: false ⇒ no locks taken, no RNG consumed.
-    enabled: AtomicBool,
-    seed: AtomicU64,
+    /// Fast-path gate: false ⇒ no record read, no draw made.
+    enabled: Cell<bool>,
+    seed: Cell<u64>,
     /// Current simulation day, advanced by the world tick (flapping).
-    day: AtomicU32,
-    servers: RwLock<Servers>,
-    /// Per-(server, qname, qtype) attempt counters: make draws
-    /// independent of cross-thread query interleaving. Pruned at each
+    day: Cell<u32>,
+    servers: RefCell<Servers>,
+    /// Per-(server, qname, qtype) attempt counters: keep each draw
+    /// independent of which other queries ran first. Pruned at each
     /// campaign epoch ([`FaultPlane::begin_epoch`]) so multi-day
     /// campaigns don't grow it without bound.
-    attempts: Mutex<HashMap<AttemptKey, u32>>,
-    counters: FaultCounters,
+    attempts: RefCell<HashMap<AttemptKey, u32>>,
+    stats: Cell<FaultStats>,
 }
 
 impl FaultPlane {
@@ -278,18 +264,18 @@ impl FaultPlane {
     /// Seeds the plane and enables injection. Clears attempt counters and
     /// stale copies so a re-seeded run starts from a clean slate.
     pub fn enable(&self, seed: u64) {
-        self.seed.store(seed, Ordering::Relaxed);
-        self.attempts.lock().clear();
-        for server in self.servers.write().by_name.values_mut() {
+        self.seed.set(seed);
+        self.attempts.borrow_mut().clear();
+        for server in self.servers.borrow_mut().by_name.values_mut() {
             server.stale = None;
         }
-        self.enabled.store(true, Ordering::Release);
+        self.enabled.set(true);
     }
 
     /// Disables all injection (scripts, profiles, and flaps are retained
     /// but dormant).
     pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Release);
+        self.enabled.set(false);
     }
 
     /// Starts a new campaign epoch: prunes the per-(server, qname, qtype)
@@ -299,24 +285,25 @@ impl FaultPlane {
     /// length). Stale zone copies are retained — a frozen secondary stays
     /// frozen until its fault clears.
     pub fn begin_epoch(&self) {
-        self.attempts.lock().clear();
+        self.attempts.borrow_mut().clear();
     }
 
     /// Whether the plane is live.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
+        self.enabled.get()
     }
 
     /// Sets the fault profile applied to every server without a
     /// per-server override.
     pub fn set_global_profile(&self, profile: FaultProfile) {
-        self.servers.write().global = profile;
+        self.servers.borrow_mut().global = profile;
     }
 
     /// Edits `ns`'s record (created on first touch; names differing only
     /// in ASCII case are one server).
     fn edit<R>(&self, ns: &Name, f: impl FnOnce(&mut ServerFaults) -> R) -> R {
-        f(self.servers.write().by_name.entry(ns.clone()).or_default())
+        let mut servers = self.servers.borrow_mut();
+        f(servers.by_name.entry(ns.clone()).or_default())
     }
 
     /// Sets a per-server override profile.
@@ -364,7 +351,7 @@ impl FaultPlane {
 
     /// Removes all scheduled down-windows.
     pub fn clear_schedules(&self) {
-        for server in self.servers.write().by_name.values_mut() {
+        for server in self.servers.borrow_mut().by_name.values_mut() {
             server.windows.clear();
         }
     }
@@ -374,7 +361,7 @@ impl FaultPlane {
     /// scenario harnesses to print outage timelines.
     pub fn scheduled_down(&self, ns: &Name, now_s: u32) -> bool {
         self.servers
-            .read()
+            .borrow()
             .by_name
             .get(ns)
             .is_some_and(|server| server.in_window(now_s))
@@ -390,20 +377,12 @@ impl FaultPlane {
     /// Advances the plane's notion of the current simulation day (drives
     /// flap schedules). Called from the world tick.
     pub fn set_day(&self, day: u32) {
-        self.day.store(day, Ordering::Relaxed);
+        self.day.set(day);
     }
 
-    /// Snapshot of the injected-fault counters.
+    /// A copy of the injected-fault counters.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            drops: self.counters.drops.load(Ordering::Relaxed),
-            delays: self.counters.delays.load(Ordering::Relaxed),
-            truncations: self.counters.truncations.load(Ordering::Relaxed),
-            servfails: self.counters.servfails.load(Ordering::Relaxed),
-            refusals: self.counters.refusals.load(Ordering::Relaxed),
-            stale_serves: self.counters.stale_serves.load(Ordering::Relaxed),
-            downtime_drops: self.counters.downtime_drops.load(Ordering::Relaxed),
-        }
+        self.stats.get()
     }
 
     /// What the plane does to one exchange with `ns`; `None` means the
@@ -424,16 +403,18 @@ impl FaultPlane {
             return None;
         }
         let (profile, scripted) = {
-            let servers = self.servers.read();
+            let servers = self.servers.borrow();
             let server = servers.by_name.get(ns);
             let down = server.is_some_and(|s| {
                 s.down
-                    || s.flap
-                        .is_some_and(|f| f.is_down(self.day.load(Ordering::Relaxed)))
+                    || s.flap.is_some_and(|f| f.is_down(self.day.get()))
                     || now_s.is_some_and(|t| s.in_window(t))
             });
             if down {
-                self.counters.downtime_drops.fetch_add(1, Ordering::Relaxed);
+                self.stats.update(|mut stats| {
+                    stats.downtime_drops += 1;
+                    stats
+                });
                 return Some(Fault::Drop);
             }
             (
@@ -443,7 +424,7 @@ impl FaultPlane {
         };
         let (qname, qtype) = question?;
         if scripted {
-            // Rare (tests only), so the pop retakes the lock for writing.
+            // Rare (tests only), so the pop looks the record up again.
             if let Some(fault) = self.edit(ns, |server| server.script.pop_front()) {
                 self.count(fault);
                 return Some(fault);
@@ -453,7 +434,7 @@ impl FaultPlane {
             return None;
         }
         // Key the draw on (server, qname, qtype, attempt#): identical
-        // across runs regardless of thread interleaving.
+        // across runs whatever other queries ran in between.
         let mut hash = fnv1a(&ns.to_canonical_wire(), 0xF0_17);
         hash = fnv1a(&qname.to_canonical_wire(), hash);
         hash = fnv1a(&qtype.to_be_bytes(), hash);
@@ -464,42 +445,45 @@ impl FaultPlane {
             qtype,
         };
         let attempt = {
-            let mut attempts = self.attempts.lock();
+            let mut attempts = self.attempts.borrow_mut();
             let counter = attempts.entry(key).or_insert(0);
             let current = *counter;
             *counter += 1;
             current
         };
-        let draw = uniform_draw(
-            self.seed.load(Ordering::Relaxed),
+        let bits = draw(
+            self.seed.get(),
             hash ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let fault = profile.pick(draw)?;
+        // The top 53 bits as a uniform draw in [0, 1).
+        let fault = profile.pick((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64))?;
         self.count(fault);
         Some(fault)
     }
 
     /// The stale authority for `ns`, freezing a copy of `live`'s zones on
     /// first use (the secondary stopped syncing when the fault began).
-    pub(crate) fn stale_authority(&self, ns: &Name, live: &Authority) -> Arc<Authority> {
+    pub(crate) fn stale_authority(&self, ns: &Name, live: &Authority) -> Rc<Authority> {
         self.edit(ns, |server| {
             server
                 .stale
-                .get_or_insert_with(|| Arc::new(live.snapshot()))
+                .get_or_insert_with(|| Rc::new(live.snapshot()))
                 .clone()
         })
     }
 
     fn count(&self, fault: Fault) {
-        let counter = match fault {
-            Fault::Drop => &self.counters.drops,
-            Fault::Delay(_) => &self.counters.delays,
-            Fault::Truncate => &self.counters.truncations,
-            Fault::ServFail => &self.counters.servfails,
-            Fault::Refused => &self.counters.refusals,
-            Fault::Stale => &self.counters.stale_serves,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.stats.update(|mut stats| {
+            *match fault {
+                Fault::Drop => &mut stats.drops,
+                Fault::Delay(_) => &mut stats.delays,
+                Fault::Truncate => &mut stats.truncations,
+                Fault::ServFail => &mut stats.servfails,
+                Fault::Refused => &mut stats.refusals,
+                Fault::Stale => &mut stats.stale_serves,
+            } += 1;
+            stats
+        });
     }
 }
 
@@ -511,15 +495,6 @@ fn fnv1a(bytes: &[u8], state: u64) -> u64 {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
-}
-
-/// A uniform draw in `[0, 1)` from (seed, key) via SplitMix64 finalling.
-fn uniform_draw(seed: u64, key: u64) -> f64 {
-    let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -629,9 +604,9 @@ mod tests {
                 .collect()
         };
         let first = ask(&plane);
-        assert_eq!(plane.attempts.lock().len(), 4, "one counter per triple");
+        assert_eq!(plane.attempts.borrow().len(), 4, "one counter per triple");
         plane.begin_epoch();
-        assert!(plane.attempts.lock().is_empty(), "epoch prunes counters");
+        assert!(plane.attempts.borrow().is_empty(), "epoch prunes counters");
         // A fresh epoch re-draws from attempt 0: the sequence replays.
         assert_eq!(ask(&plane), first);
     }
@@ -765,7 +740,7 @@ mod tests {
                     plane.intercept(&spellings[asked_as], Some(50), Some((&name("x.com"), 1)));
                 assert_eq!(hit, Some(Fault::Drop), "{setter} as {}", spellings[set_as]);
                 assert_eq!(
-                    plane.servers.read().by_name.len(),
+                    plane.servers.borrow().by_name.len(),
                     1,
                     "{setter}: one record"
                 );

@@ -13,13 +13,11 @@
 #![warn(missing_docs)]
 
 pub mod authority;
-pub mod epoch;
 pub mod faults;
 pub mod network;
 pub mod outage;
 
 pub use authority::Authority;
-pub use epoch::Epoch;
 pub use faults::{Fault, FaultPlane, FaultProfile, FaultStats, FlapSchedule};
 pub use network::{Network, QueryOutcome, BASE_LATENCY_MS};
 pub use outage::{OutageScenario, OutageWindow};

@@ -13,15 +13,12 @@
 //! degradations a real scan sees. Disabled (the default), the transport
 //! is perfect and behavior is identical to the pre-fault-plane network.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use dsec_wire::{FnvHashMap, Message, Name, Rcode};
 
 use crate::authority::Authority;
-use crate::epoch::Epoch;
 use crate::faults::{Fault, FaultPlane};
 
 /// Nominal one-way-trip-and-back latency of a clean exchange, in
@@ -57,18 +54,19 @@ impl QueryOutcome {
 
 /// A directory of nameservers.
 ///
-/// The hostname → authority map sits behind an [`Epoch`] snapshot:
-/// lookups on the query hot path take zero shared locks, while the rare
-/// mutations (registration churn) go through the epoch's master copy.
+/// Plain single-thread state: the world, its scanner and every resolver
+/// share one network through an `Rc` and use it on the caller's thread.
+/// Registration edits the hostname → authority map in place; a query
+/// clones the `Rc` of the authority it reaches.
 #[derive(Debug, Default)]
 pub struct Network {
-    servers: Epoch<FnvHashMap<Name, Arc<Authority>>>,
+    servers: RefCell<FnvHashMap<Name, Rc<Authority>>>,
     /// Nameserver hostnames of the root servers.
-    root_hints: RwLock<Vec<Name>>,
+    root_hints: RefCell<Vec<Name>>,
     /// Total UDP queries dispatched (measurement bookkeeping).
-    queries: AtomicU64,
+    queries: Cell<u64>,
     /// Total TCP queries dispatched (truncation fallback bookkeeping).
-    tcp_queries: AtomicU64,
+    tcp_queries: Cell<u64>,
     /// Fault injection; dormant by default.
     faults: FaultPlane,
 }
@@ -81,33 +79,30 @@ impl Network {
 
     /// Registers `authority` under the nameserver hostname `ns`.
     /// One authority may be registered under many hostnames.
-    pub fn register(&self, ns: Name, authority: Arc<Authority>) {
-        self.servers.mutate(|servers| {
-            servers.insert(ns, authority);
-        });
+    pub fn register(&self, ns: Name, authority: Rc<Authority>) {
+        self.servers.borrow_mut().insert(ns, authority);
     }
 
     /// Removes a nameserver hostname from the directory.
     pub fn deregister(&self, ns: &Name) -> bool {
-        self.servers.mutate(|servers| servers.remove(ns).is_some())
+        self.servers.borrow_mut().remove(ns).is_some()
     }
 
     /// Declares the root server hostnames used as resolution starting
     /// points.
     pub fn set_root_hints(&self, hints: Vec<Name>) {
-        *self.root_hints.write() = hints;
+        *self.root_hints.borrow_mut() = hints;
     }
 
     /// The configured root server hostnames.
     pub fn root_hints(&self) -> Vec<Name> {
-        self.root_hints.read().clone()
+        self.root_hints.borrow().clone()
     }
 
-    /// The authority registered at `ns`, if any. Lock-free in the steady
-    /// state (`Name`'s `Hash`/`Eq` fold case, so no canonical copy is
-    /// allocated either).
-    pub fn authority(&self, ns: &Name) -> Option<Arc<Authority>> {
-        self.servers.read().get(ns).cloned()
+    /// The authority registered at `ns`, if any (`Name`'s `Hash`/`Eq`
+    /// fold case, so no canonical copy is allocated).
+    pub fn authority(&self, ns: &Name) -> Option<Rc<Authority>> {
+        self.servers.borrow().get(ns).cloned()
     }
 
     /// Always `(0, 0)`: no authority caches responses. Kept only because
@@ -140,7 +135,7 @@ impl Network {
         let Some(authority) = self.authority(ns) else {
             return QueryOutcome::Unreachable;
         };
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.queries.set(self.queries.get() + 1);
         let root;
         let question = match query.questions.first() {
             Some(q) => (&q.name, q.qtype.number()),
@@ -199,7 +194,7 @@ impl Network {
         let Some(authority) = self.authority(ns) else {
             return QueryOutcome::Unreachable;
         };
-        self.tcp_queries.fetch_add(1, Ordering::Relaxed);
+        self.tcp_queries.set(self.tcp_queries.get() + 1);
         if self.faults.intercept(ns, now_s, None).is_some() {
             return QueryOutcome::Timeout;
         }
@@ -212,18 +207,18 @@ impl Network {
 
     /// Total UDP queries dispatched since construction.
     pub fn query_count(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.queries.get()
     }
 
     /// Total TCP (truncation-fallback) queries dispatched since
     /// construction.
     pub fn tcp_query_count(&self) -> u64 {
-        self.tcp_queries.load(Ordering::Relaxed)
+        self.tcp_queries.get()
     }
 
     /// Number of registered nameserver hostnames.
     pub fn server_count(&self) -> usize {
-        self.servers.read().len()
+        self.servers.borrow().len()
     }
 }
 
@@ -237,14 +232,14 @@ fn error_response(query: &Message, rcode: Rcode) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultProfile;
+    use crate::faults::{FaultProfile, FaultStats};
     use dsec_wire::{RData, Rcode, Record, RrType, Zone};
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
     }
 
-    fn simple_authority() -> Arc<Authority> {
+    fn simple_authority() -> Rc<Authority> {
         let auth = Authority::new();
         let mut z = Zone::new(name("example.com"));
         z.add(Record::new(
@@ -254,7 +249,7 @@ mod tests {
         ))
         .unwrap();
         auth.upsert_zone(z);
-        Arc::new(auth)
+        Rc::new(auth)
     }
 
     #[test]
@@ -517,6 +512,49 @@ mod tests {
             .into_response()
             .is_some());
         assert_eq!(net.faults().stats().downtime_drops, 2);
+    }
+
+    #[test]
+    fn every_fault_kind_counts_in_its_own_field() {
+        // Kind k fires k times: a count landing in another kind's field
+        // (two arms swapped) shows as a wrong number, not a wrong name.
+        let net = Network::new();
+        let ns = name("ns1.op.net");
+        net.register(ns.clone(), simple_authority());
+        net.faults().enable(13);
+        let kinds = [
+            Fault::Drop,
+            Fault::Delay(100),
+            Fault::Truncate,
+            Fault::ServFail,
+            Fault::Refused,
+            Fault::Stale,
+        ];
+        let script = kinds.iter().zip(1..).flat_map(|(&f, k)| vec![f; k]);
+        net.faults().script(&ns, script);
+        let q = Message::query(1, name("www.example.com"), RrType::A, false);
+        for _ in 0..(1..=6).sum() {
+            net.query_udp(&ns, &q, u32::MAX, None);
+        }
+        net.faults().set_down(&ns, true);
+        for _ in 0..7 {
+            assert_eq!(
+                net.query_udp(&ns, &q, u32::MAX, None),
+                QueryOutcome::Timeout
+            );
+        }
+        assert_eq!(
+            net.faults().stats(),
+            FaultStats {
+                drops: 1,
+                delays: 2,
+                truncations: 3,
+                servfails: 4,
+                refusals: 5,
+                stale_serves: 6,
+                downtime_drops: 7,
+            }
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! The registry stores this key with every delegation it writes
 //! ([`crate::Registry::operator_of`]), so readers never re-derive it.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dsec_authserver::Authority;
 use dsec_dnssec::{SignerConfig, SigningSet, ZoneKeys};
@@ -46,7 +46,7 @@ pub struct Operator {
     pub ns_domain: Name,
     /// Concrete nameserver hostnames (`ns01.<ns_domain>`, …).
     pub ns_hosts: Vec<Name>,
-    authority: Arc<Authority>,
+    authority: Rc<Authority>,
 }
 
 impl Operator {
@@ -70,12 +70,12 @@ impl Operator {
             name: name.into(),
             ns_domain,
             ns_hosts,
-            authority: Arc::new(Authority::new()),
+            authority: Rc::new(Authority::new()),
         }
     }
 
     /// The authority backing this operator's nameservers.
-    pub fn authority(&self) -> Arc<Authority> {
+    pub fn authority(&self) -> Rc<Authority> {
         self.authority.clone()
     }
 

@@ -12,7 +12,7 @@
 //! would be re-signed wholesale otherwise; see DESIGN.md.)
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::RngCore;
 
@@ -38,7 +38,7 @@ pub struct Registry {
     /// The registry's zone-signing keys.
     keys: ZoneKeys,
     /// The authority serving the TLD zone.
-    authority: Arc<Authority>,
+    authority: Rc<Authority>,
     /// Registrars allowed to touch the registry.
     accredited: Vec<RegistrarId>,
     /// Whether the registry scans children for CDS/CDNSKEY (RFC 7344/8078);
@@ -120,7 +120,7 @@ impl Registry {
             zone.add(sig).expect("apex RRSIG in zone");
         }
 
-        let authority = Arc::new(Authority::new());
+        let authority = Rc::new(Authority::new());
         authority.upsert_zone(zone);
 
         Registry {
@@ -159,7 +159,7 @@ impl Registry {
 
     /// The authority serving this TLD zone (register it on the network
     /// under [`Tld::registry_ns`]).
-    pub fn authority(&self) -> Arc<Authority> {
+    pub fn authority(&self) -> Rc<Authority> {
         self.authority.clone()
     }
 

@@ -24,7 +24,7 @@
 //! DESIGN.md §9 is kept in two places rather than at every action.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -225,11 +225,11 @@ pub struct World {
     /// Construction parameters.
     pub config: WorldConfig,
     /// The network all queries flow over.
-    pub network: Arc<Network>,
+    pub network: Rc<Network>,
     root_keys: ZoneKeys,
     /// The root authority (kept so a trust-anchor roll can re-sign and
     /// republish the root zone after construction).
-    root_auth: Arc<Authority>,
+    root_auth: Rc<Authority>,
     /// The root server's hostname.
     root_ns: Name,
     /// A scheduled root trust-anchor roll, if any.
@@ -240,7 +240,7 @@ pub struct World {
     third_parties: Vec<ThirdParty>,
     domains: DomainStore,
     /// Shared authority for all owner-hosted zones.
-    owner_authority: Arc<Authority>,
+    owner_authority: Rc<Authority>,
     key_pool: Vec<ZoneKeys>,
     /// Worklists, renewal buckets, mass-sign queue and audit memo of the
     /// daily tick (see [`tick::TickState`] for the invalidation contract).
@@ -270,7 +270,7 @@ impl World {
         let valid_from = config.start.epoch_seconds().saturating_sub(86_400);
         let valid_until = config.end.plus_days(400).epoch_seconds();
 
-        let network = Arc::new(Network::new());
+        let network = Rc::new(Network::new());
 
         let mut registries = BTreeMap::new();
         for tld in ALL_TLDS {
@@ -326,7 +326,7 @@ impl World {
             dnskey_ttl: 3600,
         };
         sign_zone(&mut root_zone, &root_keys, &signer).expect("root zone signs");
-        let root_auth = Arc::new(Authority::new());
+        let root_auth = Rc::new(Authority::new());
         root_auth.upsert_zone(root_zone);
         network.register(root_ns.clone(), root_auth.clone());
         network.set_root_hints(vec![root_ns.clone()]);
@@ -353,7 +353,7 @@ impl World {
             operators: Vec::new(),
             third_parties: Vec::new(),
             domains: DomainStore::new(),
-            owner_authority: Arc::new(Authority::new()),
+            owner_authority: Rc::new(Authority::new()),
             key_pool,
             tick: tick::TickState::default(),
             cds_first_seen: BTreeMap::new(),

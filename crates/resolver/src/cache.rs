@@ -41,9 +41,7 @@
 //! cut costs a re-fetch, never a wrong answer. [`Cache::len`] keeps
 //! counting answers; [`Cache::cut_count`] counts these.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dsec_wire::{name_hash64, DnskeyRdata, FnvHashMap, Name, RrType};
 
@@ -232,10 +230,16 @@ impl Cache {
         self.capacity
     }
 
+    /// The entries, locked. A panic while the lock was held does not
+    /// poison the cache for the threads that go on using it.
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up a live entry by precomputed key, sharing the stored
     /// answer (no deep copy).
     pub fn get_shared(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let entries = self.entries.lock();
+        let entries = self.entries();
         let entry = entries.map.get(key)?;
         if entry.expires_at <= now {
             return None;
@@ -251,7 +255,7 @@ impl Cache {
     /// horizon — a stale read never resurrects anything beyond
     /// `max_stale`.
     pub fn get_stale(&self, key: &CacheKey, now: u32) -> Option<Arc<Answer>> {
-        let entries = self.entries.lock();
+        let entries = self.entries();
         let entry = entries.map.get(key)?;
         if entry.expires_at.saturating_add(self.max_stale) <= now {
             return None;
@@ -286,7 +290,7 @@ impl Cache {
     }
 
     fn insert(&self, key: CacheKey, value: Cached, ttl: u32, now: u32) {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries();
         let seq = entries.next_seq;
         entries.next_seq += 1;
         entries.map.insert(
@@ -314,7 +318,7 @@ impl Cache {
 
     /// The live infrastructure entry of `zone` itself, if any.
     fn cut_at(&self, zone: &Name, now: u32) -> Option<Arc<ZoneCut>> {
-        match self.entries.lock().map.get(&CacheKey::cut(zone)) {
+        match self.entries().map.get(&CacheKey::cut(zone)) {
             Some(Entry {
                 value: Cached::Cut(cut),
                 expires_at,
@@ -360,8 +364,7 @@ impl Cache {
     /// `max_stale` is 0); returns how many were evicted.
     pub fn evict_expired(&self, now: u32) -> usize {
         let max_stale = self.max_stale;
-        self.entries
-            .lock()
+        self.entries()
             .remove_unless(|_, e| e.expires_at.saturating_add(max_stale) > now)
     }
 
@@ -380,8 +383,7 @@ impl Cache {
 
     /// Entries that are (`cuts`) or are not zone cuts.
     fn count(&self, cuts: bool) -> usize {
-        self.entries
-            .lock()
+        self.entries()
             .map
             .keys()
             .filter(|key| (key.slot == CUT_SLOT) == cuts)
@@ -395,7 +397,7 @@ impl Cache {
 
     /// Removes every entry, zone cuts included.
     pub fn clear(&self) {
-        self.entries.lock().map.clear();
+        self.entries().map.clear();
     }
 
     /// Evicts every entry whose qname — or, for a zone cut, apex — is
@@ -406,8 +408,7 @@ impl Cache {
     /// old regime may keep being served from cache. Flushing at the root
     /// empties the cache.
     pub fn flush_origin(&self, origin: &Name) -> usize {
-        self.entries
-            .lock()
+        self.entries()
             .remove_unless(|key, _| !key.name.is_subdomain_of(origin))
     }
 }

@@ -24,13 +24,13 @@
 //! that spans several ladders are the resolver's own state, and only it
 //! passes them.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use dsec_authserver::{Network, QueryOutcome};
 use dsec_wire::{Message, Name, Rcode};
 
 use crate::breaker::BreakerSet;
-use crate::retry::{HealthCache, ResolverStats, RetryPolicy};
+use crate::retry::{HealthCache, ResolverStatsSnapshot, RetryPolicy};
 
 /// How an [`Exchange`] ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +78,7 @@ pub struct Exchange<'a> {
     // the exchange's clock.
     pub(crate) health: Option<&'a HealthCache>,
     pub(crate) breaker: Option<&'a BreakerSet>,
-    pub(crate) stats: Option<&'a ResolverStats>,
+    pub(crate) stats: Option<&'a RefCell<ResolverStatsSnapshot>>,
     /// Simulated ms spent so far in the resolution the ladder is part of.
     pub(crate) spent: Option<&'a Cell<u32>>,
 }
@@ -104,7 +104,7 @@ impl<'a> Exchange<'a> {
             return ExchangeOutcome::NoServers;
         }
         // Counters and a budget of the ladder's own, unless the resolver's.
-        let (own_stats, own_spent) = (ResolverStats::new(), Cell::new(0));
+        let (own_stats, own_spent) = (RefCell::default(), Cell::new(0));
         let stats = self.stats.unwrap_or(&own_stats);
         let spent = self.spent.unwrap_or(&own_spent);
         let spend = |ms: u32| spent.set(spent.get().saturating_add(ms));
@@ -139,12 +139,12 @@ impl<'a> Exchange<'a> {
                 }
                 if let Some(breaker) = self.breaker {
                     if !breaker.allow(ns, self.clock()) {
-                        stats.count_breaker_short_circuit();
+                        stats.borrow_mut().breaker_short_circuits += 1;
                         continue;
                     }
                 }
                 attempts += 1;
-                stats.count_attempt();
+                stats.borrow_mut().udp_attempts += 1;
                 match self
                     .network
                     .query_udp(ns, query, policy.deadline_ms, self.now)
@@ -155,10 +155,10 @@ impl<'a> Exchange<'a> {
                     }
                     QueryOutcome::Timeout => {
                         reached = true;
-                        stats.count_timeout();
+                        stats.borrow_mut().timeouts += 1;
                         self.note_failure(ns, stats);
                         let backoff = policy.backoff_ms(retries);
-                        stats.count_backoff(backoff);
+                        stats.borrow_mut().backoff_ms += backoff as u64;
                         spend(policy.deadline_ms.saturating_add(backoff));
                         retries += 1;
                     }
@@ -169,7 +169,7 @@ impl<'a> Exchange<'a> {
                         reached = true;
                         spend(latency_ms);
                         if response.flags.truncated {
-                            stats.count_tcp_fallback();
+                            stats.borrow_mut().tcp_fallbacks += 1;
                             match self.network.query_tcp(ns, query, self.now) {
                                 QueryOutcome::Answered {
                                     response,
@@ -188,7 +188,7 @@ impl<'a> Exchange<'a> {
                                     };
                                 }
                                 _ => {
-                                    stats.count_timeout();
+                                    stats.borrow_mut().timeouts += 1;
                                     self.note_failure(ns, stats);
                                     spend(policy.deadline_ms);
                                     continue;
@@ -202,7 +202,7 @@ impl<'a> Exchange<'a> {
                             breaker.record_success(ns, self.clock());
                         }
                         if matches!(response.rcode, Rcode::ServFail | Rcode::Refused) {
-                            stats.count_error_rcode();
+                            stats.borrow_mut().error_rcodes += 1;
                             if let Some(health) = self.health {
                                 health.record_failure(ns);
                             }
@@ -259,13 +259,13 @@ impl<'a> Exchange<'a> {
 
     /// A transport-level failure against `ns`: penalized, and counted
     /// against its breaker (a trip when this failure opened it).
-    fn note_failure(&self, ns: &Name, stats: &ResolverStats) {
+    fn note_failure(&self, ns: &Name, stats: &RefCell<ResolverStatsSnapshot>) {
         if let Some(health) = self.health {
             health.record_failure(ns);
         }
         if let Some(breaker) = self.breaker {
             if breaker.record_failure(ns, self.clock()) {
-                stats.count_breaker_trip();
+                stats.borrow_mut().breaker_trips += 1;
             }
         }
     }

@@ -43,7 +43,7 @@ pub use diagnose::{
     capture_kind, diagnose, CaptureKind, Diagnosis, DsLink, SignatureState, ZoneDiagnosis,
 };
 pub use exchange::{Exchange, ExchangeOutcome};
-pub use retry::{HealthCache, ResolverStats, ResolverStatsSnapshot, RetryPolicy};
+pub use retry::{HealthCache, ResolverStatsSnapshot, RetryPolicy};
 pub use spoofguard::{OnPathThreat, SpoofGuard, POISON_A, POISON_AAAA, POISON_TTL};
 
 /// The RFC 4035 security state of a resolution.
@@ -114,16 +114,18 @@ impl std::fmt::Display for ResolveError {
 
 impl std::error::Error for ResolveError {}
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A validating iterative resolver bound to a network.
 ///
-/// A `Resolver` runs on its caller's thread: its stats, query-id
-/// counters, health and breaker state are `Cell`s and `RefCell`s, so it
-/// is `Send` but not `Sync`. Resolvers share state only through the
-/// [`Cache`] (see [`Resolver::with_shared_cache`]).
+/// A `Resolver` runs on its caller's thread: it shares the world's
+/// network through an `Rc`, and its stats, query-id counters, health and
+/// breaker state are `Cell`s and `RefCell`s. Resolvers share state only
+/// through the network and the [`Cache`] (see
+/// [`Resolver::with_shared_cache`]).
 pub struct Resolver {
-    network: Arc<Network>,
+    network: Rc<Network>,
     /// Trust anchor: DS records for the root KSK. Empty → no validation.
     trust_anchor: Vec<DsRdata>,
     /// Checking-disabled: return bogus data instead of SERVFAIL.
@@ -137,7 +139,7 @@ pub struct Resolver {
     /// Per-server penalty cache steering retries toward live servers.
     health: retry::HealthCache,
     /// Attempt/timeout/fallback accounting.
-    stats: retry::ResolverStats,
+    stats: std::cell::RefCell<ResolverStatsSnapshot>,
     /// Per-authority circuit breakers (None = always query).
     breaker: Option<breaker::BreakerSet>,
     /// Simulated ms spent so far in the current top-level resolution,
@@ -156,7 +158,7 @@ pub struct Resolver {
 impl Resolver {
     /// A resolver with a trust anchor (pass an empty vec for a
     /// non-validating resolver).
-    pub fn new(network: Arc<Network>, trust_anchor: Vec<DsRdata>) -> Self {
+    pub fn new(network: Rc<Network>, trust_anchor: Vec<DsRdata>) -> Self {
         Resolver {
             network,
             trust_anchor,
@@ -166,7 +168,7 @@ impl Resolver {
             next_id: std::cell::Cell::new(1),
             policy: retry::RetryPolicy::default(),
             health: retry::HealthCache::new(),
-            stats: retry::ResolverStats::new(),
+            stats: Default::default(),
             breaker: None,
             budget_spent: std::cell::Cell::new(0),
             spoof_guard: SpoofGuard::default(),
@@ -227,8 +229,8 @@ impl Resolver {
     }
 
     /// Attempt/timeout/TCP-fallback counters accumulated so far.
-    pub fn stats(&self) -> retry::ResolverStatsSnapshot {
-        self.stats.snapshot()
+    pub fn stats(&self) -> ResolverStatsSnapshot {
+        *self.stats.borrow()
     }
 
     /// The per-server health cache.
@@ -268,15 +270,15 @@ impl Resolver {
         now: u32,
     ) -> Result<Arc<Answer>, ResolveError> {
         if let Some(hit) = self.cache.get_shared(key, now) {
-            self.stats.count_cache_hit();
+            self.stats.borrow_mut().cache_hits += 1;
             if hit.records.is_empty() && matches!(hit.rcode, Rcode::NxDomain | Rcode::NoError) {
                 // A cached NXDOMAIN/NODATA served without touching
                 // authorities (RFC 2308).
-                self.stats.count_negative_hit();
+                self.stats.borrow_mut().negative_hits += 1;
             }
             return Ok(hit);
         }
-        self.stats.count_cache_miss();
+        self.stats.borrow_mut().cache_misses += 1;
         match self.resolve_budgeted(qname, qtype, now, Some(&self.cache)) {
             Ok(answer) => {
                 let answer = Arc::new(answer);
@@ -289,7 +291,7 @@ impl Resolver {
                 // staleness must never mask a validation failure), fall
                 // back to an expired entry within the stale horizon.
                 if let Some(stale) = self.cache.get_stale(key, now) {
-                    self.stats.count_stale_hit();
+                    self.stats.borrow_mut().stale_hits += 1;
                     return Ok(stale);
                 }
                 Err(e)
@@ -338,7 +340,7 @@ impl Resolver {
         self.budget_spent.set(0);
         let result = self.resolve_within_budget(qname, qtype, now, cuts);
         if self.budget_spent.get() >= self.policy.budget_ms {
-            self.stats.count_budget_exhausted();
+            self.stats.borrow_mut().budget_exhausted += 1;
         }
         result
     }
@@ -453,7 +455,7 @@ impl Resolver {
                 .collect();
             let poisoned = self.forged_in_flight.take();
             if poisoned {
-                self.stats.count_poison_admitted();
+                self.stats.borrow_mut().poison_admitted += 1;
             }
             chain.extend(cut.chain.iter().cloned());
             return Ok((
@@ -696,7 +698,7 @@ impl Resolver {
         };
         let mut resp = response;
         if threat.covers(&q.name, q.qtype) {
-            self.stats.count_poison_race();
+            self.stats.borrow_mut().poison_races += 1;
             if threat.race_won(&self.spoof_guard, &q.name, q.qtype) {
                 resp = threat.forged_response(query);
                 self.forged_in_flight.set(true);
@@ -704,7 +706,7 @@ impl Resolver {
         }
         let scrubbed = self.spoof_guard.scrub_response(&mut resp, bailiwick);
         if scrubbed > 0 {
-            self.stats.count_poison_scrubbed(scrubbed as u64);
+            self.stats.borrow_mut().poison_scrubbed += scrubbed as u64;
         }
         resp
     }
@@ -784,7 +786,6 @@ mod tests {
     use dsec_wire::{SoaRdata, Zone};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     const NOW: u32 = 1_450_000_000;
 
@@ -815,10 +816,10 @@ mod tests {
 
     /// A three-level signed hierarchy: . → com → example.com.
     struct World {
-        network: Arc<Network>,
+        network: Rc<Network>,
         root_keys: ZoneKeys,
-        com_auth: Arc<Authority>,
-        example_auth: Arc<Authority>,
+        com_auth: Rc<Authority>,
+        example_auth: Rc<Authority>,
     }
 
     fn build_world(sign_example: bool, upload_example_ds: bool) -> World {
@@ -919,14 +920,14 @@ mod tests {
         .unwrap();
         sign_zone(&mut root, &root_keys, &cfg).unwrap();
 
-        let network = Arc::new(Network::new());
+        let network = Rc::new(Network::new());
         let root_auth = Authority::new();
         root_auth.upsert_zone(root);
-        network.register(name("a.root-servers.net"), Arc::new(root_auth));
-        let com_auth = Arc::new(Authority::new());
+        network.register(name("a.root-servers.net"), Rc::new(root_auth));
+        let com_auth = Rc::new(Authority::new());
         com_auth.upsert_zone(com);
         network.register(name("a.gtld-servers.net"), com_auth.clone());
-        let example_auth = Arc::new(Authority::new());
+        let example_auth = Rc::new(Authority::new());
         example_auth.upsert_zone(example);
         network.register(name("ns1.operator.net"), example_auth.clone());
         network.set_root_hints(vec![name("a.root-servers.net")]);
@@ -1858,7 +1859,7 @@ mod tests {
         // ns1.operator.net answers, but serves no zone: lame.
         let w = build_world(false, false);
         w.network
-            .register(name("ns1.operator.net"), Arc::new(Authority::new()));
+            .register(name("ns1.operator.net"), Rc::new(Authority::new()));
         let resolver = Resolver::new(w.network.clone(), trust_anchor_for(&w.root_keys));
         let answer = resolver.resolve(&www(), RrType::A, NOW).unwrap();
         assert_eq!(

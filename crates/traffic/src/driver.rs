@@ -35,7 +35,7 @@ use dsec_ecosystem::World;
 use dsec_resolver::{
     BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver, RetryPolicy, SpoofGuard,
 };
-use dsec_wire::{FnvHashSet, Name};
+use dsec_wire::{draw, FnvHashSet, Name};
 use dsec_workloads::TrafficMix;
 
 use crate::account::{classify_answer, Outcome, OutcomeCounts, TrafficReport};
@@ -199,7 +199,7 @@ impl LoadConfig {
 }
 
 /// Deterministic per-query network jitter for fresh resolutions,
-/// simulated ms: a splitmix-style hash of (stream seed, stream index),
+/// simulated ms: the keyed [`draw`] of (stream seed, stream index),
 /// so the sample drawn for query `i` is a property of the stream itself
 /// — identical run to run. Most samples are a
 /// small 0–15 ms spread on top of the deterministic RTT ladder; 1 in 64
@@ -207,12 +207,7 @@ impl LoadConfig {
 /// latency percentiles separate (p50 < p99 < p999) the way real
 /// resolver RTT samples do instead of collapsing onto one bucket.
 fn jitter_ms(seed: u64, index: u64) -> u32 {
-    let mut h = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
+    let h = draw(seed, index);
     let mut ms = (h % 16) as u32;
     if h.is_multiple_of(64) {
         ms += 32;
@@ -225,9 +220,10 @@ fn jitter_ms(seed: u64, index: u64) -> u32 {
 
 /// Whether stream query `index` belongs to a validating user, given the
 /// fleet's `share` of validating resolvers. Like the per-query RTT
-/// jitter this is a splitmix-style hash of (seed, index) — a property of
-/// the stream — so the same user population shows up across runs and
-/// repeated phases. The extremes short-circuit:
+/// jitter this is a hash of (seed, index) — a property of the stream —
+/// so the same user population shows up across runs and repeated
+/// phases. Its mixer differs from [`draw`]'s, and folding the two would
+/// move every assignment. The extremes short-circuit:
 /// `share >= 1.0` is *exactly* the historical all-validating fleet.
 pub fn validating_assignment(seed: u64, index: u64, share: f64) -> bool {
     if share >= 1.0 {

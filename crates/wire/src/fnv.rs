@@ -11,6 +11,10 @@
 //! FNV is not DoS-resistant. Every key hashed here is simulator-internal
 //! (generated domain names, dense cache ids), never attacker-chosen, so
 //! hash-flooding resistance buys nothing.
+//!
+//! [`draw`] is the keyed draw beside it: the fault plane hashes its
+//! (server, qname, qtype) key with FNV-1a and then draws from it, and
+//! the traffic driver draws each query's jitter from its stream index.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -55,6 +59,17 @@ pub type FnvHashMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 /// A `HashSet` hashed with FNV-1a.
 pub type FnvHashSet<T> = HashSet<T, FnvBuildHasher>;
 
+/// A deterministic 64-bit draw keyed by (`seed`, `key`): the key is
+/// spread by the golden-ratio multiplier, xored into the seed, and run
+/// through SplitMix64's finaliser. The same pair always gives the same
+/// value, whatever was drawn before it.
+pub fn draw(seed: u64, key: u64) -> u64 {
+    let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,6 +95,15 @@ mod tests {
             b.write_u8(byte);
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn draw_is_splitmix64_of_the_spread_key() {
+        // Seed 0, key 1 is SplitMix64's first output from state 0; the
+        // finaliser maps 0 to 0.
+        assert_eq!(draw(0, 1), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(draw(0, 0), 0);
+        assert_ne!(draw(1, 7), draw(2, 7));
     }
 
     #[test]

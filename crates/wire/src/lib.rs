@@ -27,7 +27,7 @@ pub mod rrtype;
 pub mod wire;
 pub mod zone;
 
-pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
+pub use fnv::{draw, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
 pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
 pub use name::{name_hash64, Labels, Name};
 pub use rdata::{DnskeyRdata, DsRdata, RData, RrsigRdata, SoaRdata};

@@ -7,7 +7,7 @@
 //! cargo run --release --example doctor
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dsec::authserver::Authority;
 use dsec::ecosystem::{
@@ -68,7 +68,7 @@ fn main() {
         .purchase(registrar, "lamefirst", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
         .unwrap();
     let secondary = Name::parse("ns.forgotten-secondary.net").unwrap();
-    world.network.register(secondary.clone(), Arc::new(Authority::new()));
+    world.network.register(secondary.clone(), Rc::new(Authority::new()));
     let mut ns = vec![secondary];
     ns.extend(world.registry(Tld::Com).ns_of(&lame_first));
     world.submit_ns_change(&lame_first, &ns, DsSubmission::Web).unwrap();

@@ -7,7 +7,6 @@
 //! ```
 
 use std::net::UdpSocket;
-use std::sync::Arc;
 
 use dsec::authserver::Authority;
 use dsec::crypto::{Algorithm, DigestType};
@@ -55,14 +54,14 @@ fn main() -> std::io::Result<()> {
     sign_zone(&mut zone, &keys, &SignerConfig::valid_from(now, 30 * 86_400)).unwrap();
     let ds = keys.ds(DigestType::Sha256);
 
-    let authority = Arc::new(Authority::new());
+    let authority = Authority::new();
     authority.upsert_zone(zone);
 
     // Server half: one thread answering datagrams on a loopback socket.
     let server = UdpSocket::bind("127.0.0.1:0")?;
     let addr = server.local_addr()?;
     println!("authoritative server listening on {addr}");
-    let serving = authority.clone();
+    // The server thread owns the authority it answers from.
     let handle = std::thread::spawn(move || {
         let mut buf = [0u8; 4096];
         // Serve exactly the queries this example sends, then exit.
@@ -70,7 +69,7 @@ fn main() -> std::io::Result<()> {
             let Ok((len, peer)) = server.recv_from(&mut buf) else {
                 return;
             };
-            if let Some(reply) = serving.handle_datagram(&buf[..len]) {
+            if let Some(reply) = authority.handle_datagram(&buf[..len]) {
                 let _ = server.send_to(&reply, peer);
             }
         }

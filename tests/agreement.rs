@@ -4,7 +4,7 @@
 //! validating resolver walking the chain from the root — including when
 //! some of a domain's nameservers are lame.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dsec::authserver::{Authority, Fault};
 use dsec::dnssec::{classify, DeploymentStatus, Misconfiguration};
@@ -88,7 +88,7 @@ fn lame_servers_agree_across_every_reader() {
         (host("serving"), host("flaky"), host("lame"), host("lame2"));
     world.network.register(serving.clone(), zone_host.clone());
     world.network.register(flaky.clone(), zone_host);
-    let empty = Arc::new(Authority::new());
+    let empty = Rc::new(Authority::new());
     world.network.register(lame.clone(), empty.clone());
     world.network.register(lame2.clone(), empty);
     world.fault_plane().enable(0xA9EE);

@@ -11,9 +11,10 @@ use dsec::ecosystem::{
 };
 use dsec::wire::{Message, Name, RData, Rcode, Record, RrSet, RrType};
 
-/// Serves one authority on a UDP socket for `answers` datagrams.
+/// Serves one authority on a UDP socket for `answers` datagrams. The
+/// server thread owns what it serves: callers pass a snapshot.
 fn serve(
-    authority: std::sync::Arc<dsec::authserver::Authority>,
+    authority: dsec::authserver::Authority,
     answers: usize,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
@@ -77,10 +78,10 @@ fn world_zone_validates_over_real_udp() {
     let now = world.today.epoch_seconds();
 
     // Socket 1: the .com registry (DS + referral answers).
-    let (registry_addr, registry_thread) = serve(world.registry(Tld::Com).authority(), 2);
+    let (registry_addr, registry_thread) = serve(world.registry(Tld::Com).authority().snapshot(), 2);
     // Socket 2: the customer operator (DNSKEY + A answers).
     let operator = world.registrar(registrar).operator;
-    let (op_addr, op_thread) = serve(world.operator(operator).authority(), 2);
+    let (op_addr, op_thread) = serve(world.operator(operator).authority().snapshot(), 2);
 
     // DS from the parent, over the wire.
     let resp = ask(registry_addr, &Message::query(1, domain.clone(), RrType::Ds, true));
@@ -136,7 +137,7 @@ fn malformed_udp_datagrams_get_formerr_or_silence() {
         key_pool: 2,
         ..WorldConfig::default()
     });
-    let (addr, thread) = serve(world.registry(Tld::Com).authority(), 1);
+    let (addr, thread) = serve(world.registry(Tld::Com).authority().snapshot(), 1);
     let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
     socket
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -157,7 +158,7 @@ fn truncated_udp_falls_back_to_tcp() {
     use std::net::TcpListener;
 
     // A zone whose TXT answer exceeds the 512-byte no-EDNS UDP limit.
-    let authority = std::sync::Arc::new(dsec::authserver::Authority::new());
+    let authority = dsec::authserver::Authority::new();
     let mut zone = dsec::wire::Zone::new(Name::parse("big.com").unwrap());
     for i in 0..6u8 {
         zone.add(Record::new(
@@ -170,7 +171,7 @@ fn truncated_udp_falls_back_to_tcp() {
     authority.upsert_zone(zone);
 
     // UDP leg: no EDNS → truncated.
-    let (udp_addr, udp_thread) = serve(authority.clone(), 1);
+    let (udp_addr, udp_thread) = serve(authority.snapshot(), 1);
     let query = Message::query(1, Name::parse("big.com").unwrap(), RrType::Txt, false);
     let resp = ask(udp_addr, &query);
     assert!(resp.flags.truncated, "server must signal TC over UDP");
@@ -180,7 +181,7 @@ fn truncated_udp_falls_back_to_tcp() {
     // TCP leg: RFC 1035 §4.2.2 framing carries the full answer.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let tcp_addr = listener.local_addr().unwrap();
-    let serving = authority.clone();
+    let serving = authority.snapshot();
     let tcp_thread = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         let mut buf = Vec::new();
