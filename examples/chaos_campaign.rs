@@ -39,8 +39,13 @@ fn degradation_demo() {
     let (victim, fleet) = largest_operator_fleet(world, None);
 
     world.fault_plane().enable(CHAOS_SEED);
-    OutageScenario::operator_outage("operator-outage", fleet.clone(), base + span, base + 2 * span)
-        .install(world.fault_plane());
+    OutageScenario::operator_outage(
+        "operator-outage",
+        fleet.clone(),
+        base + span,
+        base + 2 * span,
+    )
+    .install(world.fault_plane());
 
     // Live breaker transition log: one resolver staring at the dead
     // fleet through the window.
@@ -52,12 +57,11 @@ fn degradation_demo() {
         })
         .map(|d| d.name.clone())
         .expect("victim operator hosts a domain");
-    let resolver = Resolver::new(world.network.clone(), world.trust_anchor()).with_breaker(
-        BreakerPolicy {
+    let resolver =
+        Resolver::new(world.network.clone(), world.trust_anchor()).with_breaker(BreakerPolicy {
             failure_threshold: 3,
             probe_interval_s: 60,
-        },
-    );
+        });
     for t in (0..=(2 * span + 120)).step_by(64) {
         let _ = resolver.resolve(&victim_domain, RrType::A, base + span / 2 + t);
     }
@@ -83,14 +87,21 @@ fn degradation_demo() {
         });
     config.sim_qps = qps;
     let cache = Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(7_200));
-    println!("\navailability timeline (victim fleet down t+{span}s..t+{}s):", 2 * span);
+    println!(
+        "\navailability timeline (victim fleet down t+{span}s..t+{}s):",
+        2 * span
+    );
     println!("  phase      window          avail%  stale%  servfail%  breaker-trips");
     for (label, offset) in [
         ("warm-up", 0),
         ("outage", span),
         ("recovery", 2 * span + 60),
     ] {
-        let report = run_load_shared(world, &config.clone().with_now_offset(offset), Arc::clone(&cache));
+        let report = run_load_shared(
+            world,
+            &config.clone().with_now_offset(offset),
+            Arc::clone(&cache),
+        );
         println!(
             "  {:<9} t+{:>5}s..{:>5}s {:>6.1} {:>7.1} {:>10.1} {:>14}",
             label,

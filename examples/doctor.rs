@@ -34,7 +34,13 @@ fn main() {
 
     // Healthy: registrar-hosted with default signing.
     let healthy = world
-        .purchase(registrar, "healthy", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .purchase(
+            registrar,
+            "healthy",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
         .unwrap();
 
     // Partial: owner-signed, DS never conveyed (the paper's 30%).
@@ -65,13 +71,23 @@ fn main() {
     // the zone answers REFUSED, and the real server behind it still
     // serves the signed zone. Lame is "no data here", not "unsigned".
     let lame_first = world
-        .purchase(registrar, "lamefirst", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .purchase(
+            registrar,
+            "lamefirst",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
         .unwrap();
     let secondary = Name::parse("ns.forgotten-secondary.net").unwrap();
-    world.network.register(secondary.clone(), Rc::new(Authority::new()));
+    world
+        .network
+        .register(secondary.clone(), Rc::new(Authority::new()));
     let mut ns = vec![secondary];
     ns.extend(world.registry(Tld::Com).ns_of(&lame_first));
-    world.submit_ns_change(&lame_first, &ns, DsSubmission::Web).unwrap();
+    world
+        .submit_ns_change(&lame_first, &ns, DsSubmission::Web)
+        .unwrap();
 
     let anchor = world.trust_anchor();
     let now = world.today.epoch_seconds();

@@ -36,9 +36,7 @@ fn main() {
         scan_interval_days: interval,
         run_probe: true,
     };
-    eprintln!(
-        "running full study at scale 1:{scale}, snapshots every {interval} days…"
-    );
+    eprintln!("running full study at scale 1:{scale}, snapshots every {interval} days…");
     let started = std::time::Instant::now();
     let output = run_study(&config);
     eprintln!(
@@ -82,7 +80,10 @@ fn main() {
     for (kind, count) in events.counters() {
         println!("  {kind:<24} {count}");
     }
-    println!("\n{}", dsec::reports::rollover_lifecycle(&output.paper_world.world));
+    println!(
+        "\n{}",
+        dsec::reports::rollover_lifecycle(&output.paper_world.world)
+    );
 
     println!("\n--- EXPERIMENTS.md ---\n");
     println!("{}", output.to_markdown());

@@ -36,7 +36,11 @@ use dsec::workloads::PopulationConfig;
 fn demo_world(verifies_sender: bool) -> (World, Name) {
     let mut world = World::new(WorldConfig::default());
     let registrar = world.add_registrar(
-        if verifies_sender { "StrictMail" } else { "LaxMail" },
+        if verifies_sender {
+            "StrictMail"
+        } else {
+            "LaxMail"
+        },
         Name::parse("demo-reg.net").unwrap(),
         RegistrarPolicy {
             operator_dnssec: OperatorDnssec::Unsupported,
@@ -49,7 +53,13 @@ fn demo_world(verifies_sender: bool) -> (World, Name) {
         },
     );
     let victim = world
-        .purchase(registrar, "victim", Tld::Com, Hosting::Owner, "owner@victim.com")
+        .purchase(
+            registrar,
+            "victim",
+            Tld::Com,
+            Hosting::Owner,
+            "owner@victim.com",
+        )
         .unwrap();
     let ds = world.owner_sign_zone(&victim).unwrap();
     world
@@ -127,7 +137,10 @@ fn main() {
         "non-validating client got attacker address: {}",
         attacker_a.map(|ip| ip.to_string()).unwrap_or_default()
     );
-    assert_eq!(attacker_a.map(|ip| ip.to_string()).as_deref(), Some("203.0.113.66"));
+    assert_eq!(
+        attacker_a.map(|ip| ip.to_string()).as_deref(),
+        Some("203.0.113.66")
+    );
     let validating = Resolver::new(world.network.clone(), world.trust_anchor());
     let resp = validating.resolve(&www, RrType::A, now).unwrap();
     println!("validating client saved: {:?}", resp.security);
@@ -155,15 +168,17 @@ fn main() {
 
     // ---- Part 1d: the verified-sender channel repels both vectors. ----
     let mut captures = 0;
-    for vector in [AttackVector::ForgedDs, AttackVector::ForgedNs { stealthy: false }] {
+    for vector in [
+        AttackVector::ForgedDs,
+        AttackVector::ForgedNs { stealthy: false },
+    ] {
         let (world, victim, campaign) = run_vector(true, vector, None);
         let phase = phase_of(&campaign, &victim);
         println!("authenticated channel: {vector:?} {phase:?}");
         assert_eq!(phase, AttackPhase::Repelled);
         captures += campaign.captured().len();
         assert_eq!(
-            world.events.count("forged_email_accepted")
-                + world.events.count("forged_ns_accepted"),
+            world.events.count("forged_email_accepted") + world.events.count("forged_ns_accepted"),
             0
         );
     }

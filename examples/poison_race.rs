@@ -54,7 +54,13 @@ fn demo_world() -> (World, Name) {
         },
     );
     let victim = world
-        .purchase(registrar, "victim", Tld::Com, Hosting::Owner, "owner@victim.com")
+        .purchase(
+            registrar,
+            "victim",
+            Tld::Com,
+            Hosting::Owner,
+            "owner@victim.com",
+        )
         .unwrap();
     (world, victim)
 }
@@ -83,7 +89,9 @@ fn main() {
         .with_spoof_guard(naive)
         .with_shared_cache(cache.clone())
         .with_on_path_threat(threat.clone());
-    let answer = poisoned_resolver.resolve_cached(&www, RrType::A, now).unwrap();
+    let answer = poisoned_resolver
+        .resolve_cached(&www, RrType::A, now)
+        .unwrap();
     let got = answer.records.iter().find_map(|r| match &r.rdata {
         RData::A(ip) => Some(*ip),
         _ => None,
@@ -135,12 +143,18 @@ fn main() {
 
     // ---- Part 1d: RFC 5011 — revoking inside the hold-down strands. ----
     let correct = AnchorTracker::seen(0);
-    assert_eq!(correct.state_on(ADD_HOLD_DOWN_DAYS - 1), AnchorState::AddPend);
+    assert_eq!(
+        correct.state_on(ADD_HOLD_DOWN_DAYS - 1),
+        AnchorState::AddPend
+    );
     assert_eq!(correct.state_on(ADD_HOLD_DOWN_DAYS), AnchorState::Valid);
     let mut mistimed = AnchorTracker::seen(0);
     mistimed.revoke(10);
     assert_eq!(mistimed.state_on(10), AnchorState::Revoked);
-    assert_eq!(mistimed.state_on(ADD_HOLD_DOWN_DAYS + 10), AnchorState::Revoked);
+    assert_eq!(
+        mistimed.state_on(ADD_HOLD_DOWN_DAYS + 10),
+        AnchorState::Revoked
+    );
     println!(
         "rfc 5011: add hold-down {ADD_HOLD_DOWN_DAYS} days; patient roll -> Valid on day {ADD_HOLD_DOWN_DAYS}, \
          revoke on day 10 -> the new anchor never becomes Valid",

@@ -59,7 +59,11 @@ fn main() {
         "resolve {www} → {} record(s), security {:?}, chain {:?}",
         answer.records.len(),
         answer.security,
-        answer.chain.iter().map(|n| n.to_string()).collect::<Vec<_>>()
+        answer
+            .chain
+            .iter()
+            .map(|n| n.to_string())
+            .collect::<Vec<_>>()
     );
     assert_eq!(answer.security, Security::Secure);
 

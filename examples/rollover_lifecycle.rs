@@ -67,16 +67,19 @@ fn status_label(world: &World, domain: &Name) -> &'static str {
 /// days observed.
 fn drive(timing: DsTiming) -> u32 {
     let (mut world, domain) = demo_world("roller");
-    let plan =
-        RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
-            .with_ds_timing(timing);
+    let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
+        .with_ds_timing(timing);
     let last = plan
         .completion()
         .max(plan.actual_swap().unwrap_or_else(|| plan.completion()))
         .plus_days(1);
     world.schedule_rollover(&domain, plan.clone()).unwrap();
 
-    println!("  {timing:?}: start {:?}, DS swap {:?}", plan.start, plan.actual_swap());
+    println!(
+        "  {timing:?}: start {:?}, DS swap {:?}",
+        plan.start,
+        plan.actual_swap()
+    );
     let mut bogus_days = 0;
     while world.today < last {
         world.tick();
@@ -88,7 +91,11 @@ fn drive(timing: DsTiming) -> u32 {
             "    {:?}  {:<6} {}",
             world.today,
             verdict,
-            if plan.is_bogus_on(world.today) { "← predicted bogus" } else { "" }
+            if plan.is_bogus_on(world.today) {
+                "← predicted bogus"
+            } else {
+                ""
+            }
         );
     }
     println!("{}", dsec::reports::rollover_lifecycle(&world));

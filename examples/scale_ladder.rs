@@ -182,8 +182,7 @@ fn main() {
             for op in &operators {
                 let streamed_csv = streamed.to_csv(op).expect("replay CSV");
                 let streamed_ext = streamed.to_csv_extended(op).expect("replay CSV");
-                if streamed_csv != memory.to_csv(op) || streamed_ext != memory.to_csv_extended(op)
-                {
+                if streamed_csv != memory.to_csv(op) || streamed_ext != memory.to_csv_extended(op) {
                     streamed_matches_memory = false;
                 }
             }

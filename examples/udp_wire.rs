@@ -22,8 +22,8 @@ fn main() -> std::io::Result<()> {
 
     // Build and sign a small zone.
     let mut rng = StdRng::seed_from_u64(7);
-    let keys = ZoneKeys::generate_default(&mut rng, origin.clone(), Algorithm::RsaSha256)
-        .expect("keygen");
+    let keys =
+        ZoneKeys::generate_default(&mut rng, origin.clone(), Algorithm::RsaSha256).expect("keygen");
     let mut zone = Zone::new(origin.clone());
     zone.add(Record::new(
         origin.clone(),
@@ -51,7 +51,12 @@ fn main() -> std::io::Result<()> {
         RData::A("192.0.2.80".parse().unwrap()),
     ))
     .unwrap();
-    sign_zone(&mut zone, &keys, &SignerConfig::valid_from(now, 30 * 86_400)).unwrap();
+    sign_zone(
+        &mut zone,
+        &keys,
+        &SignerConfig::valid_from(now, 30 * 86_400),
+    )
+    .unwrap();
     let ds = keys.ds(DigestType::Sha256);
 
     let authority = Authority::new();

@@ -32,7 +32,13 @@ fn email_world(channel: ExternalDs) -> (World, Name) {
         },
     );
     let victim = world
-        .purchase(registrar, "victim", Tld::Com, Hosting::Owner, "owner@victim.com")
+        .purchase(
+            registrar,
+            "victim",
+            Tld::Com,
+            Hosting::Owner,
+            "owner@victim.com",
+        )
         .unwrap();
     let ds = world.owner_sign_zone(&victim).unwrap();
     let ok = world
@@ -110,7 +116,10 @@ fn abrupt_takeover_detection_and_restore_recovers_secure() {
     // validating client is saved by the now-unmatchable DS.
     world.tick();
     campaign.tick(&mut world);
-    assert_eq!(campaign.state(&victim).unwrap().phase, AttackPhase::Captured);
+    assert_eq!(
+        campaign.state(&victim).unwrap().phase,
+        AttackPhase::Captured
+    );
     assert_eq!(campaign.hijacked_zones(), vec![victim.clone()]);
     assert_eq!(world.events.count("forged_ns_accepted"), 1);
     let (security, records) = security_of(&world, &www);
@@ -121,13 +130,19 @@ fn abrupt_takeover_detection_and_restore_recovers_secure() {
     // Day 2: still captured.
     world.tick();
     campaign.tick(&mut world);
-    assert_eq!(campaign.state(&victim).unwrap().phase, AttackPhase::Captured);
+    assert_eq!(
+        campaign.state(&victim).unwrap().phase,
+        AttackPhase::Captured
+    );
 
     // Day 3: detection fires — DS and NS both roll back, the attacker
     // zone is withdrawn, and validation closes Secure again.
     world.tick();
     campaign.tick(&mut world);
-    assert_eq!(campaign.state(&victim).unwrap().phase, AttackPhase::Restored);
+    assert_eq!(
+        campaign.state(&victim).unwrap().phase,
+        AttackPhase::Restored
+    );
     assert!(campaign.hijacked_zones().is_empty());
     assert_eq!(world.events.count("hijack_detected"), 1);
     assert_eq!(world.events.count("hijack_remediated"), 1);
@@ -155,7 +170,10 @@ fn verified_sender_channel_repels_the_campaign() {
     );
     let until = world.today.plus_days(2);
     campaign.advance_to(&mut world, until);
-    assert_eq!(campaign.state(&victim).unwrap().phase, AttackPhase::Repelled);
+    assert_eq!(
+        campaign.state(&victim).unwrap().phase,
+        AttackPhase::Repelled
+    );
     assert!(campaign.captured().is_empty());
     assert_eq!(world.events.count("attack_repelled"), 1);
     assert_eq!(world.events.count("forged_email_accepted"), 0);
@@ -267,7 +285,10 @@ fn full_validating_share_is_byte_identical_to_the_default() {
     let default_run = run_load(&pw.world, &base);
     let explicit_run = run_load(
         &pw.world,
-        &base.clone().with_validating_share(1.0).with_captured(Vec::new()),
+        &base
+            .clone()
+            .with_validating_share(1.0)
+            .with_captured(Vec::new()),
     );
     assert_eq!(default_run.outcomes, explicit_run.outcomes);
     assert_eq!(default_run.by_registrar, explicit_run.by_registrar);

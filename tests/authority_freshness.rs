@@ -61,17 +61,30 @@ fn resign_with_fresh_keys_is_visible_immediately() {
 
     let first = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
     let repeat = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
-    assert_eq!(first.answers, repeat.answers, "a repeat must echo the answer");
+    assert_eq!(
+        first.answers, repeat.answers,
+        "a repeat must echo the answer"
+    );
 
     let old_tags = dnskey_tags(&first);
-    pw.world.roll_keys_abrupt(&domain).expect("re-sign with new keys");
+    pw.world
+        .roll_keys_abrupt(&domain)
+        .expect("re-sign with new keys");
 
     // The same question again must be answered from the re-signed zone.
     let after = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
     let new_keys = pw.world.domain(&domain).unwrap().keys.clone().unwrap();
     let expected: BTreeSet<u16> = [new_keys.ksk_tag(), new_keys.zsk_tag()].into();
-    assert_eq!(dnskey_tags(&after), expected, "served DNSKEYs match the new keys");
-    assert_ne!(dnskey_tags(&after), old_tags, "rollover changed the key tags");
+    assert_eq!(
+        dnskey_tags(&after),
+        expected,
+        "served DNSKEYs match the new keys"
+    );
+    assert_ne!(
+        dnskey_tags(&after),
+        old_tags,
+        "rollover changed the key tags"
+    );
 }
 
 #[test]
@@ -82,7 +95,10 @@ fn rollover_phase_entry_is_visible_immediately() {
     // Ask for the negative answer twice: no CDS is published yet.
     let before = ask_domain(&pw.world, &domain, RrType::Cds).expect("answer");
     assert!(
-        !before.answers.iter().any(|r| matches!(r.rdata, RData::Cds(_))),
+        !before
+            .answers
+            .iter()
+            .any(|r| matches!(r.rdata, RData::Cds(_))),
         "no CDS before the rollover starts"
     );
     let _ = ask_domain(&pw.world, &domain, RrType::Cds);
@@ -100,7 +116,10 @@ fn rollover_phase_entry_is_visible_immediately() {
         })
         .collect();
     assert_eq!(served_cds.len(), 1, "exactly one CDS after phase 1");
-    assert_eq!(served_cds[0].digest, new_ds.digest, "CDS carries the new DS");
+    assert_eq!(
+        served_cds[0].digest, new_ds.digest,
+        "CDS carries the new DS"
+    );
 
     // Ask for the DNSKEYs under the old keys, then complete: the new
     // key set must be served on the very next query.
@@ -123,7 +142,8 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
 
     // Ask for the parent-side DS at the registry's nameserver, twice.
     let ns = tld.registry_ns();
-    let before = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
+    let before =
+        ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     let old_digests: BTreeSet<Vec<u8>> = before
         .answers
         .iter()
@@ -133,7 +153,8 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
         })
         .collect();
     assert!(!old_digests.is_empty(), "signed domain has a parent DS");
-    let repeat = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
+    let repeat =
+        ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     assert_eq!(before.answers, repeat.answers);
 
     // Swap the DS to a SHA-384 digest of the same KSK. `set_ds` edits the
@@ -144,7 +165,8 @@ fn ds_swap_at_the_registry_is_visible_immediately() {
         .registry_mut(tld)
         .set_ds(sponsor, &domain, std::slice::from_ref(&swapped))
         .expect("sponsor may swap the DS");
-    let after = ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
+    let after =
+        ask(&pw.world, std::slice::from_ref(&ns), &domain, RrType::Ds).expect("registry answers");
     let new_digests: BTreeSet<Vec<u8>> = after
         .answers
         .iter()
@@ -182,7 +204,13 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
         },
     );
     let victim = world
-        .purchase(registrar, "victim", Tld::Com, Hosting::Owner, "owner@victim.com")
+        .purchase(
+            registrar,
+            "victim",
+            Tld::Com,
+            Hosting::Owner,
+            "owner@victim.com",
+        )
         .unwrap();
     let ds = world.owner_sign_zone(&victim).unwrap();
     world
@@ -197,7 +225,11 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
         .unwrap();
     let www = victim.child("www").unwrap();
     let a_of = |world: &World, anchors: bool| {
-        let anchors = if anchors { world.trust_anchor() } else { Vec::new() };
+        let anchors = if anchors {
+            world.trust_anchor()
+        } else {
+            Vec::new()
+        };
         let resp = Resolver::new(world.network.clone(), anchors)
             .resolve(&www, RrType::A, world.today.epoch_seconds())
             .unwrap();
@@ -251,5 +283,8 @@ fn hijacked_delegation_never_serves_pre_takeover_cached_bytes() {
     campaign.tick(&mut world);
     let (security, restored_a) = a_of(&world, true);
     assert_eq!(security, Security::Secure);
-    assert_eq!(restored_a, original_a, "restore serves the pre-attack bytes");
+    assert_eq!(
+        restored_a, original_a,
+        "restore serves the pre-attack bytes"
+    );
 }

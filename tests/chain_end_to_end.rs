@@ -5,7 +5,7 @@
 
 use dsec::dnssec::validate::ValidationError;
 use dsec::ecosystem::{
-    DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, RegistrarPolicy, RegistrarId, Tld,
+    DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, RegistrarId, RegistrarPolicy, Tld,
     TldPolicy, TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec::resolver::{Resolver, Security};
@@ -40,7 +40,13 @@ fn signed_domain_resolves_securely_in_every_tld() {
     let resolver = Resolver::new(w.network.clone(), w.trust_anchor());
     for tld in ALL_TLDS {
         let domain = w
-            .purchase(r, "secure", tld, Hosting::Registrar { plan: Plan::Free }, "o@x")
+            .purchase(
+                r,
+                "secure",
+                tld,
+                Hosting::Registrar { plan: Plan::Free },
+                "o@x",
+            )
             .unwrap();
         let www = domain.child("www").unwrap();
         let answer = resolver
@@ -140,7 +146,13 @@ fn signature_expiry_is_detected_later_in_time() {
     let mut w = world();
     let r = full_registrar(&mut w);
     let domain = w
-        .purchase(r, "aging", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .purchase(
+            r,
+            "aging",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
         .unwrap();
     let resolver = Resolver::new(w.network.clone(), w.trust_anchor());
     let www = domain.child("www").unwrap();
@@ -162,10 +174,18 @@ fn ds_removal_downgrades_to_insecure() {
     let mut w = world();
     let r = full_registrar(&mut w);
     let domain = w
-        .purchase(r, "rollback", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .purchase(
+            r,
+            "rollback",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
         .unwrap();
     let sponsor = w.domain(&domain).unwrap().sponsor;
-    w.registry_mut(Tld::Com).remove_ds(sponsor, &domain).unwrap();
+    w.registry_mut(Tld::Com)
+        .remove_ds(sponsor, &domain)
+        .unwrap();
     let resolver = Resolver::new(w.network.clone(), w.trust_anchor());
     let www = domain.child("www").unwrap();
     let answer = resolver
@@ -190,7 +210,13 @@ fn third_party_relay_gap_visible_to_resolver() {
         0.6,
     );
     let domain = w
-        .purchase(r, "relayless", Tld::Com, Hosting::Registrar { plan: Plan::Free }, "o@x")
+        .purchase(
+            r,
+            "relayless",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
         .unwrap();
     w.enroll_third_party(&domain, cf).unwrap();
     let ds = w.third_party_enable_dnssec(&domain).unwrap();

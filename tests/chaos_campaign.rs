@@ -81,11 +81,7 @@ fn chaos_campaign_completes_and_records_degradation() {
             .map(|&t| snapshot.tld_totals(t).domains)
             .sum();
         assert_eq!(domains, population, "no domains lost on {}", snapshot.date);
-        degraded_total += snapshot
-            .cells
-            .values()
-            .map(total_degraded)
-            .sum::<u64>();
+        degraded_total += snapshot.cells.values().map(total_degraded).sum::<u64>();
         let unreachable: u64 = snapshot.cells.values().map(|s| s.unreachable).sum();
         assert!(
             unreachable > 0,
@@ -128,15 +124,25 @@ fn outage_load_serves_stale_during_window_and_recovers() {
     // Phase 1 — clean warm-up: nothing stale, nothing failing.
     let warm = run_load_shared(world, &config, Arc::clone(&cache));
     assert_eq!(warm.outcomes.stale, 0, "no stale serves before the outage");
-    assert_eq!(warm.outcomes.servfail, 0, "clean network answers everything");
+    assert_eq!(
+        warm.outcomes.servfail, 0,
+        "clean network answers everything"
+    );
 
     // Phase 2 — the same stream inside the outage window: expired victim
     // entries are served stale, the breaker trips, and the victim
     // operator's warm-cache availability survives the dead fleet.
-    let outage = run_load_shared(world, &config.clone().with_now_offset(span), Arc::clone(&cache));
+    let outage = run_load_shared(
+        world,
+        &config.clone().with_now_offset(span),
+        Arc::clone(&cache),
+    );
     assert!(outage.outcomes.stale > 0, "stale serves during the window");
     assert!(outage.resolver.stale_hits > 0);
-    assert!(outage.resolver.breaker_trips > 0, "breaker tripped on the dead fleet");
+    assert!(
+        outage.resolver.breaker_trips > 0,
+        "breaker tripped on the dead fleet"
+    );
     let victim = outage
         .by_operator
         .get(&victim_key)
@@ -151,9 +157,19 @@ fn outage_load_serves_stale_during_window_and_recovers() {
 
     // Phase 3 — after the window: upstream answers again, stale serves
     // stop, and nothing is left failing.
-    let recovered = run_load_shared(world, &config.clone().with_now_offset(2 * span + 120), cache);
-    assert_eq!(recovered.outcomes.stale, 0, "no stale serves after recovery");
-    assert_eq!(recovered.outcomes.servfail, 0, "full recovery after the window");
+    let recovered = run_load_shared(
+        world,
+        &config.clone().with_now_offset(2 * span + 120),
+        cache,
+    );
+    assert_eq!(
+        recovered.outcomes.stale, 0,
+        "no stale serves after recovery"
+    );
+    assert_eq!(
+        recovered.outcomes.servfail, 0,
+        "full recovery after the window"
+    );
 }
 
 #[test]
@@ -175,12 +191,11 @@ fn breaker_trips_during_outage_and_recloses_after() {
     OutageScenario::operator_outage("op-down", fleet, base + 100, base + 400)
         .install(world.fault_plane());
 
-    let resolver = Resolver::new(world.network.clone(), world.trust_anchor()).with_breaker(
-        BreakerPolicy {
+    let resolver =
+        Resolver::new(world.network.clone(), world.trust_anchor()).with_breaker(BreakerPolicy {
             failure_threshold: 2,
             probe_interval_s: 60,
-        },
-    );
+        });
 
     // Before the window: resolves cleanly, breaker stays closed.
     assert!(resolver.resolve(&victim_domain, RrType::A, base).is_ok());
@@ -195,13 +210,22 @@ fn breaker_trips_during_outage_and_recloses_after() {
     assert!(set.open_count() >= 1, "breaker open during the outage");
     let stats = resolver.stats();
     assert!(stats.breaker_trips >= 1);
-    assert!(stats.breaker_short_circuits > 0, "open breaker skipped attempts");
+    assert!(
+        stats.breaker_short_circuits > 0,
+        "open breaker skipped attempts"
+    );
 
     // After the window: the scheduled half-open probe reaches the healthy
     // fleet again and the breaker re-closes.
-    assert!(resolver.resolve(&victim_domain, RrType::A, base + 500).is_ok());
+    assert!(resolver
+        .resolve(&victim_domain, RrType::A, base + 500)
+        .is_ok());
     assert_eq!(set.open_count(), 0, "breaker re-closed after recovery");
-    let labels: Vec<&str> = set.transitions().iter().map(|e| e.transition.label()).collect();
+    let labels: Vec<&str> = set
+        .transitions()
+        .iter()
+        .map(|e| e.transition.label())
+        .collect();
     assert!(labels.contains(&"trip"), "{labels:?}");
     assert!(labels.contains(&"half-open probe"), "{labels:?}");
     assert!(labels.contains(&"close"), "{labels:?}");

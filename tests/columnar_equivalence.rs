@@ -27,8 +27,8 @@ use rand::SeedableRng;
 
 use dsec::ecosystem::{
     operator_of, Domain, DomainStore, DomainTable, DsSubmission, ExternalDs, Hosting,
-    OperatorDnssec, Plan, Registry, RegistrarId, RegistrarPolicy, SimDate, Tld, TldPolicy,
-    TldRole, World, WorldConfig, ALL_TLDS,
+    OperatorDnssec, Plan, RegistrarId, RegistrarPolicy, Registry, SimDate, Tld, TldPolicy, TldRole,
+    World, WorldConfig, ALL_TLDS,
 };
 use dsec::scanner::{scan_campaign_cached, scan_campaign_streamed, CampaignConfig, ScanCache};
 use dsec::wire::{DsRdata, Name};
@@ -87,16 +87,22 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
 
     // Name-keyed API: same names, canonical (Name-sorted) order.
     let names: Vec<Name> = live.iter().map(|(n, _, _)| (*n).clone()).collect();
-    assert_eq!(registry.delegations(), names, "delegations() diverged from shadow");
+    assert_eq!(
+        registry.delegations(),
+        names,
+        "delegations() diverged from shadow"
+    );
 
     // Columnar enumeration: same names, same order, same generations.
     let columnar: Vec<(Name, u64)> = registry
         .delegations_columnar()
         .map(|(_, name, generation)| (name.clone(), generation))
         .collect();
-    let expected: Vec<(Name, u64)> =
-        live.iter().map(|(n, _, g)| ((*n).clone(), *g)).collect();
-    assert_eq!(columnar, expected, "delegations_columnar() diverged from shadow");
+    let expected: Vec<(Name, u64)> = live.iter().map(|(n, _, g)| ((*n).clone(), *g)).collect();
+    assert_eq!(
+        columnar, expected,
+        "delegations_columnar() diverged from shadow"
+    );
 
     // Rank-ordered sort: the live rows, scrambled, sorted by their
     // canonical rank alone, come out in the shadow's (Name-sorted) order.
@@ -118,9 +124,17 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
     // set's; a dead row has none.
     for (name, row) in shadow {
         assert_eq!(registry.sponsor_of(name), row.sponsor, "{name}: sponsor");
-        assert_eq!(registry.generation_of(name), row.generation, "{name}: generation");
+        assert_eq!(
+            registry.generation_of(name),
+            row.generation,
+            "{name}: generation"
+        );
         let operator = row.sponsor.and_then(|_| operator_of(&registry.ns_of(name)));
-        assert_eq!(registry.operator_of(name), operator.as_ref(), "{name}: operator");
+        assert_eq!(
+            registry.operator_of(name),
+            operator.as_ref(),
+            "{name}: operator"
+        );
     }
 }
 
@@ -280,8 +294,21 @@ fn order_action() -> impl Strategy<Value = OrderAction> {
 /// the canonical key escapes.
 fn order_name(label: u8) -> Name {
     const POOL: [&str; 16] = [
-        "a.com", "A-b.com", "ab.com", "a.b.com", "b.a.com", "\\000.com", "\\001a.com",
-        "\\255.com", "z.net", "-.com", "com", "ZZ.a.com", "\\001.a.com", "a\\000.com", "b.com",
+        "a.com",
+        "A-b.com",
+        "ab.com",
+        "a.b.com",
+        "b.a.com",
+        "\\000.com",
+        "\\001a.com",
+        "\\255.com",
+        "z.net",
+        "-.com",
+        "com",
+        "ZZ.a.com",
+        "\\001.a.com",
+        "a\\000.com",
+        "b.com",
         "aB.com",
     ];
     Name::parse(POOL[label as usize % POOL.len()]).unwrap()
@@ -445,8 +472,13 @@ enum WorldAction {
 
 fn world_action() -> impl Strategy<Value = WorldAction> {
     prop_oneof![
-        (any::<u8>(), any::<u8>(), any::<u8>())
-            .prop_map(|(label, registrar, tld)| WorldAction::Purchase { label, registrar, tld }),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(label, registrar, tld)| {
+            WorldAction::Purchase {
+                label,
+                registrar,
+                tld,
+            }
+        }),
         any::<u8>().prop_map(|idx| WorldAction::EnableDnssec { idx }),
         any::<u8>().prop_map(|idx| WorldAction::UploadRealDs { idx }),
         any::<u8>().prop_map(|idx| WorldAction::UploadGarbageDs { idx }),
@@ -491,7 +523,11 @@ fn mutated_world(actions: &[WorldAction]) -> World {
     };
     for action in actions {
         match action {
-            WorldAction::Purchase { label, registrar, tld } => {
+            WorldAction::Purchase {
+                label,
+                registrar,
+                tld,
+            } => {
                 let tld = ALL_TLDS[*tld as usize % ALL_TLDS.len()];
                 let id = registrars[*registrar as usize % registrars.len()];
                 if let Ok(domain) = world.purchase(

@@ -9,9 +9,9 @@ use proptest::prelude::*;
 
 use dsec::dnssec::{classify, DeploymentStatus};
 use dsec::ecosystem::{
-    operator_of, ActionError, DsSubmission, Event, ExternalDs, Hosting, OperatorDnssec,
-    OperatorId, Plan, RegistrarPolicy, SimDate, TldPolicy, TldRole, UploadOutcome, World,
-    WorldConfig, ALL_TLDS,
+    operator_of, ActionError, DsSubmission, Event, ExternalDs, Hosting, OperatorDnssec, OperatorId,
+    Plan, RegistrarPolicy, SimDate, TldPolicy, TldRole, UploadOutcome, World, WorldConfig,
+    ALL_TLDS,
 };
 use dsec::wire::{DsRdata, Name};
 

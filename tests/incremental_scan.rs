@@ -100,7 +100,11 @@ fn force_full_rescans_but_matches_the_cached_result() {
     // Same day, no changes: a forced full re-scan observes the same cells
     // but never consults the cache.
     assert_eq!(forced.cells, warm_ready.cells);
-    assert_eq!(cache.stats().hits, hits_before, "force_full bypasses lookups");
+    assert_eq!(
+        cache.stats().hits,
+        hits_before,
+        "force_full bypasses lookups"
+    );
 
     // The forced pass refreshed entries, so the next scan is warm again.
     let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);

@@ -104,7 +104,11 @@ fn probe_rediscovers_the_policy_grid() {
             }
             ExternalDs::Web { validates } => {
                 assert_eq!(report.ds_channel, Some(DsChannel::Web), "{ctx}");
-                let expected = if *validates { Finding::Yes } else { Finding::No };
+                let expected = if *validates {
+                    Finding::Yes
+                } else {
+                    Finding::No
+                };
                 assert_eq!(report.validates_ds, expected, "{ctx}");
             }
             ExternalDs::Email {
@@ -113,9 +117,17 @@ fn probe_rediscovers_the_policy_grid() {
                 ..
             } => {
                 assert_eq!(report.ds_channel, Some(DsChannel::Email), "{ctx}");
-                let expected = if *verifies_sender { Finding::Yes } else { Finding::No };
+                let expected = if *verifies_sender {
+                    Finding::Yes
+                } else {
+                    Finding::No
+                };
                 assert_eq!(report.verifies_email, expected, "{ctx}");
-                let expected = if *validates { Finding::Yes } else { Finding::No };
+                let expected = if *validates {
+                    Finding::Yes
+                } else {
+                    Finding::No
+                };
                 assert_eq!(report.validates_ds, expected, "{ctx}");
             }
             ExternalDs::Ticket => {
@@ -182,7 +194,10 @@ fn reseller_probe_matches_direct_registrar_probe() {
     let direct = w.add_registrar(
         "Direct",
         Name::parse("direct-reg.net").unwrap(),
-        uniform_policy(OperatorDnssec::Default, ExternalDs::Web { validates: false }),
+        uniform_policy(
+            OperatorDnssec::Default,
+            ExternalDs::Web { validates: false },
+        ),
     );
     let reseller = w.add_registrar(
         "Resold",
@@ -203,5 +218,8 @@ fn reseller_probe_matches_direct_registrar_probe() {
         direct_report.hosted_fully_deployed,
         resold_report.hosted_fully_deployed
     );
-    assert_eq!(direct_report.external_support, resold_report.external_support);
+    assert_eq!(
+        direct_report.external_support,
+        resold_report.external_support
+    );
 }

@@ -93,11 +93,9 @@ fn abrupt_roll_goes_bogus_until_the_ds_is_fixed() {
 fn scheduled_rollover_day_by_day_matches_the_plan_arithmetic() {
     for timing in [DsTiming::OnSchedule, DsTiming::Late { days: 4 }] {
         let (mut world, domain) = full_registrar_world();
-        let plan = RolloverPlan::correct(
-            RolloverStyle::DoubleSignatureKsk,
-            world.today.plus_days(1),
-        )
-        .with_ds_timing(timing);
+        let plan =
+            RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
+                .with_ds_timing(timing);
         let last = plan
             .actual_swap()
             .unwrap_or_else(|| plan.completion())

@@ -79,7 +79,9 @@ fn shared_cache_replay_reproduces_the_from_the_root_tallies() {
         .expect("a signed .nl site exists in the tiny population")
         .name
         .clone();
-    pw.world.roll_keys_abrupt(&victim).expect("victim is signed");
+    pw.world
+        .roll_keys_abrupt(&victim)
+        .expect("victim is signed");
 
     let config = LoadConfig::tiny().with_seed(0x5EED);
     let cache = Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(3_600));
@@ -94,7 +96,10 @@ fn shared_cache_replay_reproduces_the_from_the_root_tallies() {
             &config.clone().with_now_offset(offset),
             Arc::clone(&cache),
         );
-        assert!(report.outcomes.bogus > 0, "the victim is queried and refused");
+        assert!(
+            report.outcomes.bogus > 0,
+            "the victim is queried and refused"
+        );
         assert_eq!(report.outcomes.stale, 0, "nothing fails in transport");
         assert_eq!(
             digest(&report),

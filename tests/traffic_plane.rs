@@ -20,7 +20,12 @@ fn tiny_world() -> dsec::workloads::PaperWorld {
 type SiteRow = (Name, Name, Tld, u32, u32);
 
 /// A population as `(sites, per-TLD ranking, registrars, operators)`.
-type Reference = (Vec<SiteRow>, BTreeMap<Tld, Vec<u32>>, Vec<String>, Vec<String>);
+type Reference = (
+    Vec<SiteRow>,
+    BTreeMap<Tld, Vec<u32>>,
+    Vec<String>,
+    Vec<String>,
+);
 
 /// The population as built before attribution was a registry column:
 /// every NS set read from the zone, registrar and operator strings per
@@ -79,7 +84,15 @@ fn population_from_columns_matches_the_string_keyed_reference() {
         let sites: Vec<SiteRow> = population
             .sites
             .iter()
-            .map(|s| (s.name.clone(), s.www.clone(), s.tld, s.registrar_id, s.operator_id))
+            .map(|s| {
+                (
+                    s.name.clone(),
+                    s.www.clone(),
+                    s.tld,
+                    s.registrar_id,
+                    s.operator_id,
+                )
+            })
             .collect();
         let (ref_sites, ref_ranked, ref_registrars, ref_operators) = reference_population(world);
         assert_eq!(sites, ref_sites, "sites and their ids");
@@ -96,8 +109,15 @@ fn fault_free_load_reports_zero_bogus_and_accounts_every_query() {
     let report = run_load(&pw.world, &config);
 
     assert_eq!(report.total, config.queries);
-    assert_eq!(report.outcomes.bogus, 0, "fault-free run must not see bogus");
-    assert_eq!(report.outcomes.total(), report.total, "every query classified");
+    assert_eq!(
+        report.outcomes.bogus, 0,
+        "fault-free run must not see bogus"
+    );
+    assert_eq!(
+        report.outcomes.total(),
+        report.total,
+        "every query classified"
+    );
 
     // Attribution is complete: registrar and operator counts both
     // partition the stream.
@@ -105,7 +125,10 @@ fn fault_free_load_reports_zero_bogus_and_accounts_every_query() {
     let operator_total: u64 = report.by_operator.values().map(|c| c.total()).sum();
     assert_eq!(registrar_total, report.total);
     assert_eq!(operator_total, report.total);
-    assert!(report.by_registrar.len() > 1, "more than one registrar queried");
+    assert!(
+        report.by_registrar.len() > 1,
+        "more than one registrar queried"
+    );
 
     // The Zipf head repeats names, so the shared cache must have served
     // some of the stream; counters surface in the summary line.
@@ -114,7 +137,10 @@ fn fault_free_load_reports_zero_bogus_and_accounts_every_query() {
     assert!(report.cache_entries <= report.cache_capacity);
     let line = report.summary_line();
     assert!(line.contains("hit rate"), "{line}");
-    assert!(line.contains(&format!("{} hits", report.resolver.cache_hits)), "{line}");
+    assert!(
+        line.contains(&format!("{} hits", report.resolver.cache_hits)),
+        "{line}"
+    );
 
     // Latency telemetry is populated, and the seeded RTT jitter keeps
     // the percentiles strictly separated — no collapsing onto one bucket.
@@ -140,8 +166,14 @@ fn same_seed_same_threads_reproduces_outcomes_and_histogram() {
     assert_eq!(first.outcomes, second.outcomes);
     assert_eq!(first.by_registrar, second.by_registrar);
     assert_eq!(first.by_operator, second.by_operator);
-    assert_eq!(first.histogram, second.histogram, "identical latency buckets");
-    assert_eq!(first.resolver, second.resolver, "identical cache/attempt counters");
+    assert_eq!(
+        first.histogram, second.histogram,
+        "identical latency buckets"
+    );
+    assert_eq!(
+        first.resolver, second.resolver,
+        "identical cache/attempt counters"
+    );
     assert_eq!(first.sim_elapsed_ms, second.sim_elapsed_ms);
 }
 
@@ -223,7 +255,10 @@ fn load_composes_with_the_fault_plane_and_stays_deterministic() {
 
     // Chaos surfaces as retries/timeouts and a heavier latency tail, not
     // as validation failures.
-    assert!(faulty.resolver.timeouts > 0, "fault plane injected timeouts");
+    assert!(
+        faulty.resolver.timeouts > 0,
+        "fault plane injected timeouts"
+    );
     assert_eq!(faulty.outcomes.bogus, 0);
     assert!(
         faulty.histogram.p999() >= clean.histogram.p999(),

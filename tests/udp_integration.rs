@@ -78,13 +78,17 @@ fn world_zone_validates_over_real_udp() {
     let now = world.today.epoch_seconds();
 
     // Socket 1: the .com registry (DS + referral answers).
-    let (registry_addr, registry_thread) = serve(world.registry(Tld::Com).authority().snapshot(), 2);
+    let (registry_addr, registry_thread) =
+        serve(world.registry(Tld::Com).authority().snapshot(), 2);
     // Socket 2: the customer operator (DNSKEY + A answers).
     let operator = world.registrar(registrar).operator;
     let (op_addr, op_thread) = serve(world.operator(operator).authority().snapshot(), 2);
 
     // DS from the parent, over the wire.
-    let resp = ask(registry_addr, &Message::query(1, domain.clone(), RrType::Ds, true));
+    let resp = ask(
+        registry_addr,
+        &Message::query(1, domain.clone(), RrType::Ds, true),
+    );
     let ds: Vec<_> = resp
         .answers
         .iter()
@@ -97,11 +101,17 @@ fn world_zone_validates_over_real_udp() {
 
     // Referral for a name below the cut carries NS in the authority.
     let www = domain.child("www").unwrap();
-    let resp = ask(registry_addr, &Message::query(2, www.clone(), RrType::A, true));
+    let resp = ask(
+        registry_addr,
+        &Message::query(2, www.clone(), RrType::A, true),
+    );
     assert!(resp.authorities.iter().any(|r| r.rtype() == RrType::Ns));
 
     // DNSKEY from the child, over the wire; authenticate against the DS.
-    let resp = ask(op_addr, &Message::query(3, domain.clone(), RrType::Dnskey, true));
+    let resp = ask(
+        op_addr,
+        &Message::query(3, domain.clone(), RrType::Dnskey, true),
+    );
     let dnskeys: Vec<Record> = resp
         .answers
         .iter()

@@ -97,7 +97,9 @@ fn record(owner: Name, rtype: RrType, pick: usize) -> Record {
     let v = pick as u8;
     let rdata = match rtype {
         RrType::A => RData::A(Ipv4Addr::new(192, 0, 2, v)),
-        RrType::Ns => RData::Ns(name(["ns1.sub.example.com", "ns.op.net", "NS2.Op.Net"][pick])),
+        RrType::Ns => RData::Ns(name(
+            ["ns1.sub.example.com", "ns.op.net", "NS2.Op.Net"][pick],
+        )),
         RrType::Txt => RData::Txt(vec![vec![b'a' + v]]),
         _ => RData::Ds(DsRdata {
             key_tag: u16::from(v),
@@ -160,7 +162,9 @@ impl Reference {
     }
 
     fn records_at(&self, owner: &Name) -> Vec<Record> {
-        self.at(owner).flat_map(|(_, v)| v.iter().cloned()).collect()
+        self.at(owner)
+            .flat_map(|(_, v)| v.iter().cloned())
+            .collect()
     }
 
     fn name_exists(&self, owner: &Name) -> bool {
@@ -405,10 +409,7 @@ fn nested_zones_on_one_authority_answer_from_the_deepest_match() {
             }
         }
         let served = shared.with_zone(&spelled, |zone| zone.origin().clone());
-        assert_eq!(
-            served.as_ref(),
-            deepest.as_ref().filter(|o| **o == spelled)
-        );
+        assert_eq!(served.as_ref(), deepest.as_ref().filter(|o| **o == spelled));
     }
     assert!(shared.remove_zone(&draw.spell("sub.example.com")));
     assert_eq!(
