@@ -15,8 +15,10 @@ use dsec_scanner::{
     largest_operator_fleet, operators_to_cover, LongitudinalStore, Metric, ScanCache, ScanOptions,
     Snapshot,
 };
-use dsec_traffic::{run_load_shared, LoadConfig, TrafficReport};
-use dsec_workloads::{build, PopulationConfig};
+use dsec_traffic::workload::generate_stream;
+use dsec_traffic::{run_load_mixed, LoadConfig, TrafficPopulation, TrafficReport};
+use dsec_wire::Name;
+use dsec_workloads::{build, PopulationConfig, TrafficMix};
 
 /// The paper's top-20 registrar list (Table 2 order).
 pub const TOP20: [&str; 20] = [
@@ -595,10 +597,11 @@ fn last_full_pct(store: &LongitudinalStore, operator: &str, tlds: &[Tld]) -> f64
         .unwrap_or(0.0)
 }
 
-/// E-R2 stream seed (also seeds the — otherwise inert — fault plane).
+/// E-R2 stream seed; every outage arm in the crate seeds the fault
+/// plane with it too.
 pub(crate) const OUTAGE_SEED: u64 = 0x0A7A6E;
 /// Queries per phase (warm-up and outage replay the same stream).
-pub(crate) const OUTAGE_QUERIES: u64 = 2_048;
+const OUTAGE_QUERIES: u64 = 2_048;
 /// Stream pacing: 4 queries per simulated second ⇒ 512 s per phase, well
 /// past the ecosystem's 300 s record TTLs, so warm entries expire *into*
 /// the outage window.
@@ -607,53 +610,76 @@ pub(crate) const OUTAGE_QPS: u32 = 4;
 /// phase-1 entry survives to the end of phase 2.
 pub(crate) const OUTAGE_MAX_STALE: u32 = 7_200;
 
-/// Runs the two-phase load for one E-R2 arm: a warm-up phase over a clean
-/// network, then the identical stream (same seed, sim clock advanced by
-/// one phase span) inside the installed outage window — all over one
-/// shared cache so phase-1 entries are the phase-2 working set. Returns
-/// the outage-phase report and how many queries the dead authorities
-/// actually absorbed during it (the fault plane's downtime-drop delta —
-/// the number the circuit breaker is judged on).
-pub(crate) fn outage_phases(
-    world: &World,
-    span_s: u32,
-    max_stale: u32,
-    breaker: Option<BreakerPolicy>,
-) -> (TrafficReport, u64) {
-    let mut config = LoadConfig::default()
-        .with_queries(OUTAGE_QUERIES)
-        .with_seed(OUTAGE_SEED)
-        .with_max_stale(max_stale);
-    config.sim_qps = OUTAGE_QPS;
-    if let Some(policy) = breaker {
-        config = config.with_breaker(policy);
+/// The E-R2 stream, without serve-stale or breakers.
+pub(crate) fn outage_load() -> LoadConfig {
+    LoadConfig {
+        sim_qps: OUTAGE_QPS,
+        ..LoadConfig::default()
+            .with_queries(OUTAGE_QUERIES)
+            .with_seed(OUTAGE_SEED)
     }
-    let cache = Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(max_stale));
-    run_load_shared(world, &config, Arc::clone(&cache));
+}
+
+/// The outage phase of [`outage_phases`] under `config` on `world` today,
+/// with a minute's slack at the end: `[base + span, base + 2·span + 60)`.
+pub(crate) fn outage_window(world: &World, config: &LoadConfig) -> (u32, u32) {
+    let (base, span) = (world.today.epoch_seconds(), config.stream_span_s());
+    (base + span, base + 2 * span + 60)
+}
+
+/// Makes `scenario` the only outage on `world`'s fault plane, seeded with
+/// [`OUTAGE_SEED`]. `clear_schedules` drops the windows an earlier
+/// scenario on the same world scheduled, and `enable` resets the attempt
+/// counters and stale zone copies, so each scenario meets the plane a
+/// fresh build would give it.
+pub(crate) fn install_outage(world: &World, scenario: OutageScenario) {
+    let plane = world.fault_plane();
+    plane.clear_schedules();
+    plane.enable(OUTAGE_SEED);
+    scenario.install(plane);
+}
+
+/// Runs the two-phase outage load under `config`: a warm-up over a clean
+/// network, then the identical stream (same seed, sim clock advanced by
+/// one stream span) inside the installed outage window. Both phases run
+/// over the same validating and non-validating caches, each with
+/// `config.max_stale`, so phase-1 entries are the phase-2 working set on
+/// both sides of the fleet. Returns the outage-phase report and how many
+/// queries the dead authorities actually absorbed during it (the fault
+/// plane's downtime-drop delta — the number the circuit breaker is judged
+/// on).
+pub(crate) fn outage_phases(world: &World, config: &LoadConfig) -> (TrafficReport, u64) {
+    let cache = || Arc::new(Cache::bounded(config.cache_capacity).with_max_stale(config.max_stale));
+    let (cache, nv_cache) = (cache(), cache());
+    run_load_mixed(world, config, Arc::clone(&cache), Arc::clone(&nv_cache));
     let drops_before = world.fault_plane().stats().downtime_drops;
-    let outage = run_load_shared(world, &config.clone().with_now_offset(span_s), cache);
+    let replay = config.clone().with_now_offset(config.stream_span_s());
+    let outage = run_load_mixed(world, &replay, cache, nv_cache);
     let drops = world.fault_plane().stats().downtime_drops - drops_before;
     (outage, drops)
 }
 
-fn outage_row(
-    artifact: &mut String,
-    scenario: &str,
-    arm: &str,
-    report: &TrafficReport,
-    drops: u64,
-) {
-    let pct = |n: u64| 100.0 * n as f64 / report.total.max(1) as f64;
-    artifact.push_str(&format!(
-        "{scenario:<18} {arm:<14} {:>6.1} {:>6.1} {:>9.1} {:>5.1} {:>6} {:>9} {:>10}\n",
-        100.0 * report.availability(),
-        pct(report.outcomes.stale),
-        pct(report.outcomes.servfail),
-        pct(report.outcomes.negative),
-        report.resolver.breaker_trips,
-        report.resolver.breaker_short_circuits,
-        drops,
-    ));
+/// The indices of the queries a load under `config` sends to `name`.
+/// [`generate_stream`] picks sites without reading the clock, so the
+/// indices hold on every day `population` describes.
+pub(crate) fn stream_hits(
+    population: &TrafficPopulation,
+    config: &LoadConfig,
+    name: &Name,
+) -> Vec<u64> {
+    generate_stream(
+        population,
+        &TrafficMix::default(),
+        config.seed,
+        config.queries,
+        0,
+        config.sim_qps,
+    )
+    .iter()
+    .enumerate()
+    .filter(|(_, q)| &population.sites[q.site as usize].name == name)
+    .map(|(i, _)| i as u64)
+    .collect()
 }
 
 /// E-R2 — robustness: graceful degradation under sustained outages.
@@ -676,31 +702,31 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         "E-R2",
         "Robustness: serve-stale, negative caching, and circuit breakers under outages",
     );
-    let span = (OUTAGE_QUERIES / OUTAGE_QPS as u64) as u32;
     let breaker = BreakerPolicy {
         failure_threshold: 3,
         probe_interval_s: 30,
     };
+    let baseline_load = outage_load();
+    let stale_load = baseline_load.clone().with_max_stale(OUTAGE_MAX_STALE);
+    let breaker_load = stale_load.clone().with_breaker(breaker);
 
-    // Scenario 1: the biggest operator's whole fleet down for all of
-    // phase 2. One world serves every arm — loads never mutate it, and
-    // the dead-authority pressure is measured as per-arm counter deltas.
+    // One world serves every scenario and arm — loads never mutate it,
+    // the dead-authority pressure is measured as per-arm counter deltas,
+    // and `install_outage` gives each scenario a plane of its own.
     let pw = build(population);
     let world = &pw.world;
-    let base = world.today.epoch_seconds();
-    let (victim, fleet) = largest_operator_fleet(world, None);
-    world.fault_plane().enable(OUTAGE_SEED);
-    OutageScenario::operator_outage(
-        "operator-outage",
-        fleet.clone(),
-        base + span,
-        base + 2 * span + 60,
-    )
-    .install(world.fault_plane());
+    let (from, until) = outage_window(world, &baseline_load);
 
-    let (baseline, drops_baseline) = outage_phases(world, span, 0, None);
-    let (stale, drops_bare) = outage_phases(world, span, OUTAGE_MAX_STALE, None);
-    let (brk, drops_breaker) = outage_phases(world, span, OUTAGE_MAX_STALE, Some(breaker));
+    // Scenario 1: the biggest operator's whole fleet down for all of
+    // phase 2.
+    let (victim, fleet) = largest_operator_fleet(world, None);
+    install_outage(
+        world,
+        OutageScenario::operator_outage("operator-outage", fleet.clone(), from, until),
+    );
+    let (baseline, drops_baseline) = outage_phases(world, &baseline_load);
+    let (stale, drops_bare) = outage_phases(world, &stale_load);
+    let (brk, drops_breaker) = outage_phases(world, &breaker_load);
 
     let victim_counts = |r: &TrafficReport| r.by_operator.get(&victim).copied().unwrap_or_default();
     let v_base = victim_counts(&baseline);
@@ -755,34 +781,18 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     // Scenarios 2 and 3 for the record: a TLD-wide registry outage and
     // correlated flapping of the victim fleet, both under the full
     // degradation stack.
-    let pw_tld = build(population);
-    let tld_world = &pw_tld.world;
-    let tld_base = tld_world.today.epoch_seconds();
-    tld_world.fault_plane().enable(OUTAGE_SEED);
-    OutageScenario::window(
-        "tld-wide(.com)",
-        vec![Tld::Com.registry_ns()],
-        tld_base + span,
-        tld_base + 2 * span + 60,
-    )
-    .install(tld_world.fault_plane());
-    let (tld_run, tld_drops) = outage_phases(tld_world, span, OUTAGE_MAX_STALE, Some(breaker));
+    install_outage(
+        world,
+        OutageScenario::window("tld-wide(.com)", vec![Tld::Com.registry_ns()], from, until),
+    );
+    let (tld_run, tld_drops) = outage_phases(world, &breaker_load);
 
-    let pw_flap = build(population);
-    let flap_world = &pw_flap.world;
-    let flap_base = flap_world.today.epoch_seconds();
-    let (_, flap_fleet) = largest_operator_fleet(flap_world, None);
-    flap_world.fault_plane().enable(OUTAGE_SEED);
-    OutageScenario::flapping(
-        "flapping",
-        flap_fleet,
-        flap_base + span,
-        span / 8,
-        span / 8,
-        4,
-    )
-    .install(flap_world.fault_plane());
-    let (flap_run, flap_drops) = outage_phases(flap_world, span, OUTAGE_MAX_STALE, Some(breaker));
+    let flap = baseline_load.stream_span_s() / 8;
+    install_outage(
+        world,
+        OutageScenario::flapping("flapping", fleet, from, flap, flap, 4),
+    );
+    let (flap_run, flap_drops) = outage_phases(world, &breaker_load);
     result.check(
         "flapping: breaker re-closes and fresh answers return between windows",
         1.0,
@@ -807,41 +817,25 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     artifact.push_str(
         "scenario           arm            avail% stale% servfail%  neg%  trips  short-cir  dead-drops\n",
     );
-    outage_row(
-        &mut artifact,
-        "operator-outage",
-        "baseline",
-        &baseline,
-        drops_baseline,
-    );
-    outage_row(
-        &mut artifact,
-        "operator-outage",
-        "serve-stale",
-        &stale,
-        drops_bare,
-    );
-    outage_row(
-        &mut artifact,
-        "operator-outage",
-        "stale+breaker",
-        &brk,
-        drops_breaker,
-    );
-    outage_row(
-        &mut artifact,
-        "tld-wide(.com)",
-        "stale+breaker",
-        &tld_run,
-        tld_drops,
-    );
-    outage_row(
-        &mut artifact,
-        "flapping",
-        "stale+breaker",
-        &flap_run,
-        flap_drops,
-    );
+    for (scenario, arm, report, drops) in [
+        ("operator-outage", "baseline", &baseline, drops_baseline),
+        ("operator-outage", "serve-stale", &stale, drops_bare),
+        ("operator-outage", "stale+breaker", &brk, drops_breaker),
+        ("tld-wide(.com)", "stale+breaker", &tld_run, tld_drops),
+        ("flapping", "stale+breaker", &flap_run, flap_drops),
+    ] {
+        let pct = |n: u64| 100.0 * n as f64 / report.total.max(1) as f64;
+        artifact.push_str(&format!(
+            "{scenario:<18} {arm:<14} {:>6.1} {:>6.1} {:>9.1} {:>5.1} {:>6} {:>9} {:>10}\n",
+            100.0 * report.availability(),
+            pct(report.outcomes.stale),
+            pct(report.outcomes.servfail),
+            pct(report.outcomes.negative),
+            report.resolver.breaker_trips,
+            report.resolver.breaker_short_circuits,
+            drops,
+        ));
+    }
     artifact.push_str(
         "\nnote: tld-wide(.com) degrades nothing here. The outage phase replays the warm-up's stream,\n\
          so every domain it names already has its zone cut in the resolver cache, and a cut outlives\n\

@@ -31,7 +31,7 @@ use dsec_ecosystem::AnchorRollPlan;
 use dsec_reports::ExperimentResult;
 use dsec_resolver::{capture_kind, CaptureKind, OnPathThreat, Resolver, SpoofGuard};
 use dsec_scanner::{poison_census, poison_census_table};
-use dsec_traffic::{run_load, Cache, LoadConfig, TrafficPopulation, TrafficReport};
+use dsec_traffic::{run_load, Cache, LoadConfig, TrafficPopulation};
 use dsec_wire::RrType;
 use dsec_workloads::{build, PopulationConfig};
 
@@ -53,33 +53,13 @@ const A2_HOLD_DOWN: u32 = 10;
 /// (inside the hold-down: strands followers for the remaining 5 days).
 const A2_REVOKE_AFTER: u32 = 5;
 
-/// A mixed-fleet load with the on-path threat armed and the given
-/// defense profile on both resolvers.
-fn raced_load(
-    world: &dsec_ecosystem::World,
-    guard: SpoofGuard,
-    threat: OnPathThreat,
-) -> TrafficReport {
-    run_load(
-        world,
-        &LoadConfig::default()
-            .with_queries(A2_QUERIES)
-            .with_seed(A2_SEED)
-            .with_validating_share(A2_SHARE)
-            .with_spoof_guard(guard)
-            .with_threat(threat),
-    )
-}
-
-/// A plain day load for the anchor walk (no attacker on the wire).
-fn anchor_day_load(world: &dsec_ecosystem::World, share: f64) -> TrafficReport {
-    run_load(
-        world,
-        &LoadConfig::default()
-            .with_queries(A2_QUERIES)
-            .with_seed(A2_SEED)
-            .with_validating_share(share),
-    )
+/// An E-A2 load at validating `share`. Both resolvers run their
+/// default, hardened profile.
+fn a2_load(share: f64) -> LoadConfig {
+    LoadConfig::default()
+        .with_queries(A2_QUERIES)
+        .with_seed(A2_SEED)
+        .with_validating_share(share)
 }
 
 /// E-A2 — cache-poisoning resistance under entropy/0x20/bailiwick
@@ -116,7 +96,7 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         pw.world.events.count("poison_race_launched") as f64,
         0.0,
     );
-    let hard = raced_load(&pw.world, SpoofGuard::hardened(), threat.clone());
+    let hard = run_load(&pw.world, &a2_load(A2_SHARE).with_threat(threat.clone()));
     result.check(
         "arm A: the attacker genuinely contests exchanges under the victim zone",
         1.0,
@@ -230,7 +210,7 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
     let mut healed_day = None;
     while pw_c.world.today < last {
         pw_c.world.tick();
-        let day = anchor_day_load(&pw_c.world, A2_SHARE);
+        let day = run_load(&pw_c.world, &a2_load(A2_SHARE));
         let stranded = plan.is_stranded_on(pw_c.world.today);
         if (day.outcomes.bogus > 0) != stranded {
             window_exact = false;
@@ -238,8 +218,8 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         if stranded && stranded_day.is_none() {
             // Replay this day as two pure fleets: validation itself is
             // what hurts during the gap.
-            let all_v = anchor_day_load(&pw_c.world, 1.0);
-            let none_v = anchor_day_load(&pw_c.world, 0.0);
+            let all_v = run_load(&pw_c.world, &a2_load(1.0));
+            let none_v = run_load(&pw_c.world, &a2_load(0.0));
             stranded_day = Some((day, all_v, none_v));
         } else if pw_c.world.today >= plan.promotion() && healed_day.is_none() {
             healed_day = Some(day);

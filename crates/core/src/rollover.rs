@@ -18,7 +18,9 @@
 //!   is *not* the roller's: serve-stale (RFC 8767) keeps the outage
 //!   victim's availability ≥ 90% while the rolling domain's bogus
 //!   window stays fully visible — degraded serving must never mask a
-//!   validation failure.
+//!   validation failure. It runs on the world arm B parks at the first
+//!   bogus-window day for its attribution load: the set-up is the same,
+//!   and a load never mutates the world it runs on.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +32,7 @@ use dsec_traffic::{run_load, LoadConfig, OutcomeCounts, TrafficPopulation, Traff
 use dsec_workloads::{build, PopulationConfig};
 
 use crate::experiments::{
-    outage_phases, OUTAGE_MAX_STALE, OUTAGE_QPS, OUTAGE_QUERIES, OUTAGE_SEED,
+    install_outage, outage_load, outage_phases, outage_window, stream_hits, OUTAGE_MAX_STALE,
 };
 
 /// Stream seed for the day-by-day arms.
@@ -91,34 +93,18 @@ pub(crate) fn rollover_victim(
     panic!("no .nl site could carry the rollover");
 }
 
+/// The day-by-day arms' load.
+fn day_config() -> LoadConfig {
+    LoadConfig::default()
+        .with_queries(K1_QUERIES)
+        .with_seed(K1_SEED)
+}
+
 /// One day's traffic against a fresh resolver cache: the day-by-day
 /// arms re-resolve from scratch so every day reflects that day's chain,
 /// not yesterday's cache.
 fn day_load(world: &World) -> TrafficReport {
-    run_load(
-        world,
-        &LoadConfig::default()
-            .with_queries(K1_QUERIES)
-            .with_seed(K1_SEED),
-    )
-}
-
-/// How many of the day's planned queries land on `site`. The stream is
-/// a pure function of (population, mix, seed), so the same count holds
-/// on every day of a day-by-day walk.
-fn planned_hits(population: &TrafficPopulation, site: &dsec_traffic::Site) -> u64 {
-    let config = LoadConfig::default();
-    dsec_traffic::workload::generate_stream(
-        population,
-        &config.mix,
-        K1_SEED,
-        K1_QUERIES,
-        0,
-        config.sim_qps,
-    )
-    .iter()
-    .filter(|q| population.sites[q.site as usize].name == site.name)
-    .count() as u64
+    run_load(world, &day_config())
 }
 
 /// Walks `world` day by day until `last`, running one fresh-cache load
@@ -158,7 +144,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     pw.world
         .schedule_rollover(&victim.name, plan_a)
         .expect("signed head schedules");
-    let victim_hits = planned_hits(&traffic_pop, &victim);
+    let victim_hits = stream_hits(&traffic_pop, &day_config(), &victim.name).len();
     let days_a = daily_bogus(&mut pw.world, end_a);
     let bogus_a: u64 = days_a.values().map(|c| c.bogus).sum();
     result.check(
@@ -224,19 +210,18 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         observed_window_days as f64,
         0.0,
     );
-    // Attribution, measured on the first bogus-window day the walk left
-    // the world on … which is `end_b`, past the window. Re-run the
-    // window peak explicitly instead: the report for each day was
-    // discarded, so replay the first in-window day's load on a world
-    // parked inside the window.
+    // Attribution needs an in-window day's full report, and the walk
+    // kept only tallies: park a second world on the window's first day.
     let mut pw_parked = build(population);
     rollover_victim(&mut pw_parked.world, &traffic_pop);
+    // Arm C's outage victim: the biggest fleet that is not the roller's,
+    // picked before the walk to the window moves any delegation.
+    let (outage_victim, fleet) = largest_operator_fleet(&pw_parked.world, Some(victim_operator));
     pw_parked
         .world
         .schedule_rollover(&victim.name, plan_b.clone())
         .expect("same build schedules again");
-    let mid_window = window.0.plus_days(0);
-    while pw_parked.world.today < mid_window {
+    while pw_parked.world.today < window.0 {
         pw_parked.world.tick();
     }
     let in_window = day_load(&pw_parked.world);
@@ -261,38 +246,19 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     );
 
     // ---- Arm C: the mistimed rollover riding through an operator
-    // outage. The rolling domain is hosted *outside* the outage victim's
-    // fleet, so serve-stale answers for the dead fleet must coexist with
-    // visible bogus answers for the mistimed rollover — degradation
-    // never masks a validation failure. ----
-    let mut pw_c = build(population);
-    let pop_c = TrafficPopulation::from_world(&pw_c.world);
-    let roller = rollover_victim(&mut pw_c.world, &pop_c);
-    let (outage_victim, fleet) =
-        largest_operator_fleet(&pw_c.world, Some(pop_c.operator_of(&roller)));
-    let plan_c = RolloverPlan::correct(
-        RolloverStyle::DoubleSignatureKsk,
-        pw_c.world.today.plus_days(1),
-    )
-    .with_ds_timing(DsTiming::Late { days: K1_LATE_DAYS });
-    let (window_from, _) = plan_c.bogus_window().expect("late DS opens a window");
-    pw_c.world
-        .schedule_rollover(&roller.name, plan_c)
-        .expect("roller is signed");
-    while pw_c.world.today < window_from {
-        pw_c.world.tick();
-    }
-    let span = (OUTAGE_QUERIES / OUTAGE_QPS as u64) as u32;
-    let base = pw_c.world.today.epoch_seconds();
-    pw_c.world.fault_plane().enable(OUTAGE_SEED);
-    OutageScenario::operator_outage(
-        "rollover-collision",
-        fleet,
-        base + span,
-        base + 2 * span + 60,
-    )
-    .install(pw_c.world.fault_plane());
-    let (outage_run, _) = outage_phases(&pw_c.world, span, OUTAGE_MAX_STALE, None);
+    // outage, on the parked world. The rolling domain is hosted
+    // *outside* the outage victim's fleet, so serve-stale answers for
+    // the dead fleet must coexist with visible bogus answers for the
+    // mistimed rollover — degradation never masks a validation
+    // failure. ----
+    let world_c = &pw_parked.world;
+    let outage = outage_load().with_max_stale(OUTAGE_MAX_STALE);
+    let (from, until) = outage_window(world_c, &outage);
+    install_outage(
+        world_c,
+        OutageScenario::operator_outage("rollover-collision", fleet, from, until),
+    );
+    let (outage_run, _) = outage_phases(world_c, &outage);
     let outage_victim_counts = outage_run
         .by_operator
         .get(&outage_victim)
@@ -300,7 +266,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         .unwrap_or_default();
     let roller_counts = outage_run
         .by_registrar
-        .get(pop_c.registrar_of(&roller))
+        .get(victim_registrar)
         .copied()
         .unwrap_or_default();
     result.check(
@@ -338,7 +304,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         100.0 * outage_victim_counts.availability(),
         outage_run.outcomes.stale,
         outage_run.outcomes.bogus,
-        roller.name,
+        victim.name,
     );
     for (offset, counts) in &days_b {
         artifact.push_str(&format!(

@@ -8,6 +8,7 @@
 //! mutation path must honour.
 
 use super::*;
+use crate::registry::Freshness;
 use dsec_dnssec::{CdsAction, CdsScan};
 
 /// Worklist slot of the registrar-hosted opt-in candidates; slot `1 + i`
@@ -82,20 +83,9 @@ struct MassSignTask {
 /// came from, so it is reused only while both stand still.
 #[derive(Clone, Copy, Default)]
 struct AuditVerdict {
-    /// Registry generation observed (live delegations start at 1, so a
-    /// default entry never matches).
-    generation: u64,
-    /// [`Observation::validity_window`] at the observation time.
-    window: (i64, i64),
+    fresh: Freshness,
     /// `None`: no DS published, nothing to audit.
     passed: Option<bool>,
-}
-
-impl AuditVerdict {
-    fn holds(&self, generation: u64, now: u32) -> bool {
-        let now = i64::from(now);
-        self.generation == generation && self.window.0 < now && now < self.window.1
-    }
 }
 
 impl World {
@@ -258,7 +248,7 @@ impl World {
                 let Some(verdict) = verdicts.get(row as usize) else {
                     continue;
                 };
-                if verdict.holds(generation, now)
+                if verdict.fresh.holds(generation, now)
                     && verdict.passed != self.audit(registry, domain, now).0
                 {
                     return Err(format!(
@@ -520,7 +510,7 @@ impl World {
             for (row, domain, generation) in registry.delegations_columnar() {
                 let slot = row as usize;
                 let passed = match verdicts.get(slot) {
-                    Some(v) if use_memo && v.holds(generation, now) => v.passed,
+                    Some(v) if use_memo && v.fresh.holds(generation, now) => v.passed,
                     _ => {
                         let (passed, window) = self.audit(registry, domain, now);
                         if use_memo {
@@ -528,8 +518,7 @@ impl World {
                                 verdicts.resize(slot + 1, AuditVerdict::default());
                             }
                             verdicts[slot] = AuditVerdict {
-                                generation,
-                                window,
+                                fresh: Freshness { generation, window },
                                 passed,
                             };
                         }

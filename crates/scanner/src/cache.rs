@@ -55,7 +55,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use dsec_ecosystem::{JournalCursor, Tld, World};
+use dsec_ecosystem::{Freshness, JournalCursor, Tld, World};
 use dsec_wire::{FnvHashMap, FnvHashSet};
 
 use crate::snapshot::{OperatorStats, ScanItem};
@@ -84,21 +84,12 @@ fn key_tld(scope: &[Tld], key: DomainKey) -> Tld {
 /// One classified domain: what was seen, and how long it stays true.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheEntry {
-    pub(crate) generation: u64,
-    /// [`dsec_dnssec::Observation::validity_window`] at scan time.
-    pub(crate) window: (i64, i64),
+    pub(crate) fresh: Freshness,
     pub(crate) operator: Arc<str>,
     pub(crate) stats: OperatorStats,
 }
 
 impl CacheEntry {
-    /// Whether the entry still is what a scan at (`generation`, `now`)
-    /// would classify.
-    fn servable(&self, generation: u64, now: u32) -> bool {
-        let now = i64::from(now);
-        self.generation == generation && self.window.0 < now && now < self.window.1
-    }
-
     /// What this entry's row adds to its (operator, TLD) cell.
     fn contribution(&self) -> Contribution {
         (self.operator.clone(), self.stats)
@@ -201,7 +192,8 @@ impl ScanCache {
     ) -> Option<(Arc<str>, OperatorStats)> {
         let entry = self.entries.get(&key)?;
         entry
-            .servable(generation, now)
+            .fresh
+            .holds(generation, now)
             .then(|| entry.contribution())
     }
 
@@ -224,8 +216,8 @@ impl ScanCache {
             0,
             "unobserved outcomes must never be cached"
         );
-        if entry.window.1 != i64::MAX {
-            self.lapses.push(Reverse((entry.window.1, key)));
+        if entry.fresh.window.1 != i64::MAX {
+            self.lapses.push(Reverse((entry.fresh.window.1, key)));
         }
         self.entries.insert(key, entry);
     }
@@ -257,7 +249,11 @@ impl ScanCache {
                 break;
             }
             self.lapses.pop();
-            if self.entries.get(&key).is_some_and(|e| e.window.1 == upper) {
+            if self
+                .entries
+                .get(&key)
+                .is_some_and(|e| e.fresh.window.1 == upper)
+            {
                 keys.push(key);
             }
         }
@@ -338,8 +334,8 @@ impl ScanCache {
             self.lapses = self
                 .entries
                 .iter()
-                .filter(|(_, entry)| entry.window.1 != i64::MAX)
-                .map(|(&key, entry)| Reverse((entry.window.1, key)))
+                .filter(|(_, entry)| entry.fresh.window.1 != i64::MAX)
+                .map(|(&key, entry)| Reverse((entry.fresh.window.1, key)))
                 .collect();
         }
         // A scope naming a TLD twice counts its rows twice; a journal
@@ -399,25 +395,27 @@ impl ScanCache {
                         .entries
                         .get(&key)
                         .ok_or_else(|| format!("{name}: live, but contributes nothing"))?;
-                    if entry.generation != generation {
+                    if entry.fresh.generation != generation {
                         return Err(format!(
                             "{name}: cached at generation {}, now at {generation}, not journaled",
-                            entry.generation
+                            entry.fresh.generation
                         ));
                     }
                     // (A verdict taken *on* an edge has the empty window
                     // (now, now): closed already, so in the lapse index.)
                     let then = i64::from(state.now);
-                    if entry.window.0 >= then && entry.window.1 > then {
+                    if entry.fresh.window.0 >= then && entry.fresh.window.1 > then {
                         return Err(format!(
                             "{name}: window {:?} opens after the last scan ({then})",
-                            entry.window
+                            entry.fresh.window
                         ));
                     }
-                    if entry.window.1 != i64::MAX && !lapses.contains(&(entry.window.1, key)) {
+                    if entry.fresh.window.1 != i64::MAX
+                        && !lapses.contains(&(entry.fresh.window.1, key))
+                    {
                         return Err(format!(
                             "{name}: window {:?} is missing from the lapse index",
-                            entry.window
+                            entry.fresh.window
                         ));
                     }
                 }
@@ -501,8 +499,10 @@ mod tests {
 
     fn entry(generation: u64, operator: &str, stats: OperatorStats) -> CacheEntry {
         CacheEntry {
-            generation,
-            window: ALWAYS,
+            fresh: Freshness {
+                generation,
+                window: ALWAYS,
+            },
             operator: op(operator),
             stats,
         }
@@ -543,7 +543,10 @@ mod tests {
     #[test]
     fn entries_lapse_at_the_edges_of_their_validity_window() {
         let lapsing = CacheEntry {
-            window: (900, 1_100),
+            fresh: Freshness {
+                generation: 1,
+                window: (900, 1_100),
+            },
             ..entry(1, "x.net", cell(1))
         };
         let mut cache = ScanCache::new();

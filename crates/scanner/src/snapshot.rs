@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dsec_dnssec::{classify, DeploymentStatus};
-use dsec_ecosystem::{SimDate, Tld, World, ALL_TLDS};
+use dsec_ecosystem::{Freshness, SimDate, Tld, World, ALL_TLDS};
 use dsec_resolver::ExchangeOutcome;
 use dsec_wire::{FnvHashMap, Name, Rcode};
 
@@ -290,8 +290,10 @@ impl Snapshot {
                 Some(window) => {
                     if let Some(cache) = cache.as_deref_mut() {
                         let entry = CacheEntry {
-                            generation: item.generation,
-                            window,
+                            fresh: Freshness {
+                                generation: item.generation,
+                                window,
+                            },
                             operator: operator.clone(),
                             stats,
                         };

@@ -32,9 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsec_ecosystem::World;
-use dsec_resolver::{
-    BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver, RetryPolicy, SpoofGuard,
-};
+use dsec_resolver::{BreakerPolicy, Cache, CacheKey, OnPathThreat, Resolver};
 use dsec_wire::{draw, FnvHashSet, Name};
 use dsec_workloads::TrafficMix;
 
@@ -58,8 +56,6 @@ pub struct LoadConfig {
     pub queries: u64,
     /// Stream seed.
     pub seed: u64,
-    /// The workload model (TLD mix, Zipf exponent, qtype mix).
-    pub mix: TrafficMix,
     /// Capacity bound of each cache.
     pub cache_capacity: usize,
     /// How fast simulated time advances under the stream, queries per
@@ -89,11 +85,6 @@ pub struct LoadConfig {
     /// resolver refused the forged chain was
     /// [`Outcome::SavedByValidation`].
     pub captured: Vec<Name>,
-    /// Anti-spoofing defense profile both resolvers run with.
-    /// The default is [`SpoofGuard::hardened`] — full TXID + source-port
-    /// entropy, 0x20 encoding, strict bailiwick — which leaves runs
-    /// without an on-path threat byte-identical to the pre-knob driver.
-    pub spoof_guard: SpoofGuard,
     /// Optional on-path attacker racing forged responses against the
     /// fleet's fresh resolutions. `None` (the default) skips the spoofing
     /// race entirely.
@@ -105,7 +96,6 @@ impl Default for LoadConfig {
         LoadConfig {
             queries: 20_000,
             seed: 0x7AF1C,
-            mix: TrafficMix::default(),
             cache_capacity: 65_536,
             sim_qps: 64,
             max_stale: 0,
@@ -113,7 +103,6 @@ impl Default for LoadConfig {
             now_offset_s: 0,
             validating_share: 1.0,
             captured: Vec::new(),
-            spoof_guard: SpoofGuard::hardened(),
             threat: None,
         }
     }
@@ -176,12 +165,6 @@ impl LoadConfig {
     /// (builder style).
     pub fn with_captured(mut self, captured: Vec<Name>) -> Self {
         self.captured = captured;
-        self
-    }
-
-    /// Sets the fleet's anti-spoofing defense profile (builder style).
-    pub fn with_spoof_guard(mut self, guard: SpoofGuard) -> Self {
-        self.spoof_guard = guard;
         self
     }
 
@@ -276,7 +259,7 @@ pub fn run_load_mixed(
     let population = TrafficPopulation::from_world(world);
     let stream = generate_stream(
         &population,
-        &config.mix,
+        &TrafficMix::default(),
         config.seed,
         config.queries.max(1),
         world
@@ -319,10 +302,8 @@ pub fn run_load_mixed(
     // traffic) at the default validating_share.
     let fleet = [(trust_anchor, Arc::clone(&cache)), (Vec::new(), nv_cache)].map(
         |(trust_anchor, cache)| {
-            let mut resolver = Resolver::new(network.clone(), trust_anchor)
-                .with_policy(RetryPolicy::default())
-                .with_shared_cache(cache)
-                .with_spoof_guard(config.spoof_guard);
+            let mut resolver =
+                Resolver::new(network.clone(), trust_anchor).with_shared_cache(cache);
             if let Some(policy) = config.breaker {
                 resolver = resolver.with_breaker(policy);
             }
