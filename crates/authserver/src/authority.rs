@@ -190,7 +190,17 @@ fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut 
         let ds_query_at_cut = qtype == RrType::Ds && *qname == cut;
         if !ds_query_at_cut {
             response.flags.authoritative = false;
-            response.authorities.extend(ns_set.iter().cloned());
+            // Glue for the hosts inside the cut.
+            for host in zone.ns_hosts(&cut) {
+                if host.is_subdomain_of(&cut) {
+                    if let Some(glue) = zone.rrset_records(host, RrType::A) {
+                        response.additionals.extend(glue.iter().cloned());
+                    }
+                }
+            }
+            // A delegation's NS records are built per query: moved, not
+            // cloned.
+            response.authorities.extend(ns_set.into_owned());
             if dnssec_ok {
                 // DS (or its absence) travels with the referral.
                 let has_ds = match zone.rrset_records(&cut, RrType::Ds) {
@@ -206,16 +216,6 @@ fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut 
                     if let Some(nsec) = zone.rrset_records(&cut, RrType::Nsec) {
                         response.authorities.extend(nsec.iter().cloned());
                         append_rrsigs(zone, &cut, &[RrType::Nsec], &mut response.authorities);
-                    }
-                }
-            }
-            // Glue.
-            for record in ns_set {
-                if let RData::Ns(host) = &record.rdata {
-                    if host.is_subdomain_of(&cut) {
-                        if let Some(glue) = zone.rrset_records(host, RrType::A) {
-                            response.additionals.extend(glue.iter().cloned());
-                        }
                     }
                 }
             }
@@ -284,7 +284,7 @@ fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut 
 /// Appends RRSIGs at `owner` covering any of `types`.
 fn append_rrsigs(zone: &Zone, owner: &Name, types: &[RrType], out: &mut Vec<Record>) {
     if let Some(sigs) = zone.rrset_records(owner, RrType::Rrsig) {
-        for record in sigs {
+        for record in sigs.iter() {
             if let RData::Rrsig(s) = &record.rdata {
                 if types.contains(&s.type_covered) {
                     out.push(record.clone());
