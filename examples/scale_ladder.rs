@@ -231,8 +231,9 @@ fn main() {
     // supposed to keep flat. Total peak RSS growth is reported alongside
     // for the record. The gate needs a meaningful baseline: a short smoke
     // window at 1:2000 leaves the previous rung's campaign share down in
-    // allocator noise, so the assert arms only when it clears a floor.
-    const CAMPAIGN_GATE_FLOOR_MB: f64 = 128.0;
+    // allocator noise, so the assert arms only when it clears a floor
+    // (1:2000's campaign share is ~104 MiB in either mode).
+    const CAMPAIGN_GATE_FLOOR_MB: f64 = 64.0;
     let (rss_growth, campaign_rss_growth, population_growth) = if runs.len() >= 2 {
         let prev = &runs[runs.len() - 2];
         let last = &runs[runs.len() - 1];
@@ -282,11 +283,13 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_scale.json");
     eprintln!("wrote {out}");
 
-    // Pinned memory budget for the smoke rungs: 1.5× the 1,194 MiB that
-    // 1:200 (~743K domains) peaked at when the budget was set; it leaves
-    // headroom for allocator noise, not for a per-domain cache behind the
-    // scan (the authority response cache took this rung to 1,861 MiB).
-    const SMOKE_RUNG_BUDGET_MB: f64 = 1800.0;
+    // Pinned memory budget for the smoke rungs: 1:200 (~743K domains)
+    // peaked at 783 MiB, smoke or full campaign alike, once TLD zones held
+    // delegations as interned cuts. The budget leaves 28% headroom for
+    // allocator noise, not for a per-delegation record store (1,112 MiB
+    // at this rung) or a per-domain cache behind the scan (the authority
+    // response cache took it to 1,861 MiB).
+    const SMOKE_RUNG_BUDGET_MB: f64 = 1000.0;
     for run in runs.iter().filter(|r| SMOKE_SCALES.contains(&r.scale)) {
         assert!(
             run.peak_rss_mb <= SMOKE_RUNG_BUDGET_MB,
