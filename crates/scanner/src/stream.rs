@@ -208,14 +208,14 @@ impl StreamedStore {
     pub fn to_longitudinal(&self) -> io::Result<crate::LongitudinalStore> {
         let mut store = crate::LongitudinalStore::new();
         replay(&self.path, |date, cells| {
-            let mut snapshot = Snapshot {
-                date,
-                cells: std::collections::BTreeMap::new(),
-            };
-            for (operator, tld, stats) in cells {
-                snapshot.cells.insert((operator.clone(), *tld), *stats);
-            }
-            store.record(snapshot);
+            // A frame is already in map order, so `collect` bulk-builds
+            // full leaves; inserting one cell at a time would split them
+            // and leave each about half empty.
+            let cells = cells
+                .iter()
+                .map(|(operator, tld, stats)| ((operator.clone(), *tld), *stats))
+                .collect();
+            store.record(Snapshot { date, cells });
         })?;
         Ok(store)
     }
