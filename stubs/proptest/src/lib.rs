@@ -289,9 +289,9 @@ pub mod string {
     }
 
     fn parse_class(pattern: &str) -> Result<(Vec<char>, &str), String> {
-        let inner = pattern
-            .strip_prefix('[')
-            .ok_or_else(|| format!("unsupported pattern {pattern:?} (stub handles [class]{{m,n}})"))?;
+        let inner = pattern.strip_prefix('[').ok_or_else(|| {
+            format!("unsupported pattern {pattern:?} (stub handles [class]{{m,n}})")
+        })?;
         let end = inner
             .find(']')
             .ok_or_else(|| format!("unterminated class in {pattern:?}"))?;
@@ -346,7 +346,9 @@ pub mod string {
         type Value = String;
         fn generate(&self, rng: &mut TestRng) -> String {
             let n = self.min + rng.below(self.max - self.min + 1);
-            (0..n).map(|_| self.class[rng.below(self.class.len())]).collect()
+            (0..n)
+                .map(|_| self.class[rng.below(self.class.len())])
+                .collect()
         }
     }
 }
