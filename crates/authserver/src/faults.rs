@@ -344,7 +344,8 @@ impl FaultPlane {
     }
 
     /// Removes every scheduled down-window for `ns`.
-    pub fn clear_schedule(&self, ns: &Name) {
+    #[cfg(test)]
+    fn clear_schedule(&self, ns: &Name) {
         self.edit(ns, |server| server.windows.clear());
     }
 

@@ -217,7 +217,8 @@ impl Network {
     }
 
     /// Number of registered nameserver hostnames.
-    pub fn server_count(&self) -> usize {
+    #[cfg(test)]
+    fn server_count(&self) -> usize {
         self.servers.borrow().len()
     }
 }

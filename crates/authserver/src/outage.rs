@@ -34,7 +34,8 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// The window's duration in seconds (0 for an empty interval).
-    pub fn duration_s(&self) -> u32 {
+    #[cfg(test)]
+    fn duration_s(&self) -> u32 {
         self.until_s.saturating_sub(self.from_s)
     }
 
@@ -117,7 +118,8 @@ impl OutageScenario {
     }
 
     /// Earliest window start (0 when the scenario has no windows).
-    pub fn starts_at(&self) -> u32 {
+    #[cfg(test)]
+    fn starts_at(&self) -> u32 {
         self.windows.iter().map(|w| w.from_s).min().unwrap_or(0)
     }
 

@@ -30,7 +30,8 @@ impl Finding {
     }
 
     /// Plain-ASCII variant for terminals without the glyphs.
-    pub fn ascii(self) -> &'static str {
+    #[cfg(test)]
+    fn ascii(self) -> &'static str {
         match self {
             Finding::Yes => "Y",
             Finding::Partial => "~",
