@@ -382,6 +382,13 @@ impl Registry {
         self.table.live_count()
     }
 
+    /// How many columnar rows this registry has handed out, live or
+    /// dead: every row [`Registry::delegation_at`] can answer is below
+    /// it.
+    pub fn delegation_rows(&self) -> usize {
+        self.table.row_count()
+    }
+
     /// The delegation at columnar `row` as `(&name, generation)`, or
     /// `None` if that row is not currently delegated.
     pub fn delegation_at(&self, row: u32) -> Option<(&Name, u64)> {

@@ -128,6 +128,15 @@ pub struct JournalCursor {
     at: u64,
 }
 
+impl JournalCursor {
+    /// Whether `self` and `other` were issued by the same table's
+    /// journal, wherever in it they point. Row ids mean the same name
+    /// only within one table.
+    pub fn same_journal(self, other: JournalCursor) -> bool {
+        self.journal == other.journal
+    }
+}
+
 /// Source of journal identities. Process-unique rather than derived from
 /// the table's address: allocators reuse addresses, and a cursor must
 /// never read a journal it was not issued by.
@@ -216,6 +225,12 @@ impl DomainTable {
         self.operator.push(NO_OPERATOR);
         self.index.insert(canonical, row);
         row
+    }
+
+    /// How many rows the table has interned, live or dead: every row
+    /// is below it.
+    pub fn row_count(&self) -> usize {
+        self.names.len()
     }
 
     /// The canonical name at `row`.

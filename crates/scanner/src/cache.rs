@@ -6,40 +6,46 @@
 //! per-domain *change generation* ([`dsec_ecosystem::World::domain_generation`])
 //! that is bumped by every mutation a scan could observe, and journals
 //! every bump ([`dsec_ecosystem::Registry::changes_since`]). This cache
-//! keys one classified per-domain stats cell on that generation, and —
-//! for the scope it last scanned — keeps the *sum* of those cells, so a
-//! warm snapshot costs what changed since the previous one, not the
-//! population.
+//! keys one classified per-domain verdict on that generation, and — for
+//! the scope it last scanned — keeps the *sum* of those verdicts per
+//! (operator, TLD), so a warm snapshot costs what changed since the
+//! previous one, not the population.
 //!
-//! Each entry also remembers the domain's operator key: the operator is
-//! derived from the NS set, every NS edit bumps the generation, so a
-//! generation match guarantees the operator is current too.
+//! ## Layout
+//!
+//! One dense column per TLD, indexed by the registry's columnar row (the
+//! low half of a [`DomainKey`]). A slot is 32 bytes: the generation and
+//! validity window of the verdict ([`Freshness`]), the registry's `u32`
+//! operator id, and a one-byte `Class` that rebuilds the single-domain
+//! [`OperatorStats`] cell. The operator is derived from the NS set and
+//! every NS edit bumps the generation, so a generation match guarantees
+//! the stored operator is current too. Each column remembers the journal
+//! of the registry that filled it: row ids and generations repeat across
+//! worlds, so a scan over another registry starts that column empty.
 //!
 //! Invalidation rules (see DESIGN.md §9):
-//! * an entry is reused only when the stored generation equals the
-//!   domain's current generation **and** the scan time is still inside
-//!   the RRSIG validity window the verdict was computed in — the
-//!   classification depends on the clock, and signatures lapsing moves
-//!   no generation;
-//! * unreachable/indeterminate outcomes are **never** cached — a failed
-//!   observation is re-attempted every snapshot;
-//! * an entry whose delegation left the zone file is dropped by the scan
+//! * a slot is served only when its generation equals the domain's
+//!   current generation **and** the scan time is still inside the RRSIG
+//!   validity window the verdict was computed in — the classification
+//!   depends on the clock, and signatures lapsing moves no generation;
+//! * unreachable/indeterminate outcomes are **never** stored in a slot —
+//!   a failed observation is re-attempted every snapshot;
+//! * a slot whose delegation left the zone file is emptied by the scan
 //!   that learns of it, so the cache never outgrows the live population.
 //!
 //! ## The warm path
 //!
 //! After every cached scan the cache holds the `DeltaState` of that
-//! scan: the running `(operator, TLD)` aggregate, one journal cursor per
-//! TLD, and the contribution of every live row that has no servable
-//! entry. Its invariant is *aggregate = Σ over the live in-scope rows of
-//! the row's last contribution*. The next scan (`ScanCache::resume`)
-//! lists the rows the journals name since the cursors, the unobserved
-//! rows and the entries whose validity window has closed (a min-heap of
-//! the finite upper edges), subtracts their old contributions, and hands
-//! that short list — in the sweep's own (TLD, canonical name) order — to
-//! the same peek → operator → scan → retry pipeline a sweep runs.
-//! Every row not on the list is a certain hit and is counted as one
-//! without being touched.
+//! scan: the running (operator, TLD) sums, one journal cursor per TLD,
+//! and the contribution of every live row that has no servable slot.
+//! Its invariant is *sums = Σ over the live in-scope rows of the row's
+//! last contribution*. The next scan (`ScanCache::resume`) lists the rows
+//! the journals name since the cursors, the unobserved rows and the slots
+//! whose validity window has closed (a min-heap of the finite upper
+//! edges), subtracts their old contributions, and hands that short list
+//! — in the sweep's own (TLD, canonical name) order — to the same
+//! peek → scan → retry pipeline a sweep runs. Every row not on the list
+//! is a certain hit and is counted as one without being touched.
 //!
 //! The population sweep remains as the one fallback, chosen only from
 //! what the cache can observe: no state yet (first scan), a different
@@ -47,15 +53,11 @@
 //! another world issued, or a clock that moved backwards. A sweep
 //! rebuilds the state. [`ScanCache::check_against_sweep`] recomputes all
 //! of it from the registries (test support).
-//!
-//! Keys are packed [`DomainKey`]s — the registry's columnar row id, not
-//! the `Name` — so neither path hashes name bytes.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 
-use dsec_ecosystem::{Freshness, JournalCursor, Tld, World};
+use dsec_ecosystem::{Freshness, JournalCursor, Registry, Tld, World, ALL_TLDS};
 use dsec_wire::{FnvHashMap, FnvHashSet};
 
 use crate::snapshot::{OperatorStats, ScanItem};
@@ -72,41 +74,196 @@ pub fn domain_key(tld: Tld, row: u32) -> DomainKey {
     ((tld as u64) << 32) | row as u64
 }
 
-/// The TLD half of `key`, which must be one of `scope`'s.
-fn key_tld(scope: &[Tld], key: DomainKey) -> Tld {
-    scope
-        .iter()
-        .copied()
-        .find(|&tld| tld as u64 == key >> 32)
-        .expect("every key the cache holds is in scope: a scope change sweeps and prunes")
+/// The TLD half of `key`.
+fn key_tld(key: DomainKey) -> Tld {
+    ALL_TLDS[(key >> 32) as usize]
 }
 
-/// One classified domain: what was seen, and how long it stays true.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
-    pub(crate) fresh: Freshness,
-    pub(crate) operator: Arc<str>,
-    pub(crate) stats: OperatorStats,
+/// The operator id of a delegation without one. Every live row has an
+/// operator ([`dsec_ecosystem::RegistryError::EmptyNsSet`]); the cell
+/// exists so a scan never has to panic over it.
+pub(crate) const NO_NS: u32 = u32::MAX;
+
+/// The index of operator `id` in a per-TLD vector of cells: the
+/// registry's ids shifted up by one, [`NO_NS`] at 0.
+fn cell(id: u32) -> usize {
+    id.wrapping_add(1) as usize
 }
 
-impl CacheEntry {
-    /// What this entry's row adds to its (operator, TLD) cell.
-    fn contribution(&self) -> Contribution {
-        (self.operator.clone(), self.stats)
+/// The operator key `id` stands for in `registry`, as a snapshot cell
+/// spells it.
+pub(crate) fn operator_name(registry: &Registry, id: u32) -> String {
+    match id {
+        NO_NS => "(no-ns)".to_string(),
+        id => registry.operators()[id as usize].to_string(),
     }
 }
 
-/// What one row adds to the aggregate: its operator key and its
-/// single-domain stats cell.
-pub(crate) type Contribution = (Arc<str>, OperatorStats);
+/// A single-domain stats cell in one byte. Bit 0 is `with_dnskey`, bit 1
+/// `with_ds`, bits 2–3 the verdict (none, full, partial, misconfigured),
+/// bit 4 `unreachable` and bit 5 `indeterminate`; `domains` is always 1.
+/// The last two are the unobserved classes, which are never served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Class(u8);
 
-/// Per-(operator, TLD) sums under shared `Arc<str>` operator keys.
-pub(crate) type Aggregate = HashMap<(Arc<str>, Tld), OperatorStats>;
+impl Class {
+    const DNSKEY: u8 = 1;
+    const DS: u8 = 1 << 1;
+    const FULL: u8 = 1 << 2;
+    const PARTIAL: u8 = 2 << 2;
+    const MISCONFIGURED: u8 = 3 << 2;
+    const VERDICT: u8 = 3 << 2;
+    const UNREACHABLE: u8 = 1 << 4;
+    const INDETERMINATE: u8 = 1 << 5;
+    /// An empty slot: no verdict, and nothing a scan can produce.
+    const EMPTY: Class = Class(1 << 7);
+
+    /// The class of a single-domain cell, as a scan produces it: one
+    /// domain, each flag 0 or 1, at most one verdict.
+    pub(crate) fn of(stats: &OperatorStats) -> Class {
+        let flag = |set: u64, bit: u8| if set == 1 { bit } else { 0 };
+        let class = Class(
+            flag(stats.with_dnskey, Self::DNSKEY)
+                | flag(stats.with_ds, Self::DS)
+                | flag(stats.fully_deployed, Self::FULL)
+                | flag(stats.partially_deployed, Self::PARTIAL)
+                | flag(stats.misconfigured, Self::MISCONFIGURED)
+                | flag(stats.unreachable, Self::UNREACHABLE)
+                | flag(stats.indeterminate, Self::INDETERMINATE),
+        );
+        debug_assert_eq!(class.stats(), *stats, "not a single-domain cell");
+        class
+    }
+
+    /// The single-domain cell this class stands for.
+    pub(crate) fn stats(self) -> OperatorStats {
+        let flag = |bits: u8| u64::from(self.0 & bits == bits);
+        let verdict = self.0 & Self::VERDICT;
+        OperatorStats {
+            domains: 1,
+            with_dnskey: flag(Self::DNSKEY),
+            with_ds: flag(Self::DS),
+            fully_deployed: u64::from(verdict == Self::FULL),
+            partially_deployed: u64::from(verdict == Self::PARTIAL),
+            misconfigured: u64::from(verdict == Self::MISCONFIGURED),
+            unreachable: flag(Self::UNREACHABLE),
+            indeterminate: flag(Self::INDETERMINATE),
+        }
+    }
+
+    /// Whether this is a classified outcome (not unreachable,
+    /// indeterminate or empty): the only kind a slot may serve.
+    pub(crate) fn observed(self) -> bool {
+        self.0 & (Self::UNREACHABLE | Self::INDETERMINATE | Self::EMPTY.0) == 0
+    }
+}
+
+/// One row's cached verdict: what was seen, by which operator, and how
+/// long it stays true.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    fresh: Freshness,
+    operator: u32,
+    class: Class,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+impl Slot {
+    /// Generation 0 never holds: live delegations start at 1.
+    const EMPTY: Slot = Slot {
+        fresh: Freshness {
+            generation: 0,
+            window: (0, 0),
+        },
+        operator: NO_NS,
+        class: Class::EMPTY,
+    };
+
+    fn filled(&self) -> bool {
+        self.class != Class::EMPTY
+    }
+
+    /// What this slot's row adds to its (operator, TLD) cell.
+    fn contribution(&self) -> (u32, Class) {
+        (self.operator, self.class)
+    }
+}
+
+/// One TLD's slots, by registry row.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    /// A cursor of the registry whose rows these are; `None` until a
+    /// scan adopts the column.
+    source: Option<JournalCursor>,
+    slots: Vec<Slot>,
+    /// How many slots are filled.
+    filled: usize,
+    /// Rendered operator keys by [`cell`] index, made on first use.
+    keys: Vec<String>,
+}
+
+impl Column {
+    fn slot(&self, row: u32) -> Option<&Slot> {
+        self.slots.get(row as usize).filter(|slot| slot.filled())
+    }
+
+    /// Makes room for `rows` rows. The column grows to the exact size
+    /// plus 1/64 for the rows later scans add, instead of doubling.
+    fn fit(&mut self, rows: usize) {
+        if rows > self.slots.len() {
+            self.slots
+                .reserve_exact(rows - self.slots.len() + rows / 64);
+            self.slots.resize(rows, Slot::EMPTY);
+        }
+    }
+
+    fn clear(&mut self, row: u32) {
+        if let Some(slot) = self.slots.get_mut(row as usize) {
+            if slot.filled() {
+                *slot = Slot::EMPTY;
+                self.filled -= 1;
+            }
+        }
+    }
+}
+
+/// Per-(operator, TLD) sums: one dense vector per TLD, indexed by
+/// [`cell`]. A cell summed back to zero stays, as zero.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sums([Vec<OperatorStats>; ALL_TLDS.len()]);
+
+impl Sums {
+    pub(crate) fn add(&mut self, tld: Tld, operator: u32, stats: &OperatorStats) {
+        let cells = &mut self.0[tld as usize];
+        let at = cell(operator);
+        if at >= cells.len() {
+            cells.resize(at + 1, OperatorStats::default());
+        }
+        cells[at].absorb(stats);
+    }
+
+    fn retract(&mut self, tld: Tld, operator: u32, stats: &OperatorStats) {
+        self.0[tld as usize][cell(operator)].retract(stats);
+    }
+
+    /// Every cell that counts a domain, as `(TLD, operator id, sum)`:
+    /// what a sweep would emit.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (Tld, u32, &OperatorStats)> {
+        ALL_TLDS.iter().flat_map(move |&tld| {
+            self.0[tld as usize]
+                .iter()
+                .enumerate()
+                .filter(|(_, sum)| **sum != OperatorStats::default())
+                .map(move |(at, sum)| (tld, (at as u32).wrapping_sub(1), sum))
+        })
+    }
+}
 
 /// What a cached scan leaves behind for the next one (see the module
-/// docs). Invariant: `aggregate` is the sum, over the rows that were
-/// live in `scope` when `cursors` were taken, of `unobserved[row]` if
-/// present and of the row's entry otherwise.
+/// docs). Invariant: `sums` is the sum, over the rows that were live in
+/// `scope` when `cursors` were taken, of `unobserved[row]` if present
+/// and of the row's slot otherwise.
 #[derive(Debug, Clone)]
 struct DeltaState {
     /// The TLDs scanned, in scan order (no duplicates).
@@ -115,16 +272,16 @@ struct DeltaState {
     now: u32,
     /// Where each scoped registry's change journal ended.
     cursors: Vec<JournalCursor>,
-    aggregate: Aggregate,
+    sums: Sums,
     /// Live rows whose last outcome was unreachable/indeterminate — no
-    /// entry may hold it, yet the aggregate counts it.
-    unobserved: FnvHashMap<DomainKey, Contribution>,
+    /// slot may hold it, yet the sums count it.
+    unobserved: FnvHashMap<DomainKey, (u32, Class)>,
 }
 
 /// A warm scan's starting point (see [`ScanCache::resume`]).
 pub(crate) struct Resumed<'w> {
-    /// The previous aggregate minus the old contributions of `work`.
-    pub(crate) aggregate: Aggregate,
+    /// The previous sums minus the old contributions of `work`.
+    pub(crate) sums: Sums,
     /// The live rows that must go through the pipeline again, in sweep
     /// order.
     pub(crate) work: Vec<ScanItem<'w>>,
@@ -160,13 +317,14 @@ impl CacheStats {
 /// Cross-snapshot cache of classified per-domain scan results.
 #[derive(Debug, Clone, Default)]
 pub struct ScanCache {
-    entries: FnvHashMap<DomainKey, CacheEntry>,
+    /// One column per TLD, indexed by `Tld as usize`.
+    columns: [Column; ALL_TLDS.len()],
     hits: u64,
     misses: u64,
-    /// `(upper validity edge, key)` of every entry whose window closes,
-    /// soonest first. An item is current while its entry still carries
-    /// that edge; replaced or dropped entries leave items behind that
-    /// are discarded when their time comes.
+    /// `(upper validity edge, key)` of every slot whose window closes,
+    /// soonest first. An item is current while its slot still carries
+    /// that edge; replaced or emptied slots leave items behind that are
+    /// discarded when their time comes.
     lapses: BinaryHeap<Reverse<(i64, DomainKey)>>,
     /// `None` until a scan completes, and while one is running.
     delta: Option<DeltaState>,
@@ -178,23 +336,25 @@ impl ScanCache {
         Self::default()
     }
 
-    /// The cached (operator key, stats cell) for `key` if it was
+    fn slot(&self, key: DomainKey) -> Option<&Slot> {
+        self.columns[key_tld(key) as usize].slot(key as u32)
+    }
+
+    /// The cached (operator id, stats cell) for `key` if it was
     /// classified at exactly `generation` and `now` is inside the
     /// validity window of that verdict. Does not touch the hit/miss
-    /// counters: the scan's cache pass tallies hits and misses itself and
-    /// records them once via `ScanCache::note_lookups`, together with the
-    /// rows a warm scan never had to look at.
-    pub fn peek(
+    /// counters: the scan tallies hits and misses itself and records
+    /// them once via `ScanCache::note_lookups`, together with the rows a
+    /// warm scan never had to look at.
+    pub(crate) fn peek(
         &self,
         key: DomainKey,
         generation: u64,
         now: u32,
-    ) -> Option<(Arc<str>, OperatorStats)> {
-        let entry = self.entries.get(&key)?;
-        entry
-            .fresh
-            .holds(generation, now)
-            .then(|| entry.contribution())
+    ) -> Option<(u32, OperatorStats)> {
+        let slot = self.slot(key)?;
+        (slot.class.observed() && slot.fresh.holds(generation, now))
+            .then(|| (slot.operator, slot.class.stats()))
     }
 
     /// Folds externally tallied lookup counts (from [`ScanCache::peek`]
@@ -205,21 +365,65 @@ impl ScanCache {
         self.misses += misses;
     }
 
-    /// Stores the classified cell for `key`, good at the entry's
-    /// generation while the clock stays inside its window. Callers must
-    /// not insert unobserved (unreachable/indeterminate) outcomes; this
-    /// is enforced with a debug assertion. The scan pipeline's: an insert
-    /// behind its back would not be in the aggregate.
-    pub(crate) fn insert(&mut self, key: DomainKey, entry: CacheEntry) {
-        debug_assert_eq!(
-            entry.stats.unobserved(),
-            0,
-            "unobserved outcomes must never be cached"
-        );
-        if entry.fresh.window.1 != i64::MAX {
-            self.lapses.push(Reverse((entry.fresh.window.1, key)));
+    /// Stores the verdict `class` of operator `operator` for `key`, good
+    /// at `fresh`'s generation while the clock stays inside its window.
+    /// Callers must not store unobserved (unreachable/indeterminate)
+    /// outcomes; this is enforced with a debug assertion. The scan
+    /// pipeline's: a store behind its back would not be in the sums.
+    pub(crate) fn store(&mut self, key: DomainKey, fresh: Freshness, operator: u32, class: Class) {
+        debug_assert!(class.observed(), "unobserved outcomes must never be cached");
+        if fresh.window.1 != i64::MAX {
+            self.lapses.push(Reverse((fresh.window.1, key)));
         }
-        self.entries.insert(key, entry);
+        let column = &mut self.columns[key_tld(key) as usize];
+        let row = key as u32;
+        column.fit(row as usize + 1);
+        let slot = &mut column.slots[row as usize];
+        if !slot.filled() {
+            column.filled += 1;
+        }
+        *slot = Slot {
+            fresh,
+            operator,
+            class,
+        };
+    }
+
+    /// The rendered key of operator `id` in `registry`, the registry of
+    /// `tld`: formatted once per column, not once per scan.
+    pub(crate) fn operator_key(&mut self, registry: &Registry, tld: Tld, id: u32) -> &str {
+        let keys = &mut self.columns[tld as usize].keys;
+        while keys.len() <= cell(id) {
+            keys.push(operator_name(registry, (keys.len() as u32).wrapping_sub(1)));
+        }
+        &keys[cell(id)]
+    }
+
+    /// Prepares the columns for a sweep of `tlds`: a column filled from
+    /// another registry (another world) or outside the scope starts
+    /// empty, the slots of departed delegations are emptied, and each
+    /// scoped column is sized to its registry's rows.
+    pub(crate) fn begin_sweep(&mut self, world: &World, tlds: &[Tld]) {
+        for (&tld, column) in ALL_TLDS.iter().zip(&mut self.columns) {
+            if !tlds.contains(&tld) {
+                *column = Column::default();
+                continue;
+            }
+            let registry = world.registry(tld);
+            let journal = registry.journal_cursor();
+            if !column.source.is_some_and(|s| s.same_journal(journal)) {
+                *column = Column {
+                    source: Some(journal),
+                    ..Column::default()
+                };
+            }
+            column.fit(registry.delegation_rows());
+            for row in 0..column.slots.len() as u32 {
+                if registry.delegation_at(row).is_none() {
+                    column.clear(row);
+                }
+            }
+        }
     }
 
     /// Opens a warm scan of `tlds` at `now`, or returns `None` when only
@@ -249,11 +453,7 @@ impl ScanCache {
                 break;
             }
             self.lapses.pop();
-            if self
-                .entries
-                .get(&key)
-                .is_some_and(|e| e.fresh.window.1 == upper)
-            {
+            if self.slot(key).is_some_and(|s| s.fresh.window.1 == upper) {
                 keys.push(key);
             }
         }
@@ -263,34 +463,22 @@ impl ScanCache {
         let position = |tld: Tld| tlds.iter().position(|&t| t == tld);
         let mut work: Vec<ScanItem<'w>> = Vec::with_capacity(keys.len());
         for key in keys {
-            let tld = key_tld(tlds, key);
+            let (tld, row) = (key_tld(key), key as u32);
             let old = state
                 .unobserved
                 .remove(&key)
-                .or_else(|| self.entries.get(&key).map(CacheEntry::contribution));
-            if let Some((operator, stats)) = old {
-                // An emptied cell must vanish, as a sweep would never
-                // emit it.
-                let cell = (operator, tld);
-                let sum = state
-                    .aggregate
-                    .get_mut(&cell)
-                    .expect("a contribution was added to its cell");
-                sum.retract(&stats);
-                if *sum == OperatorStats::default() {
-                    state.aggregate.remove(&cell);
-                }
+                .or_else(|| self.slot(key).map(Slot::contribution));
+            if let Some((operator, class)) = old {
+                state.sums.retract(tld, operator, &class.stats());
             }
-            match world.registry(tld).delegation_at(key as u32) {
+            match world.registry(tld).delegation_at(row) {
                 Some((name, generation)) => work.push(ScanItem {
                     name,
                     tld,
                     key,
                     generation,
                 }),
-                None => {
-                    self.entries.remove(&key);
-                }
+                None => self.columns[tld as usize].clear(row),
             }
         }
         let ranks: Vec<_> = tlds
@@ -307,35 +495,39 @@ impl ScanCache {
             .map(|&tld| world.registry(tld).delegation_count())
             .sum();
         Some(Resumed {
-            aggregate: state.aggregate,
+            sums: state.sums,
             unlisted: (live - work.len()) as u64,
             work,
         })
     }
 
     /// Installs the state a finished scan of `tlds` at `now` leaves for
-    /// the next one: its `aggregate`, and the contributions it could not
-    /// store as entries. A sweep hands over the live list it `swept`: it
-    /// prunes the entries of departed domains against it (a warm scan
-    /// dropped them as it read the journal) and rebuilds the lapse index
-    /// (which a warm scan maintains through [`ScanCache::insert`]).
+    /// the next one: its `sums`, and the contributions it could not store
+    /// in slots. After a sweep the lapse index is rebuilt in one pass over
+    /// the columns (a warm scan maintains it through [`ScanCache::store`]).
     pub(crate) fn commit(
         &mut self,
         world: &World,
         tlds: &[Tld],
         now: u32,
-        aggregate: Aggregate,
-        unobserved: FnvHashMap<DomainKey, Contribution>,
-        swept: Option<&[ScanItem<'_>]>,
+        sums: Sums,
+        unobserved: FnvHashMap<DomainKey, (u32, Class)>,
+        swept: bool,
     ) {
-        if let Some(live) = swept {
-            let live: FnvHashSet<DomainKey> = live.iter().map(|item| item.key).collect();
-            self.entries.retain(|key, _| live.contains(key));
-            self.lapses = self
-                .entries
+        if swept {
+            self.lapses = ALL_TLDS
                 .iter()
-                .filter(|(_, entry)| entry.fresh.window.1 != i64::MAX)
-                .map(|(&key, entry)| Reverse((entry.fresh.window.1, key)))
+                .zip(&self.columns)
+                .flat_map(|(&tld, column)| {
+                    column
+                        .slots
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, slot)| slot.filled() && slot.fresh.window.1 != i64::MAX)
+                        .map(move |(row, slot)| {
+                            Reverse((slot.fresh.window.1, domain_key(tld, row as u32)))
+                        })
+                })
                 .collect();
         }
         // A scope naming a TLD twice counts its rows twice; a journal
@@ -348,16 +540,17 @@ impl ScanCache {
                 .iter()
                 .map(|&tld| world.registry(tld).journal_cursor())
                 .collect(),
-            aggregate,
+            sums,
             unobserved,
         });
     }
 
     /// Recomputes by full sweep of `world`'s registries what the warm
-    /// path maintains incrementally — the aggregate, the unobserved set
-    /// and the lapse index — and compares (test support). Rows journaled
-    /// since the last scan are allowed to lag; everything else must be
-    /// exactly what a sweep at the last scan's time would have served.
+    /// path maintains incrementally — the sums, the unobserved set, the
+    /// slots and the lapse index — and compares (test support). Rows
+    /// journaled since the last scan are allowed to lag; everything else
+    /// must be exactly what a sweep at the last scan's time would have
+    /// served.
     #[doc(hidden)]
     pub fn check_against_sweep(&self, world: &World) -> Result<(), String> {
         let Some(state) = &self.delta else {
@@ -373,97 +566,123 @@ impl ScanCache {
         }
         let lapses: FnvHashSet<(i64, DomainKey)> =
             self.lapses.iter().map(|&Reverse(item)| item).collect();
-        let stored = |key: &DomainKey| {
+        let stored = |key: DomainKey| {
             state
                 .unobserved
-                .get(key)
-                .cloned()
-                .or_else(|| self.entries.get(key).map(CacheEntry::contribution))
+                .get(&key)
+                .copied()
+                .or_else(|| self.slot(key).map(Slot::contribution))
         };
 
-        let mut swept = Aggregate::new();
-        let mut live: FnvHashSet<DomainKey> = FnvHashSet::default();
-        for &tld in &state.scope {
-            for (row, name, generation) in world.registry(tld).delegations_columnar() {
+        let mut swept = Sums::default();
+        for (&tld, column) in ALL_TLDS.iter().zip(&self.columns) {
+            let filled = column.slots.iter().filter(|slot| slot.filled()).count();
+            if filled != column.filled {
+                return Err(format!(
+                    "{tld:?}: {filled} slots filled, {} counted",
+                    column.filled
+                ));
+            }
+            if !state.scope.contains(&tld) {
+                if filled > 0 {
+                    return Err(format!("{tld:?}: {filled} slots outside the scope"));
+                }
+                continue;
+            }
+            let registry = world.registry(tld);
+            if !column
+                .source
+                .is_some_and(|s| s.same_journal(registry.journal_cursor()))
+            {
+                return Err(format!(
+                    "{tld:?}: the column was filled from another registry"
+                ));
+            }
+            for (row, name, generation) in registry.delegations_columnar() {
                 let key = domain_key(tld, row);
-                live.insert(key);
                 if pending.contains(&key) {
                     continue;
                 }
                 if !state.unobserved.contains_key(&key) {
-                    let entry = self
-                        .entries
-                        .get(&key)
+                    let slot = self
+                        .slot(key)
                         .ok_or_else(|| format!("{name}: live, but contributes nothing"))?;
-                    if entry.fresh.generation != generation {
+                    if slot.fresh.generation != generation {
                         return Err(format!(
                             "{name}: cached at generation {}, now at {generation}, not journaled",
-                            entry.fresh.generation
+                            slot.fresh.generation
                         ));
                     }
                     // (A verdict taken *on* an edge has the empty window
                     // (now, now): closed already, so in the lapse index.)
                     let then = i64::from(state.now);
-                    if entry.fresh.window.0 >= then && entry.fresh.window.1 > then {
+                    if slot.fresh.window.0 >= then && slot.fresh.window.1 > then {
                         return Err(format!(
                             "{name}: window {:?} opens after the last scan ({then})",
-                            entry.fresh.window
+                            slot.fresh.window
                         ));
                     }
-                    if entry.fresh.window.1 != i64::MAX
-                        && !lapses.contains(&(entry.fresh.window.1, key))
+                    if slot.fresh.window.1 != i64::MAX
+                        && !lapses.contains(&(slot.fresh.window.1, key))
                     {
                         return Err(format!(
                             "{name}: window {:?} is missing from the lapse index",
-                            entry.fresh.window
+                            slot.fresh.window
                         ));
                     }
                 }
-                let (operator, stats) = stored(&key).expect("checked above");
-                swept.entry((operator, tld)).or_default().absorb(&stats);
+                let (operator, class) = stored(key).expect("checked above");
+                swept.add(tld, operator, &class.stats());
+            }
+            for (row, slot) in column.slots.iter().enumerate() {
+                let (row, key) = (row as u32, domain_key(tld, row as u32));
+                if slot.filled() && registry.delegation_at(row).is_none() && !pending.contains(&key)
+                {
+                    return Err(format!("a slot outlived its delegation {key:#x}"));
+                }
             }
         }
         for &key in &pending {
-            if let Some((operator, stats)) = stored(&key) {
-                let cell = (operator, key_tld(&state.scope, key));
-                swept.entry(cell).or_default().absorb(&stats);
+            if let Some((operator, class)) = stored(key) {
+                swept.add(key_tld(key), operator, &class.stats());
             }
         }
-        let departed = |key: &&DomainKey| !live.contains(*key) && !pending.contains(*key);
-        if let Some(key) = state.unobserved.keys().find(departed) {
+        let departed = |key: DomainKey| {
+            world
+                .registry(key_tld(key))
+                .delegation_at(key as u32)
+                .is_none()
+                && !pending.contains(&key)
+        };
+        if let Some(key) = state.unobserved.keys().find(|&&key| departed(key)) {
             return Err(format!("unobserved set holds departed row {key:#x}"));
         }
-        if let Some(key) = self.entries.keys().find(departed) {
-            return Err(format!("an entry outlived its delegation {key:#x}"));
-        }
-        if swept != state.aggregate {
-            let mut cells: Vec<_> = swept.keys().chain(state.aggregate.keys()).collect();
-            cells.sort();
-            cells.dedup();
-            let diverged: Vec<String> = cells
-                .into_iter()
-                .filter(|cell| swept.get(cell) != state.aggregate.get(cell))
-                .map(|cell| {
-                    format!(
-                        "{cell:?}: kept {:?}, swept {:?}",
-                        state.aggregate.get(cell),
-                        swept.get(cell)
-                    )
-                })
-                .collect();
-            return Err(format!("aggregate diverged: {}", diverged.join("; ")));
+        if !swept.cells().eq(state.sums.cells()) {
+            let name = |(tld, id, sum): (Tld, u32, &OperatorStats)| {
+                format!(
+                    "{tld:?} {}: {sum:?}",
+                    operator_name(world.registry(tld), id)
+                )
+            };
+            let kept: Vec<String> = state.sums.cells().map(name).collect();
+            let swept: Vec<String> = swept.cells().map(name).collect();
+            return Err(format!(
+                "sums diverged: kept [{}], swept [{}]",
+                kept.join("; "),
+                swept.join("; ")
+            ));
         }
         Ok(())
     }
 
     /// Number of cached domains.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.columns.iter().map(|column| column.filled).sum()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Forgets everything, including the hit/miss counters.
@@ -476,7 +695,7 @@ impl ScanCache {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.entries.len(),
+            entries: self.len(),
         }
     }
 }
@@ -489,23 +708,12 @@ mod tests {
         domain_key(Tld::Com, row)
     }
 
-    fn op(s: &str) -> Arc<str> {
-        Arc::from(s)
-    }
-
     /// A scan time, and a window that never closes around it.
     const NOW: u32 = 1_000;
     const ALWAYS: (i64, i64) = (i64::MIN, i64::MAX);
 
-    fn entry(generation: u64, operator: &str, stats: OperatorStats) -> CacheEntry {
-        CacheEntry {
-            fresh: Freshness {
-                generation,
-                window: ALWAYS,
-            },
-            operator: op(operator),
-            stats,
-        }
+    fn fresh(generation: u64, window: (i64, i64)) -> Freshness {
+        Freshness { generation, window }
     }
 
     fn cell(domains: u64) -> OperatorStats {
@@ -520,18 +728,65 @@ mod tests {
         assert_ne!(domain_key(Tld::Com, 7), domain_key(Tld::Net, 7));
         assert_ne!(domain_key(Tld::Com, 7), domain_key(Tld::Com, 8));
         assert_eq!(domain_key(Tld::Nl, 3), domain_key(Tld::Nl, 3));
+        for tld in ALL_TLDS {
+            assert_eq!(key_tld(domain_key(tld, 9)), tld, "columns index by Tld");
+        }
+    }
+
+    /// Every single-domain cell a scan can produce survives the class
+    /// byte: `with_dnskey` × `with_ds` × each verdict, and the two
+    /// unobserved outcomes.
+    #[test]
+    fn class_byte_round_trips_every_single_domain_cell() {
+        let mut cells = Vec::new();
+        for dnskey in 0..=1 {
+            for ds in 0..=1 {
+                for verdict in 0..4 {
+                    cells.push(OperatorStats {
+                        domains: 1,
+                        with_dnskey: dnskey,
+                        with_ds: ds,
+                        fully_deployed: u64::from(verdict == 1),
+                        partially_deployed: u64::from(verdict == 2),
+                        misconfigured: u64::from(verdict == 3),
+                        ..OperatorStats::default()
+                    });
+                }
+            }
+        }
+        for unobserved in [
+            OperatorStats {
+                unreachable: 1,
+                ..cell(1)
+            },
+            OperatorStats {
+                indeterminate: 1,
+                ..cell(1)
+            },
+        ] {
+            cells.push(unobserved);
+        }
+        let mut classes = Vec::new();
+        for stats in &cells {
+            let class = Class::of(stats);
+            assert_eq!(class.stats(), *stats, "{class:?}");
+            assert_eq!(class.observed(), stats.unobserved() == 0, "{class:?}");
+            classes.push(class);
+        }
+        classes.sort_by_key(|class| class.0);
+        classes.dedup();
+        assert_eq!(classes.len(), 18, "distinct cells, distinct bytes");
+        assert!(!Class::EMPTY.observed());
     }
 
     #[test]
     fn lookup_hits_only_on_matching_generation() {
         let mut cache = ScanCache::new();
         assert!(cache.peek(key(0), 1, NOW).is_none(), "cold miss");
-        cache.insert(key(0), entry(1, "ns.host.net", cell(1)));
-        assert_eq!(
-            cache.peek(key(0), 1, NOW),
-            Some((op("ns.host.net"), cell(1)))
-        );
+        cache.store(key(0), fresh(1, ALWAYS), 7, Class::of(&cell(1)));
+        assert_eq!(cache.peek(key(0), 1, NOW), Some((7, cell(1))));
         assert!(cache.peek(key(0), 2, NOW).is_none(), "stale generation");
+        assert!(cache.peek(key(1), 1, NOW).is_none(), "past the column");
         // Peeking counts nothing; the pass that peeked reports its tally.
         assert_eq!(cache.stats().hits + cache.stats().misses, 0);
         cache.note_lookups(1, 2);
@@ -541,16 +796,9 @@ mod tests {
     }
 
     #[test]
-    fn entries_lapse_at_the_edges_of_their_validity_window() {
-        let lapsing = CacheEntry {
-            fresh: Freshness {
-                generation: 1,
-                window: (900, 1_100),
-            },
-            ..entry(1, "x.net", cell(1))
-        };
+    fn slots_lapse_at_the_edges_of_their_validity_window() {
         let mut cache = ScanCache::new();
-        cache.insert(key(0), lapsing);
+        cache.store(key(0), fresh(1, (900, 1_100)), 0, Class::of(&cell(1)));
         assert!(cache.peek(key(0), 1, 901).is_some());
         assert!(cache.peek(key(0), 1, 1_099).is_some());
         // Both edges are exclusive: the time check flips *at* the edge.
@@ -562,12 +810,27 @@ mod tests {
     #[test]
     fn clear_resets_counters() {
         let mut cache = ScanCache::new();
-        cache.insert(key(0), entry(1, "x.net", cell(1)));
+        cache.store(key(0), fresh(1, ALWAYS), 0, Class::of(&cell(1)));
         cache.note_lookups(1, 0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
         assert_eq!(cache.stats().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn sums_emit_only_cells_that_count_a_domain() {
+        let mut sums = Sums::default();
+        sums.add(Tld::Net, 4, &cell(1));
+        sums.add(Tld::Com, NO_NS, &cell(1));
+        sums.add(Tld::Com, 2, &cell(1));
+        sums.retract(Tld::Com, 2, &cell(1));
+        let cells: Vec<_> = sums.cells().map(|(tld, id, sum)| (tld, id, *sum)).collect();
+        assert_eq!(
+            cells,
+            [(Tld::Com, NO_NS, cell(1)), (Tld::Net, 4, cell(1))],
+            "an emptied cell vanishes"
+        );
     }
 
     #[test]
@@ -577,6 +840,6 @@ mod tests {
         let mut cache = ScanCache::new();
         let mut stats = cell(1);
         stats.unreachable = 1;
-        cache.insert(key(0), entry(1, "x.net", stats));
+        cache.store(key(0), fresh(1, ALWAYS), 0, Class::of(&stats));
     }
 }

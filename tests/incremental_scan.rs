@@ -79,6 +79,80 @@ fn cached_campaign_csvs_are_byte_identical_to_uncached() {
     assert!(stats.entries > 0);
 }
 
+/// Row ids and generations repeat across worlds, so a cache carried to
+/// another world must not trust a slot it filled on the first: the
+/// second world's snapshot is what an uncached scan of it reads, and
+/// every domain of it is looked up again.
+#[test]
+fn a_cache_carried_to_another_world_serves_nothing_from_the_first() {
+    let seeded = |seed: u64| {
+        let mut population = PopulationConfig::tiny();
+        population.seed = seed;
+        population.world.seed = seed.rotate_left(17) ^ 0x5EED;
+        build(&population).world
+    };
+    let options = ScanOptions::default();
+    for pair in 0..4u64 {
+        let (first, second) = (seeded(2 * pair + 1), seeded(2 * pair + 2));
+        let mut cache = ScanCache::new();
+        Snapshot::take_cached(&first, &ALL_TLDS, &options, &mut cache);
+        let before = cache.stats();
+        let carried = Snapshot::take_cached(&second, &ALL_TLDS, &options, &mut cache);
+        let fresh = Snapshot::take_with_options(&second, &ALL_TLDS, &options);
+        assert_eq!(carried.cells, fresh.cells, "pair {pair}: cells");
+        let after = cache.stats();
+        assert_eq!(
+            after.hits, before.hits,
+            "pair {pair}: hits on another world"
+        );
+        assert_eq!(
+            after.misses - before.misses,
+            second.domain_count() as u64,
+            "pair {pair}: every domain looked up again"
+        );
+        cache
+            .check_against_sweep(&second)
+            .unwrap_or_else(|e| panic!("pair {pair}: {e}"));
+    }
+}
+
+/// A delegation added between two scans gets a registry row the cold
+/// sweep never saw, past the end of the cache's column for its TLD. The
+/// warm scan looks it up (a miss), scans it, and serves it from then on.
+#[test]
+fn a_warm_scan_meets_a_row_past_the_column() {
+    let mut pw = build(&PopulationConfig::tiny());
+    let options = ScanOptions::default();
+    let mut cache = ScanCache::new();
+    Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    let cold = cache.stats();
+
+    let registry = pw.world.registry_mut(Tld::Com);
+    let neighbour = registry.delegations()[0].clone();
+    let sponsor = registry.sponsor_of(&neighbour).expect("delegated");
+    let hosts = registry.ns_of(&neighbour);
+    let rows = registry.delegation_rows();
+    let added = dsec::wire::Name::parse("past-the-column.com").unwrap();
+    registry.add_delegation(sponsor, &added, &hosts).unwrap();
+    assert_eq!(registry.delegation_rows(), rows + 1, "a fresh row");
+
+    let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    let fresh = Snapshot::take_with_options(&pw.world, &ALL_TLDS, &options);
+    assert_eq!(warm.cells, fresh.cells);
+    cache.check_against_sweep(&pw.world).unwrap();
+    let after = cache.stats();
+    assert_eq!(
+        after.misses - cold.misses,
+        1,
+        "only the new row is looked up"
+    );
+    assert_eq!(after.entries, cold.entries + 1);
+
+    let again = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    assert_eq!(again.cells, fresh.cells);
+    assert_eq!(cache.stats().misses, after.misses, "and then served");
+}
+
 #[test]
 fn force_full_rescans_but_matches_the_cached_result() {
     let pw = build(&PopulationConfig::tiny());

@@ -1,0 +1,147 @@
+//! Memory pins for the scan cache (DESIGN.md §9, *Layout*; §16). The
+//! cache is one 32-byte slot per registry row, so what it retains after a
+//! cold scan, and what the scan needs on top of the built world while it
+//! runs, are bounded per domain. A per-domain side structure — a hashed
+//! entry per domain, a work list collected before scanning, a live-key
+//! set for pruning — shows here as bytes per domain long before a
+//! benchmark's peak RSS moves.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dsec::ecosystem::ALL_TLDS;
+use dsec::scanner::{ScanCache, ScanOptions, Snapshot};
+use dsec::workloads::{build, PopulationConfig};
+
+thread_local! {
+    /// Bytes this thread holds on the heap. The test harness runs every
+    /// test on its own thread, so tests do not see each other's bytes.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`mark`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn grow(by: isize) {
+    let live = LIVE.with(|live| {
+        live.set(live.get() + by);
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
+}
+
+struct LiveBytes;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s contract carries over. The counters are
+// const-initialised thread-local `Cell`s without destructors: touching
+// them neither allocates nor runs code at thread exit.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as isize);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size() as isize);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size as isize - layout.size() as isize);
+        // SAFETY: forwarded unchanged; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as isize));
+        // SAFETY: forwarded unchanged; the caller upholds `dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// This thread's live heap bytes, and restarts the peak from them.
+fn mark() -> isize {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+fn peak() -> isize {
+    PEAK.with(Cell::get)
+}
+
+/// What a cold cached scan costs in heap: its peak above the built
+/// world, and what the cache keeps once the snapshot is gone.
+struct ColdScan {
+    domains: isize,
+    peak: isize,
+    retained: isize,
+}
+
+fn cold_scan(population: &PopulationConfig) -> ColdScan {
+    let pw = build(population);
+    let world = &pw.world;
+    let domains = world.domain_count() as isize;
+    let built = mark();
+    let mut cache = ScanCache::new();
+    let snapshot = Snapshot::take_cached(world, &ALL_TLDS, &ScanOptions::default(), &mut cache);
+    let peak = peak() - built;
+    assert_eq!(cache.len() as isize, domains, "every domain cached");
+    drop(snapshot);
+    let with_cache = live();
+    drop(cache);
+    ColdScan {
+        domains,
+        peak,
+        retained: with_cache - live(),
+    }
+}
+
+/// Per-domain budgets: one 32-byte slot retained, and a cold scan that
+/// collects nothing per domain before it scans.
+const RETAINED_PER_DOMAIN: isize = 32;
+const PEAK_PER_DOMAIN: isize = 150;
+/// What the cache keeps whatever the population: rendered operator keys,
+/// the per-(operator, TLD) sums, the lapse heap of the few signed rows
+/// and the column's 1/64 headroom.
+const RETAINED_ALLOWANCE: isize = 96 * 1024;
+
+#[test]
+fn a_cold_scan_costs_a_slot_per_domain() {
+    let population = PopulationConfig {
+        scale: 20_000,
+        tail_operators: 100,
+        ..PopulationConfig::default()
+    };
+    let scan = cold_scan(&population);
+    let per_domain = |bytes: isize| bytes as f64 / scan.domains as f64;
+    eprintln!(
+        "{} domains: cold-scan peak {:.1} B/domain, cache retained {:.1} B/domain",
+        scan.domains,
+        per_domain(scan.peak),
+        per_domain(scan.retained)
+    );
+    assert!(
+        scan.retained <= RETAINED_PER_DOMAIN * scan.domains + RETAINED_ALLOWANCE,
+        "the cache retains {} B for {} domains ({:.1} B/domain)",
+        scan.retained,
+        scan.domains,
+        per_domain(scan.retained)
+    );
+    assert!(
+        scan.peak <= PEAK_PER_DOMAIN * scan.domains,
+        "the cold scan peaked {} B above the built world for {} domains ({:.1} B/domain)",
+        scan.peak,
+        scan.domains,
+        per_domain(scan.peak)
+    );
+}
