@@ -27,7 +27,7 @@ use dsec_attack::{AttackCampaign, AttackPhase, AttackPlan, AttackVector};
 use dsec_authserver::OutageScenario;
 use dsec_ecosystem::{ExternalDs, PolicyChange, World};
 use dsec_reports::ExperimentResult;
-use dsec_scanner::{largest_operator_fleet, takeover_census, takeover_census_table};
+use dsec_scanner::{census_table, largest_operator_fleet, takeover_census};
 use dsec_traffic::{run_load, validating_assignment, LoadConfig, TrafficPopulation};
 use dsec_workloads::{build, PopulationConfig};
 
@@ -225,7 +225,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
 
     // The census reads served DNSKEYs through the network, so it is taken
     // before arm C takes part of that network down.
-    let census = takeover_census_table(&takeover_census(&pw_b.world));
+    let census = census_table(&takeover_census(&pw_b.world));
 
     // ---- Arm C: the hijack rides through an unrelated fleet outage,
     // on arm B's world. ----

@@ -883,10 +883,6 @@ pub fn experiment_user_impact(
     // operators by query volume must carry a larger share of queries
     // than of registered domains.
     let domains: u64 = snapshot.cells.values().map(|s| s.domains).sum();
-    let mut domain_count: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for ((operator, _), stats) in &snapshot.cells {
-        *domain_count.entry(operator.as_str()).or_insert(0) += stats.domains;
-    }
     let mut by_queries: Vec<(&String, u64)> = report
         .by_operator
         .iter()
@@ -897,7 +893,7 @@ pub fn experiment_user_impact(
     let top10_domains: u64 = by_queries
         .iter()
         .take(10)
-        .map(|(op, _)| domain_count.get(op.as_str()).copied().unwrap_or(0))
+        .map(|(op, _)| snapshot.operator_totals(op, &ALL_TLDS).domains)
         .sum();
     let query_share = top10_queries as f64 / report.total.max(1) as f64;
     let domain_share = top10_domains as f64 / domains.max(1) as f64;

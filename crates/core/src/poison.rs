@@ -30,7 +30,7 @@ use dsec_attack::{OnPathCampaign, OnPathVector};
 use dsec_ecosystem::AnchorRollPlan;
 use dsec_reports::ExperimentResult;
 use dsec_resolver::{capture_kind, CaptureKind, OnPathThreat, Resolver, SpoofGuard};
-use dsec_scanner::{poison_census, poison_census_table};
+use dsec_scanner::{census_table, poison_census};
 use dsec_traffic::{run_load, Cache, LoadConfig, TrafficPopulation};
 use dsec_wire::RrType;
 use dsec_workloads::{build, PopulationConfig};
@@ -298,7 +298,7 @@ pub fn experiment_poison_resistance(population: &PopulationConfig) -> Experiment
         100.0 * all_validating.outcomes.availability(),
         100.0 * none_validating.outcomes.availability(),
     );
-    artifact.push_str(&poison_census_table(&census));
+    artifact.push_str(&census_table(&census));
     result.artifact = artifact;
     result
 }

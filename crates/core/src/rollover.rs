@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use dsec_authserver::OutageScenario;
 use dsec_ecosystem::{DsTiming, Hosting, RolloverPlan, RolloverStyle, Tld, World};
 use dsec_reports::ExperimentResult;
-use dsec_scanner::{largest_operator_fleet, rollover_census, rollover_census_table};
+use dsec_scanner::{census_table, largest_operator_fleet, rollover_census};
 use dsec_traffic::{run_load, LoadConfig, OutcomeCounts, TrafficPopulation, TrafficReport};
 use dsec_workloads::{build, PopulationConfig};
 
@@ -319,7 +319,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         ));
     }
     artifact.push_str("\nper-operator rollover census (arm B world):\n");
-    artifact.push_str(&rollover_census_table(&rollover_census(&pw_b.world)));
+    artifact.push_str(&census_table(&rollover_census(&pw_b.world)));
     result.artifact = artifact;
     result
 }

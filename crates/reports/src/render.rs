@@ -187,7 +187,7 @@ pub fn table4(world: &World, names: &[&str]) -> String {
 pub fn rollover_lifecycle(world: &World) -> String {
     let census = dsec_scanner::rollover_census(world);
     let mut out = String::from("Key-rollover lifecycle\n\n");
-    out.push_str(&dsec_scanner::rollover_census_table(&census));
+    out.push_str(&dsec_scanner::census_table(&census));
     out.push_str(&format!(
         "\nlifecycle counters: {} prepared, {} DS swaps, {} completed, \
          {} abrupt, {} expired-signature\n",
@@ -327,12 +327,6 @@ pub fn user_impact(report: &TrafficReport, snapshot: &Snapshot) -> String {
         report.cache_entries,
     ));
 
-    // Per-operator domain totals across TLD cells, for the share contrast.
-    let mut domain_share: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for ((operator, _), stats) in &snapshot.cells {
-        *domain_share.entry(operator.as_str()).or_insert(0) += stats.domains;
-    }
-
     let mut top: Vec<(&String, u64)> = report
         .by_operator
         .iter()
@@ -349,8 +343,7 @@ pub fn user_impact(report: &TrafficReport, snapshot: &Snapshot) -> String {
             0.0
         };
         let dshare = if domains > 0 {
-            100.0 * domain_share.get(operator.as_str()).copied().unwrap_or(0) as f64
-                / domains as f64
+            100.0 * snapshot.operator_totals(operator, &ALL_TLDS).domains as f64 / domains as f64
         } else {
             0.0
         };

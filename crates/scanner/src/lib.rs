@@ -15,24 +15,23 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod census;
 pub mod operator_id;
-pub mod poison_census;
-pub mod rollover_census;
 pub mod snapshot;
 pub mod store;
 pub mod stream;
-pub mod takeover_census;
 
 pub use cache::{domain_key, CacheStats, DomainKey, ScanCache};
+pub use census::{
+    census_table, poison_census, rollover_census, takeover_census, CensusRow,
+    OperatorRolloverStats, RegistrarPoisonStats, RegistrarTakeoverStats,
+};
 pub use operator_id::{largest_operator_fleet, operator_key, operator_of};
-pub use poison_census::{poison_census, poison_census_table, RegistrarPoisonStats};
-pub use rollover_census::{rollover_census, rollover_census_table, OperatorRolloverStats};
 pub use snapshot::{
     coverage_curve, operators_to_cover, Metric, OperatorStats, ScanOptions, Snapshot,
 };
 pub use store::{LongitudinalStore, SeriesPoint};
 pub use stream::{scan_campaign_streamed, SnapshotWriter, StreamedStore};
-pub use takeover_census::{takeover_census, takeover_census_table, RegistrarTakeoverStats};
 
 use std::io;
 

@@ -14,7 +14,7 @@ use dsec_wire::Name;
 
 use crate::spec::{
     cctld_fill_registrars, midtail_dnssec_registrars, parking_operators, partner_registrars,
-    table1_totals, table2_registrars, table3_registrars, third_parties, RegistrarSpec,
+    split_gtld, table1_totals, table2_registrars, table3_registrars, third_parties, RegistrarSpec,
 };
 
 /// Population parameters.
@@ -163,7 +163,7 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
     for (name_, ns_domain, count) in parking_operators() {
         let op = world.add_operator(name_, ns(ns_domain), 2);
         parking.insert(name_.to_string(), op);
-        let [c, n_, o] = split3(count);
+        let [c, n_, o] = split_gtld(count);
         for (tld, cnt) in [(Tld::Com, c), (Tld::Net, n_), (Tld::Org, o)] {
             for i in 0..scaled_count(&mut rng, cnt, config.scale) {
                 let label = format!("{}-{}-{i}", slug(name_), tld.label());
@@ -199,7 +199,7 @@ pub fn build(config: &PopulationConfig) -> PaperWorld {
             tp.relay_success,
         );
         tps.insert(tp.name.to_string(), op);
-        let [c, n_, o] = split3(tp.domains);
+        let [c, n_, o] = split_gtld(tp.domains);
         for (tld, cnt) in [(Tld::Com, c), (Tld::Net, n_), (Tld::Org, o)] {
             for i in 0..scaled_count(&mut rng, cnt, config.scale) {
                 let label = format!("{}-{}-{i}", slug(tp.name), tld.label());
@@ -285,14 +285,6 @@ fn slug(s: &str) -> String {
         .filter(|c| c.is_ascii_alphanumeric())
         .collect::<String>()
         .to_ascii_lowercase()
-}
-
-fn split3(total: u64) -> [u64; 3] {
-    [
-        total * 77 / 100,
-        total * 13 / 100,
-        total - total * 77 / 100 - total * 13 / 100,
-    ]
 }
 
 #[cfg(test)]

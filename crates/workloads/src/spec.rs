@@ -119,7 +119,7 @@ impl RegistrarSpec {
 
 /// Splits a combined .com/.net/.org count by the TLDs' DNSSEC-weighted
 /// sizes (com 77%, net 13%, org 10% of signed domains).
-fn split_gtld(total: u64) -> [u64; 3] {
+pub(crate) fn split_gtld(total: u64) -> [u64; 3] {
     [
         total * 77 / 100,
         total * 13 / 100,

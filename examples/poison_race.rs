@@ -31,7 +31,7 @@ use dsec::ecosystem::{
 use dsec::resolver::{
     capture_kind, Cache, CaptureKind, OnPathThreat, Resolver, SpoofGuard, POISON_A,
 };
-use dsec::scanner::{poison_census, poison_census_table};
+use dsec::scanner::{census_table, poison_census};
 use dsec::wire::{Name, RData, RrType};
 use dsec::workloads::PopulationConfig;
 
@@ -108,7 +108,7 @@ fn main() {
 
     // ---- Part 1b: the poison census attributes the damage. ----
     let census = poison_census(&world, &cache, now);
-    print!("{}", poison_census_table(&census));
+    print!("{}", census_table(&census));
     let row = census.get("Probed").expect("registrar row");
     assert_eq!(row.poisoned_names, 1, "the forged www entry is caught");
     println!(
