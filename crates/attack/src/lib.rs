@@ -107,11 +107,6 @@ impl AttackPlan {
         self.detect_after_days = Some(days);
         self
     }
-
-    /// The day remediation fires, if detection is scheduled.
-    pub fn detection_day(&self) -> Option<SimDate> {
-        self.detect_after_days.map(|d| self.launch.plus_days(d))
-    }
 }
 
 /// The live state of one scheduled plan.
@@ -233,7 +228,13 @@ impl AttackCampaign {
             .iter()
             .filter(|(_, s)| match s.phase {
                 AttackPhase::Scheduled => today >= s.plan.launch,
-                AttackPhase::Captured => s.plan.detection_day().is_some_and(|d| today >= d),
+                // Detection counts from the capture, which is later than
+                // the launch day when a plan is scheduled in the past.
+                AttackPhase::Captured => s
+                    .plan
+                    .detect_after_days
+                    .zip(s.captured_on)
+                    .is_some_and(|(days, on)| today >= on.plus_days(days)),
                 _ => false,
             })
             .map(|(k, _)| k.clone())
@@ -502,6 +503,9 @@ fn forged_zone(domain: &Name, ns_host: &Name) -> Zone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsec_ecosystem::{
+        Hosting, OperatorDnssec, RegistrarPolicy, Tld, TldPolicy, TldRole, WorldConfig,
+    };
 
     #[test]
     fn a_plan_is_found_and_replaced_under_any_spelling_of_its_domain() {
@@ -523,5 +527,49 @@ mod tests {
             assert_eq!(replaced, Some(SimDate(day + 100)));
         }
         assert!(campaign.state(&name("victim.net")).is_none());
+    }
+
+    #[test]
+    fn detection_counts_from_the_capture_day_not_the_launch_day() {
+        let mut world = World::new(WorldConfig::default());
+        let registrar = world.add_registrar(
+            "MailReg",
+            Name::parse("mailreg.net").expect("valid name"),
+            RegistrarPolicy {
+                operator_dnssec: OperatorDnssec::Unsupported,
+                external_ds: ExternalDs::Email {
+                    verifies_sender: false,
+                    accepts_foreign_sender: true,
+                    validates: false,
+                },
+                tlds: [(Tld::Com, TldPolicy::full(TldRole::Registrar))].into(),
+            },
+        );
+        let victim = world
+            .purchase(
+                registrar,
+                "victim",
+                Tld::Com,
+                Hosting::Owner,
+                "o@victim.com",
+            )
+            .expect("a fresh name");
+        // Launch day four days before the campaign's first tick: the
+        // forgery lands on that tick, late.
+        let captured = world.today.plus_days(1);
+        let late = SimDate(captured.0 - 4);
+        let mut campaign = AttackCampaign::new();
+        let plan = AttackPlan::new(AttackVector::ForgedDs, late).with_detection(3);
+        campaign.schedule(victim.clone(), plan);
+        campaign.advance_to(&mut world, captured);
+        assert_eq!(campaign.state(&victim).unwrap().captured_on, Some(captured));
+
+        campaign.advance_to(&mut world, captured.plus_days(2));
+        let state = campaign.state(&victim).unwrap();
+        assert_eq!(state.phase, AttackPhase::Captured, "restored early");
+        campaign.advance_to(&mut world, captured.plus_days(3));
+        let state = campaign.state(&victim).unwrap();
+        assert_eq!(state.phase, AttackPhase::Restored);
+        assert_eq!(state.restored_on, Some(captured.plus_days(3)));
     }
 }

@@ -9,8 +9,9 @@
 //! - [`deployment`]: the paper's not/partial/full/misconfigured taxonomy;
 //! - [`cds`]: CDS/CDNSKEY automated delegation maintenance
 //!   (RFC 7344 / RFC 8078);
-//! - [`trust_anchor`]: the RFC 5011 follower state machine
-//!   (AddPend → Valid → Revoked with hold-down timers).
+//! - [`ADD_HOLD_DOWN_DAYS`]: the RFC 5011 add hold-down a trust-anchor
+//!   follower applies (the follower itself is the ecosystem's
+//!   `World::trust_anchor` over an `AnchorRollPlan`).
 //!
 //! Signatures are real RSA over real canonical RRset bytes (via
 //! `dsec-crypto`), so a "misconfigured" domain in the simulation is a
@@ -23,7 +24,6 @@ pub mod deployment;
 pub mod keys;
 pub mod nsec3;
 pub mod signer;
-pub mod trust_anchor;
 pub mod validate;
 
 pub use cds::{process_scan, CdsAction, CdsError, CdsScan};
@@ -31,8 +31,13 @@ pub use deployment::{classify, DeploymentStatus, Misconfiguration, Observation};
 pub use keys::{ds_matches, make_ds, ZoneKeys, DEFAULT_KEY_BITS};
 pub use nsec3::{hashed_owner_name, nsec3_hash, Nsec3Config};
 pub use signer::{sign_rrset, sign_zone, sign_zone_set, SignerConfig, SigningSet};
-pub use trust_anchor::{AnchorState, AnchorTracker, ADD_HOLD_DOWN_DAYS};
 pub use validate::{authenticate_dnskeys, validate_rrset, ValidationError};
+
+/// RFC 5011 `add_hold_down_time`, in simulation days: how long a
+/// follower keeps a newly published root key in AddPend before trusting
+/// it. The RFC requires 30 days minimum; the simulation uses exactly
+/// that.
+pub const ADD_HOLD_DOWN_DAYS: u32 = 30;
 
 /// Errors from key management and signing.
 #[derive(Debug)]

@@ -36,7 +36,7 @@ pub use policy::{ExternalDs, OperatorDnssec, Plan, RegistrarPolicy, TldPolicy, T
 pub use registrar::{Milestone, PolicyChange, Registrar};
 pub use registry::{Freshness, Registry, RegistryError};
 pub use rollover::{DsTiming, RolloverPhase, RolloverPlan, RolloverStyle};
-pub use table::{DomainStore, DomainTable, JournalCursor, OrderedRows, Ranks};
+pub use table::{DomainId, DomainTable, JournalCursor, OrderedRows, Ranks};
 pub use tld::{Incentive, Tld, ALL_TLDS};
 pub use world::{
     ActionError, DsSubmission, RolloverState, ThirdParty, UploadOutcome, World, WorldConfig,

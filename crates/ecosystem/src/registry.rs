@@ -359,11 +359,18 @@ impl Registry {
         self.table.ordered_names()
     }
 
+    /// The row `domain` has in this registry's columns, live or dead:
+    /// the world's one `Name` probe per domain.
+    pub(crate) fn row_of(&self, domain: &Name) -> Option<u32> {
+        self.table.row_of(domain)
+    }
+
     /// The columnar scan edge: live delegations in canonical order as
     /// `(row, &name, generation)`. The row is a stable per-registry
     /// handle (it survives nothing — dead rows are skipped, but a
     /// re-registered name keeps its row), so incremental consumers can
-    /// key caches on `(tld, row)` instead of the name, and the
+    /// key caches on a [`DomainId`](crate::DomainId) instead of the
+    /// name, and the
     /// generation comes out of the same column sweep instead of a
     /// per-domain map probe.
     pub fn delegations_columnar(&self) -> OrderedRows<'_> {

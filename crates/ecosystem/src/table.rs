@@ -6,31 +6,35 @@
 //! (or compares) label bytes and every enumeration walks a pointer-chasing
 //! `BTreeMap`. At 1:20 scale (~8M domains) that dominates the scan.
 //!
-//! [`DomainTable`] and [`DomainStore`] replace those maps with a
+//! Each registry's [`DomainTable`] replaces those maps with a
 //! struct-of-arrays layout:
 //!
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
-//!   [`RegistrarId`], change generation, liveness and DNS operator for
-//!   the registry table;
-//!   the [`Domain`] payload row — hosting, DNSSEC keys,
-//!   expiry — for the world store);
+//!   [`RegistrarId`], change generation, liveness and DNS operator);
 //! * a `Name → row` FNV map is the only hash probe left on the edge
-//!   (case-folding, like every `Name`-keyed map);
+//!   (case-folding, like every `Name`-keyed map), and the only index of
+//!   a domain anywhere: the world keeps its [`Domain`](crate::Domain)
+//!   payloads in one column per TLD at the same rows, and a
+//!   [`DomainId`] — TLD and row packed in a `u64` — names a domain to
+//!   the tick and the scanner;
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
 //!   zone files require — is a lazily rebuilt sorted row index in a
 //!   `RefCell`, so reads stay `&self` and an unchanged population is
-//!   keyed and sorted once. A world is read on one thread, so the tables
-//!   are not `Sync`. Both tables share one rebuild: each enumerated
-//!   row's [`Name::canonical_key`] goes into one arena, the rows sort by
-//!   key bytes, and each row's position (its rank, 4 bytes a row) stays
-//!   beside the sorted rows. Code that orders a few rows sorts them by
-//!   [`Ranks::of`] and compares no name.
+//!   keyed and sorted once. A world is read on one thread, so the table
+//!   is not `Sync`. A rebuild writes each live row's
+//!   [`Name::canonical_key`] into one arena, sorts the rows by key bytes,
+//!   and keeps each row's position (its rank, 4 bytes a row) beside the
+//!   sorted rows. Code that orders a few rows sorts them by
+//!   [`Ranks::of`] and compares no name. The whole world's canonical
+//!   order is the five tables' orders walked in TLD *label* order (com,
+//!   net, nl, org, se), since canonical order compares the TLD label
+//!   first.
 //!
 //! Rows are never reused: a removed delegation keeps its row (and its
 //! generation column, which must survive re-registration so stale scan
 //! cache entries can never collide) and is simply marked dead. The row id
-//! is therefore a stable per-table handle that the scanner uses as a cache
-//! key in place of the name.
+//! is therefore a stable per-table handle that the world and the scanner
+//! use as a key in place of the name.
 //!
 //! The table also keeps a bounded **change journal**: every
 //! [`DomainTable::bump`] appends its row, and a consumer holding a
@@ -43,42 +47,65 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsec_wire::{FnvHashMap, Name};
 
-use crate::domain::Domain;
+use crate::tld::{Tld, ALL_TLDS};
 use crate::RegistrarId;
 
-/// Lazily maintained canonical-order view of a table's enumerated rows
-/// (a [`DomainTable`]'s live rows, every row of a [`DomainStore`]).
+/// One delegation's identity in a world: its studied TLD in the high 32
+/// bits, its registry's [`DomainTable`] row in the low 32. Rows are never
+/// reused, so an id only ever means one name. The world keys its domain
+/// payloads by it, the daily tick its worklists and the scanner its
+/// cache slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct DomainId(u64);
+
+impl DomainId {
+    /// Packs `row` of `tld`'s registry.
+    #[inline]
+    pub fn new(tld: Tld, row: u32) -> Self {
+        DomainId(((tld as u64) << 32) | u64::from(row))
+    }
+
+    /// The TLD half.
+    #[inline]
+    pub fn tld(self) -> Tld {
+        ALL_TLDS[(self.0 >> 32) as usize]
+    }
+
+    /// The registry row half.
+    #[inline]
+    pub fn row(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+/// Lazily maintained canonical-order view of a [`DomainTable`]'s live
+/// rows.
 #[derive(Debug, Default)]
 struct OrderCache {
-    /// Enumerated rows sorted by name (RFC 4034 canonical order).
+    /// Live rows sorted by name (RFC 4034 canonical order).
     sorted: Vec<u32>,
-    /// Row → its position in `sorted`; [`UNRANKED`] for a row left out.
+    /// Row → its position in `sorted`; [`UNRANKED`] for a dead row.
     /// Rows interned since the rebuild have no entry.
     rank: Vec<u32>,
-    /// Set whenever the enumerated set changes; the next reader rebuilds.
+    /// Set whenever the live set changes; the next reader rebuilds.
     dirty: bool,
 }
 
-/// The rank of a row the order leaves out: a dead registry row.
+/// The rank of a row the order leaves out: a dead row.
 const UNRANKED: u32 = u32::MAX;
 
 impl OrderCache {
-    /// Re-sorts `rows` (a table of `len` rows) by `name`, which it calls
-    /// once per row: each name is written once, as its
-    /// [`Name::canonical_key`], into one arena, and the sort compares
-    /// key bytes. The arena is dropped on return.
-    fn rebuild<'a>(
-        &mut self,
-        len: usize,
-        rows: impl Iterator<Item = u32>,
-        name: impl Fn(u32) -> &'a Name,
-    ) {
+    /// Re-sorts the live rows of a table by name: each live name is
+    /// written once, as its [`Name::canonical_key`], into one arena, and
+    /// the sort compares key bytes. The arena is dropped on return.
+    fn rebuild(&mut self, names: &[Name], live: &[bool]) {
         let mut arena = Vec::new();
         // (key start, key end, row)
-        let mut keyed: Vec<(u32, u32, u32)> = rows
+        let mut keyed: Vec<(u32, u32, u32)> = (0..names.len() as u32)
+            .filter(|&row| live[row as usize])
             .map(|row| {
                 let start = arena.len() as u32;
-                name(row).canonical_key(&mut arena);
+                names[row as usize].canonical_key(&mut arena);
                 (start, arena.len() as u32, row)
             })
             .collect();
@@ -86,7 +113,7 @@ impl OrderCache {
         // Names are unique per table, so keys are too: unstable is exact.
         keyed.sort_unstable_by(|a, b| key(a).cmp(key(b)));
         let sorted: Vec<u32> = keyed.iter().map(|&(_, _, row)| row).collect();
-        let mut rank = vec![UNRANKED; len];
+        let mut rank = vec![UNRANKED; names.len()];
         for (pos, &row) in sorted.iter().enumerate() {
             rank[row as usize] = pos as u32;
         }
@@ -363,10 +390,7 @@ impl DomainTable {
     /// the last enumeration, then returns a borrow of it.
     fn ensure_order(&self) -> Ref<'_, OrderCache> {
         if self.order.borrow().dirty {
-            let live = (0..self.names.len() as u32).filter(|&row| self.live[row as usize]);
-            self.order
-                .borrow_mut()
-                .rebuild(self.names.len(), live, |row| &self.names[row as usize]);
+            self.order.borrow_mut().rebuild(&self.names, &self.live);
         }
         self.order.borrow()
     }
@@ -424,160 +448,22 @@ impl<'a> Iterator for OrderedRows<'a> {
 
 impl ExactSizeIterator for OrderedRows<'_> {}
 
-/// The world-side store: dense [`Domain`] payload rows, indexed by name,
-/// enumerated in canonical order. Mirrors the `BTreeMap<Name, Domain>`
-/// surface it replaced (domains are never removed from the world, so
-/// there are no tombstones).
-#[derive(Debug, Default)]
-pub struct DomainStore {
-    /// Row → domain payload (insertion-ordered, dense).
-    rows: Vec<Domain>,
-    index: FnvHashMap<Name, u32>,
-    order: RefCell<OrderCache>,
-}
-
-impl DomainStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The row for `name`, if present.
-    pub fn row_of(&self, name: &Name) -> Option<u32> {
-        self.index.get(name).copied()
-    }
-
-    /// The domain payload at `row`.
-    pub fn at(&self, row: u32) -> &Domain {
-        &self.rows[row as usize]
-    }
-
-    /// Mutable domain payload at `row`.
-    pub fn at_mut(&mut self, row: u32) -> &mut Domain {
-        &mut self.rows[row as usize]
-    }
-
-    /// Lookup by name.
-    pub fn get(&self, name: &Name) -> Option<&Domain> {
-        self.row_of(name).map(|row| self.at(row))
-    }
-
-    /// Mutable lookup by name.
-    pub fn get_mut(&mut self, name: &Name) -> Option<&mut Domain> {
-        self.row_of(name).map(|row| &mut self.rows[row as usize])
-    }
-
-    /// Whether `name` has a row.
-    pub fn contains_key(&self, name: &Name) -> bool {
-        self.row_of(name).is_some()
-    }
-
-    /// Inserts (or replaces) the payload for `name`; returns the row.
-    pub fn insert(&mut self, name: Name, domain: Domain) -> u32 {
-        if let Some(row) = self.row_of(&name) {
-            self.rows[row as usize] = domain;
-            return row;
-        }
-        let row = self.rows.len() as u32;
-        self.rows.push(domain);
-        self.index.insert(name, row);
-        self.order.get_mut().dirty = true;
-        row
-    }
-
-    /// Number of domains.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn ensure_order(&self) -> Ref<'_, OrderCache> {
-        if self.order.borrow().dirty {
-            let rows = &self.rows;
-            self.order
-                .borrow_mut()
-                .rebuild(rows.len(), 0..rows.len() as u32, |row| {
-                    &rows[row as usize].name
-                });
-        }
-        self.order.borrow()
-    }
-
-    /// Canonical positions of the rows (see [`Ranks`]): what the tick
-    /// sorts and searches its row lists by.
-    pub fn ranks(&self) -> Ranks<'_> {
-        Ranks {
-            guard: self.ensure_order(),
-        }
-    }
-
-    /// Domains in canonical name order (the order the replaced `BTreeMap`
-    /// iterated in — simulation draws depend on it, so it is part of the
-    /// store's contract).
-    pub fn values(&self) -> impl ExactSizeIterator<Item = &Domain> {
-        self.entries().map(|(_, domain)| domain)
-    }
-
-    /// [`DomainStore::values`] with each domain's row id — what the
-    /// tick worklists store in place of names.
-    pub fn entries(&self) -> StoreEntries<'_> {
-        StoreEntries {
-            guard: self.ensure_order(),
-            store: self,
-            pos: 0,
-        }
-    }
-
-    /// Mutable sweep over all domains in **row (insertion) order** — for
-    /// order-insensitive bulk updates only.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Domain> {
-        self.rows.iter_mut()
-    }
-}
-
-impl std::ops::Index<&Name> for DomainStore {
-    type Output = Domain;
-
-    fn index(&self, name: &Name) -> &Domain {
-        self.get(name).expect("domain present in store")
-    }
-}
-
-/// Canonical-order iterator over a [`DomainStore`]'s `(row, payload)`
-/// pairs.
-pub struct StoreEntries<'a> {
-    guard: Ref<'a, OrderCache>,
-    store: &'a DomainStore,
-    pos: usize,
-}
-
-impl<'a> Iterator for StoreEntries<'a> {
-    type Item = (u32, &'a Domain);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let &row = self.guard.sorted.get(self.pos)?;
-        self.pos += 1;
-        Some((row, &self.store.rows[row as usize]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.guard.sorted.len() - self.pos;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for StoreEntries<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
+    }
+
+    #[test]
+    fn domain_ids_separate_tlds_and_rows() {
+        assert_ne!(DomainId::new(Tld::Com, 7), DomainId::new(Tld::Net, 7));
+        assert_ne!(DomainId::new(Tld::Com, 7), DomainId::new(Tld::Com, 8));
+        for tld in ALL_TLDS {
+            let id = DomainId::new(tld, u32::MAX);
+            assert_eq!((id.tld(), id.row()), (tld, u32::MAX), "{tld:?}");
+        }
     }
 
     #[test]
@@ -700,30 +586,5 @@ mod tests {
         // Same position, same contents — but another table's journal.
         assert_eq!(ours.changes_since(theirs.journal_cursor()), None);
         assert_eq!(ours.changes_since(ours.journal_cursor()), Some(&[][..]));
-    }
-
-    #[test]
-    fn store_mirrors_btreemap_semantics() {
-        let mut s = DomainStore::new();
-        assert!(s.is_empty());
-        let d = |n: &str| Domain {
-            name: name(n),
-            tld: crate::Tld::Com,
-            registrar: RegistrarId(0),
-            sponsor: RegistrarId(0),
-            hosting: crate::Hosting::Owner,
-            keys: None,
-            created: crate::SimDate::from_ymd(2015, 1, 1),
-            expires: crate::SimDate::from_ymd(2016, 1, 1),
-            pending_partner_migration: false,
-            registrant_email: "o@x.com".into(),
-        };
-        s.insert(name("zz.com"), d("zz.com"));
-        s.insert(name("aa.com"), d("aa.com"));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains_key(&name("AA.com")));
-        let order: Vec<String> = s.values().map(|dom| dom.name.to_string()).collect();
-        assert_eq!(order, vec!["aa.com.", "zz.com."], "canonical iteration");
-        assert_eq!(s[&name("zz.com")].name, name("zz.com"));
     }
 }

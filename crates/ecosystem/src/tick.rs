@@ -9,6 +9,7 @@
 
 use super::*;
 use crate::registry::Freshness;
+use crate::table::Ranks;
 use dsec_dnssec::{CdsAction, CdsScan};
 
 /// Worklist slot of the registrar-hosted opt-in candidates; slot `1 + i`
@@ -18,19 +19,20 @@ const HOSTED: usize = 0;
 /// Incrementally maintained inputs of the daily passes.
 ///
 /// **Invalidation contract** (DESIGN.md §9): the worklists are exactly
-/// the rows [`World::adoption_slot`] accepts, in canonical name order,
+/// the domains [`World::adoption_slot`] accepts, in canonical name order,
 /// whenever `worklists_fresh` is set. Every path that could *add* a
 /// candidate or change eligibility — a new domain, a hosting change, a
 /// hazard or policy change — calls [`TickState::invalidate_worklists`];
-/// signing removes the one row in place ([`World::set_keys`]). Renewal
-/// buckets are exact at all times: every write of `Domain::expires`
-/// moves the row between buckets.
+/// signing removes the one domain in place ([`World::set_keys`]).
+/// Renewal buckets are exact at all times: every write of
+/// `Domain::expires` moves the domain between buckets.
 #[derive(Default)]
 pub(super) struct TickState {
-    worklists: Vec<Vec<u32>>,
+    worklists: Vec<Vec<DomainId>>,
     worklists_fresh: bool,
-    /// Expiry day → rows renewing that day (unordered within a bucket).
-    renewals: BTreeMap<SimDate, Vec<u32>>,
+    /// Expiry day → domains renewing that day (unordered within a
+    /// bucket).
+    renewals: BTreeMap<SimDate, Vec<DomainId>>,
     mass_sign_queue: Vec<MassSignTask>,
     /// Per incentive TLD, registry row → last audit outcome.
     audit_memo: BTreeMap<Tld, Vec<AuditVerdict>>,
@@ -43,22 +45,22 @@ impl TickState {
         self.worklists_fresh = false;
     }
 
-    /// Files `row` under its expiry day.
-    pub(super) fn schedule_renewal(&mut self, row: u32, on: SimDate) {
-        self.schedule_renewals(&[row], on);
+    /// Files `id` under its expiry day.
+    pub(super) fn schedule_renewal(&mut self, id: DomainId, on: SimDate) {
+        self.schedule_renewals(&[id], on);
     }
 
-    /// Files every row of `rows` under the same expiry day.
-    pub(super) fn schedule_renewals(&mut self, rows: &[u32], on: SimDate) {
-        self.renewals.entry(on).or_default().extend_from_slice(rows);
+    /// Files every domain of `ids` under the same expiry day.
+    pub(super) fn schedule_renewals(&mut self, ids: &[DomainId], on: SimDate) {
+        self.renewals.entry(on).or_default().extend_from_slice(ids);
     }
 
-    /// Takes `row` out of the bucket of its previous expiry day.
-    pub(super) fn unschedule_renewal(&mut self, row: u32, on: SimDate) {
+    /// Takes `id` out of the bucket of its previous expiry day.
+    pub(super) fn unschedule_renewal(&mut self, id: DomainId, on: SimDate) {
         if let Some(bucket) = self.renewals.get_mut(&on) {
-            // Builders re-date a domain right after buying it, so the row
-            // is almost always the bucket's last entry.
-            if let Some(pos) = bucket.iter().rposition(|&r| r == row) {
+            // Builders re-date a domain right after buying it, so it is
+            // almost always the bucket's last entry.
+            if let Some(pos) = bucket.iter().rposition(|&r| r == id) {
                 bucket.swap_remove(pos);
             }
             if bucket.is_empty() {
@@ -71,10 +73,31 @@ impl TickState {
 /// Internal queue entry for a mass-signing milestone in progress.
 struct MassSignTask {
     registrar: RegistrarId,
-    /// Store rows to sign, in canonical order; `next` is the cursor.
-    targets: Vec<u32>,
+    /// Domains to sign, in canonical order; `next` is the cursor.
+    targets: Vec<DomainId>,
     next: usize,
     per_day: usize,
+}
+
+/// Canonical positions of the world's domains, borrowed from the five
+/// registries' order caches: ids sorted by [`DomainRanks::of`] come out
+/// in [`World::domains`] order without comparing a name.
+struct DomainRanks<'a>([Ranks<'a>; ALL_TLDS.len()]);
+
+impl<'a> DomainRanks<'a> {
+    fn new(registries: &'a BTreeMap<Tld, Registry>) -> Self {
+        DomainRanks(ALL_TLDS.map(|tld| registries[&tld].delegation_ranks()))
+    }
+
+    /// The TLD's place in label order, then the registry's rank.
+    fn of(&self, id: DomainId) -> (usize, u32) {
+        let tld = id.tld();
+        let label = BY_LABEL
+            .iter()
+            .position(|&t| t == tld)
+            .expect("a studied TLD");
+        (label, self.0[tld as usize].of(id.row()))
+    }
 }
 
 /// A memoized audit outcome for one registry row. The outcome is a pure
@@ -149,11 +172,11 @@ impl World {
     }
 
     /// All opt-in worklists by one clone-free sweep in canonical order.
-    fn sweep_worklists(&self) -> Vec<Vec<u32>> {
+    fn sweep_worklists(&self) -> Vec<Vec<DomainId>> {
         let mut lists = vec![Vec::new(); 1 + self.third_parties.len()];
-        for (row, d) in self.domains.entries() {
+        for (id, d) in self.entries() {
             if let Some(slot) = self.adoption_slot(d) {
-                lists[slot].push(row);
+                lists[slot].push(id);
             }
         }
         lists
@@ -166,28 +189,28 @@ impl World {
         }
     }
 
-    /// Installs `keys` on the domain at `row` — the only writer of
+    /// Installs `keys` on the domain `id` — the only writer of
     /// `Domain::keys` besides [`World::rehost`]. A first signing takes
-    /// the row off its opt-in worklist in place.
-    pub(super) fn set_keys(&mut self, row: u32, keys: ZoneKeys) {
+    /// the domain off its opt-in worklist in place.
+    pub(super) fn set_keys(&mut self, id: DomainId, keys: ZoneKeys) {
         if self.tick.worklists_fresh {
-            if let Some(slot) = self.adoption_slot(self.domains.at(row)) {
-                let ranks = self.domains.ranks();
+            if let Some(slot) = self.adoption_slot(self.domains.at(id)) {
+                let ranks = DomainRanks::new(&self.registries);
                 let list = &mut self.tick.worklists[slot];
                 // Absent only while a pass has the list checked out; the
-                // pass drops signed rows itself before returning it.
-                if let Ok(pos) = list.binary_search_by_key(&ranks.of(row), |&r| ranks.of(r)) {
+                // pass drops signed domains itself before returning it.
+                if let Ok(pos) = list.binary_search_by_key(&ranks.of(id), |&r| ranks.of(r)) {
                     list.remove(pos);
                 }
             }
         }
-        self.domains.at_mut(row).keys = Some(keys);
+        self.domains.at_mut(id).keys = Some(keys);
     }
 
-    /// Moves the domain at `row` to `hosting`; the previous arrangement's
+    /// Moves the domain `id` to `hosting`; the previous arrangement's
     /// keys go with it.
-    pub(super) fn rehost(&mut self, row: u32, hosting: Hosting) {
-        let d = self.domains.at_mut(row);
+    pub(super) fn rehost(&mut self, id: DomainId, hosting: Hosting) {
+        let d = self.domains.at_mut(id);
         d.hosting = hosting;
         d.keys = None;
         self.tick.invalidate_worklists();
@@ -214,9 +237,9 @@ impl World {
                 ));
             }
         }
-        let mut swept: BTreeMap<SimDate, Vec<u32>> = BTreeMap::new();
-        for (row, d) in self.domains.entries() {
-            swept.entry(d.expires).or_default().push(row);
+        let mut swept: BTreeMap<SimDate, Vec<DomainId>> = BTreeMap::new();
+        for (id, d) in self.domains.iter() {
+            swept.entry(d.expires).or_default().push(id);
         }
         for (day, rows) in &mut swept {
             let mut cached = self.tick.renewals.get(day).cloned().unwrap_or_default();
@@ -318,8 +341,7 @@ impl World {
                 }
             }
             PolicyChange::MassSignHosted { tlds, over_days } => {
-                let targets: Vec<u32> = self
-                    .domains
+                let targets: Vec<DomainId> = self
                     .entries()
                     .filter(|(_, d)| {
                         d.registrar == id
@@ -327,7 +349,7 @@ impl World {
                             && matches!(d.hosting, Hosting::Registrar { .. })
                             && d.keys.is_none()
                     })
-                    .map(|(row, _)| row)
+                    .map(|(id, _)| id)
                     .collect();
                 let per_day = targets.len().div_ceil(over_days.max(1) as usize).max(1);
                 self.tick.mass_sign_queue.push(MassSignTask {
@@ -344,12 +366,12 @@ impl World {
         let mut queue = std::mem::take(&mut self.tick.mass_sign_queue);
         for task in &mut queue {
             let end = (task.next + task.per_day).min(task.targets.len());
-            for &row in &task.targets[task.next..end] {
+            for &id in &task.targets[task.next..end] {
                 // Domain may have changed hosting since the milestone.
-                let d = self.domains.at(row);
+                let d = self.domains.at(id);
                 if d.registrar == task.registrar && d.keys.is_none() {
                     let name = d.name.clone();
-                    let _ = self.sign_hosted_at(row, &name);
+                    let _ = self.sign_hosted_at(id, &name);
                 }
             }
             task.next = end;
@@ -361,15 +383,16 @@ impl World {
     /// Checks the worklist at `slot` out for a pass. The day's candidates
     /// are fixed before its draws, so the pass iterates the checked-out
     /// list and hands it back through [`World::return_worklist`].
-    fn take_worklist(&mut self, slot: usize) -> Vec<u32> {
+    fn take_worklist(&mut self, slot: usize) -> Vec<DomainId> {
         self.ensure_worklists();
         std::mem::take(&mut self.tick.worklists[slot])
     }
 
-    /// Hands a checked-out worklist back, minus the rows the pass signed.
-    fn return_worklist(&mut self, slot: usize, mut list: Vec<u32>, signed_any: bool) {
+    /// Hands a checked-out worklist back, minus the domains the pass
+    /// signed.
+    fn return_worklist(&mut self, slot: usize, mut list: Vec<DomainId>, signed_any: bool) {
         if signed_any {
-            list.retain(|&row| self.domains.at(row).keys.is_none());
+            list.retain(|&id| self.domains.at(id).keys.is_none());
         }
         self.tick.worklists[slot] = list;
     }
@@ -378,12 +401,12 @@ impl World {
         // Exactly one draw per candidate, in canonical order.
         let candidates = self.take_worklist(HOSTED);
         let mut signed_any = false;
-        for &row in &candidates {
-            let registrar = self.domains.at(row).registrar;
+        for &id in &candidates {
+            let registrar = self.domains.at(id).registrar;
             let hazard = self.registrars[registrar.0 as usize].daily_optin_hazard;
             if self.rng.random::<f64>() < hazard {
-                let name = self.domains.at(row).name.clone();
-                let _ = self.sign_hosted_at(row, &name);
+                let name = self.domains.at(id).name.clone();
+                let _ = self.sign_hosted_at(id, &name);
                 signed_any = true;
             }
         }
@@ -400,12 +423,12 @@ impl World {
             }
             let candidates = self.take_worklist(1 + idx);
             let mut signed_any = false;
-            for &row in &candidates {
+            for &id in &candidates {
                 if self.rng.random::<f64>() >= hazard {
                     continue;
                 }
-                let domain = self.domains.at(row).name.clone();
-                let Ok(ds) = self.third_party_enable_dnssec_at(row, &domain) else {
+                let domain = self.domains.at(id).name.clone();
+                let Ok(ds) = self.third_party_enable_dnssec_at(id, &domain) else {
                     continue;
                 };
                 signed_any = true;
@@ -429,14 +452,14 @@ impl World {
         let Some(mut due) = self.tick.renewals.remove(&today) else {
             return;
         };
-        let ranks = self.domains.ranks();
-        due.sort_unstable_by_key(|&row| ranks.of(row));
+        let ranks = DomainRanks::new(&self.registries);
+        due.sort_unstable_by_key(|&id| ranks.of(id));
         drop(ranks);
         // Renew for another year.
         let renewed_until = today.plus_days(365);
         self.tick.schedule_renewals(&due, renewed_until);
-        for row in due {
-            let d = self.domains.at_mut(row);
+        for id in due {
+            let d = self.domains.at_mut(id);
             d.expires = renewed_until;
             let (registrar, tld, migrate, old_sponsor) =
                 (d.registrar, d.tld, d.pending_partner_migration, d.sponsor);
@@ -448,7 +471,7 @@ impl World {
                 continue;
             };
             if new_sponsor != old_sponsor {
-                let name = self.domains.at(row).name.clone();
+                let name = self.domains.at(id).name.clone();
                 let transferred = self
                     .registries
                     .get_mut(&tld)
@@ -458,7 +481,7 @@ impl World {
                 if !transferred {
                     continue;
                 }
-                let d = self.domains.at_mut(row);
+                let d = self.domains.at_mut(id);
                 d.sponsor = new_sponsor;
                 d.pending_partner_migration = false;
                 self.events.record(
@@ -471,10 +494,10 @@ impl World {
                 // With a DNSSEC-capable partner, the reseller can now sign
                 // hosted domains and publish DS (including for domains it
                 // had already signed but could not complete).
-                if matches!(self.domains.at(row).hosting, Hosting::Registrar { .. }) {
+                if matches!(self.domains.at(id).hosting, Hosting::Registrar { .. }) {
                     let policy = &self.registrars[registrar.0 as usize].policy;
                     if policy.operator_dnssec.supported() && policy.tld(tld).publishes_ds {
-                        let _ = self.sign_hosted_at(row, &name);
+                        let _ = self.sign_hosted_at(id, &name);
                     }
                 }
             }
@@ -685,8 +708,8 @@ impl World {
         let stalled = state.stalled;
         let old = state.old_keys.clone();
         let new = state.new_keys.clone();
-        let row = self.domains.row_of(domain).expect("rolling domain exists");
-        let d = self.domains.at(row);
+        let id = self.id_of(domain).expect("rolling domain exists");
+        let d = self.domains.at(id);
         let (registrar, hosting) = (d.registrar, d.hosting.clone());
 
         // Operator leg 1: start serving the transitional set.
@@ -782,7 +805,7 @@ impl World {
             )
             && today >= plan.completion()
         {
-            self.rekey(row, domain, new);
+            self.rekey(id, domain, new);
             let st = self.rollovers.get_mut(domain).expect("still present");
             let ds_pending =
                 plan.style.changes_ds() && !st.ds_swapped && plan.actual_swap().is_some();

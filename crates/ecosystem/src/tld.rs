@@ -20,6 +20,10 @@ pub enum Tld {
 /// All studied TLDs, in the paper's table order.
 pub const ALL_TLDS: [Tld; 5] = [Tld::Com, Tld::Net, Tld::Org, Tld::Nl, Tld::Se];
 
+/// All studied TLDs in label order: the order canonical (RFC 4034) name
+/// order puts their domains in, since it compares the TLD label first.
+pub(crate) const BY_LABEL: [Tld; 5] = [Tld::Com, Tld::Net, Tld::Nl, Tld::Org, Tld::Se];
+
 /// A registry's financial incentive for correctly signed domains
 /// (§6.3: .nl pays ≈ €0.28/yr, .se paid ≈ 10 SEK/yr, with daily audits).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +139,14 @@ mod tests {
         // Only the *second* level maps: deeper names have non-TLD parents.
         let deep = Name::parse("a.b.com").unwrap();
         assert_eq!(Tld::of_domain(&deep), None);
+    }
+
+    #[test]
+    fn by_label_is_all_tlds_in_canonical_order() {
+        let mut zones: Vec<Name> = ALL_TLDS.iter().map(|t| t.zone()).collect();
+        zones.sort_by(|a, b| a.canonical_cmp(b));
+        let by_label: Vec<Name> = BY_LABEL.iter().map(|t| t.zone()).collect();
+        assert_eq!(by_label, zones);
     }
 
     #[test]

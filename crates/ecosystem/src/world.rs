@@ -14,7 +14,7 @@
 //!    registrar's operator, a third party, or the owner authority),
 //!    optionally signed with a `SigningSet`, upserted, and noted in the
 //!    domain's change generation;
-//! 4. *commit* — one DS or NS write at the registry under the store's
+//! 4. *commit* — one DS or NS write at the registry under the domain's
 //!    sponsor; its events are logged only once the write succeeded.
 //!
 //! A hosting move drops the old zone, serves an unsigned owner zone when
@@ -47,8 +47,8 @@ use crate::policy::{ExternalDs, OperatorDnssec, TldRole};
 use crate::registrar::{Milestone, PolicyChange, Registrar};
 use crate::registry::Registry;
 use crate::rollover::{DsTiming, RolloverPhase, RolloverPlan, RolloverStyle};
-use crate::table::DomainStore;
-use crate::tld::{Tld, ALL_TLDS};
+use crate::table::DomainId;
+use crate::tld::{Tld, ALL_TLDS, BY_LABEL};
 use crate::RegistrarId;
 
 // The daily tick and its passes (`src/tick.rs`): a child module so the
@@ -62,6 +62,67 @@ enum Delegation<'a> {
     Ds(&'a [DsRdata]),
     /// The NS set.
     Ns(&'a [Name]),
+}
+
+/// The world's domains: one [`Domain`] payload column per TLD, indexed by
+/// the registry's row, so a domain has no index of its own (DESIGN.md
+/// §7.2). A row without a payload is a delegation the world did not sell
+/// (one added through [`World::registry_mut`]).
+#[derive(Default)]
+struct Domains {
+    /// Per TLD (`Tld as usize`): registry row → payload.
+    columns: [Vec<Option<Domain>>; ALL_TLDS.len()],
+    /// How many payloads the columns hold.
+    count: usize,
+}
+
+impl Domains {
+    fn get(&self, id: DomainId) -> Option<&Domain> {
+        self.columns[id.tld() as usize]
+            .get(id.row() as usize)?
+            .as_ref()
+    }
+
+    fn at(&self, id: DomainId) -> &Domain {
+        self.get(id).expect("a stored domain")
+    }
+
+    fn at_mut(&mut self, id: DomainId) -> &mut Domain {
+        self.columns[id.tld() as usize][id.row() as usize]
+            .as_mut()
+            .expect("a stored domain")
+    }
+
+    /// Stores a new domain at `id`.
+    fn insert(&mut self, id: DomainId, domain: Domain) {
+        let column = &mut self.columns[id.tld() as usize];
+        let row = id.row() as usize;
+        if column.len() <= row {
+            column.resize_with(row + 1, || None);
+        }
+        debug_assert!(column[row].is_none(), "a row holds one domain");
+        column[row] = Some(domain);
+        self.count += 1;
+    }
+
+    /// Every payload with its id, in row order: for order-insensitive
+    /// uses only.
+    fn iter(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
+        ALL_TLDS
+            .into_iter()
+            .zip(&self.columns)
+            .flat_map(|(tld, column)| {
+                column
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(row, d)| Some((DomainId::new(tld, row as u32), d.as_ref()?)))
+            })
+    }
+
+    /// Every payload, mutably, in row order.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Domain> {
+        self.columns.iter_mut().flatten().flatten()
+    }
 }
 
 /// World construction parameters.
@@ -238,7 +299,7 @@ pub struct World {
     registrars: Vec<Registrar>,
     operators: Vec<Operator>,
     third_parties: Vec<ThirdParty>,
-    domains: DomainStore,
+    domains: Domains,
     /// Shared authority for all owner-hosted zones.
     owner_authority: Rc<Authority>,
     key_pool: Vec<ZoneKeys>,
@@ -352,7 +413,7 @@ impl World {
             registrars: Vec::new(),
             operators: Vec::new(),
             third_parties: Vec::new(),
-            domains: DomainStore::new(),
+            domains: Domains::default(),
             owner_authority: Rc::new(Authority::new()),
             key_pool,
             tick: tick::TickState::default(),
@@ -525,10 +586,10 @@ impl World {
     /// Overrides a domain's next renewal date (population builders stagger
     /// renewals so pre-existing registrations don't all renew at once).
     pub fn set_expiry(&mut self, domain: &Name, expires: SimDate) {
-        if let Some(row) = self.domains.row_of(domain) {
-            let d = self.domains.at_mut(row);
-            self.tick.unschedule_renewal(row, d.expires);
-            self.tick.schedule_renewal(row, expires);
+        if let Some(id) = self.id_of(domain) {
+            let d = self.domains.at_mut(id);
+            self.tick.unschedule_renewal(id, d.expires);
+            self.tick.schedule_renewal(id, expires);
             d.expires = expires;
         }
     }
@@ -563,19 +624,43 @@ impl World {
         &self.registries[&tld]
     }
 
-    /// Domain access.
+    /// Domain access, under any spelling of the name.
     pub fn domain(&self, name: &Name) -> Option<&Domain> {
-        self.domains.get(name)
+        self.id_of(name).map(|id| self.domains.at(id))
     }
 
-    /// Iterates all domains.
+    /// The id of the domain `name` names: one probe of its registry's
+    /// index, then the payload column. `None` unless the world sold it.
+    fn id_of(&self, name: &Name) -> Option<DomainId> {
+        let tld = Tld::of_domain(name)?;
+        let id = DomainId::new(tld, self.registries[&tld].row_of(name)?);
+        self.domains.get(id).is_some().then_some(id)
+    }
+
+    /// Iterates all domains in canonical name order (simulation draws
+    /// depend on it). A domain whose delegation was removed behind the
+    /// world's back, through [`World::registry_mut`], is left out.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+        self.entries().map(|(_, d)| d)
+    }
+
+    /// [`World::domains`] with each domain's id: every registry's live
+    /// rows in its canonical order, the registries in TLD label order,
+    /// skipping rows without a payload.
+    fn entries(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
+        BY_LABEL.into_iter().flat_map(move |tld| {
+            self.registries[&tld]
+                .delegations_columnar()
+                .filter_map(move |(row, _, _)| {
+                    let id = DomainId::new(tld, row);
+                    Some((id, self.domains.get(id)?))
+                })
+        })
     }
 
     /// Number of registered domains.
     pub fn domain_count(&self) -> usize {
-        self.domains.len()
+        self.domains.count
     }
 
     /// The combined change generation of `domain`: registry-side edits
@@ -596,7 +681,7 @@ impl World {
 
     /// Records a served-zone edit for `domain` (cache invalidation).
     /// Every registered domain sits under a studied TLD (purchase is the
-    /// only entry into the store), so the registry fold is total.
+    /// only entry into the world), so the registry fold is total.
     fn note_zone_edit(&mut self, domain: &Name) {
         if let Some(registry) = Tld::of_domain(domain).and_then(|tld| self.registries.get_mut(&tld))
         {
@@ -619,16 +704,16 @@ impl World {
             .zone()
             .child(label)
             .map_err(|_| ActionError::NameTaken)?;
-        if self.domains.contains_key(&name) {
+        if self.id_of(&name).is_some() {
             return Err(ActionError::NameTaken);
         }
         let sponsor = self.resolve_sponsor(registrar, tld)?;
         let ns_hosts = self.ns_hosts_for(&name, registrar, &hosting);
-        self.registries
-            .get_mut(&tld)
-            .expect("all TLDs present")
+        let registry = self.registries.get_mut(&tld).expect("all TLDs present");
+        registry
             .add_delegation(sponsor, &name, &ns_hosts)
             .map_err(|e| ActionError::Registry(e.to_string()))?;
+        let id = DomainId::new(tld, registry.row_of(&name).expect("just delegated"));
 
         // Owner hosting: serve a plain zone from the shared owner authority.
         if hosting == Hosting::Owner {
@@ -648,8 +733,8 @@ impl World {
             registrant_email: registrant_email.into(),
         };
         let expires = domain.expires;
-        let row = self.domains.insert(name.to_canonical(), domain);
-        self.tick.schedule_renewal(row, expires);
+        self.domains.insert(id, domain);
+        self.tick.schedule_renewal(id, expires);
         self.tick.invalidate_worklists();
         self.events.record(
             self.today,
@@ -676,7 +761,7 @@ impl World {
     /// Customer opts in to registrar-operated DNSSEC (OVH model), or
     /// enables it where it is supported but not default.
     pub fn enable_dnssec(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
         };
@@ -694,7 +779,7 @@ impl World {
 
     /// Pays for and enables DNSSEC on a paid plan (GoDaddy model).
     pub fn enable_dnssec_paid(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
         };
@@ -710,25 +795,19 @@ impl World {
     /// Switches a domain to owner-run nameservers (`ns1.<domain>`); the
     /// previous hosting zone is dropped and the registry NS set updated.
     pub fn switch_to_owner_hosting(&mut self, domain: &Name) -> Result<Name, ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        let mut ns_hosts = self.move_hosting(row, domain, Hosting::Owner)?;
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let mut ns_hosts = self.move_hosting(id, domain, Hosting::Owner)?;
         Ok(ns_hosts.pop().expect("an owner zone has one nameserver"))
     }
 
     /// The owner signs their self-hosted zone; returns the DS record that
     /// must now be conveyed to the registrar.
     pub fn owner_sign_zone(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        if self.domains.at(row).hosting != Hosting::Owner {
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        if self.domains.at(id).hosting != Hosting::Owner {
             return Err(ActionError::WrongHosting);
         }
-        Ok(self.sign_at(row, domain))
+        Ok(self.sign_at(id, domain))
     }
 
     /// Conveys a DS record to the registrar over `via`. This is the crux
@@ -740,7 +819,7 @@ impl World {
         ds: DsRdata,
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         let registrar = d.registrar;
         // Note: the per-TLD `publishes_ds` flag gates only the *automatic*
         // upload for registrar-hosted signing. The paper found that even
@@ -826,7 +905,7 @@ impl World {
         ns_hosts: &[Name],
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         let forged_from = match self.admit(d, &via, true) {
             Ok((_, forged_from)) => forged_from,
             Err(rejected) => return Ok(rejected),
@@ -889,7 +968,7 @@ impl World {
     /// The takeover census compares this against what the registry serves:
     /// any drift means someone redelegated behind the customer's back.
     pub fn expected_ns_hosts(&self, domain: &Name) -> Option<Vec<Name>> {
-        let d = self.domains.get(domain)?;
+        let d = self.domain(domain)?;
         Some(self.ns_hosts_for(domain, d.registrar, &d.hosting))
     }
 
@@ -901,11 +980,8 @@ impl World {
         domain: &Name,
         operator: OperatorId,
     ) -> Result<(), ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        self.move_hosting(row, domain, Hosting::ThirdParty { operator })?;
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.move_hosting(id, domain, Hosting::ThirdParty { operator })?;
         Ok(())
     }
 
@@ -916,11 +992,11 @@ impl World {
     /// it), and rehosts. Returns the new NS set.
     fn move_hosting(
         &mut self,
-        row: u32,
+        id: DomainId,
         domain: &Name,
         hosting: Hosting,
     ) -> Result<Vec<Name>, ActionError> {
-        let d = self.domains.at(row);
+        let d = self.domains.at(id);
         let registrar = d.registrar;
         if let Some(old) = self.server_of(registrar, &d.hosting) {
             old.drop_zone(domain);
@@ -931,27 +1007,24 @@ impl World {
         let ns_hosts = self.ns_hosts_for(domain, registrar, &hosting);
         self.commit(domain, Delegation::Ns(&ns_hosts), [])?;
         self.commit(domain, Delegation::Ds(&[]), [])?;
-        self.rehost(row, hosting);
+        self.rehost(id, hosting);
         Ok(ns_hosts)
     }
 
     /// The third-party operator enables DNSSEC for a hosted domain and
     /// hands the DS back to the owner (it cannot upload it itself).
     pub fn third_party_enable_dnssec(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        self.third_party_enable_dnssec_at(row, domain)
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.third_party_enable_dnssec_at(id, domain)
     }
 
-    /// [`World::third_party_enable_dnssec`] for a known store row.
+    /// [`World::third_party_enable_dnssec`] for a known domain id.
     fn third_party_enable_dnssec_at(
         &mut self,
-        row: u32,
+        id: DomainId,
         domain: &Name,
     ) -> Result<DsRdata, ActionError> {
-        let Hosting::ThirdParty { operator } = self.domains.at(row).hosting else {
+        let Hosting::ThirdParty { operator } = self.domains.at(id).hosting else {
             return Err(ActionError::WrongHosting);
         };
         let tp = self
@@ -960,7 +1033,7 @@ impl World {
             .find(|t| t.operator == operator)
             .ok_or(ActionError::DnssecUnsupported)?;
         match tp.dnssec_launch {
-            Some(launch) if launch <= self.today => Ok(self.sign_at(row, domain)),
+            Some(launch) if launch <= self.today => Ok(self.sign_at(id, domain)),
             _ => Err(ActionError::DnssecUnsupported),
         }
     }
@@ -1047,8 +1120,7 @@ impl World {
     /// Each CDS names the zone's current KSK.
     pub fn enable_cds_publication(&mut self, registrar: RegistrarId) -> usize {
         let targets: Vec<(Name, ZoneKeys)> = self
-            .domains
-            .values()
+            .domains()
             .filter(|d| d.registrar == registrar)
             .filter_map(|d| Some((d.name.clone(), d.keys.clone()?)))
             .collect();
@@ -1069,8 +1141,8 @@ impl World {
     /// scheduled) is already pending — silently regenerating keys here
     /// would orphan the CDS already served.
     pub fn prepare_rollover(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
-        // The store's spelling of the name: what the tick later logs.
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
+        // The purchase spelling of the name: what the tick later logs.
         let key = d.name.clone();
         let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
@@ -1099,11 +1171,8 @@ impl World {
             .pending_rollover
             .remove(domain)
             .ok_or(ActionError::NoPendingRollover)?;
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        self.rekey(row, domain, new_keys);
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.rekey(id, domain, new_keys);
         self.events.record(
             self.today,
             Event::RolloverCompleted {
@@ -1118,16 +1187,13 @@ impl World {
     /// without updating the parent DS. Validating resolvers SERVFAIL
     /// until someone fixes the DS.
     pub fn roll_keys_abrupt(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        let Some(current) = &self.domains.at(row).keys else {
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let Some(current) = &self.domains.at(id).keys else {
             return Err(ActionError::DnssecUnsupported);
         };
         let new_keys = self.keys_differing_from(domain, current.ksk_tag());
         let new_ds = new_keys.ds(DigestType::Sha256);
-        self.rekey(row, domain, new_keys);
+        self.rekey(id, domain, new_keys);
         self.events.record(
             self.today,
             Event::RolloverAbrupt {
@@ -1149,8 +1215,8 @@ impl World {
         domain: &Name,
         plan: RolloverPlan,
     ) -> Result<(), ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
-        // The store's spelling of the name: what the tick later logs.
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
+        // The purchase spelling of the name: what the tick later logs.
         let key = d.name.clone();
         let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
@@ -1305,29 +1371,29 @@ impl World {
         self.note_zone_edit(domain);
     }
 
-    /// Serves the domain at `row` signed with `keys` wherever it is
+    /// Serves the domain `id` signed with `keys` wherever it is
     /// hosted now, with the world's signer window, and installs the keys.
-    fn rekey(&mut self, row: u32, domain: &Name, keys: ZoneKeys) {
-        let d = self.domains.at(row);
+    fn rekey(&mut self, id: DomainId, domain: &Name, keys: ZoneKeys) {
+        let d = self.domains.at(id);
         let (registrar, hosting) = (d.registrar, d.hosting.clone());
         let signing = (&SigningSet::single(&keys), &self.signer_config());
         self.serve(domain, registrar, &hosting, Some(signing));
-        self.set_keys(row, keys);
+        self.set_keys(id, keys);
     }
 
     /// The sign step: pool keys salted by the hosting arrangement (so a
     /// domain that changes operators gets different key material, as it
     /// would in reality), served and installed, then `Signed` logged.
     /// Returns the DS the keys chain from.
-    fn sign_at(&mut self, row: u32, domain: &Name) -> DsRdata {
-        let salt = match self.domains.at(row).hosting {
+    fn sign_at(&mut self, id: DomainId, domain: &Name) -> DsRdata {
+        let salt = match self.domains.at(id).hosting {
             Hosting::Registrar { .. } => 0,
             Hosting::Owner => 1,
             Hosting::ThirdParty { .. } => 2,
         };
         let keys = self.pool_keys_salted(domain, salt);
         let ds = keys.ds(DigestType::Sha256);
-        self.rekey(row, domain, keys);
+        self.rekey(id, domain, keys);
         self.events.record(
             self.today,
             Event::Signed {
@@ -1338,7 +1404,7 @@ impl World {
     }
 
     /// The commit step, the only writer of a customer delegation: writes
-    /// `write` at `domain`'s registry under the sponsor the store records,
+    /// `write` at `domain`'s registry under the sponsor the domain records,
     /// then logs `events` — only once the registry took the write.
     fn commit(
         &mut self,
@@ -1346,9 +1412,9 @@ impl World {
         write: Delegation<'_>,
         events: impl IntoIterator<Item = Event>,
     ) -> Result<(), ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
-        let sponsor = d.sponsor;
-        let registry = self.registries.get_mut(&d.tld).expect("all TLDs present");
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
+        let (sponsor, tld) = (d.sponsor, d.tld);
+        let registry = self.registries.get_mut(&tld).expect("all TLDs present");
         match write {
             Delegation::Ds(ds_set) => registry.set_ds(sponsor, domain, ds_set),
             Delegation::Ns(ns_hosts) => registry.set_ns(sponsor, domain, ns_hosts),
@@ -1368,7 +1434,7 @@ impl World {
         signing_keys: &ZoneKeys,
         ds: DsRdata,
     ) -> Result<(), ActionError> {
-        let d = self.domains.get(domain).ok_or(ActionError::NoSuchDomain)?;
+        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         let authority = self
             .server_of(d.registrar, &d.hosting)
             .map_or_else(|| self.owner_authority.clone(), Operator::authority);
@@ -1443,21 +1509,18 @@ impl World {
     /// Signs a registrar-hosted domain and uploads its DS when the
     /// registrar's per-TLD policy says so.
     pub fn sign_hosted(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let row = self
-            .domains
-            .row_of(domain)
-            .ok_or(ActionError::NoSuchDomain)?;
-        self.sign_hosted_at(row, domain)
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        self.sign_hosted_at(id, domain)
     }
 
-    /// [`World::sign_hosted`] for a known store row.
-    fn sign_hosted_at(&mut self, row: u32, domain: &Name) -> Result<(), ActionError> {
-        let d = self.domains.at(row);
+    /// [`World::sign_hosted`] for a known domain id.
+    fn sign_hosted_at(&mut self, id: DomainId, domain: &Name) -> Result<(), ActionError> {
+        let d = self.domains.at(id);
         let Hosting::Registrar { .. } = d.hosting else {
             return Err(ActionError::WrongHosting);
         };
         let (registrar, tld) = (d.registrar, d.tld);
-        let ds = self.sign_at(row, domain);
+        let ds = self.sign_at(id, domain);
         if self.registrars[registrar.0 as usize]
             .policy
             .tld(tld)
@@ -1523,8 +1586,7 @@ impl World {
 
     fn random_other_domain(&mut self, registrar: RegistrarId, not: &Name) -> Option<Name> {
         let candidates: Vec<Name> = self
-            .domains
-            .values()
+            .domains()
             .filter(|d| d.registrar == registrar && &d.name != not)
             .map(|d| d.name.clone())
             .collect();

@@ -14,7 +14,7 @@
 //! ## Layout
 //!
 //! One dense column per TLD, indexed by the registry's columnar row (the
-//! low half of a [`DomainKey`]). A slot is 32 bytes: the generation and
+//! low half of a [`DomainId`]). A slot is 32 bytes: the generation and
 //! validity window of the verdict ([`Freshness`]), the registry's `u32`
 //! operator id, and a one-byte `Class` that rebuilds the single-domain
 //! [`OperatorStats`] cell. The operator is derived from the NS set and
@@ -57,27 +57,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dsec_ecosystem::{Freshness, JournalCursor, Registry, Tld, World, ALL_TLDS};
+use dsec_ecosystem::{DomainId, Freshness, JournalCursor, Registry, Tld, World, ALL_TLDS};
 use dsec_wire::{FnvHashMap, FnvHashSet};
 
 use crate::snapshot::{OperatorStats, ScanItem};
-
-/// The scan-scope-stable identity of one delegation: the studied TLD in
-/// the high 32 bits, the registry's columnar row in the low 32. Rows are
-/// never reused within a world ([`dsec_ecosystem::DomainTable`] keeps
-/// dead rows), so a key can only ever mean one name.
-pub type DomainKey = u64;
-
-/// Packs a (TLD, columnar row) pair into a [`DomainKey`].
-#[inline]
-pub fn domain_key(tld: Tld, row: u32) -> DomainKey {
-    ((tld as u64) << 32) | row as u64
-}
-
-/// The TLD half of `key`.
-fn key_tld(key: DomainKey) -> Tld {
-    ALL_TLDS[(key >> 32) as usize]
-}
 
 /// The operator id of a delegation without one. Every live row has an
 /// operator ([`dsec_ecosystem::RegistryError::EmptyNsSet`]); the cell
@@ -275,7 +258,7 @@ struct DeltaState {
     sums: Sums,
     /// Live rows whose last outcome was unreachable/indeterminate — no
     /// slot may hold it, yet the sums count it.
-    unobserved: FnvHashMap<DomainKey, (u32, Class)>,
+    unobserved: FnvHashMap<DomainId, (u32, Class)>,
 }
 
 /// A warm scan's starting point (see [`ScanCache::resume`]).
@@ -325,7 +308,7 @@ pub struct ScanCache {
     /// soonest first. An item is current while its slot still carries
     /// that edge; replaced or emptied slots leave items behind that are
     /// discarded when their time comes.
-    lapses: BinaryHeap<Reverse<(i64, DomainKey)>>,
+    lapses: BinaryHeap<Reverse<(i64, DomainId)>>,
     /// `None` until a scan completes, and while one is running.
     delta: Option<DeltaState>,
 }
@@ -336,8 +319,8 @@ impl ScanCache {
         Self::default()
     }
 
-    fn slot(&self, key: DomainKey) -> Option<&Slot> {
-        self.columns[key_tld(key) as usize].slot(key as u32)
+    fn slot(&self, key: DomainId) -> Option<&Slot> {
+        self.columns[key.tld() as usize].slot(key.row())
     }
 
     /// The cached (operator id, stats cell) for `key` if it was
@@ -348,7 +331,7 @@ impl ScanCache {
     /// warm scan never had to look at.
     pub(crate) fn peek(
         &self,
-        key: DomainKey,
+        key: DomainId,
         generation: u64,
         now: u32,
     ) -> Option<(u32, OperatorStats)> {
@@ -370,13 +353,13 @@ impl ScanCache {
     /// Callers must not store unobserved (unreachable/indeterminate)
     /// outcomes; this is enforced with a debug assertion. The scan
     /// pipeline's: a store behind its back would not be in the sums.
-    pub(crate) fn store(&mut self, key: DomainKey, fresh: Freshness, operator: u32, class: Class) {
+    pub(crate) fn store(&mut self, key: DomainId, fresh: Freshness, operator: u32, class: Class) {
         debug_assert!(class.observed(), "unobserved outcomes must never be cached");
         if fresh.window.1 != i64::MAX {
             self.lapses.push(Reverse((fresh.window.1, key)));
         }
-        let column = &mut self.columns[key_tld(key) as usize];
-        let row = key as u32;
+        let column = &mut self.columns[key.tld() as usize];
+        let row = key.row();
         column.fit(row as usize + 1);
         let slot = &mut column.slots[row as usize];
         if !slot.filled() {
@@ -443,10 +426,10 @@ impl ScanCache {
         if force_full || state.scope != tlds || now < state.now {
             return None;
         }
-        let mut keys: Vec<DomainKey> = state.unobserved.keys().copied().collect();
+        let mut keys: Vec<DomainId> = state.unobserved.keys().copied().collect();
         for (&tld, &cursor) in tlds.iter().zip(&state.cursors) {
             let rows = world.registry(tld).changes_since(cursor)?;
-            keys.extend(rows.iter().map(|&row| domain_key(tld, row)));
+            keys.extend(rows.iter().map(|&row| DomainId::new(tld, row)));
         }
         while let Some(&Reverse((upper, key))) = self.lapses.peek() {
             if upper > i64::from(now) {
@@ -463,7 +446,7 @@ impl ScanCache {
         let position = |tld: Tld| tlds.iter().position(|&t| t == tld);
         let mut work: Vec<ScanItem<'w>> = Vec::with_capacity(keys.len());
         for key in keys {
-            let (tld, row) = (key_tld(key), key as u32);
+            let (tld, row) = (key.tld(), key.row());
             let old = state
                 .unobserved
                 .remove(&key)
@@ -474,7 +457,6 @@ impl ScanCache {
             match world.registry(tld).delegation_at(row) {
                 Some((name, generation)) => work.push(ScanItem {
                     name,
-                    tld,
                     key,
                     generation,
                 }),
@@ -487,8 +469,8 @@ impl ScanCache {
             .collect();
         // Keys are distinct, so every (TLD, rank) is: unstable is exact.
         work.sort_unstable_by_key(|item| {
-            let at = position(item.tld).expect("work items are in scope");
-            (at, ranks[at].of(item.key as u32))
+            let at = position(item.key.tld()).expect("work items are in scope");
+            (at, ranks[at].of(item.key.row()))
         });
         let live: usize = tlds
             .iter()
@@ -511,7 +493,7 @@ impl ScanCache {
         tlds: &[Tld],
         now: u32,
         sums: Sums,
-        unobserved: FnvHashMap<DomainKey, (u32, Class)>,
+        unobserved: FnvHashMap<DomainId, (u32, Class)>,
         swept: bool,
     ) {
         if swept {
@@ -525,7 +507,7 @@ impl ScanCache {
                         .enumerate()
                         .filter(|(_, slot)| slot.filled() && slot.fresh.window.1 != i64::MAX)
                         .map(move |(row, slot)| {
-                            Reverse((slot.fresh.window.1, domain_key(tld, row as u32)))
+                            Reverse((slot.fresh.window.1, DomainId::new(tld, row as u32)))
                         })
                 })
                 .collect();
@@ -556,17 +538,17 @@ impl ScanCache {
         let Some(state) = &self.delta else {
             return Ok(());
         };
-        let mut pending: FnvHashSet<DomainKey> = FnvHashSet::default();
+        let mut pending: FnvHashSet<DomainId> = FnvHashSet::default();
         for (&tld, &cursor) in state.scope.iter().zip(&state.cursors) {
             match world.registry(tld).changes_since(cursor) {
-                Some(rows) => pending.extend(rows.iter().map(|&row| domain_key(tld, row))),
+                Some(rows) => pending.extend(rows.iter().map(|&row| DomainId::new(tld, row))),
                 // The next scan sweeps and trusts none of this state.
                 None => return Ok(()),
             }
         }
-        let lapses: FnvHashSet<(i64, DomainKey)> =
+        let lapses: FnvHashSet<(i64, DomainId)> =
             self.lapses.iter().map(|&Reverse(item)| item).collect();
-        let stored = |key: DomainKey| {
+        let stored = |key: DomainId| {
             state
                 .unobserved
                 .get(&key)
@@ -599,7 +581,7 @@ impl ScanCache {
                 ));
             }
             for (row, name, generation) in registry.delegations_columnar() {
-                let key = domain_key(tld, row);
+                let key = DomainId::new(tld, row);
                 if pending.contains(&key) {
                     continue;
                 }
@@ -635,27 +617,23 @@ impl ScanCache {
                 swept.add(tld, operator, &class.stats());
             }
             for (row, slot) in column.slots.iter().enumerate() {
-                let (row, key) = (row as u32, domain_key(tld, row as u32));
+                let (row, key) = (row as u32, DomainId::new(tld, row as u32));
                 if slot.filled() && registry.delegation_at(row).is_none() && !pending.contains(&key)
                 {
-                    return Err(format!("a slot outlived its delegation {key:#x}"));
+                    return Err(format!("a slot outlived its delegation {key:?}"));
                 }
             }
         }
         for &key in &pending {
             if let Some((operator, class)) = stored(key) {
-                swept.add(key_tld(key), operator, &class.stats());
+                swept.add(key.tld(), operator, &class.stats());
             }
         }
-        let departed = |key: DomainKey| {
-            world
-                .registry(key_tld(key))
-                .delegation_at(key as u32)
-                .is_none()
-                && !pending.contains(&key)
+        let departed = |key: DomainId| {
+            world.registry(key.tld()).delegation_at(key.row()).is_none() && !pending.contains(&key)
         };
         if let Some(key) = state.unobserved.keys().find(|&&key| departed(key)) {
-            return Err(format!("unobserved set holds departed row {key:#x}"));
+            return Err(format!("unobserved set holds departed row {key:?}"));
         }
         if !swept.cells().eq(state.sums.cells()) {
             let name = |(tld, id, sum): (Tld, u32, &OperatorStats)| {
@@ -704,8 +682,8 @@ impl ScanCache {
 mod tests {
     use super::*;
 
-    fn key(row: u32) -> DomainKey {
-        domain_key(Tld::Com, row)
+    fn key(row: u32) -> DomainId {
+        DomainId::new(Tld::Com, row)
     }
 
     /// A scan time, and a window that never closes around it.
@@ -720,16 +698,6 @@ mod tests {
         OperatorStats {
             domains,
             ..OperatorStats::default()
-        }
-    }
-
-    #[test]
-    fn packed_keys_separate_tlds_and_rows() {
-        assert_ne!(domain_key(Tld::Com, 7), domain_key(Tld::Net, 7));
-        assert_ne!(domain_key(Tld::Com, 7), domain_key(Tld::Com, 8));
-        assert_eq!(domain_key(Tld::Nl, 3), domain_key(Tld::Nl, 3));
-        for tld in ALL_TLDS {
-            assert_eq!(key_tld(domain_key(tld, 9)), tld, "columns index by Tld");
         }
     }
 

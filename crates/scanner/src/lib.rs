@@ -21,7 +21,7 @@ pub mod snapshot;
 pub mod store;
 pub mod stream;
 
-pub use cache::{domain_key, CacheStats, DomainKey, ScanCache};
+pub use cache::{CacheStats, ScanCache};
 pub use census::{
     census_table, poison_census, rollover_census, takeover_census, CensusRow,
     OperatorRolloverStats, RegistrarPoisonStats, RegistrarTakeoverStats,

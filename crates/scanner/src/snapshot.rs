@@ -8,22 +8,21 @@
 use std::collections::BTreeMap;
 
 use dsec_dnssec::{classify, DeploymentStatus};
-use dsec_ecosystem::{Freshness, SimDate, Tld, World, ALL_TLDS};
+use dsec_ecosystem::{DomainId, Freshness, SimDate, Tld, World, ALL_TLDS};
 use dsec_resolver::ExchangeOutcome;
 use dsec_wire::{FnvHashMap, Name, Rcode};
 
-use crate::cache::{domain_key, operator_name, Class, DomainKey, ScanCache, Sums, NO_NS};
+use crate::cache::{operator_name, Class, ScanCache, Sums, NO_NS};
 
 /// One delegation to scan: the borrowed name plus the columnar identity
-/// the incremental cache keys on — the row-packed [`DomainKey`] and the
+/// the incremental cache keys on — the row-packed [`DomainId`] and the
 /// current change generation, read from the registry's columns (a dense
 /// [`dsec_ecosystem::Registry::delegations_columnar`] sweep, or
 /// [`dsec_ecosystem::Registry::delegation_at`] for a journaled row)
 /// instead of a per-domain map probe.
 pub(crate) struct ScanItem<'a> {
     pub(crate) name: &'a Name,
-    pub(crate) tld: Tld,
-    pub(crate) key: DomainKey,
+    pub(crate) key: DomainId,
     pub(crate) generation: u64,
 }
 
@@ -232,8 +231,7 @@ impl Snapshot {
                     for (row, name, generation) in world.registry(tld).delegations_columnar() {
                         pass.visit(ScanItem {
                             name,
-                            tld,
-                            key: domain_key(tld, row),
+                            key: DomainId::new(tld, row),
                             generation,
                         });
                     }
@@ -352,7 +350,7 @@ struct Pass<'a, 'w> {
     sums: Sums,
     /// Rows settled unreachable/indeterminate: never cached, but the sums
     /// count them, so the cache keeps them aside to subtract next time.
-    unobserved: FnvHashMap<DomainKey, (u32, Class)>,
+    unobserved: FnvHashMap<DomainId, (u32, Class)>,
     /// Failed first observations, in visit order so the bound is
     /// deterministic.
     retry: Vec<ScanItem<'w>>,
@@ -369,7 +367,7 @@ impl<'w> Pass<'_, 'w> {
             if !self.options.force_full {
                 if let Some((operator, stats)) = cache.peek(item.key, item.generation, self.now) {
                     self.hits += 1;
-                    self.sums.add(item.tld, operator, &stats);
+                    self.sums.add(item.key.tld(), operator, &stats);
                     return;
                 }
             }
@@ -387,9 +385,8 @@ impl<'w> Pass<'_, 'w> {
     /// Records a scanned row's outcome: its operator comes from the
     /// registry's column by row, with no NS lookup.
     fn settle(&mut self, item: &ScanItem<'w>, stats: OperatorStats, window: Option<(i64, i64)>) {
-        let registry = self.world.registry(item.tld);
-        // The low half of the key is the registry row.
-        let operator = registry.operator_at(item.key as u32).unwrap_or(NO_NS);
+        let registry = self.world.registry(item.key.tld());
+        let operator = registry.operator_at(item.key.row()).unwrap_or(NO_NS);
         if let Some(cache) = self.cache.as_deref_mut() {
             let class = Class::of(&stats);
             match window {
@@ -405,7 +402,7 @@ impl<'w> Pass<'_, 'w> {
                 }
             }
         }
-        self.sums.add(item.tld, operator, &stats);
+        self.sums.add(item.key.tld(), operator, &stats);
     }
 }
 

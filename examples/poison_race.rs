@@ -23,10 +23,10 @@
 use std::sync::Arc;
 
 use dsec::core::experiment_poison_resistance;
-use dsec::dnssec::{AnchorState, AnchorTracker, ADD_HOLD_DOWN_DAYS};
+use dsec::dnssec::ADD_HOLD_DOWN_DAYS;
 use dsec::ecosystem::{
-    ExternalDs, Hosting, OperatorDnssec, RegistrarPolicy, Tld, TldPolicy, TldRole, World,
-    WorldConfig, ALL_TLDS,
+    AnchorRollPlan, ExternalDs, Hosting, OperatorDnssec, RegistrarPolicy, SimDate, Tld, TldPolicy,
+    TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec::resolver::{
     capture_kind, Cache, CaptureKind, OnPathThreat, Resolver, SpoofGuard, POISON_A,
@@ -142,22 +142,31 @@ fn main() {
     println!("hardened-profile captures: 0");
 
     // ---- Part 1d: RFC 5011 — revoking inside the hold-down strands. ----
-    let correct = AnchorTracker::seen(0);
-    assert_eq!(
-        correct.state_on(ADD_HOLD_DOWN_DAYS - 1),
-        AnchorState::AddPend
+    let publish = SimDate(0);
+    let day = |d: u32| publish.plus_days(d);
+    let correct = AnchorRollPlan::correct(publish);
+    assert_eq!(correct.promotion(), day(ADD_HOLD_DOWN_DAYS));
+    assert!(
+        (0..=2 * ADD_HOLD_DOWN_DAYS).all(|d| !correct.is_stranded_on(day(d))),
+        "a patient roll never leaves followers without a trusted anchor"
     );
-    assert_eq!(correct.state_on(ADD_HOLD_DOWN_DAYS), AnchorState::Valid);
-    let mut mistimed = AnchorTracker::seen(0);
-    mistimed.revoke(10);
-    assert_eq!(mistimed.state_on(10), AnchorState::Revoked);
-    assert_eq!(
-        mistimed.state_on(ADD_HOLD_DOWN_DAYS + 10),
-        AnchorState::Revoked
+    let mistimed = AnchorRollPlan::mistimed(publish, 10);
+    assert!(
+        !mistimed.is_stranded_on(day(9)),
+        "the old anchor still signs"
+    );
+    assert!(
+        mistimed.is_stranded_on(day(10)),
+        "revoked inside the hold-down"
+    );
+    assert!(mistimed.is_stranded_on(day(ADD_HOLD_DOWN_DAYS - 1)));
+    assert!(
+        !mistimed.is_stranded_on(day(ADD_HOLD_DOWN_DAYS)),
+        "promotion heals"
     );
     println!(
-        "rfc 5011: add hold-down {ADD_HOLD_DOWN_DAYS} days; patient roll -> Valid on day {ADD_HOLD_DOWN_DAYS}, \
-         revoke on day 10 -> the new anchor never becomes Valid",
+        "rfc 5011: add hold-down {ADD_HOLD_DOWN_DAYS} days; patient roll never strands, \
+         revoke on day 10 -> followers stranded on days [10, {ADD_HOLD_DOWN_DAYS})",
     );
 
     // ---- Part 2: E-A2 on the tiny population. ----

@@ -14,10 +14,14 @@
 //! * any world mutated by an arbitrary customer action sequence produces
 //!   byte-identical campaign CSVs through the in-memory store and the
 //!   streamed (spill + replay) store;
-//! * the canonical ranks both tables keep beside their sorted rows stay
+//! * the canonical ranks the table keeps beside its sorted rows stay
 //!   fresh: through inserts, expiries, revivals and rows interned after
 //!   the last rebuild, sorting rows by rank gives what a fresh
-//!   `canonical_cmp` sort of their names gives.
+//!   `canonical_cmp` sort of their names gives;
+//! * the world, which keeps its domains at the registries' rows and no
+//!   index of its own, enumerates them in canonical order across TLDs,
+//!   counts them, and finds each under any spelling, with registry-only
+//!   delegations mixed in.
 
 use std::collections::BTreeMap;
 
@@ -26,9 +30,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dsec::ecosystem::{
-    operator_of, Domain, DomainStore, DomainTable, DsSubmission, ExternalDs, Hosting,
-    OperatorDnssec, Plan, RegistrarId, RegistrarPolicy, Registry, SimDate, Tld, TldPolicy, TldRole,
-    World, WorldConfig, ALL_TLDS,
+    operator_of, DomainTable, DsSubmission, ExternalDs, Hosting, OperatorDnssec, Plan, RegistrarId,
+    RegistrarPolicy, Registry, Tld, TldPolicy, TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec::scanner::{scan_campaign_cached, scan_campaign_streamed, CampaignConfig, ScanCache};
 use dsec::wire::{DsRdata, Name};
@@ -259,12 +262,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Table-level: the canonical ranks beside both tables' sorted rows.
+// Table-level: the canonical ranks beside the sorted rows.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 enum OrderAction {
-    /// Registers a name: a live table row and a store row.
+    /// Registers a name: a live table row.
     Insert { label: u8 },
     /// Marks a table row dead.
     Expire { idx: u8 },
@@ -273,7 +276,7 @@ enum OrderAction {
     /// Gives a name a (dead) table row without touching liveness, so the
     /// order is not rebuilt: the row postdates every rank.
     Intern { label: u8 },
-    /// Enumerates both tables.
+    /// Enumerates the table.
     Read,
     /// Sorts rows by rank, starting from a scrambled order.
     RankSort { rotate: u8 },
@@ -314,21 +317,6 @@ fn order_name(label: u8) -> Name {
     Name::parse(POOL[label as usize % POOL.len()]).unwrap()
 }
 
-fn store_row(name: &Name) -> Domain {
-    Domain {
-        name: name.clone(),
-        tld: Tld::Com,
-        registrar: RegistrarId(1),
-        sponsor: RegistrarId(1),
-        hosting: Hosting::Owner,
-        keys: None,
-        created: SimDate::from_ymd(2015, 1, 1),
-        expires: SimDate::from_ymd(2016, 1, 1),
-        pending_partner_migration: false,
-        registrant_email: "o@x".into(),
-    }
-}
-
 /// `names` sorted by a fresh `canonical_cmp`: the reference order.
 fn fresh_sort(mut names: Vec<Name>) -> Vec<Name> {
     names.sort_by(|a, b| a.canonical_cmp(b));
@@ -342,14 +330,10 @@ fn scrambled(len: usize, rotate: u8) -> Vec<u32> {
     rows
 }
 
-/// Compares both tables' enumerations and rank sorts with fresh sorts of
-/// the shadow's names. `rotate` scrambles the rows before the rank sort.
-fn check_order(
-    table: &DomainTable,
-    store: &DomainStore,
-    shadow: &BTreeMap<Name, bool>,
-    rotate: Option<u8>,
-) {
+/// Compares the table's enumeration and rank sort with a fresh sort of
+/// the shadow's live names. `rotate` scrambles the rows before the rank
+/// sort.
+fn check_order(table: &DomainTable, shadow: &BTreeMap<Name, bool>, rotate: Option<u8>) {
     let live = fresh_sort(
         shadow
             .iter()
@@ -357,12 +341,9 @@ fn check_order(
             .map(|(name, _)| name.clone())
             .collect(),
     );
-    let every = fresh_sort(shadow.keys().cloned().collect());
     let Some(rotate) = rotate else {
         let ordered: Vec<Name> = table.ordered().map(|(_, name, _)| name.clone()).collect();
         assert_eq!(ordered, live, "ordered() diverged from a fresh sort");
-        let entries: Vec<Name> = store.entries().map(|(_, d)| d.name.clone()).collect();
-        assert_eq!(entries, every, "entries() diverged from a fresh sort");
         return;
     };
 
@@ -384,17 +365,6 @@ fn check_order(
     rows.sort_by_key(|&row| ranks.of(row));
     let by_rank: Vec<Name> = rows.iter().map(|&row| table.name(row).clone()).collect();
     assert_eq!(by_rank, live, "table rank sort diverged from a fresh sort");
-    drop(ranks);
-
-    let ranks = store.ranks();
-    let mut rows = scrambled(store.len(), rotate);
-    rows.sort_by_key(|&row| ranks.of(row));
-    let by_rank: Vec<Name> = rows.iter().map(|&row| store.at(row).name.clone()).collect();
-    assert_eq!(by_rank, every, "store rank sort diverged from a fresh sort");
-    // Positions are distinct and dense.
-    let mut positions: Vec<u32> = (0..store.len() as u32).map(|row| ranks.of(row)).collect();
-    positions.sort_unstable();
-    assert!(positions.iter().enumerate().all(|(i, &p)| p as usize == i));
 }
 
 proptest! {
@@ -408,7 +378,7 @@ proptest! {
     fn canonical_ranks_match_a_fresh_sort(
         actions in proptest::collection::vec(order_action(), 1..64)
     ) {
-        let (mut table, mut store) = (DomainTable::new(), DomainStore::new());
+        let mut table = DomainTable::new();
         // Name → live, for every name with a table row (in row order of
         // first sight, which the table's interning also follows).
         let mut shadow: BTreeMap<Name, bool> = BTreeMap::new();
@@ -421,10 +391,7 @@ proptest! {
                 OrderAction::Insert { label } | OrderAction::Intern { label } => {
                     let name = order_name(label);
                     let row = table.intern_row(&name);
-                    // First sight: a store row too, so the store holds
-                    // exactly the shadow's names (it has no liveness).
                     shadow.entry(name.clone()).or_insert_with(|| {
-                        store.insert(name.clone(), store_row(&name));
                         seen.push(name.clone());
                         false
                     });
@@ -445,14 +412,142 @@ proptest! {
                         shadow.insert(name, true);
                     }
                 }
-                OrderAction::Read => check_order(&table, &store, &shadow, None),
-                OrderAction::RankSort { rotate } => {
-                    check_order(&table, &store, &shadow, Some(rotate))
-                }
+                OrderAction::Read => check_order(&table, &shadow, None),
+                OrderAction::RankSort { rotate } => check_order(&table, &shadow, Some(rotate)),
             }
         }
-        check_order(&table, &store, &shadow, Some(0));
-        check_order(&table, &store, &shadow, None);
+        check_order(&table, &shadow, Some(0));
+        check_order(&table, &shadow, None);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// World-level: one row per domain. The world keeps no index of its own; it
+// finds and enumerates its domains through the registries' rows.
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum RowAction {
+    /// Buys `label` in a TLD, its label spelt in mixed case when `shout`.
+    Purchase { label: u8, tld: u8, shout: bool },
+    /// Delegates a name at a registry behind the world's back: a row
+    /// with no domain in the world.
+    Delegate { label: u8, tld: u8 },
+    /// Moves a domain's renewal into the next few days.
+    Redate { idx: u8, days: u8 },
+    /// Advances the world a day: opt-ins, renewals, audits.
+    Tick,
+}
+
+fn row_action() -> impl Strategy<Value = RowAction> {
+    prop_oneof![
+        (any::<u8>(), any::<u8>(), any::<bool>())
+            .prop_map(|(label, tld, shout)| RowAction::Purchase { label, tld, shout }),
+        (any::<u8>(), any::<u8>()).prop_map(|(label, tld)| RowAction::Delegate { label, tld }),
+        (any::<u8>(), any::<u8>()).prop_map(|(idx, days)| RowAction::Redate { idx, days }),
+        Just(RowAction::Tick),
+    ]
+}
+
+/// `label` in lower case, or with every other letter upper-cased.
+fn spelt(label: &str, shout: bool) -> String {
+    label
+        .chars()
+        .enumerate()
+        .map(|(i, c)| {
+            if shout && i % 2 == 0 {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            }
+        })
+        .collect()
+}
+
+/// The four checks of one row per domain: the walk is a fresh canonical
+/// sort of the purchased names, the count matches, every name is found
+/// under any spelling, and the tick's cached indices match a sweep.
+fn check_rows(world: &World, bought: &[Name]) {
+    let walked: Vec<Name> = world.domains().map(|d| d.name.clone()).collect();
+    assert_eq!(
+        walked,
+        fresh_sort(bought.to_vec()),
+        "domains() is not canonical"
+    );
+    assert_eq!(world.domain_count(), bought.len());
+    for name in bought {
+        let shouted = Name::parse(&name.to_string().to_ascii_uppercase()).unwrap();
+        for spelling in [name, &name.to_canonical(), &shouted] {
+            let found = world.domain(spelling).map(|d| &d.name);
+            assert_eq!(found, Some(name), "{spelling} not found");
+        }
+    }
+    world.check_tick_indices().unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8,
+        max_shrink_iters: 16,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn the_world_walks_its_registries_rows_in_canonical_order(
+        actions in proptest::collection::vec(row_action(), 1..40)
+    ) {
+        let mut world = World::new(WorldConfig {
+            key_pool: 2,
+            ..WorldConfig::default()
+        });
+        let registrar = world.add_registrar(
+            "RowOptIn",
+            Name::parse("rowoptin.net").unwrap(),
+            RegistrarPolicy {
+                operator_dnssec: OperatorDnssec::OptIn { adoption_rate: 0.5 },
+                external_ds: ExternalDs::Web { validates: false },
+                tlds: ALL_TLDS
+                    .iter()
+                    .map(|&t| (t, TldPolicy::full(TldRole::Registrar)))
+                    .collect(),
+            },
+        );
+        world.change_policy(registrar, dsec::ecosystem::PolicyChange::SetOptInHazard(0.3));
+        // One domain in every TLD first, in the paper's table order, so a
+        // walk in that order (org before nl) cannot pass.
+        let mut bought: Vec<Name> = ALL_TLDS
+            .iter()
+            .map(|&tld| {
+                world
+                    .purchase(registrar, "Seed", tld, Hosting::Registrar { plan: Plan::Free }, "o@x")
+                    .expect("a fresh name")
+            })
+            .collect();
+        for action in actions {
+            match action {
+                RowAction::Purchase { label, tld, shout } => {
+                    let tld = ALL_TLDS[tld as usize % ALL_TLDS.len()];
+                    let label = spelt(&format!("row{}", label % 32), shout);
+                    let hosting = Hosting::Registrar { plan: Plan::Free };
+                    if let Ok(name) = world.purchase(registrar, &label, tld, hosting, "o@x") {
+                        bought.push(name);
+                    }
+                }
+                RowAction::Delegate { label, tld } => {
+                    let tld = ALL_TLDS[tld as usize % ALL_TLDS.len()];
+                    let name = tld.zone().child(&format!("ghost{}", label % 8)).unwrap();
+                    let ns = [Name::parse("ns1.ghost-host.net").unwrap()];
+                    let _ = world.registry_mut(tld).add_delegation(registrar, &name, &ns);
+                }
+                RowAction::Redate { idx, days } => {
+                    let name = bought[idx as usize % bought.len()].clone();
+                    let on = world.today.plus_days(1 + u32::from(days % 3));
+                    world.set_expiry(&name, on);
+                }
+                RowAction::Tick => world.tick(),
+            }
+            check_rows(&world, &bought);
+        }
     }
 }
 

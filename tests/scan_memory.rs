@@ -1,10 +1,12 @@
-//! Memory pins for the scan cache (DESIGN.md §9, *Layout*; §16). The
-//! cache is one 32-byte slot per registry row, so what it retains after a
-//! cold scan, and what the scan needs on top of the built world while it
-//! runs, are bounded per domain. A per-domain side structure — a hashed
-//! entry per domain, a work list collected before scanning, a live-key
-//! set for pruning — shows here as bytes per domain long before a
-//! benchmark's peak RSS moves.
+//! Memory pins for the built world and the scan cache (DESIGN.md §9,
+//! *Layout*; §16). The world indexes each domain once, through its
+//! registry's row, and the cache is one 32-byte slot per registry row,
+//! so what the built world holds, what the cache retains after a cold
+//! scan, and what the scan needs on top of the built world while it
+//! runs, are bounded per domain. A per-domain side structure — a second
+//! index or order over the same names, a work list collected before
+//! scanning, a live-key set for pruning — shows here as bytes per domain
+//! long before a benchmark's peak RSS moves.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,14 +117,40 @@ const PEAK_PER_DOMAIN: isize = 150;
 /// and the column's 1/64 headroom.
 const RETAINED_ALLOWANCE: isize = 96 * 1024;
 
-#[test]
-fn a_cold_scan_costs_a_slot_per_domain() {
-    let population = PopulationConfig {
+fn population() -> PopulationConfig {
+    PopulationConfig {
         scale: 20_000,
         tail_operators: 100,
         ..PopulationConfig::default()
-    };
-    let scan = cold_scan(&population);
+    }
+}
+
+/// The built world's heap per domain. Every domain holds its `Domain`
+/// payload, its registry row and its TLD zone node, but no second
+/// `Name`-keyed index beside the registry's: 639.4 B/domain when the
+/// world kept its own index, 611.4 B/domain without.
+const WORLD_PER_DOMAIN: isize = 625;
+
+#[test]
+fn the_built_world_indexes_each_domain_once() {
+    let before = live();
+    let pw = build(&population());
+    let domains = pw.world.domain_count() as isize;
+    let held = live() - before;
+    eprintln!(
+        "{domains} domains: built world holds {:.1} B/domain",
+        held as f64 / domains as f64
+    );
+    assert!(
+        held <= WORLD_PER_DOMAIN * domains,
+        "the built world holds {held} B for {domains} domains ({:.1} B/domain)",
+        held as f64 / domains as f64
+    );
+}
+
+#[test]
+fn a_cold_scan_costs_a_slot_per_domain() {
+    let scan = cold_scan(&population());
     let per_domain = |bytes: isize| bytes as f64 / scan.domains as f64;
     eprintln!(
         "{} domains: cold-scan peak {:.1} B/domain, cache retained {:.1} B/domain",
