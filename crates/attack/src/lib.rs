@@ -268,8 +268,10 @@ impl AttackCampaign {
             return;
         };
         let tld = d.tld;
-        let registrant_email = d.registrant_email.clone();
         let channel = world.registrar(d.registrar).policy.external_ds.clone();
+        let registrant_email = world
+            .registrant_email(domain)
+            .expect("the world holds the domain");
 
         // Snapshot what remediation will restore.
         state.original_ds = world.registry(tld).ds_of(domain);

@@ -26,7 +26,12 @@ pub enum Hosting {
     },
 }
 
-/// One registered second-level domain.
+/// One registered second-level domain: one 64-byte row of the world's
+/// payload column (DESIGN.md §16, *Bytes per domain*). What most rows
+/// leave empty is not stored inline: the keys are boxed, and the
+/// registrant's address is derived ([`World::registrant_email`]).
+///
+/// [`World::registrant_email`]: crate::World::registrant_email
 #[derive(Debug, Clone)]
 pub struct Domain {
     /// The domain name.
@@ -42,7 +47,8 @@ pub struct Domain {
     /// Hosting arrangement.
     pub hosting: Hosting,
     /// Zone keys, present iff the zone is signed (DNSKEY+RRSIG published).
-    pub keys: Option<ZoneKeys>,
+    /// Boxed: the unsigned majority pay 8 bytes for the `None`.
+    pub keys: Option<Box<ZoneKeys>>,
     /// Registration date.
     pub created: SimDate,
     /// Next renewal date.
@@ -51,8 +57,6 @@ pub struct Domain {
     /// DNSSEC defaults) applies at the next renewal (the Antagonist /
     /// TransIP pattern from §6.3).
     pub pending_partner_migration: bool,
-    /// The registrant's contact address for email-channel authentication.
-    pub registrant_email: String,
 }
 
 impl Domain {
@@ -83,9 +87,24 @@ mod tests {
             created: SimDate(0),
             expires: SimDate(365),
             pending_partner_migration: false,
-            registrant_email: "owner@example.com".into(),
         };
         assert_eq!(d.owner_ns_host(), Name::parse("ns1.example.com").unwrap());
         assert!(!d.is_signed());
+    }
+
+    #[test]
+    fn a_domain_row_fits_in_64_bytes() {
+        // Name handle 24, boxed keys 8, four u32 columns, hosting 8, TLD
+        // and flag: a row a cache line wide.
+        assert!(
+            std::mem::size_of::<Domain>() <= 64,
+            "{} bytes",
+            std::mem::size_of::<Domain>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<Domain>>(),
+            std::mem::size_of::<Domain>(),
+            "the payload column's empty rows cost nothing extra"
+        );
     }
 }

@@ -365,6 +365,81 @@ mod tests {
     }
 
     #[test]
+    fn registrant_emails_round_trip_exactly() {
+        let mut w = small_world();
+        let r = add_no_dnssec_registrar(&mut w, "MailReg", "mailreg.net");
+        let mut buy = |label: &str, email: &str| {
+            w.purchase(r, label, Tld::Com, Hosting::Owner, email)
+                .unwrap()
+        };
+        let bought = [
+            // The derived default: stored nowhere.
+            (buy("plain", "owner@plain.example"), "owner@plain.example"),
+            // Any other address is kept as given.
+            (buy("other", "o@x"), "o@x"),
+            (
+                buy("near", "owner@near.example.com"),
+                "owner@near.example.com",
+            ),
+            (buy("case", "owner@CASE.example"), "owner@CASE.example"),
+            // The default of a mixed-case label keeps the label's case.
+            (buy("MiXed", "owner@MiXed.example"), "owner@MiXed.example"),
+        ];
+        for (domain, email) in &bought {
+            assert_eq!(w.registrant_email(domain).as_deref(), Some(*email));
+        }
+        // Any spelling of the name reaches the same address.
+        assert_eq!(
+            w.registrant_email(&name("MIXED.com")).as_deref(),
+            Some("owner@MiXed.example")
+        );
+        assert_eq!(w.registrant_email(&name("unsold.com")), None);
+    }
+
+    #[test]
+    fn a_derived_registrant_email_is_the_email_channels_credential() {
+        let mut w = small_world();
+        let strict = w.add_registrar(
+            "StrictMail",
+            name("strictmail.net"),
+            RegistrarPolicy {
+                operator_dnssec: OperatorDnssec::Unsupported,
+                external_ds: ExternalDs::Email {
+                    verifies_sender: true,
+                    accepts_foreign_sender: false,
+                    validates: false,
+                },
+                tlds: [(Tld::Com, TldPolicy::full(TldRole::Registrar))].into(),
+            },
+        );
+        let d = w
+            .purchase(
+                strict,
+                "Shop",
+                Tld::Com,
+                Hosting::Owner,
+                "owner@Shop.example",
+            )
+            .unwrap();
+        let ds = w.owner_sign_zone(&d).unwrap();
+        let mail = |from: &str| DsSubmission::Email {
+            claimed_from: from.into(),
+            actual_from: from.into(),
+        };
+        // The check is exact: another spelling of the address is a
+        // stranger's mailbox.
+        assert_eq!(
+            w.upload_ds(&d, ds.clone(), mail("owner@shop.example"))
+                .unwrap(),
+            UploadOutcome::EmailNotVerified
+        );
+        assert_eq!(
+            w.upload_ds(&d, ds, mail("owner@Shop.example")).unwrap(),
+            UploadOutcome::Accepted
+        );
+    }
+
+    #[test]
     fn email_channel_authentication_matrix() {
         let mut w = small_world();
         let strict = w.add_registrar(

@@ -11,12 +11,13 @@
 //!
 //! * per-domain attributes live in dense, row-indexed columns (sponsor
 //!   [`RegistrarId`], change generation, liveness and DNS operator);
-//! * a `Name → row` FNV map is the only hash probe left on the edge
-//!   (case-folding, like every `Name`-keyed map), and the only index of
-//!   a domain anywhere: the world keeps its [`Domain`](crate::Domain)
-//!   payloads in one column per TLD at the same rows, and a
-//!   [`DomainId`] — TLD and row packed in a `u64` — names a domain to
-//!   the tick and the scanner;
+//! * the only hash probe left on the edge is a 4-byte-a-slot row index:
+//!   open addressing over the `names` column, keyed by each name's FNV
+//!   hash under `Name`'s case-folding `Hash` and checked against
+//!   `names[row]`. It is the only index of a domain anywhere: the world
+//!   keeps its [`Domain`](crate::Domain) payloads in one column per TLD
+//!   at the same rows, and a [`DomainId`] — TLD and row packed in a
+//!   `u64` — names a domain to the tick and the scanner;
 //! * canonical (RFC 4034) enumeration order — which the scanner and the
 //!   zone files require — is a lazily rebuilt sorted row index in a
 //!   `RefCell`, so reads stay `&self` and an unchanged population is
@@ -43,9 +44,10 @@
 //! generation. See DESIGN.md §9.
 
 use std::cell::{Ref, RefCell};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dsec_wire::{FnvHashMap, Name};
+use dsec_wire::{FnvHashMap, FnvHasher, Name};
 
 use crate::tld::{Tld, ALL_TLDS};
 use crate::RegistrarId;
@@ -75,6 +77,76 @@ impl DomainId {
     #[inline]
     pub fn row(self) -> u32 {
         self.0 as u32
+    }
+}
+
+/// A `Name → row` index over a table's `names` column that stores rows
+/// only: an open-addressing array of `u32` rows, [`EMPTY_SLOT`] where
+/// none sits. The capacity is a power of two, at most half the slots are
+/// taken, and a collision probes the next slot. A slot is found by the
+/// name's FNV hash under `Name`'s case-folding `Hash`, and a row matches
+/// when `names[row]` equals the name asked for, so every spelling finds
+/// the same row. Rows are never removed, so there are no tombstones.
+#[derive(Debug, Default)]
+struct RowIndex {
+    slots: Vec<u32>,
+}
+
+/// A [`RowIndex`] slot that holds no row.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+impl RowIndex {
+    /// The slots a fresh index starts with.
+    const MIN_SLOTS: usize = 16;
+
+    /// Where `name`'s probe sequence starts in `slots` slots: the top
+    /// bits of its hash, which FNV's multiply mixes best.
+    fn home(name: &Name, slots: usize) -> usize {
+        let mut hasher = FnvHasher::default();
+        name.hash(&mut hasher);
+        (hasher.finish() >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// The row whose name equals `name`, under any spelling.
+    fn get(&self, names: &[Name], name: &Name) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::home(name, self.slots.len());
+        loop {
+            let row = self.slots[slot];
+            if row == EMPTY_SLOT {
+                return None;
+            }
+            if names[row as usize] == *name {
+                return Some(row);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Indexes `row`, whose name is the last of `names` and in no other
+    /// row, doubling the slots first when it would fill more than half.
+    fn insert(&mut self, names: &[Name], row: u32) {
+        if names.len() * 2 > self.slots.len() {
+            let slots = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+            self.slots = vec![EMPTY_SLOT; slots];
+            for old in 0..row {
+                self.place(names, old);
+            }
+        }
+        self.place(names, row);
+    }
+
+    /// Puts `row` in the first free slot of its probe sequence.
+    fn place(&mut self, names: &[Name], row: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::home(&names[row as usize], self.slots.len());
+        while self.slots[slot] != EMPTY_SLOT {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = row;
     }
 }
 
@@ -192,8 +264,8 @@ pub struct DomainTable {
     operators: Vec<Name>,
     /// Operator key → id.
     operator_ids: FnvHashMap<Name, u32>,
-    /// Name → row. The single hash probe on the lookup edge.
-    index: FnvHashMap<Name, u32>,
+    /// Name → row over `names`. The single hash probe on the lookup edge.
+    index: RowIndex,
     live_count: usize,
     order: RefCell<OrderCache>,
     /// This journal's identity (see [`NEXT_JOURNAL`]).
@@ -222,7 +294,7 @@ impl DomainTable {
             operator: Vec::new(),
             operators: Vec::new(),
             operator_ids: FnvHashMap::default(),
-            index: FnvHashMap::default(),
+            index: RowIndex::default(),
             live_count: 0,
             order: RefCell::default(),
             // Relaxed: the counter only hands out distinct numbers.
@@ -234,7 +306,7 @@ impl DomainTable {
 
     /// The row for `name`, if the table has ever seen it (live or dead).
     pub fn row_of(&self, name: &Name) -> Option<u32> {
-        self.index.get(name).copied()
+        self.index.get(&self.names, name)
     }
 
     /// The row for `name`, creating a dead generation-0 row on first
@@ -244,13 +316,12 @@ impl DomainTable {
             return row;
         }
         let row = self.names.len() as u32;
-        let canonical = name.to_canonical();
-        self.names.push(canonical.clone());
+        self.names.push(name.to_canonical());
         self.sponsor.push(RegistrarId(u32::MAX));
         self.generation.push(0);
         self.live.push(false);
         self.operator.push(NO_OPERATOR);
-        self.index.insert(canonical, row);
+        self.index.insert(&self.names, row);
         row
     }
 
@@ -450,6 +521,10 @@ impl ExactSizeIterator for OrderedRows<'_> {}
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use dsec_wire::draw;
+
     use super::*;
 
     fn name(s: &str) -> Name {
@@ -464,6 +539,92 @@ mod tests {
             let id = DomainId::new(tld, u32::MAX);
             assert_eq!((id.tld(), id.row()), (tld, u32::MAX), "{tld:?}");
         }
+    }
+
+    /// Three spellings of one name: lower case, upper case, and
+    /// alternating case.
+    fn spellings(s: &str) -> [Name; 3] {
+        let alternating: String = s
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i.is_multiple_of(2) {
+                    c.to_ascii_uppercase()
+                } else {
+                    c.to_ascii_lowercase()
+                }
+            })
+            .collect();
+        [
+            name(&s.to_ascii_lowercase()),
+            name(&s.to_ascii_uppercase()),
+            name(&alternating),
+        ]
+    }
+
+    #[test]
+    fn the_row_index_agrees_with_a_map_under_every_spelling() {
+        // Names like the population's: long shared registrar-slug
+        // prefixes, mixed case, enough to double the slots many times.
+        let slugs = [
+            "GoDaddy-com",
+            "godaddy-com-premium",
+            "OVH-nl",
+            "ovh-nl-reseller",
+        ];
+        let mut t = DomainTable::new();
+        let mut model: BTreeMap<String, u32> = BTreeMap::new();
+        let mut grown_at = Vec::new();
+        for i in 0..8_000u64 {
+            let slug = slugs[(draw(7, i) % slugs.len() as u64) as usize];
+            let n = draw(11, i) % 4_000;
+            let label = if draw(13, i).is_multiple_of(2) {
+                format!("{slug}-{n}.com")
+            } else {
+                format!("{}-{n}.COM", slug.to_ascii_lowercase())
+            };
+            let slots = t.index.slots.len();
+            let row = t.intern_row(&name(&label));
+            if t.index.slots.len() != slots {
+                grown_at.push(t.row_count());
+            }
+            let expected = model.len() as u32;
+            let modelled = *model.entry(label.to_ascii_lowercase()).or_insert(expected);
+            assert_eq!(row, modelled, "{label}");
+        }
+        assert_eq!(t.row_count(), model.len());
+        assert!(model.len() >= 5_000, "{} distinct names", model.len());
+        assert!(grown_at.len() >= 5, "grew at {grown_at:?}");
+        assert!(
+            t.row_count() * 2 <= t.index.slots.len(),
+            "at most half the slots are taken"
+        );
+        for (key, &row) in &model {
+            for spelling in spellings(key) {
+                assert_eq!(t.row_of(&spelling), Some(row), "{spelling}");
+            }
+            assert_eq!(
+                t.name(row).to_string(),
+                format!("{key}."),
+                "stored lower-cased"
+            );
+        }
+        // Misses: an unseen number, a prefix of a stored name, and a
+        // stored label under another TLD.
+        for miss in [
+            "godaddy-com-4000.com",
+            "godaddy-com.com",
+            "GoDaddy-com-1.net",
+            "ovh-nl-reseller-.com",
+        ] {
+            for spelling in spellings(miss) {
+                assert_eq!(t.row_of(&spelling), None, "{spelling}");
+            }
+        }
+        // Interning a known name under another spelling adds no row.
+        let (first, &row) = model.iter().next().unwrap();
+        assert_eq!(t.intern_row(&name(&first.to_ascii_uppercase())), row);
+        assert_eq!(t.row_count(), model.len());
     }
 
     #[test]

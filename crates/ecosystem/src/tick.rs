@@ -204,7 +204,7 @@ impl World {
                 }
             }
         }
-        self.domains.at_mut(id).keys = Some(keys);
+        self.domains.at_mut(id).keys = Some(Box::new(keys));
     }
 
     /// Moves the domain `id` to `hosting`; the previous arrangement's

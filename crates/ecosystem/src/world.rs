@@ -23,6 +23,7 @@
 //! of a customer zone and delegation, so the generation contract of
 //! DESIGN.md §9 is kept in two places rather than at every action.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -36,7 +37,7 @@ use dsec_dnssec::{
     SigningSet, ZoneKeys,
 };
 use dsec_resolver::{Exchange, ExchangeOutcome, RetryPolicy};
-use dsec_wire::{DsRdata, Message, Name, RData, Record, RrSet, RrType, SoaRdata, Zone};
+use dsec_wire::{DsRdata, FnvHashMap, Message, Name, RData, Record, RrSet, RrType, SoaRdata, Zone};
 
 use crate::anchor::AnchorRollPlan;
 use crate::clock::SimDate;
@@ -74,6 +75,17 @@ struct Domains {
     columns: [Vec<Option<Domain>>; ALL_TLDS.len()],
     /// How many payloads the columns hold.
     count: usize,
+    /// Registrant addresses that differ from the derived default
+    /// ([`default_registrant_email`]); every other domain stores none.
+    emails: FnvHashMap<DomainId, String>,
+}
+
+/// The registrant address a domain is given unless its buyer names
+/// another: `owner@<label>.example`, the label spelled as it was bought
+/// (`Domain.name` keeps the purchase spelling).
+fn default_registrant_email(domain: &Domain) -> String {
+    let label = domain.name.labels().next().expect("an SLD has labels");
+    format!("owner@{}.example", String::from_utf8_lossy(label))
 }
 
 impl Domains {
@@ -93,8 +105,11 @@ impl Domains {
             .expect("a stored domain")
     }
 
-    /// Stores a new domain at `id`.
-    fn insert(&mut self, id: DomainId, domain: Domain) {
+    /// Stores a new domain at `id`, bought by `registrant`.
+    fn insert(&mut self, id: DomainId, domain: Domain, registrant: String) {
+        if registrant != default_registrant_email(&domain) {
+            self.emails.insert(id, registrant);
+        }
         let column = &mut self.columns[id.tld() as usize];
         let row = id.row() as usize;
         if column.len() <= row {
@@ -103,6 +118,15 @@ impl Domains {
         debug_assert!(column[row].is_none(), "a row holds one domain");
         column[row] = Some(domain);
         self.count += 1;
+    }
+
+    /// The registrant address of the stored domain `id`: the one the
+    /// buyer named, or the default derived from its first label.
+    fn registrant_email(&self, id: DomainId) -> Cow<'_, str> {
+        match self.emails.get(&id) {
+            Some(email) => Cow::Borrowed(email),
+            None => Cow::Owned(default_registrant_email(self.at(id))),
+        }
     }
 
     /// Every payload with its id, in row order: for order-insensitive
@@ -629,6 +653,16 @@ impl World {
         self.id_of(name).map(|id| self.domains.at(id))
     }
 
+    /// The registrant's contact address for `domain`, the credential an
+    /// emailed request is checked against: exactly the address given to
+    /// [`World::purchase`]. Only an address other than the default
+    /// `owner@<label>.example` is stored; the default is derived from the
+    /// label as it was bought.
+    pub fn registrant_email(&self, domain: &Name) -> Option<String> {
+        let id = self.id_of(domain)?;
+        Some(self.domains.registrant_email(id).into_owned())
+    }
+
     /// The id of the domain `name` names: one probe of its registry's
     /// index, then the payload column. `None` unless the world sold it.
     fn id_of(&self, name: &Name) -> Option<DomainId> {
@@ -730,10 +764,9 @@ impl World {
             created: self.today,
             expires: self.today.plus_days(365),
             pending_partner_migration: false,
-            registrant_email: registrant_email.into(),
         };
         let expires = domain.expires;
-        self.domains.insert(id, domain);
+        self.domains.insert(id, domain, registrant_email.into());
         self.tick.schedule_renewal(id, expires);
         self.tick.invalidate_worklists();
         self.events.record(
@@ -819,14 +852,14 @@ impl World {
         ds: DsRdata,
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
-        let registrar = d.registrar;
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let registrar = self.domains.at(id).registrar;
         // Note: the per-TLD `publishes_ds` flag gates only the *automatic*
         // upload for registrar-hosted signing. The paper found that even
         // home-TLD-only registrars (Loopia, KPN) would upload a DS for an
         // externally hosted domain when explicitly asked (§6.3), so the
         // customer channel works for every TLD the registrar sells.
-        let (validates, forged_from) = match self.admit(d, &via, false) {
+        let (validates, forged_from) = match self.admit(id, &via, false) {
             Ok(admitted) => admitted,
             Err(rejected) => return Ok(rejected),
         };
@@ -905,8 +938,8 @@ impl World {
         ns_hosts: &[Name],
         via: DsSubmission,
     ) -> Result<UploadOutcome, ActionError> {
-        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
-        let forged_from = match self.admit(d, &via, true) {
+        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
+        let forged_from = match self.admit(id, &via, true) {
             Ok((_, forged_from)) => forged_from,
             Err(rejected) => return Ok(rejected),
         };
@@ -934,11 +967,12 @@ impl World {
     /// `From:` that got through, if any; `Err` is the rejection.
     fn admit(
         &self,
-        d: &Domain,
+        id: DomainId,
         via: &DsSubmission,
         ns_change: bool,
     ) -> Result<(bool, Option<String>), UploadOutcome> {
-        let channel = &self.registrars[d.registrar.0 as usize].policy.external_ds;
+        let registrar = self.domains.at(id).registrar;
+        let channel = &self.registrars[registrar.0 as usize].policy.external_ds;
         let offered = match (channel, via) {
             (ExternalDs::Web { .. }, DsSubmission::Web)
             | (ExternalDs::Email { .. }, DsSubmission::Email { .. })
@@ -957,7 +991,11 @@ impl World {
         } = via
         {
             let forged = channel
-                .admits_sender(&d.registrant_email, claimed_from, actual_from)
+                .admits_sender(
+                    &self.domains.registrant_email(id),
+                    claimed_from,
+                    actual_from,
+                )
                 .ok_or(UploadOutcome::EmailNotVerified)?;
             forged_from = forged.then(|| claimed_from.clone());
         }
@@ -1122,7 +1160,7 @@ impl World {
         let targets: Vec<(Name, ZoneKeys)> = self
             .domains()
             .filter(|d| d.registrar == registrar)
-            .filter_map(|d| Some((d.name.clone(), d.keys.clone()?)))
+            .filter_map(|d| Some((d.name.clone(), d.keys.as_deref()?.clone())))
             .collect();
         let mut published = 0;
         for (domain, keys) in targets {
@@ -1144,7 +1182,11 @@ impl World {
         let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         // The purchase spelling of the name: what the tick later logs.
         let key = d.name.clone();
-        let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
+        let old_keys = d
+            .keys
+            .as_deref()
+            .cloned()
+            .ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
             return Err(ActionError::RolloverInProgress);
         }
@@ -1218,7 +1260,11 @@ impl World {
         let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
         // The purchase spelling of the name: what the tick later logs.
         let key = d.name.clone();
-        let old_keys = d.keys.clone().ok_or(ActionError::DnssecUnsupported)?;
+        let old_keys = d
+            .keys
+            .as_deref()
+            .cloned()
+            .ok_or(ActionError::DnssecUnsupported)?;
         if self.rollover_in_flight(&key) {
             return Err(ActionError::RolloverInProgress);
         }

@@ -125,11 +125,13 @@ fn population() -> PopulationConfig {
     }
 }
 
-/// The built world's heap per domain. Every domain holds its `Domain`
-/// payload, its registry row and its TLD zone node, but no second
-/// `Name`-keyed index beside the registry's: 639.4 B/domain when the
-/// world kept its own index, 611.4 B/domain without.
-const WORLD_PER_DOMAIN: isize = 625;
+/// The built world's heap per domain. Every domain holds its 64-byte
+/// `Domain` payload, its registry row and its TLD zone node, but no
+/// second `Name`-keyed index beside the registry's, no inline keys and
+/// no stored default email: 639.4 B/domain when the world kept its own
+/// index, 611.4 B/domain with 136-byte rows, a per-row email and a
+/// `Name`-keyed row map, 430.4 B/domain with a 4-byte-a-slot row index.
+const WORLD_PER_DOMAIN: isize = 460;
 
 #[test]
 fn the_built_world_indexes_each_domain_once() {
