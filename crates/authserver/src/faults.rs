@@ -4,8 +4,8 @@
 //! The paper's measurements ran against the real Internet, where scans
 //! routinely hit unreachable nameservers, lame delegations, timeouts, and
 //! truncated responses. [`FaultPlane`] sits inside
-//! [`crate::Network::query_udp`] and injects those failure modes —
-//! per-nameserver or globally — from a seeded deterministic RNG:
+//! [`crate::Network::query_udp`] and injects those failure modes from a
+//! seeded deterministic RNG under one global [`FaultProfile`]:
 //!
 //! * **Drop** — the query (or its response) is lost; the caller times out.
 //! * **Delay** — the response arrives late; past the caller's deadline it
@@ -16,6 +16,13 @@
 //!   (overloaded resolver backend, lame delegation).
 //! * **Stale** — the answer is served from a frozen copy of the zones as
 //!   they were when the fault first fired (an unsynced secondary).
+//!
+//! Downtime is per nameserver and judged by one clock: every exchange
+//! carries its sender's simulated epoch seconds (`now_s`), and a server
+//! is down when its kill switch ([`FaultPlane::set_down`]) is set or a
+//! scheduled window ([`FaultPlane::schedule_down`]) covers `now_s`. A
+//! window hides a server only from exchanges actually sent inside it —
+//! a scanner answering an unchanged domain from its cache sends none.
 //!
 //! Determinism: every decision is a pure function of the plane's seed,
 //! the (server, qname, qtype) tuple, and a per-tuple attempt counter, so
@@ -47,7 +54,7 @@ pub enum Fault {
     Stale,
 }
 
-/// Fault probabilities for one scope (global or per-server).
+/// Fault probabilities, drawn from by every server's exchanges.
 ///
 /// Probabilities are evaluated in declaration order against a single
 /// uniform draw, so they are mutually exclusive and should sum to ≤ 1.
@@ -70,11 +77,6 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// A profile that injects nothing.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// The ISSUE's canonical chaos mix: `p` split between drops and
     /// SERVFAILs (e.g. `mixed(0.05)` ≈ 2.5% drops + 2.5% SERVFAIL).
     pub fn mixed(p: f64) -> Self {
@@ -124,31 +126,6 @@ impl FaultProfile {
     }
 }
 
-/// A periodic up/down schedule over simulation days: the server is down
-/// for `down_days` out of every `up_days + down_days`, offset by `phase`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlapSchedule {
-    /// Consecutive days the server is up in each period.
-    pub up_days: u32,
-    /// Consecutive days the server is down in each period.
-    pub down_days: u32,
-    /// Offset into the period on day 0 (derived from the hostname when
-    /// installed via [`FaultPlane::flap_server`], so a fleet of flapping
-    /// servers does not blink in unison).
-    pub phase: u32,
-}
-
-impl FlapSchedule {
-    /// Whether the schedule has the server down on `day`.
-    pub fn is_down(&self, day: u32) -> bool {
-        let period = self.up_days + self.down_days;
-        if period == 0 {
-            return false;
-        }
-        (day.wrapping_add(self.phase)) % period >= self.up_days
-    }
-}
-
 /// Counts of injected faults, by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -164,7 +141,8 @@ pub struct FaultStats {
     pub refusals: u64,
     /// Answers served from a stale zone copy.
     pub stale_serves: u64,
-    /// Queries dropped because the server was down (flap or kill switch).
+    /// Queries dropped because the server was down (kill switch or
+    /// scheduled window).
     pub downtime_drops: u64,
 }
 
@@ -203,16 +181,13 @@ impl std::hash::Hash for AttemptKey {
 /// Everything the plane holds against one server hostname.
 #[derive(Debug, Default)]
 struct ServerFaults {
-    /// Override of the global profile.
-    profile: Option<FaultProfile>,
-    flap: Option<FlapSchedule>,
-    /// Administratively forced down.
+    /// Administratively forced down, whatever the clock says.
     down: bool,
     /// Scheduled down-windows: half-open `[from_s, until_s)` intervals in
-    /// simulated epoch seconds, seen only by queries that carry their sim
-    /// clock ([`crate::Network::query_udp`] with `now_s`). Purely
-    /// declarative — membership is a function of the query's sim clock,
-    /// so outage behavior is deterministic and query-order independent.
+    /// simulated epoch seconds, judged against the clock every exchange
+    /// carries. Purely declarative — membership is a function of the
+    /// exchange's sim clock, so outage behavior is deterministic and
+    /// query-order independent.
     windows: Vec<(u32, u32)>,
     /// Scripted outcomes consumed FIFO (deterministic tests).
     script: VecDeque<Fault>,
@@ -228,8 +203,8 @@ impl ServerFaults {
     }
 }
 
-/// The plane's configuration: one record per server, next to the
-/// profile of every server that has no override.
+/// The plane's configuration: the profile every server draws from, and
+/// one record per server the plane was told something about.
 #[derive(Debug, Default)]
 struct Servers {
     global: FaultProfile,
@@ -244,8 +219,6 @@ pub struct FaultPlane {
     /// Fast-path gate: false ⇒ no record read, no draw made.
     enabled: Cell<bool>,
     seed: Cell<u64>,
-    /// Current simulation day, advanced by the world tick (flapping).
-    day: Cell<u32>,
     servers: RefCell<Servers>,
     /// Per-(server, qname, qtype) attempt counters: keep each draw
     /// independent of which other queries ran first. Pruned at each
@@ -272,8 +245,8 @@ impl FaultPlane {
         self.enabled.set(true);
     }
 
-    /// Disables all injection (scripts, profiles, and flaps are retained
-    /// but dormant).
+    /// Disables all injection (scripts, profiles and downtime are
+    /// retained but dormant).
     pub fn disable(&self) {
         self.enabled.set(false);
     }
@@ -293,8 +266,7 @@ impl FaultPlane {
         self.enabled.get()
     }
 
-    /// Sets the fault profile applied to every server without a
-    /// per-server override.
+    /// Sets the fault profile every server draws from.
     pub fn set_global_profile(&self, profile: FaultProfile) {
         self.servers.borrow_mut().global = profile;
     }
@@ -306,47 +278,19 @@ impl FaultPlane {
         f(servers.by_name.entry(ns.clone()).or_default())
     }
 
-    /// Sets a per-server override profile.
-    pub fn set_server_profile(&self, ns: &Name, profile: FaultProfile) {
-        self.edit(ns, |server| server.profile = Some(profile));
-    }
-
-    /// Removes a per-server override.
-    pub fn clear_server_profile(&self, ns: &Name) {
-        self.edit(ns, |server| server.profile = None);
-    }
-
-    /// Installs an up/down flap schedule for a server; the phase is
-    /// derived from the hostname so flapping fleets desynchronize.
-    pub fn flap_server(&self, ns: &Name, up_days: u32, down_days: u32) {
-        let phase = (fnv1a_name(ns, 0x1F1A9) % (up_days + down_days).max(1) as u64) as u32;
-        let flap = FlapSchedule {
-            up_days,
-            down_days,
-            phase,
-        };
-        self.edit(ns, |server| server.flap = Some(flap));
-    }
-
     /// Forces a server down (or back up) regardless of probabilities.
     pub fn set_down(&self, ns: &Name, down: bool) {
         self.edit(ns, |server| server.down = down);
     }
 
     /// Schedules a down-window for `ns`: the server times out for every
-    /// sim-time-aware query with `from_s <= now < until_s`. Windows
+    /// exchange stamped with `from_s <= now_s < until_s`. Windows
     /// accumulate (a server may go down repeatedly — flapping scenarios
-    /// install many short windows).
+    /// install many windows).
     pub fn schedule_down(&self, ns: &Name, from_s: u32, until_s: u32) {
         if from_s < until_s {
             self.edit(ns, |server| server.windows.push((from_s, until_s)));
         }
-    }
-
-    /// Removes every scheduled down-window for `ns`.
-    #[cfg(test)]
-    fn clear_schedule(&self, ns: &Name) {
-        self.edit(ns, |server| server.windows.clear());
     }
 
     /// Removes all scheduled down-windows.
@@ -356,17 +300,6 @@ impl FaultPlane {
         }
     }
 
-    /// Whether a scheduled window has `ns` down at sim-time `now_s`.
-    /// Pure configuration lookup: no counters, no enable gate — used by
-    /// scenario harnesses to print outage timelines.
-    pub fn scheduled_down(&self, ns: &Name, now_s: u32) -> bool {
-        self.servers
-            .borrow()
-            .by_name
-            .get(ns)
-            .is_some_and(|server| server.in_window(now_s))
-    }
-
     /// Queues forced fault outcomes for the next UDP queries to `ns`,
     /// consumed FIFO before any probabilistic draw (deterministic tests:
     /// "drop twice, then answer"). TCP queries do not consume entries.
@@ -374,29 +307,23 @@ impl FaultPlane {
         self.edit(ns, |server| server.script.extend(faults));
     }
 
-    /// Advances the plane's notion of the current simulation day (drives
-    /// flap schedules). Called from the world tick.
-    pub fn set_day(&self, day: u32) {
-        self.day.set(day);
-    }
-
     /// A copy of the injected-fault counters.
     pub fn stats(&self) -> FaultStats {
         self.stats.get()
     }
 
-    /// What the plane does to one exchange with `ns`; `None` means the
-    /// exchange is clean. One lookup of `ns`'s record answers, in order:
-    /// is the server down (kill switch, flap schedule, or — for a query
-    /// stamped with its sim-time `now_s` — a scheduled window)? That is
-    /// counted as a downtime drop and reported as [`Fault::Drop`]. Else,
-    /// for a UDP exchange (`question` given), is a scripted outcome
-    /// queued? Else the server's profile decides by a seeded draw. A TCP
-    /// exchange (`question` absent) sees downtime only.
+    /// What the plane does to one exchange with `ns` at sim-time `now_s`;
+    /// `None` means the exchange is clean. One lookup of `ns`'s record
+    /// answers, in order: is the server down (kill switch, or a scheduled
+    /// window covering `now_s`)? That is counted as a downtime drop and
+    /// reported as [`Fault::Drop`]. Else, for a UDP exchange (`question`
+    /// given), is a scripted outcome queued? Else the global profile
+    /// decides by a seeded draw. A TCP exchange (`question` absent) sees
+    /// downtime only.
     pub(crate) fn intercept(
         &self,
         ns: &Name,
-        now_s: Option<u32>,
+        now_s: u32,
         question: Option<(&Name, u16)>,
     ) -> Option<Fault> {
         if !self.is_enabled() {
@@ -405,22 +332,14 @@ impl FaultPlane {
         let (profile, scripted) = {
             let servers = self.servers.borrow();
             let server = servers.by_name.get(ns);
-            let down = server.is_some_and(|s| {
-                s.down
-                    || s.flap.is_some_and(|f| f.is_down(self.day.get()))
-                    || now_s.is_some_and(|t| s.in_window(t))
-            });
-            if down {
+            if server.is_some_and(|s| s.down || s.in_window(now_s)) {
                 self.stats.update(|mut stats| {
                     stats.downtime_drops += 1;
                     stats
                 });
                 return Some(Fault::Drop);
             }
-            (
-                server.and_then(|s| s.profile).unwrap_or(servers.global),
-                server.is_some_and(|s| !s.script.is_empty()),
-            )
+            (servers.global, server.is_some_and(|s| !s.script.is_empty()))
         };
         let (qname, qtype) = question?;
         if scripted {
@@ -522,16 +441,12 @@ mod tests {
 
     /// The parts of the one question the query path asks, by name.
     impl FaultPlane {
-        fn server_down(&self, ns: &Name) -> bool {
-            self.intercept(ns, None, None).is_some()
-        }
-
-        fn window_down(&self, ns: &Name, now_s: u32) -> bool {
-            self.intercept(ns, Some(now_s), None).is_some()
+        fn down_at(&self, ns: &Name, now_s: u32) -> bool {
+            self.intercept(ns, now_s, None).is_some()
         }
 
         fn decide(&self, ns: &Name, qname: &Name, qtype: u16) -> Option<Fault> {
-            self.intercept(ns, None, Some((qname, qtype)))
+            self.intercept(ns, 0, Some((qname, qtype)))
         }
     }
 
@@ -558,7 +473,7 @@ mod tests {
         });
         // Not enabled → profile dormant.
         assert_eq!(plane.decide(&name("ns1.op.net"), &name("x.com"), 1), None);
-        assert!(!plane.server_down(&name("ns1.op.net")));
+        assert!(!plane.down_at(&name("ns1.op.net"), 0));
         assert_eq!(plane.stats().total(), 0);
     }
 
@@ -676,37 +591,16 @@ mod tests {
     }
 
     #[test]
-    fn flap_schedule_cycles_with_days() {
-        let schedule = FlapSchedule {
-            up_days: 3,
-            down_days: 2,
-            phase: 0,
-        };
-        let pattern: Vec<bool> = (0..10).map(|d| schedule.is_down(d)).collect();
-        assert_eq!(
-            pattern,
-            vec![false, false, false, true, true, false, false, false, true, true]
-        );
-    }
-
-    #[test]
-    fn kill_switch_and_flaps_mark_server_down() {
+    fn kill_switch_marks_server_down_at_any_clock() {
         let plane = FaultPlane::new();
         plane.enable(5);
         let ns = name("ns1.op.net");
-        assert!(!plane.server_down(&ns));
+        assert!(!plane.down_at(&ns, 0));
         plane.set_down(&ns, true);
-        assert!(plane.server_down(&ns));
+        assert!(plane.down_at(&ns, 0));
+        assert!(plane.down_at(&ns, u32::MAX));
         plane.set_down(&ns, false);
-        assert!(!plane.server_down(&ns));
-        plane.flap_server(&ns, 1, 1);
-        let down_days: Vec<bool> = (0..4)
-            .map(|d| {
-                plane.set_day(d);
-                plane.server_down(&ns)
-            })
-            .collect();
-        assert_eq!(down_days.iter().filter(|&&d| d).count(), 2, "{down_days:?}");
+        assert!(!plane.down_at(&ns, 0));
     }
 
     #[test]
@@ -717,56 +611,41 @@ mod tests {
         plane.schedule_down(&ns, 100, 200);
         plane.schedule_down(&ns, 300, 400);
         plane.schedule_down(&ns, 500, 400); // empty interval ignored
-        assert!(!plane.window_down(&ns, 99));
-        assert!(plane.window_down(&ns, 100), "start inclusive");
-        assert!(plane.window_down(&ns, 199));
-        assert!(!plane.window_down(&ns, 200), "end exclusive");
-        assert!(plane.window_down(&ns, 350), "second window");
-        assert!(!plane.window_down(&ns, 450));
+        assert!(!plane.down_at(&ns, 99));
+        assert!(plane.down_at(&ns, 100), "start inclusive");
+        assert!(plane.down_at(&ns, 199));
+        assert!(!plane.down_at(&ns, 200), "end exclusive");
+        assert!(plane.down_at(&ns, 350), "second window");
+        assert!(!plane.down_at(&ns, 450));
         assert_eq!(plane.stats().downtime_drops, 3);
-        plane.clear_schedule(&ns);
-        assert!(!plane.window_down(&ns, 150));
+        plane.clear_schedules();
+        assert!(!plane.down_at(&ns, 150));
     }
 
     #[test]
-    fn disabled_plane_ignores_windows_but_scheduled_down_reads_config() {
+    fn disabled_plane_ignores_windows() {
         let plane = FaultPlane::new();
         let ns = name("ns1.op.net");
         plane.schedule_down(&ns, 0, 1000);
-        assert!(
-            !plane.window_down(&ns, 500),
-            "dormant plane injects nothing"
-        );
-        assert!(plane.scheduled_down(&ns, 500), "pure config lookup");
+        assert!(!plane.down_at(&ns, 500), "dormant plane injects nothing");
         assert_eq!(plane.stats().downtime_drops, 0);
-        plane.clear_schedules();
-        assert!(!plane.scheduled_down(&ns, 500));
     }
 
     #[test]
     fn every_setter_reaches_the_record_the_query_path_reads_in_any_spelling() {
         let spellings = [name("ns1.op.net"), name("NS1.Op.NET")];
-        let drop_all = FaultProfile {
-            drop_prob: 1.0,
-            ..FaultProfile::default()
-        };
         type Setter<'a> = &'a dyn Fn(&FaultPlane, &Name);
-        let rows: [(&str, Setter); 5] = [
+        let rows: [(&str, Setter); 3] = [
             ("set_down", &|p, ns| p.set_down(ns, true)),
             ("schedule_down", &|p, ns| p.schedule_down(ns, 0, 100)),
             ("script", &|p, ns| p.script(ns, [Fault::Drop])),
-            ("flap_server", &|p, ns| p.flap_server(ns, 0, 1)),
-            ("set_server_profile", &|p, ns| {
-                p.set_server_profile(ns, drop_all)
-            }),
         ];
         for (setter, configure) in rows {
             for (set_as, asked_as) in [(0, 1), (1, 0)] {
                 let plane = FaultPlane::new();
                 plane.enable(3);
                 configure(&plane, &spellings[set_as]);
-                let hit =
-                    plane.intercept(&spellings[asked_as], Some(50), Some((&name("x.com"), 1)));
+                let hit = plane.intercept(&spellings[asked_as], 50, Some((&name("x.com"), 1)));
                 assert_eq!(hit, Some(Fault::Drop), "{setter} as {}", spellings[set_as]);
                 assert_eq!(
                     plane.servers.borrow().by_name.len(),

@@ -18,6 +18,6 @@ pub mod network;
 pub mod outage;
 
 pub use authority::Authority;
-pub use faults::{Fault, FaultPlane, FaultProfile, FaultStats, FlapSchedule};
+pub use faults::{Fault, FaultPlane, FaultProfile, FaultStats};
 pub use network::{Network, QueryOutcome, BASE_LATENCY_MS};
 pub use outage::{OutageScenario, OutageWindow};

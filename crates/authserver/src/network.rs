@@ -12,6 +12,12 @@
 //! into [`Network::query_udp`], so consumers must cope with the same
 //! degradations a real scan sees. Disabled (the default), the transport
 //! is perfect and behavior is identical to the pre-fault-plane network.
+//!
+//! Every query carries its sender's simulated clock (`now_s`, epoch
+//! seconds), and downtime is judged by one rule: a server is down when
+//! its kill switch is set or a scheduled window covers `now_s`. A window
+//! hides a server only from the queries actually sent inside it — a
+//! scanner that answers an unchanged domain from its cache sends none.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -122,15 +128,14 @@ impl Network {
 
     /// Sends `query` to the server at `ns` over simulated UDP, waiting at
     /// most `deadline_ms` for the response. `now_s` stamps the query with
-    /// its simulated epoch seconds so scheduled down-windows
-    /// ([`FaultPlane::schedule_down`]) apply; timing-oblivious callers
-    /// pass `None` and never see a window.
+    /// its simulated epoch seconds, against which scheduled down-windows
+    /// ([`FaultPlane::schedule_down`]) are judged.
     pub fn query_udp(
         &self,
         ns: &Name,
         query: &Message,
         deadline_ms: u32,
-        now_s: Option<u32>,
+        now_s: u32,
     ) -> QueryOutcome {
         let Some(authority) = self.authority(ns) else {
             return QueryOutcome::Unreachable;
@@ -186,11 +191,11 @@ impl Network {
 
     /// Sends `query` to the server at `ns` over simulated TCP — the
     /// truncation-fallback path. TCP responses are never truncated and
-    /// the stream either connects or it does not, so only downtime
-    /// (flaps, kill switch, and with `now_s` a scheduled window — a
-    /// downed server accepts no TCP either) affects it; the per-packet
-    /// fault profile and scripted UDP faults do not apply.
-    pub fn query_tcp(&self, ns: &Name, query: &Message, now_s: Option<u32>) -> QueryOutcome {
+    /// the stream either connects or it does not, so only downtime (the
+    /// kill switch, or a scheduled window covering `now_s` — a downed
+    /// server accepts no TCP either) affects it; the per-packet fault
+    /// profile and scripted UDP faults do not apply.
+    pub fn query_tcp(&self, ns: &Name, query: &Message, now_s: u32) -> QueryOutcome {
         let Some(authority) = self.authority(ns) else {
             return QueryOutcome::Unreachable;
         };
@@ -259,7 +264,7 @@ mod tests {
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         let resp = net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .unwrap();
         assert_eq!(resp.answers.len(), 1);
@@ -271,11 +276,11 @@ mod tests {
         let net = Network::new();
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert!(net
-            .query_udp(&name("ns1.ghost.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.ghost.net"), &q, u32::MAX, 0)
             .into_response()
             .is_none());
         assert_eq!(
-            net.query_udp(&name("ns1.ghost.net"), &q, 100, None),
+            net.query_udp(&name("ns1.ghost.net"), &q, 100, 0),
             QueryOutcome::Unreachable
         );
         assert_eq!(net.query_count(), 0);
@@ -287,7 +292,7 @@ mod tests {
         net.register(name("NS1.Op.NET"), simple_authority());
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .is_some());
     }
@@ -301,7 +306,7 @@ mod tests {
         assert_eq!(net.server_count(), 2);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns2.op.net"), &q, u32::MAX, None)
+            net.query_udp(&name("ns2.op.net"), &q, u32::MAX, 0)
                 .into_response()
                 .unwrap()
                 .answers
@@ -318,7 +323,7 @@ mod tests {
         assert!(!net.deregister(&name("ns1.op.net")));
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .is_none());
     }
@@ -337,14 +342,14 @@ mod tests {
         net.register(name("ns1.op.net"), simple_authority());
         let q = Message::query(1, name("www.other.org"), RrType::A, false);
         let resp = net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .unwrap();
         assert_eq!(resp.rcode, Rcode::Refused);
     }
 
     #[test]
-    fn certain_drop_times_out_and_legacy_query_sees_none() {
+    fn certain_drop_times_out_and_counts_as_dispatched() {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         net.faults().enable(11);
@@ -354,11 +359,11 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 1000, None),
+            net.query_udp(&name("ns1.op.net"), &q, 1000, 0),
             QueryOutcome::Timeout
         );
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .is_none());
         // Dropped packets still count as dispatched queries.
@@ -377,10 +382,10 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 500, None),
+            net.query_udp(&name("ns1.op.net"), &q, 500, 0),
             QueryOutcome::Timeout
         );
-        match net.query_udp(&name("ns1.op.net"), &q, 2000, None) {
+        match net.query_udp(&name("ns1.op.net"), &q, 2000, 0) {
             QueryOutcome::Answered { latency_ms, .. } => {
                 assert_eq!(latency_ms, BASE_LATENCY_MS + 900)
             }
@@ -399,13 +404,13 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         let udp = net
-            .query_udp(&name("ns1.op.net"), &q, 1000, None)
+            .query_udp(&name("ns1.op.net"), &q, 1000, 0)
             .into_response()
             .unwrap();
         assert!(udp.flags.truncated);
         assert!(udp.answers.is_empty());
         let tcp = net
-            .query_tcp(&name("ns1.op.net"), &q, None)
+            .query_tcp(&name("ns1.op.net"), &q, 0)
             .into_response()
             .unwrap();
         assert!(!tcp.flags.truncated);
@@ -424,7 +429,7 @@ mod tests {
         });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         let resp = net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .unwrap();
         assert_eq!(resp.rcode, Rcode::ServFail);
@@ -436,17 +441,14 @@ mod tests {
         let auth = simple_authority();
         net.register(name("ns1.op.net"), auth.clone());
         net.faults().enable(11);
-        net.faults().set_server_profile(
-            &name("ns1.op.net"),
-            FaultProfile {
-                stale_prob: 1.0,
-                ..FaultProfile::default()
-            },
-        );
+        net.faults().set_global_profile(FaultProfile {
+            stale_prob: 1.0,
+            ..FaultProfile::default()
+        });
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         // First stale serve freezes the copy.
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
                 .into_response()
                 .unwrap()
                 .answers
@@ -464,16 +466,16 @@ mod tests {
         });
         // …but the stale secondary still serves the frozen copy.
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
                 .into_response()
                 .unwrap()
                 .answers
                 .len(),
             1
         );
-        net.faults().clear_server_profile(&name("ns1.op.net"));
+        net.faults().set_global_profile(FaultProfile::default());
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            net.query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
                 .into_response()
                 .unwrap()
                 .answers
@@ -483,33 +485,28 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_window_downs_sim_time_queries_only() {
+    fn scheduled_window_downs_queries_inside_it_only() {
         let net = Network::new();
         net.register(name("ns1.op.net"), simple_authority());
         net.faults().enable(12);
         net.faults().schedule_down(&name("ns1.op.net"), 1000, 2000);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
-        // Inside the window the sim-time path times out over UDP and TCP.
+        // Inside the window a query times out over UDP and TCP.
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 500, Some(1500)),
+            net.query_udp(&name("ns1.op.net"), &q, 500, 1500),
             QueryOutcome::Timeout
         );
         assert_eq!(
-            net.query_tcp(&name("ns1.op.net"), &q, Some(1500)),
+            net.query_tcp(&name("ns1.op.net"), &q, 1500),
             QueryOutcome::Timeout
         );
         // Before and after the window, service is normal.
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, 500, Some(999))
+            .query_udp(&name("ns1.op.net"), &q, 500, 999)
             .into_response()
             .is_some());
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, 500, Some(2000))
-            .into_response()
-            .is_some());
-        // The timing-oblivious path never consults windows.
-        assert!(net
-            .query_udp(&name("ns1.op.net"), &q, 500, None)
+            .query_udp(&name("ns1.op.net"), &q, 500, 2000)
             .into_response()
             .is_some());
         assert_eq!(net.faults().stats().downtime_drops, 2);
@@ -535,14 +532,11 @@ mod tests {
         net.faults().script(&ns, script);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         for _ in 0..(1..=6).sum() {
-            net.query_udp(&ns, &q, u32::MAX, None);
+            net.query_udp(&ns, &q, u32::MAX, 0);
         }
         net.faults().set_down(&ns, true);
         for _ in 0..7 {
-            assert_eq!(
-                net.query_udp(&ns, &q, u32::MAX, None),
-                QueryOutcome::Timeout
-            );
+            assert_eq!(net.query_udp(&ns, &q, u32::MAX, 0), QueryOutcome::Timeout);
         }
         assert_eq!(
             net.faults().stats(),
@@ -566,16 +560,16 @@ mod tests {
         net.faults().set_down(&name("ns1.op.net"), true);
         let q = Message::query(1, name("www.example.com"), RrType::A, false);
         assert_eq!(
-            net.query_udp(&name("ns1.op.net"), &q, 1000, None),
+            net.query_udp(&name("ns1.op.net"), &q, 1000, 0),
             QueryOutcome::Timeout
         );
         assert_eq!(
-            net.query_tcp(&name("ns1.op.net"), &q, None),
+            net.query_tcp(&name("ns1.op.net"), &q, 0),
             QueryOutcome::Timeout
         );
         net.faults().set_down(&name("ns1.op.net"), false);
         assert!(net
-            .query_udp(&name("ns1.op.net"), &q, u32::MAX, None)
+            .query_udp(&name("ns1.op.net"), &q, u32::MAX, 0)
             .into_response()
             .is_some());
     }

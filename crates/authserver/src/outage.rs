@@ -3,18 +3,17 @@
 //! An [`OutageScenario`] is a named set of scheduled down-windows —
 //! which servers, from when, until when, in simulated epoch seconds.
 //! Installing one translates it into [`FaultPlane::schedule_down`]
-//! windows, which queries stamped with their sim-time
-//! ([`crate::Network::query_udp`] with `now_s`) consult. Because window membership
-//! is a pure function of the query's sim clock, a scenario plays back
-//! identically run-to-run: there is no
-//! RNG, no wall clock, and no shared mutable schedule state on the query
-//! path.
+//! windows, which every exchange consults against the sim-time it is
+//! stamped with ([`crate::Network::query_udp`]'s `now_s`). Because window
+//! membership is a pure function of the exchange's sim clock, a scenario
+//! plays back identically run-to-run: there is no RNG, no wall clock, and
+//! no shared mutable schedule state on the query path.
 //!
-//! Constructors cover the shapes the robustness experiments exercise:
-//! a sustained single-operator outage ([`OutageScenario::operator_outage`]),
-//! an arbitrary correlated window over any server set
-//! ([`OutageScenario::window`] — a TLD-wide outage is just the registry
-//! fleet), and correlated flapping ([`OutageScenario::flapping`]).
+//! Two constructors cover the shapes the robustness experiments exercise:
+//! one sustained correlated window over a server set
+//! ([`OutageScenario::operator_outage`] — an operator's fleet, or a
+//! registry's for a TLD-wide outage), and correlated flapping
+//! ([`OutageScenario::flapping`]).
 
 use dsec_wire::Name;
 
@@ -32,19 +31,6 @@ pub struct OutageWindow {
     pub until_s: u32,
 }
 
-impl OutageWindow {
-    /// The window's duration in seconds (0 for an empty interval).
-    #[cfg(test)]
-    fn duration_s(&self) -> u32 {
-        self.until_s.saturating_sub(self.from_s)
-    }
-
-    /// Whether simulated time `t` falls inside the half-open window.
-    pub fn contains(&self, t: u32) -> bool {
-        t >= self.from_s && t < self.until_s
-    }
-}
-
 /// A named, declarative outage: a list of windows installed together.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutageScenario {
@@ -55,24 +41,18 @@ pub struct OutageScenario {
 }
 
 impl OutageScenario {
-    /// A sustained outage of one operator's whole fleet: every server in
-    /// `fleet` is down for `[from_s, until_s)`.
+    /// A sustained outage of one fleet: every server in `fleet` (an
+    /// operator's, or a TLD registry's) is down for `[from_s, until_s)`.
     pub fn operator_outage(
         name: impl Into<String>,
         fleet: Vec<Name>,
         from_s: u32,
         until_s: u32,
     ) -> Self {
-        Self::window(name, fleet, from_s, until_s)
-    }
-
-    /// A single correlated window over an arbitrary server set (e.g. a
-    /// TLD registry fleet for a TLD-wide outage).
-    pub fn window(name: impl Into<String>, servers: Vec<Name>, from_s: u32, until_s: u32) -> Self {
         OutageScenario {
             name: name.into(),
             windows: vec![OutageWindow {
-                servers,
+                servers: fleet,
                 from_s,
                 until_s,
             }],
@@ -116,25 +96,6 @@ impl OutageScenario {
             }
         }
     }
-
-    /// Earliest window start (0 when the scenario has no windows).
-    #[cfg(test)]
-    fn starts_at(&self) -> u32 {
-        self.windows.iter().map(|w| w.from_s).min().unwrap_or(0)
-    }
-
-    /// Latest window end (0 when the scenario has no windows).
-    pub fn ends_at(&self) -> u32 {
-        self.windows.iter().map(|w| w.until_s).max().unwrap_or(0)
-    }
-
-    /// Whether any window is active at simulated time `t` — lets a
-    /// campaign align load phases with the scenario (e.g. "does this
-    /// rollover day overlap the outage?") without re-deriving window
-    /// arithmetic.
-    pub fn active_at(&self, t: u32) -> bool {
-        self.windows.iter().any(|w| w.contains(t))
-    }
 }
 
 #[cfg(test)]
@@ -145,33 +106,23 @@ mod tests {
         Name::parse(s).unwrap()
     }
 
-    #[test]
-    fn operator_outage_installs_one_window_per_server() {
-        let plane = FaultPlane::new();
-        let fleet = vec![name("ns1.op.net"), name("ns2.op.net")];
-        let scenario = OutageScenario::operator_outage("op-down", fleet.clone(), 100, 400);
-        scenario.install(&plane);
-        for ns in &fleet {
-            assert!(plane.scheduled_down(ns, 100));
-            assert!(plane.scheduled_down(ns, 399));
-            assert!(!plane.scheduled_down(ns, 400));
-        }
-        assert_eq!(scenario.starts_at(), 100);
-        assert_eq!(scenario.ends_at(), 400);
-        assert_eq!(scenario.windows[0].duration_s(), 300);
-        assert!(scenario.windows[0].contains(100));
-        assert!(!scenario.windows[0].contains(400));
-        assert!(scenario.active_at(250));
-        assert!(!scenario.active_at(99));
+    /// Whether an exchange with `ns` at `now_s` finds it down.
+    fn down_at(plane: &FaultPlane, ns: &Name, now_s: u32) -> bool {
+        plane.intercept(ns, now_s, None).is_some()
     }
 
     #[test]
-    fn active_at_spans_gaps_between_flap_cycles() {
-        let scenario = OutageScenario::flapping("flap", vec![name("ns1.op.net")], 1000, 60, 40, 2);
-        assert!(scenario.active_at(1030), "first down window");
-        assert!(!scenario.active_at(1070), "up gap is not active");
-        assert!(scenario.active_at(1130), "second down window");
-        assert!(!scenario.active_at(1160), "after the last window");
+    fn operator_outage_installs_one_window_per_server() {
+        let plane = FaultPlane::new();
+        plane.enable(1);
+        let fleet = vec![name("ns1.op.net"), name("ns2.op.net")];
+        OutageScenario::operator_outage("op-down", fleet.clone(), 100, 400).install(&plane);
+        for ns in &fleet {
+            assert!(!down_at(&plane, ns, 99));
+            assert!(down_at(&plane, ns, 100));
+            assert!(down_at(&plane, ns, 399));
+            assert!(!down_at(&plane, ns, 400));
+        }
     }
 
     #[test]
@@ -182,12 +133,14 @@ mod tests {
         assert_eq!(scenario.windows[0].until_s, 1060);
         assert_eq!(scenario.windows[1].from_s, 1100);
         assert_eq!(scenario.windows[2].from_s, 1200);
-        assert_eq!(scenario.ends_at(), 1260);
+        assert_eq!(scenario.windows[2].until_s, 1260);
         let plane = FaultPlane::new();
+        plane.enable(1);
         scenario.install(&plane);
         let ns = name("ns1.op.net");
-        assert!(plane.scheduled_down(&ns, 1030), "down in cycle 0");
-        assert!(!plane.scheduled_down(&ns, 1070), "up between cycles");
-        assert!(plane.scheduled_down(&ns, 1130), "down in cycle 1");
+        assert!(down_at(&plane, &ns, 1030), "down in cycle 0");
+        assert!(!down_at(&plane, &ns, 1070), "up between cycles");
+        assert!(down_at(&plane, &ns, 1130), "down in cycle 1");
+        assert!(!down_at(&plane, &ns, 1260), "up after the last cycle");
     }
 }

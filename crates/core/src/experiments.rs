@@ -781,9 +781,10 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     // Scenarios 2 and 3 for the record: a TLD-wide registry outage and
     // correlated flapping of the victim fleet, both under the full
     // degradation stack.
+    let registry = vec![Tld::Com.registry_ns()];
     install_outage(
         world,
-        OutageScenario::window("tld-wide(.com)", vec![Tld::Com.registry_ns()], from, until),
+        OutageScenario::operator_outage("tld-wide(.com)", registry, from, until),
     );
     let (tld_run, tld_drops) = outage_phases(world, &breaker_load);
 

@@ -116,9 +116,6 @@ impl World {
     /// population adoption, renewals, audits, and CDS scans.
     pub fn tick(&mut self) {
         self.today = self.today.plus_days(1);
-        // Keep the fault plane's clock in step so flap schedules follow
-        // simulation time.
-        self.network.faults().set_day(self.today.0);
         self.apply_milestones();
         self.drain_mass_sign();
         self.population_adoption();

@@ -1121,9 +1121,11 @@ impl World {
     }
 
     /// Asks `domain`'s delegated nameservers for `rtype` through one
-    /// [`Exchange`] (DESIGN.md §18.1): `rounds` rotations over the NS set,
-    /// with neither a clock (registries and scanners see no scheduled
-    /// window) nor a latency budget beyond the rotations.
+    /// [`Exchange`] (DESIGN.md §18.1) at the start of today
+    /// (`today.epoch_seconds()`): `rounds` rotations over the NS set and
+    /// no latency budget beyond them. A scheduled outage window covering
+    /// that instant hides its servers from the scan, the audits and the
+    /// CDS polls alike, as it does from a resolver.
     fn exchange(&self, domain: &Name, rtype: RrType, rounds: u32) -> ExchangeOutcome {
         let Some(tld) = Tld::of_domain(domain) else {
             return ExchangeOutcome::NoServers;
@@ -1135,7 +1137,7 @@ impl World {
             ..RetryPolicy::default()
         };
         let query = Message::query(0, domain.clone(), rtype, true);
-        Exchange::new(&self.network, policy, None).ask(&servers, &query)
+        Exchange::new(&self.network, policy, self.today.epoch_seconds()).ask(&servers, &query)
     }
 
     /// The network's fault-injection plane (chaos-campaign control).

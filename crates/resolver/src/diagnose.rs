@@ -121,7 +121,7 @@ pub fn diagnose(network: &Network, trust_anchor: &[DsRdata], target: &Name, now:
         .map(|depth| target.trim_to(depth))
         .collect();
 
-    let exchange = Exchange::new(network, RetryPolicy::default(), Some(now));
+    let exchange = Exchange::new(network, RetryPolicy::default(), now);
     let query_any = |servers: &[Name], qname: &Name, rtype: RrType| {
         let query = Message::query(0, qname.clone(), rtype, true);
         exchange.ask(servers, &query).into_response()

@@ -18,11 +18,14 @@
 //!
 //! The [`RetryPolicy`] bounds the ladder: `max_attempts` UDP exchanges,
 //! each waiting `deadline_ms`, and `budget_ms` of simulated latency across
-//! them. The caller's clock stamps every query so scheduled outage windows
-//! apply; a caller without one passes `None` and never sees a window.
-//! Health ordering, circuit breakers, the attempt counters and a budget
-//! that spans several ladders are the resolver's own state, and only it
-//! passes them.
+//! them. Every exchange has a clock, the caller's simulated epoch seconds,
+//! and stamps every query with it: a scheduled outage window covering it
+//! hides the server from the resolver and the world's scan, audits and
+//! polls alike. A window hides a server only from the queries actually
+//! sent — a scan that answers an unchanged domain from its cache asks
+//! nobody. Health ordering, circuit breakers, the attempt counters and a
+//! budget that spans several ladders are the resolver's own state, and
+//! only it passes them.
 
 use std::cell::{Cell, RefCell};
 
@@ -73,7 +76,7 @@ impl ExchangeOutcome {
 pub struct Exchange<'a> {
     pub(crate) network: &'a Network,
     pub(crate) policy: RetryPolicy,
-    pub(crate) now: Option<u32>,
+    pub(crate) now: u32,
     // The resolver's hooks (see the module docs); breakers are driven by
     // the exchange's clock.
     pub(crate) health: Option<&'a HealthCache>,
@@ -86,7 +89,7 @@ pub struct Exchange<'a> {
 impl<'a> Exchange<'a> {
     /// An exchange over `network` bounded by `policy`, stamping its
     /// queries with the caller's clock `now` (epoch seconds).
-    pub fn new(network: &'a Network, policy: RetryPolicy, now: Option<u32>) -> Self {
+    pub fn new(network: &'a Network, policy: RetryPolicy, now: u32) -> Self {
         Exchange {
             network,
             policy,
@@ -138,7 +141,7 @@ impl<'a> Exchange<'a> {
                     break 'ladder;
                 }
                 if let Some(breaker) = self.breaker {
-                    if !breaker.allow(ns, self.clock()) {
+                    if !breaker.allow(ns, self.now) {
                         stats.borrow_mut().breaker_short_circuits += 1;
                         continue;
                     }
@@ -180,7 +183,7 @@ impl<'a> Exchange<'a> {
                                         health.record_success(ns);
                                     }
                                     if let Some(breaker) = self.breaker {
-                                        breaker.record_success(ns, self.clock());
+                                        breaker.record_success(ns, self.now);
                                     }
                                     return ExchangeOutcome::Answered {
                                         response,
@@ -199,7 +202,7 @@ impl<'a> Exchange<'a> {
                         // server is alive: the breaker only guards against
                         // transport-level outages.
                         if let Some(breaker) = self.breaker {
-                            breaker.record_success(ns, self.clock());
+                            breaker.record_success(ns, self.now);
                         }
                         if matches!(response.rcode, Rcode::ServFail | Rcode::Refused) {
                             stats.borrow_mut().error_rcodes += 1;
@@ -251,12 +254,6 @@ impl<'a> Exchange<'a> {
         }
     }
 
-    /// The clock breakers are driven by (only the resolver passes a
-    /// breaker, and always with a clock).
-    fn clock(&self) -> u32 {
-        self.now.unwrap_or(0)
-    }
-
     /// A transport-level failure against `ns`: penalized, and counted
     /// against its breaker (a trip when this failure opened it).
     fn note_failure(&self, ns: &Name, stats: &RefCell<ResolverStatsSnapshot>) {
@@ -264,7 +261,7 @@ impl<'a> Exchange<'a> {
             health.record_failure(ns);
         }
         if let Some(breaker) = self.breaker {
-            if breaker.record_failure(ns, self.clock()) {
+            if breaker.record_failure(ns, self.now) {
                 stats.borrow_mut().breaker_trips += 1;
             }
         }

@@ -733,7 +733,7 @@ impl Resolver {
             breaker: self.breaker.as_ref(),
             stats: Some(&self.stats),
             spent: Some(&self.budget_spent),
-            ..Exchange::new(&self.network, self.policy, Some(now))
+            ..Exchange::new(&self.network, self.policy, now)
         };
         match exchange.ask(servers, &query) {
             ExchangeOutcome::Answered { response, .. }

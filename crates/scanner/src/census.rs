@@ -295,7 +295,8 @@ pub fn poison_census(
 /// authoritative answered.
 fn authoritative_a(world: &World, d: &Domain, qname: &Name) -> Option<Vec<Ipv4Addr>> {
     let query = Message::query(0, qname.clone(), RrType::A, true);
-    let response = Exchange::new(&world.network, RetryPolicy::default(), None)
+    let now = world.today.epoch_seconds();
+    let response = Exchange::new(&world.network, RetryPolicy::default(), now)
         .ask(&world.registry(d.tld).ns_of(&d.name), &query)
         .into_response()
         .filter(|r| !matches!(r.rcode, Rcode::ServFail | Rcode::Refused))?;

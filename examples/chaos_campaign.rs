@@ -3,15 +3,18 @@
 //! Part 1 (E-R1): builds the same tiny population twice, runs one scan
 //! campaign over a clean network and one with the fault plane injecting
 //! a 5% drop/SERVFAIL mix plus a flapping nameserver fleet, then
-//! compares the two and prints the degradation record.
+//! compares the two and prints the degradation record. The flapping
+//! fleet is down on the cold-scan day; its domain must read unreachable
+//! in the first snapshot and observed in every later one.
 //!
 //! Part 2 (E-R2): graceful degradation under sustained outages — the
 //! serve-stale / negative-caching / circuit-breaker contract against
 //! declarative outage scenarios, plus a live breaker transition log and
 //! a phase-by-phase availability timeline.
 //!
-//! Exits nonzero unless both robustness experiments reproduce (the CI
-//! examples-smoke job runs this binary).
+//! Exits nonzero unless both robustness experiments reproduce and the
+//! flapping fleet is seen as above (the CI examples-smoke job runs this
+//! binary).
 //!
 //! Run with: `cargo run --release --example chaos_campaign`
 
@@ -122,25 +125,39 @@ fn main() {
     let clean_store = scan_campaign(&mut clean.world, &CampaignConfig::new(until, 7));
 
     // Same world, degraded network: 5% drop/SERVFAIL mix everywhere and
-    // one registrar fleet flapping 2-days-up / 1-day-down.
+    // one fleet flapping 1-day-down / 2-days-up from the cold-scan day.
     let mut chaos = build(&PopulationConfig::tiny());
     chaos.world.fault_plane().enable(CHAOS_SEED);
     chaos
         .world
         .fault_plane()
         .set_global_profile(FaultProfile::mixed(0.05));
-    let delegations = chaos.world.registry(Tld::Com).delegations();
-    for ns in chaos.world.registry(Tld::Com).ns_of(&delegations[0]) {
-        chaos.world.fault_plane().flap_server(&ns, 2, 1);
-    }
+    let com = chaos.world.registry(Tld::Com);
+    let delegations = com.delegations();
+    let flapper = delegations[0].clone();
+    let flap_operator = com.operator_of(&flapper).expect("delegated").to_string();
+    // Ten 3-day cycles cover the 28-day campaign.
+    let (day, today) = (86_400, chaos.world.today.epoch_seconds());
+    OutageScenario::flapping("flap", com.ns_of(&flapper), today, day, 2 * day, 10)
+        .install(chaos.world.fault_plane());
     // …and one fleet dead for the whole window: its domains must show up
     // as unreachable, not silently misclassified.
     if let Some(last) = delegations.last() {
-        for ns in chaos.world.registry(Tld::Com).ns_of(last) {
+        for ns in com.ns_of(last) {
             chaos.world.fault_plane().set_down(&ns, true);
         }
     }
     let chaos_store = scan_campaign(&mut chaos.world, &CampaignConfig::new(until, 7));
+    // The flapping fleet is down on the cold-scan day, so its domain is
+    // unreachable then; a later scan reaches it (or answers it from the
+    // cache once observed), so it is observed in every later snapshot.
+    let flap_unobserved: Vec<u64> = chaos_store
+        .snapshots()
+        .iter()
+        .map(|s| s.operator_totals(&flap_operator, &[Tld::Com]).unobserved())
+        .collect();
+    let flap_seen = flap_unobserved.first().is_some_and(|&n| n > 0)
+        && flap_unobserved[1..].iter().all(|&n| n == 0);
 
     let result = experiment_chaos(&clean_store, &chaos_store);
     println!("{}", result.to_markdown());
@@ -152,6 +169,7 @@ fn main() {
         chaos.world.network.query_count(),
         chaos.world.network.tcp_query_count(),
     );
+    println!("flapping fleet of {flapper}: unobserved per snapshot {flap_unobserved:?}");
     println!(
         "\nverdict: {}",
         if result.reproduced() {
@@ -174,7 +192,7 @@ fn main() {
         }
     );
 
-    if !result.reproduced() || !outage.reproduced() {
+    if !result.reproduced() || !outage.reproduced() || !flap_seen {
         std::process::exit(1);
     }
 }

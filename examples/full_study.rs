@@ -10,6 +10,9 @@
 //! cargo run --release --example full_study            # default 1:2000
 //! DSEC_SCALE=20000 cargo run --release --example full_study   # faster
 //! ```
+//!
+//! Exits nonzero unless every study experiment and extension (E-X1…E-X3)
+//! reproduces; some checkpoints hold only at the default scale.
 
 use dsec::core::{
     experiment_cds_bootstrap, experiment_default_signing_ablation, experiment_rollover, run_study,
@@ -89,5 +92,14 @@ fn main() {
     println!("{}", output.to_markdown());
     for e in &extensions {
         println!("{}", e.to_markdown());
+    }
+    if !output
+        .experiments
+        .iter()
+        .chain(&extensions)
+        .all(|e| e.reproduced())
+    {
+        eprintln!("not every experiment reproduced");
+        std::process::exit(1);
     }
 }

@@ -33,7 +33,8 @@ fn signed_domain(world: &World) -> Name {
 /// client uses.
 fn ask(world: &World, servers: &[Name], qname: &Name, rtype: RrType) -> Option<Message> {
     let query = Message::query(1, qname.clone(), rtype, true);
-    Exchange::new(&world.network, RetryPolicy::default(), None)
+    let now = world.today.epoch_seconds();
+    Exchange::new(&world.network, RetryPolicy::default(), now)
         .ask(servers, &query)
         .into_response()
 }

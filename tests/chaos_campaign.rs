@@ -5,15 +5,21 @@
 //!   the fault-oblivious scanner, with zero degradation counts;
 //! * a seeded drop/SERVFAIL mix → the campaign completes, records
 //!   nonzero unreachable/indeterminate counts, and never loses domains;
-//! * same seed → byte-identical snapshots.
+//! * same seed → byte-identical snapshots;
+//! * one clock: a scheduled outage window hides a fleet from the scan
+//!   and the world's observation on the day it covers, as it does from
+//!   a resolver.
 
 use std::sync::Arc;
 
 use dsec::authserver::{FaultProfile, OutageScenario};
 use dsec::ecosystem::{Tld, ALL_TLDS};
-use dsec::resolver::{BreakerPolicy, Cache, Resolver};
-use dsec::scanner::{largest_operator_fleet, scan_campaign, CampaignConfig, OperatorStats};
+use dsec::resolver::{BreakerPolicy, Cache, ExchangeOutcome, Resolver};
+use dsec::scanner::{
+    largest_operator_fleet, scan_campaign, CampaignConfig, OperatorStats, Snapshot,
+};
 use dsec::traffic::{run_load_shared, LoadConfig};
+use dsec::wire::Name;
 use dsec::wire::RrType;
 use dsec::workloads::{build, PopulationConfig};
 
@@ -250,5 +256,42 @@ fn same_seed_chaos_runs_are_identical_across_thread_counts() {
     for (a, b) in first.snapshots().iter().zip(second.snapshots()) {
         assert_eq!(a.date, b.date);
         assert_eq!(a.cells, b.cells, "fault decisions are the seed's");
+    }
+}
+
+#[test]
+fn a_window_over_the_scan_day_hides_the_fleet_from_the_scan() {
+    let mut pw = build(&PopulationConfig::tiny());
+    let (victim, fleet) = largest_operator_fleet(&pw.world, None);
+    let day = pw.world.today.epoch_seconds();
+    pw.world.fault_plane().enable(CHAOS_SEED);
+    OutageScenario::operator_outage("scan-day", fleet.clone(), day, day + 86_400)
+        .install(pw.world.fault_plane());
+    let world = &pw.world;
+    let hosted: Vec<Name> = world
+        .domains()
+        .filter(|d| fleet.contains(&world.registry(d.tld).ns_of(&d.name)[0]))
+        .map(|d| d.name.clone())
+        .collect();
+
+    // The scan day: the world's exchanges carry today's clock, so the
+    // window hides the fleet from an uncached scan and from `observe`.
+    let down = Snapshot::take(world).operator_totals(&victim, &ALL_TLDS);
+    assert_eq!(down.domains, hosted.len() as u64);
+    assert_eq!(
+        down.unreachable, down.domains,
+        "every victim domain unreachable"
+    );
+    for domain in &hosted {
+        assert_eq!(world.observe(domain, 1).1, ExchangeOutcome::Unreachable);
+    }
+
+    // The next day the window is over: the fleet answers again.
+    pw.world.tick();
+    let up = Snapshot::take(&pw.world).operator_totals(&victim, &ALL_TLDS);
+    assert!(up.domains > 0);
+    assert_eq!(up.unobserved(), 0, "every victim domain observed");
+    for domain in &hosted {
+        assert_ne!(pw.world.observe(domain, 1).1, ExchangeOutcome::Unreachable);
     }
 }
