@@ -239,7 +239,7 @@ pub fn experiment_attack_plane(population: &PopulationConfig) -> ExperimentResul
     let (from, until) = outage_window(world_c, &outage);
     install_outage(
         world_c,
-        OutageScenario::operator_outage("attack-under-outage", fleet, from, until),
+        &OutageScenario::operator_outage("attack-under-outage", fleet, from, until),
     );
     let (outage_run, _) = outage_phases(world_c, &outage);
     let outage_victim_counts = outage_run

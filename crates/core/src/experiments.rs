@@ -632,7 +632,7 @@ pub(crate) fn outage_window(world: &World, config: &LoadConfig) -> (u32, u32) {
 /// scenario on the same world scheduled, and `enable` resets the attempt
 /// counters and stale zone copies, so each scenario meets the plane a
 /// fresh build would give it.
-pub(crate) fn install_outage(world: &World, scenario: OutageScenario) {
+pub(crate) fn install_outage(world: &World, scenario: &OutageScenario) {
     let plane = world.fault_plane();
     plane.clear_schedules();
     plane.enable(OUTAGE_SEED);
@@ -720,10 +720,8 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     // Scenario 1: the biggest operator's whole fleet down for all of
     // phase 2.
     let (victim, fleet) = largest_operator_fleet(world, None);
-    install_outage(
-        world,
-        OutageScenario::operator_outage("operator-outage", fleet.clone(), from, until),
-    );
+    let fleet_down = OutageScenario::operator_outage("operator-outage", fleet.clone(), from, until);
+    install_outage(world, &fleet_down);
     let (baseline, drops_baseline) = outage_phases(world, &baseline_load);
     let (stale, drops_bare) = outage_phases(world, &stale_load);
     let (brk, drops_breaker) = outage_phases(world, &breaker_load);
@@ -782,17 +780,13 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
     // correlated flapping of the victim fleet, both under the full
     // degradation stack.
     let registry = vec![Tld::Com.registry_ns()];
-    install_outage(
-        world,
-        OutageScenario::operator_outage("tld-wide(.com)", registry, from, until),
-    );
+    let tld_down = OutageScenario::operator_outage("tld-wide(.com)", registry, from, until);
+    install_outage(world, &tld_down);
     let (tld_run, tld_drops) = outage_phases(world, &breaker_load);
 
     let flap = baseline_load.stream_span_s() / 8;
-    install_outage(
-        world,
-        OutageScenario::flapping("flapping", fleet, from, flap, flap, 4),
-    );
+    let flapping = OutageScenario::flapping("flapping", fleet, from, flap, flap, 4);
+    install_outage(world, &flapping);
     let (flap_run, flap_drops) = outage_phases(world, &breaker_load);
     result.check(
         "flapping: breaker re-closes and fresh answers return between windows",
@@ -819,15 +813,16 @@ pub fn experiment_outage(population: &PopulationConfig) -> ExperimentResult {
         "scenario           arm            avail% stale% servfail%  neg%  trips  short-cir  dead-drops\n",
     );
     for (scenario, arm, report, drops) in [
-        ("operator-outage", "baseline", &baseline, drops_baseline),
-        ("operator-outage", "serve-stale", &stale, drops_bare),
-        ("operator-outage", "stale+breaker", &brk, drops_breaker),
-        ("tld-wide(.com)", "stale+breaker", &tld_run, tld_drops),
-        ("flapping", "stale+breaker", &flap_run, flap_drops),
+        (&fleet_down, "baseline", &baseline, drops_baseline),
+        (&fleet_down, "serve-stale", &stale, drops_bare),
+        (&fleet_down, "stale+breaker", &brk, drops_breaker),
+        (&tld_down, "stale+breaker", &tld_run, tld_drops),
+        (&flapping, "stale+breaker", &flap_run, flap_drops),
     ] {
         let pct = |n: u64| 100.0 * n as f64 / report.total.max(1) as f64;
         artifact.push_str(&format!(
-            "{scenario:<18} {arm:<14} {:>6.1} {:>6.1} {:>9.1} {:>5.1} {:>6} {:>9} {:>10}\n",
+            "{:<18} {arm:<14} {:>6.1} {:>6.1} {:>9.1} {:>5.1} {:>6} {:>9} {:>10}\n",
+            scenario.name,
             100.0 * report.availability(),
             pct(report.outcomes.stale),
             pct(report.outcomes.servfail),

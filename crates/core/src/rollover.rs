@@ -256,7 +256,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     let (from, until) = outage_window(world_c, &outage);
     install_outage(
         world_c,
-        OutageScenario::operator_outage("rollover-collision", fleet, from, until),
+        &OutageScenario::operator_outage("rollover-collision", fleet, from, until),
     );
     let (outage_run, _) = outage_phases(world_c, &outage);
     let outage_victim_counts = outage_run

@@ -16,19 +16,24 @@ use dsec_dnssec::{CdsAction, CdsScan};
 /// holds the candidates hosted at `World::third_parties[i]`.
 const HOSTED: usize = 0;
 
+/// One opt-in candidate and its daily hazard: the hosting registrar's in
+/// the [`HOSTED`] slot, the third party's in its own.
+type Candidate = (DomainId, f64);
+
 /// Incrementally maintained inputs of the daily passes.
 ///
 /// **Invalidation contract** (DESIGN.md §9): the worklists are exactly
 /// the domains [`World::adoption_slot`] accepts, in canonical name order,
-/// whenever `worklists_fresh` is set. Every path that could *add* a
-/// candidate or change eligibility — a new domain, a hosting change, a
-/// hazard or policy change — calls [`TickState::invalidate_worklists`];
+/// each with the hazard it returns, whenever `worklists_fresh` is set.
+/// Every path that could *add* a candidate or change eligibility or a
+/// hazard — a new domain, a hosting change, a hazard or policy change —
+/// calls [`TickState::invalidate_worklists`];
 /// signing removes the one domain in place ([`World::set_keys`]).
 /// Renewal buckets are exact at all times: every write of
 /// `Domain::expires` moves the domain between buckets.
 #[derive(Default)]
 pub(super) struct TickState {
-    worklists: Vec<Vec<DomainId>>,
+    worklists: Vec<Vec<Candidate>>,
     worklists_fresh: bool,
     /// Expiry day → domains renewing that day (unordered within a
     /// bucket).
@@ -142,18 +147,20 @@ impl World {
 
     // -------------------------------------------------------- worklists --
 
-    /// The opt-in worklist `d` belongs on, if it is a candidate: unsigned,
-    /// and hosted where opting in is possible at all. Time-dependent
-    /// conditions (a third party's launch day) stay with the daily pass.
-    fn adoption_slot(&self, d: &Domain) -> Option<usize> {
+    /// The opt-in worklist `d` belongs on and its daily hazard there, if
+    /// it is a candidate: unsigned, and hosted where opting in is
+    /// possible at all. Time-dependent conditions (a third party's launch
+    /// day) stay with the daily pass.
+    fn adoption_slot(&self, d: &Domain) -> Option<(usize, f64)> {
         if d.keys.is_some() {
             return None;
         }
         match d.hosting {
             Hosting::Registrar { .. } => {
                 let registrar = &self.registrars[d.registrar.0 as usize];
-                (registrar.daily_optin_hazard > 0.0 && registrar.policy.operator_dnssec.supported())
-                    .then_some(HOSTED)
+                let hazard = registrar.daily_optin_hazard;
+                (hazard > 0.0 && registrar.policy.operator_dnssec.supported())
+                    .then_some((HOSTED, hazard))
             }
             Hosting::ThirdParty { operator } => self
                 .third_parties
@@ -163,17 +170,17 @@ impl World {
                         && tp.dnssec_launch.is_some()
                         && tp.daily_optin_hazard > 0.0
                 })
-                .map(|i| 1 + i),
+                .map(|i| (1 + i, self.third_parties[i].daily_optin_hazard)),
             Hosting::Owner => None,
         }
     }
 
     /// All opt-in worklists by one clone-free sweep in canonical order.
-    fn sweep_worklists(&self) -> Vec<Vec<DomainId>> {
+    fn sweep_worklists(&self) -> Vec<Vec<Candidate>> {
         let mut lists = vec![Vec::new(); 1 + self.third_parties.len()];
         for (id, d) in self.entries() {
-            if let Some(slot) = self.adoption_slot(d) {
-                lists[slot].push(id);
+            if let Some((slot, hazard)) = self.adoption_slot(d) {
+                lists[slot].push((id, hazard));
             }
         }
         lists
@@ -191,12 +198,12 @@ impl World {
     /// the domain off its opt-in worklist in place.
     pub(super) fn set_keys(&mut self, id: DomainId, keys: ZoneKeys) {
         if self.tick.worklists_fresh {
-            if let Some(slot) = self.adoption_slot(self.domains.at(id)) {
+            if let Some((slot, _)) = self.adoption_slot(self.domains.at(id)) {
                 let ranks = DomainRanks::new(&self.registries);
                 let list = &mut self.tick.worklists[slot];
                 // Absent only while a pass has the list checked out; the
                 // pass drops signed domains itself before returning it.
-                if let Ok(pos) = list.binary_search_by_key(&ranks.of(id), |&r| ranks.of(r)) {
+                if let Ok(pos) = list.binary_search_by_key(&ranks.of(id), |&(r, _)| ranks.of(r)) {
                     list.remove(pos);
                 }
             }
@@ -213,9 +220,10 @@ impl World {
         self.tick.invalidate_worklists();
     }
 
-    /// Recomputes the opt-in worklists and renewal buckets by full sweep,
-    /// re-audits every memoized verdict that would be reused today, and
-    /// compares all of it with the cached state (test support).
+    /// Recomputes the opt-in worklists (ids and hazards) and renewal
+    /// buckets by full sweep, re-audits every memoized verdict that would
+    /// be reused today, and compares all of it with the cached state
+    /// (test support).
     #[doc(hidden)]
     pub fn check_tick_indices(&self) -> Result<(), String> {
         if self.tick.worklists_fresh {
@@ -227,10 +235,17 @@ impl World {
                     swept.len()
                 ));
             }
+            // Entries compare id and hazard alike: a hazard change that
+            // keeps every candidate still stales the list.
             if let Some(slot) = (0..swept.len()).find(|&slot| cached[slot] != swept[slot]) {
+                let (cached, swept) = (&cached[slot], &swept[slot]);
+                let at = (0..)
+                    .find(|&i| cached.get(i) != swept.get(i))
+                    .expect("lists differ");
                 return Err(format!(
-                    "opt-in worklist {slot} diverged: cached {:?}, swept {:?}",
-                    cached[slot], swept[slot]
+                    "opt-in worklist {slot} diverged at entry {at}: cached {:?}, swept {:?}",
+                    cached.get(at),
+                    swept.get(at)
                 ));
             }
         }
@@ -380,16 +395,16 @@ impl World {
     /// Checks the worklist at `slot` out for a pass. The day's candidates
     /// are fixed before its draws, so the pass iterates the checked-out
     /// list and hands it back through [`World::return_worklist`].
-    fn take_worklist(&mut self, slot: usize) -> Vec<DomainId> {
+    fn take_worklist(&mut self, slot: usize) -> Vec<Candidate> {
         self.ensure_worklists();
         std::mem::take(&mut self.tick.worklists[slot])
     }
 
     /// Hands a checked-out worklist back, minus the domains the pass
     /// signed.
-    fn return_worklist(&mut self, slot: usize, mut list: Vec<DomainId>, signed_any: bool) {
+    fn return_worklist(&mut self, slot: usize, mut list: Vec<Candidate>, signed_any: bool) {
         if signed_any {
-            list.retain(|&id| self.domains.at(id).keys.is_none());
+            list.retain(|&(id, _)| self.domains.at(id).keys.is_none());
         }
         self.tick.worklists[slot] = list;
     }
@@ -398,9 +413,7 @@ impl World {
         // Exactly one draw per candidate, in canonical order.
         let candidates = self.take_worklist(HOSTED);
         let mut signed_any = false;
-        for &id in &candidates {
-            let registrar = self.domains.at(id).registrar;
-            let hazard = self.registrars[registrar.0 as usize].daily_optin_hazard;
+        for &(id, hazard) in &candidates {
             if self.rng.random::<f64>() < hazard {
                 let name = self.domains.at(id).name.clone();
                 let _ = self.sign_hosted_at(id, &name);
@@ -413,14 +426,14 @@ impl World {
     fn third_party_adoption(&mut self) {
         for idx in 0..self.third_parties.len() {
             let tp = &self.third_parties[idx];
-            let (hazard, relay) = (tp.daily_optin_hazard, tp.relay_success);
+            let relay = tp.relay_success;
             match tp.dnssec_launch {
-                Some(launch) if self.today >= launch && hazard > 0.0 => {}
+                Some(launch) if self.today >= launch && tp.daily_optin_hazard > 0.0 => {}
                 _ => continue,
             }
             let candidates = self.take_worklist(1 + idx);
             let mut signed_any = false;
-            for &id in &candidates {
+            for &(id, hazard) in &candidates {
                 if self.rng.random::<f64>() >= hazard {
                     continue;
                 }

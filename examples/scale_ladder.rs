@@ -236,8 +236,8 @@ fn main() {
     // for the record. The gate needs a meaningful baseline: a short smoke
     // window at 1:2000 leaves the previous rung's campaign share down in
     // allocator noise, so the assert arms only when it clears a floor
-    // (1:2000's campaign share is ~37 MiB over the smoke window, ~75 MiB
-    // over the full one).
+    // (1:2000's campaign share is ~37 MiB over the smoke window; over the
+    // full one `BENCH_scale.json` records 55.5 MiB).
     const CAMPAIGN_GATE_FLOOR_MB: f64 = 24.0;
     let (rss_growth, campaign_rss_growth, population_growth) = if runs.len() >= 2 {
         let prev = &runs[runs.len() - 2];

@@ -3,6 +3,16 @@
 //! API-compatible with the subset this workspace uses: `rngs::StdRng`,
 //! `SeedableRng::{from_seed, seed_from_u64}`, `RngCore`, and
 //! `Rng::{random, random_range, random_bool}`.
+//!
+//! `StdRng` buffers eight ChaCha12 blocks (128 words) per refill, at
+//! block counters `c … c+7`, so its word stream is the one a
+//! block-at-a-time generator makes. The refill runs an AVX2 kernel when
+//! the CPU reports AVX2 at run time, and the scalar block function
+//! otherwise; the `chacha` module holds both, the scalar one doubling as
+//! the kernel's test reference.
+
+#[doc(hidden)]
+pub mod chacha;
 
 pub trait RngCore {
     fn next_u32(&mut self) -> u32;
@@ -152,56 +162,25 @@ pub trait Rng: RngCore {
 impl<R: RngCore> Rng for R {}
 
 pub mod rngs {
+    use super::chacha::{self, BLOCKS, BUF_WORDS};
     use super::{RngCore, SeedableRng};
 
     /// ChaCha12-based deterministic RNG (same core as rand 0.9's StdRng).
     #[derive(Debug, Clone)]
     pub struct StdRng {
         key: [u32; 8],
+        /// Counter of the first block the next refill makes.
         counter: u64,
-        buffer: [u32; 16],
+        buffer: [u32; BUF_WORDS],
         index: usize,
     }
 
     impl StdRng {
         fn refill(&mut self) {
-            const C: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-            let mut state = [0u32; 16];
-            state[..4].copy_from_slice(&C);
-            state[4..12].copy_from_slice(&self.key);
-            state[12] = self.counter as u32;
-            state[13] = (self.counter >> 32) as u32;
-            state[14] = 0;
-            state[15] = 0;
-            let mut working = state;
-            for _ in 0..6 {
-                // 6 double-rounds = 12 rounds.
-                quarter(&mut working, 0, 4, 8, 12);
-                quarter(&mut working, 1, 5, 9, 13);
-                quarter(&mut working, 2, 6, 10, 14);
-                quarter(&mut working, 3, 7, 11, 15);
-                quarter(&mut working, 0, 5, 10, 15);
-                quarter(&mut working, 1, 6, 11, 12);
-                quarter(&mut working, 2, 7, 8, 13);
-                quarter(&mut working, 3, 4, 9, 14);
-            }
-            for i in 0..16 {
-                self.buffer[i] = working[i].wrapping_add(state[i]);
-            }
-            self.counter = self.counter.wrapping_add(1);
+            chacha::blocks(&self.key, self.counter, &mut self.buffer);
+            self.counter = self.counter.wrapping_add(BLOCKS as u64);
             self.index = 0;
         }
-    }
-
-    fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-        s[a] = s[a].wrapping_add(s[b]);
-        s[d] = (s[d] ^ s[a]).rotate_left(16);
-        s[c] = s[c].wrapping_add(s[d]);
-        s[b] = (s[b] ^ s[c]).rotate_left(12);
-        s[a] = s[a].wrapping_add(s[b]);
-        s[d] = (s[d] ^ s[a]).rotate_left(8);
-        s[c] = s[c].wrapping_add(s[d]);
-        s[b] = (s[b] ^ s[c]).rotate_left(7);
     }
 
     impl SeedableRng for StdRng {
@@ -212,21 +191,20 @@ pub mod rngs {
             for (i, chunk) in seed.chunks(4).enumerate() {
                 key[i] = u32::from_le_bytes(chunk.try_into().unwrap());
             }
-            let mut rng = StdRng {
+            // The first read refills.
+            StdRng {
                 key,
                 counter: 0,
-                buffer: [0; 16],
-                index: 16,
-            };
-            rng.refill();
-            rng.index = 0;
-            rng
+                buffer: [0; BUF_WORDS],
+                index: BUF_WORDS,
+            }
         }
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u32(&mut self) -> u32 {
-            if self.index >= 16 {
+            if self.index >= BUF_WORDS {
                 self.refill();
             }
             let v = self.buffer[self.index];
@@ -234,6 +212,7 @@ pub mod rngs {
             v
         }
 
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let lo = self.next_u32() as u64;
             let hi = self.next_u32() as u64;

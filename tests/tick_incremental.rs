@@ -321,6 +321,43 @@ proptest! {
     }
 }
 
+/// Each worklist entry carries its hazard, so a hazard change that keeps
+/// every candidate on the list must still reach the cached entries —
+/// a case the random sequences above rarely build: hosted candidates of
+/// the changed registrar on a fresh list.
+#[test]
+fn a_hazard_change_that_keeps_every_candidate_reaches_the_cached_entries() {
+    let mut playground = playground();
+    let opt_in = playground.registrars[0];
+    let world = &mut playground.world;
+    let hosted = Hosting::Registrar { plan: Plan::Free };
+    let bought: Vec<Name> = (0..8)
+        .map(|i| {
+            world
+                .purchase(
+                    opt_in,
+                    &format!("Hazard{i}"),
+                    Tld::Com,
+                    hosted.clone(),
+                    "o@x",
+                )
+                .expect("a free label")
+        })
+        .collect();
+    world.tick();
+    let unsigned = bought
+        .iter()
+        .filter(|d| world.domain(d).is_some_and(|d| d.keys.is_none()))
+        .count();
+    assert!(unsigned > 0, "every candidate signed on the first day");
+    world.change_policy(opt_in, PolicyChange::SetOptInHazard(0.1));
+    world.check_tick_indices().expect("after the hazard change");
+    world.tick();
+    world
+        .check_tick_indices()
+        .expect("after the next day's draws");
+}
+
 // ---------------------------------------------------------------------------
 // (b) Golden identity with the pre-worklist `tick`.
 // ---------------------------------------------------------------------------
