@@ -21,8 +21,9 @@
 //! carries its sender's simulated epoch seconds (`now_s`), and a server
 //! is down when its kill switch ([`FaultPlane::set_down`]) is set or a
 //! scheduled window ([`FaultPlane::schedule_down`]) covers `now_s`. A
-//! window hides a server only from exchanges actually sent inside it —
-//! a scanner answering an unchanged domain from its cache sends none.
+//! window hides a server only from exchanges actually sent inside it, so
+//! a reader that answers from a cache instead of sending one asks
+//! [`FaultPlane::down_at`] which servers an exchange would find down.
 //!
 //! Determinism: every decision is a pure function of the plane's seed,
 //! the (server, qname, qtype) tuple, and a per-tuple attempt counter, so
@@ -307,6 +308,25 @@ impl FaultPlane {
         self.edit(ns, |server| server.script.extend(faults));
     }
 
+    /// The servers an exchange stamped `now_s` finds down, by kill switch
+    /// or by a window covering `now_s`, sorted. Empty while the plane is
+    /// disabled.
+    pub fn down_at(&self, now_s: u32) -> Vec<Name> {
+        if !self.is_enabled() {
+            return Vec::new();
+        }
+        let mut down: Vec<Name> = self
+            .servers
+            .borrow()
+            .by_name
+            .iter()
+            .filter(|(_, server)| server.down || server.in_window(now_s))
+            .map(|(ns, _)| ns.clone())
+            .collect();
+        down.sort_unstable();
+        down
+    }
+
     /// A copy of the injected-fault counters.
     pub fn stats(&self) -> FaultStats {
         self.stats.get()
@@ -441,8 +461,12 @@ mod tests {
 
     /// The parts of the one question the query path asks, by name.
     impl FaultPlane {
-        fn down_at(&self, ns: &Name, now_s: u32) -> bool {
-            self.intercept(ns, now_s, None).is_some()
+        /// Whether an exchange with `ns` at `now_s` finds it down; the
+        /// plane's list of downed servers must agree.
+        fn is_down(&self, ns: &Name, now_s: u32) -> bool {
+            let down = self.intercept(ns, now_s, None).is_some();
+            assert_eq!(self.down_at(now_s).contains(ns), down, "{ns} at {now_s}");
+            down
         }
 
         fn decide(&self, ns: &Name, qname: &Name, qtype: u16) -> Option<Fault> {
@@ -473,7 +497,7 @@ mod tests {
         });
         // Not enabled → profile dormant.
         assert_eq!(plane.decide(&name("ns1.op.net"), &name("x.com"), 1), None);
-        assert!(!plane.down_at(&name("ns1.op.net"), 0));
+        assert!(!plane.is_down(&name("ns1.op.net"), 0));
         assert_eq!(plane.stats().total(), 0);
     }
 
@@ -595,12 +619,12 @@ mod tests {
         let plane = FaultPlane::new();
         plane.enable(5);
         let ns = name("ns1.op.net");
-        assert!(!plane.down_at(&ns, 0));
+        assert!(!plane.is_down(&ns, 0));
         plane.set_down(&ns, true);
-        assert!(plane.down_at(&ns, 0));
-        assert!(plane.down_at(&ns, u32::MAX));
+        assert!(plane.is_down(&ns, 0));
+        assert!(plane.is_down(&ns, u32::MAX));
         plane.set_down(&ns, false);
-        assert!(!plane.down_at(&ns, 0));
+        assert!(!plane.is_down(&ns, 0));
     }
 
     #[test]
@@ -611,15 +635,15 @@ mod tests {
         plane.schedule_down(&ns, 100, 200);
         plane.schedule_down(&ns, 300, 400);
         plane.schedule_down(&ns, 500, 400); // empty interval ignored
-        assert!(!plane.down_at(&ns, 99));
-        assert!(plane.down_at(&ns, 100), "start inclusive");
-        assert!(plane.down_at(&ns, 199));
-        assert!(!plane.down_at(&ns, 200), "end exclusive");
-        assert!(plane.down_at(&ns, 350), "second window");
-        assert!(!plane.down_at(&ns, 450));
+        assert!(!plane.is_down(&ns, 99));
+        assert!(plane.is_down(&ns, 100), "start inclusive");
+        assert!(plane.is_down(&ns, 199));
+        assert!(!plane.is_down(&ns, 200), "end exclusive");
+        assert!(plane.is_down(&ns, 350), "second window");
+        assert!(!plane.is_down(&ns, 450));
         assert_eq!(plane.stats().downtime_drops, 3);
         plane.clear_schedules();
-        assert!(!plane.down_at(&ns, 150));
+        assert!(!plane.is_down(&ns, 150));
     }
 
     #[test]
@@ -627,7 +651,7 @@ mod tests {
         let plane = FaultPlane::new();
         let ns = name("ns1.op.net");
         plane.schedule_down(&ns, 0, 1000);
-        assert!(!plane.down_at(&ns, 500), "dormant plane injects nothing");
+        assert!(!plane.is_down(&ns, 500), "dormant plane injects nothing");
         assert_eq!(plane.stats().downtime_drops, 0);
     }
 

@@ -56,14 +56,14 @@ pub struct Registry {
     pub discounts_cents: BTreeMap<RegistrarId, u64>,
     /// Incentive bookkeeping: validation failures per registrar.
     pub audit_failures: BTreeMap<RegistrarId, u64>,
-    /// Columnar per-delegation state: sponsor, change generation,
-    /// liveness and DNS operator in dense row-indexed columns (see
-    /// [`DomainTable`]). The operator column is written only with the NS
-    /// records it is derived from.
+    /// Columnar per-delegation state: sponsor, change generation and DNS
+    /// operator in dense row-indexed columns (see [`DomainTable`]). The
+    /// operator column is written only with the NS records it is derived
+    /// from.
     /// The generation column is bumped on every registry-side edit a
-    /// scanner could observe (delegation added/removed, NS set replaced,
-    /// DS set replaced); the incremental scan cache keys its entries on
-    /// it so an unchanged domain is never re-queried.
+    /// scanner could observe (delegation added, NS set replaced, DS set
+    /// replaced); the incremental scan cache keys its entries on it so an
+    /// unchanged domain is never re-queried.
     table: DomainTable,
 }
 
@@ -137,24 +137,24 @@ impl Registry {
         }
     }
 
-    /// The change generation of `domain` (0 = never seen). Any edit that
+    /// The change generation of `domain` (0 = not delegated). Any edit that
     /// changes what a scan of the TLD zone would observe bumps this;
     /// sponsorship transfers do not (they are invisible on the wire).
     pub fn generation_of(&self, domain: &Name) -> u64 {
         self.table.generation_of(domain)
     }
 
-    fn bump_generation(&mut self, domain: &Name) {
-        let row = self.table.intern_row(domain);
-        self.table.bump(row);
-    }
-
     /// Folds a zone-side edit (signing, hosting change — anything the
-    /// [`World`](crate::World) observes outside the registry) into the
-    /// same per-delegation counter, so [`Registry::generation_of`] is the
-    /// single map probe on the scan hot path.
+    /// [`World`](crate::World) observes outside the registry) of a
+    /// delegated `domain` into the same per-delegation counter, so
+    /// [`Registry::generation_of`] is the single map probe on the scan hot
+    /// path.
     pub(crate) fn note_external_change(&mut self, domain: &Name) {
-        self.bump_generation(domain);
+        let row = self
+            .table
+            .row_of(domain)
+            .expect("the world edits its delegations");
+        self.table.bump(row);
     }
 
     /// The authority serving this TLD zone (register it on the network
@@ -195,9 +195,7 @@ impl Registry {
         }
         let operator = first_operator(domain, ns_hosts)?;
         self.write_ns(domain, ns_hosts);
-        let row = self.table.intern_row(domain);
-        self.table.set_live(row, registrar);
-        self.table.set_operator(row, operator);
+        let row = self.table.add_row(domain, registrar, operator);
         self.table.bump(row);
         Ok(())
     }
@@ -210,10 +208,9 @@ impl Registry {
         domain: &Name,
         ns_hosts: &[Name],
     ) -> Result<(), RegistryError> {
-        self.check_sponsor(registrar, domain)?;
+        let row = self.check_sponsor(registrar, domain)?;
         let operator = first_operator(domain, ns_hosts)?;
         self.write_ns(domain, ns_hosts);
-        let row = self.table.intern_row(domain);
         self.table.set_operator(row, operator);
         self.table.bump(row);
         Ok(())
@@ -240,7 +237,7 @@ impl Registry {
         domain: &Name,
         ds_set: &[DsRdata],
     ) -> Result<(), RegistryError> {
-        self.check_sponsor(registrar, domain)?;
+        let row = self.check_sponsor(registrar, domain)?;
         let keys = &self.keys;
         let signer = &self.signer;
         self.authority.with_zone_mut(&keys.zone, |zone| {
@@ -257,7 +254,7 @@ impl Registry {
             let sig = sign_rrset(&rrset, &keys.zsk, keys.zsk_tag(), &keys.zone, signer);
             zone.add(sig).expect("DS RRSIG in zone");
         });
-        self.bump_generation(domain);
+        self.table.bump(row);
         Ok(())
     }
 
@@ -270,25 +267,6 @@ impl Registry {
         self.set_ds(registrar, domain, &[])
     }
 
-    /// Drops a delegation entirely.
-    pub fn remove_delegation(
-        &mut self,
-        registrar: RegistrarId,
-        domain: &Name,
-    ) -> Result<(), RegistryError> {
-        self.check_sponsor(registrar, domain)?;
-        self.authority.with_zone_mut(&self.keys.zone, |zone| {
-            zone.remove_name(domain);
-        });
-        let row = self.table.intern_row(domain);
-        self.table.set_dead(row);
-        // Keep (and bump) the generation column: if the name is later
-        // re-registered its generation must not restart from a value a
-        // stale cache entry could collide with.
-        self.table.bump(row);
-        Ok(())
-    }
-
     /// Transfers sponsorship of a delegation to another accredited
     /// registrar (reseller partner migration at renewal).
     pub fn transfer(
@@ -297,11 +275,10 @@ impl Registry {
         to: RegistrarId,
         domain: &Name,
     ) -> Result<(), RegistryError> {
-        self.check_sponsor(from, domain)?;
+        let row = self.check_sponsor(from, domain)?;
         if !self.is_accredited(to) {
             return Err(RegistryError::NotAccredited(to));
         }
-        let row = self.table.intern_row(domain);
         self.table.set_sponsor(row, to);
         Ok(())
     }
@@ -345,7 +322,7 @@ impl Registry {
     /// Every delegated second-level domain (the "zone file" the scanner
     /// enumerates, as OpenINTEL does). Served from the sponsorship table,
     /// which mirrors the zone's delegation set by construction — every
-    /// add/remove goes through the registry (the paper's structural
+    /// delegation goes through the registry (the paper's structural
     /// constraint), so no zone lock or record filtering is needed.
     pub fn delegations(&self) -> Vec<Name> {
         self.delegation_names().cloned().collect()
@@ -359,49 +336,38 @@ impl Registry {
         self.table.ordered_names()
     }
 
-    /// The row `domain` has in this registry's columns, live or dead:
-    /// the world's one `Name` probe per domain.
+    /// The row `domain` has in this registry's columns: the world's one
+    /// `Name` probe per domain.
     pub(crate) fn row_of(&self, domain: &Name) -> Option<u32> {
         self.table.row_of(domain)
     }
 
-    /// The columnar scan edge: live delegations in canonical order as
+    /// The columnar scan edge: delegations in canonical order as
     /// `(row, &name, generation)`. The row is a stable per-registry
-    /// handle (it survives nothing — dead rows are skipped, but a
-    /// re-registered name keeps its row), so incremental consumers can
-    /// key caches on a [`DomainId`](crate::DomainId) instead of the
-    /// name, and the
+    /// handle, so incremental consumers can key caches on a
+    /// [`DomainId`](crate::DomainId) instead of the name, and the
     /// generation comes out of the same column sweep instead of a
     /// per-domain map probe.
     pub fn delegations_columnar(&self) -> OrderedRows<'_> {
         self.table.ordered()
     }
 
-    /// Canonical positions of the live delegations' columnar rows: rows
+    /// Canonical positions of the delegations' columnar rows: rows
     /// sorted by [`Ranks::of`] come out in [`Registry::delegations_columnar`]
     /// order.
     pub fn delegation_ranks(&self) -> Ranks<'_> {
         self.table.ranks()
     }
 
-    /// Number of live delegations, without enumerating them.
+    /// Number of delegations, without enumerating them: every columnar
+    /// row is below it.
     pub fn delegation_count(&self) -> usize {
-        self.table.live_count()
-    }
-
-    /// How many columnar rows this registry has handed out, live or
-    /// dead: every row [`Registry::delegation_at`] can answer is below
-    /// it.
-    pub fn delegation_rows(&self) -> usize {
         self.table.row_count()
     }
 
-    /// The delegation at columnar `row` as `(&name, generation)`, or
-    /// `None` if that row is not currently delegated.
-    pub fn delegation_at(&self, row: u32) -> Option<(&Name, u64)> {
-        self.table
-            .is_live(row)
-            .then(|| (self.table.name(row), self.table.generation(row)))
+    /// The delegation at columnar `row` as `(&name, generation)`.
+    pub fn delegation_at(&self, row: u32) -> (&Name, u64) {
+        (self.table.name(row), self.table.generation(row))
     }
 
     /// The end of this registry's change journal (see
@@ -412,19 +378,16 @@ impl Registry {
     }
 
     /// The rows whose generation was bumped since `cursor`, one per bump
-    /// (delegations added, removed, or edited; dead rows included), or
-    /// `None` when `cursor` belongs to another registry or reaches back
-    /// further than the journal remembers — sweep
-    /// [`Registry::delegations_columnar`] instead.
+    /// (delegations added or edited), or `None` when `cursor` belongs to
+    /// another registry or reaches back further than the journal
+    /// remembers — sweep [`Registry::delegations_columnar`] instead.
     pub fn changes_since(&self, cursor: JournalCursor) -> Option<&[u32]> {
         self.table.changes_since(cursor)
     }
 
     /// The sponsoring registrar of `domain`.
     pub fn sponsor_of(&self, domain: &Name) -> Option<RegistrarId> {
-        self.table
-            .row_of(domain)
-            .and_then(|row| self.table.sponsor(row))
+        self.table.row_of(domain).map(|row| self.table.sponsor(row))
     }
 
     /// The DNS operator of `domain`: the
@@ -438,12 +401,14 @@ impl Registry {
 
     /// [`Registry::operator_of`] as an id into [`Registry::operators`].
     pub fn operator_id_of(&self, domain: &Name) -> Option<u32> {
-        self.table.operator(self.table.row_of(domain)?)
+        self.table
+            .row_of(domain)
+            .map(|row| self.table.operator(row))
     }
 
-    /// The operator id at columnar `row`, or `None` if that row is not
-    /// currently delegated.
-    pub fn operator_at(&self, row: u32) -> Option<u32> {
+    /// The operator id at columnar `row`. Every delegation has one
+    /// ([`RegistryError::EmptyNsSet`]).
+    pub fn operator_at(&self, row: u32) -> u32 {
         self.table.operator(row)
     }
 
@@ -465,9 +430,7 @@ impl Registry {
     /// [`Registry::record_audit`] by table row (the daily audit pass
     /// enumerates rows, not names).
     pub(crate) fn record_audit_row(&mut self, row: u32, passed: bool) {
-        let Some(sponsor) = self.table.sponsor(row) else {
-            return;
-        };
+        let sponsor = self.table.sponsor(row);
         if passed {
             if let Some(incentive) = self.tld.incentive() {
                 // Daily accrual of the yearly discount.
@@ -491,16 +454,21 @@ impl Registry {
         Ok(())
     }
 
-    fn check_sponsor(&self, registrar: RegistrarId, domain: &Name) -> Result<(), RegistryError> {
+    /// [`Registry::check`], and that `registrar` sponsors `domain`: its
+    /// row.
+    fn check_sponsor(&self, registrar: RegistrarId, domain: &Name) -> Result<u32, RegistryError> {
         self.check(registrar, domain)?;
-        match self.sponsor_of(domain) {
-            Some(s) if s == registrar => Ok(()),
-            Some(_) => Err(RegistryError::NotSponsor {
+        let row = self
+            .table
+            .row_of(domain)
+            .ok_or_else(|| RegistryError::NotRegistered(domain.to_string()))?;
+        if self.table.sponsor(row) != registrar {
+            return Err(RegistryError::NotSponsor {
                 registrar,
                 domain: domain.to_string(),
-            }),
-            None => Err(RegistryError::NotRegistered(domain.to_string())),
+            });
         }
+        Ok(row)
     }
 }
 
@@ -533,7 +501,7 @@ fn remove_rrsig_covering(zone: &mut Zone, owner: &Name, rtype: RrType) {
 /// tick's audit memo and the scanner's cache reuse verdicts under it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Freshness {
-    /// Delegation generation observed (live delegations start at 1, so
+    /// Delegation generation observed (delegations start at 1, so
     /// the default never holds).
     pub generation: u64,
     /// [`dsec_dnssec::Observation::validity_window`] at the observation
@@ -764,16 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_cleans_up() {
-        let mut r = registry();
-        r.add_delegation(RegistrarId(1), &name("x.com"), &[name("ns1.op.net")])
-            .unwrap();
-        r.remove_delegation(RegistrarId(1), &name("x.com")).unwrap();
-        assert!(r.delegations().is_empty());
-        assert_eq!(r.sponsor_of(&name("x.com")), None);
-    }
-
-    #[test]
     fn generation_bumps_on_observable_edits_only() {
         let mut r = registry();
         r.accredit(RegistrarId(2));
@@ -798,17 +756,14 @@ mod tests {
         // Transfers are invisible on the wire: no bump.
         r.transfer(RegistrarId(1), RegistrarId(2), &d).unwrap();
         assert_eq!(r.generation_of(&d), 4);
-        // Removal bumps and the counter survives re-registration.
-        r.remove_delegation(RegistrarId(2), &d).unwrap();
-        assert_eq!(r.generation_of(&d), 5);
-        r.add_delegation(RegistrarId(1), &d, &[name("ns1.op.net")])
-            .unwrap();
-        assert_eq!(r.generation_of(&d), 6);
         // Failed edits leave the generation untouched.
+        assert!(r
+            .set_ds(RegistrarId(1), &d, std::slice::from_ref(&ds))
+            .is_err());
         assert!(r
             .set_ds(RegistrarId(9), &d, std::slice::from_ref(&ds))
             .is_err());
-        assert_eq!(r.generation_of(&d), 6);
+        assert_eq!(r.generation_of(&d), 4);
     }
 
     #[test]
@@ -861,7 +816,6 @@ mod tests {
                 refused,
                 "{domain}"
             );
-            assert_eq!(r.remove_delegation(reg, &d), refused, "{domain}");
             assert_eq!(r.generation_of(&d), 0, "{domain}");
         }
         // The apex NS set, which the registry signed, is its own still.
@@ -885,9 +839,7 @@ mod tests {
         assert!(r.set_ns(RegistrarId(9), &d, &[name("ns.x.net")]).is_err());
         assert!(r.set_ns(reg, &d, &[]).is_err());
         assert_eq!(r.operator_of(&d), Some(&name("awsdns.group")));
-        r.remove_delegation(reg, &d).unwrap();
-        assert_eq!(r.operator_of(&d), None, "dead rows have no operator");
-        r.add_delegation(reg, &d, &[name("ns.1and1.de")]).unwrap();
+        r.set_ns(reg, &d, &[name("ns.1and1.de")]).unwrap();
         assert_eq!(r.operator_of(&d), Some(&name("1and1.group")));
         // Ids are this registry's, one per key, in first-write order.
         r.add_delegation(reg, &name("y.com"), &[name("ns2.awsdns-01.net")])
@@ -896,7 +848,7 @@ mod tests {
         assert_eq!(keys, ["op.net.", "awsdns.group.", "1and1.group."]);
         assert_eq!(r.operator_id_of(&name("y.com")), Some(1));
         let (row, _, _) = r.delegations_columnar().last().unwrap();
-        assert_eq!(r.operator_at(row), Some(1), "y.com sorts last");
+        assert_eq!(r.operator_at(row), 1, "y.com sorts last");
     }
 
     /// Delegations store no NS records: the TLD zone keeps one interned

@@ -400,11 +400,11 @@ impl World {
         std::mem::take(&mut self.tick.worklists[slot])
     }
 
-    /// Hands a checked-out worklist back, minus the domains the pass
-    /// signed.
-    fn return_worklist(&mut self, slot: usize, mut list: Vec<Candidate>, signed_any: bool) {
-        if signed_any {
-            list.retain(|&(id, _)| self.domains.at(id).keys.is_none());
+    /// Hands a checked-out worklist back, minus the entries at the
+    /// ascending positions `signed`: the domains the pass signed.
+    fn return_worklist(&mut self, slot: usize, mut list: Vec<Candidate>, signed: &[usize]) {
+        for &pos in signed.iter().rev() {
+            list.remove(pos);
         }
         self.tick.worklists[slot] = list;
     }
@@ -412,15 +412,18 @@ impl World {
     fn population_adoption(&mut self) {
         // Exactly one draw per candidate, in canonical order.
         let candidates = self.take_worklist(HOSTED);
-        let mut signed_any = false;
-        for &(id, hazard) in &candidates {
+        let mut signed = Vec::new();
+        for (pos, &(id, hazard)) in candidates.iter().enumerate() {
             if self.rng.random::<f64>() < hazard {
                 let name = self.domains.at(id).name.clone();
                 let _ = self.sign_hosted_at(id, &name);
-                signed_any = true;
+                // The keys go in before the DS commit, which may fail.
+                if self.domains.at(id).keys.is_some() {
+                    signed.push(pos);
+                }
             }
         }
-        self.return_worklist(HOSTED, candidates, signed_any);
+        self.return_worklist(HOSTED, candidates, &signed);
     }
 
     fn third_party_adoption(&mut self) {
@@ -432,8 +435,8 @@ impl World {
                 _ => continue,
             }
             let candidates = self.take_worklist(1 + idx);
-            let mut signed_any = false;
-            for &(id, hazard) in &candidates {
+            let mut signed = Vec::new();
+            for (pos, &(id, hazard)) in candidates.iter().enumerate() {
                 if self.rng.random::<f64>() >= hazard {
                     continue;
                 }
@@ -441,7 +444,7 @@ impl World {
                 let Ok(ds) = self.third_party_enable_dnssec_at(id, &domain) else {
                     continue;
                 };
-                signed_any = true;
+                signed.push(pos);
                 // The owner must relay the DS to the registrar; 40% never do.
                 if self.rng.random::<f64>() < relay {
                     let published = Event::DsPublished {
@@ -453,7 +456,7 @@ impl World {
                         .record(self.today, Event::RelayDropped { domain });
                 }
             }
-            self.return_worklist(1 + idx, candidates, signed_any);
+            self.return_worklist(1 + idx, candidates, &signed);
         }
     }
 

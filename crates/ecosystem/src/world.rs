@@ -368,41 +368,7 @@ impl World {
         let root_keys = ZoneKeys::generate_default(&mut rng, Name::root(), Algorithm::RsaSha256)
             .expect("RSA-SHA256 supported");
         let root_ns = Name::parse("a.root-servers.sim").unwrap();
-        let mut root_zone = Zone::new(Name::root());
-        root_zone
-            .add(Record::new(
-                Name::root(),
-                3600,
-                RData::Soa(SoaRdata {
-                    mname: root_ns.clone(),
-                    rname: Name::parse("hostmaster.root-servers.sim").unwrap(),
-                    serial: 1,
-                    refresh: 7200,
-                    retry: 3600,
-                    expire: 1_209_600,
-                    minimum: 300,
-                }),
-            ))
-            .unwrap();
-        root_zone
-            .add(Record::new(Name::root(), 3600, RData::Ns(root_ns.clone())))
-            .unwrap();
-        for (tld, registry) in &registries {
-            root_zone
-                .add(Record::new(
-                    tld.zone(),
-                    172_800,
-                    RData::Ns(tld.registry_ns()),
-                ))
-                .unwrap();
-            root_zone
-                .add(Record::new(
-                    tld.zone(),
-                    86_400,
-                    RData::Ds(registry.keys().ds(DigestType::Sha256)),
-                ))
-                .unwrap();
-        }
+        let mut root_zone = root_zone(&root_ns, &registries, 1);
         let signer = SignerConfig {
             inception: valid_from,
             expiration: valid_until,
@@ -490,44 +456,10 @@ impl World {
         });
     }
 
-    /// Rebuilds the root zone (same recipe as construction, serial
-    /// bumped to today) and signs it with `set`.
+    /// Rebuilds the root zone (the construction recipe, serial bumped
+    /// to today) and signs it with `set`.
     fn resign_root(&mut self, set: &SigningSet) {
-        let mut zone = Zone::new(Name::root());
-        zone.add(Record::new(
-            Name::root(),
-            3600,
-            RData::Soa(SoaRdata {
-                mname: self.root_ns.clone(),
-                rname: Name::parse("hostmaster.root-servers.sim").unwrap(),
-                serial: 1 + self.today.0,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1_209_600,
-                minimum: 300,
-            }),
-        ))
-        .expect("SOA fits");
-        zone.add(Record::new(
-            Name::root(),
-            3600,
-            RData::Ns(self.root_ns.clone()),
-        ))
-        .expect("NS fits");
-        for (tld, registry) in &self.registries {
-            zone.add(Record::new(
-                tld.zone(),
-                172_800,
-                RData::Ns(tld.registry_ns()),
-            ))
-            .expect("TLD NS fits");
-            zone.add(Record::new(
-                tld.zone(),
-                86_400,
-                RData::Ds(registry.keys().ds(DigestType::Sha256)),
-            ))
-            .expect("TLD DS fits");
-        }
+        let mut zone = root_zone(&self.root_ns, &self.registries, 1 + self.today.0);
         let signer = self.signer_config();
         sign_zone_set(&mut zone, set, &signer).expect("root zone re-signs");
         self.root_auth.upsert_zone(zone);
@@ -672,13 +604,14 @@ impl World {
     }
 
     /// Iterates all domains in canonical name order (simulation draws
-    /// depend on it). A domain whose delegation was removed behind the
-    /// world's back, through [`World::registry_mut`], is left out.
+    /// depend on it). A delegation added behind the world's back, through
+    /// [`World::registry_mut`], is not one of the world's domains and is
+    /// left out.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
         self.entries().map(|(_, d)| d)
     }
 
-    /// [`World::domains`] with each domain's id: every registry's live
+    /// [`World::domains`] with each domain's id: every registry's
     /// rows in its canonical order, the registries in TLD label order,
     /// skipping rows without a payload.
     fn entries(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
@@ -1650,4 +1583,41 @@ impl World {
     pub fn registry_mut(&mut self, tld: Tld) -> &mut Registry {
         self.registries.get_mut(&tld).expect("all TLDs present")
     }
+}
+
+/// The unsigned root zone at `serial`: SOA and NS at the apex, served by
+/// `root_ns`, and each registry's TLD delegation with its DS.
+fn root_zone(root_ns: &Name, registries: &BTreeMap<Tld, Registry>, serial: u32) -> Zone {
+    let mut zone = Zone::new(Name::root());
+    zone.add(Record::new(
+        Name::root(),
+        3600,
+        RData::Soa(SoaRdata {
+            mname: root_ns.clone(),
+            rname: Name::parse("hostmaster.root-servers.sim").unwrap(),
+            serial,
+            refresh: 7200,
+            retry: 3600,
+            expire: 1_209_600,
+            minimum: 300,
+        }),
+    ))
+    .expect("SOA fits");
+    zone.add(Record::new(Name::root(), 3600, RData::Ns(root_ns.clone())))
+        .expect("NS fits");
+    for (tld, registry) in registries {
+        zone.add(Record::new(
+            tld.zone(),
+            172_800,
+            RData::Ns(tld.registry_ns()),
+        ))
+        .expect("TLD NS fits");
+        zone.add(Record::new(
+            tld.zone(),
+            86_400,
+            RData::Ds(registry.keys().ds(DigestType::Sha256)),
+        ))
+        .expect("TLD DS fits");
+    }
+    zone
 }

@@ -30,19 +30,29 @@
 //!   depends on the clock, and signatures lapsing moves no generation;
 //! * unreachable/indeterminate outcomes are **never** stored in a slot —
 //!   a failed observation is re-attempted every snapshot;
-//! * a slot whose delegation left the zone file is emptied by the scan
-//!   that learns of it, so the cache never outgrows the live population.
+//! * downtime is asked, never served: while the world's fault plane
+//!   ([`dsec_ecosystem::World::fault_plane`]) finds hosts down at the
+//!   scan time, a row whose NS hosts include one is scanned, whatever its
+//!   slot holds, and a host down that the last scan found up makes the
+//!   scan a sweep.
+//!
+//! Downtime here means kill switches and outage windows, which are a
+//! function of the clock. Random per-exchange faults (drops, SERVFAILs
+//! drawn from the fault profile) are out of scope: a slot served on a day
+//! such a fault would have hit the row serves the verdict of the day it
+//! was observed.
 //!
 //! ## The warm path
 //!
 //! After every cached scan the cache holds the `DeltaState` of that
 //! scan: the running (operator, TLD) sums, one journal cursor per TLD,
-//! and the contribution of every live row that has no servable slot.
-//! Its invariant is *sums = Σ over the live in-scope rows of the row's
-//! last contribution*. The next scan (`ScanCache::resume`) lists the rows
-//! the journals name since the cursors, the unobserved rows and the slots
-//! whose validity window has closed (a min-heap of the finite upper
-//! edges), subtracts their old contributions, and hands that short list
+//! and the contribution of every row that has no servable slot; beside
+//! it, the hosts that were down. Its invariant is *sums = Σ over the
+//! in-scope rows of the row's last contribution*. The next scan
+//! (`ScanCache::resume`) lists the rows the journals name since the
+//! cursors, the unobserved rows and the slots whose validity window has
+//! closed (a min-heap of the finite upper edges), subtracts their old
+//! contributions, and hands that short list
 //! — in the sweep's own (TLD, canonical name) order — to the same
 //! peek → scan → retry pipeline a sweep runs. Every row not on the list
 //! is a certain hit and is counted as one without being touched.
@@ -50,7 +60,8 @@
 //! The population sweep remains as the one fallback, chosen only from
 //! what the cache can observe: no state yet (first scan), a different
 //! TLD scope, `force_full`, a cursor the journal has forgotten or that
-//! another world issued, or a clock that moved backwards. A sweep
+//! another world issued, a clock that moved backwards, or a host down
+//! that was up at the last scan (its rows are on no list). A sweep
 //! rebuilds the state. [`ScanCache::check_against_sweep`] recomputes all
 //! of it from the registries (test support).
 
@@ -58,28 +69,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dsec_ecosystem::{DomainId, Freshness, JournalCursor, Registry, Tld, World, ALL_TLDS};
-use dsec_wire::{FnvHashMap, FnvHashSet};
+use dsec_wire::{FnvHashMap, FnvHashSet, Name};
 
 use crate::snapshot::{OperatorStats, ScanItem};
-
-/// The operator id of a delegation without one. Every live row has an
-/// operator ([`dsec_ecosystem::RegistryError::EmptyNsSet`]); the cell
-/// exists so a scan never has to panic over it.
-pub(crate) const NO_NS: u32 = u32::MAX;
-
-/// The index of operator `id` in a per-TLD vector of cells: the
-/// registry's ids shifted up by one, [`NO_NS`] at 0.
-fn cell(id: u32) -> usize {
-    id.wrapping_add(1) as usize
-}
 
 /// The operator key `id` stands for in `registry`, as a snapshot cell
 /// spells it.
 pub(crate) fn operator_name(registry: &Registry, id: u32) -> String {
-    match id {
-        NO_NS => "(no-ns)".to_string(),
-        id => registry.operators()[id as usize].to_string(),
-    }
+    registry.operators()[id as usize].to_string()
 }
 
 /// A single-domain stats cell in one byte. Bit 0 is `with_dnskey`, bit 1
@@ -153,13 +150,13 @@ struct Slot {
 const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 
 impl Slot {
-    /// Generation 0 never holds: live delegations start at 1.
+    /// Generation 0 never holds: delegations start at 1.
     const EMPTY: Slot = Slot {
         fresh: Freshness {
             generation: 0,
             window: (0, 0),
         },
-        operator: NO_NS,
+        operator: 0,
         class: Class::EMPTY,
     };
 
@@ -182,7 +179,7 @@ struct Column {
     slots: Vec<Slot>,
     /// How many slots are filled.
     filled: usize,
-    /// Rendered operator keys by [`cell`] index, made on first use.
+    /// Rendered operator keys by operator id, made on first use.
     keys: Vec<String>,
 }
 
@@ -200,26 +197,17 @@ impl Column {
             self.slots.resize(rows, Slot::EMPTY);
         }
     }
-
-    fn clear(&mut self, row: u32) {
-        if let Some(slot) = self.slots.get_mut(row as usize) {
-            if slot.filled() {
-                *slot = Slot::EMPTY;
-                self.filled -= 1;
-            }
-        }
-    }
 }
 
 /// Per-(operator, TLD) sums: one dense vector per TLD, indexed by
-/// [`cell`]. A cell summed back to zero stays, as zero.
+/// operator id. A cell summed back to zero stays, as zero.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Sums([Vec<OperatorStats>; ALL_TLDS.len()]);
 
 impl Sums {
     pub(crate) fn add(&mut self, tld: Tld, operator: u32, stats: &OperatorStats) {
         let cells = &mut self.0[tld as usize];
-        let at = cell(operator);
+        let at = operator as usize;
         if at >= cells.len() {
             cells.resize(at + 1, OperatorStats::default());
         }
@@ -227,7 +215,7 @@ impl Sums {
     }
 
     fn retract(&mut self, tld: Tld, operator: u32, stats: &OperatorStats) {
-        self.0[tld as usize][cell(operator)].retract(stats);
+        self.0[tld as usize][operator as usize].retract(stats);
     }
 
     /// Every cell that counts a domain, as `(TLD, operator id, sum)`:
@@ -238,13 +226,13 @@ impl Sums {
                 .iter()
                 .enumerate()
                 .filter(|(_, sum)| **sum != OperatorStats::default())
-                .map(move |(at, sum)| (tld, (at as u32).wrapping_sub(1), sum))
+                .map(move |(at, sum)| (tld, at as u32, sum))
         })
     }
 }
 
 /// What a cached scan leaves behind for the next one (see the module
-/// docs). Invariant: `sums` is the sum, over the rows that were live in
+/// docs). Invariant: `sums` is the sum, over the rows that were in
 /// `scope` when `cursors` were taken, of `unobserved[row]` if present
 /// and of the row's slot otherwise.
 #[derive(Debug, Clone)]
@@ -256,8 +244,8 @@ struct DeltaState {
     /// Where each scoped registry's change journal ended.
     cursors: Vec<JournalCursor>,
     sums: Sums,
-    /// Live rows whose last outcome was unreachable/indeterminate — no
-    /// slot may hold it, yet the sums count it.
+    /// Rows whose last outcome was unreachable/indeterminate — no slot
+    /// may hold it, yet the sums count it.
     unobserved: FnvHashMap<DomainId, (u32, Class)>,
 }
 
@@ -265,10 +253,9 @@ struct DeltaState {
 pub(crate) struct Resumed<'w> {
     /// The previous sums minus the old contributions of `work`.
     pub(crate) sums: Sums,
-    /// The live rows that must go through the pipeline again, in sweep
-    /// order.
+    /// The rows that must go through the pipeline again, in sweep order.
     pub(crate) work: Vec<ScanItem<'w>>,
-    /// How many live in-scope rows are not in `work`: certain hits.
+    /// How many in-scope rows are not in `work`: certain hits.
     pub(crate) unlisted: u64,
 }
 
@@ -311,6 +298,8 @@ pub struct ScanCache {
     lapses: BinaryHeap<Reverse<(i64, DomainId)>>,
     /// `None` until a scan completes, and while one is running.
     delta: Option<DeltaState>,
+    /// The hosts down at the running (or last) scan's time, sorted.
+    down: Vec<Name>,
 }
 
 impl ScanCache {
@@ -348,6 +337,17 @@ impl ScanCache {
         self.misses += misses;
     }
 
+    /// Whether a host that is down serves `item` of `world`: its slot
+    /// must not answer for it.
+    pub(crate) fn meets_downtime(&self, world: &World, item: &ScanItem) -> bool {
+        !self.down.is_empty()
+            && world
+                .registry(item.key.tld())
+                .ns_of(item.name)
+                .iter()
+                .any(|host| self.down.binary_search(host).is_ok())
+    }
+
     /// Stores the verdict `class` of operator `operator` for `key`, good
     /// at `fresh`'s generation while the clock stays inside its window.
     /// Callers must not store unobserved (unreachable/indeterminate)
@@ -376,16 +376,15 @@ impl ScanCache {
     /// `tld`: formatted once per column, not once per scan.
     pub(crate) fn operator_key(&mut self, registry: &Registry, tld: Tld, id: u32) -> &str {
         let keys = &mut self.columns[tld as usize].keys;
-        while keys.len() <= cell(id) {
-            keys.push(operator_name(registry, (keys.len() as u32).wrapping_sub(1)));
+        while keys.len() <= id as usize {
+            keys.push(operator_name(registry, keys.len() as u32));
         }
-        &keys[cell(id)]
+        &keys[id as usize]
     }
 
     /// Prepares the columns for a sweep of `tlds`: a column filled from
     /// another registry (another world) or outside the scope starts
-    /// empty, the slots of departed delegations are emptied, and each
-    /// scoped column is sized to its registry's rows.
+    /// empty, and each scoped column is sized to its registry's rows.
     pub(crate) fn begin_sweep(&mut self, world: &World, tlds: &[Tld]) {
         for (&tld, column) in ALL_TLDS.iter().zip(&mut self.columns) {
             if !tlds.contains(&tld) {
@@ -400,30 +399,36 @@ impl ScanCache {
                     ..Column::default()
                 };
             }
-            column.fit(registry.delegation_rows());
-            for row in 0..column.slots.len() as u32 {
-                if registry.delegation_at(row).is_none() {
-                    column.clear(row);
-                }
-            }
+            column.fit(registry.delegation_count());
         }
     }
 
-    /// Opens a warm scan of `tlds` at `now`, or returns `None` when only
-    /// a sweep can be trusted: no state from a previous scan, a different
+    /// Opens a scan of `tlds` at `now`, when the sorted hosts `down` are
+    /// down. Returns the warm scan's starting point, or `None` when only a
+    /// sweep can be trusted: no state from a previous scan, a different
     /// scope, `force_full`, a journal cursor the registry no longer
-    /// honours (forgotten, or issued by another world), or a clock that
-    /// moved backwards. Either way the previous state is consumed; the
-    /// scan installs its own with [`ScanCache::commit`].
+    /// honours (forgotten, or issued by another world), a clock that
+    /// moved backwards, or a host in `down` that the last scan found up.
+    /// Either way the previous state is consumed; the scan installs its
+    /// own with [`ScanCache::commit`].
     pub(crate) fn resume<'w>(
         &mut self,
         world: &'w World,
         tlds: &[Tld],
         now: u32,
+        down: Vec<Name>,
         force_full: bool,
     ) -> Option<Resumed<'w>> {
+        let was_down = std::mem::replace(&mut self.down, down);
         let mut state = self.delta.take()?;
-        if force_full || state.scope != tlds || now < state.now {
+        if force_full
+            || state.scope != tlds
+            || now < state.now
+            || self
+                .down
+                .iter()
+                .any(|host| was_down.binary_search(host).is_err())
+        {
             return None;
         }
         let mut keys: Vec<DomainId> = state.unobserved.keys().copied().collect();
@@ -454,14 +459,12 @@ impl ScanCache {
             if let Some((operator, class)) = old {
                 state.sums.retract(tld, operator, &class.stats());
             }
-            match world.registry(tld).delegation_at(row) {
-                Some((name, generation)) => work.push(ScanItem {
-                    name,
-                    key,
-                    generation,
-                }),
-                None => self.columns[tld as usize].clear(row),
-            }
+            let (name, generation) = world.registry(tld).delegation_at(row);
+            work.push(ScanItem {
+                name,
+                key,
+                generation,
+            });
         }
         let ranks: Vec<_> = tlds
             .iter()
@@ -472,13 +475,13 @@ impl ScanCache {
             let at = position(item.key.tld()).expect("work items are in scope");
             (at, ranks[at].of(item.key.row()))
         });
-        let live: usize = tlds
+        let rows: usize = tlds
             .iter()
             .map(|&tld| world.registry(tld).delegation_count())
             .sum();
         Some(Resumed {
             sums: state.sums,
-            unlisted: (live - work.len()) as u64,
+            unlisted: (rows - work.len()) as u64,
             work,
         })
     }
@@ -588,7 +591,7 @@ impl ScanCache {
                 if !state.unobserved.contains_key(&key) {
                     let slot = self
                         .slot(key)
-                        .ok_or_else(|| format!("{name}: live, but contributes nothing"))?;
+                        .ok_or_else(|| format!("{name}: contributes nothing"))?;
                     if slot.fresh.generation != generation {
                         return Err(format!(
                             "{name}: cached at generation {}, now at {generation}, not journaled",
@@ -616,24 +619,11 @@ impl ScanCache {
                 let (operator, class) = stored(key).expect("checked above");
                 swept.add(tld, operator, &class.stats());
             }
-            for (row, slot) in column.slots.iter().enumerate() {
-                let (row, key) = (row as u32, DomainId::new(tld, row as u32));
-                if slot.filled() && registry.delegation_at(row).is_none() && !pending.contains(&key)
-                {
-                    return Err(format!("a slot outlived its delegation {key:?}"));
-                }
-            }
         }
         for &key in &pending {
             if let Some((operator, class)) = stored(key) {
                 swept.add(key.tld(), operator, &class.stats());
             }
-        }
-        let departed = |key: DomainId| {
-            world.registry(key.tld()).delegation_at(key.row()).is_none() && !pending.contains(&key)
-        };
-        if let Some(key) = state.unobserved.keys().find(|&&key| departed(key)) {
-            return Err(format!("unobserved set holds departed row {key:?}"));
         }
         if !swept.cells().eq(state.sums.cells()) {
             let name = |(tld, id, sum): (Tld, u32, &OperatorStats)| {
@@ -790,13 +780,13 @@ mod tests {
     fn sums_emit_only_cells_that_count_a_domain() {
         let mut sums = Sums::default();
         sums.add(Tld::Net, 4, &cell(1));
-        sums.add(Tld::Com, NO_NS, &cell(1));
+        sums.add(Tld::Com, 0, &cell(1));
         sums.add(Tld::Com, 2, &cell(1));
         sums.retract(Tld::Com, 2, &cell(1));
         let cells: Vec<_> = sums.cells().map(|(tld, id, sum)| (tld, id, *sum)).collect();
         assert_eq!(
             cells,
-            [(Tld::Com, NO_NS, cell(1)), (Tld::Net, 4, cell(1))],
+            [(Tld::Com, 0, cell(1)), (Tld::Net, 4, cell(1))],
             "an emptied cell vanishes"
         );
     }

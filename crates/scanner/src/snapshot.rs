@@ -12,13 +12,13 @@ use dsec_ecosystem::{DomainId, Freshness, SimDate, Tld, World, ALL_TLDS};
 use dsec_resolver::ExchangeOutcome;
 use dsec_wire::{FnvHashMap, Name, Rcode};
 
-use crate::cache::{operator_name, Class, ScanCache, Sums, NO_NS};
+use crate::cache::{operator_name, Class, ScanCache, Sums};
 
 /// One delegation to scan: the borrowed name plus the columnar identity
 /// the incremental cache keys on — the row-packed [`DomainId`] and the
 /// current change generation, read from the registry's columns (a dense
 /// [`dsec_ecosystem::Registry::delegations_columnar`] sweep, or
-/// [`dsec_ecosystem::Registry::delegation_at`] for a journaled row)
+/// [`dsec_ecosystem::Registry::delegation_at`] for a listed row)
 /// instead of a per-domain map probe.
 pub(crate) struct ScanItem<'a> {
     pub(crate) name: &'a Name,
@@ -176,7 +176,8 @@ impl Snapshot {
     /// and the lapsed validity windows name the few domains to look at,
     /// and everything else is the previous scan's sums (see the
     /// [`crate::cache`] module docs). Otherwise it sweeps the population.
-    /// Either way the cache ends up holding exactly the live population.
+    /// Either way a row served by a host that is down at the scan time is
+    /// scanned, not answered from the cache.
     pub fn take_cached(
         world: &World,
         tlds: &[Tld],
@@ -196,9 +197,10 @@ impl Snapshot {
         // The warm path: a cache that last scanned this scope of this
         // world hands over its running sums and the short list of rows
         // that may have moved. `unlisted` rows are certain hits.
-        let resumed = cache
-            .as_deref_mut()
-            .and_then(|cache| cache.resume(world, tlds, now, options.force_full));
+        let resumed = cache.as_deref_mut().and_then(|cache| {
+            let down = world.fault_plane().down_at(now);
+            cache.resume(world, tlds, now, down, options.force_full)
+        });
         let swept = resumed.is_none();
         let (work, sums, unlisted) = match resumed {
             Some(resumed) => (Some(resumed.work), resumed.sums, resumed.unlisted),
@@ -361,10 +363,11 @@ struct Pass<'a, 'w> {
 impl<'w> Pass<'_, 'w> {
     /// A cache hit joins the sums under the operator stored with its
     /// slot (every NS edit bumps the generation, so a generation match
-    /// implies the operator too); anything else is scanned.
+    /// implies the operator too); anything else is scanned, and so is a
+    /// row served by a host that is down.
     fn visit(&mut self, item: ScanItem<'w>) {
         if let Some(cache) = self.cache.as_deref() {
-            if !self.options.force_full {
+            if !self.options.force_full && !cache.meets_downtime(self.world, &item) {
                 if let Some((operator, stats)) = cache.peek(item.key, item.generation, self.now) {
                     self.hits += 1;
                     self.sums.add(item.key.tld(), operator, &stats);
@@ -386,7 +389,7 @@ impl<'w> Pass<'_, 'w> {
     /// registry's column by row, with no NS lookup.
     fn settle(&mut self, item: &ScanItem<'w>, stats: OperatorStats, window: Option<(i64, i64)>) {
         let registry = self.world.registry(item.key.tld());
-        let operator = registry.operator_at(item.key.row()).unwrap_or(NO_NS);
+        let operator = registry.operator_at(item.key.row());
         if let Some(cache) = self.cache.as_deref_mut() {
             let class = Class::of(&stats);
             match window {

@@ -4,8 +4,8 @@
 //! campaign over a clean network and one with the fault plane injecting
 //! a 5% drop/SERVFAIL mix plus a flapping nameserver fleet, then
 //! compares the two and prints the degradation record. The flapping
-//! fleet is down on the cold-scan day; its domain must read unreachable
-//! in the first snapshot and observed in every later one.
+//! fleet's domains must read unreachable in exactly the snapshots taken
+//! inside one of its outage windows, and observed in every other one.
 //!
 //! Part 2 (E-R2): graceful degradation under sustained outages — the
 //! serve-stale / negative-caching / circuit-breaker contract against
@@ -138,8 +138,8 @@ fn main() {
     let flap_operator = com.operator_of(&flapper).expect("delegated").to_string();
     // Ten 3-day cycles cover the 28-day campaign.
     let (day, today) = (86_400, chaos.world.today.epoch_seconds());
-    OutageScenario::flapping("flap", com.ns_of(&flapper), today, day, 2 * day, 10)
-        .install(chaos.world.fault_plane());
+    let flap = OutageScenario::flapping("flap", com.ns_of(&flapper), today, day, 2 * day, 10);
+    flap.install(chaos.world.fault_plane());
     // …and one fleet dead for the whole window: its domains must show up
     // as unreachable, not silently misclassified.
     if let Some(last) = delegations.last() {
@@ -148,16 +148,32 @@ fn main() {
         }
     }
     let chaos_store = scan_campaign(&mut chaos.world, &CampaignConfig::new(until, 7));
-    // The flapping fleet is down on the cold-scan day, so its domain is
-    // unreachable then; a later scan reaches it (or answers it from the
-    // cache once observed), so it is observed in every later snapshot.
-    let flap_unobserved: Vec<u64> = chaos_store
+    // A snapshot taken inside one of the flapping fleet's windows finds
+    // all its domains unreachable, warm or cold; any other finds none.
+    let flap_totals: Vec<_> = chaos_store
         .snapshots()
         .iter()
-        .map(|s| s.operator_totals(&flap_operator, &[Tld::Com]).unobserved())
+        .map(|s| s.operator_totals(&flap_operator, &[Tld::Com]))
         .collect();
-    let flap_seen = flap_unobserved.first().is_some_and(|&n| n > 0)
-        && flap_unobserved[1..].iter().all(|&n| n == 0);
+    let flap_unobserved: Vec<u64> = flap_totals.iter().map(|t| t.unobserved()).collect();
+    let flap_expected: Vec<u64> = chaos_store
+        .snapshots()
+        .iter()
+        .zip(&flap_totals)
+        .map(|(s, totals)| {
+            let at = s.date.epoch_seconds();
+            let down = flap
+                .windows
+                .iter()
+                .any(|w| w.from_s <= at && at < w.until_s);
+            if down {
+                totals.domains
+            } else {
+                0
+            }
+        })
+        .collect();
+    let flap_seen = flap_unobserved == flap_expected;
 
     let result = experiment_chaos(&clean_store, &chaos_store);
     println!("{}", result.to_markdown());
@@ -169,7 +185,10 @@ fn main() {
         chaos.world.network.query_count(),
         chaos.world.network.tcp_query_count(),
     );
-    println!("flapping fleet of {flapper}: unobserved per snapshot {flap_unobserved:?}");
+    println!(
+        "flapping fleet of {flapper}: unobserved per snapshot {flap_unobserved:?} \
+         (expected {flap_expected:?})"
+    );
     println!(
         "\nverdict: {}",
         if result.reproduced() {

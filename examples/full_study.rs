@@ -37,7 +37,6 @@ fn main() {
             ..Default::default()
         },
         scan_interval_days: interval,
-        run_probe: true,
     };
     eprintln!("running full study at scale 1:{scale}, snapshots every {interval} days…");
     let started = std::time::Instant::now();

@@ -8,15 +8,19 @@
 //! * same seed → byte-identical snapshots;
 //! * one clock: a scheduled outage window hides a fleet from the scan
 //!   and the world's observation on the day it covers, as it does from
-//!   a resolver.
+//!   a resolver — and from a warm scan through the cache, which must
+//!   count what an uncached scan counts whatever goes down or comes up.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
 use dsec::authserver::{FaultProfile, OutageScenario};
-use dsec::ecosystem::{Tld, ALL_TLDS};
+use dsec::ecosystem::{Tld, World, ALL_TLDS};
 use dsec::resolver::{BreakerPolicy, Cache, ExchangeOutcome, Resolver};
 use dsec::scanner::{
-    largest_operator_fleet, scan_campaign, CampaignConfig, OperatorStats, Snapshot,
+    largest_operator_fleet, scan_campaign, CampaignConfig, OperatorStats, ScanCache, ScanOptions,
+    Snapshot,
 };
 use dsec::traffic::{run_load_shared, LoadConfig};
 use dsec::wire::Name;
@@ -293,5 +297,130 @@ fn a_window_over_the_scan_day_hides_the_fleet_from_the_scan() {
     assert_eq!(up.unobserved(), 0, "every victim domain observed");
     for domain in &hosted {
         assert_ne!(pw.world.observe(domain, 1).1, ExchangeOutcome::Unreachable);
+    }
+}
+
+/// The cache warmed on day 0, the largest fleet down for all of day 1:
+/// the warm scan must find its domains unreachable, as an uncached scan
+/// does, although no registry row of theirs changed.
+#[test]
+fn a_warm_scan_sees_a_fleet_that_went_down() {
+    let mut pw = build(&PopulationConfig::tiny());
+    let options = ScanOptions::default();
+    let mut cache = ScanCache::new();
+    Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    pw.world.tick();
+    let (victim, fleet) = largest_operator_fleet(&pw.world, None);
+    let day = pw.world.today.epoch_seconds();
+    pw.world.fault_plane().enable(CHAOS_SEED);
+    OutageScenario::operator_outage("day-1", fleet, day, day + 86_400)
+        .install(pw.world.fault_plane());
+
+    let fresh = Snapshot::take(&pw.world);
+    let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    let down = fresh.operator_totals(&victim, &ALL_TLDS);
+    assert!(down.domains > 0);
+    assert_eq!(down.unreachable, down.domains, "the fleet is down");
+    assert_eq!(warm.operator_totals(&victim, &ALL_TLDS), down, "warm scan");
+    assert_eq!(warm.cells, fresh.cells);
+    cache.check_against_sweep(&pw.world).unwrap();
+
+    // Day 2: the window is over, and the warm scan sees the fleet again.
+    pw.world.tick();
+    let fresh = Snapshot::take(&pw.world);
+    let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+    assert_eq!(fresh.operator_totals(&victim, &ALL_TLDS).unobserved(), 0);
+    assert_eq!(warm.cells, fresh.cells, "recovered");
+}
+
+/// One change to the fault plane's downtime, over fleet `fleet` of the
+/// world's distinct NS sets (`whole`, or only its first host).
+#[derive(Debug, Clone)]
+enum Downtime {
+    /// A window from `from` half-days after the start of today, `days`
+    /// half-days long.
+    Window {
+        fleet: u8,
+        whole: bool,
+        from: u8,
+        days: u8,
+    },
+    /// The kill switch, on or off.
+    Kill { fleet: u8, whole: bool, down: bool },
+}
+
+fn downtime() -> impl Strategy<Value = Downtime> {
+    prop_oneof![
+        (any::<u8>(), any::<bool>(), any::<u8>(), any::<u8>()).prop_map(
+            |(fleet, whole, from, days)| Downtime::Window {
+                fleet,
+                whole,
+                from,
+                days
+            }
+        ),
+        (any::<u8>(), any::<bool>(), any::<bool>())
+            .prop_map(|(fleet, whole, down)| Downtime::Kill { fleet, whole, down }),
+    ]
+}
+
+/// The distinct NS sets of `world`'s domains, in a fixed order.
+fn fleets(world: &World) -> Vec<Vec<dsec::wire::Name>> {
+    let mut fleets: Vec<_> = world
+        .domains()
+        .map(|d| world.registry(d.tld).ns_of(&d.name))
+        .collect();
+    fleets.sort();
+    fleets.dedup();
+    fleets
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6,
+        max_shrink_iters: 16,
+        .. ProptestConfig::default()
+    })]
+
+    /// Random windows and kill-switch flips over random fleets, on a
+    /// fault-free profile: every day the warm scan through the cache
+    /// counts what an uncached scan counts.
+    #[test]
+    fn warm_scans_match_uncached_scans_under_random_downtime(
+        days in proptest::collection::vec(
+            proptest::collection::vec(downtime(), 0..3),
+            8..12,
+        )
+    ) {
+        let mut pw = build(&PopulationConfig::tiny());
+        let fleets = fleets(&pw.world);
+        pw.world.fault_plane().enable(CHAOS_SEED);
+        let options = ScanOptions::default();
+        let mut cache = ScanCache::new();
+        for (day, changes) in days.iter().enumerate() {
+            let today = pw.world.today.epoch_seconds();
+            let plane = pw.world.fault_plane();
+            for change in changes {
+                let (Downtime::Window { fleet, whole, .. } | Downtime::Kill { fleet, whole, .. }) =
+                    *change;
+                let fleet = &fleets[usize::from(fleet) % fleets.len()];
+                let hosts = if whole { &fleet[..] } else { &fleet[..1] };
+                for ns in hosts {
+                    match *change {
+                        Downtime::Window { from, days, .. } => {
+                            let from = today + u32::from(from % 6) * 43_200;
+                            let until = from + (1 + u32::from(days % 4)) * 43_200;
+                            plane.schedule_down(ns, from, until);
+                        }
+                        Downtime::Kill { down, .. } => plane.set_down(ns, down),
+                    }
+                }
+            }
+            let fresh = Snapshot::take(&pw.world);
+            let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
+            prop_assert_eq!(&warm.cells, &fresh.cells, "day {} after {:?}", day, changes);
+            cache.check_against_sweep(&pw.world).unwrap();
+            pw.world.tick();
+        }
     }
 }

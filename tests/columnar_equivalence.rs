@@ -6,18 +6,17 @@
 //! over the columns. These properties pin the facade to a literal
 //! Name-keyed reference model:
 //!
-//! * any sequence of registry mutations (add / remove / transfer /
-//!   DS-swap / NS-change, including rejected ones) leaves the Name-keyed
-//!   API, the columnar enumeration, and a shadow `BTreeMap` model in
-//!   exact agreement — names, canonical order, sponsors, generations,
-//!   operators, and the generation-persists-across-removal rule;
+//! * any sequence of registry mutations (add / transfer / DS-swap /
+//!   NS-change, including rejected ones) leaves the Name-keyed API, the
+//!   columnar enumeration, and a shadow `BTreeMap` model in exact
+//!   agreement — names, canonical order, sponsors, generations and
+//!   operators;
 //! * any world mutated by an arbitrary customer action sequence produces
 //!   byte-identical campaign CSVs through the in-memory store and the
 //!   streamed (spill + replay) store;
 //! * the canonical ranks the table keeps beside its sorted rows stay
-//!   fresh: through inserts, expiries, revivals and rows interned after
-//!   the last rebuild, sorting rows by rank gives what a fresh
-//!   `canonical_cmp` sort of their names gives;
+//!   fresh: through inserts between reads, sorting rows by rank gives
+//!   what a fresh `canonical_cmp` sort of their names gives;
 //! * the world, which keeps its domains at the registries' rows and no
 //!   index of its own, enumerates them in canonical order across TLDs,
 //!   counts them, and finds each under any spelling, with registry-only
@@ -40,18 +39,15 @@ const FROM: u32 = 1_420_070_400;
 const UNTIL: u32 = FROM + 1000 * 86_400;
 
 /// The Name-keyed reference model: what the old `BTreeMap`-backed
-/// registry stored per delegation. `sponsor: None` models a removed
-/// delegation whose row (and generation) the table must retain.
-#[derive(Default)]
+/// registry stored per delegation.
 struct ShadowRow {
-    sponsor: Option<RegistrarId>,
+    sponsor: RegistrarId,
     generation: u64,
 }
 
 #[derive(Debug, Clone)]
 enum RegistryAction {
     Add { label: u8, registrar: u8 },
-    Remove { idx: u8 },
     Transfer { idx: u8, to: u8 },
     SwapDs { idx: u8, tag: u8 },
     DropDs { idx: u8 },
@@ -62,7 +58,6 @@ fn registry_action() -> impl Strategy<Value = RegistryAction> {
     prop_oneof![
         (any::<u8>(), any::<u8>())
             .prop_map(|(label, registrar)| RegistryAction::Add { label, registrar }),
-        any::<u8>().prop_map(|idx| RegistryAction::Remove { idx }),
         (any::<u8>(), any::<u8>()).prop_map(|(idx, to)| RegistryAction::Transfer { idx, to }),
         (any::<u8>(), any::<u8>()).prop_map(|(idx, tag)| RegistryAction::SwapDs { idx, tag }),
         any::<u8>().prop_map(|idx| RegistryAction::DropDs { idx }),
@@ -70,10 +65,12 @@ fn registry_action() -> impl Strategy<Value = RegistryAction> {
     ]
 }
 
-/// A small label pool so sequences re-register removed names — the case
-/// where a reused row must keep counting generations upward.
+/// The size of the label pool: small, so sequences act on delegated
+/// names and try to register them again.
+const POOL: u8 = 12;
+
 fn pool_name(label: u8) -> Name {
-    Name::parse(&format!("eq{}.com", label % 12)).unwrap()
+    Name::parse(&format!("eq{}.com", label % POOL)).unwrap()
 }
 
 /// Registrar 99 is deliberately unaccredited: actions routed through it
@@ -82,14 +79,15 @@ fn actor(to: u8) -> RegistrarId {
     RegistrarId([1, 2, 99][to as usize % 3])
 }
 
-fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>) {
-    let live: Vec<(&Name, RegistrarId, u64)> = shadow
-        .iter()
-        .filter_map(|(name, row)| row.sponsor.map(|s| (name, s, row.generation)))
-        .collect();
+/// Who sponsors `name` in the shadow, or registrar 1 for a name not
+/// delegated: routed so, an edit is refused only when `name` is not.
+fn sponsor(shadow: &BTreeMap<Name, ShadowRow>, name: &Name) -> RegistrarId {
+    shadow.get(name).map_or(RegistrarId(1), |row| row.sponsor)
+}
 
+fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>) {
     // Name-keyed API: same names, canonical (Name-sorted) order.
-    let names: Vec<Name> = live.iter().map(|(n, _, _)| (*n).clone()).collect();
+    let names: Vec<Name> = shadow.keys().cloned().collect();
     assert_eq!(
         registry.delegations(),
         names,
@@ -101,13 +99,16 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
         .delegations_columnar()
         .map(|(_, name, generation)| (name.clone(), generation))
         .collect();
-    let expected: Vec<(Name, u64)> = live.iter().map(|(n, _, g)| ((*n).clone(), *g)).collect();
+    let expected: Vec<(Name, u64)> = shadow
+        .iter()
+        .map(|(name, row)| (name.clone(), row.generation))
+        .collect();
     assert_eq!(
         columnar, expected,
         "delegations_columnar() diverged from shadow"
     );
 
-    // Rank-ordered sort: the live rows, scrambled, sorted by their
+    // Rank-ordered sort: the rows, scrambled, sorted by their
     // canonical rank alone, come out in the shadow's (Name-sorted) order.
     let mut rows: Vec<u32> = registry
         .delegations_columnar()
@@ -118,23 +119,28 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
     rows.sort_by_key(|&row| ranks.of(row));
     let by_rank: Vec<Name> = rows
         .iter()
-        .map(|&row| registry.delegation_at(row).expect("live row").0.clone())
+        .map(|&row| registry.delegation_at(row).0.clone())
         .collect();
     drop(ranks);
     assert_eq!(by_rank, names, "rank-ordered rows diverged from shadow");
 
-    // Point lookups, live and dead. A live row's operator is its NS
-    // set's; a dead row has none.
-    for (name, row) in shadow {
-        assert_eq!(registry.sponsor_of(name), row.sponsor, "{name}: sponsor");
+    // Point lookups of every pool name, delegated or not. A delegation's
+    // operator is its NS set's; a name never delegated has none.
+    for name in (0..POOL).map(pool_name) {
+        let row = shadow.get(&name);
         assert_eq!(
-            registry.generation_of(name),
-            row.generation,
+            registry.sponsor_of(&name),
+            row.map(|row| row.sponsor),
+            "{name}: sponsor"
+        );
+        assert_eq!(
+            registry.generation_of(&name),
+            row.map_or(0, |row| row.generation),
             "{name}: generation"
         );
-        let operator = row.sponsor.and_then(|_| operator_of(&registry.ns_of(name)));
+        let operator = row.and_then(|_| operator_of(&registry.ns_of(&name)));
         assert_eq!(
-            registry.operator_of(name),
+            registry.operator_of(&name),
             operator.as_ref(),
             "{name}: operator"
         );
@@ -166,55 +172,29 @@ proptest! {
                     let name = pool_name(label);
                     let by = actor(registrar);
                     let ok = registry.add_delegation(by, &name, &ns).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    let expect = by != RegistrarId(99) && row.sponsor.is_none();
+                    let expect = by != RegistrarId(99) && !shadow.contains_key(&name);
                     assert_eq!(ok, expect, "add_delegation acceptance");
                     if ok {
-                        row.sponsor = Some(by);
-                        row.generation += 1;
-                    }
-                }
-                RegistryAction::Remove { idx } => {
-                    let name = pool_name(idx);
-                    // Route through the current sponsor so liveness is the
-                    // only thing deciding acceptance.
-                    let by = shadow
-                        .get(&name)
-                        .and_then(|r| r.sponsor)
-                        .unwrap_or(RegistrarId(1));
-                    let ok = registry.remove_delegation(by, &name).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    assert_eq!(ok, row.sponsor.is_some(), "remove_delegation acceptance");
-                    if ok {
-                        // The generation column survives removal and keeps
-                        // counting (stale-cache poison protection).
-                        row.sponsor = None;
-                        row.generation += 1;
+                        shadow.insert(name, ShadowRow { sponsor: by, generation: 1 });
                     }
                 }
                 RegistryAction::Transfer { idx, to } => {
                     let name = pool_name(idx);
-                    let from = shadow
-                        .get(&name)
-                        .and_then(|r| r.sponsor)
-                        .unwrap_or(RegistrarId(1));
+                    let from = sponsor(&shadow, &name);
                     let to = actor(to);
                     let ok = registry.transfer(from, to, &name).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    let expect = row.sponsor.is_some() && to != RegistrarId(99);
+                    let row = shadow.get_mut(&name);
+                    let expect = row.is_some() && to != RegistrarId(99);
                     assert_eq!(ok, expect, "transfer acceptance");
-                    if ok {
+                    if let Some(row) = row.filter(|_| ok) {
                         // Transfers are invisible on the wire: sponsor
                         // changes, generation must not.
-                        row.sponsor = Some(to);
+                        row.sponsor = to;
                     }
                 }
                 RegistryAction::SwapDs { idx, tag } => {
                     let name = pool_name(idx);
-                    let by = shadow
-                        .get(&name)
-                        .and_then(|r| r.sponsor)
-                        .unwrap_or(RegistrarId(1));
+                    let by = sponsor(&shadow, &name);
                     let ds = DsRdata {
                         key_tag: tag as u16,
                         algorithm: 8,
@@ -222,36 +202,30 @@ proptest! {
                         digest: vec![tag; 32],
                     };
                     let ok = registry.set_ds(by, &name, &[ds]).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    assert_eq!(ok, row.sponsor.is_some(), "set_ds acceptance");
-                    if ok {
+                    let row = shadow.get_mut(&name);
+                    assert_eq!(ok, row.is_some(), "set_ds acceptance");
+                    if let Some(row) = row {
                         row.generation += 1;
                     }
                 }
                 RegistryAction::DropDs { idx } => {
                     let name = pool_name(idx);
-                    let by = shadow
-                        .get(&name)
-                        .and_then(|r| r.sponsor)
-                        .unwrap_or(RegistrarId(1));
+                    let by = sponsor(&shadow, &name);
                     let ok = registry.remove_ds(by, &name).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    assert_eq!(ok, row.sponsor.is_some(), "remove_ds acceptance");
-                    if ok {
+                    let row = shadow.get_mut(&name);
+                    assert_eq!(ok, row.is_some(), "remove_ds acceptance");
+                    if let Some(row) = row {
                         row.generation += 1;
                     }
                 }
                 RegistryAction::ChangeNs { idx } => {
                     let name = pool_name(idx);
-                    let by = shadow
-                        .get(&name)
-                        .and_then(|r| r.sponsor)
-                        .unwrap_or(RegistrarId(1));
+                    let by = sponsor(&shadow, &name);
                     let hosts = [Name::parse("ns2.other.net").unwrap()];
                     let ok = registry.set_ns(by, &name, &hosts).is_ok();
-                    let row = shadow.entry(name).or_default();
-                    assert_eq!(ok, row.sponsor.is_some(), "set_ns acceptance");
-                    if ok {
+                    let row = shadow.get_mut(&name);
+                    assert_eq!(ok, row.is_some(), "set_ns acceptance");
+                    if let Some(row) = row {
                         row.generation += 1;
                     }
                 }
@@ -267,15 +241,8 @@ proptest! {
 
 #[derive(Debug, Clone)]
 enum OrderAction {
-    /// Registers a name: a live table row.
+    /// Registers a name: a table row, unless it has one.
     Insert { label: u8 },
-    /// Marks a table row dead.
-    Expire { idx: u8 },
-    /// Marks a table row live again.
-    Revive { idx: u8 },
-    /// Gives a name a (dead) table row without touching liveness, so the
-    /// order is not rebuilt: the row postdates every rank.
-    Intern { label: u8 },
     /// Enumerates the table.
     Read,
     /// Sorts rows by rank, starting from a scrambled order.
@@ -285,9 +252,6 @@ enum OrderAction {
 fn order_action() -> impl Strategy<Value = OrderAction> {
     prop_oneof![
         any::<u8>().prop_map(|label| OrderAction::Insert { label }),
-        any::<u8>().prop_map(|idx| OrderAction::Expire { idx }),
-        any::<u8>().prop_map(|idx| OrderAction::Revive { idx }),
-        any::<u8>().prop_map(|label| OrderAction::Intern { label }),
         Just(OrderAction::Read),
         any::<u8>().prop_map(|rotate| OrderAction::RankSort { rotate }),
     ]
@@ -331,40 +295,25 @@ fn scrambled(len: usize, rotate: u8) -> Vec<u32> {
 }
 
 /// Compares the table's enumeration and rank sort with a fresh sort of
-/// the shadow's live names. `rotate` scrambles the rows before the rank
-/// sort.
-fn check_order(table: &DomainTable, shadow: &BTreeMap<Name, bool>, rotate: Option<u8>) {
-    let live = fresh_sort(
-        shadow
-            .iter()
-            .filter(|&(_, &live)| live)
-            .map(|(name, _)| name.clone())
-            .collect(),
-    );
+/// the inserted names. `rotate` scrambles the rows before the rank sort.
+fn check_order(table: &DomainTable, inserted: &[Name], rotate: Option<u8>) {
+    let expected = fresh_sort(inserted.to_vec());
     let Some(rotate) = rotate else {
         let ordered: Vec<Name> = table.ordered().map(|(_, name, _)| name.clone()).collect();
-        assert_eq!(ordered, live, "ordered() diverged from a fresh sort");
+        assert_eq!(ordered, expected, "ordered() diverged from a fresh sort");
         return;
     };
 
-    // Every table row, in a scrambled order: live rows sort by rank into
-    // canonical order; dead ones, however recently interned, have the
-    // out-of-order rank and never index past the ranks.
+    // Every table row, in a scrambled order, sorts by rank into
+    // canonical order.
     let ranks = table.ranks();
-    let mut rows = scrambled(shadow.len(), rotate);
-    for &row in &rows {
-        let rank = ranks.of(row);
-        assert_eq!(
-            rank == u32::MAX,
-            !table.is_live(row),
-            "{}: rank {rank}",
-            table.name(row)
-        );
-    }
-    rows.retain(|&row| table.is_live(row));
+    let mut rows = scrambled(inserted.len(), rotate);
     rows.sort_by_key(|&row| ranks.of(row));
     let by_rank: Vec<Name> = rows.iter().map(|&row| table.name(row).clone()).collect();
-    assert_eq!(by_rank, live, "table rank sort diverged from a fresh sort");
+    assert_eq!(
+        by_rank, expected,
+        "table rank sort diverged from a fresh sort"
+    );
 }
 
 proptest! {
@@ -379,45 +328,24 @@ proptest! {
         actions in proptest::collection::vec(order_action(), 1..64)
     ) {
         let mut table = DomainTable::new();
-        // Name → live, for every name with a table row (in row order of
-        // first sight, which the table's interning also follows).
-        let mut shadow: BTreeMap<Name, bool> = BTreeMap::new();
-        let mut seen: Vec<Name> = Vec::new();
-        let pick = |seen: &[Name], idx: u8| {
-            (!seen.is_empty()).then(|| seen[idx as usize % seen.len()].clone())
-        };
+        // Every name with a table row, in row order.
+        let mut inserted: Vec<Name> = Vec::new();
+        let operator = Name::parse("op.net").unwrap();
         for action in actions {
             match action {
-                OrderAction::Insert { label } | OrderAction::Intern { label } => {
+                OrderAction::Insert { label } => {
                     let name = order_name(label);
-                    let row = table.intern_row(&name);
-                    shadow.entry(name.clone()).or_insert_with(|| {
-                        seen.push(name.clone());
-                        false
-                    });
-                    if matches!(action, OrderAction::Insert { .. }) {
-                        table.set_live(row, RegistrarId(1));
-                        shadow.insert(name, true);
+                    if table.row_of(&name).is_none() {
+                        table.add_row(&name, RegistrarId(1), operator.clone());
+                        inserted.push(name);
                     }
                 }
-                OrderAction::Expire { idx } => {
-                    if let Some(name) = pick(&seen, idx) {
-                        table.set_dead(table.row_of(&name).expect("interned"));
-                        shadow.insert(name, false);
-                    }
-                }
-                OrderAction::Revive { idx } => {
-                    if let Some(name) = pick(&seen, idx) {
-                        table.set_live(table.row_of(&name).expect("interned"), RegistrarId(2));
-                        shadow.insert(name, true);
-                    }
-                }
-                OrderAction::Read => check_order(&table, &shadow, None),
-                OrderAction::RankSort { rotate } => check_order(&table, &shadow, Some(rotate)),
+                OrderAction::Read => check_order(&table, &inserted, None),
+                OrderAction::RankSort { rotate } => check_order(&table, &inserted, Some(rotate)),
             }
         }
-        check_order(&table, &shadow, Some(0));
-        check_order(&table, &shadow, None);
+        check_order(&table, &inserted, Some(0));
+        check_order(&table, &inserted, None);
     }
 }
 

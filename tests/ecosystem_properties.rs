@@ -213,19 +213,15 @@ fn check_invariants(world: &World, domains: &[Name]) {
     }
 }
 
-/// The operator column oracle: every live delegation's stored operator,
-/// by row and by name, is the key of the NS set its zone serves. (Dead
-/// rows reading `None` is checked where rows die,
-/// `tests/columnar_equivalence.rs`: a world never removes one.)
+/// The operator column oracle: every delegation's stored operator, by
+/// row and by name, is the key of the NS set its zone serves.
 fn check_operator_column(world: &World) {
     for tld in ALL_TLDS {
         let registry = world.registry(tld);
         for (row, domain, _) in registry.delegations_columnar() {
             let expected = operator_of(&registry.ns_of(domain));
-            assert!(expected.is_some(), "{domain}: a live delegation has NS");
-            let by_row = registry
-                .operator_at(row)
-                .map(|id| &registry.operators()[id as usize]);
+            assert!(expected.is_some(), "{domain}: a delegation has NS");
+            let by_row = Some(&registry.operators()[registry.operator_at(row) as usize]);
             assert_eq!(by_row, expected.as_ref(), "{domain}: operator column");
             assert_eq!(registry.operator_of(domain), by_row, "{domain}: by name");
         }

@@ -131,10 +131,10 @@ fn a_warm_scan_meets_a_row_past_the_column() {
     let neighbour = registry.delegations()[0].clone();
     let sponsor = registry.sponsor_of(&neighbour).expect("delegated");
     let hosts = registry.ns_of(&neighbour);
-    let rows = registry.delegation_rows();
+    let rows = registry.delegation_count();
     let added = dsec::wire::Name::parse("past-the-column.com").unwrap();
     registry.add_delegation(sponsor, &added, &hosts).unwrap();
-    assert_eq!(registry.delegation_rows(), rows + 1, "a fresh row");
+    assert_eq!(registry.delegation_count(), rows + 1, "a fresh row");
 
     let warm = Snapshot::take_cached(&pw.world, &ALL_TLDS, &options, &mut cache);
     let fresh = Snapshot::take_with_options(&pw.world, &ALL_TLDS, &options);

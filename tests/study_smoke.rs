@@ -166,14 +166,8 @@ fn tiny_study_produces_every_artifact() {
 
 #[test]
 fn studies_are_deterministic() {
-    let a = run_study(&StudyConfig {
-        run_probe: false,
-        ..StudyConfig::tiny()
-    });
-    let b = run_study(&StudyConfig {
-        run_probe: false,
-        ..StudyConfig::tiny()
-    });
+    let a = run_study(&StudyConfig::tiny());
+    let b = run_study(&StudyConfig::tiny());
     assert_eq!(
         a.paper_world.world.domain_count(),
         b.paper_world.world.domain_count()

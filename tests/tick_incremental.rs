@@ -637,11 +637,8 @@ enum ScanStep {
     /// (an NS edit into a one-domain operator cell), milestones, ticks.
     World(Step),
     /// Delegates a name the world never sold, straight at the registry —
-    /// to an operator of its own (`lonely`) or to a shared one. A label
-    /// delegated, removed and delegated again revives its row.
+    /// to an operator of its own (`lonely`) or to a shared one.
     Delegate { label: u8, lonely: bool },
-    /// Removes such a delegation.
-    Undelegate { label: u8 },
     /// Moves such a delegation between its own operator and the shared
     /// one: moving the only domain out empties the operator's cell.
     MoveNs { label: u8, lonely: bool },
@@ -672,7 +669,6 @@ fn scan_step() -> impl Strategy<Value = ScanStep> {
             .prop_map(|(label, lonely)| ScanStep::Delegate { label, lonely }),
         (any::<u8>(), any::<bool>())
             .prop_map(|(label, lonely)| ScanStep::Delegate { label, lonely }),
-        any::<u8>().prop_map(|label| ScanStep::Undelegate { label }),
         (any::<u8>(), any::<bool>()).prop_map(|(label, lonely)| ScanStep::MoveNs { label, lonely }),
         (any::<u8>(), any::<bool>()).prop_map(|(idx, install)| ScanStep::SetDs { idx, install }),
         Just(ScanStep::Stall),
@@ -779,11 +775,6 @@ impl ScanGround {
                     &ghost(label),
                     &hosts(label, lonely),
                 );
-            }
-            ScanStep::Undelegate { label } => {
-                let _ = world
-                    .registry_mut(Tld::Com)
-                    .remove_delegation(self.sponsor, &ghost(label));
             }
             ScanStep::MoveNs { label, lonely } => {
                 let _ = world.registry_mut(Tld::Com).set_ns(
@@ -971,8 +962,8 @@ fn delta_snapshots_survive_every_transition_and_fallback() {
             idx: 1,
             install: false,
         },
-        // Removal and re-registration between two snapshots of one
-        // cache (the caches alternate, so each sees every other step).
+        // New delegations between two snapshots of one cache (the caches
+        // alternate, so each sees every other step), and one refused.
         Delegate {
             label: 0,
             lonely: true,
@@ -981,16 +972,9 @@ fn delta_snapshots_survive_every_transition_and_fallback() {
             label: 1,
             lonely: false,
         },
-        Undelegate { label: 0 },
         Delegate {
             label: 0,
-            lonely: true,
-        },
-        Undelegate { label: 1 },
-        Undelegate { label: 0 },
-        Delegate {
-            label: 0,
-            lonely: true,
+            lonely: false,
         },
         // An NS move that empties the lonely operator's cell, and back.
         MoveNs {
@@ -1003,8 +987,8 @@ fn delta_snapshots_survive_every_transition_and_fallback() {
         },
         World(Step::SwitchToOwner { idx: 1 }),
         // Fault plane on, and two delegations that never answer —
-        // contributions no entry can hold — then a change and two
-        // removals under it (one of them unobserved), then off.
+        // contributions no entry can hold — then a change and two NS moves
+        // under it (one into the dead fleet, one out of it), then off.
         Faults { on: true },
         Delegate {
             label: 3,
@@ -1019,8 +1003,14 @@ fn delta_snapshots_survive_every_transition_and_fallback() {
             idx: 3,
             install: true,
         },
-        Undelegate { label: 0 },
-        Undelegate { label: 4 },
+        MoveNs {
+            label: 0,
+            lonely: false,
+        },
+        MoveNs {
+            label: 4,
+            lonely: true,
+        },
         World(Step::Tick),
         Faults { on: false },
         World(Step::Tick),
