@@ -5,10 +5,12 @@
 //! (re-signing, rollover, DS swap) is visible on the very next query,
 //! with nothing to invalidate.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::sync::Arc;
 
-use dsec_wire::{Flags, FnvHashMap, Message, Name, Question, RData, Rcode, Record, RrType, Zone};
+use dsec_wire::{
+    Flags, FnvHashMap, Message, Name, Owner, Question, RData, Rcode, Record, RrType, Zone,
+};
 
 /// Served zones by origin, hashed: finding the zone for a query is one
 /// probe per label of its name. Each zone is shared via `Arc` so frozen
@@ -53,7 +55,17 @@ impl Authority {
 
     /// Runs `f` over the zone rooted at `origin`, if served.
     pub fn with_zone<R>(&self, origin: &Name, f: impl FnOnce(&Zone) -> R) -> Option<R> {
-        self.zones.borrow().get(origin).map(|zone| f(zone))
+        self.zone(origin).map(|zone| f(&zone))
+    }
+
+    /// A borrow of the zone rooted at `origin`, if served: what a reader
+    /// that hands out references into the zone holds. No edit of this
+    /// authority may run while it is held.
+    pub fn zone(&self, origin: &Name) -> Option<Ref<'_, Zone>> {
+        Ref::filter_map(self.zones.borrow(), |zones| {
+            zones.get(origin).map(|zone| &**zone)
+        })
+        .ok()
     }
 
     /// Runs `f` mutably over the zone rooted at `origin`, if served.
@@ -160,7 +172,10 @@ impl Authority {
 }
 
 /// The RFC 1034 §4.3.2 answer algorithm over one zone snapshot: fills
-/// `response` (REFUSED when no served zone matches).
+/// `response` (REFUSED when no served zone matches). Each owner the answer
+/// reads is found with one probe and then read in place: a referral's cut
+/// once for its NS set, DS, RRSIGs and NSEC, the qname once for its
+/// answer, CNAME and existence.
 fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut Message) {
     let qname = &question.name;
     let qtype = question.qtype;
@@ -185,110 +200,98 @@ fn answer(zones: &ZoneMap, query: &Message, question: &Question, response: &mut 
     };
 
     // Delegation? (A DS query for the cut itself is answered by this
-    // zone — the parent owns the DS RRset.)
-    if let Some((cut, ns_set)) = zone.find_delegation(qname) {
-        let ds_query_at_cut = qtype == RrType::Ds && *qname == cut;
-        if !ds_query_at_cut {
-            response.flags.authoritative = false;
-            // Glue for the hosts inside the cut.
-            for host in zone.ns_hosts(&cut) {
-                if host.is_subdomain_of(&cut) {
-                    if let Some(glue) = zone.rrset_records(host, RrType::A) {
-                        response.additionals.extend(glue.iter().cloned());
-                    }
-                }
-            }
-            // A delegation's NS records are built per query: moved, not
-            // cloned.
-            response.authorities.extend(ns_set.into_owned());
+    // zone — the parent owns the DS RRset — from the cut's records.)
+    let cut = zone.find_delegation(qname);
+    if let Some(cut) = cut.filter(|cut| !(qtype == RrType::Ds && qname == cut.name())) {
+        refer(zone, cut, dnssec_ok, response);
+        return;
+    }
+    let owner = cut.or_else(|| zone.owner(qname));
+
+    // Exact-match answer, or a CNAME at the name.
+    for rtype in [qtype, RrType::Cname] {
+        if let Some(rrset) = owner.and_then(|owner| owner.rrset(rtype)) {
+            response.answers.extend(rrset.iter().cloned());
             if dnssec_ok {
-                // DS (or its absence) travels with the referral.
-                let has_ds = match zone.rrset_records(&cut, RrType::Ds) {
-                    Some(ds) => {
-                        response.authorities.extend(ds.iter().cloned());
-                        true
-                    }
-                    None => false,
-                };
-                append_rrsigs(zone, &cut, &[RrType::Ds], &mut response.authorities);
-                // NSEC proves DS absence for unsigned children.
-                if !has_ds {
-                    if let Some(nsec) = zone.rrset_records(&cut, RrType::Nsec) {
-                        response.authorities.extend(nsec.iter().cloned());
-                        append_rrsigs(zone, &cut, &[RrType::Nsec], &mut response.authorities);
-                    }
-                }
+                append_rrsigs(owner, &[rtype], &mut response.answers);
             }
             return;
         }
     }
 
-    // Exact-match answer.
-    if let Some(rrset) = zone.rrset_records(qname, qtype) {
-        response.answers.extend(rrset.iter().cloned());
-        if dnssec_ok {
-            append_rrsigs(zone, qname, &[qtype], &mut response.answers);
-        }
-        return;
-    }
-
-    // CNAME at the name?
-    if let Some(cname) = zone.rrset_records(qname, RrType::Cname) {
-        response.answers.extend(cname.iter().cloned());
-        if dnssec_ok {
-            append_rrsigs(zone, qname, &[RrType::Cname], &mut response.answers);
-        }
-        return;
-    }
-
     // Negative answer: NODATA (name exists) or NXDOMAIN.
-    let exists = zone.name_exists(qname) || *qname == *zone.origin();
+    let exists = owner.is_some() || *qname == *zone.origin();
     if !exists {
         response.rcode = Rcode::NxDomain;
     }
-    if let Some(soa) = zone.rrset_records(zone.origin(), RrType::Soa) {
+    let apex = zone.owner(zone.origin());
+    if let Some(soa) = apex.and_then(|apex| apex.rrset(RrType::Soa)) {
         response.authorities.extend(soa.iter().cloned());
         if dnssec_ok {
-            append_rrsigs(
-                zone,
-                zone.origin(),
-                &[RrType::Soa],
-                &mut response.authorities,
-            );
+            append_rrsigs(apex, &[RrType::Soa], &mut response.authorities);
         }
     }
     if dnssec_ok {
         // NSEC3 zones: attach the NSEC3 matching (NODATA) or covering
         // (NXDOMAIN) the qname's hash. NSEC zones: the plain denial.
-        if let Some(owner) = nsec3_denial_owner(zone, qname) {
-            if let Some(nsec3) = zone.rrset_records(&owner, RrType::Nsec3) {
-                response.authorities.extend(nsec3.iter().cloned());
-                append_rrsigs(zone, &owner, &[RrType::Nsec3], &mut response.authorities);
+        let denial = match nsec3_denial_owner(zone, apex, qname) {
+            Some(owner) => Some((zone.owner(&owner), RrType::Nsec3)),
+            None if exists => Some((owner, RrType::Nsec)),
+            None => {
+                covering_nsec_owner(zone, qname).map(|owner| (zone.owner(&owner), RrType::Nsec))
             }
-        } else {
-            let nsec_owner = if exists {
-                Some(qname.clone())
-            } else {
-                covering_nsec_owner(zone, qname)
-            };
-            if let Some(owner) = nsec_owner {
-                if let Some(nsec) = zone.rrset_records(&owner, RrType::Nsec) {
-                    response.authorities.extend(nsec.iter().cloned());
-                    append_rrsigs(zone, &owner, &[RrType::Nsec], &mut response.authorities);
-                }
+        };
+        if let Some((owner, rtype)) = denial {
+            if let Some(proof) = owner.and_then(|owner| owner.rrset(rtype)) {
+                response.authorities.extend(proof.iter().cloned());
+                append_rrsigs(owner, &[rtype], &mut response.authorities);
             }
         }
     }
 }
 
-/// Appends RRSIGs at `owner` covering any of `types`.
-fn append_rrsigs(zone: &Zone, owner: &Name, types: &[RrType], out: &mut Vec<Record>) {
-    if let Some(sigs) = zone.rrset_records(owner, RrType::Rrsig) {
-        for record in sigs.iter() {
-            if let RData::Rrsig(s) = &record.rdata {
-                if types.contains(&s.type_covered) {
-                    out.push(record.clone());
-                }
+/// A referral to `cut`: its NS set, glue for the hosts inside it, and
+/// with DO the DS RRset (or its NSEC denial) with their RRSIGs.
+fn refer(zone: &Zone, cut: Owner<'_>, dnssec_ok: bool, response: &mut Message) {
+    response.flags.authoritative = false;
+    for host in cut.ns_hosts() {
+        if host.is_subdomain_of(cut.name()) {
+            if let Some(glue) = zone.rrset_records(host, RrType::A) {
+                response.additionals.extend(glue.iter().cloned());
+            }
+        }
+    }
+    // A delegation row's NS records are built per query: moved, not
+    // cloned.
+    let ns_set = cut.rrset(RrType::Ns).expect("a cut has an NS RRset");
+    response.authorities.extend(ns_set.into_owned());
+    if dnssec_ok {
+        // DS (or its absence) travels with the referral.
+        let ds = cut.rrset(RrType::Ds);
+        let has_ds = ds.is_some();
+        response
+            .authorities
+            .extend(ds.iter().flat_map(|ds| ds.iter().cloned()));
+        append_rrsigs(Some(cut), &[RrType::Ds], &mut response.authorities);
+        // NSEC proves DS absence for unsigned children.
+        if !has_ds {
+            if let Some(nsec) = cut.rrset(RrType::Nsec) {
+                response.authorities.extend(nsec.iter().cloned());
+                append_rrsigs(Some(cut), &[RrType::Nsec], &mut response.authorities);
+            }
+        }
+    }
+}
+
+/// Appends `owner`'s RRSIGs covering any of `types`.
+fn append_rrsigs(owner: Option<Owner<'_>>, types: &[RrType], out: &mut Vec<Record>) {
+    let Some(sigs) = owner.and_then(|owner| owner.rrset(RrType::Rrsig)) else {
+        return;
+    };
+    for record in sigs.iter() {
+        if let RData::Rrsig(s) = &record.rdata {
+            if types.contains(&s.type_covered) {
+                out.push(record.clone());
             }
         }
     }
@@ -297,8 +300,8 @@ fn append_rrsigs(zone: &Zone, owner: &Name, types: &[RrType], out: &mut Vec<Reco
 /// For an NSEC3 zone (apex NSEC3PARAM present), the hashed owner of the
 /// NSEC3 record matching or covering `qname`'s hash; `None` for NSEC
 /// zones.
-fn nsec3_denial_owner(zone: &Zone, qname: &Name) -> Option<Name> {
-    let param_set = zone.rrset_records(zone.origin(), RrType::Nsec3Param)?;
+fn nsec3_denial_owner(zone: &Zone, apex: Option<Owner<'_>>, qname: &Name) -> Option<Name> {
+    let param_set = apex?.rrset(RrType::Nsec3Param)?;
     let RData::Nsec3Param(param) = &param_set[0].rdata else {
         return None;
     };

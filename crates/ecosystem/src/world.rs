@@ -582,7 +582,13 @@ impl World {
 
     /// Domain access, under any spelling of the name.
     pub fn domain(&self, name: &Name) -> Option<&Domain> {
-        self.id_of(name).map(|id| self.domains.at(id))
+        self.entry(name).map(|(_, d)| d)
+    }
+
+    /// [`World::domain`] with the domain's id, for a caller that reads
+    /// the registry's columns by row next.
+    pub fn entry(&self, name: &Name) -> Option<(DomainId, &Domain)> {
+        self.id_of(name).map(|id| (id, self.domains.at(id)))
     }
 
     /// The registrant's contact address for `domain`, the credential an
@@ -613,12 +619,13 @@ impl World {
 
     /// [`World::domains`] with each domain's id: every registry's
     /// rows in its canonical order, the registries in TLD label order,
-    /// skipping rows without a payload.
-    fn entries(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
+    /// skipping rows without a payload. The id reads the registry's
+    /// columns by row, with no name probed.
+    pub fn entries(&self) -> impl Iterator<Item = (DomainId, &Domain)> {
         BY_LABEL.into_iter().flat_map(move |tld| {
             self.registries[&tld]
                 .delegations_columnar()
-                .filter_map(move |(row, _, _)| {
+                .filter_map(move |(row, _)| {
                     let id = DomainId::new(tld, row);
                     Some((id, self.domains.get(id)?))
                 })
@@ -1026,11 +1033,29 @@ impl World {
     /// lame (REFUSED) server is skipped; if all are lame, the domain
     /// serves no DNSKEY.
     pub fn observe(&self, domain: &Name, rounds: u32) -> (Observation, ExchangeOutcome) {
-        let mut obs = Observation::default();
-        if let Some(tld) = Tld::of_domain(domain) {
-            obs.ds_set = self.registries[&tld].ds_of(domain);
+        let row = Tld::of_domain(domain)
+            .and_then(|tld| Some(DomainId::new(tld, self.registries[&tld].row_of(domain)?)));
+        match row {
+            Some(id) => self.observe_at(id, domain, rounds),
+            None => (Observation::default(), ExchangeOutcome::NoServers),
         }
-        let outcome = self.exchange(domain, RrType::Dnskey, rounds);
+    }
+
+    /// [`World::observe`] of the delegation `id`, whose name is `domain`:
+    /// its DS and NS sets are read by row, with no name probed.
+    pub fn observe_at(
+        &self,
+        id: DomainId,
+        domain: &Name,
+        rounds: u32,
+    ) -> (Observation, ExchangeOutcome) {
+        let registry = &self.registries[&id.tld()];
+        let mut obs = Observation {
+            ds_set: registry.ds_at(id.row()),
+            ..Observation::default()
+        };
+        let servers = registry.ns_at(id.row());
+        let outcome = self.ask(&servers, domain, RrType::Dnskey, rounds);
         if let ExchangeOutcome::Answered { response, .. } = &outcome {
             let keys: Vec<Record> = response
                 .answers
@@ -1060,17 +1085,21 @@ impl World {
     /// that instant hides its servers from the scan, the audits and the
     /// CDS polls alike, as it does from a resolver.
     fn exchange(&self, domain: &Name, rtype: RrType, rounds: u32) -> ExchangeOutcome {
-        let Some(tld) = Tld::of_domain(domain) else {
-            return ExchangeOutcome::NoServers;
-        };
-        let servers = self.registries[&tld].ns_of(domain);
+        let servers = Tld::of_domain(domain)
+            .map(|tld| self.registries[&tld].ns_of(domain))
+            .unwrap_or_default();
+        self.ask(&servers, domain, rtype, rounds)
+    }
+
+    /// [`World::exchange`] over the delegated nameservers `servers`.
+    fn ask(&self, servers: &[Name], domain: &Name, rtype: RrType, rounds: u32) -> ExchangeOutcome {
         let policy = RetryPolicy {
             max_attempts: rounds.max(1).saturating_mul(servers.len() as u32),
             budget_ms: u32::MAX,
             ..RetryPolicy::default()
         };
         let query = Message::query(0, domain.clone(), rtype, true);
-        Exchange::new(&self.network, policy, self.today.epoch_seconds()).ask(&servers, &query)
+        Exchange::new(&self.network, policy, self.today.epoch_seconds()).ask(servers, &query)
     }
 
     /// The network's fault-injection plane (chaos-campaign control).

@@ -126,13 +126,22 @@ impl HealthCache {
     /// instead of cloned names. With no tracked failures (the fault-free
     /// hot path) this is the identity permutation and touches no name
     /// bytes at all — the per-query cost is one borrow of the map.
+    /// Otherwise each server's penalty is looked up once, and the order
+    /// is the identity, unsorted, when the penalties already never
+    /// decrease (a lame server that answered REFUSED leaves an entry
+    /// behind for good, so this is the common case).
     pub fn order_indices(&self, servers: &[Name]) -> Vec<usize> {
+        let mut ordered: Vec<usize> = (0..servers.len()).collect();
         let penalties = self.servers.borrow();
         if penalties.is_empty() {
-            return (0..servers.len()).collect();
+            return ordered;
         }
-        let mut ordered: Vec<usize> = (0..servers.len()).collect();
-        ordered.sort_by_key(|&i| penalties.get(&servers[i]).map_or(0, |h| h.penalty));
+        let penalty: Vec<u32> = (servers.iter())
+            .map(|ns| penalties.get(ns).map_or(0, |h| h.penalty))
+            .collect();
+        if !penalty.is_sorted() {
+            ordered.sort_by_key(|&i| penalty[i]);
+        }
         ordered
     }
 }
@@ -273,6 +282,22 @@ mod tests {
         assert_eq!(health.order(&servers), servers);
         // ...and the fully recovered server is no longer tracked at all.
         assert_eq!(health.tracked_servers(), 0);
+    }
+
+    /// Penalties are read once per server: the order is the stable sort
+    /// by penalty, and the identity when they never decrease.
+    #[test]
+    fn ordering_is_the_stable_sort_by_penalty() {
+        let health = HealthCache::new();
+        let servers: Vec<Name> = (1..=4).map(|i| name(&format!("ns{i}.a.net"))).collect();
+        for (ns, failures) in servers.iter().zip([2, 0, 2, 1]) {
+            (0..failures).for_each(|_| health.record_failure(ns));
+        }
+        assert_eq!(health.order_indices(&servers), [1, 3, 0, 2]);
+        let rising = [&servers[1], &servers[3], &servers[0], &servers[2]].map(Name::clone);
+        assert_eq!(health.order_indices(&rising), [0, 1, 2, 3]);
+        let spelled = [name("NS3.A.net"), name("ns1.a.NET"), name("ns4.a.net")];
+        assert_eq!(health.order_indices(&spelled), [2, 0, 1]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::iter;
 use std::net::Ipv4Addr;
 
 use dsec_dnssec::ds_matches;
-use dsec_ecosystem::{Domain, Event, RolloverStyle, World};
+use dsec_ecosystem::{Domain, DomainId, Event, RolloverStyle, World};
 use dsec_resolver::{Cache, Exchange, ExchangeOutcome, RetryPolicy};
 use dsec_wire::{Message, Name, RData, Rcode, Record, RrType};
 
@@ -132,18 +132,19 @@ enum Actor {
 }
 
 impl Actor {
-    /// The row key for `domain`, or `"(unknown)"` once it has left the
-    /// world.
-    fn key(self, world: &World, domain: Option<&Domain>) -> String {
-        domain
-            .and_then(|d| match self {
-                Actor::Registrar => Some(world.registrar(d.registrar).name.clone()),
-                Actor::Operator => world
-                    .registry(d.tld)
-                    .operator_of(&d.name)
-                    .map(|op| op.to_string()),
-            })
-            .unwrap_or_else(|| "(unknown)".into())
+    /// The row key for the domain `entry`, or `"(unknown)"` once it has
+    /// left the world. The operator is read by row.
+    fn key(self, world: &World, entry: Option<(DomainId, &Domain)>) -> String {
+        let Some((id, d)) = entry else {
+            return "(unknown)".into();
+        };
+        match self {
+            Actor::Registrar => world.registrar(d.registrar).name.clone(),
+            Actor::Operator => {
+                let registry = world.registry(id.tld());
+                registry.operators()[registry.operator_at(id.row()) as usize].to_string()
+            }
+        }
     }
 }
 
@@ -157,7 +158,7 @@ fn fold<S: Default>(
     let mut census = BTreeMap::new();
     for (_, event) in world.events.entries() {
         if let Some((domain, count)) = tally(event) {
-            let key = actor.key(world, world.domain(domain));
+            let key = actor.key(world, world.entry(domain));
             count(census.entry(key).or_default());
         }
     }
@@ -171,11 +172,11 @@ fn sweep<S: Default, F: FnOnce(&mut S)>(
     world: &World,
     actor: Actor,
     mut census: BTreeMap<String, S>,
-    mut observe: impl FnMut(&Domain) -> Option<F>,
+    mut observe: impl FnMut(DomainId, &Domain) -> Option<F>,
 ) -> BTreeMap<String, S> {
-    for d in world.domains() {
-        if let Some(count) = observe(d) {
-            count(census.entry(actor.key(world, Some(d))).or_default());
+    for (id, d) in world.entries() {
+        if let Some(count) = observe(id, d) {
+            count(census.entry(actor.key(world, Some((id, d)))).or_default());
         }
     }
     census
@@ -218,12 +219,12 @@ pub fn takeover_census(world: &World) -> BTreeMap<String, RegistrarTakeoverStats
             _ => return None,
         })
     });
-    sweep(world, Actor::Registrar, events, |d| {
-        let mismatch = ds_mismatch(world, d);
+    sweep(world, Actor::Registrar, events, |id, d| {
+        let mismatch = ds_mismatch(world, id, d);
         let drift = world
             .expected_ns_hosts(&d.name)
             .is_some_and(|mut expected| {
-                let mut actual = world.registry(d.tld).ns_of(&d.name);
+                let mut actual = world.registry(id.tld()).ns_at(id.row());
                 actual.sort();
                 expected.sort();
                 !actual.is_empty() && actual != expected
@@ -238,11 +239,11 @@ pub fn takeover_census(world: &World) -> BTreeMap<String, RegistrarTakeoverStats
 /// Whether `d`'s registry DS matches none of the DNSKEYs its servers
 /// answer with. A fetch nobody answered, or one that came back
 /// SERVFAIL-only, observed nothing and is no mismatch.
-fn ds_mismatch(world: &World, d: &Domain) -> bool {
-    if world.registry(d.tld).ds_of(&d.name).is_empty() {
+fn ds_mismatch(world: &World, id: DomainId, d: &Domain) -> bool {
+    if !world.registry(id.tld()).has_ds_at(id.row()) {
         return false;
     }
-    let (obs, outcome) = world.observe(&d.name, 1);
+    let (obs, outcome) = world.observe_at(id, &d.name, 1);
     match &outcome {
         ExchangeOutcome::Unreachable => return false,
         ExchangeOutcome::Answered { response, .. } if response.rcode == Rcode::ServFail => {
@@ -270,13 +271,13 @@ pub fn poison_census(
     cache: &Cache,
     now: u32,
 ) -> BTreeMap<String, RegistrarPoisonStats> {
-    sweep(world, Actor::Registrar, BTreeMap::new(), |d| {
+    sweep(world, Actor::Registrar, BTreeMap::new(), |id, d| {
         let (mut cached, mut poisoned) = (0, 0);
         for qname in iter::once(d.name.clone()).chain(d.name.child("www").ok()) {
             let Some(answer) = cache.get(&qname, RrType::A, now) else {
                 continue;
             };
-            let Some(served) = authoritative_a(world, d, &qname) else {
+            let Some(served) = authoritative_a(world, id, &qname) else {
                 continue;
             };
             cached += 1;
@@ -293,11 +294,11 @@ pub fn poison_census(
 /// `qname`, asked under the resolver's [`RetryPolicy`] (a lame server
 /// is skipped, a SERVFAIL retried), or `None` when nothing
 /// authoritative answered.
-fn authoritative_a(world: &World, d: &Domain, qname: &Name) -> Option<Vec<Ipv4Addr>> {
+fn authoritative_a(world: &World, id: DomainId, qname: &Name) -> Option<Vec<Ipv4Addr>> {
     let query = Message::query(0, qname.clone(), RrType::A, true);
     let now = world.today.epoch_seconds();
     let response = Exchange::new(&world.network, RetryPolicy::default(), now)
-        .ask(&world.registry(d.tld).ns_of(&d.name), &query)
+        .ask(&world.registry(id.tld()).ns_at(id.row()), &query)
         .into_response()
         .filter(|r| !matches!(r.rcode, Rcode::ServFail | Rcode::Refused))?;
     Some(sorted_a(&response.answers, qname))
@@ -615,7 +616,7 @@ mod tests {
     fn faithful_cache_entries_are_not_poisoned() {
         let (w, v) = probed_world();
         let www = v.child("www").unwrap();
-        let served = authoritative_a(&w, w.domain(&v).unwrap(), &www).expect("zone serves www");
+        let served = authoritative_a(&w, w.entry(&v).unwrap().0, &www).expect("zone serves www");
         assert!(!served.is_empty());
         let cache = Cache::new();
         let records: Vec<Record> = served

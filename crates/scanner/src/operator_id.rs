@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dsec_ecosystem::{Domain, World, ALL_TLDS};
+use dsec_ecosystem::{DomainId, World, ALL_TLDS};
 use dsec_wire::Name;
 
 pub use dsec_ecosystem::{operator_key, operator_of};
@@ -27,13 +27,13 @@ pub fn largest_operator_fleet(world: &World, exclude: Option<&str>) -> (String, 
             (tld, operators.iter().map(Name::to_string).collect())
         })
         .collect();
-    let key_of = |d: &Domain| {
-        let id = world.registry(d.tld).operator_id_of(&d.name)?;
-        Some(keys[&d.tld][id as usize].as_str())
+    let key_of = |id: DomainId| {
+        let operator = world.registry(id.tld()).operator_at(id.row());
+        keys[&id.tld()][operator as usize].as_str()
     };
     let mut sizes: BTreeMap<&str, u64> = BTreeMap::new();
-    for key in world.domains().filter_map(key_of) {
-        *sizes.entry(key).or_insert(0) += 1;
+    for (id, _) in world.entries() {
+        *sizes.entry(key_of(id)).or_insert(0) += 1;
     }
     let victim = sizes
         .iter()
@@ -43,9 +43,9 @@ pub fn largest_operator_fleet(world: &World, exclude: Option<&str>) -> (String, 
         .unwrap_or_default();
     // Only the winner's NS sets are read.
     let fleet: BTreeSet<Name> = world
-        .domains()
-        .filter(|d| key_of(d) == Some(victim.as_str()))
-        .flat_map(|d| world.registry(d.tld).ns_of(&d.name))
+        .entries()
+        .filter(|&(id, _)| key_of(id) == victim.as_str())
+        .flat_map(|(id, _)| world.registry(id.tld()).ns_at(id.row()))
         .collect();
     (victim, fleet.into_iter().collect())
 }

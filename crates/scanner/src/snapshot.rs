@@ -10,18 +10,18 @@ use std::collections::BTreeMap;
 use dsec_dnssec::{classify, DeploymentStatus};
 use dsec_ecosystem::{DomainId, Freshness, SimDate, Tld, World, ALL_TLDS};
 use dsec_resolver::ExchangeOutcome;
-use dsec_wire::{FnvHashMap, Name, Rcode};
+use dsec_wire::{FnvHashMap, Rcode};
 
 use crate::cache::{operator_name, Class, ScanCache, Sums};
 
-/// One delegation to scan: the borrowed name plus the columnar identity
-/// the incremental cache keys on — the row-packed [`DomainId`] and the
-/// current change generation, read from the registry's columns (a dense
+/// One delegation to scan: the columnar identity the incremental cache
+/// keys on — the row-packed [`DomainId`] and the current change
+/// generation, read from the registry's columns (a dense
 /// [`dsec_ecosystem::Registry::delegations_columnar`] sweep, or
-/// [`dsec_ecosystem::Registry::delegation_at`] for a listed row)
-/// instead of a per-domain map probe.
-pub(crate) struct ScanItem<'a> {
-    pub(crate) name: &'a Name,
+/// [`dsec_ecosystem::Registry::delegation_at`] for a listed row) instead
+/// of a per-domain map probe. Its name is read by row only when the row
+/// is scanned.
+pub(crate) struct ScanItem {
     pub(crate) key: DomainId,
     pub(crate) generation: u64,
 }
@@ -230,9 +230,8 @@ impl Snapshot {
                     cache.begin_sweep(world, tlds);
                 }
                 for &tld in tlds {
-                    for (row, name, generation) in world.registry(tld).delegations_columnar() {
+                    for (row, generation) in world.registry(tld).delegations_columnar() {
                         pass.visit(ScanItem {
-                            name,
                             key: DomainId::new(tld, row),
                             generation,
                         });
@@ -243,7 +242,7 @@ impl Snapshot {
         // Retry pass, strictly after the first: each queued domain once
         // more, with `retry_rounds` NS rotations.
         for item in std::mem::take(&mut pass.retry) {
-            let (stats, window) = scan_domain(world, item.name, now, options.retry_rounds.max(1));
+            let (stats, window) = scan_domain(world, item.key, now, options.retry_rounds.max(1));
             pass.settle(&item, stats, window);
         }
 
@@ -355,7 +354,7 @@ struct Pass<'a, 'w> {
     unobserved: FnvHashMap<DomainId, (u32, Class)>,
     /// Failed first observations, in visit order so the bound is
     /// deterministic.
-    retry: Vec<ScanItem<'w>>,
+    retry: Vec<ScanItem>,
     hits: u64,
     misses: u64,
 }
@@ -365,7 +364,7 @@ impl<'w> Pass<'_, 'w> {
     /// slot (every NS edit bumps the generation, so a generation match
     /// implies the operator too); anything else is scanned, and so is a
     /// row served by a host that is down.
-    fn visit(&mut self, item: ScanItem<'w>) {
+    fn visit(&mut self, item: ScanItem) {
         if let Some(cache) = self.cache.as_deref() {
             if !self.options.force_full && !cache.meets_downtime(self.world, &item) {
                 if let Some((operator, stats)) = cache.peek(item.key, item.generation, self.now) {
@@ -376,7 +375,7 @@ impl<'w> Pass<'_, 'w> {
             }
             self.misses += 1;
         }
-        let (stats, window) = scan_domain(self.world, item.name, self.now, 1);
+        let (stats, window) = scan_domain(self.world, item.key, self.now, 1);
         let options = self.options;
         if window.is_none() && options.retry_rounds >= 1 && self.retry.len() < options.retry_limit {
             self.retry.push(item);
@@ -387,7 +386,7 @@ impl<'w> Pass<'_, 'w> {
 
     /// Records a scanned row's outcome: its operator comes from the
     /// registry's column by row, with no NS lookup.
-    fn settle(&mut self, item: &ScanItem<'w>, stats: OperatorStats, window: Option<(i64, i64)>) {
+    fn settle(&mut self, item: &ScanItem, stats: OperatorStats, window: Option<(i64, i64)>) {
         let registry = self.world.registry(item.key.tld());
         let operator = registry.operator_at(item.key.row());
         if let Some(cache) = self.cache.as_deref_mut() {
@@ -418,11 +417,13 @@ impl<'w> Pass<'_, 'w> {
 /// came back from a fleet that is not lame everywhere (indeterminate).
 fn scan_domain(
     world: &World,
-    domain: &Name,
+    id: DomainId,
     now: u32,
     rounds: u32,
 ) -> (OperatorStats, Option<(i64, i64)>) {
-    let (obs, outcome) = world.observe(domain, rounds);
+    let (domain, _) = world.registry(id.tld()).delegation_at(id.row());
+    let domain = &domain;
+    let (obs, outcome) = world.observe_at(id, domain, rounds);
     let mut stats = OperatorStats {
         domains: 1,
         ..Default::default()

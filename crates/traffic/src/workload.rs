@@ -140,23 +140,21 @@ impl TrafficPopulation {
     /// ranks, ties broken by operator key then domain name.
     ///
     /// Attribution is read from columns: the domain's registrar id and
-    /// its registry's operator column. A name is made once per world
-    /// registrar and once per (TLD, registry-local operator id), and
-    /// merged by name into the population's ids.
+    /// its registry's operator column, by row (no domain name is
+    /// hashed). A name is made once per world registrar and once per
+    /// (TLD, registry-local operator id), and merged by name into the
+    /// population's ids.
     pub fn from_world(world: &World) -> TrafficPopulation {
         let mut sites = Vec::with_capacity(world.domain_count());
         let (mut registrars, mut registrar_names) = (Vec::new(), HashMap::new());
         let (mut operators, mut operator_names) = (Vec::new(), HashMap::new());
         let mut registrar_ids: Vec<Option<u32>> = vec![None; world.registrar_count()];
-        let mut operator_ids: FnvHashMap<(Tld, Option<u32>), u32> = FnvHashMap::default();
-        for d in world.domains() {
+        let mut operator_ids: FnvHashMap<(Tld, u32), u32> = FnvHashMap::default();
+        for (id, d) in world.entries() {
             let registry = world.registry(d.tld);
-            let local = registry.operator_id_of(&d.name);
+            let local = registry.operator_at(id.row());
             let operator_id = *operator_ids.entry((d.tld, local)).or_insert_with(|| {
-                let key = local.map_or_else(
-                    || "(undelegated)".to_string(),
-                    |id| registry.operators()[id as usize].to_string(),
-                );
+                let key = registry.operators()[local as usize].to_string();
                 intern(&mut operators, &mut operator_names, key)
             });
             let registrar_id = *registrar_ids[d.registrar.0 as usize].get_or_insert_with(|| {

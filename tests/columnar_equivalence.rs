@@ -97,7 +97,7 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
     // Columnar enumeration: same names, same order, same generations.
     let columnar: Vec<(Name, u64)> = registry
         .delegations_columnar()
-        .map(|(_, name, generation)| (name.clone(), generation))
+        .map(|(row, generation)| (registry.delegation_at(row).0, generation))
         .collect();
     let expected: Vec<(Name, u64)> = shadow
         .iter()
@@ -112,14 +112,14 @@ fn check_against_shadow(registry: &Registry, shadow: &BTreeMap<Name, ShadowRow>)
     // canonical rank alone, come out in the shadow's (Name-sorted) order.
     let mut rows: Vec<u32> = registry
         .delegations_columnar()
-        .map(|(row, _, _)| row)
+        .map(|(row, _)| row)
         .collect();
     rows.reverse();
     let ranks = registry.delegation_ranks();
     rows.sort_by_key(|&row| ranks.of(row));
     let by_rank: Vec<Name> = rows
         .iter()
-        .map(|&row| registry.delegation_at(row).0.clone())
+        .map(|&row| registry.delegation_at(row).0)
         .collect();
     drop(ranks);
     assert_eq!(by_rank, names, "rank-ordered rows diverged from shadow");
@@ -294,22 +294,26 @@ fn scrambled(len: usize, rotate: u8) -> Vec<u32> {
     rows
 }
 
-/// Compares the table's enumeration and rank sort with a fresh sort of
-/// the inserted names. `rotate` scrambles the rows before the rank sort.
+/// Compares the table's enumeration and rank sort of the inserted names
+/// (row → name, as a registry zone lends them) with a fresh sort of
+/// them. `rotate` scrambles the rows before the rank sort.
 fn check_order(table: &DomainTable, inserted: &[Name], rotate: Option<u8>) {
     let expected = fresh_sort(inserted.to_vec());
+    let name = |row: u32| inserted[row as usize].clone();
     let Some(rotate) = rotate else {
-        let ordered: Vec<Name> = table.ordered().map(|(_, name, _)| name.clone()).collect();
+        let ordered: Vec<Name> = (table.ordered(inserted))
+            .map(|(row, _)| name(row))
+            .collect();
         assert_eq!(ordered, expected, "ordered() diverged from a fresh sort");
         return;
     };
 
     // Every table row, in a scrambled order, sorts by rank into
     // canonical order.
-    let ranks = table.ranks();
+    let ranks = table.ranks(inserted);
     let mut rows = scrambled(inserted.len(), rotate);
     rows.sort_by_key(|&row| ranks.of(row));
-    let by_rank: Vec<Name> = rows.iter().map(|&row| table.name(row).clone()).collect();
+    let by_rank: Vec<Name> = rows.iter().map(|&row| name(row)).collect();
     assert_eq!(
         by_rank, expected,
         "table rank sort diverged from a fresh sort"
@@ -335,8 +339,8 @@ proptest! {
             match action {
                 OrderAction::Insert { label } => {
                     let name = order_name(label);
-                    if table.row_of(&name).is_none() {
-                        table.add_row(&name, RegistrarId(1), operator.clone());
+                    if !inserted.contains(&name) {
+                        table.add_row(RegistrarId(1), operator.clone());
                         inserted.push(name);
                     }
                 }

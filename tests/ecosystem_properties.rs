@@ -218,7 +218,9 @@ fn check_invariants(world: &World, domains: &[Name]) {
 fn check_operator_column(world: &World) {
     for tld in ALL_TLDS {
         let registry = world.registry(tld);
-        for (row, domain, _) in registry.delegations_columnar() {
+        for (row, _) in registry.delegations_columnar() {
+            let (domain, _) = registry.delegation_at(row);
+            let domain = &domain;
             let expected = operator_of(&registry.ns_of(domain));
             assert!(expected.is_some(), "{domain}: a delegation has NS");
             let by_row = Some(&registry.operators()[registry.operator_at(row) as usize]);
