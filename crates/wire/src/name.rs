@@ -300,6 +300,15 @@ impl Name {
     /// sequence first on prefix ties.
     pub fn canonical_cmp(&self, other: &Name) -> Ordering {
         let (a, b) = (self.flat(), other.flat());
+        // Siblings — the names of one zone's delegations — differ in
+        // their first label only: compare it without parsing the rest.
+        if let (Some(&la), Some(&lb)) = (a.first(), b.first()) {
+            let (first_a, parent_a) = a[1..].split_at(usize::from(la));
+            let (first_b, parent_b) = b[1..].split_at(usize::from(lb));
+            if parent_a.eq_ignore_ascii_case(parent_b) {
+                return cmp_folded(first_a, first_b);
+            }
+        }
         let (mut a_starts, mut b_starts) = ([0u8; MAX_LABELS], [0u8; MAX_LABELS]);
         let a_count = label_starts(a, &mut a_starts);
         let b_count = label_starts(b, &mut b_starts);
@@ -403,6 +412,26 @@ fn label_starts(flat: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
         pos += 1 + usize::from(flat[pos]);
     }
     count
+}
+
+/// `a` against `b` as if both were lowercased: the order of two labels.
+/// Octets equal as they stand are skipped eight at a time; the fold
+/// starts at the first block that differs.
+fn cmp_folded(a: &[u8], b: &[u8]) -> Ordering {
+    let len = a.len().min(b.len());
+    let mut at = 0;
+    while at + 8 <= len && a[at..at + 8] == b[at..at + 8] {
+        at += 8;
+    }
+    let (a, b) = (&a[at..], &b[at..]);
+    match a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| !x.eq_ignore_ascii_case(y))
+    {
+        Some(i) => a[i].to_ascii_lowercase().cmp(&b[i].to_ascii_lowercase()),
+        None => a.len().cmp(&b.len()),
+    }
 }
 
 /// The label whose length octet sits at `start` in `flat`.
