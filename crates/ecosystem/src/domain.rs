@@ -26,7 +26,7 @@ pub enum Hosting {
     },
 }
 
-/// One registered second-level domain: one 64-byte row of the world's
+/// One registered second-level domain: one 56-byte row of the world's
 /// payload column (DESIGN.md §16, *Bytes per domain*). What most rows
 /// leave empty is not stored inline: the keys are boxed, and the
 /// registrant's address is derived ([`World::registrant_email`]).
@@ -49,9 +49,11 @@ pub struct Domain {
     /// Zone keys, present iff the zone is signed (DNSKEY+RRSIG published).
     /// Boxed: the unsigned majority pay 8 bytes for the `None`.
     pub keys: Option<Box<ZoneKeys>>,
-    /// Registration date.
-    pub created: SimDate,
-    /// Next renewal date.
+    /// First renewal date: the domain renews on it and on every 365-day
+    /// anniversary of it. Written at purchase and by
+    /// [`World::set_expiry`]; renewing does not rewrite it.
+    ///
+    /// [`World::set_expiry`]: crate::World::set_expiry
     pub expires: SimDate,
     /// Reseller switched partners; the registry transfer (and any new
     /// DNSSEC defaults) applies at the next renewal (the Antagonist /
@@ -69,6 +71,12 @@ impl Domain {
     pub fn is_signed(&self) -> bool {
         self.keys.is_some()
     }
+
+    /// True when `day` is a renewal day: `expires` or one of its 365-day
+    /// anniversaries.
+    pub(crate) fn renews_on(&self, day: SimDate) -> bool {
+        day >= self.expires && day.days_since(self.expires).is_multiple_of(365)
+    }
 }
 
 #[cfg(test)]
@@ -84,20 +92,23 @@ mod tests {
             sponsor: RegistrarId(0),
             hosting: Hosting::Owner,
             keys: None,
-            created: SimDate(0),
             expires: SimDate(365),
             pending_partner_migration: false,
         };
         assert_eq!(d.owner_ns_host(), Name::parse("ns1.example.com").unwrap());
         assert!(!d.is_signed());
+        assert!(!d.renews_on(SimDate(364)));
+        assert!(d.renews_on(SimDate(365)));
+        assert!(!d.renews_on(SimDate(366)));
+        assert!(d.renews_on(SimDate(730)));
     }
 
     #[test]
-    fn a_domain_row_fits_in_64_bytes() {
-        // Name handle 24, boxed keys 8, four u32 columns, hosting 8, TLD
-        // and flag: a row a cache line wide.
+    fn a_domain_row_fits_in_56_bytes() {
+        // Name handle 24, boxed keys 8, three u32 columns, hosting 8, TLD
+        // and flag.
         assert!(
-            std::mem::size_of::<Domain>() <= 64,
+            std::mem::size_of::<Domain>() <= 56,
             "{} bytes",
             std::mem::size_of::<Domain>()
         );

@@ -16,7 +16,8 @@ pub struct Registrar {
     pub policy: RegistrarPolicy,
     /// The operator running this registrar's hosting nameservers.
     pub operator: OperatorId,
-    /// Dated policy changes, applied by the daily tick.
+    /// Dated policy changes not yet applied: the first tick on or after
+    /// a milestone's day applies it and drops it from here.
     pub milestones: Vec<Milestone>,
     /// For opt-in/paid policies: the per-day probability that an unsigned
     /// registrar-hosted domain's owner enables DNSSEC. Calibrated by the

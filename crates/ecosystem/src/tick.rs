@@ -2,10 +2,10 @@
 //!
 //! A child module of [`world`](super) so the passes share `World`'s
 //! private state. A simulated day costs what *changed* that day: the
-//! opt-in passes draw over cached candidate worklists, renewals process
-//! one expiry-day bucket, and audits reuse memoized verdicts — see
-//! DESIGN.md §9 for the invalidation contract every new `Domain`
-//! mutation path must honour.
+//! opt-in passes draw over cached candidate worklists, renewals visit
+//! only the domains with a partner switch pending, and audits reuse
+//! memoized verdicts — see DESIGN.md §9 for the invalidation contract
+//! every new `Domain` mutation path must honour.
 
 use super::*;
 use crate::registry::Freshness;
@@ -29,15 +29,14 @@ type Candidate = (DomainId, f64);
 /// hazard — a new domain, a hosting change, a hazard or policy change —
 /// calls [`TickState::invalidate_worklists`];
 /// signing removes the one domain in place ([`World::set_keys`]).
-/// Renewal buckets are exact at all times: every write of
-/// `Domain::expires` moves the domain between buckets.
+/// The pending migrations are exact at all times: `SwitchPartner` adds
+/// each domain it flags, and a landed migration takes it out.
 #[derive(Default)]
 pub(super) struct TickState {
     worklists: Vec<Vec<Candidate>>,
     worklists_fresh: bool,
-    /// Expiry day → domains renewing that day (unordered within a
-    /// bucket).
-    renewals: BTreeMap<SimDate, Vec<DomainId>>,
+    /// The domains with `Domain::pending_partner_migration` set.
+    pending_migrations: BTreeSet<DomainId>,
     mass_sign_queue: Vec<MassSignTask>,
     /// Per incentive TLD, registry row → last audit outcome.
     audit_memo: BTreeMap<Tld, Vec<AuditVerdict>>,
@@ -48,30 +47,6 @@ impl TickState {
     /// them with one sweep.
     pub(super) fn invalidate_worklists(&mut self) {
         self.worklists_fresh = false;
-    }
-
-    /// Files `id` under its expiry day.
-    pub(super) fn schedule_renewal(&mut self, id: DomainId, on: SimDate) {
-        self.schedule_renewals(&[id], on);
-    }
-
-    /// Files every domain of `ids` under the same expiry day.
-    pub(super) fn schedule_renewals(&mut self, ids: &[DomainId], on: SimDate) {
-        self.renewals.entry(on).or_default().extend_from_slice(ids);
-    }
-
-    /// Takes `id` out of the bucket of its previous expiry day.
-    pub(super) fn unschedule_renewal(&mut self, id: DomainId, on: SimDate) {
-        if let Some(bucket) = self.renewals.get_mut(&on) {
-            // Builders re-date a domain right after buying it, so it is
-            // almost always the bucket's last entry.
-            if let Some(pos) = bucket.iter().rposition(|&r| r == id) {
-                bucket.swap_remove(pos);
-            }
-            if bucket.is_empty() {
-                self.renewals.remove(&on);
-            }
-        }
     }
 }
 
@@ -228,8 +203,8 @@ impl World {
         self.tick.invalidate_worklists();
     }
 
-    /// Recomputes the opt-in worklists (ids and hazards) and renewal
-    /// buckets by full sweep, re-audits every memoized verdict that would
+    /// Recomputes the opt-in worklists (ids and hazards) and the pending
+    /// migrations by full sweep, re-audits every memoized verdict that would
     /// be reused today, and compares all of it with the cached state
     /// (test support).
     #[doc(hidden)]
@@ -257,28 +232,16 @@ impl World {
                 ));
             }
         }
-        let mut swept: BTreeMap<SimDate, Vec<DomainId>> = BTreeMap::new();
-        for (id, d) in self.domains.iter() {
-            swept.entry(d.expires).or_default().push(id);
-        }
-        for (day, rows) in &mut swept {
-            let mut cached = self.tick.renewals.get(day).cloned().unwrap_or_default();
-            cached.sort_unstable();
-            rows.sort_unstable();
-            if cached != *rows {
-                return Err(format!(
-                    "renewal bucket {day} diverged: cached {cached:?}, swept {rows:?}"
-                ));
-            }
-        }
-        if let Some(day) = self
-            .tick
-            .renewals
-            .keys()
-            .find(|day| !swept.contains_key(day))
-        {
+        let flagged: BTreeSet<DomainId> = self
+            .domains
+            .iter()
+            .filter(|(_, d)| d.pending_partner_migration)
+            .map(|(id, _)| id)
+            .collect();
+        if flagged != self.tick.pending_migrations {
             return Err(format!(
-                "renewal bucket {day} is cached but nothing expires then"
+                "pending migrations diverged: cached {:?}, swept {flagged:?}",
+                self.tick.pending_migrations
             ));
         }
         if self.network.faults().is_enabled() {
@@ -307,17 +270,17 @@ impl World {
 
     // ----------------------------------------------------------- passes --
 
+    /// Applies every milestone dated today or earlier, in the order it
+    /// was added, and drops it from its registrar.
     fn apply_milestones(&mut self) {
         let today = self.today;
         for idx in 0..self.registrars.len() {
-            let due: Vec<PolicyChange> = self.registrars[idx]
+            let due: Vec<Milestone> = self.registrars[idx]
                 .milestones
-                .iter()
-                .filter(|m| m.on == today)
-                .map(|m| m.change.clone())
+                .extract_if(.., |m| m.on <= today)
                 .collect();
-            for change in due {
-                self.change_policy(RegistrarId(idx as u32), change);
+            for m in due {
+                self.change_policy(RegistrarId(idx as u32), m.change);
             }
         }
     }
@@ -353,9 +316,10 @@ impl World {
                         tp.publishes_ds = true;
                     }
                     if migrate_at_renewal {
-                        for d in self.domains.values_mut() {
-                            if d.registrar == id && d.tld == tld && d.sponsor != partner {
+                        for (domain, d) in self.domains.tld_mut(tld) {
+                            if d.registrar == id && d.sponsor != partner {
                                 d.pending_partner_migration = true;
+                                self.tick.pending_migrations.insert(domain);
                             }
                         }
                     }
@@ -469,25 +433,27 @@ impl World {
         }
     }
 
+    /// Lands the pending partner switches of the domains renewing today,
+    /// in canonical order: the registry transfer, then signing where the
+    /// new partner lets the reseller publish a DS.
     fn process_renewals(&mut self) {
         let today = self.today;
-        let Some(mut due) = self.tick.renewals.remove(&today) else {
+        let mut due: Vec<DomainId> = self
+            .tick
+            .pending_migrations
+            .iter()
+            .copied()
+            .filter(|&id| self.domains.at(id).renews_on(today))
+            .collect();
+        if due.is_empty() {
             return;
-        };
+        }
         let ranks = DomainRanks::new(&self.registries);
         due.sort_unstable_by_key(|&id| ranks.of(id));
         drop(ranks);
-        // Renew for another year.
-        let renewed_until = today.plus_days(365);
-        self.tick.schedule_renewals(&due, renewed_until);
         for id in due {
-            let d = self.domains.at_mut(id);
-            d.expires = renewed_until;
-            let (registrar, tld, migrate, old_sponsor) =
-                (d.registrar, d.tld, d.pending_partner_migration, d.sponsor);
-            if !migrate {
-                continue;
-            }
+            let d = self.domains.at(id);
+            let (registrar, tld, old_sponsor) = (d.registrar, d.tld, d.sponsor);
             // Resolve the (new) sponsor and transfer at the registry.
             let Ok(new_sponsor) = self.resolve_sponsor(registrar, tld) else {
                 continue;
@@ -506,6 +472,7 @@ impl World {
                 let d = self.domains.at_mut(id);
                 d.sponsor = new_sponsor;
                 d.pending_partner_migration = false;
+                self.tick.pending_migrations.remove(&id);
                 self.events.record(
                     today,
                     Event::PartnerMigrated {

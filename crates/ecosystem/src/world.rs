@@ -24,7 +24,7 @@
 //! DESIGN.md §9 is kept in two places rather than at every action.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -143,9 +143,12 @@ impl Domains {
             })
     }
 
-    /// Every payload, mutably, in row order.
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut Domain> {
-        self.columns.iter_mut().flatten().flatten()
+    /// The payloads of one TLD with their ids, mutably, in row order.
+    fn tld_mut(&mut self, tld: Tld) -> impl Iterator<Item = (DomainId, &mut Domain)> {
+        self.columns[tld as usize]
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(row, d)| Some((DomainId::new(tld, row as u32), d.as_mut()?)))
     }
 }
 
@@ -327,7 +330,7 @@ pub struct World {
     /// Shared authority for all owner-hosted zones.
     owner_authority: Rc<Authority>,
     key_pool: Vec<ZoneKeys>,
-    /// Worklists, renewal buckets, mass-sign queue and audit memo of the
+    /// Worklists, pending migrations, mass-sign queue and audit memo of the
     /// daily tick (see [`tick::TickState`] for the invalidation contract).
     tick: tick::TickState,
     /// RFC 8078 bootstrap observation: first day a DS-less domain was seen
@@ -532,21 +535,20 @@ impl World {
         operator
     }
 
-    /// Schedules a policy milestone for a registrar.
+    /// Schedules a policy milestone for a registrar: the first tick on or
+    /// after `on` applies it.
     pub fn add_milestone(&mut self, registrar: RegistrarId, on: SimDate, change: PolicyChange) {
         self.registrars[registrar.0 as usize]
             .milestones
             .push(Milestone { on, change });
     }
 
-    /// Overrides a domain's next renewal date (population builders stagger
+    /// Overrides a domain's first renewal date; it renews on every
+    /// 365-day anniversary of `expires` (population builders stagger
     /// renewals so pre-existing registrations don't all renew at once).
     pub fn set_expiry(&mut self, domain: &Name, expires: SimDate) {
         if let Some(id) = self.id_of(domain) {
-            let d = self.domains.at_mut(id);
-            self.tick.unschedule_renewal(id, d.expires);
-            self.tick.schedule_renewal(id, expires);
-            d.expires = expires;
+            self.domains.at_mut(id).expires = expires;
         }
     }
 
@@ -701,13 +703,10 @@ impl World {
             sponsor,
             hosting: hosting.clone(),
             keys: None,
-            created: self.today,
             expires: self.today.plus_days(365),
             pending_partner_migration: false,
         };
-        let expires = domain.expires;
         self.domains.insert(id, domain, registrant_email.into());
-        self.tick.schedule_renewal(id, expires);
         self.tick.invalidate_worklists();
         self.events.record(
             self.today,

@@ -523,9 +523,9 @@ pub fn table3_registrars() -> Vec<RegistrarSpec> {
     );
     specs.push(pcextreme);
 
-    // Antagonist (NL): switched gTLD partner to OpenProvider in Dec 2014;
-    // existing domains migrate (and get signed) at renewal → the gradual
-    // curve of Figure 6a. Its .nl is already at 95.4%.
+    // Antagonist (NL): switched gTLD partner to OpenProvider in Dec 2014,
+    // and its existing domains moved (and got signed) at renewal — the
+    // gradual curve of Figure 6a. Its .nl is already at 95.4%.
     let [c, n, o] = split_gtld(28_100); // 14,806 signed / 0.527 at window end
     let antagonist = RegistrarSpec::plain(
         "Antagonist",
@@ -533,8 +533,10 @@ pub fn table3_registrars() -> Vec<RegistrarSpec> {
         OperatorDnssec::Default,
         ExternalDs::Unsupported, // Table 3: no owner-operator support
     )
-    // The partner switch predates the window, so the builder starts gTLD
-    // domains under the old no-DNSSEC partner with migration pending.
+    // The switch is not modelled: the gTLD domains start under
+    // OpenProvider, 5% signed, and `TldLoad::growing`'s opt-in hazard
+    // draws the curve up to 52.7%. Migration at renewal
+    // (`PolicyChange::SwitchPartner`) is a capability only tests use.
     .tld(
         Tld::Com,
         via("OpenProvider"),

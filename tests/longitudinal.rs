@@ -201,3 +201,99 @@ fn partner_switch_migrates_gradually_at_renewals() {
         "migration is renewal-paced: {fractions:?}"
     );
 }
+
+#[test]
+fn a_domain_renewing_today_migrates_on_its_anniversary() {
+    // `set_expiry(d, today)` dates the first renewal to a day whose tick
+    // has already run; the domain still renews on every anniversary, so
+    // a partner switch lands a year later, once.
+    let start = SimDate::from_ymd(2015, 3, 1);
+    let mut w = world(start, start.plus_days(400));
+    w.add_registrar(
+        "OldPartner",
+        Name::parse("oldpartner.net").unwrap(),
+        RegistrarPolicy::no_dnssec(&ALL_TLDS),
+    );
+    let new_partner = w.add_registrar(
+        "NewPartner",
+        Name::parse("newpartner.net").unwrap(),
+        full_policy(),
+    );
+    let reseller = w.add_registrar(
+        "ResellerCo",
+        Name::parse("resellerco.nl").unwrap(),
+        RegistrarPolicy {
+            operator_dnssec: OperatorDnssec::Default,
+            external_ds: ExternalDs::Unsupported,
+            tlds: [(
+                Tld::Com,
+                TldPolicy::without_ds(TldRole::ResellerVia("OldPartner".into())),
+            )]
+            .into(),
+        },
+    );
+    let d = w
+        .purchase(
+            reseller,
+            "shop",
+            Tld::Com,
+            Hosting::Registrar { plan: Plan::Free },
+            "o@x",
+        )
+        .unwrap();
+    w.set_expiry(&d, w.today);
+    w.change_policy(
+        reseller,
+        PolicyChange::SwitchPartner {
+            tld: Tld::Com,
+            new_partner: "NewPartner".into(),
+            migrate_at_renewal: true,
+        },
+    );
+    let (eve, anniversary) = (w.today.plus_days(364), w.today.plus_days(365));
+    w.advance_to(eve);
+    assert_eq!(w.events.count("partner_migrated"), 0, "not before the day");
+    w.advance_to(anniversary);
+    assert_eq!(w.events.count("partner_migrated"), 1, "on the anniversary");
+    assert_eq!(w.domain(&d).unwrap().sponsor, new_partner);
+    w.advance_to(anniversary.plus_days(1));
+    assert_eq!(w.events.count("partner_migrated"), 1, "exactly once");
+}
+
+#[test]
+fn milestones_dated_today_or_earlier_apply_on_the_next_tick() {
+    let start = SimDate::from_ymd(2015, 3, 1);
+    let mut w = world(start, start.plus_days(30));
+    let r = w.add_registrar(
+        "Late",
+        Name::parse("late.net").unwrap(),
+        RegistrarPolicy::no_dnssec(&ALL_TLDS),
+    );
+    w.tick();
+    let today = w.today;
+    w.add_milestone(
+        r,
+        today,
+        PolicyChange::SetOperatorDnssec(OperatorDnssec::Default),
+    );
+    w.add_milestone(r, start, PolicyChange::SetOptInHazard(0.5));
+    w.add_milestone(
+        r,
+        today.plus_days(2),
+        PolicyChange::SetExternalDs(ExternalDs::FetchDnskey),
+    );
+    w.tick();
+    let registrar = w.registrar(r);
+    assert_eq!(registrar.policy.operator_dnssec, OperatorDnssec::Default);
+    assert_eq!(registrar.daily_optin_hazard, 0.5);
+    assert_eq!(
+        registrar.milestones.len(),
+        1,
+        "applied milestones are dropped"
+    );
+    assert_ne!(registrar.policy.external_ds, ExternalDs::FetchDnskey);
+    w.advance_to(today.plus_days(2));
+    let registrar = w.registrar(r);
+    assert_eq!(registrar.policy.external_ds, ExternalDs::FetchDnskey);
+    assert!(registrar.milestones.is_empty());
+}

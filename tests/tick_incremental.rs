@@ -1,11 +1,13 @@
 //! `World::tick` runs on incrementally maintained state — opt-in
-//! worklists, renewal buckets, an audit memo — instead of sweeping the
-//! population every day. These tests pin that state to the sweeps it
-//! replaced:
+//! worklists, the domains with a partner migration pending, an audit
+//! memo — instead of sweeping the population every day. These tests pin
+//! that state to the sweeps it replaced:
 //!
 //! * a proptest interleaves every customer action and policy milestone
-//!   that touches the indexed fields with ticks, and after each step asks
-//!   [`World::check_tick_indices`] to recompute everything by full sweep;
+//!   that touches the indexed fields with ticks and whole years (so
+//!   renewal anniversaries land pending migrations), and after each step
+//!   asks [`World::check_tick_indices`] to recompute everything by full
+//!   sweep;
 //! * golden digests recorded on the pre-worklist implementation pin the
 //!   event log, the incentive bookkeeping and the campaign CSVs of three
 //!   seeded tiny-population campaigns, byte for byte;
@@ -79,6 +81,7 @@ enum Step {
     },
     SwitchPartner {
         in_days: u8,
+        back: bool,
     },
     PolicyMilestone {
         registrar: u8,
@@ -86,6 +89,8 @@ enum Step {
         supported: bool,
     },
     Tick,
+    /// 365 ticks: every domain passes a renewal anniversary.
+    Year,
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -110,7 +115,8 @@ fn step() -> impl Strategy<Value = Step> {
                 over_days,
             }
         }),
-        any::<u8>().prop_map(|in_days| Step::SwitchPartner { in_days }),
+        (any::<u8>(), any::<bool>())
+            .prop_map(|(in_days, back)| Step::SwitchPartner { in_days, back }),
         (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(registrar, in_days, supported)| {
             Step::PolicyMilestone {
                 registrar,
@@ -121,6 +127,7 @@ fn step() -> impl Strategy<Value = Step> {
         Just(Step::Tick),
         Just(Step::Tick),
         Just(Step::Tick),
+        Just(Step::Year),
     ]
 }
 
@@ -181,6 +188,18 @@ fn playground() -> Playground {
         0.3,
         0.6,
     );
+    // Registrations for the partner switches to migrate.
+    for (i, tld) in [Tld::Com, Tld::Nl].into_iter().cycle().take(6).enumerate() {
+        world
+            .purchase(
+                reseller,
+                &format!("Resold{i}"),
+                tld,
+                Hosting::Registrar { plan: Plan::Free },
+                "o@x",
+            )
+            .expect("a free label");
+    }
     let domains = world.domains().map(|d| d.name.clone()).collect();
     Playground {
         world,
@@ -258,15 +277,18 @@ impl Playground {
                     },
                 );
             }
-            Step::SwitchPartner { in_days } => {
+            Step::SwitchPartner { in_days, back } => {
+                // Dated from today on (a milestone dated today applies on
+                // the next tick), to the new partner or back to the old.
                 let reseller = self.registrars[1];
+                let partner = if back { "TickOptIn" } else { "TickPartner" };
                 for tld in [Tld::Com, Tld::Nl] {
                     world.add_milestone(
                         reseller,
-                        world.today.plus_days(1 + u32::from(in_days % 3)),
+                        world.today.plus_days(u32::from(in_days % 4)),
                         PolicyChange::SwitchPartner {
                             tld,
-                            new_partner: "TickPartner".into(),
+                            new_partner: partner.into(),
                             migrate_at_renewal: true,
                         },
                     );
@@ -290,6 +312,7 @@ impl Playground {
                 );
             }
             Step::Tick => world.tick(),
+            Step::Year => world.advance_to(world.today.plus_days(365)),
         }
     }
 }
