@@ -6,8 +6,8 @@
 //! these become what-if experiments (ids E-X1…E-X3 in DESIGN.md).
 
 use dsec_ecosystem::{
-    ExternalDs, Hosting, OperatorDnssec, Plan, PolicyChange, RegistrarPolicy, Tld, TldPolicy,
-    TldRole, World, WorldConfig, ALL_TLDS,
+    DsTiming, ExternalDs, Hosting, OperatorDnssec, Plan, PolicyChange, RegistrarPolicy,
+    RolloverPlan, RolloverStyle, Tld, TldPolicy, TldRole, World, WorldConfig, ALL_TLDS,
 };
 use dsec_reports::ExperimentResult;
 use dsec_resolver::{Resolver, Security};
@@ -209,7 +209,8 @@ pub fn experiment_default_signing_ablation(
 }
 
 /// E-X3 — rollover mechanics: an abrupt KSK roll takes the domain dark
-/// for validating resolvers; a CDS-coordinated roll never breaks.
+/// for validating resolvers; a scheduled double-signature roll whose DS
+/// moves through the child's CDS resolves `Secure` on every day.
 pub fn experiment_rollover() -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "E-X3",
@@ -260,12 +261,22 @@ pub fn experiment_rollover() -> ExperimentResult {
     world.roll_keys_abrupt(&abrupt).unwrap();
     let abrupt_broken = !secure(&world, &abrupt);
 
-    // The right way: CDS first, switch keys only after the DS followed.
-    world.prepare_rollover(&coordinated).unwrap();
-    let secure_during_prepare = secure(&world, &coordinated);
-    world.tick(); // registry CDS scan installs the new DS
-    world.complete_rollover(&coordinated).unwrap();
-    let secure_after_complete = secure(&world, &coordinated);
+    // The right way: a double-signature roll whose DS leg is the child's
+    // CDS, resolved on every day until the day after completion.
+    let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
+        .with_ds_timing(DsTiming::Cds);
+    world
+        .schedule_rollover(&coordinated, plan.clone())
+        .expect("a signed domain schedules");
+    let (mut secure_during_prepare, mut secure_after_complete) = (true, true);
+    while world.today <= plan.completion() {
+        world.tick();
+        let secure_today = secure(&world, &coordinated);
+        let preparing = world.today < plan.completion();
+        secure_during_prepare &= secure_today || !preparing;
+        secure_after_complete &= secure_today || preparing;
+    }
+    secure_after_complete &= world.rollover_state(&coordinated).is_none();
 
     result.check(
         "both secure initially",

@@ -18,9 +18,9 @@
 //!   is *not* the roller's: serve-stale (RFC 8767) keeps the outage
 //!   victim's availability ≥ 90% while the rolling domain's bogus
 //!   window stays fully visible — degraded serving must never mask a
-//!   validation failure. It runs on the world arm B parks at the first
-//!   bogus-window day for its attribution load: the set-up is the same,
-//!   and a load never mutates the world it runs on.
+//!   validation failure. It runs on arm B's world, paused on the first
+//!   bogus-window day of its walk; the fault plane is cleared and
+//!   disabled before the walk goes on.
 
 use std::collections::BTreeMap;
 
@@ -108,14 +108,20 @@ fn day_load(world: &World) -> TrafficReport {
 }
 
 /// Walks `world` day by day until `last`, running one fresh-cache load
-/// per day, and returns each day's outcome tally keyed by
-/// days-since-start.
-fn daily_bogus(world: &mut World, last: dsec_ecosystem::SimDate) -> BTreeMap<u32, OutcomeCounts> {
+/// per day and handing each day's report to `on_day` before the next
+/// tick, and returns each day's outcome tally keyed by days-since-start.
+fn daily_bogus(
+    world: &mut World,
+    last: dsec_ecosystem::SimDate,
+    mut on_day: impl FnMut(&World, TrafficReport),
+) -> BTreeMap<u32, OutcomeCounts> {
     let mut days = BTreeMap::new();
     let start = world.today;
     while world.today < last {
         world.tick();
-        days.insert(world.today.0 - start.0, day_load(world).outcomes);
+        let report = day_load(world);
+        days.insert(world.today.0 - start.0, report.outcomes);
+        on_day(world, report);
     }
     days
 }
@@ -145,7 +151,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         .schedule_rollover(&victim.name, plan_a)
         .expect("signed head schedules");
     let victim_hits = stream_hits(&traffic_pop, &day_config(), &victim.name).len();
-    let days_a = daily_bogus(&mut pw.world, end_a);
+    let days_a = daily_bogus(&mut pw.world, end_a, |_, _| {});
     let bogus_a: u64 = days_a.values().map(|c| c.bogus).sum();
     result.check(
         "arm A: victim domain queried on every day of the transition",
@@ -176,6 +182,9 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         victim_b.name, victim.name,
         "identical builds pick one victim"
     );
+    // Arm C's outage victim: the biggest fleet that is not the roller's,
+    // picked before the walk to the window moves any delegation.
+    let (outage_victim, fleet) = largest_operator_fleet(&pw_b.world, Some(victim_operator));
     let plan_b = RolloverPlan::correct(
         RolloverStyle::DoubleSignatureKsk,
         pw_b.world.today.plus_days(1),
@@ -188,7 +197,26 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
     pw_b.world
         .schedule_rollover(&victim.name, plan_b.clone())
         .expect("same world build, same signed head");
-    let days_b = daily_bogus(&mut pw_b.world, end_b);
+    // The walk pauses on the window's first day: that day's report is the
+    // attribution load, and arm C's outage runs there (see the module
+    // docs), after which the fault plane is cleared and disabled.
+    let outage = outage_load().with_max_stale(OUTAGE_MAX_STALE);
+    let mut paused = None;
+    let days_b = daily_bogus(&mut pw_b.world, end_b, |world, report| {
+        if world.today != window.0 {
+            return;
+        }
+        let (from, until) = outage_window(world, &outage);
+        install_outage(
+            world,
+            &OutageScenario::operator_outage("rollover-collision", fleet.clone(), from, until),
+        );
+        let (outage_run, _) = outage_phases(world, &outage);
+        world.fault_plane().clear_schedules();
+        world.fault_plane().disable();
+        paused = Some((report, outage_run));
+    });
+    let (in_window, outage_run) = paused.expect("the walk crosses the window's first day");
     let misclassified_days = days_b
         .iter()
         .filter(|(offset, counts)| {
@@ -210,21 +238,6 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         observed_window_days as f64,
         0.0,
     );
-    // Attribution needs an in-window day's full report, and the walk
-    // kept only tallies: park a second world on the window's first day.
-    let mut pw_parked = build(population);
-    rollover_victim(&mut pw_parked.world, &traffic_pop);
-    // Arm C's outage victim: the biggest fleet that is not the roller's,
-    // picked before the walk to the window moves any delegation.
-    let (outage_victim, fleet) = largest_operator_fleet(&pw_parked.world, Some(victim_operator));
-    pw_parked
-        .world
-        .schedule_rollover(&victim.name, plan_b.clone())
-        .expect("same build schedules again");
-    while pw_parked.world.today < window.0 {
-        pw_parked.world.tick();
-    }
-    let in_window = day_load(&pw_parked.world);
     let victim_counts = in_window
         .by_registrar
         .get(victim_registrar)
@@ -245,20 +258,7 @@ pub fn experiment_rollover_lifecycle(population: &PopulationConfig) -> Experimen
         0.0,
     );
 
-    // ---- Arm C: the mistimed rollover riding through an operator
-    // outage, on the parked world. The rolling domain is hosted
-    // *outside* the outage victim's fleet, so serve-stale answers for
-    // the dead fleet must coexist with visible bogus answers for the
-    // mistimed rollover — degradation never masks a validation
-    // failure. ----
-    let world_c = &pw_parked.world;
-    let outage = outage_load().with_max_stale(OUTAGE_MAX_STALE);
-    let (from, until) = outage_window(world_c, &outage);
-    install_outage(
-        world_c,
-        &OutageScenario::operator_outage("rollover-collision", fleet, from, until),
-    );
-    let (outage_run, _) = outage_phases(world_c, &outage);
+    // ---- Arm C: the outage run of the paused walk. ----
     let outage_victim_counts = outage_run
         .by_operator
         .get(&outage_victim)

@@ -972,38 +972,48 @@ mod tests {
         );
     }
 
+    /// A roll whose DS leg is the child's CDS (signed by the old keys
+    /// the current DS still chains): the operator withdraws the old keys
+    /// only once the parent holds the new DS. A stall resumed past
+    /// completion waits for the scan; a registry that never scans leaves
+    /// the roll in flight. Bounded validity re-signs the zone daily, and
+    /// the CDS survives it. Every day stays secure.
     #[test]
-    fn cds_scan_applies_key_rollover() {
-        let mut w = small_world();
-        let r = add_full_registrar(&mut w, "CzLike", "czlike.net");
-        let d = w
-            .purchase(
-                r,
-                "shop",
-                Tld::Com,
-                Hosting::Registrar { plan: Plan::Free },
-                "o@x.com",
+    fn a_cds_roll_completes_only_once_the_parent_holds_the_new_ds() {
+        for scans in [true, false] {
+            let mut w = small_world();
+            let r = add_full_registrar(&mut w, "CzLike", "czlike.net");
+            let d = w
+                .purchase(
+                    r,
+                    "shop",
+                    Tld::Com,
+                    Hosting::Registrar { plan: Plan::Free },
+                    "o@x.com",
+                )
+                .unwrap();
+            w.registry_mut(Tld::Com).supports_cds = scans;
+            let plan = rollover::RolloverPlan::correct(
+                rollover::RolloverStyle::DoubleSignatureKsk,
+                w.today.plus_days(1),
             )
-            .unwrap();
-        w.registry_mut(Tld::Com).supports_cds = true;
-        // Roll properly: publish a CDS for the new keys, signed by the old
-        // keys that are still chained from the current DS.
-        let old_keys = w.domain(&d).unwrap().keys.clone().unwrap();
-        let new_keys = w.keys_differing_from(&d, old_keys.ksk_tag());
-        let signer = w.signer_config();
-        let op = w.registrar(r).operator;
-        w.operator(op).publish_cds(
-            &d,
-            &old_keys,
-            new_keys.ds(dsec_crypto::DigestType::Sha256),
-            &signer,
-        );
-        w.tick();
-        assert_eq!(
-            w.registry(Tld::Com).ds_of(&d),
-            vec![new_keys.ds(dsec_crypto::DigestType::Sha256)]
-        );
-        assert!(w.events.count("cds_applied") >= 1);
+            .with_ds_timing(rollover::DsTiming::Cds)
+            .with_signature_validity_days(2);
+            w.schedule_rollover(&d, plan.clone()).unwrap();
+            w.tick(); // the start day serves the transitional set
+            w.stall_rollover(&d).unwrap();
+            w.advance_to(plan.completion().plus_days(1));
+            let op = w.operator(w.registrar(r).operator).authority();
+            let cds = op.with_zone(&d, |z| z.rrset(&d, dsec_wire::RrType::Cds).is_some());
+            assert_eq!(cds, Some(false), "a stalled operator publishes nothing");
+            w.resume_rollover(&d).unwrap();
+            for _ in 0..3 {
+                w.tick();
+                assert_eq!(deployment_on(&w, &d), DeploymentStatus::FullyDeployed);
+            }
+            assert_eq!(w.rollover_state(&d).is_none(), scans);
+            assert_eq!(w.events.count("cds_applied"), u64::from(scans));
+        }
     }
 
     fn deployment_on(w: &World, d: &Name) -> DeploymentStatus {
@@ -1254,40 +1264,25 @@ mod tests {
                 "o@x.com",
             )
             .unwrap();
-        // Completing with nothing prepared: the dedicated error, not a
-        // misleading "DNSSEC unsupported".
-        assert_eq!(w.complete_rollover(&d), Err(ActionError::NoPendingRollover));
-        // A second prepare while one is pending is an explicit error…
-        let ds1 = w.prepare_rollover(&d).unwrap();
-        assert_eq!(w.prepare_rollover(&d), Err(ActionError::RolloverInProgress));
-        // …as is scheduling on top of it.
+        // Stalling or resuming with nothing scheduled: the dedicated
+        // error, not a misleading "DNSSEC unsupported".
+        assert_eq!(w.stall_rollover(&d), Err(ActionError::NoPendingRollover));
+        assert_eq!(w.resume_rollover(&d), Err(ActionError::NoPendingRollover));
+        let plan = rollover::RolloverPlan::correct(
+            rollover::RolloverStyle::DoubleSignatureKsk,
+            w.today.plus_days(1),
+        );
+        w.schedule_rollover(&d, plan.clone()).unwrap();
+        // A second plan while one is in flight is an explicit error…
         assert_eq!(
-            w.schedule_rollover(
-                &d,
-                rollover::RolloverPlan::correct(
-                    rollover::RolloverStyle::DoubleSignatureKsk,
-                    w.today.plus_days(1),
-                ),
-            ),
+            w.schedule_rollover(&d, plan.clone().with_ds_timing(rollover::DsTiming::Cds)),
             Err(ActionError::RolloverInProgress)
         );
-        // The pending keys are untouched by the failed second prepare.
-        let sponsor = w.domain(&d).unwrap().sponsor;
-        w.registry_mut(Tld::Com)
-            .set_ds(sponsor, &d, &[ds1])
-            .unwrap();
-        w.complete_rollover(&d).unwrap();
+        // …that leaves the first plan untouched: it runs to completion.
+        assert_eq!(w.rollover_state(&d).map(|s| &s.plan), Some(&plan));
+        w.advance_to(plan.completion());
+        assert!(w.rollover_state(&d).is_none());
         assert_eq!(deployment_on(&w, &d), DeploymentStatus::FullyDeployed);
-        // And scheduled rollovers block the one-shot path symmetrically.
-        w.schedule_rollover(
-            &d,
-            rollover::RolloverPlan::correct(
-                rollover::RolloverStyle::DoubleSignatureKsk,
-                w.today.plus_days(1),
-            ),
-        )
-        .unwrap();
-        assert_eq!(w.prepare_rollover(&d), Err(ActionError::RolloverInProgress));
         assert_eq!(
             w.stall_rollover(&Name::parse("ghost.com").unwrap()),
             Err(ActionError::NoPendingRollover)

@@ -163,19 +163,6 @@ impl Operator {
             })
             .unwrap_or_default()
     }
-
-    /// Publishes a CDS record in `domain`'s zone (used when the operator
-    /// wants the registry's CDS scanner to pick up a DS change); signs it
-    /// with the zone keys.
-    pub fn publish_cds(
-        &self,
-        domain: &Name,
-        keys: &ZoneKeys,
-        ds: dsec_wire::DsRdata,
-        signer: &SignerConfig,
-    ) {
-        publish_cds(&self.authority, domain, keys, ds, signer);
-    }
 }
 
 /// Adds a CDS record for `ds` to `domain`'s zone on `authority`, signed
@@ -300,7 +287,8 @@ mod tests {
             ZoneKeys::generate_default(&mut rng, name("cust.com"), Algorithm::RsaSha256).unwrap();
         let signer = SignerConfig::valid_from(1_450_000_000, 90 * 86400);
         op.host_signed_set(&name("cust.com"), &SigningSet::single(&keys), &signer);
-        op.publish_cds(
+        publish_cds(
+            &op.authority(),
             &name("cust.com"),
             &keys,
             keys.ds(dsec_crypto::DigestType::Sha256),

@@ -1,13 +1,15 @@
 //! Scheduled key-rollover lifecycles: styles, timing plans, and the
-//! phase machine the daily tick drives.
+//! phase machine the daily tick drives — the one way to roll a zone's
+//! keys on purpose ([`crate::world::World::roll_keys_abrupt`] models the
+//! misconfiguration, not a plan).
 //!
-//! The one-shot primitives ([`crate::world::World::prepare_rollover`] /
-//! `complete_rollover` / `roll_keys_abrupt`) model single moments. Real
-//! transitions — the ones Osterweil et al. measure across 15 years of
+//! Transitions — the ones Osterweil et al. measure across 15 years of
 //! deployed DNSSEC — are *schedules*: publish new material, wait for
-//! propagation, move the parent DS through the registrar, withdraw the
-//! old material. Every leg can be mistimed, and the registrar/registry
-//! leg (the paper's chokepoint) is the one the child cannot hurry.
+//! propagation, move the parent DS, withdraw the old material. The DS
+//! moves through the registrar, or in-band through the child's CDS
+//! ([`DsTiming::Cds`]). Every leg can be mistimed, and the
+//! registrar/registry leg (the paper's chokepoint) is the one the child
+//! cannot hurry.
 //!
 //! A [`RolloverPlan`] pins the whole schedule to calendar days, so the
 //! bogus window a mistimed DS swap opens is *computable in advance* and
@@ -49,8 +51,8 @@ impl RolloverStyle {
     }
 }
 
-/// When the registrar actually moves the DS, relative to the plan's
-/// scheduled swap day — the timing-fault plane for the registrar leg.
+/// Who moves the DS and when, relative to the plan's scheduled swap day
+/// — the timing-fault plane for the DS leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DsTiming {
     /// The registrar performs the swap on the scheduled day.
@@ -70,6 +72,12 @@ pub enum DsTiming {
     /// The request is dropped (the paper's §7 relay failure): the DS
     /// never moves, and the domain goes bogus at completion forever.
     Never,
+    /// No registrar acts (RFC 7344, the paper's §8): on the scheduled swap
+    /// day the zone gains a CDS for the incoming KSK, signed by keys the
+    /// parent's DS still chains, and the registry's CDS scan moves the DS
+    /// in the same tick. The old keys retire only once the parent holds the
+    /// new DS, so on a registry that does not scan the roll stays in flight.
+    Cds,
 }
 
 /// Where a scheduled rollover currently stands.
@@ -152,7 +160,7 @@ impl RolloverPlan {
             return None;
         }
         match self.ds_timing {
-            DsTiming::OnSchedule => Some(self.scheduled_swap()),
+            DsTiming::OnSchedule | DsTiming::Cds => Some(self.scheduled_swap()),
             DsTiming::Early { days } => Some(SimDate(self.scheduled_swap().0.saturating_sub(days))),
             DsTiming::Late { days } => Some(self.scheduled_swap().plus_days(days)),
             DsTiming::Never => None,
@@ -208,6 +216,8 @@ mod tests {
         assert_eq!(p.completion(), SimDate(106));
         assert_eq!(p.actual_swap(), Some(SimDate(103)));
         assert_eq!(p.bogus_window(), None);
+        assert_eq!(plan(DsTiming::Cds).actual_swap(), Some(SimDate(103)));
+        assert_eq!(plan(DsTiming::Cds).bogus_window(), None);
     }
 
     #[test]

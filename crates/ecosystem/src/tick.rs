@@ -657,7 +657,8 @@ impl World {
     }
 
     /// Scans one child for an authenticated CDS change; returns the new DS
-    /// set if one should be applied.
+    /// set if one should be applied. A CDS naming the DS set the parent
+    /// already holds is no change: nothing is re-signed, bumped or logged.
     fn scan_child_cds(&self, domain: &Name, registry: &Registry, now: u32) -> Option<Vec<DsRdata>> {
         if !registry.has_ds(domain) {
             return None; // RFC 7344 trust bootstrap from current chain only
@@ -675,7 +676,11 @@ impl World {
         )
         .ok()?;
         match dsec_dnssec::process_scan(domain, &scan, now) {
-            Ok(CdsAction::ReplaceDs(ds)) => Some(ds),
+            Ok(CdsAction::ReplaceDs(ds)) => {
+                let within = |a: &[DsRdata], b: &[DsRdata]| a.iter().all(|d| b.contains(d));
+                let same = within(&ds, &obs.ds_set) && within(&obs.ds_set, &ds);
+                (!same).then_some(ds)
+            }
             Ok(CdsAction::DeleteDs) => Some(Vec::new()),
             _ => None,
         }
@@ -704,7 +709,8 @@ impl World {
         let new = state.new_keys.clone();
         let id = self.id_of(domain).expect("rolling domain exists");
         let d = self.domains.at(id);
-        let (registrar, hosting) = (d.registrar, d.hosting.clone());
+        let (registrar, tld, hosting) = (d.registrar, d.tld, d.hosting.clone());
+        let new_ds = new.ds(DigestType::Sha256);
 
         // Operator leg 1: start serving the transitional set.
         if !stalled && state.phase == RolloverPhase::Scheduled && today >= plan.start {
@@ -743,54 +749,60 @@ impl World {
             st.signed_until = plan.signature_validity_days.map(|_| signer.expiration);
         }
 
-        // Registrar/registry leg: the DS moves on *its* schedule — early,
-        // late, never — independent of the operator (even one that is
-        // stalled mid-outage).
-        if plan.style.changes_ds()
-            && !self
-                .rollovers
-                .get(domain)
-                .map(|s| s.ds_swapped)
-                .unwrap_or(true)
-        {
-            if let Some(swap_day) = plan.actual_swap() {
-                if today >= swap_day {
-                    let ds = new.ds(DigestType::Sha256);
+        // DS leg. Through the registrar the DS moves on *its* schedule —
+        // early, late, never — independent of the operator (even one that
+        // is stalled mid-outage). Through CDS the live operator publishes
+        // the child's CDS, signed by the old keys the parent's DS still
+        // chains, and the registry's scan later in this tick moves the DS.
+        let ds_due = plan.style.changes_ds()
+            && plan.actual_swap().is_some_and(|day| today >= day)
+            && self.rollovers.get(domain).is_some_and(|s| !s.ds_swapped);
+        let fired = ds_due
+            && match plan.ds_timing {
+                DsTiming::Cds if stalled => false,
+                DsTiming::Cds => {
+                    self.publish_cds_record(domain, &old, new_ds.clone());
+                    true
+                }
+                _ => {
                     let swapped = Event::RolloverDsSwapped {
                         domain: domain.clone(),
                         on_schedule: plan.ds_timing == DsTiming::OnSchedule,
                     };
-                    match self.commit(domain, Delegation::Ds(&[ds]), [swapped]) {
-                        Ok(()) => {
-                            let st = self.rollovers.get_mut(domain).expect("still present");
-                            st.ds_swapped = true;
-                            if st.phase == RolloverPhase::Prepared {
-                                st.phase = RolloverPhase::DsSwapped;
-                            }
-                            if st.phase == RolloverPhase::Completed {
-                                // The operator finished long ago; this late
-                                // DS landing was the last outstanding leg.
-                                self.rollovers.remove(domain);
-                            }
-                        }
-                        Err(e) => self.events.record(
-                            today,
-                            Event::DsRejected {
-                                domain: domain.clone(),
-                                reason: match e {
-                                    ActionError::Registry(reason) => reason,
-                                    e => format!("{e:?}"),
-                                },
-                            },
-                        ),
+                    let write = self.commit(
+                        domain,
+                        Delegation::Ds(std::slice::from_ref(&new_ds)),
+                        [swapped],
+                    );
+                    if let Err(e) = &write {
+                        let reason = match e {
+                            ActionError::Registry(reason) => reason.clone(),
+                            e => format!("{e:?}"),
+                        };
+                        let domain = domain.clone();
+                        self.events
+                            .record(today, Event::DsRejected { domain, reason });
                     }
+                    write.is_ok()
                 }
+            };
+        if fired {
+            let st = self.rollovers.get_mut(domain).expect("still present");
+            st.ds_swapped = true;
+            if st.phase == RolloverPhase::Prepared {
+                st.phase = RolloverPhase::DsSwapped;
+            }
+            if st.phase == RolloverPhase::Completed {
+                // The operator finished long ago; this late DS landing was
+                // the last outstanding leg.
+                self.rollovers.remove(domain);
             }
         }
 
         // Operator leg 2: withdraw old material, finish. Runs on schedule
-        // whether or not the DS ever moved — that is exactly how the
-        // "DS too late / never" bogus windows open.
+        // whether or not the registrar ever moved the DS — that is exactly
+        // how the "DS too late / never" bogus windows open. A CDS roll
+        // first checks that the parent holds the new DS.
         let phase = self.rollovers.get(domain).map(|s| s.phase);
         if !stalled
             && matches!(
@@ -798,6 +810,9 @@ impl World {
                 Some(RolloverPhase::Prepared) | Some(RolloverPhase::DsSwapped)
             )
             && today >= plan.completion()
+            && (plan.ds_timing != DsTiming::Cds
+                || !plan.style.changes_ds()
+                || self.registries[&tld].ds_of(domain).contains(&new_ds))
         {
             self.rekey(id, domain, new);
             let st = self.rollovers.get_mut(domain).expect("still present");
@@ -845,8 +860,13 @@ impl World {
                 } else {
                     Self::transitional_set(&plan, &old, &new)
                 };
+                // The fresh zone keeps the child's CDS until completion.
+                let cds_published = plan.ds_timing == DsTiming::Cds && state.ds_swapped;
                 let signer = self.rollover_signer(&plan);
                 self.serve(domain, registrar, &hosting, Some((&set, &signer)));
+                if cds_published {
+                    self.publish_cds_record(domain, &old, new_ds);
+                }
                 let st = self.rollovers.get_mut(domain).expect("still present");
                 st.signed_until = Some(signer.expiration);
                 st.expiry_noted = false;

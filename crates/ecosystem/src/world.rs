@@ -252,10 +252,11 @@ pub enum ActionError {
     },
     /// The action does not apply to the domain's hosting arrangement.
     WrongHosting,
-    /// `complete_rollover` was called with no rollover prepared.
+    /// `stall_rollover` / `resume_rollover` found no scheduled rollover
+    /// for the domain.
     NoPendingRollover,
-    /// A rollover is already prepared or scheduled for this domain;
-    /// finish or cancel it before starting another.
+    /// A rollover is already scheduled for this domain; it must finish
+    /// before another starts.
     RolloverInProgress,
     /// A registry-level failure.
     Registry(String),
@@ -269,11 +270,13 @@ pub struct RolloverState {
     pub plan: RolloverPlan,
     /// Where the operator side currently stands.
     pub phase: RolloverPhase,
-    /// Whether the registrar/registry leg has actually moved the DS.
+    /// Whether the DS leg has fired: the registrar's write taken, or the
+    /// child's CDS published for the registry's scan.
     pub ds_swapped: bool,
-    /// Operator frozen mid-rollover (outage): phase work and signature
-    /// refresh stop until [`World::resume_rollover`]; the DS leg keeps
-    /// its own schedule — the registrar is a different organisation.
+    /// Operator frozen mid-rollover (outage): phase work, CDS publication
+    /// and signature refresh stop until [`World::resume_rollover`]; a
+    /// registrar's DS leg keeps its own schedule — the registrar is a
+    /// different organisation.
     pub stalled: bool,
     old_keys: ZoneKeys,
     new_keys: ZoneKeys,
@@ -336,8 +339,6 @@ pub struct World {
     /// RFC 8078 bootstrap observation: first day a DS-less domain was seen
     /// publishing a self-consistent CDS.
     cds_first_seen: BTreeMap<Name, SimDate>,
-    /// Two-phase key rollovers in progress (new keys awaiting the DS).
-    pending_rollover: BTreeMap<Name, ZoneKeys>,
     /// Scheduled rollover lifecycles driven by the daily tick.
     rollovers: BTreeMap<Name, RolloverState>,
     /// Event log.
@@ -411,7 +412,6 @@ impl World {
             key_pool,
             tick: tick::TickState::default(),
             cds_first_seen: BTreeMap::new(),
-            pending_rollover: BTreeMap::new(),
             rollovers: BTreeMap::new(),
             events: EventLog::new(),
             auto_sign_on_purchase: true,
@@ -1125,67 +1125,10 @@ impl World {
             .filter(|d| d.registrar == registrar)
             .filter_map(|d| Some((d.name.clone(), d.keys.as_deref()?.clone())))
             .collect();
-        let mut published = 0;
-        for (domain, keys) in targets {
-            let ds = keys.ds(DigestType::Sha256);
-            if self.publish_cds_record(&domain, &keys, ds).is_ok() {
-                published += 1;
-            }
+        for (domain, keys) in &targets {
+            self.publish_cds_record(domain, keys, keys.ds(DigestType::Sha256));
         }
-        published
-    }
-
-    /// Phase 1 of a proper key rollover: generate new keys, publish a CDS
-    /// for them **signed by the still-chained old keys**, and remember the
-    /// new keys. The chain stays valid throughout. Errors with
-    /// [`ActionError::RolloverInProgress`] if a rollover (one-shot or
-    /// scheduled) is already pending — silently regenerating keys here
-    /// would orphan the CDS already served.
-    pub fn prepare_rollover(&mut self, domain: &Name) -> Result<DsRdata, ActionError> {
-        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
-        // The purchase spelling of the name: what the tick later logs.
-        let key = d.name.clone();
-        let old_keys = d
-            .keys
-            .as_deref()
-            .cloned()
-            .ok_or(ActionError::DnssecUnsupported)?;
-        if self.rollover_in_flight(&key) {
-            return Err(ActionError::RolloverInProgress);
-        }
-        let new_keys = self.keys_differing_from(domain, old_keys.ksk_tag());
-        let new_ds = new_keys.ds(DigestType::Sha256);
-        self.publish_cds_record(domain, &old_keys, new_ds.clone())?;
-        self.pending_rollover.insert(key, new_keys);
-        self.events.record(
-            self.today,
-            // The one-shot CDS flow is a KSK-family transition.
-            Event::RolloverPrepared {
-                domain: domain.clone(),
-                style: RolloverStyle::DoubleSignatureKsk,
-            },
-        );
-        Ok(new_ds)
-    }
-
-    /// Phase 2: once the parent's DS points at the new keys, re-sign the
-    /// zone with them. Completing before the DS update makes the domain
-    /// bogus — the rollover failure mode.
-    pub fn complete_rollover(&mut self, domain: &Name) -> Result<(), ActionError> {
-        let new_keys = self
-            .pending_rollover
-            .remove(domain)
-            .ok_or(ActionError::NoPendingRollover)?;
-        let id = self.id_of(domain).ok_or(ActionError::NoSuchDomain)?;
-        self.rekey(id, domain, new_keys);
-        self.events.record(
-            self.today,
-            Event::RolloverCompleted {
-                domain: domain.clone(),
-                style: RolloverStyle::DoubleSignatureKsk,
-            },
-        );
-        Ok(())
+        targets.len()
     }
 
     /// An abrupt (incorrect) rollover: replace the zone keys outright
@@ -1228,7 +1171,7 @@ impl World {
             .as_deref()
             .cloned()
             .ok_or(ActionError::DnssecUnsupported)?;
-        if self.rollover_in_flight(&key) {
+        if self.rollovers.contains_key(&key) {
             return Err(ActionError::RolloverInProgress);
         }
         let new_keys = match plan.style {
@@ -1273,18 +1216,12 @@ impl World {
         Ok(())
     }
 
-    /// Whether any rollover (one-shot CDS or scheduled lifecycle) is
-    /// already in flight for `domain`.
-    fn rollover_in_flight(&self, domain: &Name) -> bool {
-        self.rollovers.contains_key(domain) || self.pending_rollover.contains_key(domain)
-    }
-
     /// Freezes the operator side of a scheduled rollover (the operator is
     /// down, distracted, or out of business): no further phase work and
     /// no signature refresh until [`World::resume_rollover`]. With
     /// bounded signature validity, the served RRSIGs then expire for
-    /// real. The registrar's DS leg is *not* frozen — it is a different
-    /// organisation working its own queue.
+    /// real. A registrar's DS leg is *not* frozen — it is a different
+    /// organisation working its own queue; a CDS is the operator's own.
     pub fn stall_rollover(&mut self, domain: &Name) -> Result<(), ActionError> {
         let state = self
             .rollovers
@@ -1436,20 +1373,14 @@ impl World {
     }
 
     /// Adds a CDS record for `ds`, signed with `signing_keys`, to the
-    /// domain's served zone.
-    fn publish_cds_record(
-        &mut self,
-        domain: &Name,
-        signing_keys: &ZoneKeys,
-        ds: DsRdata,
-    ) -> Result<(), ActionError> {
-        let d = self.domain(domain).ok_or(ActionError::NoSuchDomain)?;
+    /// stored domain's served zone.
+    fn publish_cds_record(&mut self, domain: &Name, signing_keys: &ZoneKeys, ds: DsRdata) {
+        let d = self.domain(domain).expect("a stored domain");
         let authority = self
             .server_of(d.registrar, &d.hosting)
             .map_or_else(|| self.owner_authority.clone(), Operator::authority);
         publish_cds(&authority, domain, signing_keys, ds, &self.signer_config());
         self.note_zone_edit(domain);
-        Ok(())
     }
 
     // ------------------------------------------------------------ helpers --

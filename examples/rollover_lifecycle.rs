@@ -2,10 +2,12 @@
 //! windows, and rollover-under-outage chaos.
 //!
 //! Part 1 is a live demo on a hand-built world: a correctly timed
-//! double-signature KSK rollover next to one whose registrar pushes the
-//! DS five days late, classified day by day through the resolver. The
-//! correctly timed arm must never show a bogus day — any leakage is a
-//! hard failure (the CI examples-smoke job runs this binary).
+//! double-signature KSK rollover, the same roll with its DS moved by the
+//! registry's CDS scan instead of the registrar, and one whose registrar
+//! pushes the DS five days late, classified day by day through the
+//! resolver. The two correctly timed arms must never show a bogus day —
+//! any leakage is a hard failure (the CI examples-smoke job runs this
+//! binary).
 //!
 //! Part 2 runs E-K1 on the tiny population: correct rollover ⇒ zero
 //! bogus, mistimed DS ⇒ a bogus window matching the injected timing
@@ -67,6 +69,8 @@ fn status_label(world: &World, domain: &Name) -> &'static str {
 /// days observed.
 fn drive(timing: DsTiming) -> u32 {
     let (mut world, domain) = demo_world("roller");
+    // The CDS route needs a registry that scans for it.
+    world.registry_mut(Tld::Com).supports_cds = timing == DsTiming::Cds;
     let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
         .with_ds_timing(timing);
     let last = plan
@@ -109,12 +113,16 @@ fn main() {
     let correct_bogus = drive(DsTiming::OnSchedule);
     println!("correctly timed arm: {correct_bogus} bogus days\n");
 
+    println!("correctly timed rollover, DS moved through the child's CDS:");
+    let cds_bogus = drive(DsTiming::Cds);
+    println!("CDS arm: {cds_bogus} bogus days\n");
+
     println!("mistimed rollover (DS pushed 5 days late):");
     let late_bogus = drive(DsTiming::Late { days: 5 });
     println!("mistimed arm: {late_bogus} bogus days\n");
 
     // Part 2: E-K1 — correct / mistimed / rollover-under-outage, with
-    // traffic-plane attribution and thread-count invariance.
+    // traffic-plane attribution.
     let result = experiment_rollover_lifecycle(&PopulationConfig::tiny());
     println!("{}", result.to_markdown());
     println!(
@@ -126,9 +134,9 @@ fn main() {
         }
     );
 
-    // Bogus leakage in the correctly timed arm — or a mistimed plan that
+    // Bogus leakage in a correctly timed arm — or a mistimed plan that
     // somehow stayed secure — is a hard failure.
-    if correct_bogus != 0 || late_bogus == 0 || !result.reproduced() {
+    if correct_bogus != 0 || cds_bogus != 0 || late_bogus == 0 || !result.reproduced() {
         std::process::exit(1);
     }
 }

@@ -11,8 +11,8 @@ use std::collections::BTreeSet;
 use dsec::attack::{AttackCampaign, AttackPlan, AttackVector};
 use dsec::crypto::DigestType;
 use dsec::ecosystem::{
-    DsSubmission, ExternalDs, Hosting, OperatorDnssec, RegistrarPolicy, Tld, TldPolicy, TldRole,
-    World, WorldConfig,
+    DsSubmission, DsTiming, ExternalDs, Hosting, OperatorDnssec, RegistrarPolicy, RolloverPlan,
+    RolloverStyle, Tld, TldPolicy, TldRole, World, WorldConfig,
 };
 use dsec::resolver::{Exchange, Resolver, RetryPolicy, Security};
 use dsec::wire::{Message, Name, RData, RrType};
@@ -92,21 +92,31 @@ fn resign_with_fresh_keys_is_visible_immediately() {
 fn rollover_phase_entry_is_visible_immediately() {
     let mut pw = build(&PopulationConfig::tiny());
     let domain = signed_domain(&pw.world);
+    let tld = Tld::of_domain(&domain).expect("a studied TLD");
+    pw.world.registry_mut(tld).supports_cds = true;
+    let start = pw.world.today.plus_days(1);
+    let plan = RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, start);
+    let plan = plan.with_ds_timing(DsTiming::Cds);
+    pw.world.schedule_rollover(&domain, plan.clone()).unwrap();
 
-    // Ask for the negative answer twice: no CDS is published yet.
+    // The day before the swap, ask for the negative answer twice: the
+    // transitional zone publishes no CDS yet.
+    pw.world.advance_to(start.plus_days(plan.prepare_days - 1));
     let before = ask_domain(&pw.world, &domain, RrType::Cds).expect("answer");
     assert!(
         !before
             .answers
             .iter()
             .any(|r| matches!(r.rdata, RData::Cds(_))),
-        "no CDS before the rollover starts"
+        "no CDS before the swap day"
     );
     let _ = ask_domain(&pw.world, &domain, RrType::Cds);
 
-    // Phase 1: CDS published, signed by the still-chained old keys. The
-    // earlier NODATA must not outlive the zone edit.
-    let new_ds = pw.world.prepare_rollover(&domain).expect("phase 1");
+    // Swap day: the CDS for the incoming KSK is published and the
+    // registry's scan moves the DS. The earlier NODATA must not outlive
+    // the zone edit.
+    let old_ds = pw.world.registry(tld).ds_of(&domain);
+    pw.world.tick();
     let during = ask_domain(&pw.world, &domain, RrType::Cds).expect("answer");
     let served_cds: Vec<_> = during
         .answers
@@ -116,20 +126,20 @@ fn rollover_phase_entry_is_visible_immediately() {
             _ => None,
         })
         .collect();
-    assert_eq!(served_cds.len(), 1, "exactly one CDS after phase 1");
     assert_eq!(
-        served_cds[0].digest, new_ds.digest,
-        "CDS carries the new DS"
+        pw.world.registry(tld).ds_of(&domain),
+        served_cds,
+        "one CDS, which the same tick's scan made the DS"
     );
 
-    // Ask for the DNSKEYs under the old keys, then complete: the new
-    // key set must be served on the very next query.
+    // Ask for the DNSKEYs under the transitional set, then complete: the
+    // new key set must be served on the very next query.
     let _ = ask_domain(&pw.world, &domain, RrType::Dnskey);
-    pw.world.complete_rollover(&domain).expect("phase 2");
-    let after = ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer");
+    pw.world.advance_to(plan.completion());
+    let after = dnskey_tags(&ask_domain(&pw.world, &domain, RrType::Dnskey).expect("answer"));
     assert!(
-        dnskey_tags(&after).contains(&new_ds.key_tag),
-        "completed rollover serves the DNSKEY the new DS points at"
+        after.contains(&served_cds[0].key_tag) && !after.contains(&old_ds[0].key_tag),
+        "completed rollover serves the new KSK, not the old"
     );
 }
 

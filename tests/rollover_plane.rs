@@ -85,20 +85,26 @@ fn abrupt_roll_goes_bogus_until_the_ds_is_fixed() {
     );
 }
 
-/// A correctly scheduled double-signature rollover versus a mistimed
-/// one, through the same world API the experiments drive: the correct
-/// plan validates on every single day; the late-DS plan goes bogus on
-/// exactly the days its arithmetic predicts.
+/// Correctly scheduled double-signature rollovers — the DS moved by the
+/// registrar or by the registry's CDS scan — versus a mistimed one,
+/// through the same world API the experiments drive: the correct plans
+/// validate on every single day; the late-DS plan goes bogus on exactly
+/// the days its arithmetic predicts. Every plan runs to completion.
 #[test]
 fn scheduled_rollover_day_by_day_matches_the_plan_arithmetic() {
-    for timing in [DsTiming::OnSchedule, DsTiming::Late { days: 4 }] {
+    for timing in [
+        DsTiming::OnSchedule,
+        DsTiming::Late { days: 4 },
+        DsTiming::Cds,
+    ] {
         let (mut world, domain) = full_registrar_world();
+        world.registry_mut(Tld::Com).supports_cds = timing == DsTiming::Cds;
         let plan =
             RolloverPlan::correct(RolloverStyle::DoubleSignatureKsk, world.today.plus_days(1))
                 .with_ds_timing(timing);
         let last = plan
             .actual_swap()
-            .unwrap_or_else(|| plan.completion())
+            .map_or(plan.completion(), |swap| swap.max(plan.completion()))
             .plus_days(1);
         world.schedule_rollover(&domain, plan.clone()).unwrap();
         while world.today < last {
@@ -115,7 +121,26 @@ fn scheduled_rollover_day_by_day_matches_the_plan_arithmetic() {
                 world.today
             );
         }
+        assert!(world.rollover_state(&domain).is_none(), "{timing:?}");
     }
+}
+
+/// A CDS naming the DS set the parent already holds is no change: the
+/// registry's scan re-signs nothing, bumps nothing and logs nothing.
+#[test]
+fn a_cds_equal_to_the_ds_set_changes_nothing() {
+    let (mut world, domain) = full_registrar_world();
+    world.registry_mut(Tld::Com).supports_cds = true;
+    let registrar = world.domain(&domain).unwrap().registrar;
+    assert_eq!(world.enable_cds_publication(registrar), 1);
+    let ds = world.registry(Tld::Com).ds_of(&domain);
+    let generation = world.registry(Tld::Com).generation_of(&domain);
+    for _ in 0..3 {
+        world.tick();
+    }
+    assert_eq!(world.events.count("cds_applied"), 0);
+    assert_eq!(world.registry(Tld::Com).generation_of(&domain), generation);
+    assert_eq!(world.registry(Tld::Com).ds_of(&domain), ds);
 }
 
 proptest! {
