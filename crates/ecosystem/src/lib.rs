@@ -34,7 +34,7 @@ pub use events::{Event, EventLog};
 pub use operator::{operator_key, operator_of, Operator, OperatorId};
 pub use policy::{ExternalDs, OperatorDnssec, Plan, RegistrarPolicy, TldPolicy, TldRole};
 pub use registrar::{Milestone, PolicyChange, Registrar};
-pub use registry::{Freshness, Registry, RegistryError};
+pub use registry::{Freshness, FreshnessColumn, Registry, RegistryError};
 pub use rollover::{DsTiming, RolloverPhase, RolloverPlan, RolloverStyle};
 pub use table::{DomainId, DomainTable, JournalCursor, OrderedRows, Ranks};
 pub use tld::{Incentive, Tld, ALL_TLDS};

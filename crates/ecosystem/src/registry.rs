@@ -27,7 +27,7 @@ use rand::RngCore;
 use dsec_authserver::Authority;
 use dsec_crypto::Algorithm;
 use dsec_dnssec::{sign_rrset, SignerConfig, ZoneKeys};
-use dsec_wire::{DsRdata, Name, Owner, RData, Record, RrSet, RrType, SoaRdata, Zone};
+use dsec_wire::{DsRdata, FnvHashMap, Name, Owner, RData, Record, RrSet, RrType, SoaRdata, Zone};
 
 use crate::operator::operator_of;
 use crate::table::{DomainTable, JournalCursor, OrderedRows, Ranks};
@@ -520,11 +520,135 @@ pub struct Freshness {
 }
 
 impl Freshness {
+    /// The window of an observation with no RRSIG (an unsigned
+    /// delegation's): no clock ever leaves it.
+    pub const UNBOUNDED: (i64, i64) = (i64::MIN, i64::MAX);
+
     /// Whether the verdict still holds for the delegation at
     /// `generation` and the clock at `now`.
     pub fn holds(&self, generation: u64, now: u32) -> bool {
         let now = i64::from(now);
         self.generation == generation && self.window.0 < now && now < self.window.1
+    }
+}
+
+/// One verdict per registry row, each with the [`Freshness`] it holds
+/// under, and a payload `T` beside it: the tick's audit memo and the
+/// scanner's cache. A row costs a byte, a `u32` generation and a `T`.
+/// The byte's low six bits ([`FreshnessColumn::VERDICT`]) are the
+/// caller's verdict, bit 6 marks a bounded window and bit 7 an empty
+/// row. Only bounded windows are kept, in a map by row: an unsigned
+/// delegation's window is [`Freshness::UNBOUNDED`], so its row is read
+/// without probing the map. A generation that does not fit in `u32` is
+/// kept as 0, which never holds: the row keeps its verdict and payload,
+/// and misses every lookup instead of serving a wrong hit.
+#[derive(Debug, Clone, Default)]
+pub struct FreshnessColumn<T> {
+    tags: Vec<u8>,
+    generations: Vec<u32>,
+    payloads: Vec<T>,
+    windows: FnvHashMap<u32, (i64, i64)>,
+}
+
+impl<T: Copy + Default> FreshnessColumn<T> {
+    /// The bits of a row's byte that are the caller's verdict.
+    pub const VERDICT: u8 = (1 << 6) - 1;
+    const BOUNDED: u8 = 1 << 6;
+    const EMPTY: u8 = 1 << 7;
+
+    /// Makes room for `rows` rows: the exact size plus 1/64 for the rows
+    /// added later, instead of doubling.
+    pub fn fit(&mut self, rows: usize) {
+        let len = self.tags.len();
+        if rows > len {
+            let more = rows - len + rows / 64;
+            self.tags.reserve_exact(more);
+            self.generations.reserve_exact(more);
+            self.payloads.reserve_exact(more);
+            self.tags.resize(rows, Self::EMPTY);
+            self.generations.resize(rows, 0);
+            self.payloads.resize(rows, T::default());
+        }
+    }
+
+    /// Stores `verdict` (within [`FreshnessColumn::VERDICT`]) and
+    /// `payload` at `row`, good while `fresh` holds.
+    pub fn store(&mut self, row: u32, fresh: Freshness, verdict: u8, payload: T) {
+        debug_assert_eq!(verdict & !Self::VERDICT, 0, "not a verdict");
+        self.fit(row as usize + 1);
+        let at = row as usize;
+        let mut tag = verdict;
+        if fresh.window != Freshness::UNBOUNDED {
+            tag |= Self::BOUNDED;
+            self.windows.insert(row, fresh.window);
+        } else if self.tags[at] & Self::BOUNDED != 0 {
+            self.windows.remove(&row);
+        }
+        self.tags[at] = tag;
+        self.generations[at] = u32::try_from(fresh.generation).unwrap_or(0);
+        self.payloads[at] = payload;
+    }
+
+    /// How many rows the column has room for.
+    pub fn rows(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// The verdict and payload stored at `row`, however stale.
+    pub fn get(&self, row: u32) -> Option<(u8, T)> {
+        let at = row as usize;
+        let tag = *self.tags.get(at)?;
+        (tag & Self::EMPTY == 0).then(|| (tag & Self::VERDICT, self.payloads[at]))
+    }
+
+    /// The freshness of the verdict stored at `row`.
+    pub fn freshness(&self, row: u32) -> Option<Freshness> {
+        let at = row as usize;
+        let tag = *self.tags.get(at)?;
+        if tag & Self::EMPTY != 0 {
+            return None;
+        }
+        let window = if tag & Self::BOUNDED != 0 {
+            self.windows[&row]
+        } else {
+            Freshness::UNBOUNDED
+        };
+        Some(Freshness {
+            generation: u64::from(self.generations[at]),
+            window,
+        })
+    }
+
+    /// The verdict and payload at `row` if they hold for the delegation
+    /// at `generation` and the clock at `now` ([`Freshness::holds`]).
+    pub fn holding(&self, row: u32, generation: u64, now: u32) -> Option<(u8, T)> {
+        let fresh = self.freshness(row)?;
+        (fresh.generation != 0 && fresh.holds(generation, now))
+            .then(|| self.get(row).expect("a fresh row is filled"))
+    }
+
+    /// Every bounded window, by row, in no particular order.
+    pub fn windows(&self) -> impl Iterator<Item = (u32, (i64, i64))> + '_ {
+        self.windows.iter().map(|(&row, &window)| (row, window))
+    }
+
+    /// Checks that the window map holds exactly the rows whose bounded
+    /// bit is set (test support).
+    #[doc(hidden)]
+    pub fn check_windows(&self) -> Result<(), String> {
+        let bounded =
+            |&row: &u32| (self.tags.get(row as usize)).is_some_and(|&tag| tag & Self::BOUNDED != 0);
+        if let Some(row) = self.windows.keys().find(|row| !bounded(row)) {
+            return Err(format!("row {row} has a window but no bounded verdict"));
+        }
+        let rows = (0..self.tags.len() as u32).filter(bounded).count();
+        if rows != self.windows.len() {
+            return Err(format!(
+                "{rows} bounded verdicts, {} windows",
+                self.windows.len()
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -8,7 +8,7 @@
 //! every new `Domain` mutation path must honour.
 
 use super::*;
-use crate::registry::Freshness;
+use crate::registry::{Freshness, FreshnessColumn};
 use crate::table::Ranks;
 use dsec_dnssec::{CdsAction, CdsScan};
 
@@ -38,8 +38,9 @@ pub(super) struct TickState {
     /// The domains with `Domain::pending_partner_migration` set.
     pending_migrations: BTreeSet<DomainId>,
     mass_sign_queue: Vec<MassSignTask>,
-    /// Per incentive TLD, registry row → last audit outcome.
-    audit_memo: BTreeMap<Tld, Vec<AuditVerdict>>,
+    /// Per incentive TLD, registry row → last audit outcome
+    /// ([`audit_byte`]).
+    audit_memo: BTreeMap<Tld, FreshnessColumn<()>>,
 }
 
 impl TickState {
@@ -80,15 +81,19 @@ impl<'a> DomainRanks<'a> {
     }
 }
 
-/// A memoized audit outcome for one registry row. The outcome is a pure
-/// function of the delegation's generation (DESIGN.md §9) and of where
-/// `now` falls between the RRSIG validity edges of the observation it
-/// came from, so it is reused only while both stand still.
-#[derive(Clone, Copy, Default)]
-struct AuditVerdict {
-    fresh: Freshness,
-    /// `None`: no DS published, nothing to audit.
-    passed: Option<bool>,
+/// A memoized audit outcome for one registry row, as the verdict byte of
+/// its audit-memo row: `None` (no DS published, nothing to audit) is 0, a
+/// failed audit 1 and a passed one 2. The outcome is a pure function of
+/// the delegation's generation (DESIGN.md §9) and of where `now` falls
+/// between the RRSIG validity edges of the observation it came from, so
+/// it is reused only while both stand still.
+fn audit_byte(passed: Option<bool>) -> u8 {
+    passed.map_or(0, |passed| 1 + u8::from(passed))
+}
+
+/// The audit outcome an [`audit_byte`] stands for.
+fn audit_passed(byte: u8) -> Option<bool> {
+    (byte != 0).then_some(byte == 2)
 }
 
 impl World {
@@ -249,18 +254,19 @@ impl World {
         }
         let now = self.today.epoch_seconds();
         for (tld, verdicts) in &self.tick.audit_memo {
+            verdicts
+                .check_windows()
+                .map_err(|e| format!("{tld:?} audit memo: {e}"))?;
             let registry = &self.registries[tld];
             for (row, generation) in registry.delegations_columnar() {
-                let Some(verdict) = verdicts.get(row as usize) else {
+                let Some((byte, ())) = verdicts.holding(row, generation, now) else {
                     continue;
                 };
-                if verdict.fresh.holds(generation, now)
-                    && verdict.passed != self.audit(DomainId::new(*tld, row), now).0
-                {
+                let passed = audit_passed(byte);
+                if passed != self.audit(DomainId::new(*tld, row), now).0 {
                     let (domain, _) = registry.delegation_at(row);
                     return Err(format!(
-                        "audit memo for {domain} is stale at generation {generation}: {:?}",
-                        verdict.passed
+                        "audit memo for {domain} is stale at generation {generation}: {passed:?}"
                     ));
                 }
             }
@@ -499,7 +505,7 @@ impl World {
     fn audit(&self, id: DomainId, now: u32) -> (Option<bool>, (i64, i64)) {
         let registry = &self.registries[&id.tld()];
         if !registry.has_ds_at(id.row()) {
-            return (None, (i64::MIN, i64::MAX));
+            return (None, Freshness::UNBOUNDED);
         }
         let (domain, _) = registry.delegation_at(id.row());
         let obs = self.observe_at(id, &domain, 1).0;
@@ -520,21 +526,18 @@ impl World {
             }
             let verdicts = memo.entry(tld).or_default();
             let registry = &self.registries[&tld];
+            if use_memo {
+                verdicts.fit(registry.delegation_count());
+            }
             let mut audited: Vec<(u32, bool)> = Vec::new();
             for (row, generation) in registry.delegations_columnar() {
-                let slot = row as usize;
-                let passed = match verdicts.get(slot) {
-                    Some(v) if use_memo && v.fresh.holds(generation, now) => v.passed,
+                let passed = match verdicts.holding(row, generation, now) {
+                    Some((byte, ())) if use_memo => audit_passed(byte),
                     _ => {
                         let (passed, window) = self.audit(DomainId::new(tld, row), now);
                         if use_memo {
-                            if verdicts.len() <= slot {
-                                verdicts.resize(slot + 1, AuditVerdict::default());
-                            }
-                            verdicts[slot] = AuditVerdict {
-                                fresh: Freshness { generation, window },
-                                passed,
-                            };
+                            let fresh = Freshness { generation, window };
+                            verdicts.store(row, fresh, audit_byte(passed), ());
                         }
                         passed
                     }

@@ -13,15 +13,18 @@
 //!
 //! ## Layout
 //!
-//! One dense column per TLD, indexed by the registry's columnar row (the
-//! low half of a [`DomainId`]). A slot is 32 bytes: the generation and
-//! validity window of the verdict ([`Freshness`]), the registry's `u32`
-//! operator id, and a one-byte `Class` that rebuilds the single-domain
-//! [`OperatorStats`] cell. The operator is derived from the NS set and
-//! every NS edit bumps the generation, so a generation match guarantees
-//! the stored operator is current too. Each column remembers the journal
-//! of the registry that filled it: row ids and generations repeat across
-//! worlds, so a scan over another registry starts that column empty.
+//! One [`FreshnessColumn`] per TLD, indexed by the registry's columnar
+//! row (the low half of a [`DomainId`]). A slot is 9 bytes in three dense
+//! columns: a one-byte `Class` that rebuilds the single-domain
+//! [`OperatorStats`] cell, the `u32` generation of the verdict and the
+//! registry's `u32` operator id. The verdict's validity window is kept
+//! aside only when it is bounded (a signed row's: about 3% of rows), so
+//! an unsigned row is peeked without probing that map. The operator is
+//! derived from the NS set and every NS edit bumps the generation, so a
+//! generation match guarantees the stored operator is current too. Each
+//! column remembers the journal of the registry that filled it: row ids
+//! and generations repeat across worlds, so a scan over another registry
+//! starts that column empty.
 //!
 //! Invalidation rules (see DESIGN.md §9):
 //! * a slot is served only when its generation equals the domain's
@@ -51,7 +54,8 @@
 //! in-scope rows of the row's last contribution*. The next scan
 //! (`ScanCache::resume`) lists the rows the journals name since the
 //! cursors, the unobserved rows and the slots whose validity window has
-//! closed (a min-heap of the finite upper edges), subtracts their old
+//! closed (a min-heap of the finite upper edges, which only bounded
+//! windows have), subtracts their old
 //! contributions, and hands that short list
 //! — in the sweep's own (TLD, canonical name) order — to the same
 //! peek → scan → retry pipeline a sweep runs. Every row not on the list
@@ -68,7 +72,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use dsec_ecosystem::{DomainId, Freshness, JournalCursor, Registry, Tld, World, ALL_TLDS};
+use dsec_ecosystem::{
+    DomainId, Freshness, FreshnessColumn, JournalCursor, Registry, Tld, World, ALL_TLDS,
+};
 use dsec_wire::{FnvHashMap, FnvHashSet, Name};
 
 use crate::snapshot::{OperatorStats, ScanItem};
@@ -82,7 +88,8 @@ pub(crate) fn operator_name(registry: &Registry, id: u32) -> String {
 /// A single-domain stats cell in one byte. Bit 0 is `with_dnskey`, bit 1
 /// `with_ds`, bits 2–3 the verdict (none, full, partial, misconfigured),
 /// bit 4 `unreachable` and bit 5 `indeterminate`; `domains` is always 1.
-/// The last two are the unobserved classes, which are never served.
+/// The last two are the unobserved classes, which are never served. The
+/// byte is the verdict of a [`FreshnessColumn`] row, which owns bits 6–7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Class(u8);
 
@@ -95,8 +102,6 @@ impl Class {
     const VERDICT: u8 = 3 << 2;
     const UNREACHABLE: u8 = 1 << 4;
     const INDETERMINATE: u8 = 1 << 5;
-    /// An empty slot: no verdict, and nothing a scan can produce.
-    const EMPTY: Class = Class(1 << 7);
 
     /// The class of a single-domain cell, as a scan produces it: one
     /// domain, each flag 0 or 1, at most one verdict.
@@ -131,52 +136,21 @@ impl Class {
         }
     }
 
-    /// Whether this is a classified outcome (not unreachable,
-    /// indeterminate or empty): the only kind a slot may serve.
+    /// Whether this is a classified outcome (not unreachable or
+    /// indeterminate): the only kind a slot may serve.
     pub(crate) fn observed(self) -> bool {
-        self.0 & (Self::UNREACHABLE | Self::INDETERMINATE | Self::EMPTY.0) == 0
+        self.0 & (Self::UNREACHABLE | Self::INDETERMINATE) == 0
     }
 }
 
-/// One row's cached verdict: what was seen, by which operator, and how
-/// long it stays true.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    fresh: Freshness,
-    operator: u32,
-    class: Class,
-}
-
-const _: () = assert!(std::mem::size_of::<Slot>() == 32);
-
-impl Slot {
-    /// Generation 0 never holds: delegations start at 1.
-    const EMPTY: Slot = Slot {
-        fresh: Freshness {
-            generation: 0,
-            window: (0, 0),
-        },
-        operator: 0,
-        class: Class::EMPTY,
-    };
-
-    fn filled(&self) -> bool {
-        self.class != Class::EMPTY
-    }
-
-    /// What this slot's row adds to its (operator, TLD) cell.
-    fn contribution(&self) -> (u32, Class) {
-        (self.operator, self.class)
-    }
-}
-
-/// One TLD's slots, by registry row.
+/// One TLD's slots, by registry row: each a `Class` verdict with its
+/// operator id as payload.
 #[derive(Debug, Clone, Default)]
 struct Column {
     /// A cursor of the registry whose rows these are; `None` until a
     /// scan adopts the column.
     source: Option<JournalCursor>,
-    slots: Vec<Slot>,
+    slots: FreshnessColumn<u32>,
     /// How many slots are filled.
     filled: usize,
     /// Rendered operator keys by operator id, made on first use.
@@ -184,18 +158,10 @@ struct Column {
 }
 
 impl Column {
-    fn slot(&self, row: u32) -> Option<&Slot> {
-        self.slots.get(row as usize).filter(|slot| slot.filled())
-    }
-
-    /// Makes room for `rows` rows. The column grows to the exact size
-    /// plus 1/64 for the rows later scans add, instead of doubling.
-    fn fit(&mut self, rows: usize) {
-        if rows > self.slots.len() {
-            self.slots
-                .reserve_exact(rows - self.slots.len() + rows / 64);
-            self.slots.resize(rows, Slot::EMPTY);
-        }
+    /// What `row` adds to its (operator, TLD) cell, if it has a slot.
+    fn contribution(&self, row: u32) -> Option<(u32, Class)> {
+        let (class, operator) = self.slots.get(row)?;
+        Some((operator, Class(class)))
     }
 }
 
@@ -291,10 +257,11 @@ pub struct ScanCache {
     columns: [Column; ALL_TLDS.len()],
     hits: u64,
     misses: u64,
-    /// `(upper validity edge, key)` of every slot whose window closes,
-    /// soonest first. An item is current while its slot still carries
-    /// that edge; replaced or emptied slots leave items behind that are
-    /// discarded when their time comes.
+    /// `(upper validity edge, key)` of every slot whose window closes (a
+    /// bounded window with a finite upper edge), soonest first. An item
+    /// is current while its slot still carries that edge; replaced or
+    /// emptied slots leave items behind that are discarded when their
+    /// time comes.
     lapses: BinaryHeap<Reverse<(i64, DomainId)>>,
     /// `None` until a scan completes, and while one is running.
     delta: Option<DeltaState>,
@@ -308,8 +275,8 @@ impl ScanCache {
         Self::default()
     }
 
-    fn slot(&self, key: DomainId) -> Option<&Slot> {
-        self.columns[key.tld() as usize].slot(key.row())
+    fn column(&self, key: DomainId) -> &Column {
+        &self.columns[key.tld() as usize]
     }
 
     /// The cached (operator id, stats cell) for `key` if it was
@@ -324,9 +291,9 @@ impl ScanCache {
         generation: u64,
         now: u32,
     ) -> Option<(u32, OperatorStats)> {
-        let slot = self.slot(key)?;
-        (slot.class.observed() && slot.fresh.holds(generation, now))
-            .then(|| (slot.operator, slot.class.stats()))
+        let (class, operator) = self.column(key).slots.holding(key.row(), generation, now)?;
+        let class = Class(class);
+        class.observed().then(|| (operator, class.stats()))
     }
 
     /// Folds externally tallied lookup counts (from [`ScanCache::peek`]
@@ -360,16 +327,10 @@ impl ScanCache {
         }
         let column = &mut self.columns[key.tld() as usize];
         let row = key.row();
-        column.fit(row as usize + 1);
-        let slot = &mut column.slots[row as usize];
-        if !slot.filled() {
+        if column.slots.get(row).is_none() {
             column.filled += 1;
         }
-        *slot = Slot {
-            fresh,
-            operator,
-            class,
-        };
+        column.slots.store(row, fresh, class.0, operator);
     }
 
     /// The rendered key of operator `id` in `registry`, the registry of
@@ -399,7 +360,7 @@ impl ScanCache {
                     ..Column::default()
                 };
             }
-            column.fit(registry.delegation_count());
+            column.slots.fit(registry.delegation_count());
         }
     }
 
@@ -441,7 +402,8 @@ impl ScanCache {
                 break;
             }
             self.lapses.pop();
-            if self.slot(key).is_some_and(|s| s.fresh.window.1 == upper) {
+            let fresh = self.column(key).slots.freshness(key.row());
+            if fresh.is_some_and(|fresh| fresh.window.1 == upper) {
                 keys.push(key);
             }
         }
@@ -455,7 +417,7 @@ impl ScanCache {
             let old = state
                 .unobserved
                 .remove(&key)
-                .or_else(|| self.slot(key).map(Slot::contribution));
+                .or_else(|| self.column(key).contribution(row));
             if let Some((operator, class)) = old {
                 state.sums.retract(tld, operator, &class.stats());
             }
@@ -484,8 +446,9 @@ impl ScanCache {
 
     /// Installs the state a finished scan of `tlds` at `now` leaves for
     /// the next one: its `sums`, and the contributions it could not store
-    /// in slots. After a sweep the lapse index is rebuilt in one pass over
-    /// the columns (a warm scan maintains it through [`ScanCache::store`]).
+    /// in slots. After a sweep the lapse index is rebuilt from the
+    /// columns' bounded windows (a warm scan maintains it through
+    /// [`ScanCache::store`]).
     pub(crate) fn commit(
         &mut self,
         world: &World,
@@ -502,12 +465,9 @@ impl ScanCache {
                 .flat_map(|(&tld, column)| {
                     column
                         .slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, slot)| slot.filled() && slot.fresh.window.1 != i64::MAX)
-                        .map(move |(row, slot)| {
-                            Reverse((slot.fresh.window.1, DomainId::new(tld, row as u32)))
-                        })
+                        .windows()
+                        .filter(|&(_, (_, upper))| upper != i64::MAX)
+                        .map(move |(row, (_, upper))| Reverse((upper, DomainId::new(tld, row))))
                 })
                 .collect();
         }
@@ -528,10 +488,10 @@ impl ScanCache {
 
     /// Recomputes by full sweep of `world`'s registries what the warm
     /// path maintains incrementally — the sums, the unobserved set, the
-    /// slots and the lapse index — and compares (test support). Rows
-    /// journaled since the last scan are allowed to lag; everything else
-    /// must be exactly what a sweep at the last scan's time would have
-    /// served.
+    /// slots, their window maps and the lapse index — and compares (test
+    /// support). Rows journaled since the last scan are allowed to lag;
+    /// everything else must be exactly what a sweep at the last scan's
+    /// time would have served.
     #[doc(hidden)]
     pub fn check_against_sweep(&self, world: &World) -> Result<(), String> {
         let Some(state) = &self.delta else {
@@ -552,12 +512,14 @@ impl ScanCache {
                 .unobserved
                 .get(&key)
                 .copied()
-                .or_else(|| self.slot(key).map(Slot::contribution))
+                .or_else(|| self.column(key).contribution(key.row()))
         };
 
         let mut swept = Sums::default();
         for (&tld, column) in ALL_TLDS.iter().zip(&self.columns) {
-            let filled = column.slots.iter().filter(|slot| slot.filled()).count();
+            let filled = (0..column.slots.rows() as u32)
+                .filter(|&row| column.slots.get(row).is_some())
+                .count();
             if filled != column.filled {
                 return Err(format!(
                     "{tld:?}: {filled} slots filled, {} counted",
@@ -579,6 +541,24 @@ impl ScanCache {
                     "{tld:?}: the column was filled from another registry"
                 ));
             }
+            column
+                .slots
+                .check_windows()
+                .map_err(|e| format!("{tld:?}: {e}"))?;
+            // Every closing window is indexed, whichever row holds it; an
+            // unobserved row's slot is no longer served.
+            for (row, window) in column.slots.windows() {
+                let key = DomainId::new(tld, row);
+                if window.1 != i64::MAX
+                    && !state.unobserved.contains_key(&key)
+                    && !lapses.contains(&(window.1, key))
+                {
+                    return Err(format!(
+                        "{}: window {window:?} is missing from the lapse index",
+                        registry.delegation_at(row).0
+                    ));
+                }
+            }
             for (row, generation) in registry.delegations_columnar() {
                 let key = DomainId::new(tld, row);
                 let name = || registry.delegation_at(row).0;
@@ -586,33 +566,25 @@ impl ScanCache {
                     continue;
                 }
                 if !state.unobserved.contains_key(&key) {
-                    let slot = self
-                        .slot(key)
+                    let fresh = (column.slots.freshness(row))
                         .ok_or_else(|| format!("{}: contributes nothing", name()))?;
-                    if slot.fresh.generation != generation {
+                    // A generation past `u32` is kept as 0, which never holds.
+                    let kept = u32::try_from(generation).map_or(0, u64::from);
+                    if fresh.generation != kept {
                         return Err(format!(
                             "{}: cached at generation {}, now at {generation}, not journaled",
                             name(),
-                            slot.fresh.generation
+                            fresh.generation
                         ));
                     }
                     // (A verdict taken *on* an edge has the empty window
                     // (now, now): closed already, so in the lapse index.)
                     let then = i64::from(state.now);
-                    if slot.fresh.window.0 >= then && slot.fresh.window.1 > then {
+                    if fresh.window.0 >= then && fresh.window.1 > then {
                         return Err(format!(
                             "{}: window {:?} opens after the last scan ({then})",
                             name(),
-                            slot.fresh.window
-                        ));
-                    }
-                    if slot.fresh.window.1 != i64::MAX
-                        && !lapses.contains(&(slot.fresh.window.1, key))
-                    {
-                        return Err(format!(
-                            "{}: window {:?} is missing from the lapse index",
-                            name(),
-                            slot.fresh.window
+                            fresh.window
                         ));
                     }
                 }
@@ -678,7 +650,7 @@ mod tests {
 
     /// A scan time, and a window that never closes around it.
     const NOW: u32 = 1_000;
-    const ALWAYS: (i64, i64) = (i64::MIN, i64::MAX);
+    const ALWAYS: (i64, i64) = Freshness::UNBOUNDED;
 
     fn fresh(generation: u64, window: (i64, i64)) -> Freshness {
         Freshness { generation, window }
@@ -734,7 +706,8 @@ mod tests {
         classes.sort_by_key(|class| class.0);
         classes.dedup();
         assert_eq!(classes.len(), 18, "distinct cells, distinct bytes");
-        assert!(!Class::EMPTY.observed());
+        let spare = !FreshnessColumn::<u32>::VERDICT;
+        assert!(classes.iter().all(|class| class.0 & spare == 0));
     }
 
     #[test]
@@ -753,16 +726,83 @@ mod tests {
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
+    /// The bounded windows the cache's `.com` column keeps.
+    fn windows(cache: &ScanCache) -> Vec<(u32, (i64, i64))> {
+        let mut windows: Vec<_> = cache.columns[Tld::Com as usize].slots.windows().collect();
+        windows.sort_unstable();
+        windows
+    }
+
     #[test]
     fn slots_lapse_at_the_edges_of_their_validity_window() {
         let mut cache = ScanCache::new();
         cache.store(key(0), fresh(1, (900, 1_100)), 0, Class::of(&cell(1)));
+        assert_eq!(windows(&cache), [(0, (900, 1_100))], "kept beside the slot");
+        assert_eq!(cache.lapses.peek(), Some(&Reverse((1_100, key(0)))));
         assert!(cache.peek(key(0), 1, 901).is_some());
         assert!(cache.peek(key(0), 1, 1_099).is_some());
         // Both edges are exclusive: the time check flips *at* the edge.
         assert!(cache.peek(key(0), 1, 900).is_none());
         assert!(cache.peek(key(0), 1, 1_100).is_none());
         assert!(cache.peek(key(0), 1, 2_000).is_none(), "signatures lapsed");
+        assert!(cache.peek(key(0), 2, 1_000).is_none(), "stale generation");
+        // A window bounded on one side only is kept, and checked, too.
+        cache.store(key(1), fresh(1, (900, i64::MAX)), 0, Class::of(&cell(1)));
+        assert!(cache.peek(key(1), 1, 900).is_none());
+        assert!(cache.peek(key(1), 1, u32::MAX).is_some());
+        assert_eq!(windows(&cache).len(), 2);
+        assert_eq!(cache.lapses.len(), 1, "an open upper edge never lapses");
+        assert_eq!(
+            cache.columns[Tld::Com as usize].slots.check_windows(),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn an_unbounded_window_takes_no_window_entry() {
+        let mut cache = ScanCache::new();
+        cache.store(key(0), fresh(1, ALWAYS), 0, Class::of(&cell(1)));
+        assert!(windows(&cache).is_empty());
+        assert!(cache.lapses.is_empty());
+        assert!(cache.peek(key(0), 1, 0).is_some());
+        assert!(cache.peek(key(0), 1, u32::MAX).is_some());
+        // A row that was bounded gives its entry back when it is not.
+        cache.store(key(1), fresh(1, (900, 1_100)), 0, Class::of(&cell(1)));
+        cache.store(key(1), fresh(2, ALWAYS), 0, Class::of(&cell(1)));
+        assert!(windows(&cache).is_empty());
+        assert!(cache.peek(key(1), 2, 2_000).is_some());
+        assert_eq!(
+            cache.columns[Tld::Com as usize].slots.check_windows(),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn a_generation_past_u32_is_never_served() {
+        let mut cache = ScanCache::new();
+        let past = u64::from(u32::MAX) + 1;
+        for generation in [past, past + 1] {
+            cache.store(key(0), fresh(generation, ALWAYS), 7, Class::of(&cell(1)));
+            assert!(cache.peek(key(0), generation, NOW).is_none());
+            // Neither the low half nor the 0 it is kept as hits.
+            assert!(cache
+                .peek(key(0), generation & u64::from(u32::MAX), NOW)
+                .is_none());
+            assert!(cache.peek(key(0), 0, NOW).is_none());
+        }
+        // The row still counts, so its contribution can be retracted.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache.columns[Tld::Com as usize].contribution(0),
+            Some((7, Class::of(&cell(1))))
+        );
+        cache.store(
+            key(0),
+            fresh(u64::from(u32::MAX), ALWAYS),
+            7,
+            Class::of(&cell(1)),
+        );
+        assert!(cache.peek(key(0), u64::from(u32::MAX), NOW).is_some());
     }
 
     #[test]

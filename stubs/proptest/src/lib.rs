@@ -11,7 +11,10 @@
 //! No shrinking is performed: a failing case panics with the generated
 //! value's `Debug` rendering (all inputs here are `Debug`), which is
 //! enough to reproduce since generation is deterministic — the RNG is
-//! seeded per test from the test function's name.
+//! seeded per test from the test function's name, with the `u64` in
+//! `PROPTEST_SEED` mixed in when that variable is set (unset, every
+//! stream is the name's alone). A failing case also prints the test,
+//! the case number and the seed it ran under.
 
 /// Deterministic test RNG (splitmix64). Not exposed by the real
 /// proptest API; the macros thread it through generation.
@@ -32,6 +35,20 @@ impl TestRng {
         Self { state }
     }
 
+    /// The RNG of the test `name` under the override `seed`
+    /// ([`env_seed`]): [`TestRng::from_seed_str`] of the name when there
+    /// is none, and the seed's bytes hashed on after the name otherwise.
+    pub fn for_test(name: &str, seed: Option<u64>) -> Self {
+        let mut rng = Self::from_seed_str(name);
+        for b in seed.iter().flat_map(|seed| seed.to_le_bytes()) {
+            rng.state = rng
+                .state
+                .wrapping_mul(0x100_0000_01b3)
+                .wrapping_add(b as u64);
+        }
+        rng
+    }
+
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -43,6 +60,46 @@ impl TestRng {
     /// Uniform in `[0, bound)`; `bound` must be non-zero.
     pub fn below(&mut self, bound: usize) -> usize {
         (self.next_u64() % bound as u64) as usize
+    }
+}
+
+/// The `PROPTEST_SEED` override, if the variable is set. A value that is
+/// not a `u64` panics rather than quietly running the default streams.
+pub fn env_seed() -> Option<u64> {
+    let value = std::env::var("PROPTEST_SEED").ok()?;
+    let seed = value.trim().parse().unwrap_or_else(|e| {
+        panic!("PROPTEST_SEED={value:?} is not a u64: {e}");
+    });
+    Some(seed)
+}
+
+/// Names the failing case of a `proptest!` test on the way out of its
+/// panic: the test, the case and the seed it ran under.
+#[derive(Debug)]
+pub struct CaseReport {
+    pub test: &'static str,
+    pub seed: Option<u64>,
+    pub case: u32,
+}
+
+impl CaseReport {
+    fn message(&self) -> String {
+        let seed = match self.seed {
+            Some(seed) => format!("PROPTEST_SEED={seed}"),
+            None => "PROPTEST_SEED unset".to_string(),
+        };
+        format!(
+            "proptest: {} failed at case {} under {seed}",
+            self.test, self.case
+        )
+    }
+}
+
+impl Drop for CaseReport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", self.message());
+        }
     }
 }
 
@@ -436,7 +493,8 @@ macro_rules! prop_oneof {
 }
 
 /// The test-harness macro: each `#[test] fn name(pat in strategy, ..)`
-/// becomes a plain `#[test]` that runs `cases` deterministic iterations.
+/// becomes a plain `#[test]` that runs `cases` deterministic iterations
+/// and, if one panics, prints its [`CaseReport`].
 #[macro_export]
 macro_rules! proptest {
     (
@@ -456,8 +514,15 @@ macro_rules! proptest {
             $(#[$meta])+
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
-                let mut rng = $crate::TestRng::from_seed_str(stringify!($name));
-                for _case in 0..config.cases {
+                let seed = $crate::env_seed();
+                let mut rng = $crate::TestRng::for_test(stringify!($name), seed);
+                let mut report = $crate::CaseReport {
+                    test: stringify!($name),
+                    seed,
+                    case: 0,
+                };
+                for case in 0..config.cases {
+                    report.case = case;
                     $(let $pat = $crate::Strategy::generate(&($strat), &mut rng);)+
                     $body
                 }
@@ -467,4 +532,46 @@ macro_rules! proptest {
     ($($rest:tt)*) => {
         $crate::proptest!(@with_config ($crate::ProptestConfig::default()) $($rest)*);
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stream(mut rng: TestRng) -> Vec<u64> {
+        (0..4).map(|_| rng.next_u64()).collect()
+    }
+
+    #[test]
+    fn without_a_seed_a_test_draws_its_name_stream() {
+        let name = stream(TestRng::from_seed_str("some_test"));
+        assert_eq!(stream(TestRng::for_test("some_test", None)), name);
+        let seeded = stream(TestRng::for_test("some_test", Some(46)));
+        assert_ne!(seeded, name);
+        assert_eq!(stream(TestRng::for_test("some_test", Some(46))), seeded);
+        assert_ne!(stream(TestRng::for_test("some_test", Some(47))), seeded);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn draws_stay_inside_their_range(x in 0u32..10) {
+            prop_assert!(x < 10);
+        }
+    }
+
+    #[test]
+    fn a_failing_case_names_its_seed() {
+        let mut report = CaseReport {
+            test: "t",
+            seed: Some(7),
+            case: 3,
+        };
+        assert_eq!(
+            report.message(),
+            "proptest: t failed at case 3 under PROPTEST_SEED=7"
+        );
+        report.seed = None;
+        assert!(report.message().ends_with("under PROPTEST_SEED unset"));
+    }
 }

@@ -1,9 +1,11 @@
 //! Memory pins for the built world and the scan cache (DESIGN.md §9,
 //! *Layout*; §16). The world indexes each domain once, through its
-//! registry's row, and the cache is one 32-byte slot per registry row,
-//! so what the built world holds, what the cache retains after a cold
-//! scan, and what the scan needs on top of the built world while it
-//! runs, are bounded per domain. A per-domain side structure — a second
+//! registry's row, and the cache is a 9-byte slot per registry row (a
+//! class byte, a `u32` generation and a `u32` operator id) with a window
+//! kept aside only for the few signed rows, so what the built world
+//! holds, what the cache retains after a cold scan and after a short
+//! warm campaign, and what the scan needs on top of the built world while
+//! it runs, are bounded per domain. A per-domain side structure — a second
 //! index or order over the same names, a work list collected before
 //! scanning, a live-key set for pruning — shows here as bytes per domain
 //! long before a benchmark's peak RSS moves. The last test pins one part
@@ -12,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dsec::ecosystem::ALL_TLDS;
+use dsec::ecosystem::{World, ALL_TLDS};
 use dsec::scanner::{ScanCache, ScanOptions, Snapshot};
 use dsec::wire::{Name, Zone};
 use dsec::workloads::{build, PopulationConfig};
@@ -110,13 +112,18 @@ fn cold_scan(population: &PopulationConfig) -> ColdScan {
     }
 }
 
-/// Per-domain budgets: one 32-byte slot retained, and a cold scan that
-/// collects nothing per domain before it scans.
-const RETAINED_PER_DOMAIN: isize = 32;
+/// Per-domain budgets: one 9-byte slot and its 1/64 headroom retained,
+/// and a cold scan that collects nothing per domain before it scans. On
+/// the population below, with a 32-byte slot, the cache retained 41.1
+/// B/domain after a cold scan and 42.2 B per DS-less row after the warm
+/// campaign, and the cold scan peaked 62.9 B/domain above the built
+/// world. With 9-byte slots these read 19.1, 19.6 and 39.5; the
+/// allowance below takes about 10 B of each retained figure.
+const RETAINED_PER_DOMAIN: isize = 12;
 const PEAK_PER_DOMAIN: isize = 150;
 /// What the cache keeps whatever the population: rendered operator keys,
-/// the per-(operator, TLD) sums, the lapse heap of the few signed rows
-/// and the column's 1/64 headroom.
+/// the per-(operator, TLD) sums, and the windows and lapse heap of the
+/// few signed rows.
 const RETAINED_ALLOWANCE: isize = 96 * 1024;
 
 fn population() -> PopulationConfig {
@@ -179,6 +186,57 @@ fn a_cold_scan_costs_a_slot_per_domain() {
         scan.peak,
         scan.domains,
         per_domain(scan.peak)
+    );
+}
+
+/// The delegations of `world` that hold no DS.
+fn ds_less_rows(world: &World) -> isize {
+    ALL_TLDS
+        .iter()
+        .map(|&tld| {
+            let registry = world.registry(tld);
+            (0..registry.delegation_count() as u32)
+                .filter(|&row| !registry.has_ds_at(row))
+                .count() as isize
+        })
+        .sum()
+}
+
+/// A cache carried through a short weekly campaign — a cold scan, then
+/// warm scans that read the registries' journals — keeps what a cold scan
+/// keeps: a slot per row, and the signed rows' windows and lapse items
+/// inside the allowance.
+#[test]
+fn a_warm_cache_keeps_at_most_12_bytes_a_ds_less_row() {
+    let mut pw = build(&population());
+    let world = &mut pw.world;
+    let mut cache = ScanCache::new();
+    let options = ScanOptions::default();
+    for week in 0..5 {
+        if week > 0 {
+            world.advance_to(world.today.plus_days(7));
+        }
+        drop(Snapshot::take_cached(
+            world, &ALL_TLDS, &options, &mut cache,
+        ));
+    }
+    let stats = cache.stats();
+    assert!(
+        stats.hits > stats.misses,
+        "the campaign ran warm: {stats:?}"
+    );
+    let rows = ds_less_rows(world);
+    let with_cache = live();
+    drop(cache);
+    let retained = with_cache - live();
+    eprintln!(
+        "{rows} DS-less rows: warm cache retained {:.1} B/row",
+        retained as f64 / rows as f64
+    );
+    assert!(
+        retained <= RETAINED_PER_DOMAIN * rows + RETAINED_ALLOWANCE,
+        "the warm cache retains {retained} B for {rows} DS-less rows ({:.1} B/row)",
+        retained as f64 / rows as f64
     );
 }
 
